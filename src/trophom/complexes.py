@@ -2,21 +2,24 @@
 
 Builds the hypersurface X dual to the regular subdivision of the Newton
 polytope, its compactification, and the ambient polyhedral structure obtained
-by refining the toric variety by X.  Cells are stored in stratum-local
-coordinates together with their sedentarity cone, integral tangent lattice,
-and compactness flag.  Also home to the predicate battery (properness,
-non-singularity, combinatorial ampleness, cellular pair) and to the complex
-refinements used for invariance checks.
+by refining the toric variety by X.  Every cell is a pair (eta, F) of a fan
+cone eta and a subdivision face F with F inside G_eta, the support points on
+the Newton polytope face dual to eta: the piece, in the eta-stratum, of the
+closure of the dual cell of F.  Its dimension is dim Y - dim eta - dim F.
+Cells are stored in stratum-local coordinates together with their
+sedentarity cone, integral tangent lattice, and compactness flag.  Also home
+to the predicate battery (properness, non-singularity, combinatorial
+ampleness, cellular pair) and to the complex refinements used for invariance
+checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exactla import LatticeSubspace
-from .polyhedra import QPolyhedron, cone_meets_relint, is_primitive, \
-    normalized_simplex_volume, regular_subdivision
+from .polyhedra import QPolyhedron, normalized_simplex_volume, regular_subdivision
 from .toric import ToricVariety
 from .tropio import FanSpec, TropicalPolynomial, newton_polytope
 
@@ -29,12 +32,12 @@ class BuildError(ValueError):
 
 @dataclass
 class Cell:
-    sed: int                    # cone id of the stratum holding the interior
+    sed: int                    # cone id eta of the stratum holding the interior
     dim: int
     geom: QPolyhedron           # stratum-local coordinates
     tangent: LatticeSubspace
     compact: bool
-    provenance: frozenset       # subdivision faces this cell is a piece of
+    face: frozenset             # the subdivision face F this cell is dual to
     in_x: bool
     index: int = -1
 
@@ -134,11 +137,9 @@ class HypersurfacePair:
     X: CellComplex
     Yref: CellComplex
     embed: dict                  # X cell index -> Yref cell index
+    face_points: list            # cone id eta -> G_eta
+    face_table: dict | None      # (eta, F) -> Yref cell index; None once sliced
     _cache: dict = field(default_factory=dict)
-
-    @property
-    def hypersurface_dim(self):
-        return self.Y.dim - 1
 
     def region_cells(self):
         return [c for c in self.Yref.cells
@@ -166,9 +167,36 @@ def dual_cell_geometry(f: TropicalPolynomial, face, dim) -> QPolyhedron:
     return Q
 
 
+def dual_face_points(f: TropicalPolynomial, Y: ToricVariety):
+    """G_eta for every cone eta: the support points on the Newton polytope
+    face dual to eta, i.e. those maximising every ray of eta at once."""
+    pts = [e for e, c in f.terms]
+    tops = []
+    for r in Y.fan.rays:
+        vals = [sum(x * y for x, y in zip(a, r)) for a in pts]
+        top = max(vals)
+        tops.append(frozenset(j for j, v in enumerate(vals) if v == top))
+    out = []
+    for cone in Y.cones:
+        G = frozenset(range(len(pts))).intersection(*(tops[i] for i in cone))
+        if not G:
+            raise BuildError(
+                "fan cone %r with rays %s lies in no normal cone of the Newton "
+                "polytope: its rays have no common maximiser on the support"
+                % (sorted(cone), ", ".join(str(Y.fan.rays[i]) for i in sorted(cone))))
+        out.append(G)
+    return out
+
+
 def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
                ) -> HypersurfacePair:
-    """Build X and the refined ambient structure inside the toric variety."""
+    """Build X and the refined ambient structure inside the toric variety.
+
+    Precondition: every cone of the fan lies in a normal cone of the Newton
+    polytope, i.e. its rays have a common maximiser on the support of f;
+    otherwise a BuildError names the first cone that does not.  Under it the
+    cells are the pairs (eta, F) with F inside G_eta, read off the face table.
+    """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
         raise BuildError("ambient dimension %d exceeds the cap %d "
@@ -178,111 +206,74 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     f = f.padded(Y.dim)
     if len(f.terms) < 2:
         raise BuildError("a tropical hypersurface needs at least two terms")
+    G = dual_face_points(f, Y)
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
-    cells = {}
-
-    def add_piece(sed, geom, prov, in_x):
-        key = (sed, geom.geometry_key())
-        if key in cells:
-            old = cells[key]
-            old.provenance = old.provenance | frozenset([prov])
-            old.in_x = old.in_x or in_x
-        else:
-            cells[key] = Cell(sed, geom.affine_dim, geom,
-                              geom.tangent_lattice(),
-                              Y.closure_is_compact(geom, sed),
-                              frozenset([prov]), in_x)
-
+    cells = []
     for face, fd in sorted(S.faces.items(), key=lambda kv: (kv[1], sorted(kv[0]))):
         Q = dual_cell_geometry(f, face, Y.dim)
         if Q.affine_dim != Y.dim - fd:
             raise BuildError("dual cell of %r has dimension %d, expected %d"
                              % (sorted(face), Q.affine_dim, Y.dim - fd))
-        in_x = fd >= 1
-        for cone_id, piece in Y.compactify(Q).items():
-            add_piece(cone_id, piece, face, in_x)
+        for eta in range(len(Y.cones)):
+            if not face <= G[eta]:
+                continue
+            piece = Q if eta == Y.apex else Q.linear_image(Y.projection(Y.apex, eta))
+            cells.append(Cell(eta, piece.affine_dim, piece, piece.tangent_lattice(),
+                              Y.closure_is_compact(piece, eta), face, fd >= 1))
 
-    cell_list = list(cells.values())
-    tmp_index = {c.key(): i for i, c in enumerate(cell_list)}
     incidence = set()
     # same-stratum incidences, prefiltered by dual-face containment
     by_sed_dim = {}
-    for i, c in enumerate(cell_list):
+    for i, c in enumerate(cells):
         by_sed_dim.setdefault((c.sed, c.dim), []).append(i)
     for (sed, d), sigmas in by_sed_dim.items():
         taus = by_sed_dim.get((sed, d - 1), [])
         for si in sigmas:
-            sig = cell_list[si]
+            sig = cells[si]
             for ti in taus:
-                tau = cell_list[ti]
-                if not any(fs < ft for fs in sig.provenance for ft in tau.provenance):
-                    continue
-                if sig.geom.contains_polyhedron(tau.geom):
+                tau = cells[ti]
+                if sig.face < tau.face and sig.geom.contains_polyhedron(tau.geom):
                     incidence.add((ti, si))
-    # cross-stratum incidences: the projection piece one cone step deeper
-    for si, sig in enumerate(cell_list):
-        for eta in Y.reached_cones(sig.geom, sig.sed):
-            if Y.cone_dim(eta) != Y.cone_dim(sig.sed) + 1:
-                continue
-            img = sig.geom.linear_image(Y.projection(sig.sed, eta))
-            if img.affine_dim != sig.dim - 1:
-                continue
-            key = (eta, img.geometry_key())
-            ti = tmp_index.get(key)
-            if ti is not None:
+    # cross-stratum incidences: (eta, F) is a facet of (rho, F) one cone step up
+    index = {(c.sed, c.face): i for i, c in enumerate(cells)}
+    for (rho, face), si in index.items():
+        for eta in Y.cofaces(rho):
+            ti = index.get((eta, face))
+            if ti is not None and Y.cone_dim(eta) == Y.cone_dim(rho) + 1:
                 incidence.add((ti, si))
 
-    Yref = CellComplex(Y, cell_list, incidence)
-    x_cells = [c for c in Yref.cells if c.in_x]
-    x_old_indices = [c.index for c in x_cells]
-    keep = set(x_old_indices)
-    x_copy = [Cell(c.sed, c.dim, c.geom, c.tangent, c.compact, c.provenance, True)
-              for c in x_cells]
+    Yref = CellComplex(Y, cells, incidence)
+    x_old_indices = [c.index for c in Yref.cells if c.in_x]
     old_to_tmp = {old: i for i, old in enumerate(x_old_indices)}
     x_inc = {(old_to_tmp[t], old_to_tmp[s]) for t, s in Yref.incidence
-             if t in keep and s in keep}
-    X = CellComplex(Y, x_copy, x_inc)
-    embed = {}
-    for c in X.cells:
-        embed[c.index] = Yref.by_key[c.key()]
+             if t in old_to_tmp and s in old_to_tmp}
+    X = CellComplex(Y, [replace(Yref.cells[i]) for i in x_old_indices], x_inc)
+    table = {(c.sed, c.face): c.index for c in Yref.cells}
+    embed = {c.index: table[(c.sed, c.face)] for c in X.cells}
     newton = newton_polytope(f)
-    return HypersurfacePair(f, Y, S, newton, X, Yref, embed)
+    return HypersurfacePair(f, Y, S, newton, X, Yref, embed, G, table)
 
 
 # ---------------------------------------------------------------------------
 # predicates
 
+def _face_table(pair: HypersurfacePair):
+    if pair.face_table is None:
+        raise ValueError("a sliced pair has no face table; use the pair from "
+                         "build_pair")
+    return pair.face_table
+
+
 def is_proper(pair: HypersurfacePair) -> bool:
-    """Every cell meets every deeper stratum in the expected dimension."""
+    """Every cell meets every deeper stratum in the expected dimension: each
+    piece (eta, F) of the face table has dimension dim Y - dim eta - dim F."""
     if "proper" in pair._cache:
         return pair._cache["proper"]
-    ok = True
-    for c in pair.Yref.cells:
-        for eta in pair.Y.reached_cones(c.geom, c.sed):
-            if eta == c.sed:
-                continue
-            drop = pair.Y.cone_dim(eta) - pair.Y.cone_dim(c.sed)
-            img = c.geom.linear_image(pair.Y.projection(c.sed, eta))
-            if img.affine_dim != c.dim - drop:
-                ok = False
-                break
-        if not ok:
-            break
+    Y, cells = pair.Y, pair.Yref.cells
+    ok = all(cells[i].dim == Y.dim - Y.cone_dim(eta) - pair.subdivision.faces[F]
+             for (eta, F), i in _face_table(pair).items())
     pair._cache["proper"] = ok
     return ok
-
-
-def induced_face_points(pair: HypersurfacePair, cone_id):
-    """Support-point indices lying on the Newton polytope face dual to a cone."""
-    f = pair.f
-    pts = [e for e, c in f.terms]
-    live = set(range(len(pts)))
-    for i in sorted(pair.Y.cones[cone_id]):
-        r = pair.Y.fan.rays[i]
-        vals = {j: sum(x * y for x, y in zip(pts[j], r)) for j in live}
-        m = max(vals[j] for j in live)
-        live = {j for j in live if vals[j] == m}
-    return frozenset(live)
 
 
 def is_nonsingular(pair: HypersurfacePair) -> bool:
@@ -293,7 +284,7 @@ def is_nonsingular(pair: HypersurfacePair) -> bool:
     S = pair.subdivision
     ok = True
     for cone_id in range(len(pair.Y.cones)):
-        live = induced_face_points(pair, cone_id)
+        live = pair.face_points[cone_id]
         sub_faces = {F: d for F, d in S.faces.items() if F <= live}
         if not sub_faces:
             ok = False
@@ -377,14 +368,12 @@ def gamma_open(pair: HypersurfacePair, cell_index, host=None) -> GammaOpen:
     c = host.cells[cell_index]
     if c.sed != pair.Y.apex:
         raise ValueError("gamma_open needs a sedentarity-0 cell")
+    table = _face_table(pair)
     pieces = {}
-    for eta in pair.Y.reached_cones(c.geom, c.sed):
-        if eta == c.sed:
-            pieces[eta] = cell_index
-            continue
-        img = c.geom.linear_image(pair.Y.projection(c.sed, eta))
-        key = (eta, img.geometry_key())
-        pieces[eta] = host.by_key[key]
+    for eta in range(len(pair.Y.cones)):
+        i = table.get((eta, c.face))
+        if i is not None:
+            pieces[eta] = host.by_key[pair.Yref.cells[i].key()]
     return GammaOpen(cell_index, pieces, host)
 
 
@@ -438,7 +427,7 @@ def toric_complex(Y: ToricVariety) -> CellComplex:
                                              for i in range(k)]) if k else \
             QPolyhedron.from_generators([()], dim=0)
         cells.append(Cell(cid, k, geom, LatticeSubspace.full(k), Y.compact,
-                          frozenset([frozenset()]), False))
+                          frozenset(), False))
     incidence = set()
     for s, cs in enumerate(Y.cones):
         for t, ct in enumerate(Y.cones):
@@ -468,14 +457,14 @@ def slice_complex(Z: CellComplex, normal, offset) -> CellComplex:
             if Q is None:
                 continue
             key = Q.geometry_key()
+            # cells run by dimension, so the first cell a piece is cut from
+            # is the smallest one containing it, and lends its face
             if key not in pieces:
                 pieces[key] = Cell(apex, Q.affine_dim, Q, Q.tangent_lattice(),
                                    Z.Y.closure_is_compact(Q, apex),
-                                   c.provenance, c.in_x)
+                                   c.face, c.in_x)
             else:
-                old = pieces[key]
-                old.provenance = old.provenance | c.provenance
-                old.in_x = old.in_x or c.in_x
+                pieces[key].in_x = pieces[key].in_x or c.in_x
     cell_list = list(pieces.values())
     by_dim = {}
     for i, c in enumerate(cell_list):
@@ -490,11 +479,15 @@ def slice_complex(Z: CellComplex, normal, offset) -> CellComplex:
 
 
 def slice_pair(pair: HypersurfacePair, slices) -> HypersurfacePair:
-    """Apply a sequence of hyperplane slices to both X and Yref."""
+    """Apply a sequence of hyperplane slices to both X and Yref.
+
+    The sliced cells are no longer (eta, F) pairs, so the result carries no
+    face table and the predicates that read it raise ValueError on it.
+    """
     X, Yref = pair.X, pair.Yref
     for normal, offset in slices:
         X = slice_complex(X, normal, offset)
         Yref = slice_complex(Yref, normal, offset)
     embed = {c.index: Yref.by_key[c.key()] for c in X.cells}
     return HypersurfacePair(pair.f, pair.Y, pair.subdivision, pair.newton,
-                            X, Yref, embed)
+                            X, Yref, embed, pair.face_points, None)

@@ -10,7 +10,7 @@ and free quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .complexes import CellComplex, HypersurfacePair
@@ -97,8 +97,6 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     maps = {}
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
-        if sig.ranks if False else False:
-            pass
         src = bases[s]
         if tau.sed == sig.sed:
             image = src
@@ -115,10 +113,6 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
                 "(cells %d -> %d, p=%d)" % (s, t, p))
         maps[(t, s)] = A
     return Cosheaf(Z, p, ranks, bases, maps)
-
-
-def multitangent_family(Z: CellComplex, pmax: int):
-    return [multitangent(Z, p) for p in range(pmax + 1)]
 
 
 def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:

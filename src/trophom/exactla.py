@@ -90,12 +90,6 @@ class IntMatrix:
     def is_zero(self):
         return all(x == 0 for r in self.rows for x in r)
 
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return IntMatrix(tuple(a + b for a, b in zip(self.rows, other.rows)),
-                         ncols=self.ncols + other.ncols)
-
     def submatrix(self, rows, cols):
         return IntMatrix(tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
                          ncols=len(cols))
@@ -601,11 +595,6 @@ def exterior_power(M: IntMatrix, p: int) -> IntMatrix:
     for I in row_sets:
         out.append(tuple(det(M.submatrix(I, J)) for J in col_sets))
     return IntMatrix(tuple(out), ncols=len(col_sets))
-
-
-def wedge_indices(n: int, p: int):
-    """The lexicographic p-subset basis of wedge^p Z^n."""
-    return list(combinations(range(n), p))
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix):

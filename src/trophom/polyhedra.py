@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .exactla import (
     IntMatrix,
@@ -18,18 +17,11 @@ from .exactla import (
     det,
     kernel_lattice,
     primitive_vector,
-    solve_int,
-    solve_rational,
 )
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _int_row(vec):
-    """Scale a rational row vector to primitive integer form (sign kept)."""
-    return primitive_vector(vec)
 
 
 def dd_cone(constraints, dim):
@@ -107,9 +99,9 @@ def dd_cone(constraints, dim):
 def _homogenize_hrep(ineqs, eqs, dim):
     rows = [(-1,) + (0,) * dim]  # t >= 0
     for a, b in ineqs:
-        rows.append(_int_row((-Fraction(b),) + tuple(Fraction(x) for x in a)))
+        rows.append(primitive_vector((-Fraction(b),) + tuple(Fraction(x) for x in a)))
     for a, b in eqs:
-        r = _int_row((-Fraction(b),) + tuple(Fraction(x) for x in a))
+        r = primitive_vector((-Fraction(b),) + tuple(Fraction(x) for x in a))
         rows.append(r)
         rows.append(tuple(-x for x in r))
     return rows
@@ -136,7 +128,7 @@ def hrep_from_generators(points, rays, lins, dim):
     """Minimal H-representation (facets, equations) of conv(points)+cone."""
     rows = []
     for p in points:
-        rows.append(_int_row((-1,) + tuple(Fraction(x) for x in p)))
+        rows.append(primitive_vector((-1,) + tuple(Fraction(x) for x in p)))
     for r in rays:
         rows.append((0,) + tuple(int(x) for x in r))
     for l in lins:
@@ -236,12 +228,6 @@ class QPolyhedron:
 
     def is_bounded(self):
         return not self.rays and not self.lin
-
-    def is_pointed(self):
-        return not self.lin
-
-    def is_cone(self):
-        return self.vertices == ((0,) * self.dim,) if self.vertices else False
 
     def contains(self, x, strict=False):
         x = tuple(Fraction(v) for v in x)
@@ -347,11 +333,6 @@ class QPolyhedron:
                 lins.append(primitive_vector(w))
         return QPolyhedron.from_generators(pts, rays, lins, M.nrows)
 
-    def translate(self, t):
-        return QPolyhedron.from_generators(
-            [tuple(Fraction(a) + Fraction(b) for a, b in zip(v, t)) for v in self.vertices],
-            self.rays, self.lin, self.dim)
-
     def tangent_lattice(self) -> LatticeSubspace:
         """Saturated integral tangent lattice of the affine hull."""
         if not self.equations:
@@ -421,10 +402,6 @@ def convex_hull(points, dim=None) -> QPolyhedron:
     if not points:
         raise ValueError("empty point list")
     return QPolyhedron.from_generators(points, dim=dim)
-
-
-def recession_cone(P: QPolyhedron) -> QPolyhedron:
-    return P.recession()
 
 
 @dataclass(frozen=True)
@@ -526,9 +503,6 @@ class RegularSubdivision:
     used: tuple                 # bool per support point
     tangent_basis: IntMatrix    # intrinsic lattice basis of aff(points)
     base_point: tuple
-
-    def faces_of_dim(self, d):
-        return [f for f, fd in self.faces.items() if fd == d]
 
 
 def _intrinsic_coords(points):

@@ -5,6 +5,12 @@ R^{dim-s}, realized as the quotient of Z^dim by the sublattice spanned by the
 cone's rays.  Each stratum carries a fixed integral section basis obtained by
 completing the ray matrix to a basis of Z^dim, so quotient projections and
 everything downstream are plain integer matrices.
+
+The cells built over these strata are pairs (eta, F) of a cone and a
+subdivision face, read off a face table (see `complexes.build_pair`).
+`reached_cones` and `compactify` answer the same question geometrically, by
+double description on recession cones; they are kept as the LP reference the
+tests compare the face table against, and the pipeline does not call them.
 """
 
 from __future__ import annotations
@@ -105,7 +111,9 @@ class ToricVariety:
 
     def reached_cones(self, P: QPolyhedron, cid):
         """Cones eta >= rho whose stratum the closure of P (living in the
-        rho-stratum) meets: the recession cone must hit relint of eta's image."""
+        rho-stratum) meets: the recession cone must hit relint of eta's image.
+
+        LP reference for the face table of `complexes.build_pair`."""
         rec = P.recession()
         out = []
         for did in self.cofaces(cid):
@@ -118,7 +126,9 @@ class ToricVariety:
 
     def compactify(self, P: QPolyhedron, cid=None):
         """Closure pieces of P: maps cone id -> piece of the closure in that
-        stratum (the image of P under the quotient projection)."""
+        stratum (the image of P under the quotient projection).
+
+        LP reference for the face table of `complexes.build_pair`."""
         if cid is None:
             cid = self.apex
         pieces = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import IntMatrix, primitive_vector, snf
-from .polyhedra import LatticePolytope, QPolyhedron, cone_hull, convex_hull
+from .polyhedra import LatticePolytope, QPolyhedron, cone_hull
 
 
 class ParseError(ValueError):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,7 @@ cone: 0 1 4
 cone: 0 2 4
 cone: 1 2 4
 """
+HALF_TORIC_FAN = "dim 3\nray 0: 0 0 -1\ncone: 0\n"
 
 
 def pair_line_tp2():
@@ -49,6 +51,19 @@ def pair_blowup():
 def pair_degenerate(n):
     f = parse_polynomial("max(0, x1)", n_vars=n + 1)
     return build_pair(f, load_fan("dim %d\n" % (n + 1)))
+
+
+def quadric_poly():
+    """A quadric on 2*Delta_3 whose Freudenthal heights triangulate it
+    unimodularly: with suffix sums y_i, -(sum y_i^2 + sum (y_i - y_j)^2)."""
+    from trophom.tropio import TropicalPolynomial
+    terms = []
+    for a in [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]:
+        y = [sum(a[i:]) for i in range(3)]
+        h = sum(v * v for v in y) + sum((y[i] - y[j]) ** 2
+                                        for i, j in combinations(range(3), 2))
+        terms.append((a, -h))
+    return TropicalPolynomial.make(terms, 3)
 
 
 def curve_poly(d):
@@ -99,6 +114,15 @@ class TestDualComplex:
     def test_degenerate_input_rejected(self):
         with pytest.raises(BuildError):
             build_pair(parse_polynomial("max(0)"), load_fan("dim 1\n"))
+
+    def test_cone_in_no_normal_cone_rejected(self):
+        # the cone spanned by e1, e2 has no common maximiser on {0, e1, e2}
+        f = parse_polynomial("max(0, x1, x2)")
+        fan = load_fan("dim 2\nray 0: 1 0\nray 1: 0 1\ncone: 0 1\n")
+        with pytest.raises(BuildError) as err:
+            build_pair(f, fan)
+        assert "cone [0, 1]" in str(err.value)
+        assert "rays (1, 0), (0, 1)" in str(err.value)
 
     def test_dimension_cap(self):
         f = parse_polynomial("max(0, x1, x2, x3, x4, x5)")
@@ -275,6 +299,53 @@ class TestGammaOpen:
                 assert go.minimal_face() is not None
 
 
+def _normal(text):
+    f = parse_polynomial(text)
+    return build_pair(f, normal_fan(newton_polytope(f)))
+
+
+# every build_pair input of this module, plus a quadric on partial fans
+LP_FIXTURES = {
+    "line-tp2": pair_line_tp2,
+    "hyperplane-r2": lambda: pair_hyperplane_rn(1),
+    "hyperplane-r3": lambda: pair_hyperplane_rn(2),
+    "hyperplane-tp3": lambda: _normal("max(0, x1, x2, x3)"),
+    "hyperplane-r5": lambda: build_pair(parse_polynomial("max(0, x1, x2, x3, x4, x5)"),
+                                        load_fan("dim 5\n"), max_dim=5),
+    "hyperplane-blowup": pair_blowup,
+    "degenerate-r2": lambda: pair_degenerate(1),
+    "degenerate-r3": lambda: pair_degenerate(2),
+    "conic-r2": lambda: build_pair(curve_poly(2), load_fan("dim 2\n")),
+    "cubic-r2": lambda: build_pair(curve_poly(3), load_fan("dim 2\n")),
+    "line-r2": lambda: build_pair(parse_polynomial("max(0, x1, x2)"), load_fan("dim 2\n")),
+    "conic-trivial-tp2": lambda: _normal("max(0, x1, x2, 2*x1, x1 + x2, 2*x2)"),
+    "triangle-one-cone": lambda: build_pair(
+        parse_polynomial("max(0, x1 + 2*x2, 2*x1 + x2)"),
+        load_fan("dim 2\nray 0: -1 0\nray 1: 0 -1\ncone: 0 1\n")),
+    "line-half-toric": lambda: build_pair(parse_polynomial("max(0, x1)", n_vars=2),
+                                          load_fan("dim 2\nray 0: 0 -1\ncone: 0\n")),
+    "quadric-blowup": lambda: build_pair(quadric_poly(), load_fan(TP3_BLOWUP_FAN)),
+    "quadric-half-toric": lambda: build_pair(quadric_poly(), load_fan(HALF_TORIC_FAN)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_face_table_matches_lp_reference(name):
+    """The face table agrees with the double-description closure: (eta, F) is
+    in the table exactly when the closure of the cell reaches the eta-stratum,
+    and its piece is the projection of the cell there."""
+    pair = LP_FIXTURES[name]()
+    Y, table = pair.Y, pair.face_table
+    for c in pair.Yref.cells:
+        reached = Y.reached_cones(c.geom, c.sed)
+        for eta in Y.cofaces(c.sed):
+            assert (eta in reached) == ((eta, c.face) in table), (c.index, eta)
+            if eta in reached:
+                img = c.geom.linear_image(Y.projection(c.sed, eta))
+                piece = pair.Yref.cells[table[(eta, c.face)]]
+                assert piece.geom.geometry_key() == img.geometry_key()
+
+
 class TestOtherStructures:
     def test_toric_complex_tp2(self):
         Y = ToricVariety(normal_fan(newton_polytope(parse_polynomial("max(0, x1, x2)"))))
@@ -290,3 +361,11 @@ class TestOtherStructures:
         assert refined.Yref.f_vector() == [1, 4, 4]
         assert refined.X.validate(full=True)
         assert refined.Yref.validate(full=True)
+
+    def test_sliced_pair_has_no_face_table(self):
+        refined = slice_pair(pair_degenerate(1), [((0, 1), Fraction(0))])
+        with pytest.raises(ValueError):
+            is_proper(refined)
+        with pytest.raises(ValueError):
+            gamma_open(refined, refined.Yref.cells[-1].index)
+        assert is_nonsingular(refined) == is_nonsingular(pair_degenerate(1))

@@ -14,7 +14,6 @@ from trophom.polyhedra import (
     convex_hull,
     is_primitive,
     normalized_simplex_volume,
-    recession_cone,
     regular_subdivision,
 )
 from trophom.exactla import solve_rational
@@ -91,12 +90,12 @@ class TestFaceLattice:
 class TestRecession:
     def test_polytope_recession_trivial(self):
         P = convex_hull([(0, 0), (1, 0), (0, 1)])
-        R = recession_cone(P)
+        R = P.recession()
         assert R.affine_dim == 0
 
     def test_point_plus_ray(self):
         P = QPolyhedron.from_generators([(0, 0)], rays=[(1, 0)])
-        R = recession_cone(P)
+        R = P.recession()
         assert R.rays == ((1, 0),)
 
     def test_intersection_commutes_with_recession(self):
@@ -111,8 +110,8 @@ class TestRecession:
             both = p1.intersect(p2)
             if both is None:
                 continue
-            lhs = recession_cone(both)
-            rhs = recession_cone(p1).intersect(recession_cone(p2))
+            lhs = both.recession()
+            rhs = p1.recession().intersect(p2.recession())
             assert lhs == rhs
 
 
