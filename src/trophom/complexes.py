@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .exactla import LatticeSubspace
+from .exactla import LatticeSubspace, solve_rational
 from .polyhedra import QPolyhedron, normalized_simplex_volume, regular_subdivision
 from .toric import ToricVariety
 from .tropio import FanSpec, TropicalPolynomial, newton_polytope
@@ -146,25 +146,35 @@ class HypersurfacePair:
                 if c.sed == self.Y.apex and c.dim == self.Y.dim]
 
 
-def dual_cell_geometry(f: TropicalPolynomial, face, dim) -> QPolyhedron:
-    """Locus where exactly the terms of `face` attain the maximum (closure)."""
-    terms = list(f.terms)
-    idx = sorted(face)
-    a0, c0 = terms[idx[0]]
-    eqs = []
-    for i in idx[1:]:
-        a, c = terms[i]
-        eqs.append((tuple(x - y for x, y in zip(a, a0)), Fraction(c0 - c)))
-    ineqs = []
-    for j, (b, cb) in enumerate(terms):
-        if j in face:
-            continue
-        ineqs.append((tuple(x - y for x, y in zip(b, a0)), Fraction(c0 - cb)))
-    Q = QPolyhedron.from_hrep(ineqs, eqs, dim)
-    if Q is None:
-        raise BuildError("empty dual cell; the subdivision face %r is spurious"
-                         % (sorted(face),))
-    return Q
+def tie_points(f: TropicalPolynomial, S) -> dict:
+    """v_M for every maximal cell M of the subdivision: the point where all
+    terms of M tie, i.e. a solution of <a_i - a_0, x> = c_0 - c_i over M.
+    Unique modulo the lineality of a support that is not full-dimensional."""
+    out = {}
+    for M in S.maximal_cells:
+        (a0, c0), *rest = (f.terms[i] for i in sorted(M))
+        out[M] = tuple(solve_rational([[x - y for x, y in zip(a, a0)] for a, c in rest],
+                                      [c0 - c for a, c in rest]))
+    return out
+
+
+def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron:
+    """The closed dual cell of a subdivision face F: the locus where the terms
+    of F tie and attain the maximum.
+
+    It is conv{v_M : M maximal, M contains F} + N(F), read off the
+    subdivision: `ties` maps each maximal cell M to v_M (`tie_points`), and
+    N(F), the normal cone of the Newton polytope `newton` at F, is spanned by
+    the outer normals of its facets through every point of F plus the
+    normals of its equations.
+    """
+    verts = [v for M, v in ties.items() if face <= M]
+    P = newton.poly
+    pts = [f.terms[i][0] for i in face]
+    rays = [a for a, b in P.facets
+            if all(sum(x * y for x, y in zip(a, p)) == b for p in pts)]
+    lins = [a for a, b in P.equations]
+    return QPolyhedron.from_generators(sorted(verts), sorted(rays), lins, P.dim)
 
 
 def dual_face_points(f: TropicalPolynomial, Y: ToricVariety):
@@ -208,9 +218,11 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
         raise BuildError("a tropical hypersurface needs at least two terms")
     G = dual_face_points(f, Y)
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
+    newton = newton_polytope(f)
+    ties = tie_points(f, S)
     cells = []
     for face, fd in sorted(S.faces.items(), key=lambda kv: (kv[1], sorted(kv[0]))):
-        Q = dual_cell_geometry(f, face, Y.dim)
+        Q = dual_cell_geometry(f, face, ties, newton)
         if Q.affine_dim != Y.dim - fd:
             raise BuildError("dual cell of %r has dimension %d, expected %d"
                              % (sorted(face), Q.affine_dim, Y.dim - fd))
@@ -250,7 +262,6 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     X = CellComplex(Y, [replace(Yref.cells[i]) for i in x_old_indices], x_inc)
     table = {(c.sed, c.face): c.index for c in Yref.cells}
     embed = {c.index: table[(c.sed, c.face)] for c in X.cells}
-    newton = newton_polytope(f)
     return HypersurfacePair(f, Y, S, newton, X, Yref, embed, G, table)
 
 

@@ -18,7 +18,6 @@ from .exactla import (
     IntMatrix,
     LatticeSubspace,
     exterior_power,
-    lattice_sum,
     snf,
     solve_int,
 )
@@ -85,13 +84,12 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     for i, c in enumerate(Z.cells):
         k = Y.stratum_dim(c.sed)
         amb = comb(k, p) if 0 <= p <= k else 0
-        total = LatticeSubspace.zero(amb)
+        gens = []
         for j in star[i]:
-            B = Z.cells[j].tangent.basis
-            W = exterior_power(B, p)
-            if W.ncols == 0 or W.nrows == 0:
-                continue
-            total = lattice_sum(total, LatticeSubspace.from_columns(W.columns(), amb))
+            W = exterior_power(Z.cells[j].tangent.basis, p)
+            if W.nrows:
+                gens += W.columns()
+        total = LatticeSubspace.from_columns(gens, amb)
         ranks.append(total.rank)
         bases.append(total.basis)
     maps = {}

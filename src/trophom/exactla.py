@@ -432,13 +432,11 @@ class LatticeSubspace:
 
     @classmethod
     def from_columns(cls, cols, ambient):
-        if not cols:
-            return cls(ambient, IntMatrix((), ncols=0) if ambient == 0
-                       else IntMatrix(tuple(() for _ in range(ambient)), ncols=0))
-        M = IntMatrix.from_columns(cols, ambient)
-        H, _ = hnf(M)
-        keep = [j for j in range(H.ncols) if any(H.rows[i][j] for i in range(H.nrows))]
-        return cls(ambient, H.submatrix(range(H.nrows), keep))
+        # row HNF of the generators as rows is the transposed column HNF; no
+        # transform is needed, so none is built
+        h = [list(c) for c in cols]
+        _hnf_rows_inplace(h)
+        return cls(ambient, IntMatrix.from_columns([r for r in h if any(r)], ambient))
 
     @classmethod
     def zero(cls, ambient):

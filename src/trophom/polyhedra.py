@@ -532,8 +532,43 @@ def _annihilator_rows(T: LatticeSubspace, dim):
     return [K.basis.column(j) for j in range(K.basis.ncols)]
 
 
+def _add_cell_faces(members, coords, faces):
+    """Record every face of the cell conv(coords[i] : i in members) in `faces`,
+    as its set of member points mapped to its dimension.
+
+    A proper face is the intersection of the facets through it, so the faces
+    are the cell plus the non-empty intersections of its facets' member sets
+    (vertex-facet incidence closure, Kaibel-Pfetsch).  A face already in
+    `faces` came from a neighbouring cell of the same subdivision, together
+    with all of its own faces.  A face's dimension is the affine rank of its
+    points.  The cell must span the coordinate space.
+    """
+    dim = len(coords[0])
+    cell = convex_hull([coords[i] for i in sorted(members)], dim=dim)
+    walls = {frozenset(i for i in members if _dot(a, coords[i]) == b)
+             for a, b in cell.facets}
+    faces[members] = dim
+    todo = [members]
+    while todo:
+        face = todo.pop()
+        for wall in walls:
+            sub = face & wall
+            if sub and sub not in faces:
+                i0, *rest = sorted(sub)
+                diffs = [tuple(x - y for x, y in zip(coords[i], coords[i0]))
+                         for i in rest]
+                faces[sub] = LatticeSubspace.from_columns(diffs, dim).rank
+                todo.append(sub)
+
+
 def regular_subdivision(points, heights) -> RegularSubdivision:
-    """Subdivision of conv(points) from the upper faces of the lifted hull."""
+    """Subdivision of conv(points) from the upper faces of the lifted hull.
+
+    The maximal cells are the projections of the upper facets (one convex
+    hull of the lift), and their faces are read off each cell's
+    vertex-facet incidences.  With affine heights the single cell is
+    conv(points) itself.
+    """
     points = [tuple(int(x) for x in p) for p in points]
     heights = [Fraction(h) for h in heights]
     if len(set(points)) != len(points):
@@ -551,14 +586,11 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     degenerate = any(a[d] != 0 for a, b in eqs)
     if degenerate:
         # affine heights: the subdivision is the face complex of the polytope
-        Q = convex_hull([tuple(Fraction(c) for c in y) for y in coords], dim=d)
+        whole = frozenset(range(len(points)))
         cells = {}
-        for F, act in Q.face_lattice():
-            members = frozenset(i for i, y in enumerate(coords) if F.contains(y))
-            cells[members] = F.affine_dim
-        maximal = tuple(sorted(f for f, fd in cells.items() if fd == d))
+        _add_cell_faces(whole, coords, cells)
         used = tuple(True for _ in points)
-        return RegularSubdivision(tuple(points), tuple(heights), d, maximal,
+        return RegularSubdivision(tuple(points), tuple(heights), d, (whole,),
                                   cells, used, basis, base)
     upper = [(a, b) for a, b in facets if a[d] > 0]
     maximal = []
@@ -568,15 +600,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     maximal = sorted(set(maximal))
     faces = {}
     for members in maximal:
-        pts = [coords[i] for i in sorted(members)]
-        cellQ = convex_hull([tuple(Fraction(c) for c in y) for y in pts], dim=d)
-        for F, act in cellQ.face_lattice():
-            sub = frozenset(i for i in members if F.contains(coords[i]))
-            fd = F.affine_dim
-            if sub in faces:
-                assert faces[sub] == fd
-            else:
-                faces[sub] = fd
+        _add_cell_faces(members, coords, faces)
     used = tuple(any(i in m for m in maximal) for i in range(len(points)))
     return RegularSubdivision(tuple(points), tuple(heights), d, tuple(maximal),
                               faces, used, basis, base)

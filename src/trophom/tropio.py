@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .exactla import IntMatrix, primitive_vector, snf
 from .polyhedra import LatticePolytope, QPolyhedron, cone_hull
@@ -272,6 +273,9 @@ class FanSpec:
         return not self.max_cones or self.max_cones == (frozenset(),)
 
     def validate(self):
+        """Check that the rays are primitive and distinct, that every maximal
+        cone is unimodular simplicial, and that every two maximal cones meet
+        in their common face; raise FanError naming the first failure."""
         for i, r in enumerate(self.rays):
             if not any(r):
                 raise FanError("ray %d is zero" % i)
@@ -290,19 +294,15 @@ class FanSpec:
                                "(invariant factors %r)"
                                % (idx, [self.rays[i] for i in idx],
                                   list(d.invariant_factors)))
-        cones = self.cones()
-        geoms = {c: self.cone_geometry(c) for c in cones}
-        for a in cones:
-            for b in cones:
-                if a >= b:
-                    continue
-                meet = geoms[a].intersect(geoms[b])
-                expected = geoms[a & b]
-                gens_equal = (meet is not None
-                              and meet.geometry_key() == expected.geometry_key())
-                if not gens_equal:
-                    raise FanError("cones %r and %r do not intersect in a common face"
-                                   % (sorted(a), sorted(b)))
+        # the cones are simplicial, so when two maximal cones A, B meet in
+        # cone(A & B), all faces a of A and b of B meet in cone(a & b)
+        geoms = {c: self.cone_geometry(c) for c in self.max_cones}
+        for a, b in combinations(self.max_cones, 2):
+            meet = geoms[a].intersect(geoms[b])
+            if meet is None or meet.geometry_key() != \
+                    self.cone_geometry(a & b).geometry_key():
+                raise FanError("cones %r and %r do not intersect in a common face"
+                               % (sorted(a), sorted(b)))
         return self
 
 

@@ -1,20 +1,30 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from trophom.complexes import (
     BuildError,
     build_pair,
+    dual_cell_geometry,
     gamma_open,
     is_cellular_pair,
     is_combinatorially_ample,
     is_nonsingular,
     is_proper,
     slice_pair,
+    tie_points,
     toric_complex,
 )
-from trophom.tropio import load_fan, newton_polytope, normal_fan, parse_polynomial
+from trophom.polyhedra import QPolyhedron, regular_subdivision
+from trophom.tropio import (
+    TropicalPolynomial,
+    load_fan,
+    newton_polytope,
+    normal_fan,
+    parse_polynomial,
+)
 from trophom.toric import ToricVariety
 
 TP3_BLOWUP_FAN = """dim 3
@@ -344,6 +354,60 @@ def test_face_table_matches_lp_reference(name):
                 img = c.geom.linear_image(Y.projection(c.sed, eta))
                 piece = pair.Yref.cells[table[(eta, c.face)]]
                 assert piece.geom.geometry_key() == img.geometry_key()
+
+
+def hrep_dual_cell(f, face):
+    """Reference dual cell by double description: the terms of F tie, and
+    every other term is at most theirs."""
+    idx = sorted(face)
+    a0, c0 = f.terms[idx[0]]
+    eqs = [(tuple(x - y for x, y in zip(a, a0)), Fraction(c0 - c))
+           for a, c in (f.terms[i] for i in idx[1:])]
+    ineqs = [(tuple(x - y for x, y in zip(b, a0)), Fraction(c0 - cb))
+             for j, (b, cb) in enumerate(f.terms) if j not in face]
+    return QPolyhedron.from_hrep(ineqs, eqs, f.n_vars)
+
+
+def assert_dual_cells_match_hrep(f, S, newton):
+    ties = tie_points(f, S)
+    for face in S.faces:
+        got, want = dual_cell_geometry(f, face, ties, newton), hrep_dual_cell(f, face)
+        assert got.geometry_key() == want.geometry_key(), sorted(face)
+        assert got.facets == want.facets, sorted(face)
+        assert got.equations == want.equations, sorted(face)
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_dual_cells_match_hrep_reference(name):
+    pair = LP_FIXTURES[name]()
+    assert_dual_cells_match_hrep(pair.f, pair.subdivision, pair.newton)
+
+
+def _random_poly(seed):
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    d = 2 if n == 3 else rng.choice((2, 3))
+    pts = [p for p in product(range(d + 1), repeat=n) if sum(p) <= d]
+    return TropicalPolynomial.make([(p, rng.randint(-2, 2)) for p in pts], n)
+
+
+DUAL_CELL_CASES = {
+    **{"random-%d" % seed: (lambda seed=seed: _random_poly(seed)) for seed in range(6)},
+    # A_3-form heights on 2*Delta_3 leave octahedra: non-simplicial cells
+    "quadric-a3-octahedra": lambda: TropicalPolynomial.make(
+        [(a, -(sum(x * x for x in a) + a[0] * a[1] + a[0] * a[2] + a[1] * a[2]))
+         for a in product(range(3), repeat=3) if sum(a) <= 2], 3),
+    # a conic padded into R^3: the support is not full-dimensional
+    "conic-padded-r3": lambda: curve_poly(2).padded(3),
+    "random-padded-r4": lambda: _random_poly(1).padded(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_CELL_CASES))
+def test_dual_cells_match_hrep_reference_random(name):
+    f = DUAL_CELL_CASES[name]()
+    S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
+    assert_dual_cells_match_hrep(f, S, newton_polytope(f))
 
 
 class TestOtherStructures:

@@ -4,9 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from trophom.exactla import IntMatrix
 from trophom.polyhedra import (
-    LatticePolytope,
     QPolyhedron,
     cone_covered_by,
     cone_hull,
@@ -136,6 +134,46 @@ class TestHrepVrepConsistency:
         assert len(P.facets) == 2
 
 
+def face_lattice_faces(points, maximal_cells):
+    """Reference faces of a subdivision: each maximal cell's face lattice by
+    double description, every face read as the support points on it."""
+    faces = {}
+    for cell in maximal_cells:
+        hull = convex_hull([points[i] for i in sorted(cell)])
+        for F, _ in hull.face_lattice():
+            faces[frozenset(i for i in cell if F.contains(points[i]))] = F.affine_dim
+    return faces
+
+
+def _simplex(n, d):
+    return [p for p in product(range(d + 1), repeat=n) if sum(p) <= d]
+
+
+def _random_heights(seed):
+    rng = random.Random(seed)
+    n = rng.choice((1, 2, 3))
+    pts = _simplex(n, 2 if n == 3 else rng.choice((2, 3)))
+    return pts, [rng.randint(-2, 2) for _ in pts]
+
+
+SUBDIVISION_CASES = {
+    "square-zero-heights": lambda: ([(0, 0), (1, 0), (0, 1), (1, 1)], [0] * 4),
+    "2d2-zero-heights": lambda: (_simplex(2, 2), [0] * 6),
+    "2d3-zero-heights": lambda: (_simplex(3, 2), [0] * 10),
+    # the A_3 form leaves octahedra: non-simplicial maximal cells
+    "2d3-a3-octahedra": lambda: (_simplex(3, 2), [
+        -(sum(x * x for x in a) + a[0] * a[1] + a[0] * a[2] + a[1] * a[2])
+        for a in _simplex(3, 2)]),
+    "3d2-concave": lambda: (_simplex(2, 3), [-(a * a + a * b + b * b)
+                                              for a, b in _simplex(2, 3)]),
+    "segment-unused-point": lambda: ([(0,), (1,), (2,)], [0, -5, 0]),
+    # a lower-dimensional configuration: a triangle in the plane z = 1 of R^3
+    "planar-in-r3": lambda: ([(a, b, 1) for a, b in _simplex(2, 2)],
+                             [0, 1, 0, 1, 1, 0]),
+    **{"random-%d" % seed: (lambda seed=seed: _random_heights(seed)) for seed in range(8)},
+}
+
+
 class TestRegularSubdivision:
     def test_all_zero_heights_single_cell(self):
         pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -195,6 +233,13 @@ class TestRegularSubdivision:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             regular_subdivision([(0, 0), (0, 0)], [0, 0])
+
+    @pytest.mark.parametrize("name", sorted(SUBDIVISION_CASES))
+    def test_faces_match_face_lattice_reference(self, name):
+        points, heights = SUBDIVISION_CASES[name]()
+        S = regular_subdivision(points, heights)
+        assert S.faces == face_lattice_faces(points, S.maximal_cells)
+
 
 
 class TestConePredicates:

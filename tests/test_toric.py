@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from trophom.exactla import IntMatrix
 from trophom.polyhedra import QPolyhedron, convex_hull
 from trophom.tropio import load_fan, newton_polytope, normal_fan, parse_polynomial

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
+from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import LatticePolytope, cone_meets_relint, cone_hull
 from trophom.tropio import (
     FanError,
-    FanSpec,
     ParseError,
     TropicalPolynomial,
     fan_text,
@@ -124,6 +126,19 @@ class TestNormalFan:
             normal_fan(np)
 
 
+def _cones_meet_in_faces(dim, rays, max_cones):
+    """All-pairs reference: every two cones of the fan meet in their common
+    face."""
+    cones = {frozenset(s) for c in max_cones for k in range(len(c) + 1)
+             for s in combinations(c, k)}
+    hull = {c: cone_hull([rays[i] for i in sorted(c)], dim) for c in cones}
+    for a, b in combinations(cones, 2):
+        meet = hull[a].intersect(hull[b])
+        if meet is None or meet.geometry_key() != hull[a & b].geometry_key():
+            return False
+    return True
+
+
 class TestLoadFan:
     def test_blowup_fan(self):
         # projective 3-space fan with the corner cone star-subdivided
@@ -160,6 +175,45 @@ cone: 1 2 4
         with pytest.raises(FanError):
             load_fan("dim 2\nray 0: 1 0\nray 1: 0 1\nray 2: 1 1\nray 3: -1 1\n"
                      "cone: 0 1\ncone: 2 3\n")
+
+    def test_maximal_pairs_match_all_pairs_reference(self):
+        """`validate` meets only maximal cones pairwise; on simplicial fans
+        that agrees with meeting every pair of cones."""
+        cases = [(3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1), (-1, -1, -1)],
+                  [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4)]),
+                 (3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)],
+                  [(0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+                 (3, [(0, 0, -1)], [(0,)])]
+        for poly in ("max(0, 4*x1, 4*x2)", "max(0, 3*x1, 3*x2, 3*x3)",
+                     "max(0, x1, x2, x1 + x2)"):
+            fan = normal_fan(newton_polytope(parse_polynomial(poly)))
+            cases.append((fan.dim, list(fan.rays), [tuple(c) for c in fan.max_cones]))
+        rng = random.Random(11)
+        for dim, width, count in ((2, 2, 60), (3, 1, 30)):
+            vecs = [v for v in product(range(-width, width + 1), repeat=dim)
+                    if any(v) and gcd(*v) == 1]
+            for _ in range(count):
+                rays = rng.sample(vecs, dim + 2)
+                unimodular = [c for c in combinations(range(dim + 2), dim) if abs(det(
+                    IntMatrix.from_columns([rays[i] for i in c], dim))) == 1]
+                if len(unimodular) >= 2:
+                    k = min(len(unimodular), rng.randint(2, 3))
+                    cases.append((dim, rays, rng.sample(unimodular, k)))
+        verdicts = []
+        for dim, rays, cones in cases:
+            text = "dim %d\n%s%s" % (
+                dim, "".join("ray %d: %s\n" % (i, " ".join(map(str, r)))
+                             for i, r in enumerate(rays)),
+                "".join("cone: %s\n" % " ".join(map(str, c)) for c in cones))
+            try:
+                load_fan(text)
+                ok = True
+            except FanError as err:
+                assert "common face" in str(err)
+                ok = False
+            assert ok == _cones_meet_in_faces(dim, rays, cones), text
+            verdicts.append(ok)
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
     def test_round_trip(self):
         text = "dim 2\nray 0: -1 0\nray 1: 0 -1\nray 2: 1 1\ncone: 0 1\ncone: 0 2\ncone: 1 2\n"
