@@ -4,8 +4,7 @@ A cosheaf here is a rank (with an optional basis matrix inside the stratum's
 wedge space) per cell, plus one integer matrix per codimension-one incidence,
 contravariant along inclusion: the matrix attached to (tau, sigma) maps the
 stalk at sigma into the stalk at tau.  Instances built here: the multi-tangent
-cosheaf of a complex, the ambient cosheaf of its toric variety, restrictions,
-and free quotients.
+cosheaf of a complex and the ambient cosheaf of its toric variety.
 """
 
 from __future__ import annotations
@@ -14,13 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import CellComplex, HypersurfacePair
-from .exactla import (
-    IntMatrix,
-    LatticeSubspace,
-    exterior_power,
-    snf,
-    solve_int,
-)
+from .exactla import IntMatrix, LatticeSubspace, exterior_power, solve_int
 
 
 class CosheafError(ValueError):
@@ -36,12 +29,6 @@ class Cosheaf:
     ranks: list
     bases: list          # IntMatrix columns in the stratum wedge space, or None
     maps: dict           # (tau index, sigma index) -> IntMatrix
-
-    def rank(self, idx):
-        return self.ranks[idx]
-
-    def map(self, tau, sigma) -> IntMatrix:
-        return self.maps[(tau, sigma)]
 
     def check_functorial(self):
         """Path independence of composed incidence maps on codim-2 intervals."""
@@ -82,27 +69,18 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     star = _same_stratum_star(Z)
     ranks, bases = [], []
     for i, c in enumerate(Z.cells):
-        k = Y.stratum_dim(c.sed)
-        amb = comb(k, p) if 0 <= p <= k else 0
         gens = []
         for j in star[i]:
-            W = exterior_power(Z.cells[j].tangent.basis, p)
-            if W.nrows:
-                gens += W.columns()
-        total = LatticeSubspace.from_columns(gens, amb)
+            gens += exterior_power(Z.cells[j].tangent.basis, p).columns()
+        total = LatticeSubspace.from_columns(gens, comb(Y.stratum_dim(c.sed), p))
         ranks.append(total.rank)
         bases.append(total.basis)
     maps = {}
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
-        src = bases[s]
-        if tau.sed == sig.sed:
-            image = src
-        else:
-            pi = Y.projection(sig.sed, tau.sed)
-            image = exterior_power(pi, p) * src if src.ncols else \
-                IntMatrix.zeros(comb(Y.stratum_dim(tau.sed), p)
-                                if 0 <= p <= Y.stratum_dim(tau.sed) else 0, 0)
+        image = bases[s]
+        if tau.sed != sig.sed:
+            image = exterior_power(Y.projection(sig.sed, tau.sed), p) * image
         A = solve_int(bases[t], image) if image.ncols else \
             IntMatrix.zeros(ranks[t], 0)
         if A is None:
@@ -119,8 +97,7 @@ def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:
     Y = Z.Y
     ranks, bases = [], []
     for c in Z.cells:
-        k = Y.stratum_dim(c.sed)
-        amb = comb(k, p) if 0 <= p <= k else 0
+        amb = comb(Y.stratum_dim(c.sed), p)
         ranks.append(amb)
         bases.append(IntMatrix.identity(amb))
     maps = {}
@@ -129,91 +106,8 @@ def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:
         if tau.sed == sig.sed:
             maps[(t, s)] = IntMatrix.identity(ranks[s])
         else:
-            pi = Y.projection(sig.sed, tau.sed)
-            W = exterior_power(pi, p)
-            if W.nrows != ranks[t] or W.ncols != ranks[s]:
-                W = IntMatrix.zeros(ranks[t], ranks[s])
-            maps[(t, s)] = W
+            maps[(t, s)] = exterior_power(Y.projection(sig.sed, tau.sed), p)
     return Cosheaf(Z, p, ranks, bases, maps)
-
-
-def restrict_to_x(F: Cosheaf, pair: HypersurfacePair) -> Cosheaf:
-    """Pull a cosheaf on Yref back along the embedding of X."""
-    X = pair.X
-    ranks = [F.ranks[pair.embed[c.index]] for c in X.cells]
-    bases = [F.bases[pair.embed[c.index]] for c in X.cells]
-    maps = {}
-    for t, s in X.incidence:
-        maps[(t, s)] = F.maps[(pair.embed[t], pair.embed[s])]
-    return Cosheaf(X, F.p, ranks, bases, maps)
-
-
-def zero_extend_to_y(F: Cosheaf, pair: HypersurfacePair) -> Cosheaf:
-    """View a cosheaf on X as a cosheaf on Yref, zero off X."""
-    Yref = pair.Yref
-    back = {pair.embed[i]: i for i in range(len(pair.X.cells))}
-    ranks, bases = [], []
-    for c in Yref.cells:
-        if c.index in back:
-            i = back[c.index]
-            ranks.append(F.ranks[i])
-            bases.append(F.bases[i])
-        else:
-            ranks.append(0)
-            bases.append(None)
-    maps = {}
-    for t, s in Yref.incidence:
-        if t in back and s in back:
-            maps[(t, s)] = F.maps[(back[t], back[s])]
-        else:
-            maps[(t, s)] = IntMatrix.zeros(ranks[t], ranks[s])
-    return Cosheaf(Yref, F.p, ranks, bases, maps)
-
-
-@dataclass
-class QuotientData:
-    projection: IntMatrix  # big-stalk coordinates -> quotient coordinates
-    section: IntMatrix     # quotient coordinates -> big-stalk coordinates
-
-
-def quotient_cosheaf(big: Cosheaf, small: Cosheaf):
-    """Stalkwise quotient big/small with induced maps.
-
-    Both cosheaves must live on the same base with small's stalks included in
-    big's (small carries bases in big-stalk coordinates via its `bases` when
-    big's basis is the identity, or comparable bases otherwise).  Raises if a
-    quotient stalk has torsion, naming the cell.
-    """
-    Z = big.base
-    if small.base is not Z:
-        raise CosheafError("quotient needs cosheaves on the same base complex")
-    projs, sects, ranks = [], [], []
-    for i in range(len(Z.cells)):
-        rb = big.ranks[i]
-        # coordinates of the small stalk inside the big stalk
-        if small.ranks[i] == 0:
-            C = IntMatrix.zeros(rb, 0)
-        else:
-            C = solve_int(big.bases[i], small.bases[i])
-            if C is None:
-                raise CosheafError("sub-stalk does not lie in the big stalk "
-                                   "at cell %d" % i)
-        d = snf(C)
-        if any(x > 1 for x in d.invariant_factors):
-            raise CosheafError(
-                "quotient stalk at cell %d has torsion %r"
-                % (i, [x for x in d.invariant_factors if x > 1]))
-        Uinv = solve_int(d.U, IntMatrix.identity(rb))
-        q = rb - d.rank
-        projs.append(d.U.submatrix(range(d.rank, rb), range(rb)))
-        sects.append(Uinv.submatrix(range(rb), range(d.rank, rb)))
-        ranks.append(q)
-    maps = {}
-    for t, s in Z.incidence:
-        maps[(t, s)] = projs[t] * big.maps[(t, s)] * sects[s]
-    Q = Cosheaf(Z, big.p, ranks, [None] * len(ranks), maps)
-    data = [QuotientData(p_, s_) for p_, s_ in zip(projs, sects)]
-    return Q, data
 
 
 def stalk_rank_polynomial(family, cell_index):

@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers.
 
-Hermite and Smith normal forms with unimodular transforms, saturated kernels,
-sums of sublattices, exterior powers in the lexicographic wedge basis, and the
-homology (rank plus torsion) of a composable pair of integer matrices.
+One eliminator per job: Hermite normal forms for lattices (saturated kernels,
+sums of sublattices, integer solves, completion to a basis), the sparse Smith
+diagonal for invariant factors (the homology, rank plus torsion, of a
+composable pair of integer matrices), Bareiss elimination for determinants
+(exterior powers in the lexicographic wedge basis), and one rational reduced
+row echelon form.
 
 Every entry is a Python int, so arithmetic is exact at any size.  Matrices are
 immutable once built; all functions here are pure.
@@ -73,9 +76,6 @@ class IntMatrix:
                         acc[j] += a * rk[j]
             out.append(tuple(acc))
         return IntMatrix(tuple(out), ncols=ocols)
-
-    def __neg__(self):
-        return IntMatrix(tuple(tuple(-x for x in r) for r in self.rows), ncols=self.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.nrows == other.nrows
@@ -174,6 +174,21 @@ def hnf_row(M: IntMatrix):
     return IntMatrix(h, ncols=M.ncols), IntMatrix(u, ncols=M.nrows)
 
 
+def basis_completion(cols, dim):
+    """Unimodular U with U * [cols] = [I; 0], or None when the columns do not
+    extend to a basis of Z^dim.
+
+    The row Hermite form of [cols] is unique, so it equals [I; 0] exactly
+    when the columns are the first columns of some unimodular matrix.
+    """
+    h = [[c[i] for c in cols] for i in range(dim)]
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    _hnf_rows_inplace(h, u)
+    if h != [[int(i == j) for j in range(len(cols))] for i in range(dim)]:
+        return None
+    return IntMatrix(u, ncols=dim)
+
+
 def hnf(M: IntMatrix):
     """Canonical column Hermite normal form.  Returns (H, V) with M*V = H.
 
@@ -182,29 +197,6 @@ def hnf(M: IntMatrix):
     """
     Ht, Ut = hnf_row(M.transpose())
     return Ht.transpose(), Ut.transpose()
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U*M*V = D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    rank: int
-
-    @property
-    def diagonal(self):
-        n = min(self.D.nrows, self.D.ncols)
-        return tuple(self.D.rows[i][i] for i in range(n))
-
-    @property
-    def invariant_factors(self):
-        return tuple(d for d in self.diagonal if d != 0)
-
-    @property
-    def torsion(self):
-        return tuple(d for d in self.invariant_factors if d > 1)
 
 
 def _divisibility_pass(diag):
@@ -224,110 +216,6 @@ def _divisibility_pass(diag):
                     diag[i], diag[j] = g, a * b // g
                     changed = True
     return diag
-
-
-def snf(M: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
-
-    Pivoting picks the minimal absolute nonzero entry of the remaining block,
-    which keeps coefficient growth tame at the sizes used here.
-    """
-    m, n = M.nrows, M.ncols
-    a = [list(r) for r in M.rows]
-    u = [list(r) for r in IntMatrix.identity(m).rows]
-    v = [list(r) for r in IntMatrix.identity(n).rows]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_op(i, t, q):
-        ai, at = a[i], a[t]
-        for j in range(n):
-            ai[j] -= q * at[j]
-        ui, ut = u[i], u[t]
-        for j in range(m):
-            ui[j] -= q * ut[j]
-
-    def col_op(j, t, q):
-        for row in a:
-            row[j] -= q * row[t]
-        for row in v:
-            row[j] -= q * row[t]
-
-    def clear_block(t):
-        """Zero out row t and column t away from the pivot at (t, t)."""
-        while True:
-            p = a[t][t]
-            restart = False
-            for i in range(m):
-                if i != t and a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(n):
-                if j != t and a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        restart = True
-                        break
-            if not restart:
-                return
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            swap_rows(i0, t)
-        if j0 != t:
-            swap_cols(j0, t)
-        clear_block(t)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    rank = t
-    # enforce the divisibility chain: a (gcd, lcm) fix on an offending pair,
-    # realized by one column addition plus re-clearing the 2x2 block
-    i = 0
-    while i < rank - 1:
-        if a[i + 1][i + 1] % a[i][i] != 0:
-            col_op(i, i + 1, -1)  # column i += column i+1
-            clear_block(i)
-            if a[i][i] < 0:
-                a[i] = [-x for x in a[i]]
-                u[i] = [-x for x in u[i]]
-            if a[i + 1][i + 1] < 0:
-                a[i + 1] = [-x for x in a[i + 1]]
-                u[i + 1] = [-x for x in u[i + 1]]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return SmithDecomposition(IntMatrix(u, ncols=m), IntMatrix(a, ncols=n),
-                              IntMatrix(v, ncols=n), rank)
 
 
 def smith_diagonal(entries_by_row, nrows, ncols):
@@ -507,39 +395,40 @@ def solve_int(A: IntMatrix, B: IntMatrix):
     return V * Y
 
 
-def solve_rational(A, b):
-    """One rational solution x of A x = b (lists of Fractions), or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        sel = None
-        for i in range(r, m):
-            if M[i][c] != 0:
-                sel = i
-                break
+def rref(rows, ncols):
+    """Rational reduced row echelon form, pivoting on the first ncols columns.
+
+    Columns past ncols (an augmented right-hand side) ride along.  Returns
+    (R, pivots): R holds the reduced rows as lists of Fractions, and row k
+    of R has its pivot, equal to 1 and alone in its column, at pivots[k].
+    """
+    R = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
         if sel is None:
             continue
-        M[r], M[sel] = M[sel], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    # consistency
-    for i in range(r, m):
-        if M[i][n] != 0:
-            return None
+        R[r], R[sel] = R[sel], R[r]
+        pv = R[r][c]
+        R[r] = [x / pv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def solve_rational(A, b):
+    """One rational solution x of A x = b (lists of Fractions), or None."""
+    n = len(A[0]) if A else 0
+    R, pivots = rref([list(row) + [v] for row, v in zip(A, b)], n)
+    if any(row[n] for row in R[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for k, c in enumerate(piv_cols):
-        x[c] = M[k][n]
+    for row, c in zip(R, pivots):
+        x[c] = row[n]
     return x
 
 
@@ -577,16 +466,13 @@ def exterior_power(M: IntMatrix, p: int) -> IntMatrix:
 
     Rows are indexed by p-subsets of row indices, columns by p-subsets of
     column indices, both in lexicographic order; the entry is the
-    corresponding p x p minor.  p outside [0, min shape] gives a 0x0-ish
-    empty matrix by convention; p == 0 gives the 1x1 identity.
+    corresponding p x p minor.  For p >= 0 the shape is C(k, p) x C(l, p),
+    so p == 0 gives the 1x1 identity and p past a side gives an empty side;
+    p < 0 gives the 0x0 matrix.
     """
     k, l = M.nrows, M.ncols
     if p < 0:
         return IntMatrix((), ncols=0)
-    if p == 0:
-        return IntMatrix.identity(1)
-    if p > k or p > l:
-        return IntMatrix(tuple(() for _ in range(0)), ncols=0)
     row_sets = list(combinations(range(k), p))
     col_sets = list(combinations(range(l), p))
     out = []

@@ -17,6 +17,7 @@ from .exactla import (
     det,
     kernel_lattice,
     primitive_vector,
+    rref,
 )
 
 
@@ -147,33 +148,11 @@ def hrep_from_generators(points, rays, lins, dim):
 
 
 def _canonical_equations(eqs, dim):
-    """Reduced, primitive, sign-normalized row echelon form of a system."""
-    if not eqs:
-        return ()
-    rows = [[Fraction(x) for x in a] + [Fraction(b)] for a, b in eqs]
-    n = dim + 1
-    out = []
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    result = []
-    for row in rows[:r]:
-        prim = primitive_vector(row)
-        lead = next(x for x in prim if x != 0)
-        if lead < 0:
-            prim = tuple(-x for x in prim)
-        result.append((tuple(prim[:-1]), Fraction(prim[-1])))
-    return tuple(sorted(result))
+    """Reduced, primitive row echelon form of a system, sorted.  Primitive
+    scaling keeps each RREF pivot of 1 positive."""
+    R, pivots = rref([list(a) + [b] for a, b in eqs], dim + 1)
+    rows = (primitive_vector(row) for row in R[:len(pivots)])
+    return tuple(sorted((tuple(v[:-1]), Fraction(v[-1])) for v in rows))
 
 
 class QPolyhedron:

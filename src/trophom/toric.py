@@ -3,8 +3,8 @@
 A fan cone rho of dimension s corresponds to a boundary stratum isomorphic to
 R^{dim-s}, realized as the quotient of Z^dim by the sublattice spanned by the
 cone's rays.  Each stratum carries a fixed integral section basis obtained by
-completing the ray matrix to a basis of Z^dim, so quotient projections and
-everything downstream are plain integer matrices.
+completing the ray matrix to a basis of Z^dim (`exactla.basis_completion`),
+so quotient projections and everything downstream are plain integer matrices.
 
 The cells built over these strata are pairs (eta, F) of a cone and a
 subdivision face, read off a face table (see `complexes.build_pair`).
@@ -15,22 +15,9 @@ tests compare the face table against, and the pipeline does not call them.
 
 from __future__ import annotations
 
-from .exactla import IntMatrix, primitive_vector, solve_int
+from .exactla import IntMatrix, basis_completion, primitive_vector, solve_int
 from .polyhedra import QPolyhedron, cone_covered_by, cone_hull, cone_meets_relint
 from .tropio import FanSpec
-
-
-def _complete_to_basis(rays, dim):
-    """Unimodular U with U * [rays] = [I; 0]; exists iff the cone is unimodular."""
-    if not rays:
-        return IntMatrix.identity(dim)
-    R = IntMatrix.from_columns(rays, dim)
-    from .exactla import hnf_row
-    H, U = hnf_row(R)
-    expect = [[1 if i == j else 0 for j in range(len(rays))] for i in range(dim)]
-    if [list(r) for r in H.rows] != expect:
-        raise ValueError("cone rays %r do not extend to a lattice basis" % (rays,))
-    return U
 
 
 class Stratum:
@@ -43,17 +30,20 @@ class Stratum:
         self.ray_indices = tuple(sorted(ray_indices))
         s = len(self.ray_indices)
         self.dim = fan_dim - s
-        U = _complete_to_basis([rays[i] for i in self.ray_indices], fan_dim)
+        U = basis_completion([rays[i] for i in self.ray_indices], fan_dim)
+        if U is None:
+            raise ValueError("cone rays %r do not extend to a lattice basis"
+                             % ([rays[i] for i in self.ray_indices],))
         Uinv = solve_int(U, IntMatrix.identity(fan_dim))
         self.projection = U.submatrix(range(s, fan_dim), range(fan_dim))
         self.section = Uinv.submatrix(range(fan_dim), range(s, fan_dim))
 
 
 class ToricVariety:
-    """Stratified tropical toric variety built from a validated fan."""
+    """Stratified tropical toric variety built from a fan, which
+    `FanSpec.make` has validated."""
 
     def __init__(self, fan: FanSpec):
-        fan.validate()
         self.fan = fan
         self.dim = fan.dim
         self.cones = fan.cones()             # list of frozensets, stable order

@@ -16,11 +16,12 @@ the listed cones are implied.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import IntMatrix, primitive_vector, snf
+from .exactla import basis_completion, primitive_vector
 from .polyhedra import LatticePolytope, QPolyhedron, cone_hull
 
 
@@ -66,10 +67,6 @@ class TropicalPolynomial:
             return self
         return TropicalPolynomial.make(
             [(e + (0,) * (n_vars - self.n_vars), c) for e, c in self.terms], n_vars)
-
-    def value(self, x):
-        return max(c + sum(Fraction(e_i) * Fraction(x_i) for e_i, x_i in zip(e, x))
-                   for e, c in self.terms)
 
 
 class _Tokens:
@@ -230,7 +227,8 @@ def newton_polytope(f: TropicalPolynomial) -> LatticePolytope:
 @dataclass(frozen=True)
 class FanSpec:
     """A simplicial unimodular rational polyhedral fan given by rays and
-    maximal cones; every subset of a listed cone is a cone of the fan."""
+    maximal cones; every subset of a listed cone is a cone of the fan.
+    Build it with `make`, which validates it."""
 
     dim: int
     rays: tuple            # primitive integer vectors
@@ -244,7 +242,7 @@ class FanSpec:
         maximal = tuple(sorted((c for c in cones
                                 if not any(c < d for d in cones)),
                                key=lambda c: (len(c), sorted(c))))
-        return cls(dim, rays, maximal)
+        return cls(dim, rays, maximal).validate()
 
     def cones(self):
         """All cones as sorted frozensets of ray indices, apex included."""
@@ -261,13 +259,16 @@ class FanSpec:
         return cone_hull([self.rays[i] for i in sorted(cone)], self.dim)
 
     def is_complete(self):
-        from .polyhedra import cone_covered_by
+        """Does the fan cover R^dim?  On a valid simplicial fan it does exactly
+        when every maximal cone has dim rays and every (dim-1)-subset of one
+        lies in exactly two maximal cones: the link is then a closed
+        pseudomanifold, which carries a mod-2 fundamental class."""
         if not self.max_cones:
             return self.dim == 0
-        space = QPolyhedron.cone([], self.dim,
-                                 lins=[tuple(1 if i == j else 0 for j in range(self.dim))
-                                       for i in range(self.dim)])
-        return cone_covered_by(space, [self.cone_geometry(c) for c in self.max_cones])
+        if any(len(c) != self.dim for c in self.max_cones):
+            return False
+        facets = Counter(c - {i} for c in self.max_cones for i in c)
+        return all(n == 2 for n in facets.values())
 
     def is_trivial(self):
         return not self.max_cones or self.max_cones == (frozenset(),)
@@ -287,13 +288,11 @@ class FanSpec:
             idx = sorted(c)
             if not idx:
                 continue
-            M = IntMatrix.from_columns([self.rays[i] for i in idx], self.dim)
-            d = snf(M)
-            if d.rank != len(idx) or any(x != 1 for x in d.invariant_factors):
+            rays = [self.rays[i] for i in idx]
+            if basis_completion(rays, self.dim) is None:
                 raise FanError("cone %r with rays %r is not unimodular simplicial "
-                               "(invariant factors %r)"
-                               % (idx, [self.rays[i] for i in idx],
-                                  list(d.invariant_factors)))
+                               "(its rays do not extend to a lattice basis)"
+                               % (idx, rays))
         # the cones are simplicial, so when two maximal cones A, B meet in
         # cone(A & B), all faces a of A and b of B meet in cone(a & b)
         geoms = {c: self.cone_geometry(c) for c in self.max_cones}
@@ -321,9 +320,7 @@ def normal_fan(delta: LatticePolytope) -> FanSpec:
         tight = frozenset(i for i, (a, b) in enumerate(P.facets)
                           if sum(x * y for x, y in zip(a, v)) == b)
         max_cones.append(tight)
-    fan = FanSpec.make(P.dim, rays, max_cones)
-    fan.validate()
-    return fan
+    return FanSpec.make(P.dim, rays, max_cones)
 
 
 def load_fan(text) -> FanSpec:
@@ -366,9 +363,7 @@ def load_fan(text) -> FanSpec:
             raise ParseError("unrecognized line %r" % line, ln)
     if dim is None:
         raise ParseError("missing dim line")
-    fan = FanSpec.make(dim, rays, cones)
-    fan.validate()
-    return fan
+    return FanSpec.make(dim, rays, cones)
 
 
 def fan_text(fan: FanSpec) -> str:

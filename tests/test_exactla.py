@@ -1,5 +1,7 @@
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from trophom.exactla import (
     IntMatrix,
     LatticeSubspace,
+    basis_completion,
     det,
     exterior_power,
     hnf,
@@ -15,8 +18,8 @@ from trophom.exactla import (
     kernel_lattice,
     lattice_sum,
     primitive_vector,
+    rref,
     smith_diagonal,
-    snf,
     solve_int,
     solve_rational,
 )
@@ -73,42 +76,38 @@ class TestHNF:
             assert hnf(A)[0] == hnf(B)[0]
 
 
+def sparse(A):
+    return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(A.rows)}
+
+
+def invariant_factors_by_minors(A):
+    """The definition, free of any eliminator: d_k = D_k / D_(k-1), where D_k
+    is the gcd of the k x k minors and D_0 = 1, for k up to the rank."""
+    out, prev = [], 1
+    for k in range(1, min(A.nrows, A.ncols) + 1):
+        g = 0
+        for I in combinations(range(A.nrows), k):
+            for J in combinations(range(A.ncols), k):
+                g = gcd(g, det(A.submatrix(I, J)))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
 class TestSNF:
     def test_zero_matrix(self):
-        d = snf(IntMatrix.zeros(2, 3))
-        assert d.rank == 0
-        assert d.D.is_zero()
+        assert smith_diagonal(sparse(IntMatrix.zeros(2, 3)), 2, 3) == []
 
     def test_diag_2_3(self):
         # coker(diag(2,3)) = Z/2 + Z/3 = Z/6, so invariant factors (1, 6)
-        d = snf(M([[2, 0], [0, 3]]))
-        assert d.invariant_factors == (1, 6)
-        assert d.U * M([[2, 0], [0, 3]]) * d.V == d.D
+        assert smith_diagonal(sparse(M([[2, 0], [0, 3]])), 2, 2) == [1, 6]
 
     def test_tripod_boundary_unimodular(self):
         # star graph: center vertex 0, leaves 1..3, edges (0,i)
         B = M([[-1, -1, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        d = snf(B)
-        assert d.rank == 3
-        assert d.invariant_factors == (1, 1, 1)
-
-    def test_decomposition_identity_randoms(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            m = rng.randint(1, 4)
-            n = rng.randint(1, 4)
-            A = M([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-            d = snf(A)
-            assert d.U * A * d.V == d.D
-            assert abs(det(d.U)) == 1
-            assert abs(det(d.V)) == 1
-            diag = d.diagonal
-            for a, b in zip(diag, diag[1:]):
-                if a != 0 and b != 0:
-                    assert b % a == 0
-                if a == 0:
-                    assert b == 0
-            assert all(x >= 0 for x in diag)
+        assert smith_diagonal(sparse(B), 4, 3) == [1, 1, 1]
 
     def test_smith_diagonal_matches_dense(self):
         rng = random.Random(3)
@@ -116,11 +115,32 @@ class TestSNF:
             m = rng.randint(1, 5)
             n = rng.randint(1, 5)
             A = M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
-            sparse = {i: {j: v for j, v in enumerate(row) if v}
-                      for i, row in enumerate(A.rows)}
-            got = smith_diagonal(sparse, m, n)
-            want = [x for x in snf(A).invariant_factors]
-            assert got == want
+            assert smith_diagonal(sparse(A), m, n) == invariant_factors_by_minors(A)
+
+
+class TestBasisCompletion:
+    def test_matches_invariant_factors(self):
+        """Columns extend to a basis exactly when they have full rank and
+        every invariant factor is 1."""
+        rng = random.Random(5)
+        cases = [([], 2), ([(1, 1, 1), (0, 1, 2)], 3), ([(1, 0), (1, 2)], 2),
+                 ([(2, 0, 0)], 3), ([(1, 0), (2, 0)], 2)]
+        for _ in range(80):
+            dim = rng.randint(1, 3)
+            cases.append(([tuple(rng.randint(-2, 2) for _ in range(dim))
+                           for _ in range(rng.randint(1, dim))], dim))
+        verdicts = []
+        for cols, dim in cases:
+            C = IntMatrix.from_columns(cols, dim)
+            U = basis_completion(cols, dim)
+            want = invariant_factors_by_minors(C) == [1] * len(cols)
+            assert (U is not None) == want, cols
+            if U is not None:
+                assert abs(det(U)) == 1
+                assert U * C == IntMatrix.from_columns(
+                    IntMatrix.identity(dim).rows[:len(cols)], dim)
+            verdicts.append(want)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 class TestKernel:
@@ -188,7 +208,7 @@ class TestExteriorPower:
         assert exterior_power(M([[5]]), 0) == IntMatrix.identity(1)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 2),
+    @given(st.integers(0, 3),
            st.lists(st.integers(-4, 4), min_size=9, max_size=9),
            st.lists(st.integers(-4, 4), min_size=6, max_size=6))
     def test_functorial(self, p, a, b):
@@ -253,13 +273,19 @@ class TestSolve:
         assert solve_int(A, M([[1], [1]])) is None
 
     def test_solve_rational(self):
-        from fractions import Fraction
         x = solve_rational([[2, 0], [0, 4]], [1, 2])
         assert x == [Fraction(1, 2), Fraction(1, 2)]
         assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
+    def test_rref(self):
+        # the augmented column rides along and is never a pivot
+        R, pivots = rref([[0, 2, 4, 1], [1, 1, 1, 0], [1, 2, 3, 1]], 3)
+        assert pivots == [0, 1]
+        assert R == [[1, 0, -1, Fraction(-1, 2)], [0, 1, 2, Fraction(1, 2)],
+                     [0, 0, 0, Fraction(1, 2)]]
+        assert rref([], 3) == ([], [])
+
     def test_primitive_vector(self):
-        from fractions import Fraction
         assert primitive_vector((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
         assert primitive_vector((4, -6)) == (2, -3)
         assert primitive_vector((0, 0)) == (0, 0)

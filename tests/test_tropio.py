@@ -6,9 +6,16 @@ from math import gcd
 import pytest
 
 from trophom.exactla import IntMatrix, det
-from trophom.polyhedra import LatticePolytope, cone_meets_relint, cone_hull
+from trophom.polyhedra import (
+    LatticePolytope,
+    QPolyhedron,
+    cone_covered_by,
+    cone_hull,
+    cone_meets_relint,
+)
 from trophom.tropio import (
     FanError,
+    FanSpec,
     ParseError,
     TropicalPolynomial,
     fan_text,
@@ -139,6 +146,80 @@ def _cones_meet_in_faces(dim, rays, max_cones):
     return True
 
 
+def _star_subdivide(rays, cones, tau):
+    """Star subdivision at the sum of the rays of tau; a unimodular fan stays
+    unimodular."""
+    k = len(rays)
+    new = [c for c in cones if not tau <= c]
+    new += [(c - {i}) | {k} for c in cones if tau <= c for i in tau]
+    return rays + [tuple(map(sum, zip(*(rays[i] for i in tau))))], new
+
+
+def _unimodular(rng, dim):
+    W = [list(r) for r in IntMatrix.identity(dim).rows]
+    for _ in range(3):
+        i, j = rng.sample(range(dim), 2)
+        q = rng.choice((-1, 1))
+        for row in W:
+            row[j] += q * row[i]
+    return IntMatrix(W)
+
+
+def _completeness_cases():
+    """(dim, rays, maximal cones): the bench fans, the trivial fan, a line in
+    the plane (a closed fan of lower dimension), and seeded random fans.  The
+    complete ones come from TP^d and (P^1)^d by star subdivisions and a
+    unimodular change of coordinates; dropping maximal cones from them gives
+    partial ones."""
+    tp3 = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)]
+    tp3_cones = [frozenset(c) for c in combinations(range(4), 3)]
+    cases = [(3, tp3 + [(-1, -1, -1)],
+              [frozenset(c) for c in ((0, 1, 3), (0, 2, 3), (1, 2, 3),
+                                      (0, 1, 4), (0, 2, 4), (1, 2, 4))]),
+             (3, tp3, tp3_cones[1:]),
+             (3, [(0, 0, -1)], [frozenset({0})]),
+             (2, [], []),
+             (2, [(1, 0), (-1, 0)], [frozenset({0}), frozenset({1})])]
+    rng = random.Random(17)
+    for dim in (2, 3):
+        axes = IntMatrix.identity(dim).rows
+        simplex = ([tuple(-x for x in e) for e in axes] + [(1,) * dim],
+                   [frozenset(c) for c in combinations(range(dim + 1), dim)])
+        cube = ([tuple(s * x for x in e) for e in axes for s in (1, -1)],
+                [frozenset(2 * i + b for i, b in enumerate(bits))
+                 for bits in product((0, 1), repeat=dim)])
+        for _ in range(10):
+            rays, cones = rng.choice((simplex, cube))
+            for _ in range(rng.randint(0, 2)):
+                c = sorted(rng.choice(cones))
+                rays, cones = _star_subdivide(
+                    rays, cones, frozenset(rng.sample(c, rng.randint(2, dim))))
+            G = _unimodular(rng, dim)
+            rays = [G.apply(r) for r in rays]
+            cases.append((dim, rays, cones))
+            drop = rng.sample(cones, rng.randint(1, len(cones) - 1))
+            cases.append((dim, rays, [c for c in cones if c not in drop]))
+    return cases
+
+
+def test_is_complete_matches_covering_reference():
+    """The combinatorial `is_complete` agrees with peeling R^dim by the
+    maximal cones."""
+    verdicts = []
+    for dim, rays, cones in _completeness_cases():
+        fan = FanSpec.make(dim, rays, cones)
+        space = QPolyhedron.cone([], dim, lins=IntMatrix.identity(dim).rows)
+        want = bool(fan.max_cones) and cone_covered_by(
+            space, [fan.cone_geometry(c) for c in fan.max_cones])
+        assert fan.is_complete() == want, (dim, rays, cones)
+        verdicts.append(want)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 20
+
+
+def test_zero_dimensional_fan_is_complete():
+    assert FanSpec.make(0, [], []).is_complete()
+
+
 class TestLoadFan:
     def test_blowup_fan(self):
         # projective 3-space fan with the corner cone star-subdivided
@@ -169,6 +250,11 @@ cone: 1 2 4
         with pytest.raises(FanError) as e:
             load_fan("dim 2\nray 0: 1 0\nray 1: 1 2\ncone: 0 1\n")
         assert "unimodular" in str(e.value)
+
+    def test_make_validates(self):
+        with pytest.raises(FanError) as e:
+            FanSpec.make(2, [(1, 0), (1, 2)], [(0, 1)])
+        assert "unimodular" in str(e.value) and "(1, 2)" in str(e.value)
 
     def test_non_face_intersection(self):
         # two 2-cones overlapping in dimension 2
