@@ -15,11 +15,11 @@ checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactla import LatticeSubspace, solve_rational
-from .polyhedra import QPolyhedron, normalized_simplex_volume, regular_subdivision
+from .polyhedra import QPolyhedron, is_unimodular_simplex, regular_subdivision
 from .toric import ToricVariety
 from .tropio import FanSpec, TropicalPolynomial, newton_polytope
 
@@ -59,10 +59,8 @@ class CellComplex:
             c.index = i
         self.incidence = {(remap[t], remap[s]) for t, s in incidence}
         self.facets_of = {i: [] for i in range(len(self.cells))}
-        self.cofacets_of = {i: [] for i in range(len(self.cells))}
         for t, s in sorted(self.incidence):
             self.facets_of[s].append(t)
-            self.cofacets_of[t].append(s)
         self.dim = max((c.dim for c in self.cells), default=-1)
         self.by_key = {c.key(): c.index for c in self.cells}
 
@@ -139,7 +137,6 @@ class HypersurfacePair:
     embed: dict                  # X cell index -> Yref cell index
     face_points: list            # cone id eta -> G_eta
     face_table: dict | None      # (eta, F) -> Yref cell index; None once sliced
-    _cache: dict = field(default_factory=dict)
 
     def region_cells(self):
         return [c for c in self.Yref.cells
@@ -278,48 +275,24 @@ def _face_table(pair: HypersurfacePair):
 def is_proper(pair: HypersurfacePair) -> bool:
     """Every cell meets every deeper stratum in the expected dimension: each
     piece (eta, F) of the face table has dimension dim Y - dim eta - dim F."""
-    if "proper" in pair._cache:
-        return pair._cache["proper"]
     Y, cells = pair.Y, pair.Yref.cells
-    ok = all(cells[i].dim == Y.dim - Y.cone_dim(eta) - pair.subdivision.faces[F]
-             for (eta, F), i in _face_table(pair).items())
-    pair._cache["proper"] = ok
-    return ok
+    return all(cells[i].dim == Y.dim - Y.cone_dim(eta) - pair.subdivision.faces[F]
+               for (eta, F), i in _face_table(pair).items())
 
 
 def is_nonsingular(pair: HypersurfacePair) -> bool:
     """The induced subdivision on every stratum's Newton polytope face is a
     primitive triangulation."""
-    if "nonsingular" in pair._cache:
-        return pair._cache["nonsingular"]
     S = pair.subdivision
-    ok = True
-    for cone_id in range(len(pair.Y.cones)):
-        live = pair.face_points[cone_id]
+    for live in pair.face_points:
         sub_faces = {F: d for F, d in S.faces.items() if F <= live}
         if not sub_faces:
-            ok = False
-            break
+            return False
         top = max(sub_faces.values())
-        if top == 0:
-            continue  # the stratum misses X entirely
-        for F, d in sub_faces.items():
-            if d != top:
-                continue
-            if len(F) != top + 1:
-                ok = False
-                break
-            try:
-                if normalized_simplex_volume(S, F) != 1:
-                    ok = False
-                    break
-            except ValueError:
-                ok = False
-                break
-        if not ok:
-            break
-    pair._cache["nonsingular"] = ok
-    return ok
+        if not all(is_unimodular_simplex(S, F, top)
+                   for F, d in sub_faces.items() if d == top):
+            return False
+    return True
 
 
 @dataclass
@@ -333,16 +306,6 @@ class GammaOpen:
     def cone_ids(self):
         return sorted(self.pieces)
 
-    def relation(self):
-        """Face order among pieces: deeper cones are faces of shallower."""
-        Y = self.host.Y
-        out = set()
-        for a in self.pieces:
-            for b in self.pieces:
-                if a != b and Y.is_face(a, b):
-                    out.add((self.pieces[b], self.pieces[a]))
-        return out
-
     def minimal_face(self):
         """The piece at the unique maximal cone, when there is one."""
         Y = self.host.Y
@@ -354,23 +317,12 @@ class GammaOpen:
         return None
 
     def is_boolean(self):
-        """Cone set equals the full face lattice of a single fan cone."""
-        Y = self.host.Y
-        ids = self.cone_ids()
-        maxima = [a for a in ids
-                  if not any(Y.cones[a] < Y.cones[b] for b in ids)]
-        if len(maxima) != 1:
-            return False
-        eta = Y.cones[maxima[0]]
-        want = {frozenset(s) for s in _subsets(sorted(eta))}
-        return {Y.cones[a] for a in ids} == want
+        """Cone set equals the full face lattice of a single fan cone.
 
-
-def _subsets(items):
-    out = [[]]
-    for x in items:
-        out += [s + [x] for s in out]
-    return [frozenset(s) for s in out]
+        The pieces are closed under taking faces (G_eta lies in G_rho for
+        rho a face of eta), and every subset of a fan cone is a cone, so
+        this holds exactly when there is a unique maximal cone."""
+        return self.minimal_face() is not None
 
 
 def gamma_open(pair: HypersurfacePair, cell_index, host=None) -> GammaOpen:
@@ -393,22 +345,13 @@ def is_combinatorially_ample(pair: HypersurfacePair):
 
     Returns (flag, failing) where failing lists the offending region cells.
     """
-    if "ample" in pair._cache:
-        return pair._cache["ample"]
-    failing = []
-    for c in pair.region_cells():
-        go = gamma_open(pair, c.index)
-        if not go.is_boolean():
-            failing.append(c.index)
-    result = (not failing, failing)
-    pair._cache["ample"] = result
-    return result
+    failing = [c.index for c in pair.region_cells()
+               if not gamma_open(pair, c.index).is_boolean()]
+    return not failing, failing
 
 
 def is_cellular_pair(pair: HypersurfacePair) -> str:
     """Tri-state 'yes' / 'no' / 'unknown', by certified sufficient conditions."""
-    if "cellular" in pair._cache:
-        return pair._cache["cellular"]
     Y = pair.Y
     if Y.fan.is_trivial():
         full = pair.newton.dim == Y.dim
@@ -422,7 +365,6 @@ def is_cellular_pair(pair: HypersurfacePair) -> str:
             result = "no"
         else:
             result = "unknown"
-    pair._cache["cellular"] = result
     return result
 
 

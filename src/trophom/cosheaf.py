@@ -67,11 +67,12 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     """
     Y = Z.Y
     star = _same_stratum_star(Z)
+    wedges = [exterior_power(c.tangent.basis, p).columns() for c in Z.cells]
     ranks, bases = [], []
     for i, c in enumerate(Z.cells):
         gens = []
         for j in star[i]:
-            gens += exterior_power(Z.cells[j].tangent.basis, p).columns()
+            gens += wedges[j]
         total = LatticeSubspace.from_columns(gens, comb(Y.stratum_dim(c.sed), p))
         ranks.append(total.rank)
         bases.append(total.basis)
@@ -104,7 +105,7 @@ def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
         if tau.sed == sig.sed:
-            maps[(t, s)] = IntMatrix.identity(ranks[s])
+            maps[(t, s)] = bases[s]
         else:
             maps[(t, s)] = exterior_power(Y.projection(sig.sed, tau.sed), p)
     return Cosheaf(Z, p, ranks, bases, maps)

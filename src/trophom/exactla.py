@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 class IntMatrix:
@@ -341,11 +341,6 @@ class LatticeSubspace:
     def contains(self, vec):
         return solve_int(self.basis, IntMatrix.from_columns([tuple(vec)], self.ambient)) is not None
 
-    def coordinates(self, vec):
-        """Integer coordinates of vec in this basis, or None."""
-        X = solve_int(self.basis, IntMatrix.from_columns([tuple(vec)], self.ambient))
-        return X.column(0) if X is not None else None
-
 
 def lattice_sum(A: LatticeSubspace, B: LatticeSubspace) -> LatticeSubspace:
     """Z-span of the union of generators; deliberately not saturated."""
@@ -506,15 +501,12 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
 
 
 def primitive_vector(vec):
-    """Scale a rational/integer vector to a primitive integer vector."""
-    fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    """The primitive integer vector on the ray of a rational vector: scale by
+    the lcm of the entries' denominators, then divide by the gcd of the
+    resulting integers.  Ints and Fractions both carry `numerator` and
+    `denominator`, so no entry is converted.  The zero vector (and ())
+    comes back as integer zeros."""
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    g = gcd(*ints) or 1
     return tuple(x // g for x in ints)

@@ -2,19 +2,23 @@
 
 Convex hulls, H/V-representation conversion by the double description method,
 face lattices, recession cones, and regular subdivisions of lattice point
-configurations induced by lifting heights.  All coordinates are Fractions or
-ints; no floating point anywhere.
+configurations induced by lifting heights.  A subdivision is computed in the
+pivot coordinates of its points' affine hull (an affine bijection, so faces
+and affine ranks are unchanged); lattice volumes are read in the saturated
+lattice of a cell's own affine hull, as gcds of maximal minors of its edge
+vectors.  All coordinates are Fractions or ints; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .exactla import (
     IntMatrix,
     LatticeSubspace,
-    det,
+    exterior_power,
     kernel_lattice,
     primitive_vector,
     rref,
@@ -179,10 +183,10 @@ class QPolyhedron:
 
     @classmethod
     def from_generators(cls, points, rays=(), lins=(), dim=None):
-        if dim is None:
-            dim = len(points[0]) if points else (len(rays[0]) if rays else len(lins[0]))
         if not points:
             raise ValueError("a nonempty polyhedron needs at least one point")
+        if dim is None:
+            dim = len(points[0])
         facets, eqs = hrep_from_generators(points, rays, lins, dim)
         verts, recrays, lins2 = generators_from_hrep(facets, eqs, dim)
         return cls(dim, verts, recrays, lins2, facets, eqs)
@@ -469,9 +473,12 @@ def cone_covered_by(C: QPolyhedron, cones) -> bool:
 class RegularSubdivision:
     """Polytopal subdivision induced by lifting heights (upper faces).
 
-    `faces` maps a frozenset of support-point indices to its dimension; the
-    maximal cells are those of top dimension.  Point sets include every
-    support point lying on the face, not only its vertices.
+    `faces` maps a frozenset of support-point indices to its dimension, the
+    affine rank of its points; the maximal cells are those of top dimension,
+    `dimension`, the affine rank of the support.  Point sets include every
+    support point lying on the face, not only its vertices.  The support
+    points are kept as given; the coordinates the cells were found in are
+    not kept.
     """
 
     support_points: tuple
@@ -480,35 +487,6 @@ class RegularSubdivision:
     maximal_cells: tuple        # tuple of frozensets
     faces: dict                 # frozenset -> dim
     used: tuple                 # bool per support point
-    tangent_basis: IntMatrix    # intrinsic lattice basis of aff(points)
-    base_point: tuple
-
-
-def _intrinsic_coords(points):
-    """Saturated-lattice coordinates of integer points in their affine hull."""
-    base = points[0]
-    diffs = [tuple(p[i] - base[i] for i in range(len(base))) for p in points]
-    T = LatticeSubspace.from_columns(diffs, len(base))
-    # saturate
-    T = kernel_lattice(IntMatrix([list(r) for r in _annihilator_rows(T, len(base))],
-                                 ncols=len(base))) if T.rank < len(base) else LatticeSubspace.full(len(base))
-    d = T.rank
-    if d == 0:
-        return [(0,) * 0 for _ in points], IntMatrix(tuple(() for _ in range(len(base))), ncols=0), base
-    coords = []
-    for df in diffs:
-        y = T.coordinates(df)
-        assert y is not None, "integer point outside saturated tangent lattice"
-        coords.append(tuple(y))
-    return coords, T.basis, base
-
-
-def _annihilator_rows(T: LatticeSubspace, dim):
-    """Integer rows spanning the annihilator of the subspace."""
-    if T.rank == 0:
-        return [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    K = kernel_lattice(T.basis.transpose())
-    return [K.basis.column(j) for j in range(K.basis.ncols)]
 
 
 def _add_cell_faces(members, coords, faces):
@@ -543,8 +521,11 @@ def _add_cell_faces(members, coords, faces):
 def regular_subdivision(points, heights) -> RegularSubdivision:
     """Subdivision of conv(points) from the upper faces of the lifted hull.
 
-    The maximal cells are the projections of the upper facets (one convex
-    hull of the lift), and their faces are read off each cell's
+    The points are read in the pivot coordinates of the reduced row echelon
+    form of their differences: an affine bijection of their affine hull
+    onto R^d, so upper faces and affine ranks are those of the points
+    themselves.  The maximal cells are the projections of the upper facets
+    (one convex hull of the lift), and their faces are read off each cell's
     vertex-facet incidences.  With affine heights the single cell is
     conv(points) itself.
     """
@@ -554,12 +535,14 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
         raise ValueError("duplicate support points")
     if len(heights) != len(points):
         raise ValueError("one height per point required")
-    coords, basis, base = _intrinsic_coords(points)
-    d = basis.ncols
+    base = points[0]
+    _, pivots = rref([[x - y for x, y in zip(p, base)] for p in points], len(base))
+    coords = [tuple(p[c] for c in pivots) for p in points]
+    d = len(pivots)
     if d == 0:
         f = frozenset({0})
         return RegularSubdivision(tuple(points), tuple(heights), 0, (f,),
-                                  {f: 0}, (True,), basis, base)
+                                  {f: 0}, (True,))
     lifted = [tuple(Fraction(c) for c in y) + (h,) for y, h in zip(coords, heights)]
     facets, eqs = hrep_from_generators(lifted, [], [], d + 1)
     degenerate = any(a[d] != 0 for a, b in eqs)
@@ -570,7 +553,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
         _add_cell_faces(whole, coords, cells)
         used = tuple(True for _ in points)
         return RegularSubdivision(tuple(points), tuple(heights), d, (whole,),
-                                  cells, used, basis, base)
+                                  cells, used)
     upper = [(a, b) for a, b in facets if a[d] > 0]
     maximal = []
     for a, b in upper:
@@ -582,27 +565,26 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
         _add_cell_faces(members, coords, faces)
     used = tuple(any(i in m for m in maximal) for i in range(len(points)))
     return RegularSubdivision(tuple(points), tuple(heights), d, tuple(maximal),
-                              faces, used, basis, base)
+                              faces, used)
 
 
 def normalized_simplex_volume(sub: RegularSubdivision, cell) -> int:
     """Normalized lattice volume of a simplex cell (d! times euclidean),
-    taken in the saturated lattice of the cell's own affine hull."""
-    idx = sorted(cell)
-    coords, basis, _ = _intrinsic_coords([sub.support_points[i] for i in idx])
-    d = basis.ncols
-    if len(idx) != d + 1:
-        raise ValueError("not a simplex")
-    rows = [tuple(coords[i + 1][j] for j in range(d)) for i in range(d)]
-    return abs(det(IntMatrix(rows, ncols=d)))
+    taken in the saturated lattice of the cell's own affine hull: the gcd of
+    the maximal minors of its edge vectors, which is the index of their
+    span in its saturation.  Affinely dependent points read 0."""
+    p0, *rest = (sub.support_points[i] for i in sorted(cell))
+    edges = [tuple(x - y for x, y in zip(p, p0)) for p in rest]
+    minors = exterior_power(IntMatrix.from_columns(edges, len(p0)), len(edges))
+    return gcd(*(m for row in minors.rows for m in row))
+
+
+def is_unimodular_simplex(sub: RegularSubdivision, cell, dim) -> bool:
+    """Is the cell a dim-simplex of normalized volume 1?"""
+    return len(cell) == dim + 1 and normalized_simplex_volume(sub, cell) == 1
 
 
 def is_primitive(sub: RegularSubdivision) -> bool:
     """True iff every maximal cell is a unimodular simplex."""
-    d = sub.dimension
-    for cell in sub.maximal_cells:
-        if len(cell) != d + 1:
-            return False
-        if normalized_simplex_volume(sub, cell) != 1:
-            return False
-    return True
+    return all(is_unimodular_simplex(sub, cell, sub.dimension)
+               for cell in sub.maximal_cells)

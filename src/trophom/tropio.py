@@ -333,10 +333,14 @@ def load_fan(text) -> FanSpec:
         if not line:
             continue
         if line.startswith("dim"):
+            if dim is not None:
+                raise ParseError("second dim line", ln)
             try:
-                dim = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("malformed dim line", ln)
+                (dim,) = (int(x) for x in line.split()[1:])
+            except ValueError:
+                raise ParseError("malformed dim line: expected 'dim D'", ln)
+            if dim < 0:
+                raise ParseError("negative dimension %d" % dim, ln)
         elif line.startswith("ray"):
             head, _, coords = line.partition(":")
             try:

@@ -356,6 +356,25 @@ def test_face_table_matches_lp_reference(name):
                 assert piece.geom.geometry_key() == img.geometry_key()
 
 
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_is_boolean_matches_face_lattice_reference(name):
+    """`is_boolean` (a unique maximal cone among the pieces) agrees with
+    comparing the pieces' cones with the full face lattice of that cone, on
+    every sedentarity-0 cell of Yref, region cells included."""
+    pair = LP_FIXTURES[name]()
+    Y = pair.Y
+    for c in pair.Yref.cells:
+        if c.sed != Y.apex:
+            continue
+        go = gamma_open(pair, c.index)
+        cones = {Y.cones[a] for a in go.pieces}
+        maxima = [a for a in cones if not any(a < b for b in cones)]
+        want = len(maxima) == 1 and cones == {
+            frozenset(s) for k in range(len(maxima[0]) + 1)
+            for s in combinations(maxima[0], k)}
+        assert go.is_boolean() == want, c.index
+
+
 def hrep_dual_cell(f, face):
     """Reference dual cell by double description: the terms of F tie, and
     every other term is at most theirs."""

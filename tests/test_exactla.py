@@ -289,3 +289,21 @@ class TestSolve:
         assert primitive_vector((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
         assert primitive_vector((4, -6)) == (2, -3)
         assert primitive_vector((0, 0)) == (0, 0)
+
+    def test_primitive_vector_is_positive_multiple(self):
+        rng = random.Random(17)
+        cases = [(), (0,), (0, Fraction(0), 0)]
+        for _ in range(300):
+            cases.append(tuple(
+                rng.choice((rng.randint(-12, 12),
+                            Fraction(rng.randint(-12, 12), rng.randint(1, 12))))
+                for _ in range(rng.randint(1, 5))))
+        for vec in cases:
+            out = primitive_vector(vec)
+            assert len(out) == len(vec) and all(type(x) is int for x in out)
+            if not any(vec):
+                assert out == (0,) * len(vec)
+                continue
+            assert gcd(*out) == 1
+            scale = Fraction(next(o for o in out if o), next(x for x in vec if x))
+            assert scale > 0 and all(o == scale * x for o, x in zip(out, vec)), vec

@@ -14,7 +14,14 @@ from trophom.polyhedra import (
     normalized_simplex_volume,
     regular_subdivision,
 )
-from trophom.exactla import solve_rational
+from trophom.exactla import (
+    IntMatrix,
+    LatticeSubspace,
+    det,
+    kernel_lattice,
+    solve_int,
+    solve_rational,
+)
 
 
 def in_hull_bruteforce(p, points, dim):
@@ -91,6 +98,10 @@ class TestRecession:
         R = P.recession()
         assert R.affine_dim == 0
 
+    def test_from_no_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            QPolyhedron.from_generators([])
+
     def test_point_plus_ray(self):
         P = QPolyhedron.from_generators([(0, 0)], rays=[(1, 0)])
         R = P.recession()
@@ -145,6 +156,23 @@ def face_lattice_faces(points, maximal_cells):
     return faces
 
 
+def saturated_volume(points):
+    """Reference normalized volume: the determinant of the edge vectors in
+    coordinates of the saturated lattice of the affine hull (the kernel of
+    the edges' annihilator); 0 for affinely dependent points."""
+    n = len(points[0])
+    edges = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
+    span = LatticeSubspace.from_columns(edges, n)
+    if span.rank < len(edges):
+        return 0
+    if not edges:
+        return 1
+    normals = kernel_lattice(span.basis.transpose()).basis.columns()
+    sat = kernel_lattice(IntMatrix(normals, ncols=n)) if normals \
+        else LatticeSubspace.full(n)
+    return abs(det(solve_int(sat.basis, IntMatrix.from_columns(edges, n))))
+
+
 def _simplex(n, d):
     return [p for p in product(range(d + 1), repeat=n) if sum(p) <= d]
 
@@ -170,6 +198,14 @@ SUBDIVISION_CASES = {
     # a lower-dimensional configuration: a triangle in the plane z = 1 of R^3
     "planar-in-r3": lambda: ([(a, b, 1) for a, b in _simplex(2, 2)],
                              [0, 1, 0, 1, 1, 0]),
+    # 3*Delta_2 on the plane x + y = 2z, in the saturated basis (1, -1, 0),
+    # (1, 1, 1), with heights that triangulate it unimodularly; the (x, y)
+    # pivot coordinates span an index-2 sublattice of Z^2
+    "plane-x+y=2z": lambda: ([(a + b, b - a, b) for a, b in _simplex(2, 3)],
+                             [-(a * a + a * b + b * b) for a, b in _simplex(2, 3)]),
+    # the plane x = 2y contains e3, so its pivot columns are x and z
+    "plane-x=2y": lambda: ([(2 * a, a, b) for a, b in _simplex(2, 2)],
+                           [0, 1, 0, 1, 1, 0]),
     **{"random-%d" % seed: (lambda seed=seed: _random_heights(seed)) for seed in range(8)},
 }
 
@@ -239,6 +275,52 @@ class TestRegularSubdivision:
         points, heights = SUBDIVISION_CASES[name]()
         S = regular_subdivision(points, heights)
         assert S.faces == face_lattice_faces(points, S.maximal_cells)
+
+    @pytest.mark.parametrize("name", sorted(SUBDIVISION_CASES))
+    def test_is_primitive_matches_volume_reference(self, name):
+        points, heights = SUBDIVISION_CASES[name]()
+        S = regular_subdivision(points, heights)
+        assert is_primitive(S) == all(
+            len(c) == S.dimension + 1
+            and saturated_volume([points[i] for i in sorted(c)]) == 1
+            for c in S.maximal_cells)
+
+    def test_primitive_in_index_two_pivot_coordinates(self):
+        points, heights = SUBDIVISION_CASES["plane-x+y=2z"]()
+        S = regular_subdivision(points, heights)
+        assert is_primitive(S) and len(S.maximal_cells) == 9
+        for cell in S.maximal_cells:
+            p0, p1, p2 = (points[i] for i in sorted(cell))
+            xy = IntMatrix([[p1[0] - p0[0], p2[0] - p0[0]],
+                            [p1[1] - p0[1], p2[1] - p0[1]]])
+            assert abs(det(xy)) == 2
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_normalized_volume_matches_saturated_reference(n):
+    """Simplices of every dimension k in R^n from random edges, among them
+    edges whose span is not saturated (two edges u, v replaced by u + v and
+    u - v, or one edge scaled by 3), and affinely dependent sets, among them
+    every set of n + 2 points."""
+    rng = random.Random(n)
+    seen = set()
+    for k in range(n + 2):
+        for trial in range(12):
+            p0 = tuple(rng.randint(-3, 3) for _ in range(n))
+            edges = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+            if k >= 2 and trial % 3 == 1:
+                edges[0] = tuple(x + y for x, y in zip(edges[0], edges[1]))
+                edges[1] = tuple(x - 2 * y for x, y in zip(edges[0], edges[1]))
+            elif k >= 1 and trial % 3 == 2:
+                edges[-1] = tuple(3 * x for x in edges[-1])
+            points = [p0] + [tuple(x + y for x, y in zip(p0, e)) for e in edges]
+            if len(set(points)) != len(points):
+                continue
+            S = regular_subdivision(points, [0] * len(points))
+            got = normalized_simplex_volume(S, frozenset(range(len(points))))
+            assert got == saturated_volume(points), points
+            seen.add(min(got, 2))
+    assert seen == {0, 1, 2}
 
 
 

@@ -306,6 +306,26 @@ cone: 1 2 4
         fan = load_fan(text)
         assert load_fan(fan_text(fan)) == fan
 
+    @pytest.mark.parametrize("text, line", [
+        # a second dim above and below the one the ray was read in
+        ("dim 2\nray 0: 1 0\ndim 3\ncone: 0\n", 3),
+        ("dim 2\nray 0: 1 0\ndim 1\ncone: 0\n", 3),
+    ])
+    def test_second_dim_line_rejected(self, text, line):
+        with pytest.raises(ParseError, match="second dim line") as e:
+            load_fan(text)
+        assert e.value.line == line
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(ParseError, match="negative dimension") as e:
+            load_fan("# comment\ndim -1\n")
+        assert e.value.line == 2
+
+    def test_dim_extra_tokens_rejected(self):
+        with pytest.raises(ParseError, match="malformed dim line") as e:
+            load_fan("dim 1 2\n")
+        assert e.value.line == 1
+
     def test_trivial_fan(self):
         fan = load_fan("dim 3\n")
         assert fan.is_trivial()
