@@ -7,27 +7,54 @@ composable pair of integer matrices), Bareiss elimination for determinants
 (exterior powers in the lexicographic wedge basis), and one rational reduced
 row echelon form.
 
-Every entry is a Python int, so arithmetic is exact at any size.  Matrices are
-immutable once built; all functions here are pure.
+The Smith diagonal pivots on unit entries of least Markowitz cost
+len(row) * len(col), drawn from a heap that fill-in keeps fed, and scans for
+the least |value| only when no unit is left.  Invariant factors do not depend
+on the pivot order, so the order sets the cost and never the answer.
+
+Every entry is a Python int, so arithmetic is exact at any size; a
+non-integral entry is rejected, never truncated.  Matrices are immutable
+once built (which is why one may keep its sparse rows); all functions here
+are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import combinations, compress
 from math import gcd, lcm
 
 
-class IntMatrix:
-    """Dense integer matrix, row-major, immutable."""
+_INT = {int}
 
-    __slots__ = ("nrows", "ncols", "rows")
+
+class IntMatrix:
+    """Dense integer matrix, row-major, immutable.
+
+    An entry equal to an int (Fraction(4, 2), 3.0, True) is stored as that
+    int; any other entry raises ValueError naming its row and column.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "_sparse")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        self.rows = rows
+        out = []
+        for i, r in enumerate(rows):
+            r = tuple(r)
+            if set(map(type, r)) - _INT:
+                # convert, and reject what int() would truncate
+                t = tuple(map(int, r))
+                if t != r:
+                    j = next(j for j, (a, b) in enumerate(zip(t, r)) if a != b)
+                    raise ValueError("non-integral entry %r at row %d, column %d"
+                                     % (r[j], i, j))
+                r = t
+            out.append(r)
+        self.rows = rows = tuple(out)
         self.nrows = len(rows)
+        self._sparse = None
         if rows:
             self.ncols = len(rows[0])
             if any(len(r) != self.ncols for r in rows):
@@ -99,6 +126,18 @@ class IntMatrix:
         if len(vec) != self.ncols:
             raise ValueError("length mismatch")
         return tuple(sum(a * v for a, v in zip(r, vec)) for r in self.rows)
+
+    def sparse_rows(self):
+        """The nonzero entries as {row: {col: value}}, one dict per row.
+
+        Read once and kept, since the matrix is immutable; callers must not
+        mutate the dicts.
+        """
+        if self._sparse is None:
+            cols = tuple(range(self.ncols))  # shared index objects, not one per entry
+            self._sparse = {i: {j: r[j] for j in compress(cols, r)}
+                            for i, r in enumerate(self.rows)}
+        return self._sparse
 
 
 def _hnf_rows_inplace(h, u=None):
@@ -200,18 +239,15 @@ def hnf(M: IntMatrix):
 
 
 def _divisibility_pass(diag):
-    """Make diag[i] | diag[i+1] by (gcd, lcm) replacements; returns sorted list."""
-    diag = [abs(d) for d in diag]
+    """Make diag[i] | diag[i+1] by (gcd, lcm) replacements of positive factors."""
+    diag = list(diag)
     changed = True
     while changed:
         changed = False
         for i in range(len(diag)):
             for j in range(i + 1, len(diag)):
                 a, b = diag[i], diag[j]
-                if a == 0 and b != 0:
-                    diag[i], diag[j] = b, 0
-                    changed = True
-                elif a != 0 and b % a != 0:
+                if b % a != 0:
                     g = gcd(a, b)
                     diag[i], diag[j] = g, a * b // g
                     changed = True
@@ -221,17 +257,34 @@ def _divisibility_pass(diag):
 def smith_diagonal(entries_by_row, nrows, ncols):
     """Invariant-factor diagonal of a sparse integer matrix, no transforms.
 
-    `entries_by_row` maps row index -> {col index: value}.  Returns the list
-    of invariant factors (nonzero, with divisibility) -- its length is the
-    rank.  Unimodular pivots are eliminated first so fill-in stays small on
-    the incidence-style matrices this is used for.
+    `entries_by_row` maps row index -> {col index: value}; an entry outside
+    range(nrows) x range(ncols) raises ValueError.  Returns the list of
+    invariant factors (nonzero, with divisibility) -- its length is the rank.
+
+    Pivots: each step takes a unit entry (+-1) of least Markowitz cost
+    len(row) * len(col) from a lazy min-heap, which fill-in feeds as it
+    creates new units, so no step rescans the matrix; a unit pivot retires
+    its row and column (a coreduction).  Only when no unit is left does a
+    scan pick the entry of least |value|.  The invariant factors do not
+    depend on the pivot order, so this choice moves the cost, not the result.
     """
-    rows = {i: dict(cols) for i, cols in entries_by_row.items() if cols}
-    cols = {}
-    for i, r in rows.items():
-        for j, v in r.items():
+    rows, cols = {}, {}
+    for i, r in entries_by_row.items():
+        r = {j: v for j, v in r.items() if v}
+        if not r:
+            continue
+        if not 0 <= i < nrows or min(r) < 0 or max(r) >= ncols:
+            j = next(j for j in r if not (0 <= i < nrows and 0 <= j < ncols))
+            raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
+        rows[i] = r
+        for j in r:
             cols.setdefault(j, set()).add(i)
-    diag = []
+    # every unit entry has at least one (cost, i, j) here; costs may be stale
+    heap = [(len(r) * len(cols[j]), i, j)
+            for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1]
+    heapify(heap)
+    units = 0
+    others = []
 
     def drop(i, j):
         del rows[i][j]
@@ -246,8 +299,12 @@ def smith_diagonal(entries_by_row, nrows, ncols):
             if j in rows.get(i, ()):
                 drop(i, j)
         else:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
+            r = rows.setdefault(i, {})
+            r[j] = v
+            c = cols.setdefault(j, set())
+            c.add(i)
+            if v == 1 or v == -1:
+                heappush(heap, (len(r) * len(c), i, j))
 
     def row_op(i, i0, q):
         """row i -= q * row i0"""
@@ -259,35 +316,42 @@ def smith_diagonal(entries_by_row, nrows, ncols):
         for i in list(cols[j0]):
             setval(i, j, rows.get(i, {}).get(j, 0) - q * rows[i][j0])
 
+    def unit_pivot():
+        """A unit entry of least current cost, or None when no unit is left."""
+        while heap:
+            cost, i, j = heappop(heap)
+            v = rows.get(i, {}).get(j)
+            if v != 1 and v != -1:
+                continue  # gone, or no longer a unit
+            now = len(rows[i]) * len(cols[j])
+            if now > cost:
+                heappush(heap, (now, i, j))
+                continue
+            return i, j
+        return None
+
     while rows:
-        # prefer a unit pivot with the smallest fill estimate, else min |value|
-        piv = None
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                cost = (abs(v) != 1, abs(v), len(r) * len(cols[j]))
-                if best is None or cost < best:
-                    best = cost
-                    piv = (i, j)
-                    if cost[:2] == (False, 1) and cost[2] == 1:
-                        break
-            if best is not None and best[0] is False and best[2] == 1:
-                break
-        i0, j0 = piv
-        p = rows[i0][j0]
-        if abs(p) == 1:
+        piv = unit_pivot()
+        if piv is not None:
             # coreduction: clear column j0 with row i0, then retire the pair;
             # the leftover entries of row i0 die under column ops that touch
             # nothing else because column j0 is now a unit vector
+            i0, j0 = piv
+            p = rows[i0][j0]
             for i in list(cols[j0]):
                 if i != i0:
-                    row_op(i, i0, rows[i][j0] // p)
+                    row_op(i, i0, rows[i][j0] * p)
             for j in list(rows[i0]):
-                if j != j0:
-                    drop(i0, j)
-            drop(i0, j0)
-            diag.append(1)
+                drop(i0, j)
+            units += 1
             continue
+        best = None
+        for i, r in rows.items():
+            for j, v in r.items():
+                cost = (abs(v), len(r) * len(cols[j]))
+                if best is None or cost < best:
+                    best, i0, j0 = cost, i, j
+        p = rows[i0][j0]
         # reduce the pivot's row and column modulo p
         for i in list(cols[j0]):
             if i != i0:
@@ -303,8 +367,9 @@ def smith_diagonal(entries_by_row, nrows, ncols):
         if dirty:
             continue  # remainders are smaller than |p|; re-pivot
         drop(i0, j0)
-        diag.append(abs(p))
-    return _divisibility_pass([d for d in diag if d])
+        others.append(abs(p))
+    # a 1 divides everything, so only the other factors need the pass
+    return [1] * units + _divisibility_pass(others)
 
 
 @dataclass(frozen=True)
@@ -480,22 +545,26 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     """Rank and torsion of ker(d_out)/im(d_in).
 
     d_in maps into the middle module, d_out maps out of it; requires
-    d_out * d_in = 0.  Torsion is returned as the list of invariant
-    factors > 1.  Because ker(d_out) is saturated, the torsion equals the
-    torsion of the cokernel of d_in, which is what the Smith form of d_in
-    delivers directly.
+    d_out * d_in = 0, checked as a sparse product.  Torsion is returned as
+    the list of invariant factors > 1.  Because ker(d_out) is saturated, the
+    torsion equals the torsion of the cokernel of d_in, which is what the
+    Smith form of d_in delivers directly.
     """
-    if d_in.ncols and d_out.nrows and not (d_out * d_in).is_zero():
-        raise ValueError("boundary maps do not compose to zero")
     if d_in.nrows != d_out.ncols:
-        raise ValueError("middle module dimension mismatch")
-    sp_in = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(d_in.rows)}
-    sp_out = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(d_out.rows)}
+        raise ValueError("middle module dimension mismatch: d_in has %d rows, "
+                         "d_out has %d columns" % (d_in.nrows, d_out.ncols))
+    sp_in = d_in.sparse_rows()
+    sp_out = d_out.sparse_rows()
+    for r in sp_out.values():
+        acc = {}
+        for k, a in r.items():
+            for j, b in sp_in[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            raise ValueError("boundary maps do not compose to zero")
     fac_in = smith_diagonal(sp_in, d_in.nrows, d_in.ncols)
     fac_out = smith_diagonal(sp_out, d_out.nrows, d_out.ncols)
-    rank_in = len(fac_in)
-    nullity_out = d_out.ncols - len(fac_out)
-    rank = nullity_out - rank_in
+    rank = d_out.ncols - len(fac_out) - len(fac_in)
     torsion = [d for d in fac_in if d > 1]
     return rank, torsion
 

@@ -239,13 +239,6 @@ class QPolyhedron:
         return (all(_dot(a, r) == 0 for a, b in self.equations)
                 and all(_dot(a, r) <= 0 for a, b in self.facets))
 
-    def relint_point(self):
-        k = len(self.vertices)
-        pt = [sum(v[i] for v in self.vertices) / k for i in range(self.dim)]
-        for r in self.rays:
-            pt = [p + x for p, x in zip(pt, r)]
-        return tuple(pt)
-
     def recession(self):
         return QPolyhedron.cone(self.rays, self.dim, self.lin)
 

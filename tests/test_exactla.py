@@ -39,6 +39,19 @@ def span_points(cols, bound):
     return pts
 
 
+class TestIntMatrix:
+    def test_non_integral_entry_rejected(self):
+        with pytest.raises(ValueError, match="row 0, column 0"):
+            IntMatrix([[Fraction(3, 2), 2.7]])
+        with pytest.raises(ValueError, match="row 1, column 2"):
+            IntMatrix([[1, 2, 3], (4, 5, 2.5)])
+
+    def test_integral_values_become_ints(self):
+        A = IntMatrix([[Fraction(4, 2), 3.0, True], (x for x in (-1, 0, 7))])
+        assert A.rows == ((2, 3, 1), (-1, 0, 7))
+        assert all(type(x) is int for r in A.rows for x in r)
+
+
 class TestHNF:
     def test_identity(self):
         H, V = hnf(IntMatrix.identity(3))
@@ -96,6 +109,62 @@ def invariant_factors_by_minors(A):
     return out
 
 
+def full_scan_smith_diagonal(entries_by_row):
+    """Reference eliminator: every step rescans all entries for the pivot of
+    least (non-unit, |value|, len(row) * len(col)), then finishes with the
+    quadratic gcd/lcm divisibility pass over the whole diagonal."""
+    rows = {i: dict(r) for i, r in entries_by_row.items() if r}
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+
+    def setval(i, j, v):
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+        elif j in rows.get(i, ()):
+            del rows[i][j]
+            cols[j].discard(i)
+            if not cols[j]:
+                del cols[j]
+            if not rows[i]:
+                del rows[i]
+
+    diag = []
+    while rows:
+        _, i0, j0 = min(((abs(v) != 1, abs(v), len(r) * len(cols[j])), i, j)
+                        for i, r in rows.items() for j, v in r.items())
+        p = rows[i0][j0]
+        for i in list(cols[j0]):
+            if i != i0 and (q := rows[i][j0] // p):
+                for j, w in list(rows[i0].items()):
+                    setval(i, j, rows.get(i, {}).get(j, 0) - q * w)
+        for j in list(rows[i0]):
+            if j != j0 and (q := rows[i0][j] // p):
+                for i in list(cols[j0]):
+                    setval(i, j, rows.get(i, {}).get(j, 0) - q * rows[i][j0])
+        if any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0]):
+            continue
+        setval(i0, j0, 0)
+        diag.append(abs(p))
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(diag)):
+            for b in range(a + 1, len(diag)):
+                if diag[b] % diag[a]:
+                    g = gcd(diag[a], diag[b])
+                    diag[a], diag[b] = g, diag[a] * diag[b] // g
+                    changed = True
+    return diag
+
+
+def random_sparse(rng, m, n, density, values):
+    return {i: {j: rng.choice(values) for j in range(n) if rng.random() < density}
+            for i in range(m)}
+
+
 class TestSNF:
     def test_zero_matrix(self):
         assert smith_diagonal(sparse(IntMatrix.zeros(2, 3)), 2, 3) == []
@@ -116,6 +185,43 @@ class TestSNF:
             n = rng.randint(1, 5)
             A = M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
             assert smith_diagonal(sparse(A), m, n) == invariant_factors_by_minors(A)
+
+    def test_non_unit_entries_match_minors(self):
+        """No input entry is a unit, so every pivot starts on the scan; fill-in
+        such as a 2 and a 3 in one column then creates units for the heap."""
+        assert smith_diagonal(sparse(M([[2], [3]])), 2, 1) == [1]
+        assert smith_diagonal(sparse(M([[2, 3]])), 1, 2) == [1]
+        assert smith_diagonal(sparse(M([[2, 4], [4, 2]])), 2, 2) == [2, 6]
+        rng = random.Random(11)
+        values = (0, 0, 2, -2, 3, -3, 4, -4, 6)
+        with_unit = 0
+        for _ in range(80):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            A = M([[rng.choice(values) for _ in range(n)] for _ in range(m)])
+            got = smith_diagonal(sparse(A), m, n)
+            assert got == invariant_factors_by_minors(A), A
+            with_unit += 1 in got
+        assert with_unit >= 20
+
+    def test_matches_full_scan_reference(self):
+        """The heap changes only the pivot order: 200 seeded sparse matrices up
+        to 30 x 40, unit-rich and unit-free, give the reference diagonal."""
+        rng = random.Random(23)
+        kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (2, -2, 3, 4, -6))
+        for k in range(200):
+            m, n = rng.randint(1, 30), rng.randint(1, 40)
+            entries = random_sparse(rng, m, n, rng.uniform(0.03, 0.3), kinds[k % 3])
+            assert smith_diagonal(entries, m, n) == full_scan_smith_diagonal(entries)
+
+    def test_out_of_range_entry_rejected(self):
+        for entries, where in (({0: {5: 2}, 7: {0: 3}}, r"\(0, 5\)"),
+                               ({7: {0: 3}}, r"\(7, 0\)"),
+                               ({1: {0: 1, -1: 2}}, r"\(1, -1\)")):
+            with pytest.raises(ValueError, match=where):
+                smith_diagonal(entries, 2, 3)
+
+    def test_explicit_zero_entries_ignored(self):
+        assert smith_diagonal({0: {0: 0, 1: 2}, 1: {0: 3, 1: 0}}, 2, 2) == [1, 6]
 
 
 class TestBasisCompletion:
@@ -217,6 +323,31 @@ class TestExteriorPower:
         assert exterior_power(A * B, p) == exterior_power(A, p) * exterior_power(B, p)
 
 
+def boundaries(nverts, edges, tris):
+    """d1, d2 of a simplicial 2-complex, each simplex oriented by its sorted
+    vertices."""
+    d1 = [[0] * len(edges) for _ in range(nverts)]
+    for j, (a, b) in enumerate(edges):
+        d1[a][j] = -1
+        d1[b][j] = 1
+    d2 = [[0] * len(tris) for _ in edges]
+    for j, (a, b, c) in enumerate(tris):
+        for sign, e in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
+            d2[edges.index(e)][j] = sign
+    return M(d1), M(d2)
+
+
+def sphere_boundaries():
+    return boundaries(4, list(combinations(range(4), 2)), list(combinations(range(4), 3)))
+
+
+def block_diagonal(top, bottom, ncols_top):
+    """[[top, 0], [0, bottom]] from row lists; top has ncols_top columns."""
+    ncols_bottom = len(bottom[0])
+    return M([list(r) + [0] * ncols_bottom for r in top]
+             + [[0] * ncols_top + list(r) for r in bottom])
+
+
 class TestHomologyAt:
     def test_zero_maps(self):
         z_in = IntMatrix.zeros(3, 0)
@@ -241,20 +372,42 @@ class TestHomologyAt:
         with pytest.raises(ValueError):
             homology_at(M([[1], [0]]), M([[1, 0]]))
 
+    def test_rejects_single_nonzero_product_entry(self):
+        # the 3-simplex sphere next to a filled triangle whose d1 has one
+        # entry off by one: d_out * d_in is zero except at (vertex 6, face 4)
+        D1, D2 = sphere_boundaries()
+        t1 = [[-1, -1, 0], [1, 0, -1], [0, 1, 2]]
+        t2 = [[1], [-1], [1]]
+        d_out = block_diagonal(D1.rows, t1, 6)
+        d_in = block_diagonal(D2.rows, t2, 4)
+        product = d_out * d_in
+        assert [(i, j) for i, r in enumerate(product.rows) for j, v in enumerate(r) if v] \
+            == [(6, 4)]
+        with pytest.raises(ValueError, match="compose"):
+            homology_at(d_in, d_out)
+        t1[2][2] = 1
+        assert homology_at(d_in, block_diagonal(D1.rows, t1, 6)) == (0, [])
+
+    def test_middle_dimension_mismatch(self):
+        # d_in has 1 row but d_out has 3 columns, with and without entries
+        for d_in in (IntMatrix.zeros(1, 0), M([[1, 1]])):
+            with pytest.raises(ValueError, match="middle module dimension mismatch"):
+                homology_at(d_in, M([[1, 0, 0]]))
+
+    def test_rp2_six_vertices(self):
+        tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+        edges = sorted({e for t in tris for e in combinations(t, 2)})
+        assert len(edges) == 15
+        assert all(sum(set(e) <= set(t) for t in tris) == 2 for e in edges)
+        D1, D2 = boundaries(6, edges, tris)
+        assert homology_at(D1, IntMatrix.zeros(0, 6)) == (1, [])
+        assert homology_at(D2, D1) == (0, [2])
+        assert homology_at(IntMatrix.zeros(10, 0), D2) == (0, [])
+
     def test_sphere_boundary_of_3_simplex(self):
         # textbook: boundary of a 3-simplex is S^2
-        verts = [0, 1, 2, 3]
-        edges = [(a, b) for a in verts for b in verts if a < b]
-        tris = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        d1 = [[0] * len(edges) for _ in verts]
-        for j, (a, b) in enumerate(edges):
-            d1[a][j] = -1
-            d1[b][j] = 1
-        d2 = [[0] * len(tris) for _ in edges]
-        for j, (a, b, c) in enumerate(tris):
-            for sign, e in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
-                d2[edges.index(e)][j] = sign
-        D1, D2 = M(d1), M(d2)
+        D1, D2 = sphere_boundaries()
         assert (D1 * D2).is_zero()
         h0 = homology_at(D1, IntMatrix.zeros(0, 4))
         h1 = homology_at(D2, D1)
