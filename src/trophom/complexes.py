@@ -19,7 +19,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactla import LatticeSubspace, solve_rational
-from .polyhedra import QPolyhedron, is_unimodular_simplex, regular_subdivision
+from .polyhedra import (
+    QPolyhedron,
+    hrep_from_generators,
+    is_unimodular_simplex,
+    regular_subdivision,
+)
 from .toric import ToricVariety
 from .tropio import FanSpec, TropicalPolynomial, newton_polytope
 
@@ -164,14 +169,27 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     N(F), the normal cone of the Newton polytope `newton` at F, is spanned by
     the outer normals of its facets through every point of F plus the
     normals of its equations.
+
+    These generators are already irredundant, so one double description
+    (generators to facets) builds the cell, and its V-representation is the
+    generators themselves:
+    - distinct maximal cells M containing F have distinct tie points v_M,
+      also modulo lineality, since the terms that attain the maximum at v_M
+      are exactly those of M; each v_M is a vertex of the complex inside the
+      cell, hence a vertex of the cell;
+    - each facet normal of the Newton polytope through F is an extreme ray
+      of N(F).
+    With lineality the vertices and rays are these representatives, not the
+    ones a second double description would pick; `geometry_key` is the same.
     """
-    verts = [v for M, v in ties.items() if face <= M]
+    verts = sorted(v for M, v in ties.items() if face <= M)
     P = newton.poly
     pts = [f.terms[i][0] for i in face]
-    rays = [a for a, b in P.facets
-            if all(sum(x * y for x, y in zip(a, p)) == b for p in pts)]
+    rays = sorted(a for a, b in P.facets
+                  if all(sum(x * y for x, y in zip(a, p)) == b for p in pts))
     lins = [a for a, b in P.equations]
-    return QPolyhedron.from_generators(sorted(verts), sorted(rays), lins, P.dim)
+    facets, eqs = hrep_from_generators(verts, rays, lins, P.dim)
+    return QPolyhedron(P.dim, verts, rays, lins, facets, eqs)
 
 
 def dual_face_points(f: TropicalPolynomial, Y: ToricVariety):

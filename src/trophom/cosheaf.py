@@ -12,8 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import CellComplex, HypersurfacePair
-from .exactla import IntMatrix, LatticeSubspace, exterior_power, solve_int
+from .complexes import CellComplex
+from .exactla import (
+    IntMatrix,
+    LatticeSubspace,
+    back_substitute,
+    exterior_power,
+    hnf_pivots,
+)
 
 
 class CosheafError(ValueError):
@@ -29,18 +35,6 @@ class Cosheaf:
     ranks: list
     bases: list          # IntMatrix columns in the stratum wedge space, or None
     maps: dict           # (tau index, sigma index) -> IntMatrix
-
-    def check_functorial(self):
-        """Path independence of composed incidence maps on codim-2 intervals."""
-        Z = self.base
-        for t, s in Z.incidence:
-            for g in Z.facets_of[t]:
-                paths = [tt for tt in Z.facets_of[s] if (g, tt) in Z.incidence]
-                mats = [self.maps[(g, tt)] * self.maps[(tt, s)] for tt in paths]
-                for m in mats[1:]:
-                    if m != mats[0]:
-                        return False
-        return True
 
 
 def _same_stratum_star(Z: CellComplex):
@@ -63,7 +57,10 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     closure contains it, of the p-th exterior powers of their tangent
     lattices; the sum is taken verbatim, with no saturation.  Maps are
     inclusions within a stratum and wedge powers of the quotient projections
-    across strata.
+    across strata, each written in the target stalk's basis by
+    back-substitution: that basis is in column Hermite form already.  An
+    image that leaves the target stalk raises CosheafError naming the
+    incidence and p.
     """
     Y = Z.Y
     star = _same_stratum_star(Z)
@@ -76,14 +73,20 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
         total = LatticeSubspace.from_columns(gens, comb(Y.stratum_dim(c.sed), p))
         ranks.append(total.rank)
         bases.append(total.basis)
+    pivots = {}
+    wedge_projection = {}
     maps = {}
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
         image = bases[s]
         if tau.sed != sig.sed:
-            image = exterior_power(Y.projection(sig.sed, tau.sed), p) * image
-        A = solve_int(bases[t], image) if image.ncols else \
-            IntMatrix.zeros(ranks[t], 0)
+            key = (sig.sed, tau.sed)
+            if key not in wedge_projection:
+                wedge_projection[key] = exterior_power(Y.projection(*key), p)
+            image = wedge_projection[key] * image
+        if t not in pivots:
+            pivots[t] = hnf_pivots(bases[t])
+        A = back_substitute(pivots[t], ranks[t], image)
         if A is None:
             raise CosheafError(
                 "incidence image does not land in the target stalk "
@@ -102,47 +105,14 @@ def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:
         ranks.append(amb)
         bases.append(IntMatrix.identity(amb))
     maps = {}
+    wedge_projection = {}
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
         if tau.sed == sig.sed:
             maps[(t, s)] = bases[s]
         else:
-            maps[(t, s)] = exterior_power(Y.projection(sig.sed, tau.sed), p)
+            key = (sig.sed, tau.sed)
+            if key not in wedge_projection:
+                wedge_projection[key] = exterior_power(Y.projection(*key), p)
+            maps[(t, s)] = wedge_projection[key]
     return Cosheaf(Z, p, ranks, bases, maps)
-
-
-def stalk_rank_polynomial(family, cell_index):
-    """Alternating-rank polynomial sum_p (-1)^p rank F_p(cell) * t^p as a
-    coefficient list, from a list of cosheaves indexed by p."""
-    return [(-1) ** p * F.ranks[cell_index] for p, F in enumerate(family)]
-
-
-def expected_stalk_polynomial(q, m):
-    """Coefficients of (1-t)^m - (1-t)^q (-t)^(m-q) for a q-cell in an
-    m-dimensional stratum."""
-    from math import comb as C
-    out = [0] * (m + 1)
-    for i in range(m + 1):
-        out[i] += C(m, i) * (-1) ** i
-    # (1-t)^q * (-t)^(m-q): coefficient of t^(m-q+j) is C(q, j)(-1)^j (-1)^(m-q)
-    for j in range(q + 1):
-        k = m - q + j
-        if k <= m:
-            out[k] -= C(q, j) * (-1) ** j * (-1) ** (m - q)
-    return out
-
-
-def hyperplane_vertex_rank(s, j):
-    """rank of the j-th multi-tangent stalk at the vertex of the standard
-    tropical hyperplane of dimension s."""
-    if 0 <= j <= s:
-        return comb(s + 1, j)
-    return 0
-
-
-def kunneth_stalk_rank(pair: HypersurfacePair, cell, p):
-    """Predicted stalk rank via the product decomposition along the cell."""
-    q = cell.dim
-    m = pair.Y.stratum_dim(cell.sed)
-    return sum(hyperplane_vertex_rank(m - q - 1, p - l) * comb(q, l)
-               for l in range(p + 1))

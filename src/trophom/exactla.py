@@ -1,7 +1,8 @@
 """Exact linear algebra over the integers.
 
 One eliminator per job: Hermite normal forms for lattices (saturated kernels,
-sums of sublattices, integer solves, completion to a basis), the sparse Smith
+sums of sublattices, completion to a basis), one back-substitution against a
+column Hermite form for every integer solve and membership test, the sparse Smith
 diagonal for invariant factors (the homology, rank plus torsion, of a
 composable pair of integer matrices), Bareiss elimination for determinants
 (exterior powers in the lexicographic wedge basis), and one rational reduced
@@ -404,7 +405,8 @@ class LatticeSubspace:
         return self.basis.ncols
 
     def contains(self, vec):
-        return solve_int(self.basis, IntMatrix.from_columns([tuple(vec)], self.ambient)) is not None
+        col = IntMatrix.from_columns([tuple(vec)], self.ambient)
+        return back_substitute(hnf_pivots(self.basis), self.rank, col) is not None
 
 
 def lattice_sum(A: LatticeSubspace, B: LatticeSubspace) -> LatticeSubspace:
@@ -422,37 +424,53 @@ def kernel_lattice(M: IntMatrix) -> LatticeSubspace:
     return LatticeSubspace.from_columns([V.column(j) for j in zero_cols], M.ncols)
 
 
+def hnf_pivots(H: IntMatrix):
+    """The pivots of a matrix in column Hermite form, read once for
+    `back_substitute`: (column index, pivot row, column) per nonzero column,
+    in column order.  In column HNF the pivot row of a column is its first
+    nonzero entry, and it increases from column to column."""
+    out = []
+    for j, col in enumerate(H.columns()):
+        i = next((i for i, x in enumerate(col) if x), None)
+        if i is not None:
+            out.append((j, i, col))
+    return out
+
+
+def back_substitute(pivots, ncols, B: IntMatrix):
+    """Integer X with H X = B for H in column Hermite form with `ncols`
+    columns, given by its pivots (`hnf_pivots(H)`); None when a column of B
+    is not in the Z-span of H's columns.
+
+    Columns after j vanish on the pivot row of column j, so one pass in
+    column order fixes each coefficient in turn; a pivot that does not
+    divide, or a remainder left at the end, proves the column is not in the
+    span.  Zero columns of H get coefficient 0.
+    """
+    xcols = []
+    for b in B.columns():
+        y = [0] * ncols
+        r = list(b)
+        for j, i, col in pivots:
+            c, rem = divmod(r[i], col[i])
+            if rem:
+                return None
+            if c:
+                y[j] = c
+                for k, x in enumerate(col):
+                    if x:
+                        r[k] -= c * x
+        if any(r):
+            return None
+        xcols.append(y)
+    return IntMatrix.from_columns(xcols, ncols)
+
+
 def solve_int(A: IntMatrix, B: IntMatrix):
     """Integer X with A X = B, or None.  A need not be square."""
     H, V = hnf(A)  # A V = H, columns of H in HNF
-    # pivot rows of H
-    pivots = []
-    seen_rows = set()
-    for j in range(H.ncols):
-        col = H.column(j)
-        nz = [i for i in range(H.nrows) if col[i] != 0]
-        if not nz:
-            continue
-        pivots.append((nz[0], j))
-        seen_rows.add(nz[0])
-    xcols = []
-    for b in B.columns():
-        y = [0] * H.ncols
-        r = list(b)
-        for (i, j) in pivots:
-            if r[i] % H.rows[i][j] != 0:
-                return None
-            c = r[i] // H.rows[i][j]
-            y[j] = c
-            if c:
-                col = H.column(j)
-                for k in range(len(r)):
-                    r[k] -= c * col[k]
-        if any(r):
-            return None
-        xcols.append(tuple(y))
-    Y = IntMatrix.from_columns(xcols, H.ncols)
-    return V * Y
+    Y = back_substitute(hnf_pivots(H), H.ncols, B)
+    return None if Y is None else V * Y
 
 
 def rref(rows, ncols):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactla import (
     IntMatrix,
@@ -27,6 +27,13 @@ from .exactla import (
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _scaled(x):
+    """A rational vector as (integer numerators, common denominator D > 0)."""
+    x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
+    D = lcm(*(v.denominator for v in x))
+    return [v.numerator * (D // v.denominator) for v in x], D
 
 
 def dd_cone(constraints, dim):
@@ -213,17 +220,24 @@ class QPolyhedron:
         return not self.rays and not self.lin
 
     def contains(self, x, strict=False):
-        x = tuple(Fraction(v) for v in x)
+        """Is the rational point x in the polyhedron (strictly inside every
+        facet, with `strict`)?  Decided in integers: x is scaled to integer
+        numerators over a common denominator D, and each facet <a, x> <= b
+        becomes <a, num> * b.den <= b.num * D, each equation the same with
+        equality."""
+        num, D = _scaled(x)
         for a, b in self.equations:
-            if _dot(a, x) != b:
+            if _dot(a, num) * b.denominator != b.numerator * D:
                 return False
         for a, b in self.facets:
-            v = _dot(a, x)
-            if v > b or (strict and v == b):
+            v, w = _dot(a, num) * b.denominator, b.numerator * D
+            if v > w or (strict and v == w):
                 return False
         return True
 
     def contains_polyhedron(self, other):
+        """Does other lie in self?  Its vertices pass the integer membership
+        test of `contains`, its rays and lineality the recession test."""
         for v in other.vertices:
             if not self.contains(v):
                 return False

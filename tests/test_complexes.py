@@ -387,13 +387,36 @@ def hrep_dual_cell(f, face):
     return QPolyhedron.from_hrep(ineqs, eqs, f.n_vars)
 
 
+def from_generators_dual_cell(f, face, ties, newton):
+    """Reference dual cell from the same generators by
+    `QPolyhedron.from_generators`, whose second double description
+    re-derives the vertices and rays from the facets."""
+    P = newton.poly
+    pts = [f.terms[i][0] for i in face]
+    rays = [a for a, b in P.facets
+            if all(sum(x * y for x, y in zip(a, p)) == b for p in pts)]
+    verts = [v for M, v in ties.items() if face <= M]
+    return QPolyhedron.from_generators(sorted(verts), sorted(rays),
+                                       [a for a, b in P.equations], P.dim)
+
+
 def assert_dual_cells_match_hrep(f, S, newton):
+    """Against both references: the H-representation, and the V-
+    representation of `from_generators`, vertex for vertex and ray for ray
+    when there is no lineality (with lineality its representatives may
+    differ, so the geometry keys are compared)."""
     ties = tie_points(f, S)
     for face in S.faces:
         got, want = dual_cell_geometry(f, face, ties, newton), hrep_dual_cell(f, face)
         assert got.geometry_key() == want.geometry_key(), sorted(face)
         assert got.facets == want.facets, sorted(face)
         assert got.equations == want.equations, sorted(face)
+        ref = from_generators_dual_cell(f, face, ties, newton)
+        assert got.lin == ref.lin, sorted(face)
+        if got.lin:
+            assert got.geometry_key() == ref.geometry_key(), sorted(face)
+        else:
+            assert (got.vertices, got.rays) == (ref.vertices, ref.rays), sorted(face)
 
 
 @pytest.mark.parametrize("name", sorted(LP_FIXTURES))

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from trophom.exactla import (
     IntMatrix,
     LatticeSubspace,
+    back_substitute,
     basis_completion,
     det,
     exterior_power,
     hnf,
+    hnf_pivots,
     homology_at,
     kernel_lattice,
     lattice_sum,
@@ -417,6 +419,35 @@ class TestHomologyAt:
         assert h2 == (1, [])
 
 
+def hnf_route_solve_int(A, B):
+    """Reference: the integer solve as it stood with its own triangular
+    solve, which reads the pivot rows of H afresh on every call."""
+    H, V = hnf(A)  # A V = H, columns of H in HNF
+    pivots = []
+    for j in range(H.ncols):
+        col = H.column(j)
+        nz = [i for i in range(H.nrows) if col[i] != 0]
+        if nz:
+            pivots.append((nz[0], j))
+    xcols = []
+    for b in B.columns():
+        y = [0] * H.ncols
+        r = list(b)
+        for (i, j) in pivots:
+            if r[i] % H.rows[i][j] != 0:
+                return None
+            c = r[i] // H.rows[i][j]
+            y[j] = c
+            if c:
+                col = H.column(j)
+                for k in range(len(r)):
+                    r[k] -= c * col[k]
+        if any(r):
+            return None
+        xcols.append(tuple(y))
+    return V * IntMatrix.from_columns(xcols, H.ncols)
+
+
 class TestSolve:
     def test_solve_int(self):
         A = M([[2, 0], [0, 3]])
@@ -424,6 +455,49 @@ class TestSolve:
         X = solve_int(A, B)
         assert A * X == B
         assert solve_int(A, M([[1], [1]])) is None
+
+    def test_back_substitution_matches_hnf_route(self):
+        """Random column-HNF bases (with and without zero columns) against
+        members, off-pivot multiples (a pivot > 1 that does not divide) and
+        vectors off the rational span (a non-pivot row)."""
+        rng = random.Random(29)
+        kinds = {"member": 0, "pivot": 0, "span": 0}
+        for _ in range(150):
+            m, k = rng.randint(1, 5), rng.randint(0, 5)
+            A = M([[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)], ncols=k)
+            H = hnf(A)[0]
+            basis = LatticeSubspace.from_columns(A.columns(), m)
+            piv = hnf_pivots(H)
+            assert [(j, i) for j, i, col in piv] == [
+                (j, next(i for i in range(m) if H.rows[i][j]))
+                for j in range(k) if any(H.column(j))]
+            assert hnf_pivots(basis.basis) == [(j, i, col) for j, (_, i, col) in enumerate(piv)]
+            cols = []
+            for _ in range(4):
+                y = [rng.randint(-3, 3) for _ in range(k)]
+                b = list(H.apply(y)) if k else [0] * m
+                kind = "member"
+                bad = [(i, col[i]) for _, i, col in piv if col[i] > 1]
+                if bad and rng.random() < 0.5:
+                    i, p = rng.choice(bad)
+                    b[i] += rng.randint(1, p - 1)
+                    kind = "pivot"
+                free = sorted(set(range(m)) - {i for _, i, _ in piv})
+                if free and rng.random() < 0.5:
+                    b[rng.choice(free)] += rng.choice((-1, 1)) * rng.randint(1, 3)
+                    kind = "span"
+                want = hnf_route_solve_int(A, M([b], ncols=m).transpose())
+                assert (want is None) == (kind != "member"), (A, b)
+                kinds[kind] += 1
+                X = back_substitute(piv, H.ncols, M([b], ncols=m).transpose())
+                assert (X is None) == (want is None)
+                if X is not None and k:
+                    assert H * X == M([b], ncols=m).transpose()
+                assert basis.contains(b) == (want is not None)
+                cols.append(b)
+            B = IntMatrix.from_columns(cols, m)
+            assert solve_int(A, B) == hnf_route_solve_int(A, B)
+        assert min(kinds.values()) >= 30, kinds
 
     def test_solve_rational(self):
         x = solve_rational([[2, 0], [0, 4]], [1, 2])

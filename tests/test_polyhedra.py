@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -67,6 +68,120 @@ class TestConvexHull:
         # all points must lie inside the hull
         for p in pts:
             assert P.contains(p)
+
+
+def fraction_contains(P, x, strict=False):
+    """Reference: membership in Fraction arithmetic, as `contains` was."""
+    x = tuple(Fraction(v) for v in x)
+    for a, b in P.equations:
+        if sum(u * v for u, v in zip(a, x)) != b:
+            return False
+    for a, b in P.facets:
+        v = sum(u * w for u, w in zip(a, x))
+        if v > b or (strict and v == b):
+            return False
+    return True
+
+
+def fraction_contains_polyhedron(P, Q):
+    """Reference: Q in P with vertices tested by `fraction_contains`."""
+    def direction(r):
+        return (all(sum(u * v for u, v in zip(a, r)) == 0 for a, b in P.equations)
+                and all(sum(u * v for u, v in zip(a, r)) <= 0 for a, b in P.facets))
+    return (all(fraction_contains(P, v) for v in Q.vertices)
+            and all(direction(r) for r in Q.rays)
+            and all(direction(l) and direction([-x for x in l]) for l in Q.lin))
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+
+
+def random_polyhedron(rng, d):
+    """Fractional vertices or offsets; some with rays, lineality, or an
+    equation."""
+    if rng.random() < 0.5:
+        pts = [tuple(random_rational(rng) for _ in range(d))
+               for _ in range(rng.randint(1, d + 2))]
+        rays = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rng.randint(0, 2))]
+        lins = [tuple(rng.randint(-1, 1) for _ in range(d))] if rng.random() < 0.3 else []
+        return QPolyhedron.from_generators(pts, [r for r in rays if any(r)],
+                                           [l for l in lins if any(l)], d)
+    ineqs = [(tuple(rng.randint(-2, 2) for _ in range(d)), random_rational(rng) + 3)
+             for _ in range(rng.randint(1, d + 2))]
+    eqs = [(tuple(rng.randint(-2, 2) for _ in range(d)), random_rational(rng))
+           for _ in range(rng.random() < 0.3)]
+    return QPolyhedron.from_hrep([(a, b) for a, b in ineqs if any(a)],
+                                 [(a, b) for a, b in eqs if any(a)], d)
+
+
+def primitive_normals(P):
+    """P with each facet <a, x> <= b divided by gcd(a): the same set, with
+    fractional offsets where a was not primitive.  The constructors keep
+    (b, a) primitive instead, so their offsets are integers."""
+    facets = []
+    for a, b in P.facets:
+        g = gcd(*a)
+        facets.append((tuple(x // g for x in a), b / g))
+    return QPolyhedron(P.dim, P.vertices, P.rays, P.lin, facets, P.equations)
+
+
+class TestIntegerMembership:
+    def test_contains_matches_fraction_reference(self):
+        """Vertices and midpoints (tight on facets), shifts along rays and
+        lineality, integer and fractional points, strict and not, and
+        fractional facet offsets."""
+        rng = random.Random(31)
+        seen = {"in": 0, "out": 0, "tight": 0, "lin": 0, "frac_offset": 0}
+        for _ in range(120):
+            d = rng.choice((1, 2, 3))
+            P = random_polyhedron(rng, d)
+            if P is None:
+                continue
+            seen["lin"] += bool(P.lin)
+            Pf = primitive_normals(P)
+            seen["frac_offset"] += any(b.denominator > 1 for a, b in Pf.facets)
+            pts = list(P.vertices)
+            pts += [tuple((x + y) / 2 for x, y in zip(u, v))
+                    for u, v in combinations(P.vertices, 2)]
+            pts += [tuple(x + t * y for x, y in zip(v, r))
+                    for v in P.vertices for r in P.rays + P.lin for t in (-1, 2)]
+            pts += [tuple(random_rational(rng) for _ in range(d)) for _ in range(8)]
+            pts += [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(4)]
+            for x in pts:
+                want = fraction_contains(P, x)
+                assert P.contains(x) == want, (P.facets, P.equations, x)
+                assert P.contains(x, strict=True) == fraction_contains(P, x, strict=True)
+                assert Pf.contains(x) == want
+                assert Pf.contains(x, strict=True) == fraction_contains(Pf, x, strict=True)
+                seen["in" if want else "out"] += 1
+                seen["tight"] += want and not fraction_contains(P, x, strict=True)
+        assert min(seen.values()) >= 20, seen
+
+    def test_contains_polyhedron_matches_fraction_reference(self):
+        rng = random.Random(37)
+        seen = {True: 0, False: 0}
+        for _ in range(80):
+            d = rng.choice((2, 3))
+            P = random_polyhedron(rng, d)
+            if P is None:
+                continue
+            subs = [random_polyhedron(rng, d)]
+            verts = rng.sample(P.vertices, rng.randint(1, len(P.vertices)))
+            mids = [tuple((x + y) / 2 for x, y in zip(u, v))
+                    for u, v in zip(verts, P.vertices)]
+            subs.append(QPolyhedron.from_generators(
+                verts + mids, rng.sample(P.rays, rng.randint(0, len(P.rays))),
+                list(P.lin) if rng.random() < 0.5 else [], d))
+            shifted = [tuple(x + Fraction(1, 3) for x in v) for v in P.vertices]
+            subs.append(QPolyhedron.from_generators(shifted, P.rays, P.lin, d))
+            for Q in subs:
+                if Q is None:
+                    continue
+                want = fraction_contains_polyhedron(P, Q)
+                assert P.contains_polyhedron(Q) == want
+                seen[want] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 class TestFaceLattice:
