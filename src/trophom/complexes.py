@@ -6,6 +6,9 @@ by refining the toric variety by X.  Every cell is a pair (eta, F) of a fan
 cone eta and a subdivision face F with F inside G_eta, the support points on
 the Newton polytope face dual to eta: the piece, in the eta-stratum, of the
 closure of the dual cell of F.  Its dimension is dim Y - dim eta - dim F.
+The piece is the dual cell of F for the terms on G_eta, so it is read off
+the subdivision induced on G_eta (`stratum_pieces`) with no projection of
+the open cell; only the open-stratum cells take a double description.
 Cells are stored in stratum-local coordinates together with their
 sedentarity cone, integral tangent lattice, and compactness flag.  Also home
 to the predicate battery (properness, non-singularity, combinatorial
@@ -18,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactla import LatticeSubspace, solve_rational
+from .exactla import (
+    IntMatrix,
+    LatticeSubspace,
+    kernel_lattice,
+    primitive_vector,
+    solve_rational,
+)
 from .polyhedra import (
     QPolyhedron,
     hrep_from_generators,
@@ -192,6 +201,72 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     return QPolyhedron(P.dim, verts, rays, lins, facets, eqs)
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
+                   eta, G) -> dict:
+    """The piece (eta, F) of every face F of S inside G = G_eta, in
+    eta-stratum coordinates, read off the subdivision that S induces on G.
+
+    A term a pairs with a stratum vector y as w_a(y) = a^T section_eta y.
+    The rays of eta vanish on the differences of G, so the piece is the dual
+    cell of F for the terms on G: the y where the terms of F tie and attain
+    the maximum over G.  Points and rays come from the open stratum by
+    `Y.projection(apex, eta)`:
+    - vertices: the projected tie point v_M, one M for each maximal cell
+      M' = M & G of the induced subdivision that contains F;
+    - rays: the projected normals of the Newton facets through F that cut
+      a facet of conv(G), one per facet of conv(G);
+    - lineality: the saturated kernel of the w_a - w_a0, a in G (the whole
+      stratum when G is one point);
+    - equations: the terms of F tie;
+    - facets: one per face F' of S covering F inside G, where one more term
+      b in F' - F ties.
+    The per-stratum data is computed once for all the pieces.
+    """
+    k = Y.stratum_dim(eta)
+    proj = Y.projection(Y.apex, eta)
+    section = Y.strata[eta].section.columns()
+    w = {i: tuple(_dot(f.terms[i][0], col) for col in section) for i in G}
+
+    def diffs(pts, a0):
+        return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
+
+    lin = kernel_lattice(IntMatrix(diffs(G, min(G)), ncols=k)).basis.columns()
+    dim_g = k - len(lin)        # affine rank of G: w is injective on its differences
+    vertex_of = {}
+    for M in S.maximal_cells:
+        cell = M & G
+        if cell not in vertex_of and S.faces.get(cell) == dim_g:
+            vertex_of[cell] = tuple(_dot(r, ties[M]) for r in proj.rows)
+    walls = {}
+    for a, b in newton.poly.facets:
+        on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
+        if on and on not in walls and \
+                LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:
+            walls[on] = primitive_vector(proj.apply(a))
+    pieces = {}
+    for F in S.faces:
+        if not F <= G:
+            continue
+        a0 = min(F)
+        c0 = f.terms[a0][1]
+
+        def tie(b):
+            return (tuple(x - y for x, y in zip(w[b], w[a0])), c0 - f.terms[b][1])
+
+        pieces[F] = QPolyhedron(
+            k,
+            [v for cell, v in vertex_of.items() if F <= cell],
+            [r for on, r in walls.items() if F <= on],
+            lin,
+            [tie(min(C - F)) for C in S.covered_by[F] if C <= G],
+            [tie(b) for b in sorted(F) if b != a0])
+    return pieces
+
+
 def dual_face_points(f: TropicalPolynomial, Y: ToricVariety):
     """G_eta for every cone eta: the support points on the Newton polytope
     face dual to eta, i.e. those maximising every ray of eta at once."""
@@ -221,6 +296,8 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     polytope, i.e. its rays have a common maximiser on the support of f;
     otherwise a BuildError names the first cone that does not.  Under it the
     cells are the pairs (eta, F) with F inside G_eta, read off the face table.
+    An open-stratum cell is the dual cell of F (`dual_cell_geometry`); every
+    other piece is read off the subdivision of G_eta (`stratum_pieces`).
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -235,6 +312,8 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
     newton = newton_polytope(f)
     ties = tie_points(f, S)
+    pieces = {eta: stratum_pieces(f, S, newton, ties, Y, eta, G[eta])
+              for eta in range(len(Y.cones)) if eta != Y.apex}
     cells = []
     for face, fd in sorted(S.faces.items(), key=lambda kv: (kv[1], sorted(kv[0]))):
         Q = dual_cell_geometry(f, face, ties, newton)
@@ -244,7 +323,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
         for eta in range(len(Y.cones)):
             if not face <= G[eta]:
                 continue
-            piece = Q if eta == Y.apex else Q.linear_image(Y.projection(Y.apex, eta))
+            piece = Q if eta == Y.apex else pieces[eta][face]
             cells.append(Cell(eta, piece.affine_dim, piece, piece.tangent_lattice(),
                               Y.closure_is_compact(piece, eta), face, fd >= 1))
 

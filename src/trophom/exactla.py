@@ -86,7 +86,9 @@ class IntMatrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self):
-        return IntMatrix(tuple(zip(*self.rows)) if self.rows and self.ncols else (), ncols=self.nrows)
+        # a 0 x n matrix has n empty columns, which become n empty rows
+        return IntMatrix(tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols,
+                         ncols=self.nrows)
 
     def __mul__(self, other):
         if self.ncols != other.nrows:

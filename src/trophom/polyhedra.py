@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from .exactla import (
@@ -178,8 +179,7 @@ class QPolyhedron:
         if lin:
             # canonical: the saturated lattice of the lineality space
             normals = [list(a) for a, b in facets] + [list(a) for a, b in equations]
-            sat = kernel_lattice(IntMatrix(normals, ncols=dim)) if normals \
-                else LatticeSubspace.full(dim)
+            sat = kernel_lattice(IntMatrix(normals, ncols=dim))
             self.lin = tuple(sat.basis.columns())
         else:
             self.lin = ()
@@ -309,7 +309,11 @@ class QPolyhedron:
         return self.intersect_hrep(other.facets, other.equations)
 
     def linear_image(self, M: IntMatrix):
-        """Image under an integer linear map (rows of M give the new coords)."""
+        """Image under an integer linear map (rows of M give the new coords).
+
+        Two double descriptions; the pipeline reads its projected pieces off
+        the subdivision instead (`complexes.stratum_pieces`), and this stays
+        as their LP reference."""
         pts = [tuple(_dot(r, v) for r in M.rows) for v in self.vertices]
         rays = []
         for r in self.rays:
@@ -326,6 +330,7 @@ class QPolyhedron:
     def tangent_lattice(self) -> LatticeSubspace:
         """Saturated integral tangent lattice of the affine hull."""
         if not self.equations:
+            # the kernel of no equations is all of Z^dim; this skips its HNF
             return LatticeSubspace.full(self.dim)
         A = IntMatrix([list(a) for a, b in self.equations], ncols=self.dim)
         return kernel_lattice(A)
@@ -483,9 +488,10 @@ class RegularSubdivision:
     `faces` maps a frozenset of support-point indices to its dimension, the
     affine rank of its points; the maximal cells are those of top dimension,
     `dimension`, the affine rank of the support.  Point sets include every
-    support point lying on the face, not only its vertices.  The support
-    points are kept as given; the coordinates the cells were found in are
-    not kept.
+    support point lying on the face, not only its vertices.  `covered_by`
+    maps every face to the faces one dimension up that contain it.  The
+    support points are kept as given; the coordinates the cells were found
+    in are not kept.
     """
 
     support_points: tuple
@@ -494,35 +500,54 @@ class RegularSubdivision:
     maximal_cells: tuple        # tuple of frozensets
     faces: dict                 # frozenset -> dim
     used: tuple                 # bool per support point
+    covered_by: dict            # frozenset -> list of frozensets, one dim up
 
 
-def _add_cell_faces(members, coords, faces):
+def _add_cell_faces(members, coords, faces, covered_by):
     """Record every face of the cell conv(coords[i] : i in members) in `faces`,
-    as its set of member points mapped to its dimension.
+    as its set of member points mapped to its dimension, and each face's
+    covering faces in `covered_by`.
 
     A proper face is the intersection of the facets through it, so the faces
-    are the cell plus the non-empty intersections of its facets' member sets
-    (vertex-facet incidence closure, Kaibel-Pfetsch).  A face already in
-    `faces` came from a neighbouring cell of the same subdivision, together
-    with all of its own faces.  A face's dimension is the affine rank of its
-    points.  The cell must span the coordinate space.
+    are the cell plus the non-empty intersections of its walls' member sets
+    (vertex-facet incidence closure, Kaibel-Pfetsch), and the facets of a
+    face are among its intersections with the walls.  The walls of a
+    simplex cell are its d-subsets, and a subset's dimension is its size
+    less one; any other cell's walls are read off its hull, and a face's
+    dimension is the affine rank of its points.  A face already in `faces`
+    came from a neighbouring cell of the same subdivision, together with
+    all of its own faces and their covers.  The cell must span the
+    coordinate space.
     """
     dim = len(coords[0])
-    cell = convex_hull([coords[i] for i in sorted(members)], dim=dim)
-    walls = {frozenset(i for i in members if _dot(a, coords[i]) == b)
-             for a, b in cell.facets}
+    if len(members) == dim + 1:
+        walls = [frozenset(w) for w in combinations(sorted(members), dim)]
+
+        def rank(sub):
+            return len(sub) - 1
+    else:
+        cell = convex_hull([coords[i] for i in sorted(members)], dim=dim)
+        walls = [frozenset(i for i in members if _dot(a, coords[i]) == b)
+                 for a, b in cell.facets]
+
+        def rank(sub):
+            i0, *rest = sorted(sub)
+            diffs = [tuple(x - y for x, y in zip(coords[i], coords[i0])) for i in rest]
+            return LatticeSubspace.from_columns(diffs, dim).rank
     faces[members] = dim
+    covered_by[members] = []
     todo = [members]
     while todo:
         face = todo.pop()
-        for wall in walls:
-            sub = face & wall
-            if sub and sub not in faces:
-                i0, *rest = sorted(sub)
-                diffs = [tuple(x - y for x, y in zip(coords[i], coords[i0]))
-                         for i in rest]
-                faces[sub] = LatticeSubspace.from_columns(diffs, dim).rank
+        for sub in dict.fromkeys(face & wall for wall in walls):
+            if not sub:
+                continue
+            if sub not in faces:
+                faces[sub] = rank(sub)
+                covered_by[sub] = []
                 todo.append(sub)
+            if faces[sub] == faces[face] - 1:
+                covered_by[sub].append(face)
 
 
 def regular_subdivision(points, heights) -> RegularSubdivision:
@@ -531,9 +556,11 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     The points are read in the pivot coordinates of the reduced row echelon
     form of their differences: an affine bijection of their affine hull
     onto R^d, so upper faces and affine ranks are those of the points
-    themselves.  The maximal cells are the projections of the upper facets
-    (one convex hull of the lift), and their faces are read off each cell's
-    vertex-facet incidences.  With affine heights the single cell is
+    themselves.  The lift is integral, the heights taken over their common
+    denominator (a positive scaling of the last coordinate, which keeps the
+    upper faces).  The maximal cells are the projections of the upper
+    facets (one convex hull of the lift), and their faces are read off each
+    cell's vertex-facet incidences.  With affine heights the single cell is
     conv(points) itself.
     """
     points = [tuple(int(x) for x in p) for p in points]
@@ -549,30 +576,26 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     if d == 0:
         f = frozenset({0})
         return RegularSubdivision(tuple(points), tuple(heights), 0, (f,),
-                                  {f: 0}, (True,))
-    lifted = [tuple(Fraction(c) for c in y) + (h,) for y, h in zip(coords, heights)]
+                                  {f: 0}, (True,), {f: []})
+    num, _ = _scaled(heights)
+    lifted = [y + (h,) for y, h in zip(coords, num)]
     facets, eqs = hrep_from_generators(lifted, [], [], d + 1)
+    faces, covered_by = {}, {}
     degenerate = any(a[d] != 0 for a, b in eqs)
     if degenerate:
         # affine heights: the subdivision is the face complex of the polytope
         whole = frozenset(range(len(points)))
-        cells = {}
-        _add_cell_faces(whole, coords, cells)
+        _add_cell_faces(whole, coords, faces, covered_by)
         used = tuple(True for _ in points)
         return RegularSubdivision(tuple(points), tuple(heights), d, (whole,),
-                                  cells, used)
-    upper = [(a, b) for a, b in facets if a[d] > 0]
-    maximal = []
-    for a, b in upper:
-        members = frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b)
-        maximal.append(members)
-    maximal = sorted(set(maximal))
-    faces = {}
+                                  faces, used, covered_by)
+    maximal = sorted({frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b)
+                      for a, b in facets if a[d] > 0})
     for members in maximal:
-        _add_cell_faces(members, coords, faces)
+        _add_cell_faces(members, coords, faces, covered_by)
     used = tuple(any(i in m for m in maximal) for i in range(len(points)))
     return RegularSubdivision(tuple(points), tuple(heights), d, tuple(maximal),
-                              faces, used)
+                              faces, used, covered_by)
 
 
 def normalized_simplex_volume(sub: RegularSubdivision, cell) -> int:

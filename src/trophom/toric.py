@@ -7,10 +7,13 @@ completing the ray matrix to a basis of Z^dim (`exactla.basis_completion`),
 so quotient projections and everything downstream are plain integer matrices.
 
 The cells built over these strata are pairs (eta, F) of a cone and a
-subdivision face, read off a face table (see `complexes.build_pair`).
+subdivision face, read off a face table, and every piece off the open
+stratum is read off the subdivision of G_eta (see `complexes.build_pair`).
 `reached_cones` and `compactify` answer the same question geometrically, by
-double description on recession cones; they are kept as the LP reference the
-tests compare the face table against, and the pipeline does not call them.
+double description on recession cones, and `compactify` makes each piece by
+`QPolyhedron.linear_image`; they are kept only as the LP reference that
+`CellComplex.validate` and the tests compare the face table and the pieces
+against, and the pipeline does not call them.
 """
 
 from __future__ import annotations

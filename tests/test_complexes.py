@@ -452,6 +452,80 @@ def test_dual_cells_match_hrep_reference_random(name):
     assert_dual_cells_match_hrep(f, S, newton_polytope(f))
 
 
+def assert_pieces_match_linear_image(pair):
+    """Every piece (eta, F) off the open stratum against the LP reference,
+    the projection of its open cell by `linear_image`: the same geometry
+    key, lineality and equations, and each contains the other.  Returns how
+    many pieces were checked and how many of them have lineality."""
+    Y, table, cells = pair.Y, pair.face_table, pair.Yref.cells
+    checked = with_lin = 0
+    for (eta, face), i in table.items():
+        if eta == Y.apex:
+            continue
+        got = cells[i].geom
+        want = cells[table[(Y.apex, face)]].geom.linear_image(Y.projection(Y.apex, eta))
+        where = (eta, sorted(face))
+        assert got.geometry_key() == want.geometry_key(), where
+        assert got.lin == want.lin, where
+        assert got.equations == want.equations, where
+        assert got.contains_polyhedron(want) and want.contains_polyhedron(got), where
+        checked += 1
+        with_lin += bool(got.lin)
+    return checked, with_lin
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_pieces_match_linear_image(name):
+    pair = LP_FIXTURES[name]()
+    assert_pieces_match_linear_image(pair)
+
+
+def _random_quadric(seed):
+    rng = random.Random(seed)
+    return TropicalPolynomial.make([(p, rng.randint(-2, 2)) for p in product(range(3), repeat=3)
+                                    if sum(p) <= 2], 3)
+
+
+@pytest.mark.parametrize("fan", ("normal", "half-toric", "blowup"))
+@pytest.mark.parametrize("seed", range(3))
+def test_pieces_match_linear_image_random(fan, seed):
+    """Random heights on 2*Delta_3 (often not a triangulation), and random
+    curves and surfaces of _random_poly on their normal fans."""
+    f = _random_quadric(seed)
+    text = {"half-toric": HALF_TORIC_FAN, "blowup": TP3_BLOWUP_FAN}.get(fan)
+    pair = build_pair(f, load_fan(text)) if text else build_pair(f, normal_fan(newton_polytope(f)))
+    checked, _ = assert_pieces_match_linear_image(pair)
+    assert checked
+    if fan == "normal":
+        g = _random_poly(seed)
+        assert assert_pieces_match_linear_image(build_pair(g, normal_fan(newton_polytope(g))))[0]
+
+
+def test_pieces_with_lineality_match_linear_image():
+    """The ray (0, -1, -1) lies strictly inside the normal cone of the edge
+    of 2*Delta_3 on the x1-axis, so its stratum meets that edge's dual
+    cells with one direction of lineality."""
+    pair = build_pair(quadric_poly(), load_fan("dim 3\nray 0: 0 -1 -1\ncone: 0\n"))
+    ray = pair.Y.cone_index[frozenset({0})]
+    assert len(pair.face_points[ray]) == 3
+    checked, with_lin = assert_pieces_match_linear_image(pair)
+    assert checked and with_lin == checked
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_pieces_over_a_single_point_match_linear_image(n):
+    """The ray (-1, ..., -1) lies strictly inside the normal cone of the
+    vertex 0 of 2*Delta_n, so G_eta is one point and its piece is the whole
+    stratum."""
+    f = curve_poly(2) if n == 2 else quadric_poly()
+    pair = build_pair(f, load_fan("dim %d\nray 0: %s\ncone: 0\n" % (n, " ".join(["-1"] * n))))
+    ray = pair.Y.cone_index[frozenset({0})]
+    assert len(pair.face_points[ray]) == 1
+    assert assert_pieces_match_linear_image(pair) == (1, 1)
+    (piece,) = (c for c in pair.Yref.cells if c.sed == ray)
+    assert piece.dim == n - 1 and len(piece.geom.lin) == n - 1
+
+
 class TestOtherStructures:
     def test_toric_complex_tp2(self):
         Y = ToricVariety(normal_fan(newton_polytope(parse_polynomial("max(0, x1, x2)"))))

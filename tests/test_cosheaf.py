@@ -166,8 +166,10 @@ def test_image_outside_target_stalk_raises(corrupt):
 
 def test_no_redundant_exact_work(monkeypatch):
     """One build_pair plus every cosheaf on the quadric in TP^3: each dual
-    cell costs one double description, and multitangent back-substitutes on
-    its stalk bases, which are in column HNF already, with no `hnf` call."""
+    cell costs one double description; the boundary pieces and the simplex
+    cells of the subdivision cost none, and no `linear_image` runs; and
+    multitangent back-substitutes on its stalk bases, which are in column
+    HNF already, with no `hnf` call."""
     calls = Counter()
 
     def count(module, name):
@@ -181,6 +183,7 @@ def test_no_redundant_exact_work(monkeypatch):
 
     count(exactla, "hnf")
     count(polyhedra, "dd_cone")
+    count(polyhedra.QPolyhedron, "linear_image")
     per_cell = []
     real_dual_cell = complexes.dual_cell_geometry
 
@@ -191,8 +194,15 @@ def test_no_redundant_exact_work(monkeypatch):
         return out
 
     monkeypatch.setattr(complexes, "dual_cell_geometry", dual_cell)
-    pair = _normal(quadric_poly())
+    f = quadric_poly()
+    fan = normal_fan(newton_polytope(f))
+    before = calls["dd_cone"]
+    pair = build_pair(f, fan)
     assert per_cell == [1] * len(pair.subdivision.faces)
+    # beyond the dual cells: the hull of the lift, and the two double
+    # descriptions of the Newton polytope's hull
+    assert calls["dd_cone"] - before == len(per_cell) + 1 + 2
+    assert calls["linear_image"] == 0
     assert calls["hnf"] > 0  # the build's tangent lattices pass the counter
     before = calls["hnf"]
     for p in range(pair.Y.dim):

@@ -54,7 +54,25 @@ class TestIntMatrix:
         assert all(type(x) is int for r in A.rows for x in r)
 
 
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (2, 3)])
+    def test_transpose_shapes(self, m, n):
+        A = IntMatrix([[i + 2 * j for j in range(n)] for i in range(m)], ncols=n)
+        T = A.transpose()
+        assert (T.nrows, T.ncols) == (n, m)
+        assert T.transpose() == A
+        assert all(T.rows[j][i] == A.rows[i][j] for i in range(m) for j in range(n))
+
+
 class TestHNF:
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, m, n):
+        A = IntMatrix([[] for _ in range(m)] if n == 0 else [], ncols=n)
+        H, V = hnf(A)
+        assert (H.nrows, H.ncols) == (m, n)
+        assert (V.nrows, V.ncols) == (n, n)
+        assert A * V == H
+
+
     def test_identity(self):
         H, V = hnf(IntMatrix.identity(3))
         assert H == IntMatrix.identity(3)
@@ -257,6 +275,15 @@ class TestKernel:
         assert K.rank == 2
         assert K.contains((1, -1, 0))
         assert K.contains((0, 1, -1))
+
+    @pytest.mark.parametrize("k", (0, 1, 3))
+    def test_no_equations_kernel_full(self, k):
+        K = kernel_lattice(IntMatrix((), ncols=k))
+        assert K.rank == k
+        assert K == LatticeSubspace.full(k)
+
+    def test_zero_columns_kernel_zero(self):
+        assert kernel_lattice(IntMatrix([(), ()], ncols=0)).rank == 0
 
     def test_identity_kernel_zero(self):
         assert kernel_lattice(IntMatrix.identity(3)).rank == 0

@@ -20,6 +20,7 @@ from trophom.exactla import (
     LatticeSubspace,
     det,
     kernel_lattice,
+    rref,
     solve_int,
     solve_rational,
 )
@@ -436,6 +437,93 @@ def test_normalized_volume_matches_saturated_reference(n):
             assert got == saturated_volume(points), points
             seen.add(min(got, 2))
     assert seen == {0, 1, 2}
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def hull_subdivision(points, heights):
+    """Reference subdivision by the hull-based route: the upper facets of
+    the lift with Fraction heights, and every cell's walls from its own
+    convex hull, faces closed under intersection with them and each face's
+    dimension the affine rank of its points.  Returns (maximal cells,
+    faces); affine heights give the one cell conv(points)."""
+    base = points[0]
+    _, pivots = rref([[x - y for x, y in zip(p, base)] for p in points], len(base))
+    coords = [tuple(p[c] for c in pivots) for p in points]
+    d = len(pivots)
+    lifted = [tuple(Fraction(c) for c in y) + (Fraction(h),) for y, h in zip(coords, heights)]
+    lift = convex_hull(lifted, dim=d + 1)
+    if any(a[d] != 0 for a, b in lift.equations):
+        maximal = [frozenset(range(len(points)))]
+    else:
+        maximal = sorted({frozenset(i for i, lp in enumerate(lifted) if dot(a, lp) == b)
+                          for a, b in lift.facets if a[d] > 0}, key=sorted)
+    faces = {}
+    for members in maximal:
+        cell = convex_hull([coords[i] for i in sorted(members)], dim=d)
+        walls = {frozenset(i for i in members if dot(a, coords[i]) == b)
+                 for a, b in cell.facets}
+        faces[members] = d
+        todo = [members]
+        while todo:
+            face = todo.pop()
+            for wall in walls:
+                sub = face & wall
+                if sub and sub not in faces:
+                    i0, *rest = sorted(sub)
+                    diffs = [tuple(x - y for x, y in zip(coords[i], coords[i0])) for i in rest]
+                    faces[sub] = LatticeSubspace.from_columns(diffs, d).rank
+                    todo.append(sub)
+    return maximal, faces
+
+
+def _fraction_heights(seed):
+    rng = random.Random(seed)
+    pts = _simplex(3, 2) if seed % 2 else _simplex(2, 3)
+    return pts, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in pts]
+
+
+HULL_REFERENCE_CASES = {
+    **SUBDIVISION_CASES,
+    **{"fraction-%d" % seed: (lambda seed=seed: _fraction_heights(seed)) for seed in range(6)},
+    # affine heights, the degenerate branch: the one cell is conv(points)
+    "affine-2d3": lambda: (_simplex(3, 2), [Fraction(2 * a - b + 3 * c, 3) + Fraction(1, 7)
+                                            for a, b, c in _simplex(3, 2)]),
+    "affine-square": lambda: ([(0, 0), (1, 0), (0, 1), (1, 1)], [1, 3, -2, 0]),
+    # padded supports: not full-dimensional in R^4
+    "padded-3d2": lambda: ([(a, b, 0, 0) for a, b in _simplex(2, 3)],
+                           [Fraction(-(a * a + a * b + b * b), 2) for a, b in _simplex(2, 3)]),
+    "padded-octahedra": lambda: ([a + (0,) for a in _simplex(3, 2)], [
+        -(sum(x * x for x in a) + a[0] * a[1] + a[0] * a[2] + a[1] * a[2])
+        for a in _simplex(3, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_REFERENCE_CASES))
+def test_faces_match_hull_reference(name):
+    """Cells, faces and dimensions against the hull-based route, face for
+    face; and `covered_by` against a scan of every pair of faces."""
+    points, heights = HULL_REFERENCE_CASES[name]()
+    S = regular_subdivision(points, heights)
+    maximal, faces = hull_subdivision(points, heights)
+    assert sorted(S.maximal_cells, key=sorted) == maximal
+    assert S.faces == faces
+    assert set(S.covered_by) == set(faces)
+    for F, covers in S.covered_by.items():
+        assert len(covers) == len(set(covers)), sorted(F)
+        assert set(covers) == {C for C, d in faces.items() if F < C and d == faces[F] + 1}
+
+
+def test_hull_reference_reaches_every_branch():
+    """The reference cases reach simplex cells, non-simplex cells and the
+    affine-heights branch."""
+    S = regular_subdivision(*HULL_REFERENCE_CASES["2d3-a3-octahedra"]())
+    assert {len(M) == S.dimension + 1 for M in S.maximal_cells} == {True, False}
+    points, heights = HULL_REFERENCE_CASES["affine-2d3"]()
+    assert regular_subdivision(points, heights).maximal_cells == \
+        (frozenset(range(len(points))),)
 
 
 
