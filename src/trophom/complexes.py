@@ -6,20 +6,19 @@ by refining the toric variety by X.  Every cell is a pair (eta, F) of a fan
 cone eta and a subdivision face F with F inside G_eta, the support points on
 the Newton polytope face dual to eta: the piece, in the eta-stratum, of the
 closure of the dual cell of F.  Its dimension is dim Y - dim eta - dim F.
-The piece is the dual cell of F for the terms on G_eta, so it is read off
-the subdivision induced on G_eta (`stratum_pieces`) with no projection of
-the open cell; only the open-stratum cells take a double description.
-Cells are stored in stratum-local coordinates together with their
-sedentarity cone, integral tangent lattice, and compactness flag.  Also home
-to the predicate battery (properness, non-singularity, combinatorial
-ampleness, cellular pair) and to the complex refinements used for invariance
-checks.
+The piece is the dual cell of F for the terms on G_eta, so every piece, the
+open-stratum cells included, is read off the subdivision induced on G_eta
+(`stratum_pieces`), and the key (eta, F) orders the cells and looks them up.
+Incidences are the covering relation of the subdivision within a stratum and
+one cone step across strata.  Cells are stored in stratum-local coordinates
+together with their sedentarity cone, integral tangent lattice, and
+compactness flag.  Also home to the predicate battery (properness,
+non-singularity, combinatorial ampleness, cellular pair).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .exactla import (
     IntMatrix,
@@ -55,28 +54,24 @@ class Cell:
     in_x: bool
     index: int = -1
 
-    def key(self):
-        return (self.sed, self.geom.geometry_key())
-
 
 class CellComplex:
-    """A finite polyhedral complex in a tropical toric variety."""
+    """A finite polyhedral complex in a tropical toric variety, whose cells
+    are the pieces (eta, F), each known by its key (sed, face)."""
 
     def __init__(self, Y: ToricVariety, cells, incidence):
+        """`incidence` holds the keys (tau, sigma) of every cell tau that is a
+        facet of a cell sigma."""
         self.Y = Y
-        order = sorted(range(len(cells)),
-                       key=lambda i: (cells[i].dim, cells[i].sed,
-                                      cells[i].geom.geometry_key()))
-        remap = {old: new for new, old in enumerate(order)}
-        self.cells = [cells[i] for i in order]
+        self.cells = sorted(cells, key=lambda c: (c.dim, c.sed, sorted(c.face)))
         for i, c in enumerate(self.cells):
             c.index = i
-        self.incidence = {(remap[t], remap[s]) for t, s in incidence}
+        self.by_key = {(c.sed, c.face): c.index for c in self.cells}
+        self.incidence = {(self.by_key[t], self.by_key[s]) for t, s in incidence}
         self.facets_of = {i: [] for i in range(len(self.cells))}
         for t, s in sorted(self.incidence):
             self.facets_of[s].append(t)
         self.dim = max((c.dim for c in self.cells), default=-1)
-        self.by_key = {c.key(): c.index for c in self.cells}
 
     def cells_of_dim(self, q):
         return [c for c in self.cells if c.dim == q]
@@ -99,44 +94,6 @@ class CellComplex:
             out[c.dim] += 1
         return out
 
-    def validate(self, full=False):
-        """Check closure and incidence certificates; `full` adds the pairwise
-        common-face test (quadratic, for small fixtures)."""
-        for t, s in self.incidence:
-            tau, sig = self.cells[t], self.cells[s]
-            assert tau.dim == sig.dim - 1, "incidence dimensions"
-            if tau.sed == sig.sed:
-                assert sig.geom.contains_polyhedron(tau.geom), \
-                    "incidence containment certificate"
-            else:
-                assert self.Y.is_face(sig.sed, tau.sed)
-                img = sig.geom.linear_image(self.Y.projection(sig.sed, tau.sed))
-                assert img.geometry_key() == tau.geom.geometry_key(), \
-                    "cross-stratum incidence certificate"
-        # boundary closure: geometric facets of every cell are cells
-        for c in self.cells:
-            if c.dim == 0:
-                continue
-            for F, _ in c.geom.face_lattice():
-                if F.affine_dim != c.dim - 1:
-                    continue
-                key = (c.sed, F.geometry_key())
-                assert key in self.by_key, "missing boundary cell"
-                assert (self.by_key[key], c.index) in self.incidence
-        if full:
-            for a in self.cells:
-                for b in self.cells:
-                    if b.index <= a.index or a.sed != b.sed:
-                        continue
-                    meet = a.geom.intersect(b.geom)
-                    if meet is None:
-                        continue
-                    key = (a.sed, meet.geometry_key())
-                    assert key in self.by_key, "intersection is not a cell"
-                    m = self.by_key[key]
-                    assert m in self.closure(a.index) and m in self.closure(b.index)
-        return True
-
 
 @dataclass
 class HypersurfacePair:
@@ -150,7 +107,6 @@ class HypersurfacePair:
     Yref: CellComplex
     embed: dict                  # X cell index -> Yref cell index
     face_points: list            # cone id eta -> G_eta
-    face_table: dict | None      # (eta, F) -> Yref cell index; None once sliced
 
     def region_cells(self):
         return [c for c in self.Yref.cells
@@ -190,6 +146,9 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
       of N(F).
     With lineality the vertices and rays are these representatives, not the
     ones a second double description would pick; `geometry_key` is the same.
+
+    A test reference: `build_pair` reads the open-stratum cells off the
+    subdivision by `stratum_pieces`, and the tests compare them with this.
     """
     verts = sorted(v for M, v in ties.items() if face <= M)
     P = newton.poly
@@ -213,7 +172,8 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     A term a pairs with a stratum vector y as w_a(y) = a^T section_eta y.
     The rays of eta vanish on the differences of G, so the piece is the dual
     cell of F for the terms on G: the y where the terms of F tie and attain
-    the maximum over G.  Points and rays come from the open stratum by
+    the maximum over G.  At the apex G holds every term and the piece is the
+    dual cell of F itself.  Points and rays come from the open stratum by
     `Y.projection(apex, eta)`:
     - vertices: the projected tie point v_M, one M for each maximal cell
       M' = M & G of the induced subdivision that contains F;
@@ -295,9 +255,14 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     Precondition: every cone of the fan lies in a normal cone of the Newton
     polytope, i.e. its rays have a common maximiser on the support of f;
     otherwise a BuildError names the first cone that does not.  Under it the
-    cells are the pairs (eta, F) with F inside G_eta, read off the face table.
-    An open-stratum cell is the dual cell of F (`dual_cell_geometry`); every
-    other piece is read off the subdivision of G_eta (`stratum_pieces`).
+    cells are the pairs (eta, F) with F inside G_eta, and every one of them,
+    the open-stratum cells included, is read off the subdivision that S
+    induces on G_eta (`stratum_pieces`).  The incidences come from the
+    subdivision and the fan as well:
+    - in a stratum, (eta, F') is a facet of (eta, F) for each face F' of S
+      covering F inside G_eta; each is certified by containment, and a failed
+      certificate raises a BuildError naming both faces and eta;
+    - across strata, (eta, F) is a facet of (rho, F) one cone step up.
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -312,69 +277,49 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
     newton = newton_polytope(f)
     ties = tie_points(f, S)
-    pieces = {eta: stratum_pieces(f, S, newton, ties, Y, eta, G[eta])
-              for eta in range(len(Y.cones)) if eta != Y.apex}
-    cells = []
-    for face, fd in sorted(S.faces.items(), key=lambda kv: (kv[1], sorted(kv[0]))):
-        Q = dual_cell_geometry(f, face, ties, newton)
-        if Q.affine_dim != Y.dim - fd:
-            raise BuildError("dual cell of %r has dimension %d, expected %d"
-                             % (sorted(face), Q.affine_dim, Y.dim - fd))
-        for eta in range(len(Y.cones)):
-            if not face <= G[eta]:
-                continue
-            piece = Q if eta == Y.apex else pieces[eta][face]
-            cells.append(Cell(eta, piece.affine_dim, piece, piece.tangent_lattice(),
-                              Y.closure_is_compact(piece, eta), face, fd >= 1))
+    cells = {}
+    for eta in range(len(Y.cones)):
+        for face, piece in stratum_pieces(f, S, newton, ties, Y, eta, G[eta]).items():
+            fd = S.faces[face]
+            if eta == Y.apex and piece.affine_dim != Y.dim - fd:
+                raise BuildError("dual cell of %r has dimension %d, expected %d"
+                                 % (sorted(face), piece.affine_dim, Y.dim - fd))
+            cells[(eta, face)] = Cell(eta, piece.affine_dim, piece, piece.tangent_lattice(),
+                                      Y.closure_is_compact(piece, eta), face, fd >= 1)
 
     incidence = set()
-    # same-stratum incidences, prefiltered by dual-face containment
-    by_sed_dim = {}
-    for i, c in enumerate(cells):
-        by_sed_dim.setdefault((c.sed, c.dim), []).append(i)
-    for (sed, d), sigmas in by_sed_dim.items():
-        taus = by_sed_dim.get((sed, d - 1), [])
-        for si in sigmas:
-            sig = cells[si]
-            for ti in taus:
-                tau = cells[ti]
-                if sig.face < tau.face and sig.geom.contains_polyhedron(tau.geom):
-                    incidence.add((ti, si))
-    # cross-stratum incidences: (eta, F) is a facet of (rho, F) one cone step up
-    index = {(c.sed, c.face): i for i, c in enumerate(cells)}
-    for (rho, face), si in index.items():
-        for eta in Y.cofaces(rho):
-            ti = index.get((eta, face))
-            if ti is not None and Y.cone_dim(eta) == Y.cone_dim(rho) + 1:
-                incidence.add((ti, si))
+    for (eta, face), sig in cells.items():
+        for cover in S.covered_by[face]:
+            tau = cells.get((eta, cover))
+            if tau is None:
+                continue
+            if not sig.geom.contains_polyhedron(tau.geom):
+                raise BuildError(
+                    "the piece of face %r does not lie in the piece of face %r "
+                    "in the stratum of fan cone %r"
+                    % (sorted(cover), sorted(face), sorted(Y.cones[eta])))
+            incidence.add(((eta, cover), (eta, face)))
+        for rho in Y.cofaces(eta):
+            if Y.cone_dim(rho) == Y.cone_dim(eta) + 1 and (rho, face) in cells:
+                incidence.add(((rho, face), (eta, face)))
 
-    Yref = CellComplex(Y, cells, incidence)
-    x_old_indices = [c.index for c in Yref.cells if c.in_x]
-    old_to_tmp = {old: i for i, old in enumerate(x_old_indices)}
-    x_inc = {(old_to_tmp[t], old_to_tmp[s]) for t, s in Yref.incidence
-             if t in old_to_tmp and s in old_to_tmp}
-    X = CellComplex(Y, [replace(Yref.cells[i]) for i in x_old_indices], x_inc)
-    table = {(c.sed, c.face): c.index for c in Yref.cells}
-    embed = {c.index: table[(c.sed, c.face)] for c in X.cells}
-    return HypersurfacePair(f, Y, S, newton, X, Yref, embed, G, table)
+    Yref = CellComplex(Y, cells.values(), incidence)
+    # a facet of a cell of X is in X: its face contains the cell's face
+    X = CellComplex(Y, [replace(c) for c in Yref.cells if c.in_x],
+                    {(t, s) for t, s in incidence if cells[s].in_x})
+    embed = {c.index: Yref.by_key[(c.sed, c.face)] for c in X.cells}
+    return HypersurfacePair(f, Y, S, newton, X, Yref, embed, G)
 
 
 # ---------------------------------------------------------------------------
 # predicates
 
-def _face_table(pair: HypersurfacePair):
-    if pair.face_table is None:
-        raise ValueError("a sliced pair has no face table; use the pair from "
-                         "build_pair")
-    return pair.face_table
-
-
 def is_proper(pair: HypersurfacePair) -> bool:
     """Every cell meets every deeper stratum in the expected dimension: each
-    piece (eta, F) of the face table has dimension dim Y - dim eta - dim F."""
-    Y, cells = pair.Y, pair.Yref.cells
-    return all(cells[i].dim == Y.dim - Y.cone_dim(eta) - pair.subdivision.faces[F]
-               for (eta, F), i in _face_table(pair).items())
+    piece (eta, F) has dimension dim Y - dim eta - dim F."""
+    Y, S = pair.Y, pair.subdivision
+    return all(c.dim == Y.dim - Y.cone_dim(c.sed) - S.faces[c.face]
+               for c in pair.Yref.cells)
 
 
 def is_nonsingular(pair: HypersurfacePair) -> bool:
@@ -428,12 +373,8 @@ def gamma_open(pair: HypersurfacePair, cell_index, host=None) -> GammaOpen:
     c = host.cells[cell_index]
     if c.sed != pair.Y.apex:
         raise ValueError("gamma_open needs a sedentarity-0 cell")
-    table = _face_table(pair)
-    pieces = {}
-    for eta in range(len(pair.Y.cones)):
-        i = table.get((eta, c.face))
-        if i is not None:
-            pieces[eta] = host.by_key[pair.Yref.cells[i].key()]
+    pieces = {eta: host.by_key[(eta, c.face)] for eta in range(len(pair.Y.cones))
+              if (eta, c.face) in host.by_key}
     return GammaOpen(cell_index, pieces, host)
 
 
@@ -463,81 +404,3 @@ def is_cellular_pair(pair: HypersurfacePair) -> str:
         else:
             result = "unknown"
     return result
-
-
-# ---------------------------------------------------------------------------
-# other cell structures
-
-def toric_complex(Y: ToricVariety) -> CellComplex:
-    """The coarse structure on Y whose cells are the stratum closures."""
-    cells = []
-    for cid in range(len(Y.cones)):
-        k = Y.stratum_dim(cid)
-        geom = QPolyhedron.cone([], k, lins=[tuple(1 if i == j else 0 for j in range(k))
-                                             for i in range(k)]) if k else \
-            QPolyhedron.from_generators([()], dim=0)
-        cells.append(Cell(cid, k, geom, LatticeSubspace.full(k), Y.compact,
-                          frozenset(), False))
-    incidence = set()
-    for s, cs in enumerate(Y.cones):
-        for t, ct in enumerate(Y.cones):
-            if cs < ct and len(ct) == len(cs) + 1:
-                incidence.add((t, s))
-    return CellComplex(Y, cells, incidence)
-
-
-def slice_complex(Z: CellComplex, normal, offset) -> CellComplex:
-    """Refine a complex in R^n by the hyperplane <normal, x> = offset.
-
-    Only complexes whose cells all sit in the open stratum are supported; a
-    slicing hyperplane has no canonical closure behaviour at the toric
-    boundary.
-    """
-    apex = Z.Y.apex
-    if any(c.sed != apex for c in Z.cells):
-        raise ValueError("hyperplane slicing needs a boundary-free complex")
-    a = tuple(int(x) for x in normal)
-    b = Fraction(offset)
-    na = tuple(-x for x in a)
-    pieces = {}
-    for c in Z.cells:
-        for Q in (c.geom.intersect_hrep(ineqs=[(a, b)]),
-                  c.geom.intersect_hrep(ineqs=[(na, -b)]),
-                  c.geom.intersect_hrep(eqs=[(a, b)])):
-            if Q is None:
-                continue
-            key = Q.geometry_key()
-            # cells run by dimension, so the first cell a piece is cut from
-            # is the smallest one containing it, and lends its face
-            if key not in pieces:
-                pieces[key] = Cell(apex, Q.affine_dim, Q, Q.tangent_lattice(),
-                                   Z.Y.closure_is_compact(Q, apex),
-                                   c.face, c.in_x)
-            else:
-                pieces[key].in_x = pieces[key].in_x or c.in_x
-    cell_list = list(pieces.values())
-    by_dim = {}
-    for i, c in enumerate(cell_list):
-        by_dim.setdefault(c.dim, []).append(i)
-    incidence = set()
-    for d, sigmas in by_dim.items():
-        for si in sigmas:
-            for ti in by_dim.get(d - 1, []):
-                if cell_list[si].geom.contains_polyhedron(cell_list[ti].geom):
-                    incidence.add((ti, si))
-    return CellComplex(Z.Y, cell_list, incidence)
-
-
-def slice_pair(pair: HypersurfacePair, slices) -> HypersurfacePair:
-    """Apply a sequence of hyperplane slices to both X and Yref.
-
-    The sliced cells are no longer (eta, F) pairs, so the result carries no
-    face table and the predicates that read it raise ValueError on it.
-    """
-    X, Yref = pair.X, pair.Yref
-    for normal, offset in slices:
-        X = slice_complex(X, normal, offset)
-        Yref = slice_complex(Yref, normal, offset)
-    embed = {c.index: Yref.by_key[c.key()] for c in X.cells}
-    return HypersurfacePair(pair.f, pair.Y, pair.subdivision, pair.newton,
-                            X, Yref, embed, pair.face_points, None)

@@ -339,7 +339,8 @@ class QPolyhedron:
         """All nonempty faces, including the polyhedron itself.
 
         Returns a list of (face: QPolyhedron, active: frozenset of facet
-        indices); containment is reverse inclusion of active sets.
+        indices); containment is reverse inclusion of active sets.  A test
+        reference: the pipeline reads faces off the subdivision.
         """
         faces = {}
         todo = [frozenset()]
@@ -428,7 +429,8 @@ def cone_hull(rays, dim) -> QPolyhedron:
 def cone_meets_relint(C: QPolyhedron, rho: QPolyhedron) -> bool:
     """Does the cone C intersect the relative interior of the cone rho?
 
-    For the apex cone (rho = {0}) this is always true.
+    For the apex cone (rho = {0}) this is always true.  A test reference,
+    through `ToricVariety.reached_cones`.
     """
     if rho.affine_dim == 0:
         return True
@@ -449,7 +451,8 @@ def cone_covered_by(C: QPolyhedron, cones) -> bool:
 
     Works by peeling: regions of C not yet covered are tracked as closed
     cones; only full-dimensional-in-C residues matter since the union of
-    closed cones is closed.
+    closed cones is closed.  The pipeline reaches it only through
+    `ToricVariety.closure_is_compact`, whose flag only the tests read.
     """
     target_dim = C.affine_dim
     regions = [C]

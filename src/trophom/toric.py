@@ -7,13 +7,13 @@ completing the ray matrix to a basis of Z^dim (`exactla.basis_completion`),
 so quotient projections and everything downstream are plain integer matrices.
 
 The cells built over these strata are pairs (eta, F) of a cone and a
-subdivision face, read off a face table, and every piece off the open
-stratum is read off the subdivision of G_eta (see `complexes.build_pair`).
-`reached_cones` and `compactify` answer the same question geometrically, by
-double description on recession cones, and `compactify` makes each piece by
-`QPolyhedron.linear_image`; they are kept only as the LP reference that
-`CellComplex.validate` and the tests compare the face table and the pieces
-against, and the pipeline does not call them.
+subdivision face, and every piece, in each stratum, is read off the
+subdivision of G_eta (see `complexes.build_pair`).  `reached_cones` and
+`compactify` answer the same question geometrically, by double description on
+recession cones, and `compactify` makes each piece by
+`QPolyhedron.linear_image`; they are test references, which the tests compare
+the cells against, and the pipeline does not call them.  The pipeline calls
+`closure_is_compact` for each cell's compactness flag.
 """
 
 from __future__ import annotations
@@ -95,18 +95,11 @@ class ToricVariety:
             self._star_cache[key] = cone_hull(rays, self.stratum_dim(cid))
         return self._star_cache[key]
 
-    def star_ray_image(self, cid, did):
-        """Primitive image in the rho-stratum of the single extra ray of eta."""
-        extra = sorted(self.cones[did] - self.cones[cid])
-        if len(extra) != 1:
-            raise ValueError("expected a codimension-one cone step")
-        return primitive_vector(self.strata[cid].projection.apply(self.fan.rays[extra[0]]))
-
     def reached_cones(self, P: QPolyhedron, cid):
         """Cones eta >= rho whose stratum the closure of P (living in the
         rho-stratum) meets: the recession cone must hit relint of eta's image.
 
-        LP reference for the face table of `complexes.build_pair`."""
+        A test reference for the pieces of `complexes.build_pair`."""
         rec = P.recession()
         out = []
         for did in self.cofaces(cid):
@@ -121,7 +114,7 @@ class ToricVariety:
         """Closure pieces of P: maps cone id -> piece of the closure in that
         stratum (the image of P under the quotient projection).
 
-        LP reference for the face table of `complexes.build_pair`."""
+        A test reference for the pieces of `complexes.build_pair`."""
         if cid is None:
             cid = self.apex
         pieces = {}
@@ -133,7 +126,9 @@ class ToricVariety:
         return pieces
 
     def closure_is_compact(self, P: QPolyhedron, cid):
-        """Is the closure of P (in the rho-stratum) compact in Y?"""
+        """Is the closure of P (in the rho-stratum) compact in Y?  On a fan
+        that is not complete this runs `cone_covered_by`; only the tests read
+        the flag it sets on each cell."""
         if self.compact:
             return True
         if P.is_bounded():

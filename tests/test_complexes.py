@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import pytest
 
+from geometric_reference import containment_incidences, slice_pair, toric_complex, validate
+from trophom import complexes
 from trophom.complexes import (
     BuildError,
     build_pair,
@@ -13,11 +15,9 @@ from trophom.complexes import (
     is_combinatorially_ample,
     is_nonsingular,
     is_proper,
-    slice_pair,
     tie_points,
-    toric_complex,
 )
-from trophom.polyhedra import QPolyhedron, regular_subdivision
+from trophom.polyhedra import QPolyhedron
 from trophom.tropio import (
     TropicalPolynomial,
     load_fan,
@@ -119,7 +119,7 @@ class TestDualComplex:
         e = len([c for c in X.cells_of_dim(1) if c.compact])
         comps = _graph_components(X)
         assert e - v + comps == 1
-        assert X.validate(full=True)
+        assert validate(X, full=True)
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(BuildError):
@@ -167,8 +167,8 @@ class TestCompactified:
         pair = pair_line_tp2()
         assert pair.Yref.f_vector() == [7, 9, 3]
         assert pair.X.f_vector() == [4, 3]
-        assert pair.Yref.validate(full=True)
-        assert pair.X.validate(full=True)
+        assert validate(pair.Yref, full=True)
+        assert validate(pair.X, full=True)
         # X has one mobile vertex and three sedentary ones
         sed0 = [c for c in pair.X.cells_of_dim(0) if c.sed == pair.Y.apex]
         assert len(sed0) == 1
@@ -182,8 +182,8 @@ class TestCompactified:
 
     def test_blowup_structure(self):
         pair = pair_blowup()
-        assert pair.Yref.validate()
-        assert pair.X.validate()
+        assert validate(pair.Yref)
+        assert validate(pair.X)
         # X misses the exceptional stratum entirely
         exc_ray = pair.Y.fan.rays.index((-1, -1, -1))
         exc_cone = pair.Y.cone_index[frozenset([exc_ray])]
@@ -345,7 +345,7 @@ def test_face_table_matches_lp_reference(name):
     in the table exactly when the closure of the cell reaches the eta-stratum,
     and its piece is the projection of the cell there."""
     pair = LP_FIXTURES[name]()
-    Y, table = pair.Y, pair.face_table
+    Y, table = pair.Y, pair.Yref.by_key
     for c in pair.Yref.cells:
         reached = Y.reached_cones(c.geom, c.sed)
         for eta in Y.cofaces(c.sed):
@@ -400,11 +400,17 @@ def from_generators_dual_cell(f, face, ties, newton):
                                        [a for a, b in P.equations], P.dim)
 
 
-def assert_dual_cells_match_hrep(f, S, newton):
+def assert_dual_cells_match_hrep(pair):
     """Against both references: the H-representation, and the V-
     representation of `from_generators`, vertex for vertex and ray for ray
     when there is no lineality (with lineality its representatives may
-    differ, so the geometry keys are compared)."""
+    differ, so the geometry keys are compared).  The open-stratum cells that
+    `build_pair` reads off the subdivision match `dual_cell_geometry`: the
+    same geometry key, equations, lineality and tangent lattice, and each
+    contains the other.  The same-stratum incidences of X and Yref, read off
+    the covering relation of the subdivision, are those of the containment
+    scan over every pair of cells."""
+    f, S, newton = pair.f, pair.subdivision, pair.newton
     ties = tie_points(f, S)
     for face in S.faces:
         got, want = dual_cell_geometry(f, face, ties, newton), hrep_dual_cell(f, face)
@@ -417,12 +423,22 @@ def assert_dual_cells_match_hrep(f, S, newton):
             assert got.geometry_key() == ref.geometry_key(), sorted(face)
         else:
             assert (got.vertices, got.rays) == (ref.vertices, ref.rays), sorted(face)
+        built = pair.Yref.cells[pair.Yref.by_key[(pair.Y.apex, face)]]
+        assert built.geom.geometry_key() == got.geometry_key(), sorted(face)
+        assert built.geom.equations == got.equations, sorted(face)
+        assert built.geom.lin == got.lin, sorted(face)
+        assert built.geom.contains_polyhedron(got) and got.contains_polyhedron(built.geom), \
+            sorted(face)
+        assert built.tangent.basis.columns() == got.tangent_lattice().basis.columns(), \
+            sorted(face)
+    for Z in (pair.X, pair.Yref):
+        same = {(t, s) for t, s in Z.incidence if Z.cells[t].sed == Z.cells[s].sed}
+        assert same == containment_incidences(Z.cells)
 
 
 @pytest.mark.parametrize("name", sorted(LP_FIXTURES))
 def test_dual_cells_match_hrep_reference(name):
-    pair = LP_FIXTURES[name]()
-    assert_dual_cells_match_hrep(pair.f, pair.subdivision, pair.newton)
+    assert_dual_cells_match_hrep(LP_FIXTURES[name]())
 
 
 def _random_poly(seed):
@@ -448,8 +464,43 @@ DUAL_CELL_CASES = {
 @pytest.mark.parametrize("name", sorted(DUAL_CELL_CASES))
 def test_dual_cells_match_hrep_reference_random(name):
     f = DUAL_CELL_CASES[name]()
-    S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
-    assert_dual_cells_match_hrep(f, S, newton_polytope(f))
+    assert_dual_cells_match_hrep(build_pair(f, load_fan("dim %d\n" % f.n_vars)))
+
+
+def test_failed_incidence_certificate_is_an_error(monkeypatch):
+    """A covering pair whose containment certificate fails stops the build
+    with a BuildError naming both faces and the stratum's cone; it is not
+    dropped from the incidences."""
+    pair = pair_line_tp2()
+    cells = pair.Yref.cells
+    t, s = next((t, s) for t, s in sorted(pair.Yref.incidence)
+                if cells[t].sed == cells[s].sed != pair.Y.apex)
+    tau, sig = cells[t], cells[s]
+    target = ((sig.sed, sig.face), (tau.sed, tau.face))
+    pieces = {}
+    real_pieces = complexes.stratum_pieces
+
+    def recorded_pieces(*args):
+        out = real_pieces(*args)
+        for face, piece in out.items():
+            pieces[id(piece)] = (args[5], face)
+        return out
+
+    real_contains = QPolyhedron.contains_polyhedron
+
+    def contains(self, other):
+        if (pieces.get(id(self)), pieces.get(id(other))) == target:
+            return False
+        return real_contains(self, other)
+
+    monkeypatch.setattr(complexes, "stratum_pieces", recorded_pieces)
+    monkeypatch.setattr(QPolyhedron, "contains_polyhedron", contains)
+    with pytest.raises(BuildError) as err:
+        pair_line_tp2()
+    message = str(err.value)
+    assert "face %r does not lie in the piece of face %r" % (sorted(tau.face), sorted(sig.face)) \
+        in message
+    assert "fan cone %r" % sorted(pair.Y.cones[sig.sed]) in message
 
 
 def assert_pieces_match_linear_image(pair):
@@ -457,7 +508,7 @@ def assert_pieces_match_linear_image(pair):
     the projection of its open cell by `linear_image`: the same geometry
     key, lineality and equations, and each contains the other.  Returns how
     many pieces were checked and how many of them have lineality."""
-    Y, table, cells = pair.Y, pair.face_table, pair.Yref.cells
+    Y, table, cells = pair.Y, pair.Yref.by_key, pair.Yref.cells
     checked = with_lin = 0
     for (eta, face), i in table.items():
         if eta == Y.apex:
@@ -531,7 +582,7 @@ class TestOtherStructures:
         Y = ToricVariety(normal_fan(newton_polytope(parse_polynomial("max(0, x1, x2)"))))
         T = toric_complex(Y)
         assert T.f_vector() == [3, 3, 1]
-        assert T.validate()
+        assert validate(T)
 
     def test_slice_pair_degenerate(self):
         pair = pair_degenerate(1)
@@ -539,13 +590,5 @@ class TestOtherStructures:
         # X = the line x1 = 0 refined into two rays and a vertex
         assert refined.X.f_vector() == [1, 2]
         assert refined.Yref.f_vector() == [1, 4, 4]
-        assert refined.X.validate(full=True)
-        assert refined.Yref.validate(full=True)
-
-    def test_sliced_pair_has_no_face_table(self):
-        refined = slice_pair(pair_degenerate(1), [((0, 1), Fraction(0))])
-        with pytest.raises(ValueError):
-            is_proper(refined)
-        with pytest.raises(ValueError):
-            gamma_open(refined, refined.Yref.cells[-1].index)
-        assert is_nonsingular(refined) == is_nonsingular(pair_degenerate(1))
+        assert validate(refined.X, full=True)
+        assert validate(refined.Yref, full=True)

@@ -165,11 +165,11 @@ def test_image_outside_target_stalk_raises(corrupt):
 # work counts
 
 def test_no_redundant_exact_work(monkeypatch):
-    """One build_pair plus every cosheaf on the quadric in TP^3: each dual
-    cell costs one double description; the boundary pieces and the simplex
-    cells of the subdivision cost none, and no `linear_image` runs; and
-    multitangent back-substitutes on its stalk bases, which are in column
-    HNF already, with no `hnf` call."""
+    """One build_pair plus every cosheaf on the quadric in TP^3: the cells,
+    the open-stratum ones included, and the simplex cells of the subdivision
+    cost no double description, and no `dual_cell_geometry` or
+    `linear_image` runs; and multitangent back-substitutes on its stalk
+    bases, which are in column HNF already, with no `hnf` call."""
     calls = Counter()
 
     def count(module, name):
@@ -184,24 +184,15 @@ def test_no_redundant_exact_work(monkeypatch):
     count(exactla, "hnf")
     count(polyhedra, "dd_cone")
     count(polyhedra.QPolyhedron, "linear_image")
-    per_cell = []
-    real_dual_cell = complexes.dual_cell_geometry
-
-    def dual_cell(*args):
-        before = calls["dd_cone"]
-        out = real_dual_cell(*args)
-        per_cell.append(calls["dd_cone"] - before)
-        return out
-
-    monkeypatch.setattr(complexes, "dual_cell_geometry", dual_cell)
+    count(complexes, "dual_cell_geometry")
     f = quadric_poly()
     fan = normal_fan(newton_polytope(f))
     before = calls["dd_cone"]
     pair = build_pair(f, fan)
-    assert per_cell == [1] * len(pair.subdivision.faces)
-    # beyond the dual cells: the hull of the lift, and the two double
-    # descriptions of the Newton polytope's hull
-    assert calls["dd_cone"] - before == len(per_cell) + 1 + 2
+    # the hull of the lift, and the two double descriptions of the Newton
+    # polytope's hull
+    assert calls["dd_cone"] - before == 3
+    assert calls["dual_cell_geometry"] == 0
     assert calls["linear_image"] == 0
     assert calls["hnf"] > 0  # the build's tangent lattices pass the counter
     before = calls["hnf"]
