@@ -263,6 +263,9 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
       covering F inside G_eta; each is certified by containment, and a failed
       certificate raises a BuildError naming both faces and eta;
     - across strata, (eta, F) is a facet of (rho, F) one cone step up.
+    The closure of (eta, F) meets the strata of the cones theta >= eta with
+    F inside G_theta, so `closure_is_compact` gets those as the cones the
+    cell reaches, and reruns no geometry to find them.
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -284,8 +287,9 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
             if eta == Y.apex and piece.affine_dim != Y.dim - fd:
                 raise BuildError("dual cell of %r has dimension %d, expected %d"
                                  % (sorted(face), piece.affine_dim, Y.dim - fd))
+            reached = [theta for theta in Y.cofaces(eta) if face <= G[theta]]
             cells[(eta, face)] = Cell(eta, piece.affine_dim, piece, piece.tangent_lattice(),
-                                      Y.closure_is_compact(piece, eta), face, fd >= 1)
+                                      Y.closure_is_compact(piece, eta, reached), face, fd >= 1)
 
     incidence = set()
     for (eta, face), sig in cells.items():
@@ -316,7 +320,16 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
 
 def is_proper(pair: HypersurfacePair) -> bool:
     """Every cell meets every deeper stratum in the expected dimension: each
-    piece (eta, F) has dimension dim Y - dim eta - dim F."""
+    piece (eta, F) has dimension dim Y - dim eta - dim F.
+
+    `build_pair` guarantees this, so it holds on every pair the build
+    returns.  The piece is cut out of the eta-stratum, of dimension
+    dim Y - dim eta, by the ties w_a = w_a0 for a in F, where
+    w_a = a^T section_eta.  The points of F lie in G_eta, so a difference d
+    of two of them vanishes on the rays of eta; then d = projection_eta^T w
+    for w = d^T section_eta, so d -> w is injective and the ties have rank
+    dim F.  It is kept: `is_cellular_pair` cites it for its verdict on a
+    complete fan, and `bench/spans.py` times it as a layer."""
     Y, S = pair.Y, pair.subdivision
     return all(c.dim == Y.dim - Y.cone_dim(c.sed) - S.faces[c.face]
                for c in pair.Yref.cells)

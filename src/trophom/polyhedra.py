@@ -254,7 +254,17 @@ class QPolyhedron:
                 and all(_dot(a, r) <= 0 for a, b in self.facets))
 
     def recession(self):
-        return QPolyhedron.cone(self.rays, self.dim, self.lin)
+        """The recession cone, built from this polyhedron's own data with no
+        double description: its rays and lineality, its facets moved to
+        offset 0, and as equations the integer annihilator of the rays and
+        lineality.  That annihilator cuts out the exact linear hull of the
+        cone, so `affine_dim` is the cone's dimension even where facets of
+        the polyhedron turn into implicit equations (two parallel facets of
+        [0, 1] x [0, oo) give x = 0).  The facets may be redundant."""
+        gens = list(self.rays) + list(self.lin)
+        hull = kernel_lattice(IntMatrix(gens, ncols=self.dim)).basis.columns()
+        return QPolyhedron(self.dim, [(0,) * self.dim], self.rays, self.lin,
+                           [(a, 0) for a, b in self.facets], [(u, 0) for u in hull])
 
     def geometry_key(self):
         """Canonical hashable identity of the underlying point set."""
@@ -451,8 +461,11 @@ def cone_covered_by(C: QPolyhedron, cones) -> bool:
 
     Works by peeling: regions of C not yet covered are tracked as closed
     cones; only full-dimensional-in-C residues matter since the union of
-    closed cones is closed.  The pipeline reaches it only through
-    `ToricVariety.closure_is_compact`, whose flag only the tests read.
+    closed cones is closed, so C's equations must cut out its exact linear
+    hull.  The pipeline reaches it only through
+    `ToricVariety.closure_is_compact`, for an unbounded cell that reaches a
+    boundary stratum of a fan that is not complete; only the tests read the
+    flag that sets.
     """
     target_dim = C.affine_dim
     regions = [C]

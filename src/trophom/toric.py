@@ -13,7 +13,11 @@ subdivision of G_eta (see `complexes.build_pair`).  `reached_cones` and
 recession cones, and `compactify` makes each piece by
 `QPolyhedron.linear_image`; they are test references, which the tests compare
 the cells against, and the pipeline does not call them.  The pipeline calls
-`closure_is_compact` for each cell's compactness flag.
+`closure_is_compact` for each cell's compactness flag, handing it the cones
+the cell's closure reaches, which `build_pair` reads off the subdivision: the
+theta >= eta with F inside G_theta.  Only a cell that is unbounded and
+reaches a boundary stratum on a fan that is not complete leaves a covering
+question, and only that one is decided geometrically.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ class ToricVariety:
         self.cones = fan.cones()             # list of frozensets, stable order
         self.cone_index = {c: i for i, c in enumerate(self.cones)}
         self.strata = [Stratum(i, c, fan.dim, fan.rays) for i, c in enumerate(self.cones)]
+        self._cofaces = [tuple(d for d, cd in enumerate(self.cones) if c <= cd)
+                         for c in self.cones]
         self._proj_cache = {}
         self._star_cache = {}
         self.compact = fan.is_complete()
@@ -74,7 +80,8 @@ class ToricVariety:
         return self.cones[cid] <= self.cones[did]
 
     def cofaces(self, cid):
-        return [d for d in range(len(self.cones)) if self.cones[cid] <= self.cones[d]]
+        """The cones eta >= rho, rho itself included, in cone order."""
+        return self._cofaces[cid]
 
     def projection(self, cid, did) -> IntMatrix:
         """Matrix of the quotient projection between strata, rho <= eta."""
@@ -125,16 +132,24 @@ class ToricVariety:
                 pieces[did] = P.linear_image(self.projection(cid, did))
         return pieces
 
-    def closure_is_compact(self, P: QPolyhedron, cid):
-        """Is the closure of P (in the rho-stratum) compact in Y?  On a fan
-        that is not complete this runs `cone_covered_by`; only the tests read
-        the flag it sets on each cell."""
-        if self.compact:
+    def closure_is_compact(self, P: QPolyhedron, cid, reached):
+        """Is the closure of P (in the rho-stratum) compact in Y?  `reached`
+        holds the cones eta >= rho whose strata the closure meets (rho among
+        them), as `reached_cones` finds them.
+
+        The closure is compact when every recession direction of P lies in
+        the star of rho.  A direction of the recession cone lies in the
+        relative interior of exactly one star cone, and the closure reaches
+        that cone, so the reached cones suffice: Y complete or P bounded
+        gives True, an unbounded P that reaches no cone besides rho gives
+        False with no geometry, and otherwise `cone_covered_by` decides
+        whether the recession cone lies in the star cones of the maximal
+        reached cones.  Only the tests read the flag it sets on each cell."""
+        if self.compact or P.is_bounded():
             return True
-        if P.is_bounded():
-            return True
-        rec = P.recession()
-        maxcones = [d for d in self.cofaces(cid)
-                    if not any(self.cones[d] < self.cones[e] for e in self.cofaces(cid))]
-        return cone_covered_by(rec, [self.star_cone_geometry(cid, d)
-                                     for d in maxcones if d != cid])
+        if all(d == cid for d in reached):
+            return False
+        maximal = [d for d in reached
+                   if not any(self.cones[d] < self.cones[e] for e in reached)]
+        return cone_covered_by(P.recession(),
+                               [self.star_cone_geometry(cid, d) for d in maximal])

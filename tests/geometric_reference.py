@@ -6,14 +6,15 @@ instead: cells are keyed by (sed, geometry key), same-stratum incidences are
 found by a containment scan over every pair of cells, and cross-stratum ones
 are certified by projection.  The refinements by hyperplanes and the coarse
 toric structure live here too, since the tests are their only callers and a
-refined cell is no longer an (eta, F) pair.
+refined cell is no longer an (eta, F) pair.  So does the all-cofaces
+reference for the compactness flag.
 """
 
 from fractions import Fraction
 
 from trophom.complexes import Cell, CellComplex, HypersurfacePair
 from trophom.exactla import LatticeSubspace
-from trophom.polyhedra import QPolyhedron
+from trophom.polyhedra import QPolyhedron, cone_covered_by
 from trophom.toric import ToricVariety
 
 
@@ -101,6 +102,21 @@ def validate(Z, full=False):
     return True
 
 
+def closure_is_compact(Y: ToricVariety, P: QPolyhedron, cid):
+    """Is the closure of P (in the rho-stratum) compact in Y?  The reference
+    for `ToricVariety.closure_is_compact`, which knows nothing of the cones
+    the closure reaches: the recession cone of P, by double description, must
+    lie in the star cones of every maximal coface of rho."""
+    if Y.compact or P.is_bounded():
+        return True
+    rec = QPolyhedron.cone(P.rays, P.dim, P.lin)
+    cofaces = Y.cofaces(cid)
+    maxcones = [d for d in cofaces
+                if not any(Y.cones[d] < Y.cones[e] for e in cofaces)]
+    return cone_covered_by(rec, [Y.star_cone_geometry(cid, d)
+                                 for d in maxcones if d != cid])
+
+
 def toric_complex(Y: ToricVariety) -> CellComplex:
     """The coarse structure on Y whose cells are the stratum closures: the
     piece (eta, {}) of each stratum."""
@@ -142,8 +158,8 @@ def slice_complex(Z, normal, offset) -> GeometricComplex:
             # cells run by dimension, so the first cell a piece is cut from
             # is the smallest one containing it, and lends its face
             if key not in pieces:
-                pieces[key] = Cell(apex, Q.affine_dim, Q, Q.tangent_lattice(),
-                                   Z.Y.closure_is_compact(Q, apex),
+                compact = Z.Y.closure_is_compact(Q, apex, Z.Y.reached_cones(Q, apex))
+                pieces[key] = Cell(apex, Q.affine_dim, Q, Q.tangent_lattice(), compact,
                                    c.face, c.in_x)
             else:
                 pieces[key].in_x = pieces[key].in_x or c.in_x

@@ -1,10 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from geometric_reference import containment_incidences, slice_pair, toric_complex, validate
+from geometric_reference import (
+    closure_is_compact,
+    containment_incidences,
+    slice_pair,
+    toric_complex,
+    validate,
+)
 from trophom import complexes
 from trophom.complexes import (
     BuildError,
@@ -41,6 +48,17 @@ cone: 0 2 4
 cone: 1 2 4
 """
 HALF_TORIC_FAN = "dim 3\nray 0: 0 0 -1\ncone: 0\n"
+TP3_MINUS_CONE_FAN = """dim 3
+ray 0: -1 0 0
+ray 1: 0 -1 0
+ray 2: 0 0 -1
+ray 3: 1 1 1
+cone: 0 1 3
+cone: 0 2 3
+cone: 1 2 3
+"""
+# inside the normal cone of the edge of 2*Delta_3 on the x1-axis
+ONE_RAY_FAN = "dim 3\nray 0: 0 -1 -1\ncone: 0\n"
 
 
 def pair_line_tp2():
@@ -575,6 +593,60 @@ def test_pieces_over_a_single_point_match_linear_image(n):
     assert assert_pieces_match_linear_image(pair) == (1, 1)
     (piece,) = (c for c in pair.Yref.cells if c.sed == ray)
     assert piece.dim == n - 1 and len(piece.geom.lin) == n - 1
+
+
+def assert_compact_flags_match_reference(pair):
+    """Every cell's compactness flag against the all-cofaces reference,
+    which ignores the cones `build_pair` says the cell reaches.  Returns the
+    count of compact and of non-compact cells."""
+    counts = Counter()
+    for c in pair.Yref.cells:
+        assert c.compact == closure_is_compact(pair.Y, c.geom, c.sed), (c.sed, sorted(c.face))
+        counts[c.compact] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_compact_flags_match_all_cofaces_reference(name):
+    assert_compact_flags_match_reference(LP_FIXTURES[name]())
+
+
+COMPACTNESS_FANS = {
+    "blowup": TP3_BLOWUP_FAN,
+    "tp3-minus-cone": TP3_MINUS_CONE_FAN,
+    "one-ray": ONE_RAY_FAN,
+    "half-toric": HALF_TORIC_FAN,
+    "trivial": "dim 3\n",
+}
+
+
+def test_compact_flags_match_all_cofaces_reference_random():
+    """Random heights on 2*Delta_3 (often not a triangulation) on a complete
+    fan, three partial fans and the trivial fan; enough cells of either
+    kind that a flag stuck at one value fails."""
+    counts = Counter()
+    for text in COMPACTNESS_FANS.values():
+        for seed in range(3):
+            counts += assert_compact_flags_match_reference(
+                build_pair(_random_quadric(seed), load_fan(text)))
+    assert counts[True] >= 50 and counts[False] >= 50, counts
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_is_proper_on_every_fixture(name):
+    assert is_proper(LP_FIXTURES[name]())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_is_proper_on_random_inputs(seed):
+    """Random quadrics on every fan of the compactness check, and random
+    curves and surfaces on their normal fans and on the trivial fan."""
+    f = _random_quadric(seed)
+    for text in COMPACTNESS_FANS.values():
+        assert is_proper(build_pair(f, load_fan(text))), text
+    g = _random_poly(seed)
+    assert is_proper(build_pair(g, normal_fan(newton_polytope(g))))
+    assert is_proper(build_pair(g, load_fan("dim %d\n" % g.n_vars)))
 
 
 class TestOtherStructures:

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from test_complexes import HALF_TORIC_FAN, TP3_BLOWUP_FAN, quadric_poly
-from trophom import complexes, exactla, polyhedra
+from trophom import complexes, exactla, polyhedra, toric
 from trophom.complexes import build_pair, is_nonsingular
 from trophom.cosheaf import CosheafError, ambient_on_cells, multitangent
 from trophom.exactla import LatticeSubspace, exterior_power
@@ -169,7 +169,12 @@ def test_no_redundant_exact_work(monkeypatch):
     the open-stratum ones included, and the simplex cells of the subdivision
     cost no double description, and no `dual_cell_geometry` or
     `linear_image` runs; and multitangent back-substitutes on its stalk
-    bases, which are in column HNF already, with no `hnf` call."""
+    bases, which are in column HNF already, with no `hnf` call.  On the
+    trivial fan no cell reaches a boundary stratum, so the compactness
+    flags cost no `cone_covered_by` and no double description either.  On
+    the half-toric fan only the unbounded cells whose closure reaches the
+    boundary ask `cone_covered_by`, and every cell's `recession` is read
+    off its own data."""
     calls = Counter()
 
     def count(module, name):
@@ -185,6 +190,7 @@ def test_no_redundant_exact_work(monkeypatch):
     count(polyhedra, "dd_cone")
     count(polyhedra.QPolyhedron, "linear_image")
     count(complexes, "dual_cell_geometry")
+    count(toric, "cone_covered_by")
     f = quadric_poly()
     fan = normal_fan(newton_polytope(f))
     before = calls["dd_cone"]
@@ -201,3 +207,19 @@ def test_no_redundant_exact_work(monkeypatch):
     for p in range(pair.Y.dim + 1):
         ambient_on_cells(pair.Yref, p)
     assert calls["hnf"] == before
+
+    before = calls["dd_cone"]
+    pair = build_pair(f, load_fan("dim 3\n"))
+    assert not pair.Y.compact and not all(c.compact for c in pair.Yref.cells)
+    assert calls["dd_cone"] - before == 3
+    assert calls["cone_covered_by"] == 0
+
+    pair = build_pair(f, load_fan(HALF_TORIC_FAN))
+    Y = pair.Y
+    asked = [c for c in pair.Yref.cells if not c.geom.is_bounded()
+             and len(Y.reached_cones(c.geom, c.sed)) > 1]
+    assert calls["cone_covered_by"] == len(asked) > 0
+    before = calls["dd_cone"]
+    cones = [c.geom.recession() for c in pair.Yref.cells]
+    assert calls["dd_cone"] == before
+    assert any(R.affine_dim for R in cones)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -238,6 +239,45 @@ class TestRecession:
             lhs = both.recession()
             rhs = p1.recession().intersect(p2.recession())
             assert lhs == rhs
+
+    def test_parallel_facets_become_an_equation(self):
+        # [0, 1] x [0, oo): the facets x <= 1 and -x <= 0 both move to
+        # offset 0, and together cut out the line x = 0
+        P = QPolyhedron.from_hrep([((1, 0), Fraction(1)), ((-1, 0), Fraction(0)),
+                                   ((0, -1), Fraction(0))], [], 2)
+        R = P.recession()
+        assert R.affine_dim == 1
+        assert R.equations == (((1, 0), Fraction(0)),)
+        assert R.rays == ((0, 1),)
+        assert R == QPolyhedron.cone([(0, 1)], 2)
+
+    def test_matches_double_description_reference(self):
+        """`recession` against the double-description route, the cone on the
+        polyhedron's rays and lineality, on seeded random polyhedra: the same
+        geometry key, dimension and equations, each contains the other,
+        and their facets and equations admit the same small integer
+        points."""
+        rng = random.Random(43)
+        seen = Counter()
+        for _ in range(150):
+            d = rng.randint(1, 4)
+            P = random_polyhedron(rng, d)
+            if P is None:
+                continue
+            got, want = P.recession(), QPolyhedron.cone(P.rays, P.dim, P.lin)
+            assert got.geometry_key() == want.geometry_key(), P
+            assert got.affine_dim == want.affine_dim, P
+            assert got.equations == want.equations, P
+            assert got.contains_polyhedron(want) and want.contains_polyhedron(got), P
+            for x in product(range(-2, 3), repeat=d):
+                assert got.contains(x) == want.contains(x), (P, x)
+            seen["bounded"] += P.is_bounded()
+            seen["rays"] += bool(P.rays)
+            seen["lineality"] += bool(P.lin)
+            seen["lower-dimensional"] += P.affine_dim < P.dim
+            seen["lower-dimensional cone"] += 0 < got.affine_dim < P.dim
+        assert min(seen[k] for k in ("bounded", "rays", "lineality", "lower-dimensional",
+                                     "lower-dimensional cone")) >= 5, seen
 
 
 class TestHrepVrepConsistency:

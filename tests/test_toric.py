@@ -116,10 +116,11 @@ class TestCompactify:
         Yhalf = ToricVariety(load_fan("dim 2\nray 0: -1 0\ncone: 0\n"))
         ray_up = QPolyhedron.from_generators([(0, 0)], rays=[(0, 1)])
         ray_left = QPolyhedron.from_generators([(0, 0)], rays=[(-1, 0)])
-        assert not Yhalf.closure_is_compact(ray_up, Yhalf.apex)
-        assert Yhalf.closure_is_compact(ray_left, Yhalf.apex)
+        for P, want in ((ray_up, False), (ray_left, True)):
+            reached = Yhalf.reached_cones(P, Yhalf.apex)
+            assert Yhalf.closure_is_compact(P, Yhalf.apex, reached) == want
         box = convex_hull([(0, 0), (1, 1)])
-        assert Yhalf.closure_is_compact(box, Yhalf.apex)
+        assert Yhalf.closure_is_compact(box, Yhalf.apex, [Yhalf.apex])
         Y = tp2()
         assert Y.compact
-        assert Y.closure_is_compact(ray_up, Y.apex)
+        assert Y.closure_is_compact(ray_up, Y.apex, Y.reached_cones(ray_up, Y.apex))
