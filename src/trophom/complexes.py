@@ -57,7 +57,8 @@ class Cell:
 
 class CellComplex:
     """A finite polyhedral complex in a tropical toric variety, whose cells
-    are the pieces (eta, F), each known by its key (sed, face)."""
+    are the pieces (eta, F), each known by its key (sed, face), and ordered
+    by dimension first."""
 
     def __init__(self, Y: ToricVariety, cells, incidence):
         """`incidence` holds the keys (tau, sigma) of every cell tau that is a

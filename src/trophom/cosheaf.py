@@ -5,6 +5,12 @@ wedge space) per cell, plus one integer matrix per codimension-one incidence,
 contravariant along inclusion: the matrix attached to (tau, sigma) maps the
 stalk at sigma into the stalk at tau.  Instances built here: the multi-tangent
 cosheaf of a complex and the ambient cosheaf of its toric variety.
+
+The multi-tangent stalk F_p(sigma) is the sum of the p-th wedges of T(tau)
+over the cells tau of sigma's stratum whose closure contains sigma (IKMZ,
+"Tropical homology").  It is built from the maximal such tau alone: for
+sigma <= tau in one stratum T(sigma) lies in T(tau), so each wedge lies in
+the wedge of a maximal cell above it.  F_0 is the constant cosheaf Z.
 """
 
 from __future__ import annotations
@@ -37,17 +43,27 @@ class Cosheaf:
     maps: dict           # (tau index, sigma index) -> IntMatrix
 
 
-def _same_stratum_star(Z: CellComplex):
-    """For each cell, the cells of the same stratum whose closure contains it."""
-    star = {i: {i} for i in range(len(Z.cells))}
-    for s in range(len(Z.cells)):
-        for t in Z.closure(s):
-            star[t].add(s)
-    out = {}
-    for i, members in star.items():
-        sed = Z.cells[i].sed
-        out[i] = [j for j in members if Z.cells[j].sed == sed]
-    return out
+def _maximal_cells(Z: CellComplex):
+    """For each cell, the maximal cells of its same-stratum star: the cells of
+    its stratum whose closure contains it and that are no facet of a cell of
+    that stratum.  One top-down pass: a cell with no same-stratum cofacet is
+    its own, and any other cell takes the union of its cofacets' sets."""
+    sed = [c.sed for c in Z.cells]
+    up = [[] for _ in Z.cells]
+    for t, s in Z.incidence:
+        if sed[t] == sed[s]:
+            up[t].append(s)
+    top = [None] * len(Z.cells)
+    # cells are ordered by dimension, so every cofacet comes first
+    for i in reversed(range(len(Z.cells))):
+        above = up[i]
+        if not above:
+            top[i] = frozenset((i,))
+        elif len(above) == 1:
+            top[i] = top[above[0]]
+        else:
+            top[i] = frozenset().union(*(top[s] for s in above))
+    return top
 
 
 def multitangent(Z: CellComplex, p: int) -> Cosheaf:
@@ -55,38 +71,61 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
 
     The stalk at a cell is the sum, over cells of the same stratum whose
     closure contains it, of the p-th exterior powers of their tangent
-    lattices; the sum is taken verbatim, with no saturation.  Maps are
-    inclusions within a stratum and wedge powers of the quotient projections
-    across strata, each written in the target stalk's basis by
+    lattices; the sum is taken verbatim, with no saturation.  Only the
+    maximal cells of that star need summing: for sigma <= tau in one
+    stratum, T(sigma) lies in T(tau), so the p-th wedge of T(sigma) lies in
+    that of T(tau).  So each maximal cell's wedge is taken once, and cells
+    with the same maximal cells share one stalk basis.  F_0 is the constant
+    cosheaf: every stalk is Z and every map is [1].
+
+    Maps are inclusions within a stratum and wedge powers of the quotient
+    projections across strata, each written in the target stalk's basis by
     back-substitution: that basis is in column Hermite form already.  An
-    image that leaves the target stalk raises CosheafError naming the
-    incidence and p.
+    inclusion between equal stalks is the identity.  An image that leaves
+    the target stalk raises CosheafError naming the incidence and p.
     """
+    if p == 0:
+        one = IntMatrix.identity(1)
+        n = len(Z.cells)
+        return Cosheaf(Z, p, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
     Y = Z.Y
-    star = _same_stratum_star(Z)
-    wedges = [exterior_power(c.tangent.basis, p).columns() for c in Z.cells]
-    ranks, bases = [], []
-    for i, c in enumerate(Z.cells):
-        gens = []
-        for j in star[i]:
-            gens += wedges[j]
-        total = LatticeSubspace.from_columns(gens, comb(Y.stratum_dim(c.sed), p))
-        ranks.append(total.rank)
-        bases.append(total.basis)
+    top = _maximal_cells(Z)
+    wedges = {}     # maximal cell -> columns of the wedge of its tangent basis
+    stalks = {}     # set of maximal cells -> stalk basis
+    bases = []
+    for c in Z.cells:
+        key = top[c.index]
+        if key not in stalks:
+            gens = []
+            for j in key:
+                if j not in wedges:
+                    wedges[j] = exterior_power(Z.cells[j].tangent.basis, p).columns()
+                gens += wedges[j]
+            ambient = comb(Y.stratum_dim(c.sed), p)
+            stalks[key] = LatticeSubspace.from_columns(gens, ambient).basis
+        bases.append(stalks[key])
+    ranks = [B.ncols for B in bases]
     pivots = {}
+    identities = {}
     wedge_projection = {}
     maps = {}
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
         image = bases[s]
-        if tau.sed != sig.sed:
+        if tau.sed == sig.sed:
+            if image == bases[t]:
+                if ranks[t] not in identities:
+                    identities[ranks[t]] = IntMatrix.identity(ranks[t])
+                maps[(t, s)] = identities[ranks[t]]
+                continue
+        else:
             key = (sig.sed, tau.sed)
             if key not in wedge_projection:
                 wedge_projection[key] = exterior_power(Y.projection(*key), p)
             image = wedge_projection[key] * image
-        if t not in pivots:
-            pivots[t] = hnf_pivots(bases[t])
-        A = back_substitute(pivots[t], ranks[t], image)
+        if top[t] not in pivots:
+            pivots[top[t]] = hnf_pivots(bases[t])
+        A = back_substitute(pivots[top[t]], ranks[t], image)
         if A is None:
             raise CosheafError(
                 "incidence image does not land in the target stalk "
@@ -97,13 +136,17 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
 
 def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:
     """The ambient cosheaf: every cell carries the full wedge power of its
-    stratum lattice; maps are wedge powers of the projections."""
+    stratum lattice, with one identity basis per rank; maps are wedge
+    powers of the projections."""
     Y = Z.Y
+    identities = {}
     ranks, bases = [], []
     for c in Z.cells:
         amb = comb(Y.stratum_dim(c.sed), p)
+        if amb not in identities:
+            identities[amb] = IntMatrix.identity(amb)
         ranks.append(amb)
-        bases.append(IntMatrix.identity(amb))
+        bases.append(identities[amb])
     maps = {}
     wedge_projection = {}
     for t, s in Z.incidence:

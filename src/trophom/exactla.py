@@ -9,14 +9,23 @@ composable pair of integer matrices), Bareiss elimination for determinants
 row echelon form.
 
 The Smith diagonal pivots on unit entries of least Markowitz cost
-len(row) * len(col), drawn from a heap that fill-in keeps fed, and scans for
-the least |value| only when no unit is left.  Invariant factors do not depend
-on the pivot order, so the order sets the cost and never the answer.
+len(row) * len(col), drawn from a heap that fill-in keeps fed, and only when
+no unit is left on the entry of least |value| from a second heap, built at
+that point.  Invariant factors do not depend on the pivot order, so the order
+sets the cost and never the answer.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
-non-integral entry is rejected, never truncated.  Matrices are immutable
-once built (which is why one may keep its sparse rows); all functions here
-are pure.
+non-integral entry is rejected, never truncated.  The public constructors
+check this: `IntMatrix(...)`, `IntMatrix.from_columns` and
+`LatticeSubspace.from_columns` convert integral entries (Fraction(4, 2),
+3.0, True) and reject any other with a ValueError naming its row and column.
+A matrix this module computes from checked matrices (`identity`, `zeros`,
+`transpose`, products, `submatrix`, Hermite forms and their transforms,
+back-substitution, exterior powers, lattice bases) is built by
+`IntMatrix._trusted` without the check: integer arithmetic on ints yields
+ints, so the check could only repeat itself.  Matrices are immutable once
+built (which is why one may keep its sparse rows); all functions here are
+pure.
 """
 
 from __future__ import annotations
@@ -24,11 +33,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from math import gcd, lcm
 
 
 _INT = {int}
+
+
+def _int_rows(rows, transposed=False):
+    """The rows as a tuple of tuples of ints.  An entry equal to an int is
+    converted; any other raises ValueError naming its row and column, read
+    the other way round when `transposed` (the rows are a matrix's columns)."""
+    rows = tuple(map(tuple, rows))
+    # all ints, checked row by row with no Python-level loop
+    if all(map(_INT.issuperset, map(map, repeat(type), rows))):
+        return rows
+    out = []
+    for i, r in enumerate(rows):
+        if set(map(type, r)) - _INT:
+            # convert, and reject what int() would truncate
+            t = tuple(map(int, r))
+            if t != r:
+                j = next(j for j, (a, b) in enumerate(zip(t, r)) if a != b)
+                raise ValueError("non-integral entry %r at row %d, column %d"
+                                 % ((r[j],) + ((j, i) if transposed else (i, j))))
+            r = t
+        out.append(r)
+    return tuple(out)
+
+
+def _int_columns(cols, nrows):
+    """The columns as tuples of ints, as `_int_rows` checks them, each of
+    length nrows; a column of another length raises ValueError naming it."""
+    cols = _int_rows(cols, transposed=True)
+    if set(map(len, cols)) - {nrows}:
+        j = next(j for j, c in enumerate(cols) if len(c) != nrows)
+        raise ValueError("column %d has %d entries, not %d" % (j, len(cols[j]), nrows))
+    return cols
+
+
+def _column_rows(cols, nrows):
+    """The rows of the matrix with the given columns, each of length nrows."""
+    return tuple(zip(*cols)) if cols else ((),) * nrows
 
 
 class IntMatrix:
@@ -41,19 +87,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "rows", "_sparse")
 
     def __init__(self, rows, ncols=None):
-        out = []
-        for i, r in enumerate(rows):
-            r = tuple(r)
-            if set(map(type, r)) - _INT:
-                # convert, and reject what int() would truncate
-                t = tuple(map(int, r))
-                if t != r:
-                    j = next(j for j, (a, b) in enumerate(zip(t, r)) if a != b)
-                    raise ValueError("non-integral entry %r at row %d, column %d"
-                                     % (r[j], i, j))
-                r = t
-            out.append(r)
-        self.rows = rows = tuple(out)
+        self.rows = rows = _int_rows(rows)
         self.nrows = len(rows)
         self._sparse = None
         if rows:
@@ -68,27 +102,40 @@ class IntMatrix:
             self.ncols = ncols
 
     @classmethod
+    def _trusted(cls, rows, ncols):
+        """A matrix from a tuple of equal-length tuples of ints, unchecked:
+        for results this module computes from matrices already checked."""
+        M = object.__new__(cls)
+        M.rows = rows
+        M.nrows = len(rows)
+        M.ncols = ncols
+        M._sparse = None
+        return M
+
+    @classmethod
     def zeros(cls, m, n):
-        return cls(tuple((0,) * n for _ in range(m)), ncols=n)
+        return cls._trusted(tuple((0,) * n for _ in range(m)), n)
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), ncols=n)
+        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                  for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, cols, nrows):
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)), ncols=len(cols))
+        cols = _int_columns(cols, nrows)
+        return cls._trusted(_column_rows(cols, nrows), len(cols))
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 
     def transpose(self):
         # a 0 x n matrix has n empty columns, which become n empty rows
-        return IntMatrix(tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols,
-                         ncols=self.nrows)
+        return IntMatrix._trusted(tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols,
+                                  self.nrows)
 
     def __mul__(self, other):
         if self.ncols != other.nrows:
@@ -105,7 +152,7 @@ class IntMatrix:
                     for j in range(ocols):
                         acc[j] += a * rk[j]
             out.append(tuple(acc))
-        return IntMatrix(tuple(out), ncols=ocols)
+        return IntMatrix._trusted(tuple(out), ocols)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.nrows == other.nrows
@@ -121,8 +168,8 @@ class IntMatrix:
         return all(x == 0 for r in self.rows for x in r)
 
     def submatrix(self, rows, cols):
-        return IntMatrix(tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
-                         ncols=len(cols))
+        return IntMatrix._trusted(tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
+                                  len(cols))
 
     def apply(self, vec):
         """Matrix times integer vector, returned as a tuple."""
@@ -213,7 +260,8 @@ def hnf_row(M: IntMatrix):
     h = [list(r) for r in M.rows]
     u = [list(r) for r in IntMatrix.identity(M.nrows).rows]
     _hnf_rows_inplace(h, u)
-    return IntMatrix(h, ncols=M.ncols), IntMatrix(u, ncols=M.nrows)
+    return (IntMatrix._trusted(tuple(map(tuple, h)), M.ncols),
+            IntMatrix._trusted(tuple(map(tuple, u)), M.nrows))
 
 
 def basis_completion(cols, dim):
@@ -267,9 +315,14 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     Pivots: each step takes a unit entry (+-1) of least Markowitz cost
     len(row) * len(col) from a lazy min-heap, which fill-in feeds as it
     creates new units, so no step rescans the matrix; a unit pivot retires
-    its row and column (a coreduction).  Only when no unit is left does a
-    scan pick the entry of least |value|.  The invariant factors do not
-    depend on the pivot order, so this choice moves the cost, not the result.
+    its row and column (a coreduction).  When no unit is left, the entry of
+    least (|value|, cost) comes from a second lazy heap, built at the first
+    such step from every entry and fed by every entry set after it, so a
+    matrix that always has a unit never builds it.  Each entry keeps a record
+    of its current |value|, so the pivot has the least |value| left, and the
+    remainders of a step that does not retire it are smaller still.  The
+    invariant factors do not depend on the pivot order, so this choice moves
+    the cost, not the result.
     """
     rows, cols = {}, {}
     for i, r in entries_by_row.items():
@@ -286,6 +339,7 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     heap = [(len(r) * len(cols[j]), i, j)
             for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1]
     heapify(heap)
+    scan = None             # (|value|, cost, i, j), once no unit is left
     units = 0
     others = []
 
@@ -308,6 +362,8 @@ def smith_diagonal(entries_by_row, nrows, ncols):
             c.add(i)
             if v == 1 or v == -1:
                 heappush(heap, (len(r) * len(c), i, j))
+            elif scan is not None:
+                heappush(scan, (abs(v), len(r) * len(c), i, j))
 
     def row_op(i, i0, q):
         """row i -= q * row i0"""
@@ -333,6 +389,19 @@ def smith_diagonal(entries_by_row, nrows, ncols):
             return i, j
         return None
 
+    def least_pivot():
+        """The entry of least (|value|, current cost); costs may be stale."""
+        while True:
+            a, cost, i, j = heappop(scan)
+            v = rows.get(i, {}).get(j)
+            if v is None or abs(v) != a:
+                continue  # gone, or changed since it was pushed
+            now = len(rows[i]) * len(cols[j])
+            if now > cost:
+                heappush(scan, (a, now, i, j))
+                continue
+            return i, j
+
     while rows:
         piv = unit_pivot()
         if piv is not None:
@@ -348,12 +417,11 @@ def smith_diagonal(entries_by_row, nrows, ncols):
                 drop(i0, j)
             units += 1
             continue
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                cost = (abs(v), len(r) * len(cols[j]))
-                if best is None or cost < best:
-                    best, i0, j0 = cost, i, j
+        if scan is None:
+            scan = [(abs(v), len(r) * len(cols[j]), i, j)
+                    for i, r in rows.items() for j, v in r.items()]
+            heapify(scan)
+        i0, j0 = least_pivot()
         p = rows[i0][j0]
         # reduce the pivot's row and column modulo p
         for i in list(cols[j0]):
@@ -368,7 +436,9 @@ def smith_diagonal(entries_by_row, nrows, ncols):
                     col_op(j, j0, q)
         dirty = any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0])
         if dirty:
-            continue  # remainders are smaller than |p|; re-pivot
+            # remainders are smaller than |p|; re-pivot, keeping p's record
+            heappush(scan, (abs(p), len(rows[i0]) * len(cols[j0]), i0, j0))
+            continue
         drop(i0, j0)
         others.append(abs(p))
     # a 1 divides everything, so only the other factors need the pass
@@ -388,11 +458,15 @@ class LatticeSubspace:
 
     @classmethod
     def from_columns(cls, cols, ambient):
+        """The sublattice the columns span.  A non-integral entry raises
+        ValueError naming its row (coordinate) and column (generator), and
+        so does a column whose length is not `ambient`."""
         # row HNF of the generators as rows is the transposed column HNF; no
         # transform is needed, so none is built
-        h = [list(c) for c in cols]
+        h = [list(c) for c in _int_columns(cols, ambient)]
         _hnf_rows_inplace(h)
-        return cls(ambient, IntMatrix.from_columns([r for r in h if any(r)], ambient))
+        cols = [r for r in h if any(r)]
+        return cls(ambient, IntMatrix._trusted(_column_rows(cols, ambient), len(cols)))
 
     @classmethod
     def zero(cls, ambient):
@@ -465,7 +539,7 @@ def back_substitute(pivots, ncols, B: IntMatrix):
         if any(r):
             return None
         xcols.append(y)
-    return IntMatrix.from_columns(xcols, ncols)
+    return IntMatrix._trusted(_column_rows(xcols, ncols), len(xcols))
 
 
 def solve_int(A: IntMatrix, B: IntMatrix):
@@ -516,10 +590,14 @@ def det(M: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = M.nrows
+    return _bareiss([list(r) for r in M.rows])
+
+
+def _bareiss(a):
+    """Determinant of the square list-of-lists a, which it overwrites."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(r) for r in M.rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -550,15 +628,15 @@ def exterior_power(M: IntMatrix, p: int) -> IntMatrix:
     so p == 0 gives the 1x1 identity and p past a side gives an empty side;
     p < 0 gives the 0x0 matrix.
     """
-    k, l = M.nrows, M.ncols
     if p < 0:
-        return IntMatrix((), ncols=0)
-    row_sets = list(combinations(range(k), p))
-    col_sets = list(combinations(range(l), p))
-    out = []
-    for I in row_sets:
-        out.append(tuple(det(M.submatrix(I, J)) for J in col_sets))
-    return IntMatrix(tuple(out), ncols=len(col_sets))
+        return IntMatrix._trusted((), 0)
+    if p == 1:
+        return M  # the 1 x 1 minors are the entries
+    rows = M.rows
+    col_sets = list(combinations(range(M.ncols), p))
+    out = tuple(tuple(_bareiss([[rows[i][j] for j in J] for i in I]) for J in col_sets)
+                for I in combinations(range(M.nrows), p))
+    return IntMatrix._trusted(out, len(col_sets))
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix):

@@ -6,14 +6,17 @@ instead: cells are keyed by (sed, geometry key), same-stratum incidences are
 found by a containment scan over every pair of cells, and cross-stratum ones
 are certified by projection.  The refinements by hyperplanes and the coarse
 toric structure live here too, since the tests are their only callers and a
-refined cell is no longer an (eta, F) pair.  So does the all-cofaces
-reference for the compactness flag.
+refined cell is no longer an (eta, F) pair.  So do the all-cofaces
+reference for the compactness flag and the full-star reference for the
+multi-tangent cosheaf.
 """
 
 from fractions import Fraction
+from math import comb
 
 from trophom.complexes import Cell, CellComplex, HypersurfacePair
-from trophom.exactla import LatticeSubspace
+from trophom.cosheaf import Cosheaf, CosheafError
+from trophom.exactla import LatticeSubspace, back_substitute, exterior_power, hnf_pivots
 from trophom.polyhedra import QPolyhedron, cone_covered_by
 from trophom.toric import ToricVariety
 
@@ -176,3 +179,56 @@ def slice_pair(pair: HypersurfacePair, slices) -> HypersurfacePair:
     embed = {c.index: Yref.by_key[(c.sed, c.geom.geometry_key())] for c in X.cells}
     return HypersurfacePair(pair.f, pair.Y, pair.subdivision, pair.newton,
                             X, Yref, embed, pair.face_points)
+
+
+def _same_stratum_star(Z):
+    """For each cell, the cells of the same stratum whose closure contains it."""
+    star = {i: {i} for i in range(len(Z.cells))}
+    for s in range(len(Z.cells)):
+        for t in Z.closure(s):
+            star[t].add(s)
+    out = {}
+    for i, members in star.items():
+        sed = Z.cells[i].sed
+        out[i] = [j for j in members if Z.cells[j].sed == sed]
+    return out
+
+
+def multitangent(Z, p):
+    """The integral p-multi-tangent cosheaf by its definition: the reference
+    for `trophom.cosheaf.multitangent`, which sums over the maximal cells of
+    each star only.  The stalk at a cell is the verbatim sum of the p-th
+    wedges of the tangent lattices of every same-stratum cell whose closure
+    contains it, found by walking the closure of every cell; every incidence
+    map is back-substituted, and F_0 is built like any other p."""
+    Y = Z.Y
+    star = _same_stratum_star(Z)
+    wedges = [exterior_power(c.tangent.basis, p).columns() for c in Z.cells]
+    ranks, bases = [], []
+    for i, c in enumerate(Z.cells):
+        gens = []
+        for j in star[i]:
+            gens += wedges[j]
+        total = LatticeSubspace.from_columns(gens, comb(Y.stratum_dim(c.sed), p))
+        ranks.append(total.rank)
+        bases.append(total.basis)
+    pivots = {}
+    wedge_projection = {}
+    maps = {}
+    for t, s in Z.incidence:
+        tau, sig = Z.cells[t], Z.cells[s]
+        image = bases[s]
+        if tau.sed != sig.sed:
+            key = (sig.sed, tau.sed)
+            if key not in wedge_projection:
+                wedge_projection[key] = exterior_power(Y.projection(*key), p)
+            image = wedge_projection[key] * image
+        if t not in pivots:
+            pivots[t] = hnf_pivots(bases[t])
+        A = back_substitute(pivots[t], ranks[t], image)
+        if A is None:
+            raise CosheafError(
+                "incidence image does not land in the target stalk "
+                "(cells %d -> %d, p=%d)" % (s, t, p))
+        maps[(t, s)] = A
+    return Cosheaf(Z, p, ranks, bases, maps)

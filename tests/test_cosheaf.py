@@ -3,11 +3,19 @@ from math import comb
 
 import pytest
 
-from test_complexes import HALF_TORIC_FAN, TP3_BLOWUP_FAN, quadric_poly
-from trophom import complexes, exactla, polyhedra, toric
+import geometric_reference as reference
+from test_complexes import (
+    COMPACTNESS_FANS,
+    HALF_TORIC_FAN,
+    LP_FIXTURES,
+    TP3_BLOWUP_FAN,
+    _random_quadric,
+    quadric_poly,
+)
+from trophom import complexes, cosheaf, exactla, polyhedra, toric
 from trophom.complexes import build_pair, is_nonsingular
 from trophom.cosheaf import CosheafError, ambient_on_cells, multitangent
-from trophom.exactla import LatticeSubspace, exterior_power
+from trophom.exactla import IntMatrix, LatticeSubspace, exterior_power, smith_diagonal
 from trophom.tropio import load_fan, newton_polytope, normal_fan, parse_polynomial
 
 
@@ -129,6 +137,77 @@ def test_maps_carry_each_stalk_basis_into_the_next(pair):
 
 
 # ---------------------------------------------------------------------------
+# the maximal-cell rule against the full-star definition
+
+def assert_matches_full_star(Z, top):
+    """Ranks, bases and maps of F_0 ... F_top equal the full-star reference's.
+    Returns the number of stalks that are not saturated."""
+    unsaturated = 0
+    for p in range(top + 1):
+        got, want = multitangent(Z, p), reference.multitangent(Z, p)
+        assert got.ranks == want.ranks, p
+        assert got.bases == want.bases, p
+        assert got.maps == want.maps, p
+        for B in got.bases:
+            unsaturated += smith_diagonal(B.sparse_rows(), B.nrows, B.ncols) != [1] * B.ncols
+    return unsaturated
+
+
+def test_matches_full_star_reference(pair):
+    assert assert_matches_full_star(pair.X, pair.Y.dim - 1) == 0
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_matches_full_star_reference_on_fixtures(name):
+    """X for every p it has, and Yref, whose stalks are whole wedge spaces."""
+    pair = LP_FIXTURES[name]()
+    assert_matches_full_star(pair.X, pair.Y.dim)
+    assert_matches_full_star(pair.Yref, pair.Y.dim)
+
+
+def test_matches_full_star_reference_random():
+    """Random quadrics, mostly singular, on every fan of the compactness
+    check."""
+    for text in COMPACTNESS_FANS.values():
+        for seed in range(3):
+            pair = build_pair(_random_quadric(seed), load_fan(text))
+            assert_matches_full_star(pair.X, pair.Y.dim - 1)
+
+
+def test_matches_full_star_reference_unsaturated():
+    """Singular inputs whose stalks the verbatim sum leaves unsaturated, so
+    the maximal-cell rule must reproduce the sum, not its saturation.
+    - The triangle conv{0, (1, 2), (2, 1)} has no interior subdivision, so X
+      is a tropical line whose primitive edge directions (1, -2), (2, -1) and
+      (1, 1) span a sublattice of index 3: F_1 at the vertex.
+    - The tetrahedron conv{0, e1, e2, (1, 1, 2)} likewise: the wedges of the
+      six 2-cells at the vertex are the edge vectors of the tetrahedron up to
+      the Hodge star, and they span the index-2 sublattice of even last
+      coordinate: F_2 at the vertex."""
+    pair = LP_FIXTURES["triangle-one-cone"]()
+    assert not is_nonsingular(pair)
+    assert assert_matches_full_star(pair.X, pair.Y.dim - 1) >= 1
+    pair = build_pair(parse_polynomial("max(0, x1, x2, x1 + x2 + 2*x3)"), load_fan("dim 3\n"))
+    assert not is_nonsingular(pair)
+    assert assert_matches_full_star(pair.X, pair.Y.dim - 1) >= 1
+
+
+def test_equal_rank_stalks_of_different_lattices():
+    """A region of Yref for the line in TP^2 given the index-2 tangent
+    lattice 2Z x Z: its F_1 stalk and that of an edge in its closure have
+    equal rank, but the edge's is Z^2, so the map between them is no
+    identity.  Every stalk and map still equals the full-star reference."""
+    pair = _normal(parse_polynomial("max(0, x1, x2)"))
+    Z = pair.Yref
+    region = next(c for c in Z.cells if c.dim == 2 and c.sed == pair.Y.apex)
+    region.tangent = LatticeSubspace.from_columns([(2, 0), (0, 1)], 2)
+    F, want = multitangent(Z, 1), reference.multitangent(Z, 1)
+    assert (F.ranks, F.bases, F.maps) == (want.ranks, want.bases, want.maps)
+    assert any(s == region.index and F.ranks[t] == F.ranks[s] and F.bases[t] != F.bases[s]
+               for t, s in Z.incidence)
+
+
+# ---------------------------------------------------------------------------
 # a stalk the incidence images leave
 
 def _doubled(u):
@@ -159,6 +238,9 @@ def test_image_outside_target_stalk_raises(corrupt):
         multitangent(X, 1)
     s = int(str(err.value).split("cells ")[1].split(" ->")[0])
     assert (tau.index, s) in X.incidence and X.cells[s].sed == Y.apex
+    with pytest.raises(CosheafError) as ref:
+        reference.multitangent(X, 1)
+    assert str(ref.value) == str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +256,12 @@ def test_no_redundant_exact_work(monkeypatch):
     flags cost no `cone_covered_by` and no double description either.  On
     the half-toric fan only the unbounded cells whose closure reaches the
     boundary ask `cone_covered_by`, and every cell's `recession` is read
-    off its own data."""
+    off its own data.
+
+    The cosheaves take no wedge or lattice sum for F_0, which is constant;
+    for p >= 1 one wedge per cell that is maximal in its stratum and one per
+    pair of strata an incidence crosses; and the ambient cosheaf builds one
+    identity per rank, not one per cell."""
     calls = Counter()
 
     def count(module, name):
@@ -191,6 +278,15 @@ def test_no_redundant_exact_work(monkeypatch):
     count(polyhedra.QPolyhedron, "linear_image")
     count(complexes, "dual_cell_geometry")
     count(toric, "cone_covered_by")
+    count(cosheaf, "exterior_power")
+    for cls, name in ((LatticeSubspace, "from_columns"), (IntMatrix, "identity")):
+        real = getattr(cls, name)
+
+        def counted(_cls, *args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, classmethod(counted))
     f = quadric_poly()
     fan = normal_fan(newton_polytope(f))
     before = calls["dd_cone"]
@@ -202,10 +298,24 @@ def test_no_redundant_exact_work(monkeypatch):
     assert calls["linear_image"] == 0
     assert calls["hnf"] > 0  # the build's tangent lattices pass the counter
     before = calls["hnf"]
-    for p in range(pair.Y.dim):
-        multitangent(pair.X, p)
-    for p in range(pair.Y.dim + 1):
-        ambient_on_cells(pair.Yref, p)
+    X, Y = pair.X, pair.Y
+    for name in ("exterior_power", "from_columns"):
+        calls[name] = 0
+    multitangent(X, 0)
+    assert calls["exterior_power"] == calls["from_columns"] == 0
+    same = {t for t, s in X.incidence if X.cells[t].sed == X.cells[s].sed}
+    maximal = len(X.cells) - len(same)
+    crossings = len({(X.cells[s].sed, X.cells[t].sed) for t, s in X.incidence
+                     if X.cells[t].sed != X.cells[s].sed})
+    assert maximal < len(X.cells) and crossings > 0
+    for p in range(1, Y.dim):
+        calls["exterior_power"] = 0
+        multitangent(X, p)
+        assert calls["exterior_power"] == maximal + crossings, p
+    for p in range(Y.dim + 1):
+        calls["identity"] = 0
+        F = ambient_on_cells(pair.Yref, p)
+        assert calls["identity"] == len(set(F.ranks)) < len(F.ranks), p
     assert calls["hnf"] == before
 
     before = calls["dd_cone"]

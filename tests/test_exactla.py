@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from heapq import heapify
 from itertools import combinations, product
 from math import gcd
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trophom import exactla
 from trophom.exactla import (
     IntMatrix,
     LatticeSubspace,
@@ -21,6 +24,7 @@ from trophom.exactla import (
     lattice_sum,
     primitive_vector,
     rref,
+    hnf_row,
     smith_diagonal,
     solve_int,
     solve_rational,
@@ -52,6 +56,53 @@ class TestIntMatrix:
         A = IntMatrix([[Fraction(4, 2), 3.0, True], (x for x in (-1, 0, 7))])
         assert A.rows == ((2, 3, 1), (-1, 0, 7))
         assert all(type(x) is int for r in A.rows for x in r)
+
+    def test_public_column_constructors_reject_non_integral_entries(self):
+        """Both name the entry by row (coordinate) and column (generator),
+        and name a column whose length is not the row count."""
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at row 1, column 0"):
+            IntMatrix.from_columns([(1, Fraction(1, 2)), (0, 1)], 2)
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at row 0, column 1"):
+            LatticeSubspace.from_columns([(0, 1), (Fraction(1, 2), 3)], 2)
+        with pytest.raises(ValueError, match="2.5 at row 2, column 0"):
+            LatticeSubspace.from_columns([(1, 2, 2.5)], 3)
+        for build in (IntMatrix.from_columns, LatticeSubspace.from_columns):
+            with pytest.raises(ValueError, match="column 1 has 3 entries, not 2"):
+                build([(1, 0), (0, 1, 0)], 2)
+            with pytest.raises(ValueError, match="column 0 has 1 entries, not 2"):
+                build([(1,)], 2)
+        L = LatticeSubspace.from_columns([(Fraction(4, 2), 0), (0, True)], 2)
+        assert L.basis == IntMatrix([[2, 0], [0, 1]])
+        assert all(type(x) is int for r in L.basis.rows for x in r)
+
+    def test_internal_results_are_plain_ints(self):
+        """What the module computes from checked matrices skips the check, so
+        each result must hold tuples of plain ints equal to a checked copy:
+        seeded random matrices, some given through integral Fractions, floats
+        and bools, which the checked constructor converts."""
+        rng = random.Random(17)
+        entries = (-3, -1, 0, 0, 1, 2, 5, Fraction(4, 2), -2.0, True)
+
+        def checked(R):
+            assert type(R.rows) is tuple and len(R.rows) == R.nrows
+            assert all(type(r) is tuple and len(r) == R.ncols for r in R.rows)
+            assert all(type(x) is int for r in R.rows for x in r)
+            assert R == IntMatrix(R.rows, ncols=R.ncols)
+
+        for _ in range(60):
+            m, n, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+            A = IntMatrix([[rng.choice(entries) for _ in range(n)] for _ in range(m)], ncols=n)
+            B = IntMatrix([[rng.choice(entries) for _ in range(k)] for _ in range(n)], ncols=k)
+            H, V = hnf(A)
+            results = [IntMatrix.identity(m), IntMatrix.zeros(m, n), A.transpose(), A * B,
+                       A.submatrix(range(m // 2, m), range(n - 1, -1, -1)),
+                       *hnf_row(A), H, V,
+                       back_substitute(hnf_pivots(H), n, A),
+                       LatticeSubspace.from_columns(A.columns(), m).basis,
+                       kernel_lattice(A).basis]
+            results += [exterior_power(A, p) for p in range(-1, 4)]
+            for R in results:
+                checked(R)
 
 
     @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (2, 3)])
@@ -242,6 +293,37 @@ class TestSNF:
 
     def test_explicit_zero_entries_ignored(self):
         assert smith_diagonal({0: {0: 0, 1: 2}, 1: {0: 3, 1: 0}}, 2, 2) == [1, 6]
+
+    @pytest.mark.parametrize("size", (3, 4, 5))
+    def test_doubled_torus_boundary(self, size, monkeypatch):
+        """2 * d2 of a triangulated size x size grid torus has no unit entry,
+        so every pivot comes from the (|value|, cost) heap: its diagonal is
+        2 for each of the 2 * size^2 - 1 independent triangles, as the full
+        scan finds.  d2 itself always has a unit, and never builds that
+        heap: one heapify, against two for the doubled matrix."""
+        heaps = Counter()
+
+        def counted(h):
+            heaps["heapify"] += 1
+            heapify(h)
+
+        monkeypatch.setattr(exactla, "heapify", counted)
+        n = size
+
+        def v(i, j):
+            return (i % n) * n + j % n
+
+        tris = sorted({tuple(sorted(t)) for i in range(n) for j in range(n)
+                       for t in ((v(i, j), v(i, j + 1), v(i + 1, j + 1)),
+                                 (v(i, j), v(i + 1, j), v(i + 1, j + 1)))})
+        edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))})
+        _, d2 = boundaries(n * n, edges, tris)
+        assert smith_diagonal(sparse(d2), d2.nrows, d2.ncols) == [1] * (2 * n * n - 1)
+        assert heaps["heapify"] == 1
+        doubled = {i: {j: 2 * x for j, x in r.items()} for i, r in sparse(d2).items()}
+        got = smith_diagonal(doubled, d2.nrows, d2.ncols)
+        assert heaps["heapify"] == 3
+        assert got == full_scan_smith_diagonal(doubled) == [2] * (2 * n * n - 1)
 
 
 class TestBasisCompletion:
