@@ -9,10 +9,9 @@ composable pair of integer matrices), Bareiss elimination for determinants
 row echelon form.
 
 The Smith diagonal pivots on unit entries of least Markowitz cost
-len(row) * len(col), drawn from a heap that fill-in keeps fed, and only when
-no unit is left on the entry of least |value| from a second heap, built at
-that point.  Invariant factors do not depend on the pivot order, so the order
-sets the cost and never the answer.
+len(row) * len(col), drawn from a heap that fill-in keeps fed, and scans for
+the least |value| only when no unit is left.  Invariant factors do not depend
+on the pivot order, so the order sets the cost and never the answer.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
@@ -40,13 +39,17 @@ from math import gcd, lcm
 _INT = {int}
 
 
-def _int_rows(rows, transposed=False):
+def _all_ints(rows):
+    """Whether every entry of these tuples is an int: checked row by row,
+    with no Python-level loop."""
+    return all(map(_INT.issuperset, map(map, repeat(type), rows)))
+
+
+def _int_rows(rows):
     """The rows as a tuple of tuples of ints.  An entry equal to an int is
-    converted; any other raises ValueError naming its row and column, read
-    the other way round when `transposed` (the rows are a matrix's columns)."""
+    converted; any other raises ValueError naming its row and column."""
     rows = tuple(map(tuple, rows))
-    # all ints, checked row by row with no Python-level loop
-    if all(map(_INT.issuperset, map(map, repeat(type), rows))):
+    if _all_ints(rows):
         return rows
     out = []
     for i, r in enumerate(rows):
@@ -55,21 +58,10 @@ def _int_rows(rows, transposed=False):
             t = tuple(map(int, r))
             if t != r:
                 j = next(j for j, (a, b) in enumerate(zip(t, r)) if a != b)
-                raise ValueError("non-integral entry %r at row %d, column %d"
-                                 % ((r[j],) + ((j, i) if transposed else (i, j))))
+                raise ValueError("non-integral entry %r at row %d, column %d" % (r[j], i, j))
             r = t
         out.append(r)
     return tuple(out)
-
-
-def _int_columns(cols, nrows):
-    """The columns as tuples of ints, as `_int_rows` checks them, each of
-    length nrows; a column of another length raises ValueError naming it."""
-    cols = _int_rows(cols, transposed=True)
-    if set(map(len, cols)) - {nrows}:
-        j = next(j for j, c in enumerate(cols) if len(c) != nrows)
-        raise ValueError("column %d has %d entries, not %d" % (j, len(cols[j]), nrows))
-    return cols
 
 
 def _column_rows(cols, nrows):
@@ -123,8 +115,14 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols, nrows):
-        cols = _int_columns(cols, nrows)
-        return cls._trusted(_column_rows(cols, nrows), len(cols))
+        """The matrix with these columns, its entries checked as by
+        `IntMatrix(...)`; a column of length other than nrows raises
+        ValueError naming it."""
+        cols = tuple(map(tuple, cols))
+        if set(map(len, cols)) - {nrows}:
+            j = next(j for j, c in enumerate(cols) if len(c) != nrows)
+            raise ValueError("column %d has %d entries, not %d" % (j, len(cols[j]), nrows))
+        return cls(_column_rows(cols, nrows), len(cols))
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
@@ -315,14 +313,9 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     Pivots: each step takes a unit entry (+-1) of least Markowitz cost
     len(row) * len(col) from a lazy min-heap, which fill-in feeds as it
     creates new units, so no step rescans the matrix; a unit pivot retires
-    its row and column (a coreduction).  When no unit is left, the entry of
-    least (|value|, cost) comes from a second lazy heap, built at the first
-    such step from every entry and fed by every entry set after it, so a
-    matrix that always has a unit never builds it.  Each entry keeps a record
-    of its current |value|, so the pivot has the least |value| left, and the
-    remainders of a step that does not retire it are smaller still.  The
-    invariant factors do not depend on the pivot order, so this choice moves
-    the cost, not the result.
+    its row and column (a coreduction).  Only when no unit is left does a
+    scan pick the entry of least |value|.  The invariant factors do not
+    depend on the pivot order, so this choice moves the cost, not the result.
     """
     rows, cols = {}, {}
     for i, r in entries_by_row.items():
@@ -339,7 +332,6 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     heap = [(len(r) * len(cols[j]), i, j)
             for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1]
     heapify(heap)
-    scan = None             # (|value|, cost, i, j), once no unit is left
     units = 0
     others = []
 
@@ -362,8 +354,6 @@ def smith_diagonal(entries_by_row, nrows, ncols):
             c.add(i)
             if v == 1 or v == -1:
                 heappush(heap, (len(r) * len(c), i, j))
-            elif scan is not None:
-                heappush(scan, (abs(v), len(r) * len(c), i, j))
 
     def row_op(i, i0, q):
         """row i -= q * row i0"""
@@ -389,19 +379,6 @@ def smith_diagonal(entries_by_row, nrows, ncols):
             return i, j
         return None
 
-    def least_pivot():
-        """The entry of least (|value|, current cost); costs may be stale."""
-        while True:
-            a, cost, i, j = heappop(scan)
-            v = rows.get(i, {}).get(j)
-            if v is None or abs(v) != a:
-                continue  # gone, or changed since it was pushed
-            now = len(rows[i]) * len(cols[j])
-            if now > cost:
-                heappush(scan, (a, now, i, j))
-                continue
-            return i, j
-
     while rows:
         piv = unit_pivot()
         if piv is not None:
@@ -417,11 +394,12 @@ def smith_diagonal(entries_by_row, nrows, ncols):
                 drop(i0, j)
             units += 1
             continue
-        if scan is None:
-            scan = [(abs(v), len(r) * len(cols[j]), i, j)
-                    for i, r in rows.items() for j, v in r.items()]
-            heapify(scan)
-        i0, j0 = least_pivot()
+        best = None
+        for i, r in rows.items():
+            for j, v in r.items():
+                cost = (abs(v), len(r) * len(cols[j]))
+                if best is None or cost < best:
+                    best, i0, j0 = cost, i, j
         p = rows[i0][j0]
         # reduce the pivot's row and column modulo p
         for i in list(cols[j0]):
@@ -436,9 +414,7 @@ def smith_diagonal(entries_by_row, nrows, ncols):
                     col_op(j, j0, q)
         dirty = any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0])
         if dirty:
-            # remainders are smaller than |p|; re-pivot, keeping p's record
-            heappush(scan, (abs(p), len(rows[i0]) * len(cols[j0]), i0, j0))
-            continue
+            continue  # remainders are smaller than |p|; re-pivot
         drop(i0, j0)
         others.append(abs(p))
     # a 1 divides everything, so only the other factors need the pass
@@ -463,7 +439,12 @@ class LatticeSubspace:
         so does a column whose length is not `ambient`."""
         # row HNF of the generators as rows is the transposed column HNF; no
         # transform is needed, so none is built
-        h = [list(c) for c in _int_columns(cols, ambient)]
+        cols = tuple(map(tuple, cols))
+        if set(map(len, cols)) - {ambient} or not _all_ints(cols):
+            # the checked IntMatrix.from_columns converts, or names the bad
+            # column or entry
+            cols = IntMatrix.from_columns(cols, ambient).columns()
+        h = [list(c) for c in cols]
         _hnf_rows_inplace(h)
         cols = [r for r in h if any(r)]
         return cls(ambient, IntMatrix._trusted(_column_rows(cols, ambient), len(cols)))

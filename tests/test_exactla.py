@@ -1,7 +1,5 @@
 import random
-from collections import Counter
 from fractions import Fraction
-from heapq import heapify
 from itertools import combinations, product
 from math import gcd
 
@@ -9,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trophom import exactla
 from trophom.exactla import (
     IntMatrix,
     LatticeSubspace,
@@ -295,19 +292,11 @@ class TestSNF:
         assert smith_diagonal({0: {0: 0, 1: 2}, 1: {0: 3, 1: 0}}, 2, 2) == [1, 6]
 
     @pytest.mark.parametrize("size", (3, 4, 5))
-    def test_doubled_torus_boundary(self, size, monkeypatch):
+    def test_doubled_torus_boundary(self, size):
         """2 * d2 of a triangulated size x size grid torus has no unit entry,
-        so every pivot comes from the (|value|, cost) heap: its diagonal is
-        2 for each of the 2 * size^2 - 1 independent triangles, as the full
-        scan finds.  d2 itself always has a unit, and never builds that
-        heap: one heapify, against two for the doubled matrix."""
-        heaps = Counter()
-
-        def counted(h):
-            heaps["heapify"] += 1
-            heapify(h)
-
-        monkeypatch.setattr(exactla, "heapify", counted)
+        so every pivot comes from the least-|value| scan: its diagonal is 2
+        for each of the 2 * size^2 - 1 independent triangles, as the full
+        scan reference finds."""
         n = size
 
         def v(i, j):
@@ -319,10 +308,8 @@ class TestSNF:
         edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))})
         _, d2 = boundaries(n * n, edges, tris)
         assert smith_diagonal(sparse(d2), d2.nrows, d2.ncols) == [1] * (2 * n * n - 1)
-        assert heaps["heapify"] == 1
         doubled = {i: {j: 2 * x for j, x in r.items()} for i, r in sparse(d2).items()}
         got = smith_diagonal(doubled, d2.nrows, d2.ncols)
-        assert heaps["heapify"] == 3
         assert got == full_scan_smith_diagonal(doubled) == [2] * (2 * n * n - 1)
 
 
