@@ -29,6 +29,8 @@ from .exactla import (
 )
 from .polyhedra import (
     QPolyhedron,
+    _canonical_equations,
+    _dot,
     hrep_from_generators,
     is_unimodular_simplex,
     regular_subdivision,
@@ -155,14 +157,10 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     P = newton.poly
     pts = [f.terms[i][0] for i in face]
     rays = sorted(a for a, b in P.facets
-                  if all(sum(x * y for x, y in zip(a, p)) == b for p in pts))
+                  if all(_dot(a, p) == b for p in pts))
     lins = [a for a, b in P.equations]
     facets, eqs = hrep_from_generators(verts, rays, lins, P.dim)
     return QPolyhedron(P.dim, verts, rays, lins, facets, eqs)
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
@@ -185,7 +183,13 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     - equations: the terms of F tie;
     - facets: one per face F' of S covering F inside G, where one more term
       b in F' - F ties.
-    The per-stratum data is computed once for all the pieces.
+    The per-stratum data is computed once for all the pieces, its vertices
+    and rays sorted once, so that each piece of a stratum without lineality
+    is built canonical by `QPolyhedron._trusted`: its vertices and rays are
+    sorted subsequences, its facets are sorted, and its equations are put
+    into canonical form once.  A stratum with lineality keeps the checked
+    constructor, which reads the lineality's saturated lattice off the
+    facets and equations.
     """
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
@@ -208,6 +212,9 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
         if on and on not in walls and \
                 LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:
             walls[on] = primitive_vector(proj.apply(a))
+    # sorted once, so each piece's vertices and rays come out sorted
+    vertex_of = sorted(vertex_of.items(), key=lambda item: item[1])
+    walls = sorted(walls.items(), key=lambda item: item[1])
     pieces = {}
     for F in S.faces:
         if not F <= G:
@@ -218,13 +225,16 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
         def tie(b):
             return (tuple(x - y for x, y in zip(w[b], w[a0])), c0 - f.terms[b][1])
 
-        pieces[F] = QPolyhedron(
-            k,
-            [v for cell, v in vertex_of.items() if F <= cell],
-            [r for on, r in walls.items() if F <= on],
-            lin,
-            [tie(min(C - F)) for C in S.covered_by[F] if C <= G],
-            [tie(b) for b in sorted(F) if b != a0])
+        verts = [v for cell, v in vertex_of if F <= cell]
+        rays = [r for on, r in walls if F <= on]
+        facets = [tie(min(C - F)) for C in S.covered_by[F] if C <= G]
+        eqs = [tie(b) for b in sorted(F) if b != a0]
+        if lin:
+            pieces[F] = QPolyhedron(k, verts, rays, lin, facets, eqs)
+        else:
+            pieces[F] = QPolyhedron._trusted(k, tuple(verts), tuple(rays), (),
+                                             tuple(sorted(facets)),
+                                             _canonical_equations(eqs, k))
     return pieces
 
 
@@ -234,7 +244,7 @@ def dual_face_points(f: TropicalPolynomial, Y: ToricVariety):
     pts = [e for e, c in f.terms]
     tops = []
     for r in Y.fan.rays:
-        vals = [sum(x * y for x, y in zip(a, r)) for a in pts]
+        vals = [_dot(a, r) for a in pts]
         top = max(vals)
         tops.append(frozenset(j for j, v in enumerate(vals) if v == top))
     out = []

@@ -5,8 +5,9 @@ sums of sublattices, completion to a basis), one back-substitution against a
 column Hermite form for every integer solve and membership test, the sparse Smith
 diagonal for invariant factors (the homology, rank plus torsion, of a
 composable pair of integer matrices), Bareiss elimination for determinants
-(exterior powers in the lexicographic wedge basis), and one rational reduced
-row echelon form.
+(exterior powers in the lexicographic wedge basis), and one fraction-free
+Gauss-Jordan elimination, which gives canonical integer equations and, by
+one division, the rational reduced row echelon form.
 
 The Smith diagonal pivots on unit entries of least Markowitz cost
 len(row) * len(col), drawn from a heap that fill-in keeps fed, and scans for
@@ -530,29 +531,57 @@ def solve_int(A: IntMatrix, B: IntMatrix):
     return None if Y is None else V * Y
 
 
+def gauss_jordan(rows, ncols):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows,
+    pivoting on the first ncols columns; columns past ncols ride along.
+
+    Returns (A, pivots, d): A holds the reduced rows as lists of ints, row k
+    with its pivot at pivots[k], alone in its column, and d is the last
+    pivot taken (1 with none).  Each step with pivot p on row r sets every
+    other row to (p * row - row[c] * A[r]) / d_prev, an exact division; by
+    induction every row of A is then d times the row that rational
+    Gauss-Jordan with unit pivots, swapping the same rows, holds (the
+    reduced row echelon form for the pivot rows), so its entries are
+    integers bounded by minors of the input and one division by d gives
+    that form.
+    """
+    A = [list(row) for row in rows]
+    pivots = []
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        top = A[r]
+        p = top[c]
+        for i, row in enumerate(A):
+            if i != r:
+                f = row[c]
+                A[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        d = p
+        pivots.append(c)
+    return A, pivots, d
+
+
 def rref(rows, ncols):
     """Rational reduced row echelon form, pivoting on the first ncols columns.
 
     Columns past ncols (an augmented right-hand side) ride along.  Returns
     (R, pivots): R holds the reduced rows as lists of Fractions, and row k
     of R has its pivot, equal to 1 and alone in its column, at pivots[k].
+    The rows are taken over a common denominator L and reduced by
+    `gauss_jordan`, which leaves d times R on the pivot rows (R's pivot rows
+    are those of the scaled rows) and d * L times R on the others; one
+    division undoes that.
     """
-    R = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
-        if sel is None:
-            continue
-        R[r], R[sel] = R[sel], R[r]
-        pv = R[r][c]
-        R[r] = [x / pv for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-    return R, pivots
+    L = lcm(*(x.denominator for row in rows for x in row))
+    A, pivots, d = gauss_jordan(
+        [[x.numerator * (L // x.denominator) for x in row] for row in rows], ncols)
+    r = len(pivots)
+    return [[Fraction(x, d if k < r else d * L) for x in row]
+            for k, row in enumerate(A)], pivots
 
 
 def solve_rational(A, b):

@@ -15,19 +15,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .exactla import (
     IntMatrix,
     LatticeSubspace,
     exterior_power,
+    gauss_jordan,
     kernel_lattice,
     primitive_vector,
-    rref,
 )
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _scaled(x):
@@ -43,27 +44,41 @@ def dd_cone(constraints, dim):
     `constraints` is a list of integer row vectors.  Returns (lineality, rays)
     as lists of primitive integer tuples; the rays are the extreme rays modulo
     the lineality space.
+
+    Each ray carries its tight set, the processed constraints it lies on, as
+    a bitmask (bit i for the i-th constraint), and the combinatorial
+    adjacency test reads these sets.  They are inherited, never recomputed
+    (Fukuda-Prodon, "Double description method revisited", 1996).  Every
+    ray r satisfies <c', r> <= 0 on each processed c', and every lineality
+    vector l satisfies <c', l> = 0:
+    - the new ray l0 of a lineality step, with <c, l0> < 0, is tight
+      exactly on every earlier constraint, since it was lineality;
+    - a ray moved by that step, r' = -a0 r + v l0 with a0 = <c, l0> < 0 and
+      v = <c, r>, has <c, r'> = 0 and <c', r'> = -a0 <c', r> on earlier c',
+      so it keeps its set and gains c (as does an unmoved ray, with v = 0);
+    - a new ray w = vp q - vq p of a pair with vp = <c, p> > 0 > vq =
+      <c, q> has <c, w> = 0, and <c', w> = vp <c', q> + |vq| <c', p> is a
+      sum of two terms <= 0, so w is tight exactly where p and q both are,
+      plus on c.
+    Primitive scaling keeps every set, since it divides by a positive gcd.
     """
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    rays = []  # list of vectors
-    processed = []
-
-    def zeroset(v):
-        return frozenset(k for k, c in enumerate(processed) if _dot(c, v) == 0)
-
-    for c in constraints:
+    rays = []       # list of vectors
+    tight = []      # the tight set of each ray, as a bitmask
+    for i, c in enumerate(constraints):
+        bit = 1 << i
         vals_lin = [_dot(c, l) for l in lin]
         if any(vals_lin):
-            k = next(i for i, v in enumerate(vals_lin) if v)
+            k = next(j for j, v in enumerate(vals_lin) if v)
             l0, a0 = lin[k], vals_lin[k]
             if a0 > 0:
                 l0 = tuple(-x for x in l0)
                 a0 = -a0
             new_lin = []
-            for i, l in enumerate(lin):
-                if i == k:
+            for j, l in enumerate(lin):
+                if j == k:
                     continue
-                v = _dot(c, l)
+                v = vals_lin[j]
                 new_lin.append(primitive_vector(tuple(a0 * x - v * y for x, y in zip(l, l0)))
                                if v else l)
             new_rays = []
@@ -74,38 +89,34 @@ def dd_cone(constraints, dim):
                 new_rays.append(r)
             new_rays.append(l0)
             lin, rays = new_lin, new_rays
-            processed.append(c)
+            tight = [z | bit for z in tight] + [bit - 1]
             continue
-        processed.append(c)
-        vals = [(_dot(c, r), r) for r in rays]
-        neg = [r for v, r in vals if v < 0]
-        zero = [r for v, r in vals if v == 0]
-        pos = [r for v, r in vals if v > 0]
-        if not pos:
-            rays = neg + zero
-            continue
-        zs = {r: zeroset(r) for r in rays}
-        combos = []
-        seen = set(neg) | set(zero)
-        for p in pos:
-            vp = _dot(c, p)
-            for q in neg:
-                common = zs[p] & zs[q]
-                adjacent = True
-                for r in rays:
-                    if r is p or r is q:
-                        continue
-                    if zs[r] >= common:
-                        adjacent = False
-                        break
-                if not adjacent:
+        vals = [_dot(c, r) for r in rays]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        zero = [j for j, v in enumerate(vals) if v == 0]
+        combos, combo_tight = [], []
+        seen = {rays[j] for j in neg + zero}
+        # adjacent rays span a 2-face mod the lineality, whose tight
+        # constraints have rank dim - len(lin) - 2: a pair with fewer in
+        # common is not adjacent, and the test below would say so too
+        least = dim - len(lin) - 2
+        for jp in (j for j, v in enumerate(vals) if v > 0):
+            p, vp, zp = rays[jp], vals[jp], tight[jp]
+            for jq in neg:
+                common = zp & tight[jq]
+                # adjacent iff no third ray is tight on all of `common`
+                if common.bit_count() < least or \
+                        any(z & common == common for j, z in enumerate(tight)
+                            if j != jp and j != jq):
                     continue
-                vq = _dot(c, q)
+                q, vq = rays[jq], vals[jq]
                 w = primitive_vector(tuple(vp * x - vq * y for x, y in zip(q, p)))
                 if w not in seen and any(w):
                     seen.add(w)
                     combos.append(w)
-        rays = neg + zero + combos
+                    combo_tight.append(common | bit)
+        rays = [rays[j] for j in neg + zero] + combos
+        tight = [tight[j] for j in neg] + [tight[j] | bit for j in zero] + combo_tight
     return lin, rays
 
 
@@ -160,15 +171,31 @@ def hrep_from_generators(points, rays, lins, dim):
 
 
 def _canonical_equations(eqs, dim):
-    """Reduced, primitive row echelon form of a system, sorted.  Primitive
-    scaling keeps each RREF pivot of 1 positive."""
-    R, pivots = rref([list(a) + [b] for a, b in eqs], dim + 1)
-    rows = (primitive_vector(row) for row in R[:len(pivots)])
-    return tuple(sorted((tuple(v[:-1]), Fraction(v[-1])) for v in rows))
+    """Reduced, primitive row echelon form of a system, sorted.  Each row is
+    taken primitive and reduced by `gauss_jordan`, which leaves every pivot
+    row d times its reduced row echelon row; that row's pivot is 1, so the
+    primitive row with the sign of d is the primitive multiple of it with a
+    positive pivot."""
+    A, pivots, d = gauss_jordan([primitive_vector(tuple(a) + (b,)) for a, b in eqs], dim + 1)
+    sign = 1 if d > 0 else -1
+    out = []
+    for row in A[:len(pivots)]:
+        g = gcd(*row) * sign
+        out.append((tuple(x // g for x in row[:-1]), Fraction(row[-1] // g)))
+    return tuple(sorted(out))
 
 
 class QPolyhedron:
-    """A rational polyhedron carrying both V- and H-representations."""
+    """A rational polyhedron carrying both V- and H-representations.
+
+    The fields are canonical: vertices, rays and facets sorted, lineality
+    as the HNF basis of its saturated lattice, equations as
+    `_canonical_equations` gives them.  `QPolyhedron(...)` and the
+    constructors that go through it (`from_generators`, `from_hrep`,
+    `cone`, `recession`, `intersect`) put every field into that form.
+    `_trusted` puts none: its caller hands over fields already canonical,
+    as `complexes.stratum_pieces` does.
+    """
 
     __slots__ = ("dim", "vertices", "rays", "lin", "facets", "equations", "_key")
 
@@ -187,6 +214,22 @@ class QPolyhedron:
             (tuple(int(x) for x in a), Fraction(b)) for a, b in facets))
         self.equations = _canonical_equations(equations, dim)
         self._key = None
+
+    @classmethod
+    def _trusted(cls, dim, vertices, rays, lin, facets, equations):
+        """A polyhedron from canonical fields, unchecked: sorted tuples of
+        Fraction vertices, of int rays and of (int normal, Fraction offset)
+        facets, the lineality's HNF basis columns, and canonical
+        equations."""
+        P = object.__new__(cls)
+        P.dim = dim
+        P.vertices = vertices
+        P.rays = rays
+        P.lin = lin
+        P.facets = facets
+        P.equations = equations
+        P._key = None
+        return P
 
     @classmethod
     def from_generators(cls, points, rays=(), lins=(), dim=None):
@@ -237,9 +280,17 @@ class QPolyhedron:
 
     def contains_polyhedron(self, other):
         """Does other lie in self?  Its vertices pass the integer membership
-        test of `contains`, its rays and lineality the recession test."""
+        test of `contains`, against every equation and facet of self read
+        once as integer rows (a, b.numerator, b.denominator); its rays and
+        lineality pass the recession test."""
+        eqs = [(a, b.numerator, b.denominator) for a, b in self.equations]
+        facets = [(a, b.numerator, b.denominator) for a, b in self.facets]
         for v in other.vertices:
-            if not self.contains(v):
+            # the vertices of a QPolyhedron are Fractions
+            D = lcm(*(x.denominator for x in v))
+            num = [x.numerator * (D // x.denominator) for x in v]
+            if any(_dot(a, num) * den != bn * D for a, bn, den in eqs) or \
+                    any(_dot(a, num) * den > bn * D for a, bn, den in facets):
                 return False
         for r in other.rays:
             if not self._contains_direction(r):
@@ -342,6 +393,9 @@ class QPolyhedron:
         if not self.equations:
             # the kernel of no equations is all of Z^dim; this skips its HNF
             return LatticeSubspace.full(self.dim)
+        if len(self.equations) == self.dim:
+            # canonical equations are independent, so a point's kernel is 0
+            return LatticeSubspace.zero(self.dim)
         A = IntMatrix([list(a) for a, b in self.equations], ncols=self.dim)
         return kernel_lattice(A)
 
@@ -586,7 +640,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     if len(heights) != len(points):
         raise ValueError("one height per point required")
     base = points[0]
-    _, pivots = rref([[x - y for x, y in zip(p, base)] for p in points], len(base))
+    _, pivots, _ = gauss_jordan([[x - y for x, y in zip(p, base)] for p in points], len(base))
     coords = [tuple(p[c] for c in pivots) for p in points]
     d = len(pivots)
     if d == 0:

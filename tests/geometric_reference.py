@@ -8,7 +8,11 @@ are certified by projection.  The refinements by hyperplanes and the coarse
 toric structure live here too, since the tests are their only callers and a
 refined cell is no longer an (eta, F) pair.  So do the all-cofaces
 reference for the compactness flag and the full-star reference for the
-multi-tangent cosheaf.
+multi-tangent cosheaf.  The exact kernels the pipeline now runs with
+less work keep their plain forms here: the double description that
+recomputes every ray's tight set at each step, the reduced row echelon form
+in Fraction arithmetic, and the stratum pieces built by the checked
+`QPolyhedron` constructor.
 """
 
 from fractions import Fraction
@@ -16,9 +20,186 @@ from math import comb
 
 from trophom.complexes import Cell, CellComplex, HypersurfacePair
 from trophom.cosheaf import Cosheaf, CosheafError
-from trophom.exactla import LatticeSubspace, back_substitute, exterior_power, hnf_pivots
+from trophom.exactla import (
+    IntMatrix,
+    LatticeSubspace,
+    back_substitute,
+    exterior_power,
+    hnf_pivots,
+    kernel_lattice,
+    primitive_vector,
+)
+from trophom import polyhedra
 from trophom.polyhedra import QPolyhedron, cone_covered_by
 from trophom.toric import ToricVariety
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def dd_cone(constraints, dim):
+    """The reference for `trophom.polyhedra.dd_cone`, with the same output in
+    the same order: the tight set of every ray is recomputed from scratch,
+    against every processed constraint, at each step that needs the
+    adjacency test, instead of being inherited."""
+    lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    processed = []
+
+    def zeroset(v):
+        return frozenset(k for k, c in enumerate(processed) if _dot(c, v) == 0)
+
+    for c in constraints:
+        vals_lin = [_dot(c, l) for l in lin]
+        if any(vals_lin):
+            k = next(i for i, v in enumerate(vals_lin) if v)
+            l0, a0 = lin[k], vals_lin[k]
+            if a0 > 0:
+                l0 = tuple(-x for x in l0)
+                a0 = -a0
+            new_lin = []
+            for i, l in enumerate(lin):
+                if i == k:
+                    continue
+                v = _dot(c, l)
+                new_lin.append(primitive_vector(tuple(a0 * x - v * y for x, y in zip(l, l0)))
+                               if v else l)
+            new_rays = []
+            for r in rays:
+                v = _dot(c, r)
+                if v:
+                    r = primitive_vector(tuple(-a0 * x + v * y for x, y in zip(r, l0)))
+                new_rays.append(r)
+            new_rays.append(l0)
+            lin, rays = new_lin, new_rays
+            processed.append(c)
+            continue
+        processed.append(c)
+        vals = [(_dot(c, r), r) for r in rays]
+        neg = [r for v, r in vals if v < 0]
+        zero = [r for v, r in vals if v == 0]
+        pos = [r for v, r in vals if v > 0]
+        if not pos:
+            rays = neg + zero
+            continue
+        zs = {r: zeroset(r) for r in rays}
+        combos = []
+        seen = set(neg) | set(zero)
+        for p in pos:
+            vp = _dot(c, p)
+            for q in neg:
+                common = zs[p] & zs[q]
+                adjacent = True
+                for r in rays:
+                    if r is p or r is q:
+                        continue
+                    if zs[r] >= common:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                vq = _dot(c, q)
+                w = primitive_vector(tuple(vp * x - vq * y for x, y in zip(q, p)))
+                if w not in seen and any(w):
+                    seen.add(w)
+                    combos.append(w)
+        rays = neg + zero + combos
+    return lin, rays
+
+
+def recorded_dd_cone_calls(run):
+    """The (constraints, dim) of every `polyhedra.dd_cone` call that `run()`
+    makes, in order."""
+    calls = []
+    real = polyhedra.dd_cone
+
+    def recording(constraints, dim):
+        calls.append((list(constraints), dim))
+        return real(constraints, dim)
+
+    polyhedra.dd_cone = recording
+    try:
+        run()
+    finally:
+        polyhedra.dd_cone = real
+    return calls
+
+
+def fraction_rref(rows, ncols):
+    """The reference for `trophom.exactla.rref`: Gauss-Jordan elimination in
+    Fraction arithmetic, each pivot row divided by its pivot."""
+    R = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if sel is None:
+            continue
+        R[r], R[sel] = R[sel], R[r]
+        pv = R[r][c]
+        R[r] = [x / pv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def canonical_equations(eqs, dim):
+    """The reference for `trophom.polyhedra._canonical_equations`: the
+    primitive multiple of each row of the Fraction reduced row echelon
+    form, sorted."""
+    R, pivots = fraction_rref([list(a) + [b] for a, b in eqs], dim + 1)
+    rows = (primitive_vector(row) for row in R[:len(pivots)])
+    return tuple(sorted((tuple(v[:-1]), Fraction(v[-1])) for v in rows))
+
+
+def stratum_pieces(f, S, newton, ties, Y, eta, G):
+    """The reference for `trophom.complexes.stratum_pieces`, from the same
+    data: every piece is built by the checked `QPolyhedron(...)`, which
+    sorts its vertices, rays and facets and puts its equations into
+    canonical form."""
+    k = Y.stratum_dim(eta)
+    proj = Y.projection(Y.apex, eta)
+    section = Y.strata[eta].section.columns()
+    w = {i: tuple(_dot(f.terms[i][0], col) for col in section) for i in G}
+
+    def diffs(pts, a0):
+        return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
+
+    lin = kernel_lattice(IntMatrix(diffs(G, min(G)), ncols=k)).basis.columns()
+    dim_g = k - len(lin)
+    vertex_of = {}
+    for M in S.maximal_cells:
+        cell = M & G
+        if cell not in vertex_of and S.faces.get(cell) == dim_g:
+            vertex_of[cell] = tuple(_dot(r, ties[M]) for r in proj.rows)
+    walls = {}
+    for a, b in newton.poly.facets:
+        on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
+        if on and on not in walls and \
+                LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:
+            walls[on] = primitive_vector(proj.apply(a))
+    pieces = {}
+    for F in S.faces:
+        if not F <= G:
+            continue
+        a0 = min(F)
+        c0 = f.terms[a0][1]
+
+        def tie(b):
+            return (tuple(x - y for x, y in zip(w[b], w[a0])), c0 - f.terms[b][1])
+
+        pieces[F] = QPolyhedron(
+            k,
+            [v for cell, v in vertex_of.items() if F <= cell],
+            [r for on, r in walls.items() if F <= on],
+            lin,
+            [tie(min(C - F)) for C in S.covered_by[F] if C <= G],
+            [tie(b) for b in sorted(F) if b != a0])
+    return pieces
 
 
 def geometric_keys(Z):

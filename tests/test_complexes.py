@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+import geometric_reference as reference
 from geometric_reference import (
     closure_is_compact,
     containment_incidences,
@@ -24,7 +25,7 @@ from trophom.complexes import (
     is_proper,
     tie_points,
 )
-from trophom.polyhedra import QPolyhedron
+from trophom.polyhedra import QPolyhedron, dd_cone, regular_subdivision
 from trophom.tropio import (
     TropicalPolynomial,
     load_fan,
@@ -664,3 +665,62 @@ class TestOtherStructures:
         assert refined.Yref.f_vector() == [1, 4, 4]
         assert validate(refined.X, full=True)
         assert validate(refined.Yref, full=True)
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_dd_cone_matches_recomputing_reference_on_fixtures(name):
+    """The double descriptions of every fixture's lifted support and Newton
+    polytope give the same lineality and rays, in the same order, as the
+    reference that recomputes every tight set."""
+    f = LP_FIXTURES[name]().f
+    calls = reference.recorded_dd_cone_calls(lambda: (
+        regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms]),
+        newton_polytope(f)))
+    assert len(calls) >= 2  # the Newton polytope takes two, and a lift one
+    for constraints, d in calls:
+        assert dd_cone(constraints, d) == reference.dd_cone(constraints, d)
+
+
+def assert_pieces_match_checked_reference(pair):
+    """Every stratum's pieces equal, field by field and in type, those the
+    checked constructor builds from the same data.  Returns the number of
+    pieces, and of those built by the trusted constructor, the ones without
+    lineality."""
+    f, S, Y = pair.f, pair.subdivision, pair.Y
+    ties = tie_points(f, S)
+    pieces = trusted = 0
+    for eta, G in enumerate(pair.face_points):
+        got = complexes.stratum_pieces(f, S, pair.newton, ties, Y, eta, G)
+        want = reference.stratum_pieces(f, S, pair.newton, ties, Y, eta, G)
+        assert list(got) == list(want)
+        for F, P in got.items():
+            Q = want[F]
+            for field in QPolyhedron.__slots__:
+                assert getattr(P, field) == getattr(Q, field), (sorted(F), field)
+            assert all(type(x) is Fraction for v in P.vertices for x in v)
+            assert all(type(x) is int for r in P.rays + P.lin for x in r)
+            for a, b in P.facets + P.equations:
+                assert type(b) is Fraction and all(type(x) is int for x in a)
+            pieces += 1
+            trusted += not P.lin
+    return pieces, trusted
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_pieces_match_checked_reference(name):
+    pieces, trusted = assert_pieces_match_checked_reference(LP_FIXTURES[name]())
+    # a support that is not full-dimensional on the trivial fan gives every
+    # piece lineality, and so does a stratum whose G_eta is one point
+    assert pieces and (trusted > 0) != name.startswith("degenerate")
+
+
+@pytest.mark.parametrize("fan", sorted(COMPACTNESS_FANS))
+def test_pieces_match_checked_reference_random(fan):
+    """Random quadrics, often not triangulations, on complete, partial and
+    trivial fans.  On the blow-up and one-ray fans some strata have
+    lineality, so both constructors are compared."""
+    for seed in range(3):
+        pair = build_pair(_random_quadric(seed), load_fan(COMPACTNESS_FANS[fan]))
+        pieces, trusted = assert_pieces_match_checked_reference(pair)
+        assert 0 < trusted <= pieces
+        assert (trusted < pieces) == (fan in ("blowup", "one-ray"))

@@ -250,7 +250,8 @@ def test_no_redundant_exact_work(monkeypatch):
     """One build_pair plus every cosheaf on the quadric in TP^3: the cells,
     the open-stratum ones included, and the simplex cells of the subdivision
     cost no double description, and no `dual_cell_geometry` or
-    `linear_image` runs; and multitangent back-substitutes on its stalk
+    `linear_image` runs; `stratum_pieces` builds every piece without the
+    checked `QPolyhedron` constructor; and multitangent back-substitutes on its stalk
     bases, which are in column HNF already, with no `hnf` call.  On the
     trivial fan no cell reaches a boundary stratum, so the compactness
     flags cost no `cone_covered_by` and no double description either.  On
@@ -287,6 +288,22 @@ def test_no_redundant_exact_work(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(cls, name, classmethod(counted))
+    # the checked QPolyhedron constructor, counted apart inside
+    # stratum_pieces
+    real_init, real_pieces = polyhedra.QPolyhedron.__init__, complexes.stratum_pieces
+
+    def counted_init(self, *args):
+        calls["QPolyhedron"] += 1
+        real_init(self, *args)
+
+    def counted_pieces(*args):
+        before = calls["QPolyhedron"]
+        out = real_pieces(*args)
+        calls["QPolyhedron in stratum_pieces"] += calls["QPolyhedron"] - before
+        return out
+
+    monkeypatch.setattr(polyhedra.QPolyhedron, "__init__", counted_init)
+    monkeypatch.setattr(complexes, "stratum_pieces", counted_pieces)
     f = quadric_poly()
     fan = normal_fan(newton_polytope(f))
     before = calls["dd_cone"]
@@ -294,6 +311,10 @@ def test_no_redundant_exact_work(monkeypatch):
     # the hull of the lift, and the two double descriptions of the Newton
     # polytope's hull
     assert calls["dd_cone"] - before == 3
+    # no stratum of the normal fan has lineality, so every piece is built
+    # canonical by the trusted constructor
+    assert calls["QPolyhedron in stratum_pieces"] == 0
+    assert len(pair.Yref.cells) > 100
     assert calls["dual_cell_geometry"] == 0
     assert calls["linear_image"] == 0
     assert calls["hnf"] > 0  # the build's tangent lattices pass the counter

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometric_reference import fraction_rref
 from trophom.exactla import (
     IntMatrix,
     LatticeSubspace,
@@ -14,6 +15,7 @@ from trophom.exactla import (
     basis_completion,
     det,
     exterior_power,
+    gauss_jordan,
     hnf,
     hnf_pivots,
     homology_at,
@@ -607,6 +609,39 @@ class TestSolve:
         assert R == [[1, 0, -1, Fraction(-1, 2)], [0, 1, 2, Fraction(1, 2)],
                      [0, 0, 0, Fraction(1, 2)]]
         assert rref([], 3) == ([], [])
+
+    def test_rref_matches_fraction_reference(self):
+        """Every row, the rows past the pivots included, equals Fraction
+        Gauss-Jordan's, on random systems with Fraction entries, dependent
+        rows, augmented columns and no rows.  On integer rows the integer
+        elimination leaves d times those rows, d its last pivot."""
+        rng = random.Random(61)
+
+        def entry():
+            return rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-6, 6),
+                                                               rng.randint(1, 5))))
+
+        kinds = {"dependent": 0, "augmented nonzero": 0}
+        for _ in range(2000):
+            n, extra = rng.randint(1, 5), rng.randint(0, 2)
+            rows = []
+            for _ in range(rng.randint(0, 6)):
+                if rows and rng.random() < 0.4:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    k = entry()
+                    rows.append([x + k * y for x, y in zip(a, b)])
+                else:
+                    rows.append([entry() for _ in range(n + extra)])
+            R, pivots = rref(rows, n)
+            assert (R, pivots) == fraction_rref(rows, n), (rows, n)
+            kinds["dependent"] += len(pivots) < len(rows)
+            kinds["augmented nonzero"] += any(any(r[n:]) for r in R[len(pivots):])
+            if all(type(x) is int for r in rows for x in r):
+                A, pivots2, d = gauss_jordan(rows, n)
+                assert pivots2 == pivots
+                assert all(type(x) is int for r in A for x in r)
+                assert all(a == d * x for ra, rr in zip(A, R) for a, x in zip(ra, rr))
+        assert min(kinds.values()) >= 100, kinds
 
     def test_primitive_vector(self):
         assert primitive_vector((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
