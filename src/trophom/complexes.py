@@ -183,13 +183,12 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     - equations: the terms of F tie;
     - facets: one per face F' of S covering F inside G, where one more term
       b in F' - F ties.
-    The per-stratum data is computed once for all the pieces, its vertices
-    and rays sorted once, so that each piece of a stratum without lineality
-    is built canonical by `QPolyhedron._trusted`: its vertices and rays are
-    sorted subsequences, its facets are sorted, and its equations are put
-    into canonical form once.  A stratum with lineality keeps the checked
-    constructor, which reads the lineality's saturated lattice off the
-    facets and equations.
+    The per-stratum data is computed once for all the pieces, and its
+    vertices and rays are sorted once.  A piece of a stratum without
+    lineality is then built by `QPolyhedron._trusted`: its vertices and rays
+    are sorted subsequences, its facets are sorted and its equations made
+    canonical here.  A stratum with lineality keeps the checked constructor,
+    which finds the lineality's saturated lattice.
     """
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
@@ -212,7 +211,6 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
         if on and on not in walls and \
                 LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:
             walls[on] = primitive_vector(proj.apply(a))
-    # sorted once, so each piece's vertices and rays come out sorted
     vertex_of = sorted(vertex_of.items(), key=lambda item: item[1])
     walls = sorted(walls.items(), key=lambda item: item[1])
     pieces = {}

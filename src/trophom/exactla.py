@@ -541,9 +541,9 @@ def gauss_jordan(rows, ncols):
     other row to (p * row - row[c] * A[r]) / d_prev, an exact division; by
     induction every row of A is then d times the row that rational
     Gauss-Jordan with unit pivots, swapping the same rows, holds (the
-    reduced row echelon form for the pivot rows), so its entries are
-    integers bounded by minors of the input and one division by d gives
-    that form.
+    reduced row echelon form for the pivot rows).  Its entries are minors of
+    the input (Sylvester's identity), so they stay integers of bounded size,
+    and one division by d gives that form.
     """
     A = [list(row) for row in rows]
     pivots = []

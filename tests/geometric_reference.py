@@ -8,10 +8,10 @@ are certified by projection.  The refinements by hyperplanes and the coarse
 toric structure live here too, since the tests are their only callers and a
 refined cell is no longer an (eta, F) pair.  So do the all-cofaces
 reference for the compactness flag and the full-star reference for the
-multi-tangent cosheaf.  The exact kernels the pipeline now runs with
-less work keep their plain forms here: the double description that
-recomputes every ray's tight set at each step, the reduced row echelon form
-in Fraction arithmetic, and the stratum pieces built by the checked
+multi-tangent cosheaf.  Exact kernels that the pipeline runs in a cheaper
+form keep their plain forms here as references: the double description
+that recomputes every ray's tight set at each step, the reduced row echelon
+form in Fraction arithmetic, and the stratum pieces built by the checked
 `QPolyhedron` constructor.
 """
 
