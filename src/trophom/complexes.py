@@ -19,13 +19,14 @@ non-singularity, combinatorial ampleness, cellular pair).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .exactla import (
     IntMatrix,
     LatticeSubspace,
+    gauss_jordan,
     kernel_lattice,
     primitive_vector,
-    solve_rational,
 )
 from .polyhedra import (
     QPolyhedron,
@@ -119,12 +120,23 @@ class HypersurfacePair:
 def tie_points(f: TropicalPolynomial, S) -> dict:
     """v_M for every maximal cell M of the subdivision: the point where all
     terms of M tie, i.e. a solution of <a_i - a_0, x> = c_0 - c_i over M.
-    Unique modulo the lineality of a support that is not full-dimensional."""
+    Unique modulo the lineality of a support that is not full-dimensional:
+    the coordinates off the pivot columns are 0.  Each row is scaled by the
+    denominator of its right-hand side and reduced by `gauss_jordan`, whose
+    pivot rows are d times the reduced row echelon rows, so the coordinate
+    at pivots[k] is the last entry of row k over d.  The lifted terms of
+    M lie on one hyperplane, so the system is consistent."""
     out = {}
     for M in S.maximal_cells:
         (a0, c0), *rest = (f.terms[i] for i in sorted(M))
-        out[M] = tuple(solve_rational([[x - y for x, y in zip(a, a0)] for a, c in rest],
-                                      [c0 - c for a, c in rest]))
+        n = len(a0)
+        rows = [[(x - y) * (c0 - c).denominator for x, y in zip(a, a0)] + [(c0 - c).numerator]
+                for a, c in rest]
+        A, pivots, d = gauss_jordan(rows, n)
+        v = [Fraction(0)] * n
+        for row, k in zip(A, pivots):
+            v[k] = Fraction(row[n], d)
+        out[M] = tuple(v)
     return out
 
 
@@ -184,11 +196,10 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     - facets: one per face F' of S covering F inside G, where one more term
       b in F' - F ties.
     The per-stratum data is computed once for all the pieces, and its
-    vertices and rays are sorted once.  A piece of a stratum without
-    lineality is then built by `QPolyhedron._trusted`: its vertices and rays
-    are sorted subsequences, its facets are sorted and its equations made
-    canonical here.  A stratum with lineality keeps the checked constructor,
-    which finds the lineality's saturated lattice.
+    vertices and rays are sorted once.  Every piece is then built by
+    `QPolyhedron._trusted`: its vertices and rays are sorted subsequences,
+    its lineality is the stratum's, already the HNF basis of a saturated
+    lattice, its facets are sorted and its equations made canonical here.
     """
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
@@ -198,7 +209,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     def diffs(pts, a0):
         return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
 
-    lin = kernel_lattice(IntMatrix(diffs(G, min(G)), ncols=k)).basis.columns()
+    lin = tuple(kernel_lattice(IntMatrix(diffs(G, min(G)), ncols=k)).basis.columns())
     dim_g = k - len(lin)        # affine rank of G: w is injective on its differences
     vertex_of = {}
     for M in S.maximal_cells:
@@ -227,12 +238,8 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
         rays = [r for on, r in walls if F <= on]
         facets = [tie(min(C - F)) for C in S.covered_by[F] if C <= G]
         eqs = [tie(b) for b in sorted(F) if b != a0]
-        if lin:
-            pieces[F] = QPolyhedron(k, verts, rays, lin, facets, eqs)
-        else:
-            pieces[F] = QPolyhedron._trusted(k, tuple(verts), tuple(rays), (),
-                                             tuple(sorted(facets)),
-                                             _canonical_equations(eqs, k))
+        pieces[F] = QPolyhedron._trusted(k, tuple(verts), tuple(rays), lin,
+                                         tuple(sorted(facets)), _canonical_equations(eqs, k))
     return pieces
 
 
@@ -337,8 +344,8 @@ def is_proper(pair: HypersurfacePair) -> bool:
     w_a = a^T section_eta.  The points of F lie in G_eta, so a difference d
     of two of them vanishes on the rays of eta; then d = projection_eta^T w
     for w = d^T section_eta, so d -> w is injective and the ties have rank
-    dim F.  It is kept: `is_cellular_pair` cites it for its verdict on a
-    complete fan, and `bench/spans.py` times it as a layer."""
+    dim F.  It is kept: the benchmark's workloads call it, and
+    `bench/spans.py` times it as a layer."""
     Y, S = pair.Y, pair.subdivision
     return all(c.dim == Y.dim - Y.cone_dim(c.sed) - S.faces[c.face]
                for c in pair.Yref.cells)
@@ -417,7 +424,8 @@ def is_cellular_pair(pair: HypersurfacePair) -> str:
         full = pair.newton.dim == Y.dim
         result = "yes" if full else "no"
     elif Y.compact:
-        result = "yes" if is_proper(pair) else "unknown"
+        # every pair the build returns is proper (see `is_proper`)
+        result = "yes"
     else:
         # non-compact with boundary: a cell whose stratum geometry has a
         # lineality direction pinches at the point at infinity

@@ -1,13 +1,15 @@
 """Exact linear algebra over the integers.
 
-One eliminator per job: Hermite normal forms for lattices (saturated kernels,
-sums of sublattices, completion to a basis), one back-substitution against a
-column Hermite form for every integer solve and membership test, the sparse Smith
-diagonal for invariant factors (the homology, rank plus torsion, of a
-composable pair of integer matrices), Bareiss elimination for determinants
-(exterior powers in the lexicographic wedge basis), and one fraction-free
-Gauss-Jordan elimination, which gives canonical integer equations and, by
-one division, the rational reduced row echelon form.
+One eliminator per job:
+- Hermite normal forms for lattices: saturated kernels, sums of
+  sublattices, completion to a basis, and one back-substitution against a
+  column Hermite form for every integer solve and membership test;
+- fraction-free (Bareiss) Gauss-Jordan elimination for rational row spaces
+  and determinants: canonical integer equations, pivot columns, tie points,
+  and every determinant and minor (exterior powers in the lexicographic
+  wedge basis);
+- the sparse Smith diagonal for invariant factors: the homology, rank plus
+  torsion, of a composable pair of integer matrices.
 
 The Smith diagonal pivots on unit entries of least Markowitz cost
 len(row) * len(col), drawn from a heap that fill-in keeps fed, and scans for
@@ -31,7 +33,6 @@ pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
@@ -270,12 +271,10 @@ def basis_completion(cols, dim):
     The row Hermite form of [cols] is unique, so it equals [I; 0] exactly
     when the columns are the first columns of some unimodular matrix.
     """
-    h = [[c[i] for c in cols] for i in range(dim)]
-    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    _hnf_rows_inplace(h, u)
-    if h != [[int(i == j) for j in range(len(cols))] for i in range(dim)]:
+    H, U = hnf_row(IntMatrix.from_columns(cols, dim))
+    if H.rows != tuple(tuple(int(i == j) for j in range(len(cols))) for i in range(dim)):
         return None
-    return IntMatrix(u, ncols=dim)
+    return U
 
 
 def hnf(M: IntMatrix):
@@ -537,13 +536,18 @@ def gauss_jordan(rows, ncols):
 
     Returns (A, pivots, d): A holds the reduced rows as lists of ints, row k
     with its pivot at pivots[k], alone in its column, and d is the last
-    pivot taken (1 with none).  Each step with pivot p on row r sets every
-    other row to (p * row - row[c] * A[r]) / d_prev, an exact division; by
-    induction every row of A is then d times the row that rational
-    Gauss-Jordan with unit pivots, swapping the same rows, holds (the
-    reduced row echelon form for the pivot rows).  Its entries are minors of
-    the input (Sylvester's identity), so they stay integers of bounded size,
-    and one division by d gives that form.
+    pivot taken (1 with none).  A swap of two rows negates one of them, a
+    row operation of determinant 1.  Each step with pivot p on row r sets
+    every other row to (p * row - row[c] * A[r]) / d_prev, an exact
+    division; by induction every row of A is then d times the row that
+    rational Gauss-Jordan with unit pivots, swapping and negating the same
+    rows, holds.  Row signs do not move the reduced row echelon form, so
+    pivot row k is d times its row; the rows past the rank vanish on the
+    first ncols columns.  The entries are minors of the input with some rows
+    negated (Sylvester's identity), so they stay integers of bounded size.
+    The k-th pivot is the minor on the first k pivot columns and the first k
+    rows as swapped and negated, so on a square matrix of full rank d is its
+    determinant.
     """
     A = [list(row) for row in rows]
     pivots = []
@@ -553,7 +557,8 @@ def gauss_jordan(rows, ncols):
         sel = next((i for i in range(r, len(A)) if A[i][c]), None)
         if sel is None:
             continue
-        A[r], A[sel] = A[sel], A[r]
+        if sel != r:
+            A[r], A[sel] = A[sel], [-x for x in A[r]]
         top = A[r]
         p = top[c]
         for i, row in enumerate(A):
@@ -565,86 +570,30 @@ def gauss_jordan(rows, ncols):
     return A, pivots, d
 
 
-def rref(rows, ncols):
-    """Rational reduced row echelon form, pivoting on the first ncols columns.
-
-    Columns past ncols (an augmented right-hand side) ride along.  Returns
-    (R, pivots): R holds the reduced rows as lists of Fractions, and row k
-    of R has its pivot, equal to 1 and alone in its column, at pivots[k].
-    The rows are taken over a common denominator L and reduced by
-    `gauss_jordan`, which leaves d times R on the pivot rows (R's pivot rows
-    are those of the scaled rows) and d * L times R on the others; one
-    division undoes that.
-    """
-    L = lcm(*(x.denominator for row in rows for x in row))
-    A, pivots, d = gauss_jordan(
-        [[x.numerator * (L // x.denominator) for x in row] for row in rows], ncols)
-    r = len(pivots)
-    return [[Fraction(x, d if k < r else d * L) for x in row]
-            for k, row in enumerate(A)], pivots
-
-
-def solve_rational(A, b):
-    """One rational solution x of A x = b (lists of Fractions), or None."""
-    n = len(A[0]) if A else 0
-    R, pivots = rref([list(row) + [v] for row, v in zip(A, b)], n)
-    if any(row[n] for row in R[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(R, pivots):
-        x[c] = row[n]
-    return x
-
-
 def det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the last pivot of `gauss_jordan`, or 0 when the
+    elimination finds fewer pivots than columns."""
     if M.nrows != M.ncols:
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss([list(r) for r in M.rows])
-
-
-def _bareiss(a):
-    """Determinant of the square list-of-lists a, which it overwrites."""
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            sel = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                return 0
-            a[k], a[sel] = a[sel], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    _, pivots, d = gauss_jordan(M.rows, M.ncols)
+    return d if len(pivots) == M.ncols else 0
 
 
 def exterior_power(M: IntMatrix, p: int) -> IntMatrix:
     """Induced map on p-th exterior powers, lexicographic wedge basis.
 
     Rows are indexed by p-subsets of row indices, columns by p-subsets of
-    column indices, both in lexicographic order; the entry is the
-    corresponding p x p minor.  For p >= 0 the shape is C(k, p) x C(l, p),
-    so p == 0 gives the 1x1 identity and p past a side gives an empty side;
-    p < 0 gives the 0x0 matrix.
+    column indices, both in lexicographic order; the entry is the `det` of
+    the corresponding p x p submatrix.  For p >= 0 the shape is
+    C(k, p) x C(l, p), so p == 0 gives the 1x1 identity and p past a side
+    gives an empty side; p < 0 gives the 0x0 matrix.
     """
     if p < 0:
         return IntMatrix._trusted((), 0)
     if p == 1:
         return M  # the 1 x 1 minors are the entries
-    rows = M.rows
     col_sets = list(combinations(range(M.ncols), p))
-    out = tuple(tuple(_bareiss([[rows[i][j] for j in J] for i in I]) for J in col_sets)
+    out = tuple(tuple(det(M.submatrix(I, J)) for J in col_sets)
                 for I in combinations(range(M.nrows), p))
     return IntMatrix._trusted(out, len(col_sets))
 

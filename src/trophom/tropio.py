@@ -162,7 +162,7 @@ def _parse_term(t: _Tokens):
         t.skip_ws()
         ch = t.peek()
         if ch == "x":
-            monos.append(_parse_mono(t))
+            monos.append((1, _parse_var(t)))
         elif ch in "+-0123456789" and (first or ch != ""):
             n = t.integer()
             if t.try_take("/"):
@@ -185,15 +185,6 @@ def _parse_term(t: _Tokens):
         if not t.try_take("+"):
             break
     return coeff, monos
-
-
-def _parse_mono(t: _Tokens):
-    p = t.peek()
-    if p == "x":
-        return (1, _parse_var(t))
-    n = t.integer()
-    t.expect("*")
-    return (n, _parse_var(t))
 
 
 def _parse_var(t: _Tokens):

@@ -127,8 +127,10 @@ def recorded_dd_cone_calls(run):
 
 
 def fraction_rref(rows, ncols):
-    """The reference for `trophom.exactla.rref`: Gauss-Jordan elimination in
-    Fraction arithmetic, each pivot row divided by its pivot."""
+    """The reference for `trophom.exactla.gauss_jordan`: Gauss-Jordan
+    elimination in Fraction arithmetic, each pivot row divided by its pivot.
+    Returns (R, pivots), R the reduced rows, row k with its pivot at
+    pivots[k]."""
     R = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in range(ncols):

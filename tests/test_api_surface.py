@@ -1,7 +1,8 @@
 """Every public name of `trophom` has a caller: each public top-level
 function, class and method in src/trophom is named somewhere in src/, tests/
-or bench/ besides its own definition.  A public name that nothing calls is
-deleted, not kept."""
+or bench/ besides its own definition.  So is every private top-level
+function and class and every private method of a top-level class (dunder
+methods aside).  A name that nothing calls is deleted, not kept."""
 
 import ast
 import re
@@ -43,28 +44,49 @@ def names_used(tree):
     return out
 
 
-def public_definitions(tree):
-    """(qualified name, name) of each public top-level function and class,
-    and of each public method of a top-level class."""
+def public(name):
+    return not name.startswith("_")
+
+
+def private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def definitions(tree, keep):
+    """(qualified name, name) of each top-level function and class, and of
+    each method of a top-level class, whose name `keep` accepts."""
     out = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and keep(node.name):
             out.append((node.name, node.name))
         if isinstance(node, ast.ClassDef):
             out += [("%s.%s" % (node.name, m.name), m.name) for m in node.body
-                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+                    if isinstance(m, ast.FunctionDef) and keep(m.name)]
     return out
 
 
-def test_every_public_name_has_a_caller():
+def unused_definitions(keep):
+    """The qualified names of the definitions in src/trophom whose names
+    `keep` accepts and that no module of src/, tests/ or bench/ names
+    outside docstrings, and how many such definitions there are."""
     used = set()
     for scope in SCOPES:
         for path in sorted((ROOT / scope).rglob("*.py")):
             used |= names_used(ast.parse(path.read_text(), str(path)))
     defined = [(path.stem, qualname, name)
                for path in sorted(PACKAGE.glob("*.py"))
-               for qualname, name in public_definitions(ast.parse(path.read_text()))]
-    assert len(defined) > 50
-    unused = ["%s.%s" % (module, qualname) for module, qualname, name in defined
-              if name not in used]
+               for qualname, name in definitions(ast.parse(path.read_text()), keep)]
+    return ["%s.%s" % (module, qualname) for module, qualname, name in defined
+            if name not in used], len(defined)
+
+
+def test_every_public_name_has_a_caller():
+    unused, defined = unused_definitions(public)
+    assert defined > 50
+    assert unused == []
+
+
+def test_every_private_helper_is_referenced():
+    unused, defined = unused_definitions(private)
+    assert defined > 10
     assert unused == []

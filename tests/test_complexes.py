@@ -468,8 +468,19 @@ def _random_poly(seed):
     return TropicalPolynomial.make([(p, rng.randint(-2, 2)) for p in pts], n)
 
 
+def _random_fraction_poly(seed):
+    """`_random_poly` with a proper fraction added to every coefficient, so
+    the tie points have denominators of their own."""
+    f = _random_poly(seed)
+    rng = random.Random(seed)
+    return TropicalPolynomial.make(
+        [(a, c + Fraction(rng.randint(1, 5), rng.randint(6, 9))) for a, c in f.terms], f.n_vars)
+
+
 DUAL_CELL_CASES = {
     **{"random-%d" % seed: (lambda seed=seed: _random_poly(seed)) for seed in range(6)},
+    **{"random-fractions-%d" % seed: (lambda seed=seed: _random_fraction_poly(seed))
+       for seed in range(2)},
     # A_3-form heights on 2*Delta_3 leave octahedra: non-simplicial cells
     "quadric-a3-octahedra": lambda: TropicalPolynomial.make(
         [(a, -(sum(x * x for x in a) + a[0] * a[1] + a[0] * a[2] + a[1] * a[2]))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -22,11 +22,9 @@ from trophom.exactla import (
     kernel_lattice,
     lattice_sum,
     primitive_vector,
-    rref,
     hnf_row,
     smith_diagonal,
     solve_int,
-    solve_rational,
 )
 
 
@@ -396,6 +394,53 @@ class TestLatticeSum:
         assert total == LatticeSubspace.full(2)
 
 
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations, each sign read
+    from the count of inversions."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class TestDet:
+    def test_matches_leibniz(self):
+        """On random n <= 5 matrices, singular ones and ones whose leading
+        entries vanish (so the elimination swaps rows) included, `det` and
+        every minor of `exterior_power` equal the Leibniz expansion."""
+        rng = random.Random(13)
+        kinds = {"singular": 0, "swap": 0, "negative": 0}
+        for _ in range(1500):
+            n = rng.randint(0, 5)
+            rows = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
+                    for _ in range(n)]
+            if n and rng.random() < 0.15:
+                rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+            if n > 1 and rng.random() < 0.4:
+                rows[0][0] = 0
+            want = leibniz_det(rows)
+            assert det(M(rows, ncols=n)) == want, rows
+            kinds["singular"] += want == 0
+            kinds["swap"] += n > 1 and rows[0][0] == 0 and want != 0
+            kinds["negative"] += want < 0
+            if 1 < n <= 4:
+                p = rng.randint(2, n)
+                wedge = exterior_power(M(rows), p)
+                assert wedge.rows == tuple(
+                    tuple(leibniz_det([[rows[i][j] for j in J] for i in I])
+                          for J in combinations(range(n), p))
+                    for I in combinations(range(n), p)), (rows, p)
+        assert min(kinds.values()) >= 200, kinds
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="non-square"):
+            det(M([[1, 2]]))
+
+
 class TestExteriorPower:
     def test_p1_is_matrix(self):
         A = M([[1, 2], [3, 4]])
@@ -597,50 +642,34 @@ class TestSolve:
             assert solve_int(A, B) == hnf_route_solve_int(A, B)
         assert min(kinds.values()) >= 30, kinds
 
-    def test_solve_rational(self):
-        x = solve_rational([[2, 0], [0, 4]], [1, 2])
-        assert x == [Fraction(1, 2), Fraction(1, 2)]
-        assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
-
-    def test_rref(self):
-        # the augmented column rides along and is never a pivot
-        R, pivots = rref([[0, 2, 4, 1], [1, 1, 1, 0], [1, 2, 3, 1]], 3)
-        assert pivots == [0, 1]
-        assert R == [[1, 0, -1, Fraction(-1, 2)], [0, 1, 2, Fraction(1, 2)],
-                     [0, 0, 0, Fraction(1, 2)]]
-        assert rref([], 3) == ([], [])
-
-    def test_rref_matches_fraction_reference(self):
-        """Every row, the rows past the pivots included, equals Fraction
-        Gauss-Jordan's, on random systems with Fraction entries, dependent
-        rows, augmented columns and no rows.  On integer rows the integer
-        elimination leaves d times those rows, d its last pivot."""
+    def test_gauss_jordan_matches_fraction_reference(self):
+        """On random integer systems with dependent rows, augmented columns,
+        zero leading entries and no rows: the pivots are Fraction
+        Gauss-Jordan's, pivot row k is d times its reduced row, and the rows
+        past the rank vanish on the first ncols columns."""
         rng = random.Random(61)
-
-        def entry():
-            return rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-6, 6),
-                                                               rng.randint(1, 5))))
-
-        kinds = {"dependent": 0, "augmented nonzero": 0}
+        kinds = {"dependent": 0, "augmented nonzero": 0, "swap": 0}
         for _ in range(2000):
             n, extra = rng.randint(1, 5), rng.randint(0, 2)
             rows = []
             for _ in range(rng.randint(0, 6)):
                 if rows and rng.random() < 0.4:
                     a, b = rng.choice(rows), rng.choice(rows)
-                    k = entry()
+                    k = rng.randint(-3, 3)
                     rows.append([x + k * y for x, y in zip(a, b)])
                 else:
-                    rows.append([entry() for _ in range(n + extra)])
-            R, pivots = rref(rows, n)
-            assert (R, pivots) == fraction_rref(rows, n), (rows, n)
-            kinds["dependent"] += len(pivots) < len(rows)
-            kinds["augmented nonzero"] += any(any(r[n:]) for r in R[len(pivots):])
-            if all(type(x) is int for r in rows for x in r):
-                A, pivots2, d = gauss_jordan(rows, n)
-                assert pivots2 == pivots
-                assert all(type(x) is int for r in A for x in r)
-                assert all(a == d * x for ra, rr in zip(A, R) for a, x in zip(ra, rr))
+                    rows.append([rng.choice((0, rng.randint(-4, 4))) for _ in range(n + extra)])
+            A, pivots, d = gauss_jordan(rows, n)
+            R, want = fraction_rref(rows, n)
+            assert pivots == want, (rows, n)
+            r = len(pivots)
+            assert len(A) == len(rows)
+            assert all(type(x) is int for row in A for x in row)
+            assert all(a == d * x for ra, rr in zip(A[:r], R) for a, x in zip(ra, rr)), rows
+            assert not any(any(row[:n]) for row in A[r:]), rows
+            kinds["dependent"] += r < len(rows)
+            kinds["augmented nonzero"] += any(any(row[n:]) for row in A[r:])
+            kinds["swap"] += bool(rows) and rows[0][0] == 0 and any(row[0] for row in rows)
         assert min(kinds.values()) >= 100, kinds
 
     def test_primitive_vector(self):

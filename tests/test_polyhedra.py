@@ -26,9 +26,7 @@ from trophom.exactla import (
     LatticeSubspace,
     det,
     kernel_lattice,
-    rref,
     solve_int,
-    solve_rational,
 )
 
 
@@ -36,11 +34,15 @@ def in_hull_bruteforce(p, points, dim):
     """Caratheodory oracle: p in conv(points) iff some (dim+1)-subset works."""
     for T in combinations(points, dim + 1):
         # solve sum l_i t_i = p, sum l_i = 1
-        A = [[Fraction(t[j]) for t in T] for j in range(dim)] + [[Fraction(1)] * len(T)]
-        b = [Fraction(x) for x in p] + [Fraction(1)]
-        lam = solve_rational(A, b)
-        if lam is not None and all(l >= 0 for l in lam):
-            # solve_rational returns one solution; nonneg witness is enough
+        A = [[t[j] for t in T] + [p[j]] for j in range(dim)] + [[1] * (len(T) + 1)]
+        R, pivots = reference.fraction_rref(A, len(T))
+        if any(row[-1] for row in R[len(pivots):]):
+            continue
+        # one solution, the free coefficients 0; a nonneg witness is enough
+        lam = [Fraction(0)] * len(T)
+        for row, c in zip(R, pivots):
+            lam[c] = row[-1]
+        if all(l >= 0 for l in lam):
             return True
     return False
 
@@ -495,7 +497,8 @@ def hull_subdivision(points, heights):
     dimension the affine rank of its points.  Returns (maximal cells,
     faces); affine heights give the one cell conv(points)."""
     base = points[0]
-    _, pivots = rref([[x - y for x, y in zip(p, base)] for p in points], len(base))
+    _, pivots = reference.fraction_rref([[x - y for x, y in zip(p, base)] for p in points],
+                                        len(base))
     coords = [tuple(p[c] for c in pivots) for p in points]
     d = len(pivots)
     lifted = [tuple(Fraction(c) for c in y) + (Fraction(h),) for y, h in zip(coords, heights)]
