@@ -33,7 +33,7 @@ from .polyhedra import (
     _canonical_equations,
     _dot,
     hrep_from_generators,
-    is_unimodular_simplex,
+    is_primitive,
     regular_subdivision,
 )
 from .toric import ToricVariety
@@ -353,17 +353,15 @@ def is_proper(pair: HypersurfacePair) -> bool:
 
 def is_nonsingular(pair: HypersurfacePair) -> bool:
     """The induced subdivision on every stratum's Newton polytope face is a
-    primitive triangulation."""
-    S = pair.subdivision
-    for live in pair.face_points:
-        sub_faces = {F: d for F, d in S.faces.items() if F <= live}
-        if not sub_faces:
-            return False
-        top = max(sub_faces.values())
-        if not all(is_unimodular_simplex(S, F, top)
-                   for F, d in sub_faces.items() if d == top):
-            return False
-    return True
+    primitive triangulation.
+
+    That is the subdivision being primitive: G_eta of the open stratum holds
+    every support point, so its maximal faces are the maximal cells, and the
+    induced subdivision on any other G_eta is made of faces of those cells.
+    A face of a unimodular simplex is a unimodular simplex in the lattice of
+    its own affine hull, so no other stratum can fail once the open one
+    passes."""
+    return is_primitive(pair.subdivision)
 
 
 @dataclass

@@ -39,7 +39,7 @@ class Cosheaf:
     base: CellComplex
     p: int
     ranks: list
-    bases: list          # IntMatrix columns in the stratum wedge space, or None
+    bases: list          # IntMatrix columns in the stratum wedge space
     maps: dict           # (tau index, sigma index) -> IntMatrix
 
 
@@ -74,9 +74,11 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     lattices; the sum is taken verbatim, with no saturation.  Only the
     maximal cells of that star need summing: for sigma <= tau in one
     stratum, T(sigma) lies in T(tau), so the p-th wedge of T(sigma) lies in
-    that of T(tau).  So each maximal cell's wedge is taken once, and cells
-    with the same maximal cells share one stalk basis.  F_0 is the constant
-    cosheaf: every stalk is Z and every map is [1].
+    that of T(tau).  So the wedges are taken once per distinct tangent
+    basis of a maximal cell (the basis is a canonical Hermite form, so equal
+    lattices share one wedge), and cells with the same maximal cells share
+    one stalk basis.  F_0 is the constant cosheaf: every stalk is Z and
+    every map is [1].
 
     Maps are inclusions within a stratum and wedge powers of the quotient
     projections across strata, each written in the target stalk's basis by
@@ -90,7 +92,7 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
         return Cosheaf(Z, p, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
     Y = Z.Y
     top = _maximal_cells(Z)
-    wedges = {}     # maximal cell -> columns of the wedge of its tangent basis
+    wedges = {}     # tangent basis -> columns of its wedge
     stalks = {}     # set of maximal cells -> stalk basis
     bases = []
     for c in Z.cells:
@@ -98,9 +100,10 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
         if key not in stalks:
             gens = []
             for j in key:
-                if j not in wedges:
-                    wedges[j] = exterior_power(Z.cells[j].tangent.basis, p).columns()
-                gens += wedges[j]
+                T = Z.cells[j].tangent.basis
+                if T not in wedges:
+                    wedges[T] = exterior_power(T, p).columns()
+                gens += wedges[T]
             ambient = comb(Y.stratum_dim(c.sed), p)
             stalks[key] = LatticeSubspace.from_columns(gens, ambient).basis
         bases.append(stalks[key])

@@ -11,10 +11,13 @@ One eliminator per job:
 - the sparse Smith diagonal for invariant factors: the homology, rank plus
   torsion, of a composable pair of integer matrices.
 
-The Smith diagonal pivots on unit entries of least Markowitz cost
-len(row) * len(col), drawn from a heap that fill-in keeps fed, and scans for
-the least |value| only when no unit is left.  Invariant factors do not depend
-on the pivot order, so the order sets the cost and never the answer.
+The Smith diagonal has one pivot rule and one elimination step.  A lazy
+heap of every nonzero entry gives the pivot of least |value|, ties broken by
+the Markowitz cost len(row) * len(col); the step reduces the pivot's column,
+then its row, modulo the pivot, and retires the pivot once it stands alone.
+Otherwise the pivot goes back on the heap, and a remainder of smaller |value|
+is the next pivot, so the loop ends.  Invariant factors do not depend on the
+pivot order, so the order sets the cost and never the answer.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
@@ -164,9 +167,6 @@ class IntMatrix:
     def __repr__(self):
         return "IntMatrix(%dx%d, %r)" % (self.nrows, self.ncols, [list(r) for r in self.rows])
 
-    def is_zero(self):
-        return all(x == 0 for r in self.rows for x in r)
-
     def submatrix(self, rows, cols):
         return IntMatrix._trusted(tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
                                   len(cols))
@@ -310,12 +310,17 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     range(nrows) x range(ncols) raises ValueError.  Returns the list of
     invariant factors (nonzero, with divisibility) -- its length is the rank.
 
-    Pivots: each step takes a unit entry (+-1) of least Markowitz cost
-    len(row) * len(col) from a lazy min-heap, which fill-in feeds as it
-    creates new units, so no step rescans the matrix; a unit pivot retires
-    its row and column (a coreduction).  Only when no unit is left does a
-    scan pick the entry of least |value|.  The invariant factors do not
-    depend on the pivot order, so this choice moves the cost, not the result.
+    One pivot rule: a lazy min-heap holds every nonzero entry keyed by
+    (|value|, Markowitz cost len(row) * len(col)), and each step pops the
+    live entry p = (i0, j0) of least key.  One elimination step: row
+    operations reduce column j0 modulo p; once p is alone in its column, a
+    column operation touches row i0 alone, so every other entry w of that
+    row becomes w mod p.  If p is then alone in its row too, it retires as a
+    diagonal entry (for a unit, a coreduction); if not, it goes back on the
+    heap.  A step that leaves a remainder lowers the least |value| in the
+    matrix, which is a positive integer, so the loop ends.  The invariant
+    factors do not depend on the pivot order, so the rule moves the cost,
+    not the result.
     """
     rows, cols = {}, {}
     for i, r in entries_by_row.items():
@@ -328,9 +333,10 @@ def smith_diagonal(entries_by_row, nrows, ncols):
         rows[i] = r
         for j in r:
             cols.setdefault(j, set()).add(i)
-    # every unit entry has at least one (cost, i, j) here; costs may be stale
-    heap = [(len(r) * len(cols[j]), i, j)
-            for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1]
+    # every live entry keeps a key with its current |value| on the heap
+    # (its cost may be stale), so the heap empties only with the matrix
+    heap = [(abs(v), len(r) * len(cols[j]), i, j)
+            for i, r in rows.items() for j, v in r.items()]
     heapify(heap)
     units = 0
     others = []
@@ -352,71 +358,38 @@ def smith_diagonal(entries_by_row, nrows, ncols):
             r[j] = v
             c = cols.setdefault(j, set())
             c.add(i)
-            if v == 1 or v == -1:
-                heappush(heap, (len(r) * len(c), i, j))
-
-    def row_op(i, i0, q):
-        """row i -= q * row i0"""
-        for j, w in list(rows[i0].items()):
-            setval(i, j, rows.get(i, {}).get(j, 0) - q * w)
-
-    def col_op(j, j0, q):
-        """col j -= q * col j0"""
-        for i in list(cols[j0]):
-            setval(i, j, rows.get(i, {}).get(j, 0) - q * rows[i][j0])
-
-    def unit_pivot():
-        """A unit entry of least current cost, or None when no unit is left."""
-        while heap:
-            cost, i, j = heappop(heap)
-            v = rows.get(i, {}).get(j)
-            if v != 1 and v != -1:
-                continue  # gone, or no longer a unit
-            now = len(rows[i]) * len(cols[j])
-            if now > cost:
-                heappush(heap, (now, i, j))
-                continue
-            return i, j
-        return None
+            heappush(heap, (abs(v), len(r) * len(c), i, j))
 
     while rows:
-        piv = unit_pivot()
-        if piv is not None:
-            # coreduction: clear column j0 with row i0, then retire the pair;
-            # the leftover entries of row i0 die under column ops that touch
-            # nothing else because column j0 is now a unit vector
-            i0, j0 = piv
-            p = rows[i0][j0]
-            for i in list(cols[j0]):
-                if i != i0:
-                    row_op(i, i0, rows[i][j0] * p)
-            for j in list(rows[i0]):
-                drop(i0, j)
-            units += 1
+        a, cost, i0, j0 = heappop(heap)
+        p = rows.get(i0, {}).get(j0)
+        if p is None or abs(p) != a:
+            continue  # gone, or changed since this key was pushed
+        r0 = rows[i0]
+        now = len(r0) * len(cols[j0])
+        if now > cost:
+            heappush(heap, (a, now, i0, j0))
             continue
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                cost = (abs(v), len(r) * len(cols[j]))
-                if best is None or cost < best:
-                    best, i0, j0 = cost, i, j
-        p = rows[i0][j0]
-        # reduce the pivot's row and column modulo p
         for i in list(cols[j0]):
             if i != i0:
                 q = rows[i][j0] // p
-                if q:
-                    row_op(i, i0, q)
-        for j in list(rows[i0]):
-            if j != j0:
-                q = rows[i0][j] // p
-                if q:
-                    col_op(j, j0, q)
-        dirty = any(i != i0 for i in cols[j0]) or any(j != j0 for j in rows[i0])
-        if dirty:
-            continue  # remainders are smaller than |p|; re-pivot
-        drop(i0, j0)
-        others.append(abs(p))
+                for j, w in r0.items():
+                    setval(i, j, rows.get(i, {}).get(j, 0) - q * w)
+        if len(cols[j0]) == 1:
+            for j in [j for j in r0 if j != j0]:
+                w = r0[j] % p
+                if not w:
+                    drop(i0, j)
+                elif w != r0[j]:
+                    setval(i0, j, w)
+            if len(r0) == 1:
+                drop(i0, j0)
+                if a == 1:
+                    units += 1
+                else:
+                    others.append(a)
+                continue
+        heappush(heap, (a, len(r0) * len(cols[j0]), i0, j0))
     # a 1 divides everything, so only the other factors need the pass
     return [1] * units + _divisibility_pass(others)
 
@@ -464,13 +437,6 @@ class LatticeSubspace:
     def contains(self, vec):
         col = IntMatrix.from_columns([tuple(vec)], self.ambient)
         return back_substitute(hnf_pivots(self.basis), self.rank, col) is not None
-
-
-def lattice_sum(A: LatticeSubspace, B: LatticeSubspace) -> LatticeSubspace:
-    """Z-span of the union of generators; deliberately not saturated."""
-    if A.ambient != B.ambient:
-        raise ValueError("ambient rank mismatch")
-    return LatticeSubspace.from_columns(A.basis.columns() + B.basis.columns(), A.ambient)
 
 
 def kernel_lattice(M: IntMatrix) -> LatticeSubspace:

@@ -67,11 +67,9 @@ class ToricVariety:
         return self.cone_index[frozenset()]
 
     def cone_dim(self, cid):
+        """Dimension of the cone: the sedentarity, the codimension of its
+        stratum."""
         return len(self.cones[cid])
-
-    def sedentarity(self, cid):
-        """Codimension of the stratum = dimension of its cone."""
-        return self.cone_dim(cid)
 
     def stratum_dim(self, cid):
         return self.dim - self.cone_dim(cid)

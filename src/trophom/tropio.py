@@ -121,9 +121,10 @@ def parse_polynomial(text, n_vars=None) -> TropicalPolynomial:
     t = _Tokens(text)
     t.expect("max")
     t.expect("(")
-    raw_terms = []
+    raw_terms = []   # (start offset, coefficient, monomials)
     while True:
-        raw_terms.append(_parse_term(t))
+        t.skip_ws()
+        raw_terms.append((t.pos, *_parse_term(t)))
         if t.try_take(","):
             continue
         t.expect(")")
@@ -131,30 +132,30 @@ def parse_polynomial(text, n_vars=None) -> TropicalPolynomial:
     t.skip_ws()
     if t.pos != len(t.text):
         t.error("trailing input after polynomial")
-    max_var = 0
-    for coeff, monos in raw_terms:
-        for e, i in monos:
-            max_var = max(max_var, i)
+    variables = [(i, at) for _, _, monos in raw_terms for _, i, at in monos]
+    max_var = max((i for i, _ in variables), default=0)
     if n_vars is None:
         n_vars = max_var
     elif max_var > n_vars:
-        raise ParseError("variable x%d exceeds the declared count %d" % (max_var, n_vars))
+        at = next(at for i, at in variables if i == max_var)
+        t.error("variable x%d exceeds the declared count %d" % (max_var, n_vars), at)
     terms = []
-    seen = {}
-    for coeff, monos in raw_terms:
+    seen = set()
+    for start, coeff, monos in raw_terms:
         exp = [0] * n_vars
-        for e, i in monos:
+        for e, i, _ in monos:
             exp[i - 1] += e
         key = tuple(exp)
         if key in seen:
-            raise ParseError("duplicate exponent vector %r" % (key,))
-        seen[key] = True
+            t.error("duplicate exponent vector %r" % (key,), start)
+        seen.add(key)
         terms.append((key, coeff))
     return TropicalPolynomial.make(terms, n_vars)
 
 
 def _parse_term(t: _Tokens):
-    """One term: optional rational constant plus '+'-separated monomials."""
+    """One term: optional rational constant plus '+'-separated monomials,
+    each as (exponent, variable index, start offset of the variable)."""
     coeff = Fraction(0)
     monos = []
     first = True
@@ -162,7 +163,7 @@ def _parse_term(t: _Tokens):
         t.skip_ws()
         ch = t.peek()
         if ch == "x":
-            monos.append((1, _parse_var(t)))
+            monos.append((1, *_parse_var(t)))
         elif ch in "+-0123456789" and (first or ch != ""):
             n = t.integer()
             if t.try_take("/"):
@@ -175,8 +176,7 @@ def _parse_term(t: _Tokens):
                 else:
                     coeff = coeff_val
             elif t.try_take("*"):
-                v = _parse_var(t)
-                monos.append((n, v))
+                monos.append((n, *_parse_var(t)))
             else:
                 coeff += Fraction(n)
         else:
@@ -188,11 +188,14 @@ def _parse_term(t: _Tokens):
 
 
 def _parse_var(t: _Tokens):
+    """A variable xN: its index N and the offset where it starts."""
+    t.skip_ws()
+    start = t.pos
     t.expect("x")
     idx = t.integer()
     if idx < 1:
         t.error("variable indices start at 1")
-    return idx
+    return idx, start
 
 
 def polynomial_text(f: TropicalPolynomial) -> str:

@@ -7,8 +7,9 @@ found by a containment scan over every pair of cells, and cross-stratum ones
 are certified by projection.  The refinements by hyperplanes and the coarse
 toric structure live here too, since the tests are their only callers and a
 refined cell is no longer an (eta, F) pair.  So do the all-cofaces
-reference for the compactness flag and the full-star reference for the
-multi-tangent cosheaf.  Exact kernels that the pipeline runs in a cheaper
+reference for the compactness flag, the full-star reference for the
+multi-tangent cosheaf, and the stratum-by-stratum reference for
+non-singularity.  Exact kernels that the pipeline runs in a cheaper
 form keep their plain forms here as references: the double description
 that recomputes every ray's tight set at each step, the reduced row echelon
 form in Fraction arithmetic, and the stratum pieces built by the checked
@@ -415,3 +416,21 @@ def multitangent(Z, p):
                 "(cells %d -> %d, p=%d)" % (s, t, p))
         maps[(t, s)] = A
     return Cosheaf(Z, p, ranks, bases, maps)
+
+
+def is_nonsingular(pair: HypersurfacePair) -> bool:
+    """Non-singularity stratum by stratum: the reference for
+    `trophom.complexes.is_nonsingular`, which checks the open stratum's
+    subdivision alone.  The faces of the subdivision on every stratum's
+    Newton polytope face G_eta are collected, and every one of top
+    dimension must be a unimodular simplex."""
+    S = pair.subdivision
+    for live in pair.face_points:
+        sub_faces = {F: d for F, d in S.faces.items() if F <= live}
+        if not sub_faces:
+            return False
+        top = max(sub_faces.values())
+        if not all(polyhedra.is_unimodular_simplex(S, F, top)
+                   for F, d in sub_faces.items() if d == top):
+            return False
+    return True

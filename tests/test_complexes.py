@@ -232,7 +232,7 @@ class TestCompactified:
                         if img.geometry_key() == c.geom.geometry_key():
                             witnesses.append(s.index)
                 assert len(witnesses) == 1
-                assert X.cells[witnesses[0]].dim == c.dim + pair.Y.sedentarity(c.sed)
+                assert X.cells[witnesses[0]].dim == c.dim + pair.Y.cone_dim(c.sed)
 
 
 class TestPredicates:
@@ -659,6 +659,27 @@ def test_is_proper_on_random_inputs(seed):
     g = _random_poly(seed)
     assert is_proper(build_pair(g, normal_fan(newton_polytope(g))))
     assert is_proper(build_pair(g, load_fan("dim %d\n" % g.n_vars)))
+
+
+def test_is_nonsingular_matches_per_stratum_reference():
+    """The open stratum's check against the check on every stratum: on every
+    fixture, random quadrics on every fan of the compactness check, and
+    random curves and surfaces on their normal fans and on the trivial fan.
+    Both verdicts occur."""
+    pairs = [make() for make in LP_FIXTURES.values()]
+    for seed in range(6):
+        f = _random_quadric(seed)
+        pairs += [build_pair(f, load_fan(text)) for text in COMPACTNESS_FANS.values()]
+    for seed in range(20):
+        g = _random_poly(seed)
+        pairs += [build_pair(g, normal_fan(newton_polytope(g))),
+                  build_pair(g, load_fan("dim %d\n" % g.n_vars))]
+    verdicts = Counter()
+    for pair in pairs:
+        got = is_nonsingular(pair)
+        assert got == reference.is_nonsingular(pair)
+        verdicts[got] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
 
 
 class TestOtherStructures:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from heapq import heappop
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometric_reference import fraction_rref
+from trophom import exactla
 from trophom.exactla import (
     IntMatrix,
     LatticeSubspace,
@@ -20,7 +22,6 @@ from trophom.exactla import (
     hnf_pivots,
     homology_at,
     kernel_lattice,
-    lattice_sum,
     primitive_vector,
     hnf_row,
     smith_diagonal,
@@ -255,11 +256,15 @@ class TestSNF:
             assert smith_diagonal(sparse(A), m, n) == invariant_factors_by_minors(A)
 
     def test_non_unit_entries_match_minors(self):
-        """No input entry is a unit, so every pivot starts on the scan; fill-in
-        such as a 2 and a 3 in one column then creates units for the heap."""
+        """No input entry is a unit, so the first pivot leaves remainders;
+        a 2 and a 3 in one column then leave a unit.  In [[4, 6], [4, 4]]
+        the 4 at (0, 0) leaves a 2 in its row, and the -2 below it clears
+        that 2 without touching the 4, which then retires only because it
+        went back on the heap."""
         assert smith_diagonal(sparse(M([[2], [3]])), 2, 1) == [1]
         assert smith_diagonal(sparse(M([[2, 3]])), 1, 2) == [1]
         assert smith_diagonal(sparse(M([[2, 4], [4, 2]])), 2, 2) == [2, 6]
+        assert smith_diagonal(sparse(M([[4, 6], [4, 4]])), 2, 2) == [2, 4]
         rng = random.Random(11)
         values = (0, 0, 2, -2, 3, -3, 4, -4, 6)
         with_unit = 0
@@ -272,14 +277,45 @@ class TestSNF:
         assert with_unit >= 20
 
     def test_matches_full_scan_reference(self):
-        """The heap changes only the pivot order: 200 seeded sparse matrices up
-        to 30 x 40, unit-rich and unit-free, give the reference diagonal."""
+        """The heap changes only the pivot order: 250 seeded sparse matrices up
+        to 30 x 40 give the reference diagonal.  They are unit-rich, mixed,
+        and free of units; the even ones keep every entry a non-unit, and
+        4s and 6s in one column leave a remainder of 2 under a pivot of 4."""
         rng = random.Random(23)
-        kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (2, -2, 3, 4, -6))
-        for k in range(200):
+        kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (2, -2, 3, 4, -6),
+                 (2, -2, 4, 6, -8, 12), (4, 6, -4, -6))
+        for k in range(250):
             m, n = rng.randint(1, 30), rng.randint(1, 40)
-            entries = random_sparse(rng, m, n, rng.uniform(0.03, 0.3), kinds[k % 3])
+            entries = random_sparse(rng, m, n, rng.uniform(0.03, 0.3), kinds[k % 5])
             assert smith_diagonal(entries, m, n) == full_scan_smith_diagonal(entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=1, max_size=5)))
+    def test_matches_minors_property(self, rows):
+        A = M(rows)
+        assert smith_diagonal(sparse(A), A.nrows, A.ncols) == invariant_factors_by_minors(A)
+
+    def test_loop_ends(self, monkeypatch):
+        """Each step retires its pivot or leaves a remainder of smaller
+        |value|, so the loop ends.  A step that breaks this, say one that
+        keeps a unit pivot's row, spins forever; with heap pops capped far
+        above what these matrices take (at most 116 here) it fails instead."""
+        pops = 0
+
+        def capped(heap):
+            nonlocal pops
+            pops += 1
+            assert pops <= 10_000, "smith_diagonal did not end"
+            return heappop(heap)
+
+        monkeypatch.setattr(exactla, "heappop", capped)
+        rng = random.Random(3)
+        for A in [M([[1, 1, 1], [1, -1, 0], [0, 1, 1]]), M([[4, 6], [4, 4]])] + [
+                M([[rng.randint(-12, 12) for _ in range(5)] for _ in range(5)])
+                for _ in range(5)]:
+            pops = 0
+            assert smith_diagonal(sparse(A), A.nrows, A.ncols) == invariant_factors_by_minors(A)
 
     def test_out_of_range_entry_rejected(self):
         for entries, where in (({0: {5: 2}, 7: {0: 3}}, r"\(0, 5\)"),
@@ -294,9 +330,9 @@ class TestSNF:
     @pytest.mark.parametrize("size", (3, 4, 5))
     def test_doubled_torus_boundary(self, size):
         """2 * d2 of a triangulated size x size grid torus has no unit entry,
-        so every pivot comes from the least-|value| scan: its diagonal is 2
-        for each of the 2 * size^2 - 1 independent triangles, as the full
-        scan reference finds."""
+        so every pivot is a 2: its diagonal is 2 for each of the
+        2 * size^2 - 1 independent triangles, as the full scan reference
+        finds."""
         n = size
 
         def v(i, j):
@@ -371,15 +407,16 @@ class TestKernel:
 
 
 class TestLatticeSum:
+    """The sum of sublattices as `multitangent` takes it: the span of the
+    union of their generators, with no saturation."""
+
     def test_axes_sum_to_full(self):
-        A = LatticeSubspace.from_columns([(1, 0)], 2)
-        B = LatticeSubspace.from_columns([(0, 1)], 2)
-        assert lattice_sum(A, B) == LatticeSubspace.full(2)
+        assert LatticeSubspace.from_columns([(1, 0), (0, 1)], 2) == LatticeSubspace.full(2)
 
     def test_even_sublattice_not_saturated(self):
         A = LatticeSubspace.from_columns([(2, 0)], 2)
         B = LatticeSubspace.from_columns([(0, 2)], 2)
-        S = lattice_sum(A, B)
+        S = LatticeSubspace.from_columns(A.basis.columns() + B.basis.columns(), 2)
         assert S.rank == 2
         assert not S.contains((1, 0))
         assert S.contains((2, 0))
@@ -390,7 +427,7 @@ class TestLatticeSum:
         dirs = [(-1, 0), (0, -1), (1, 1)]
         total = LatticeSubspace.zero(2)
         for d in dirs:
-            total = lattice_sum(total, LatticeSubspace.from_columns([d], 2))
+            total = LatticeSubspace.from_columns(total.basis.columns() + [d], 2)
         assert total == LatticeSubspace.full(2)
 
 
@@ -553,7 +590,7 @@ class TestHomologyAt:
     def test_sphere_boundary_of_3_simplex(self):
         # textbook: boundary of a 3-simplex is S^2
         D1, D2 = sphere_boundaries()
-        assert (D1 * D2).is_zero()
+        assert D1 * D2 == IntMatrix.zeros(D1.nrows, D2.ncols)
         h0 = homology_at(D1, IntMatrix.zeros(0, 4))
         h1 = homology_at(D2, D1)
         h2 = homology_at(IntMatrix.zeros(4, 0), D2)

@@ -25,13 +25,13 @@ class TestStrata:
 
     def test_sedentarity(self):
         Y = tp2()
-        assert Y.sedentarity(Y.apex) == 0
+        assert Y.cone_dim(Y.apex) == 0
         corner = cone_id(Y, [(-1, 0), (0, -1)])
-        assert Y.sedentarity(corner) == 2
+        assert Y.cone_dim(corner) == 2
         Y3 = ToricVariety(normal_fan(newton_polytope(
             parse_polynomial("max(0, x1, x2, x3)"))))
         ray = next(c for c in range(len(Y3.cones)) if Y3.cone_dim(c) == 1)
-        assert Y3.sedentarity(ray) == 1
+        assert Y3.cone_dim(ray) == 1
 
     def test_projection_section_identities(self):
         Y = tp2()

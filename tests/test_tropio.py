@@ -41,6 +41,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_polynomial("max(0, x1, x1)")
 
+    def test_duplicate_exponent_names_its_term(self):
+        with pytest.raises(ParseError, match=r"duplicate exponent vector \(1,\)") as e:
+            parse_polynomial("max(0,\n  1 + x1,\n  2 + x1)")
+        assert (e.value.line, e.value.col) == (3, 3)
+
+    @pytest.mark.parametrize("text, where", (("max(0,\n  1 + x1,\n  2 + 3*x4)", (3, 9)),
+                                             ("max(x4 + x1,\n  2 + 3 *  x4)", (1, 5)),
+                                             ("max(x2,\n  2 + 3 *  x4)", (2, 12))))
+    def test_undeclared_variable_names_its_position(self, text, where):
+        with pytest.raises(ParseError, match="variable x4 exceeds the declared count 2") as e:
+            parse_polynomial(text, n_vars=2)
+        assert (e.value.line, e.value.col) == where
+
     def test_syntax_error_has_location(self):
         with pytest.raises(ParseError) as e:
             parse_polynomial("max(0, x1,, x2)")
