@@ -106,7 +106,7 @@ class HypersurfacePair:
     f: TropicalPolynomial
     Y: ToricVariety
     subdivision: object
-    newton: object
+    newton: QPolyhedron
     X: CellComplex
     Yref: CellComplex
     embed: dict                  # X cell index -> Yref cell index
@@ -166,13 +166,12 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     subdivision by `stratum_pieces`, and the tests compare them with this.
     """
     verts = sorted(v for M, v in ties.items() if face <= M)
-    P = newton.poly
     pts = [f.terms[i][0] for i in face]
-    rays = sorted(a for a, b in P.facets
+    rays = sorted(a for a, b in newton.facets
                   if all(_dot(a, p) == b for p in pts))
-    lins = [a for a, b in P.equations]
-    facets, eqs = hrep_from_generators(verts, rays, lins, P.dim)
-    return QPolyhedron(P.dim, verts, rays, lins, facets, eqs)
+    lins = [a for a, b in newton.equations]
+    facets, eqs = hrep_from_generators(verts, rays, lins, newton.dim)
+    return QPolyhedron(newton.dim, verts, rays, lins, facets, eqs)
 
 
 def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
@@ -217,7 +216,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
             vertex_of[cell] = tuple(_dot(r, ties[M]) for r in proj.rows)
     walls = {}
-    for a, b in newton.poly.facets:
+    for a, b in newton.facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
                 LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:
@@ -419,7 +418,7 @@ def is_cellular_pair(pair: HypersurfacePair) -> str:
     """Tri-state 'yes' / 'no' / 'unknown', by certified sufficient conditions."""
     Y = pair.Y
     if Y.fan.is_trivial():
-        full = pair.newton.dim == Y.dim
+        full = pair.newton.affine_dim == Y.dim
         result = "yes" if full else "no"
     elif Y.compact:
         # every pair the build returns is proper (see `is_proper`)

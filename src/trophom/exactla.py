@@ -11,6 +11,10 @@ One eliminator per job:
 - the sparse Smith diagonal for invariant factors: the homology, rank plus
   torsion, of a composable pair of integer matrices.
 
+Both row eliminators, `_hermite` and `gauss_jordan`, let the columns past
+the ones they pivot on ride along, so a transform is read off an identity
+appended to the rows.
+
 The Smith diagonal has one pivot rule and one elimination step.  A lazy
 heap of every nonzero entry gives the pivot of least |value|, ties broken by
 the Markowitz cost len(row) * len(col); the step reduces the pivot's column,
@@ -190,17 +194,17 @@ class IntMatrix:
         return self._sparse
 
 
-def _hnf_rows_inplace(h, u=None):
-    """Row Hermite form of the mutable list-of-lists h; row ops mirrored on u.
+def _hermite(h, ncols):
+    """Row Hermite form, in place, of the first `ncols` columns of the
+    mutable list of rows h; the columns past `ncols` ride along, so [M | I]
+    becomes [H | U] with U * M = H.
 
-    Pivots positive, entries above each pivot reduced into [0, pivot).
-    Returns the list of (row, col) pivot positions.
+    Pivots positive, entries above each pivot reduced into [0, pivot); the
+    rows past the rank vanish on the first `ncols` columns.
     """
     m = len(h)
-    n = len(h[0]) if m else 0
-    pivots = []
     r = 0
-    for c in range(n):
+    for c in range(ncols):
         if r >= m:
             break
         # gcd elimination below row r in column c
@@ -212,56 +216,38 @@ def _hnf_rows_inplace(h, u=None):
                     best = i
             if best is None:
                 break
-            if best != r:
-                h[r], h[best] = h[best], h[r]
-                if u is not None:
-                    u[r], u[best] = u[best], u[r]
+            h[r], h[best] = h[best], h[r]
+            top = h[r]
+            p = top[c]
             done = True
-            p = h[r][c]
             for i in range(r + 1, m):
-                v = h[i][c]
-                if v:
-                    q = v // p
-                    if q:
-                        hi, hr = h[i], h[r]
-                        for j in range(n):
-                            hi[j] -= q * hr[j]
-                        if u is not None:
-                            ui, ur = u[i], u[r]
-                            for j in range(len(ui)):
-                                ui[j] -= q * ur[j]
-                    if h[i][c]:
-                        done = False
+                q = h[i][c] // p
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], top)]
+                if h[i][c]:
+                    done = False
             if done:
                 break
-        if r < m and h[r][c] != 0:
+        if h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                if u is not None:
-                    u[r] = [-x for x in u[r]]
-            p = h[r][c]
+            top = h[r]
+            p = top[c]
             for i in range(r):
                 q = h[i][c] // p
                 if q:
-                    hi, hr = h[i], h[r]
-                    for j in range(n):
-                        hi[j] -= q * hr[j]
-                    if u is not None:
-                        ui, ur = u[i], u[r]
-                        for j in range(len(ui)):
-                            ui[j] -= q * ur[j]
-            pivots.append((r, c))
+                    h[i] = [x - q * y for x, y in zip(h[i], top)]
             r += 1
-    return pivots
 
 
 def hnf_row(M: IntMatrix):
-    """Canonical row Hermite normal form.  Returns (H, U) with U*M = H."""
-    h = [list(r) for r in M.rows]
-    u = [list(r) for r in IntMatrix.identity(M.nrows).rows]
-    _hnf_rows_inplace(h, u)
-    return (IntMatrix._trusted(tuple(map(tuple, h)), M.ncols),
-            IntMatrix._trusted(tuple(map(tuple, u)), M.nrows))
+    """Canonical row Hermite normal form.  Returns (H, U) with U*M = H: one
+    `_hermite` of [M | I], split after M's columns."""
+    n = M.ncols
+    h = [[*row, *(int(i == j) for j in range(M.nrows))] for i, row in enumerate(M.rows)]
+    _hermite(h, n)
+    return (IntMatrix._trusted(tuple(tuple(r[:n]) for r in h), n),
+            IntMatrix._trusted(tuple(tuple(r[n:]) for r in h), M.nrows))
 
 
 def basis_completion(cols, dim):
@@ -288,19 +274,24 @@ def hnf(M: IntMatrix):
 
 
 def _divisibility_pass(diag):
-    """Make diag[i] | diag[i+1] by (gcd, lcm) replacements of positive factors."""
-    diag = list(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                a, b = diag[i], diag[j]
-                if b % a != 0:
-                    g = gcd(a, b)
-                    diag[i], diag[j] = g, a * b // g
-                    changed = True
-    return diag
+    """The invariant factors of the diagonal matrix of these positive
+    factors, as many as there are: one insertion fold over the sorted
+    factors.  A factor that the chain's top divides is appended.  Any other
+    factor x is merged downward: chain[i] becomes lcm(chain[i], x) and x
+    becomes their gcd, which divides chain[i], until x is 1; what is left of
+    x goes in front.  Each merge keeps the product and the divisibility."""
+    chain = []
+    for x in sorted(diag):
+        if not chain or x % chain[-1] == 0:
+            chain.append(x)
+            continue
+        i = len(chain) - 1
+        while i >= 0 and x > 1:
+            g = gcd(chain[i], x)
+            chain[i], x = chain[i] // g * x, g
+            i -= 1
+        chain.insert(0, x)
+    return chain
 
 
 def smith_diagonal(entries_by_row, nrows, ncols):
@@ -418,7 +409,7 @@ class LatticeSubspace:
             # column or entry
             cols = IntMatrix.from_columns(cols, ambient).columns()
         h = [list(c) for c in cols]
-        _hnf_rows_inplace(h)
+        _hermite(h, ambient)
         cols = [r for r in h if any(r)]
         return cls(ambient, IntMatrix._trusted(_column_rows(cols, ambient), len(cols)))
 
@@ -440,11 +431,16 @@ class LatticeSubspace:
 
 
 def kernel_lattice(M: IntMatrix) -> LatticeSubspace:
-    """The saturated sublattice {v in Z^ncols : M v = 0}."""
-    H, V = hnf(M)
-    zero_cols = [j for j in range(H.ncols)
-                 if all(H.rows[i][j] == 0 for i in range(H.nrows))]
-    return LatticeSubspace.from_columns([V.column(j) for j in zero_cols], M.ncols)
+    """The saturated sublattice {v in Z^ncols : M v = 0}.
+
+    One `_hermite` of [M^T | I]: U * M^T = H with U unimodular, so the rows
+    of U beside the zero rows of H are a basis of the kernel, which is
+    saturated because it is a kernel.
+    """
+    a = M.nrows
+    h = [[*col, *(int(i == j) for j in range(M.ncols))] for i, col in enumerate(M.columns())]
+    _hermite(h, a)
+    return LatticeSubspace.from_columns([r[a:] for r in h if not any(r[:a])], M.ncols)
 
 
 def hnf_pivots(H: IntMatrix):

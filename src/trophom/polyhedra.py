@@ -11,7 +11,7 @@ vectors.  All coordinates are Fractions or ints; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -462,25 +462,6 @@ def convex_hull(points, dim=None) -> QPolyhedron:
     if not points:
         raise ValueError("empty point list")
     return QPolyhedron.from_generators(points, dim=dim)
-
-
-@dataclass(frozen=True)
-class LatticePolytope:
-    """Convex hull of integer vectors; vertices are the extreme points."""
-
-    ambient_dim: int
-    vertices: tuple
-    poly: QPolyhedron = field(compare=False, repr=False)
-
-    @classmethod
-    def from_points(cls, points):
-        P = convex_hull(points)
-        verts = tuple(sorted(tuple(int(x) for x in v) for v in P.vertices))
-        return cls(P.dim, verts, P)
-
-    @property
-    def dim(self):
-        return self.poly.affine_dim
 
 
 # ---------------------------------------------------------------------------

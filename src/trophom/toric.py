@@ -22,7 +22,7 @@ question, and only that one is decided geometrically.
 
 from __future__ import annotations
 
-from .exactla import IntMatrix, basis_completion, primitive_vector, solve_int
+from .exactla import IntMatrix, basis_completion, hnf_row, primitive_vector
 from .polyhedra import QPolyhedron, cone_covered_by, cone_hull, cone_meets_relint
 from .tropio import FanSpec
 
@@ -41,7 +41,8 @@ class Stratum:
         if U is None:
             raise ValueError("cone rays %r do not extend to a lattice basis"
                              % ([rays[i] for i in self.ray_indices],))
-        Uinv = solve_int(U, IntMatrix.identity(fan_dim))
+        # U is unimodular, so its row Hermite form is I and its transform is U^-1
+        Uinv = hnf_row(U)[1]
         self.projection = U.submatrix(range(s, fan_dim), range(fan_dim))
         self.section = Uinv.submatrix(range(fan_dim), range(s, fan_dim))
 

@@ -4,14 +4,18 @@ Polynomials are max-plus: f(x) = max over terms of (coefficient + <exponent, x>)
 The .trop grammar:
 
     poly  := "max(" term ("," term)* ")"
-    term  := coeff? ("+" mono)*        (a bare mono is also accepted)
+    term  := part ("+" part)*
+    part  := coeff | mono
     mono  := int "*" var | var
     var   := "x" index
     coeff := int | int "/" int
 
+A term's parts come in any order: its constants sum to its coefficient and
+its monomials to its exponent vector.
+
 The .fan format is line oriented: "dim D", then "ray I: a1 ... aD" lines,
-then "cone: i j k" lines listing maximal cones by ray index.  All faces of
-the listed cones are implied.
+then "cone: i j k" lines listing maximal cones by ray index, each ray once.
+Keywords are whole words.  All faces of the listed cones are implied.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactla import basis_completion, primitive_vector
-from .polyhedra import LatticePolytope, QPolyhedron, cone_hull
+from .polyhedra import QPolyhedron, cone_hull, convex_hull
 
 
 class ParseError(ValueError):
@@ -158,30 +162,24 @@ def _parse_term(t: _Tokens):
     each as (exponent, variable index, start offset of the variable)."""
     coeff = Fraction(0)
     monos = []
-    first = True
     while True:
         t.skip_ws()
         ch = t.peek()
         if ch == "x":
             monos.append((1, *_parse_var(t)))
-        elif ch in "+-0123456789" and (first or ch != ""):
+        elif ch and ch in "+-0123456789":
             n = t.integer()
             if t.try_take("/"):
                 d = t.integer()
                 if d == 0:
                     t.error("zero denominator")
-                coeff_val = Fraction(n, d)
-                if not first:
-                    coeff += coeff_val
-                else:
-                    coeff = coeff_val
+                coeff += Fraction(n, d)
             elif t.try_take("*"):
                 monos.append((n, *_parse_var(t)))
             else:
-                coeff += Fraction(n)
+                coeff += n
         else:
             t.error("expected a coefficient or monomial")
-        first = False
         if not t.try_take("+"):
             break
     return coeff, monos
@@ -214,8 +212,9 @@ def polynomial_text(f: TropicalPolynomial) -> str:
     return "max(%s)" % ", ".join(parts)
 
 
-def newton_polytope(f: TropicalPolynomial) -> LatticePolytope:
-    return LatticePolytope.from_points([e for e, c in f.terms])
+def newton_polytope(f: TropicalPolynomial) -> QPolyhedron:
+    """The convex hull of the exponent vectors."""
+    return convex_hull([e for e, c in f.terms])
 
 
 @dataclass(frozen=True)
@@ -299,13 +298,12 @@ class FanSpec:
         return self
 
 
-def normal_fan(delta: LatticePolytope) -> FanSpec:
+def normal_fan(P: QPolyhedron) -> FanSpec:
     """Complete fan of normal cones of a full-dimensional lattice polytope.
 
     Cones are dual to faces: the cone at a vertex is spanned by the outer
     normals of the facets through it (max-plus convention).
     """
-    P = delta.poly
     if P.affine_dim != P.dim:
         raise FanError("normal fan needs a full-dimensional polytope")
     rays = [primitive_vector(a) for a, b in P.facets]
@@ -326,7 +324,11 @@ def load_fan(text) -> FanSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("dim"):
+        # the keyword is the first whole word before any ':'
+        head, _, body = line.partition(":")
+        words = head.split()
+        word = words[0] if words else ""
+        if word == "dim":
             if dim is not None:
                 raise ParseError("second dim line", ln)
             try:
@@ -335,12 +337,11 @@ def load_fan(text) -> FanSpec:
                 raise ParseError("malformed dim line: expected 'dim D'", ln)
             if dim < 0:
                 raise ParseError("negative dimension %d" % dim, ln)
-        elif line.startswith("ray"):
-            head, _, coords = line.partition(":")
+        elif word == "ray":
             try:
-                idx = int(head.split()[1])
-                vec = tuple(int(x) for x in coords.split())
-            except (IndexError, ValueError):
+                (idx,) = (int(x) for x in words[1:])
+                vec = tuple(int(x) for x in body.split())
+            except ValueError:
                 raise ParseError("malformed ray line", ln)
             if dim is None or len(vec) != dim:
                 raise ParseError("ray has %d coordinates, expected dim %s"
@@ -348,15 +349,19 @@ def load_fan(text) -> FanSpec:
             if idx != len(rays):
                 raise ParseError("ray indices must be consecutive from 0", ln)
             rays.append(vec)
-        elif line.startswith("cone"):
-            _, _, body = line.partition(":")
+        elif word == "cone":
+            if words != ["cone"]:
+                raise ParseError("malformed cone line: expected 'cone: i j ...'", ln)
             try:
-                members = frozenset(int(x) for x in body.split())
+                members = [int(x) for x in body.split()]
             except ValueError:
                 raise ParseError("malformed cone line", ln)
             if any(i < 0 or i >= len(rays) for i in members):
                 raise ParseError("cone refers to an unknown ray", ln)
-            cones.append(members)
+            if len(set(members)) != len(members):
+                raise ParseError("cone lists ray %d twice"
+                                 % next(i for i in members if members.count(i) > 1), ln)
+            cones.append(frozenset(members))
         else:
             raise ParseError("unrecognized line %r" % line, ln)
     if dim is None:

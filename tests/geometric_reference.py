@@ -180,7 +180,7 @@ def stratum_pieces(f, S, newton, ties, Y, eta, G):
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
             vertex_of[cell] = tuple(_dot(r, ties[M]) for r in proj.rows)
     walls = {}
-    for a, b in newton.poly.facets:
+    for a, b in newton.facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
                 LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:

@@ -2,10 +2,12 @@
 function, class and method in src/trophom is named somewhere in src/, tests/
 or bench/ besides its own definition.  So is every private top-level
 function and class and every private method of a top-level class (dunder
-methods aside).  A name that nothing calls is deleted, not kept."""
+methods aside).  A name that nothing calls is deleted, not kept.  And the
+package stays pure Python with no dependencies."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +92,21 @@ def test_every_private_helper_is_referenced():
     unused, defined = unused_definitions(private)
     assert defined > 10
     assert unused == []
+
+
+def test_pure_python_with_no_dependencies():
+    """Every import in src/trophom is relative or of the standard library,
+    and pyproject.toml's [project] table declares `dependencies = []`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    project = (ROOT / "pyproject.toml").read_text().split("\n[project]\n", 1)[1]
+    project = project.split("\n[", 1)[0]
+    assert re.search(r"^dependencies = \[\]$", project, re.M), project

@@ -410,13 +410,12 @@ def from_generators_dual_cell(f, face, ties, newton):
     """Reference dual cell from the same generators by
     `QPolyhedron.from_generators`, whose second double description
     re-derives the vertices and rays from the facets."""
-    P = newton.poly
     pts = [f.terms[i][0] for i in face]
-    rays = [a for a, b in P.facets
+    rays = [a for a, b in newton.facets
             if all(sum(x * y for x, y in zip(a, p)) == b for p in pts)]
     verts = [v for M, v in ties.items() if face <= M]
     return QPolyhedron.from_generators(sorted(verts), sorted(rays),
-                                       [a for a, b in P.equations], P.dim)
+                                       [a for a, b in newton.equations], newton.dim)
 
 
 def assert_dual_cells_match_hrep(pair):

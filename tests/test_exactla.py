@@ -158,6 +158,117 @@ class TestHNF:
             assert hnf(A)[0] == hnf(B)[0]
 
 
+def mirrored_hnf_rows(h, u=None):
+    """Reference: the row Hermite elimination as it stood with its transform
+    kept apart, each swap, negation and row subtraction of h mirrored on u
+    (when given).  Pivots positive, entries above each pivot reduced into
+    [0, pivot)."""
+    m = len(h)
+    n = len(h[0]) if m else 0
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        while True:
+            best = None
+            for i in range(r, m):
+                v = h[i][c]
+                if v != 0 and (best is None or abs(v) < abs(h[best][c])):
+                    best = i
+            if best is None:
+                break
+            if best != r:
+                h[r], h[best] = h[best], h[r]
+                if u is not None:
+                    u[r], u[best] = u[best], u[r]
+            done = True
+            p = h[r][c]
+            for i in range(r + 1, m):
+                v = h[i][c]
+                if v:
+                    q = v // p
+                    if q:
+                        for j in range(n):
+                            h[i][j] -= q * h[r][j]
+                        if u is not None:
+                            for j in range(len(u[i])):
+                                u[i][j] -= q * u[r][j]
+                    if h[i][c]:
+                        done = False
+            if done:
+                break
+        if h[r][c] != 0:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+                if u is not None:
+                    u[r] = [-x for x in u[r]]
+            p = h[r][c]
+            for i in range(r):
+                q = h[i][c] // p
+                if q:
+                    for j in range(n):
+                        h[i][j] -= q * h[r][j]
+                    if u is not None:
+                        for j in range(len(u[i])):
+                            u[i][j] -= q * u[r][j]
+            r += 1
+
+
+def mirrored_hnf_row(A):
+    h = [list(r) for r in A.rows]
+    u = [list(r) for r in IntMatrix.identity(A.nrows).rows]
+    mirrored_hnf_rows(h, u)
+    return IntMatrix(h, ncols=A.ncols), IntMatrix(u, ncols=A.nrows)
+
+
+def mirrored_from_columns(cols, ambient):
+    h = [list(c) for c in cols]
+    mirrored_hnf_rows(h)
+    return IntMatrix.from_columns([r for r in h if any(r)], ambient)
+
+
+def mirrored_kernel(A):
+    """The kernel through the column HNF: transpose, row HNF with its
+    transform, transpose back, and take V's columns beside H's zero
+    columns."""
+    Ht, Ut = mirrored_hnf_row(A.transpose())
+    H, V = Ht.transpose(), Ut.transpose()
+    zero = [j for j in range(H.ncols) if not any(H.column(j))]
+    return mirrored_from_columns([V.column(j) for j in zero], A.ncols)
+
+
+def mirrored_completion(A, m):
+    """`basis_completion` of A's columns through the mirrored elimination."""
+    H, U = mirrored_hnf_row(A)
+    eye = tuple(tuple(int(i == j) for j in range(A.ncols)) for i in range(m))
+    return U if H.rows == eye else None
+
+
+class TestHermiteReference:
+    def test_matches_mirrored_transform(self):
+        """`hnf_row`, `hnf`, `kernel_lattice`, `from_columns` and
+        `basis_completion`, whose transforms ride along as columns of one
+        elimination, give exactly the matrices of the elimination that
+        mirrors every row operation on a separate transform."""
+        rng = random.Random(41)
+        shapes = [(m, n) for m in range(4) for n in range(4) if not m * n]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(2400)]
+        completions = 0
+        for m, n in shapes:
+            values = rng.choice(((0, 1, -1), (0, 0, 1, -1, 2, -3), tuple(range(-9, 10))))
+            A = IntMatrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], ncols=n)
+            H, U = mirrored_hnf_row(A)
+            assert hnf_row(A) == (H, U), A
+            Ht, Ut = mirrored_hnf_row(A.transpose())
+            assert hnf(A) == (Ht.transpose(), Ut.transpose()), A
+            assert kernel_lattice(A).basis == mirrored_kernel(A), A
+            assert LatticeSubspace.from_columns(A.rows, n).basis == \
+                mirrored_from_columns(A.rows, n), A
+            assert basis_completion(A.columns(), m) == mirrored_completion(A, m), A
+            completions += mirrored_completion(A, m) is not None
+        assert completions >= 200
+
+
 def sparse(A):
     return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(A.rows)}
 
@@ -234,6 +345,23 @@ def random_sparse(rng, m, n, density, values):
             for i in range(m)}
 
 
+def pairwise_divisibility_pass(diag):
+    """Reference: make diag[i] | diag[j] for every i < j by (gcd, lcm)
+    replacements, sweeping every pair until none changes."""
+    diag = list(diag)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                a, b = diag[i], diag[j]
+                if b % a != 0:
+                    g = gcd(a, b)
+                    diag[i], diag[j] = g, a * b // g
+                    changed = True
+    return diag
+
+
 class TestSNF:
     def test_zero_matrix(self):
         assert smith_diagonal(sparse(IntMatrix.zeros(2, 3)), 2, 3) == []
@@ -275,6 +403,17 @@ class TestSNF:
             assert got == invariant_factors_by_minors(A), A
             with_unit += 1 in got
         assert with_unit >= 20
+
+    def test_divisibility_fold_matches_pairwise_reference(self):
+        """The insertion fold gives the pairwise pass's chain, 1s included,
+        on lists of factors with shared and coprime primes."""
+        rng = random.Random(23)
+        cases = [[], [1], [2, 3], [6, 4], [2] * 30, [2, 3] * 15, [12, 18, 8, 27]]
+        for _ in range(2000):
+            cases.append([rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 30))
+                          for _ in range(rng.randint(0, 12))])
+        for diag in cases:
+            assert exactla._divisibility_pass(diag) == pairwise_divisibility_pass(diag), diag
 
     def test_matches_full_scan_reference(self):
         """The heap changes only the pivot order: 250 seeded sparse matrices up

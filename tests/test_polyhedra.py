@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import geometric_reference as reference
-from trophom import exactla
+from trophom import polyhedra
 from trophom.polyhedra import (
     QPolyhedron,
     _canonical_equations,
@@ -678,26 +678,27 @@ def test_canonical_equations_match_fraction_reference():
 
 def test_point_tangent_lattice_takes_no_hnf(monkeypatch):
     """A point has as many canonical equations as its dimension, and its
-    tangent lattice is the zero lattice with no HNF: the same basis as the
-    saturated kernel of its equations.  Other polyhedra still take one."""
+    tangent lattice is the zero lattice with no `kernel_lattice`
+    elimination: the same basis as the saturated kernel of its equations.
+    Other polyhedra still take one."""
     rng = random.Random(53)
     points = [QPolyhedron.from_generators([tuple(random_rational(rng) for _ in range(d))])
               for d in range(1, 6) for _ in range(5)]
     want = [kernel_lattice(IntMatrix([a for a, b in P.equations], ncols=P.dim))
             for P in points]
-    hnf_calls = Counter()
-    real = exactla.hnf
+    calls = Counter()
+    real = polyhedra.kernel_lattice
 
     def counted(M):
-        hnf_calls["hnf"] += 1
+        calls["kernel_lattice"] += 1
         return real(M)
 
-    monkeypatch.setattr(exactla, "hnf", counted)
+    monkeypatch.setattr(polyhedra, "kernel_lattice", counted)
     for P, L in zip(points, want):
         assert len(P.equations) == P.dim and P.affine_dim == 0
         T = P.tangent_lattice()
         assert T == L and T.basis.rows == ((),) * P.dim and T.basis.ncols == 0
-    assert hnf_calls["hnf"] == 0
+    assert calls["kernel_lattice"] == 0
     segment = convex_hull([(0, 0, 1), (2, 1, 1)])
     assert segment.tangent_lattice().basis.columns() == [(2, 1, 0)]
-    assert hnf_calls["hnf"] == 1
+    assert calls["kernel_lattice"] == 1

@@ -7,11 +7,11 @@ import pytest
 
 from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
-    LatticePolytope,
     QPolyhedron,
     cone_covered_by,
     cone_hull,
     cone_meets_relint,
+    convex_hull,
 )
 from trophom.tropio import (
     FanError,
@@ -90,7 +90,7 @@ class TestNewton:
         f = parse_polynomial("max(2*x1)")
         np = newton_polytope(f)
         assert np.vertices == ((2,),)
-        assert np.dim == 0
+        assert np.affine_dim == 0
 
     def test_dense_cubic(self):
         terms = [((a, b), 0) for a in range(4) for b in range(4 - a)]
@@ -109,14 +109,14 @@ class TestNormalFan:
         assert fan.is_complete()
 
     def test_square_tp1xtp1(self):
-        np = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+        np = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
         fan = normal_fan(np)
         assert set(fan.rays) == {(-1, 0), (0, -1), (1, 0), (0, 1)}
         assert len(fan.max_cones) == 4
 
     def test_dilation_invariance(self):
-        np1 = LatticePolytope.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        np3 = LatticePolytope.from_points([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
+        np1 = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        np3 = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
         f1, f3 = normal_fan(np1), normal_fan(np3)
         assert set(f1.rays) == set(f3.rays)
 
@@ -141,7 +141,7 @@ class TestNormalFan:
             assert len(mins) == 1
 
     def test_non_fulldim_rejected(self):
-        np = LatticePolytope.from_points([(0, 0), (1, 0)])
+        np = convex_hull([(0, 0), (1, 0)])
         with pytest.raises(FanError):
             normal_fan(np)
 
@@ -338,6 +338,23 @@ cone: 1 2 4
         with pytest.raises(ParseError, match="malformed dim line") as e:
             load_fan("dim 1 2\n")
         assert e.value.line == 1
+
+    @pytest.mark.parametrize("text, line, message", [
+        # keywords are whole words, not prefixes
+        ("dim 2\nrays 0: 1 0\n", 2, "unrecognized line"),
+        ("dimension 2\n", 1, "unrecognized line"),
+        ("dim 2\nray 0: 1 0\ncones: 0\n", 3, "unrecognized line"),
+        # a ray line has one index
+        ("dim 2\nray 0 7: 1 0\n", 2, "malformed ray line"),
+        ("dim 2\nray: 1 0\n", 2, "malformed ray line"),
+        # a cone line needs its colon, and names each ray once
+        ("dim 2\nray 0: 1 0\nray 1: 0 1\ncone 0 1\n", 4, "malformed cone line"),
+        ("dim 2\nray 0: 1 0\nray 1: 0 1\ncone: 0 0 1\n", 4, "cone lists ray 0 twice"),
+    ])
+    def test_malformed_line_rejected(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as e:
+            load_fan(text)
+        assert e.value.line == line
 
     def test_trivial_fan(self):
         fan = load_fan("dim 3\n")
