@@ -195,10 +195,13 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     - facets: one per face F' of S covering F inside G, where one more term
       b in F' - F ties.
     The per-stratum data is computed once for all the pieces, and its
-    vertices and rays are sorted once.  Every piece is then built by
-    `QPolyhedron._trusted`: its vertices and rays are sorted subsequences,
-    its lineality is the stratum's, already the HNF basis of a saturated
-    lattice, its facets are sorted and its equations made canonical here.
+    vertices and rays are sorted once.  The maximal faces above each F are
+    found by walking the covers of the subdivision down from the top faces
+    inside G, not by scanning every maximal face for each F.  Every piece
+    is then built by `QPolyhedron._trusted`: its vertices and rays are
+    sorted subsequences, its lineality is the stratum's, already the HNF
+    basis of a saturated lattice, its facets are sorted and its equations
+    made canonical here.
     """
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
@@ -223,17 +226,31 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
             walls[on] = primitive_vector(proj.apply(a))
     vertex_of = sorted(vertex_of.items(), key=lambda item: item[1])
     walls = sorted(walls.items(), key=lambda item: item[1])
+    inside = [F for F in S.faces if F <= G]
+    # the maximal faces of the induced subdivision that contain each face,
+    # as a bit mask over vertex_of: OR the masks of its covers inside G,
+    # top faces first
+    above = {cell: 1 << i for i, (cell, v) in enumerate(vertex_of)}
+    for F in sorted(inside, key=S.faces.get, reverse=True):
+        if F not in above:
+            mask = 0
+            for C in S.covered_by[F]:
+                mask |= above.get(C, 0)
+            above[F] = mask
     pieces = {}
-    for F in S.faces:
-        if not F <= G:
-            continue
+    for F in inside:
         a0 = min(F)
         c0 = f.terms[a0][1]
 
         def tie(b):
             return (tuple(x - y for x, y in zip(w[b], w[a0])), c0 - f.terms[b][1])
 
-        verts = [v for cell, v in vertex_of if F <= cell]
+        verts = []
+        mask = above[F]
+        while mask:
+            low = mask & -mask
+            verts.append(vertex_of[low.bit_length() - 1][1])
+            mask ^= low
         rays = [r for on, r in walls if F <= on]
         facets = [tie(min(C - F)) for C in S.covered_by[F] if C <= G]
         eqs = [tie(b) for b in sorted(F) if b != a0]
@@ -281,6 +298,11 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     The closure of (eta, F) meets the strata of the cones theta >= eta with
     F inside G_theta, so `closure_is_compact` gets those as the cones the
     cell reaches, and reruns no geometry to find them.
+
+    A tangent lattice is the kernel of its piece's equation normals, which
+    are canonical, so one lattice is computed per equation system: the
+    cells with the same stratum dimension and equation normals share one
+    `LatticeSubspace` object.
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -296,14 +318,18 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     newton = newton_polytope(f)
     ties = tie_points(f, S)
     cells = {}
+    tangents = {}   # (stratum dim, equation normals) -> tangent lattice
     for eta in range(len(Y.cones)):
         for face, piece in stratum_pieces(f, S, newton, ties, Y, eta, G[eta]).items():
             fd = S.faces[face]
             if eta == Y.apex and piece.affine_dim != Y.dim - fd:
                 raise BuildError("dual cell of %r has dimension %d, expected %d"
                                  % (sorted(face), piece.affine_dim, Y.dim - fd))
+            system = (piece.dim, tuple(a for a, b in piece.equations))
+            if system not in tangents:
+                tangents[system] = piece.tangent_lattice()
             reached = [theta for theta in Y.cofaces(eta) if face <= G[theta]]
-            cells[(eta, face)] = Cell(eta, piece.affine_dim, piece, piece.tangent_lattice(),
+            cells[(eta, face)] = Cell(eta, piece.affine_dim, piece, tangents[system],
                                       Y.closure_is_compact(piece, eta, reached), face, fd >= 1)
 
     incidence = set()
@@ -318,8 +344,8 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
                     "in the stratum of fan cone %r"
                     % (sorted(cover), sorted(face), sorted(Y.cones[eta])))
             incidence.add(((eta, cover), (eta, face)))
-        for rho in Y.cofaces(eta):
-            if Y.cone_dim(rho) == Y.cone_dim(eta) + 1 and (rho, face) in cells:
+        for rho in Y.cofacets(eta):
+            if (rho, face) in cells:
                 incidence.add(((rho, face), (eta, face)))
 
     Yref = CellComplex(Y, cells.values(), incidence)

@@ -11,6 +11,11 @@ over the cells tau of sigma's stratum whose closure contains sigma (IKMZ,
 "Tropical homology").  It is built from the maximal such tau alone: for
 sigma <= tau in one stratum T(sigma) lies in T(tau), so each wedge lies in
 the wedge of a maximal cell above it.  F_0 is the constant cosheaf Z.
+
+A unimodular triangulation has few lattice classes, so the work is done per
+class, not per cell: one stalk per set of tangent lattices of the maximal
+cells, and one map per (stratum pair, stalk pair), which every incidence
+with that pair shares.
 """
 
 from __future__ import annotations
@@ -43,11 +48,12 @@ class Cosheaf:
     maps: dict           # (tau index, sigma index) -> IntMatrix
 
 
-def _maximal_cells(Z: CellComplex):
-    """For each cell, the maximal cells of its same-stratum star: the cells of
-    its stratum whose closure contains it and that are no facet of a cell of
-    that stratum.  One top-down pass: a cell with no same-stratum cofacet is
-    its own, and any other cell takes the union of its cofacets' sets."""
+def _star_tangents(Z: CellComplex):
+    """For each cell, the set of tangent bases of the maximal cells of its
+    same-stratum star: the cells of its stratum whose closure contains it
+    and that are no facet of a cell of that stratum.  One top-down pass: a
+    cell with no same-stratum cofacet has its own basis, and any other cell
+    takes the union of its cofacets' sets."""
     sed = [c.sed for c in Z.cells]
     up = [[] for _ in Z.cells]
     for t, s in Z.incidence:
@@ -58,7 +64,7 @@ def _maximal_cells(Z: CellComplex):
     for i in reversed(range(len(Z.cells))):
         above = up[i]
         if not above:
-            top[i] = frozenset((i,))
+            top[i] = frozenset((Z.cells[i].tangent.basis,))
         elif len(above) == 1:
             top[i] = top[above[0]]
         else:
@@ -74,65 +80,69 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     lattices; the sum is taken verbatim, with no saturation.  Only the
     maximal cells of that star need summing: for sigma <= tau in one
     stratum, T(sigma) lies in T(tau), so the p-th wedge of T(sigma) lies in
-    that of T(tau).  So the wedges are taken once per distinct tangent
-    basis of a maximal cell (the basis is a canonical Hermite form, so equal
-    lattices share one wedge), and cells with the same maximal cells share
-    one stalk basis.  F_0 is the constant cosheaf: every stalk is Z and
-    every map is [1].
+    that of T(tau).  So the stalk depends only on the set of tangent
+    lattices of those maximal cells: one lattice sum is taken per such set,
+    and every cell with that set shares its stalk basis.  The tangent bases
+    are canonical Hermite forms, so equal lattices give equal keys, and
+    each distinct basis is wedged once.  F_0 is the constant cosheaf: every
+    stalk is Z and every map is [1].
 
     Maps are inclusions within a stratum and wedge powers of the quotient
     projections across strata, each written in the target stalk's basis by
-    back-substitution: that basis is in column Hermite form already.  An
-    inclusion between equal stalks is the identity.  An image that leaves
-    the target stalk raises CosheafError naming the incidence and p.
+    back-substitution: that basis is in column Hermite form already, and
+    its pivots are read once per distinct basis.  An inclusion between
+    equal stalks is the identity.  A map depends only on the two strata and
+    the two stalks, so it is computed once per (sigma stratum, tau stratum,
+    source stalk, target stalk) and shared by every incidence with that
+    key.  An image that leaves the target stalk raises CosheafError naming
+    the first such incidence and p.
     """
     if p == 0:
         one = IntMatrix.identity(1)
         n = len(Z.cells)
         return Cosheaf(Z, p, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
     Y = Z.Y
-    top = _maximal_cells(Z)
+    stalk_of = _star_tangents(Z)
     wedges = {}     # tangent basis -> columns of its wedge
-    stalks = {}     # set of maximal cells -> stalk basis
-    bases = []
-    for c in Z.cells:
-        key = top[c.index]
+    stalks = {}     # set of tangent bases -> stalk basis
+    for c, key in zip(Z.cells, stalk_of):
         if key not in stalks:
             gens = []
-            for j in key:
-                T = Z.cells[j].tangent.basis
+            for T in key:
                 if T not in wedges:
                     wedges[T] = exterior_power(T, p).columns()
                 gens += wedges[T]
             ambient = comb(Y.stratum_dim(c.sed), p)
             stalks[key] = LatticeSubspace.from_columns(gens, ambient).basis
-        bases.append(stalks[key])
+    bases = [stalks[key] for key in stalk_of]
     ranks = [B.ncols for B in bases]
-    pivots = {}
-    identities = {}
+    pivots = {}     # target stalk basis -> its pivots
     wedge_projection = {}
+    shared = {}     # (sigma stratum, tau stratum, source, target stalk) -> map
     maps = {}
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
-        image = bases[s]
-        if tau.sed == sig.sed:
-            if image == bases[t]:
-                if ranks[t] not in identities:
-                    identities[ranks[t]] = IntMatrix.identity(ranks[t])
-                maps[(t, s)] = identities[ranks[t]]
-                continue
-        else:
-            key = (sig.sed, tau.sed)
-            if key not in wedge_projection:
-                wedge_projection[key] = exterior_power(Y.projection(*key), p)
-            image = wedge_projection[key] * image
-        if top[t] not in pivots:
-            pivots[top[t]] = hnf_pivots(bases[t])
-        A = back_substitute(pivots[top[t]], ranks[t], image)
+        key = (sig.sed, tau.sed, stalk_of[s], stalk_of[t])
+        A = shared.get(key)
         if A is None:
-            raise CosheafError(
-                "incidence image does not land in the target stalk "
-                "(cells %d -> %d, p=%d)" % (s, t, p))
+            image, target = bases[s], bases[t]
+            if tau.sed == sig.sed:
+                if image == target:
+                    A = IntMatrix.identity(ranks[t])
+            else:
+                strata = (sig.sed, tau.sed)
+                if strata not in wedge_projection:
+                    wedge_projection[strata] = exterior_power(Y.projection(*strata), p)
+                image = wedge_projection[strata] * image
+            if A is None:
+                if target not in pivots:
+                    pivots[target] = hnf_pivots(target)
+                A = back_substitute(pivots[target], ranks[t], image)
+                if A is None:
+                    raise CosheafError(
+                        "incidence image does not land in the target stalk "
+                        "(cells %d -> %d, p=%d)" % (s, t, p))
+            shared[key] = A
         maps[(t, s)] = A
     return Cosheaf(Z, p, ranks, bases, maps)
 

@@ -82,17 +82,21 @@ def pair_degenerate(n):
     return build_pair(f, load_fan("dim %d\n" % (n + 1)))
 
 
-def quadric_poly():
-    """A quadric on 2*Delta_3 whose Freudenthal heights triangulate it
+def surface_poly(d):
+    """A surface on d*Delta_3 whose Freudenthal heights triangulate it
     unimodularly: with suffix sums y_i, -(sum y_i^2 + sum (y_i - y_j)^2)."""
-    from trophom.tropio import TropicalPolynomial
     terms = []
-    for a in [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]:
+    for a in [(a, b, c) for a in range(d + 1) for b in range(d + 1 - a)
+              for c in range(d + 1 - a - b)]:
         y = [sum(a[i:]) for i in range(3)]
         h = sum(v * v for v in y) + sum((y[i] - y[j]) ** 2
                                         for i, j in combinations(range(3), 2))
         terms.append((a, -h))
     return TropicalPolynomial.make(terms, 3)
+
+
+def quadric_poly():
+    return surface_poly(2)
 
 
 def curve_poly(d):
@@ -558,6 +562,26 @@ def assert_pieces_match_linear_image(pair):
 def test_pieces_match_linear_image(name):
     pair = LP_FIXTURES[name]()
     assert_pieces_match_linear_image(pair)
+
+
+@pytest.mark.parametrize("fan", ("normal", "blowup"))
+def test_equal_equations_share_one_tangent_lattice(fan):
+    """On the cubic surface, the cells whose pieces have the same stratum
+    dimension and the same equation normals hold one tangent lattice object,
+    and each cell's lattice still equals the one its piece computes.  X's
+    cells are copies of Yref's and keep the same objects."""
+    f = surface_poly(3)
+    pair = build_pair(f, load_fan(TP3_BLOWUP_FAN) if fan == "blowup"
+                      else normal_fan(newton_polytope(f)))
+    held = {}
+    for c in pair.Yref.cells:
+        assert c.tangent == c.geom.tangent_lattice(), c.index
+        key = (c.geom.dim, tuple(a for a, b in c.geom.equations))
+        assert held.setdefault(key, c.tangent) is c.tangent, c.index
+    assert len({id(c.tangent) for c in pair.Yref.cells}) == len(held)
+    assert 10 * len(held) < len(pair.Yref.cells)
+    for c in pair.X.cells:
+        assert c.tangent is pair.Yref.cells[pair.embed[c.index]].tangent
 
 
 def _random_quadric(seed):

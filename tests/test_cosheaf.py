@@ -253,7 +253,12 @@ def test_no_redundant_exact_work(monkeypatch):
     `linear_image` runs; `stratum_pieces` builds every piece without the
     checked `QPolyhedron` constructor; and multitangent back-substitutes on its stalk
     bases, which are in column HNF already: its only Hermite eliminations
-    (`_hermite`) are its lattice sums, one per `from_columns`.  On the
+    (`_hermite`) are its lattice sums, one per `from_columns`.  The build
+    takes one tangent lattice per (stratum dimension, equation normals),
+    and multitangent one lattice sum per set of maximal-cell tangent
+    lattices, at most one pivot reading per target stalk and one
+    back-substitution per (sigma stratum, tau stratum, source stalk,
+    target stalk) that is no identity.  On the
     trivial fan no cell reaches a boundary stratum, so the compactness
     flags cost no `cone_covered_by` and no double description either.  On
     the half-toric fan only the unbounded cells whose closure reaches the
@@ -281,6 +286,9 @@ def test_no_redundant_exact_work(monkeypatch):
     count(complexes, "dual_cell_geometry")
     count(toric, "cone_covered_by")
     count(cosheaf, "exterior_power")
+    count(cosheaf, "hnf_pivots")
+    count(cosheaf, "back_substitute")
+    count(polyhedra.QPolyhedron, "tangent_lattice")
     for cls, name in ((LatticeSubspace, "from_columns"), (IntMatrix, "identity")):
         real = getattr(cls, name)
 
@@ -319,6 +327,8 @@ def test_no_redundant_exact_work(monkeypatch):
     assert calls["dual_cell_geometry"] == 0
     assert calls["linear_image"] == 0
     assert calls["_hermite"] > 0  # the build's tangent lattices pass the counter
+    equations = {(c.geom.dim, tuple(a for a, b in c.geom.equations)) for c in pair.Yref.cells}
+    assert calls["tangent_lattice"] == len(equations) < len(pair.Yref.cells) / 4
     before = calls["_hermite"]
     X, Y = pair.X, pair.Y
     for name in ("exterior_power", "from_columns"):
@@ -331,10 +341,22 @@ def test_no_redundant_exact_work(monkeypatch):
     crossings = len({(X.cells[s].sed, X.cells[t].sed) for t, s in X.incidence
                      if X.cells[t].sed != X.cells[s].sed})
     assert tangents < maximal < len(X.cells) and crossings > 0
+    star = reference._same_stratum_star(X)
+    lattices = [frozenset(X.cells[j].tangent.basis for j in star[i] if j not in same)
+                for i in range(len(X.cells))]
+    assert len(set(lattices)) < maximal
     for p in range(1, Y.dim):
-        calls["exterior_power"] = 0
-        multitangent(X, p)
+        for name in ("exterior_power", "hnf_pivots", "back_substitute"):
+            calls[name] = 0
+        sums = calls["from_columns"]
+        F = multitangent(X, p)
         assert calls["exterior_power"] == tangents + crossings, p
+        assert calls["from_columns"] - sums == len(set(lattices)), p
+        moved = [(t, s) for t, s in X.incidence
+                 if X.cells[t].sed != X.cells[s].sed or F.bases[t] != F.bases[s]]
+        keys = {(X.cells[s].sed, X.cells[t].sed, lattices[s], lattices[t]) for t, s in moved}
+        assert 0 < calls["back_substitute"] <= len(keys) < len(moved), p
+        assert calls["hnf_pivots"] <= len({F.bases[t] for t, s in moved}), p
     for p in range(Y.dim + 1):
         calls["identity"] = 0
         F = ambient_on_cells(pair.Yref, p)
