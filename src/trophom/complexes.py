@@ -30,7 +30,7 @@ from .exactla import (
 )
 from .polyhedra import (
     QPolyhedron,
-    _canonical_equations,
+    _canonical_systems,
     _dot,
     hrep_from_generators,
     is_primitive,
@@ -197,11 +197,15 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     The per-stratum data is computed once for all the pieces, and its
     vertices and rays are sorted once.  The maximal faces above each F are
     found by walking the covers of the subdivision down from the top faces
-    inside G, not by scanning every maximal face for each F.  Every piece
-    is then built by `QPolyhedron._trusted`: its vertices and rays are
-    sorted subsequences, its lineality is the stratum's, already the HNF
-    basis of a saturated lattice, its facets are sorted and its equations
-    made canonical here.
+    inside G, not by scanning every maximal face for each F.  The tie of a
+    term pair (a0, b), its normal w_b - w_a0 and offset c_a0 - c_b, is
+    computed once for the facets and equations that name it.  The pieces
+    whose ordered tuples of equation normals agree form one system, and
+    `_canonical_systems` makes all their equations canonical with one
+    elimination of those normals.  Every piece is then built by
+    `QPolyhedron._trusted`: its vertices and rays are sorted subsequences,
+    its lineality is the stratum's, already the HNF basis of a saturated
+    lattice, its facets are sorted and its equations canonical.
     """
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
@@ -237,26 +241,36 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
             for C in S.covered_by[F]:
                 mask |= above.get(C, 0)
             above[F] = mask
-    pieces = {}
+    offsets = {}    # (a0, b) -> (w_b - w_a0, c_a0 - c_b), once per term pair
+
+    def tie(a0, b):
+        t = offsets.get((a0, b))
+        if t is None:
+            t = offsets[(a0, b)] = (tuple(x - y for x, y in zip(w[b], w[a0])),
+                                    f.terms[a0][1] - f.terms[b][1])
+        return t
+
+    systems = {}    # equation normals -> [(F, right-hand sides)]
+    parts = {}
     for F in inside:
         a0 = min(F)
-        c0 = f.terms[a0][1]
-
-        def tie(b):
-            return (tuple(x - y for x, y in zip(w[b], w[a0])), c0 - f.terms[b][1])
-
         verts = []
         mask = above[F]
         while mask:
             low = mask & -mask
             verts.append(vertex_of[low.bit_length() - 1][1])
             mask ^= low
-        rays = [r for on, r in walls if F <= on]
-        facets = [tie(min(C - F)) for C in S.covered_by[F] if C <= G]
-        eqs = [tie(b) for b in sorted(F) if b != a0]
-        pieces[F] = QPolyhedron._trusted(k, tuple(verts), tuple(rays), lin,
-                                         tuple(sorted(facets)), _canonical_equations(eqs, k))
-    return pieces
+        rays = tuple(r for on, r in walls if F <= on)
+        facets = tuple(sorted(tie(a0, min(C - F)) for C in S.covered_by[F] if C <= G))
+        eqs = [tie(a0, b) for b in sorted(F) if b != a0]
+        systems.setdefault(tuple(a for a, b in eqs), []).append((F, tuple(b for a, b in eqs)))
+        parts[F] = (tuple(verts), rays, facets)
+    equations = {}
+    for normals, group in systems.items():
+        equations.update(zip((F for F, b in group),
+                             _canonical_systems(normals, [b for F, b in group], k)))
+    return {F: QPolyhedron._trusted(k, verts, rays, lin, facets, equations[F])
+            for F, (verts, rays, facets) in parts.items()}
 
 
 def dual_face_points(f: TropicalPolynomial, Y: ToricVariety):
@@ -302,7 +316,11 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     A tangent lattice is the kernel of its piece's equation normals, which
     are canonical, so one lattice is computed per equation system: the
     cells with the same stratum dimension and equation normals share one
-    `LatticeSubspace` object.
+    `LatticeSubspace` object.  Likewise one compactness flag is computed
+    per (eta, piece rays, reached cones), and the cells with that key share
+    it.  The flag is exact per class: `closure_is_compact` reads the piece
+    only through its recession cone, cone(rays) + lineality, and every
+    piece of the eta-stratum has the stratum's lineality.
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -319,6 +337,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     ties = tie_points(f, S)
     cells = {}
     tangents = {}   # (stratum dim, equation normals) -> tangent lattice
+    compact = {}    # (stratum, recession rays, reached cones) -> compactness
     for eta in range(len(Y.cones)):
         for face, piece in stratum_pieces(f, S, newton, ties, Y, eta, G[eta]).items():
             fd = S.faces[face]
@@ -328,9 +347,12 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
             system = (piece.dim, tuple(a for a, b in piece.equations))
             if system not in tangents:
                 tangents[system] = piece.tangent_lattice()
-            reached = [theta for theta in Y.cofaces(eta) if face <= G[theta]]
+            reached = tuple(theta for theta in Y.cofaces(eta) if face <= G[theta])
+            recession = (eta, piece.rays, reached)
+            if recession not in compact:
+                compact[recession] = Y.closure_is_compact(piece, eta, reached)
             cells[(eta, face)] = Cell(eta, piece.affine_dim, piece, tangents[system],
-                                      Y.closure_is_compact(piece, eta, reached), face, fd >= 1)
+                                      compact[recession], face, fd >= 1)
 
     incidence = set()
     for (eta, face), sig in cells.items():

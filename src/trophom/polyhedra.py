@@ -185,6 +185,38 @@ def _canonical_equations(eqs, dim):
     return tuple(sorted(out))
 
 
+def _canonical_systems(normals, offsets, dim):
+    """`_canonical_equations` of the systems {<a_i, x> = b_i} that share the
+    integer normals a_i, one per tuple b of Fraction or int offsets in
+    `offsets`, from one `gauss_jordan` on the normals.  Each b rides along
+    as one more column, scaled by the lcm L of its denominators.  With
+    independent normals every pivot falls on a normal column, so pivot row
+    k is d times the reduced row echelon row (r, s) of [a | b]: r is its
+    normal part over d and s its column of b over d * L.  Then d * L * (r, s)
+    is the integer row (L * normal part, column of b), and its primitive
+    multiple with the sign of d is the canonical row.  Dependent normals
+    leave a row that vanishes on them, whose offset may pivot and so move
+    every other row: those systems go through `_canonical_equations` one by
+    one."""
+    scales = [lcm(*(b.denominator for b in bs)) for bs in offsets]
+    rows = [list(a) + [bs[i].numerator * (L // bs[i].denominator)
+                       for bs, L in zip(offsets, scales)]
+            for i, a in enumerate(normals)]
+    A, pivots, d = gauss_jordan(rows, dim)
+    if len(pivots) < len(normals):
+        return [_canonical_equations(list(zip(normals, bs)), dim) for bs in offsets]
+    sign = 1 if d > 0 else -1
+    out = []
+    for j, L in enumerate(scales, start=dim):
+        eqs = []
+        for row in A:
+            a = row[:dim]
+            g = gcd(L * gcd(*a), row[j]) * sign
+            eqs.append((tuple(L * x // g for x in a), Fraction(row[j] // g)))
+        out.append(tuple(sorted(eqs)))
+    return out
+
+
 class QPolyhedron:
     """A rational polyhedron carrying both V- and H-representations.
 

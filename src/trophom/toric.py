@@ -150,7 +150,11 @@ class ToricVariety:
         gives True, an unbounded P that reaches no cone besides rho gives
         False with no geometry, and otherwise `cone_covered_by` decides
         whether the recession cone lies in the star cones of the maximal
-        reached cones.  Only the tests read the flag it sets on each cell."""
+        reached cones.  So the answer depends on P only through its
+        recession cone, cone(P.rays) + P.lin, and `complexes.build_pair`
+        asks once per (rho, rays, reached cones), since the pieces of one
+        stratum share their lineality.  Only the tests read the flag it
+        sets on each cell."""
         if self.compact or P.is_bounded():
             return True
         if all(d == cid for d in reached):

@@ -230,7 +230,8 @@ class FanSpec:
     @classmethod
     def make(cls, dim, rays, max_cones):
         rays = tuple(tuple(int(x) for x in r) for r in rays)
-        cones = set(frozenset(c) for c in max_cones)
+        # the apex is a face of every fan, so listing it adds nothing
+        cones = set(frozenset(c) for c in max_cones if c)
         # drop cones that are faces of other listed cones
         maximal = tuple(sorted((c for c in cones
                                 if not any(c < d for d in cones)),
@@ -264,7 +265,7 @@ class FanSpec:
         return all(n == 2 for n in facets.values())
 
     def is_trivial(self):
-        return not self.max_cones or self.max_cones == (frozenset(),)
+        return not self.max_cones
 
     def validate(self):
         """Check that the rays are primitive and distinct, that every maximal
@@ -279,8 +280,6 @@ class FanSpec:
             raise FanError("duplicate rays")
         for c in self.max_cones:
             idx = sorted(c)
-            if not idx:
-                continue
             rays = [self.rays[i] for i in idx]
             if basis_completion(rays, self.dim) is None:
                 raise FanError("cone %r with rays %r is not unimodular simplicial "
@@ -365,7 +364,7 @@ def load_fan(text) -> FanSpec:
         else:
             raise ParseError("unrecognized line %r" % line, ln)
     if dim is None:
-        raise ParseError("missing dim line")
+        raise ParseError("missing dim line", 1)
     return FanSpec.make(dim, rays, cones)
 
 

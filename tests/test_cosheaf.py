@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -10,13 +11,21 @@ from test_complexes import (
     LP_FIXTURES,
     TP3_BLOWUP_FAN,
     _random_quadric,
+    curve_poly,
     quadric_poly,
+    surface_poly,
 )
 from trophom import complexes, cosheaf, exactla, polyhedra, toric
 from trophom.complexes import build_pair, is_nonsingular
 from trophom.cosheaf import CosheafError, ambient_on_cells, multitangent
 from trophom.exactla import IntMatrix, LatticeSubspace, exterior_power, smith_diagonal
-from trophom.tropio import load_fan, newton_polytope, normal_fan, parse_polynomial
+from trophom.tropio import (
+    TropicalPolynomial,
+    load_fan,
+    newton_polytope,
+    normal_fan,
+    parse_polynomial,
+)
 
 
 def _normal(f):
@@ -90,6 +99,52 @@ def kunneth_stalk_rank(pair, cell, p):
     m = pair.Y.stratum_dim(cell.sed)
     return sum(hyperplane_vertex_rank(m - q - 1, p - l) * comb(q, l)
                for l in range(p + 1))
+
+
+def alcoved_poly(box):
+    """The polynomial on the lattice box prod [0, b_i] with the alcoved
+    height -(sum x_i^2 + sum_{i<j} (x_i - x_j)^2); the normal fan of the
+    box is that of (TP^1)^n."""
+    terms = []
+    for x in product(*(range(b + 1) for b in box)):
+        h = sum(v * v for v in x) + sum((x[i] - x[j]) ** 2
+                                        for i, j in combinations(range(len(x)), 2))
+        terms.append((x, -h))
+    return TropicalPolynomial.make(terms, len(box))
+
+
+def h_vector(Y):
+    """h_p of the fan: the coefficients of sum_i f_i t^i (1 - t)^(n - i),
+    f_i the number of i-dimensional cones."""
+    n = Y.dim
+    f = Counter(len(c) for c in Y.cones)
+    return [sum(f[i] * comb(n - i, p - i) * (-1) ** (p - i) for i in range(p + 1))
+            for p in range(n + 1)]
+
+
+# complete fans, with the h-vector each should have
+AMBIENT = {
+    "tp2": (lambda: _normal(curve_poly(3)), [1, 1, 1]),
+    "tp3": (lambda: _normal(quadric_poly()), [1, 1, 1, 1]),
+    "blowup": (lambda: build_pair(surface_poly(3), load_fan(TP3_BLOWUP_FAN)), [1, 2, 2, 1]),
+    "tp1^2": (lambda: _normal(alcoved_poly((2, 2))), [1, 2, 1]),
+    "tp1^3": (lambda: _normal(alcoved_poly((2, 2, 2))), [1, 3, 3, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENT))
+def test_ambient_euler_characteristic_is_h_vector(name):
+    """On a complete unimodular fan, H_q(Y; F_p) is Z^{h_p} for q = p and
+    0 otherwise, so the cellular Euler characteristic of the ambient
+    cosheaf on Yref, sum over cells of (-1)^dim rank F_p^Y, is
+    (-1)^p h_p."""
+    build, h = AMBIENT[name]
+    pair = build()
+    assert pair.Y.compact and h_vector(pair.Y) == h
+    for p in range(pair.Y.dim + 1):
+        F = ambient_on_cells(pair.Yref, p)
+        chi = sum((-1) ** c.dim * r for c, r in zip(pair.Yref.cells, F.ranks))
+        assert chi == (-1) ** p * h[p], (name, p)
 
 
 def test_functorial(pair):
@@ -246,6 +301,22 @@ def test_image_outside_target_stalk_raises(corrupt):
 # ---------------------------------------------------------------------------
 # work counts
 
+def _equation_normal_systems(pair):
+    """The (stratum, ordered equation normals) of the Yref cells: the ties
+    w_b - w_a0 of each face F, for a0 = min F and the other b in F in
+    order, where w_a = a^T section_eta."""
+    f, Y = pair.f, pair.Y
+    out = set()
+    for c in pair.Yref.cells:
+        section = Y.strata[c.sed].section.columns()
+        a0, *rest = sorted(c.face)
+        out.add((c.sed, tuple(
+            tuple(sum((x - y) * s for x, y, s in zip(f.terms[b][0], f.terms[a0][0], col))
+                  for col in section)
+            for b in rest)))
+    return out
+
+
 def test_no_redundant_exact_work(monkeypatch):
     """One build_pair plus every cosheaf on the quadric in TP^3: the cells,
     the open-stratum ones included, and the simplex cells of the subdivision
@@ -262,8 +333,11 @@ def test_no_redundant_exact_work(monkeypatch):
     trivial fan no cell reaches a boundary stratum, so the compactness
     flags cost no `cone_covered_by` and no double description either.  On
     the half-toric fan only the unbounded cells whose closure reaches the
-    boundary ask `cone_covered_by`, and every cell's `recession` is read
-    off its own data.
+    boundary ask `cone_covered_by`, once per (stratum, recession rays,
+    reached cones), fewer times than there are such cells; and every cell's
+    `recession` is read off its own data.  `stratum_pieces` takes at most
+    one `gauss_jordan` per stratum and ordered tuple of equation normals,
+    fewer than it has pieces.
 
     The cosheaves take no wedge or lattice sum for F_0, which is constant;
     for p >= 1 one wedge per distinct tangent basis of a cell that is
@@ -289,6 +363,7 @@ def test_no_redundant_exact_work(monkeypatch):
     count(cosheaf, "hnf_pivots")
     count(cosheaf, "back_substitute")
     count(polyhedra.QPolyhedron, "tangent_lattice")
+    count(polyhedra, "gauss_jordan")
     for cls, name in ((LatticeSubspace, "from_columns"), (IntMatrix, "identity")):
         real = getattr(cls, name)
 
@@ -306,9 +381,10 @@ def test_no_redundant_exact_work(monkeypatch):
         real_init(self, *args)
 
     def counted_pieces(*args):
-        before = calls["QPolyhedron"]
+        before = calls["QPolyhedron"], calls["gauss_jordan"]
         out = real_pieces(*args)
-        calls["QPolyhedron in stratum_pieces"] += calls["QPolyhedron"] - before
+        calls["QPolyhedron in stratum_pieces"] += calls["QPolyhedron"] - before[0]
+        calls["gauss_jordan in stratum_pieces"] += calls["gauss_jordan"] - before[1]
         return out
 
     monkeypatch.setattr(polyhedra.QPolyhedron, "__init__", counted_init)
@@ -329,6 +405,8 @@ def test_no_redundant_exact_work(monkeypatch):
     assert calls["_hermite"] > 0  # the build's tangent lattices pass the counter
     equations = {(c.geom.dim, tuple(a for a, b in c.geom.equations)) for c in pair.Yref.cells}
     assert calls["tangent_lattice"] == len(equations) < len(pair.Yref.cells) / 4
+    systems = _equation_normal_systems(pair)
+    assert 0 < calls["gauss_jordan in stratum_pieces"] <= len(systems) < len(pair.Yref.cells) / 2
     before = calls["_hermite"]
     X, Y = pair.X, pair.Y
     for name in ("exterior_power", "from_columns"):
@@ -373,7 +451,9 @@ def test_no_redundant_exact_work(monkeypatch):
     Y = pair.Y
     asked = [c for c in pair.Yref.cells if not c.geom.is_bounded()
              and len(Y.reached_cones(c.geom, c.sed)) > 1]
-    assert calls["cone_covered_by"] == len(asked) > 0
+    classes = {(c.sed, c.geom.rays, tuple(Y.reached_cones(c.geom, c.sed))) for c in asked}
+    assert calls["cone_covered_by"] == len(classes) < len(asked)
+    assert (len(classes), len(asked)) == (7, 19)
     before = calls["dd_cone"]
     cones = [c.geom.recession() for c in pair.Yref.cells]
     assert calls["dd_cone"] == before

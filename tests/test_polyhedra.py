@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -11,6 +11,7 @@ from trophom import polyhedra
 from trophom.polyhedra import (
     QPolyhedron,
     _canonical_equations,
+    _canonical_systems,
     cone_covered_by,
     cone_hull,
     cone_meets_relint,
@@ -674,6 +675,53 @@ def test_canonical_equations_match_fraction_reference():
     assert min(kinds.values()) >= 50, kinds
     for dim in range(4):
         assert _canonical_equations([], dim) == reference.canonical_equations([], dim) == ()
+
+
+def test_canonical_systems_match_fraction_reference(monkeypatch):
+    """One elimination of shared integer normals, with each system's
+    offsets riding along, gives every system's canonical equations: on
+    random normals (negative pivots among them) with offsets of different
+    denominators; on dependent normals, consistent or not, which go
+    through `_canonical_equations` system by system; and on the empty
+    system."""
+    rng = random.Random(43)
+    calls = Counter()
+    real = polyhedra.gauss_jordan
+
+    def counted(rows, ncols):
+        calls["gauss_jordan"] += 1
+        return real(rows, ncols)
+
+    monkeypatch.setattr(polyhedra, "gauss_jordan", counted)
+    kinds = Counter()
+    for _ in range(800):
+        dim = rng.randint(1, 5)
+        normals = [tuple(rng.randint(-4, 4) for _ in range(dim))
+                   for _ in range(rng.randint(0, dim))]
+        if normals and rng.random() < 0.3:
+            a, c = rng.choice(normals), rng.choice(normals)
+            k, m = rng.randint(-2, 2), rng.randint(-2, 2)
+            normals.append(tuple(k * x + m * y for x, y in zip(a, c)))
+        offsets = [tuple(random_rational(rng) for _ in normals)
+                   for _ in range(rng.randint(1, 4))]
+        independent = LatticeSubspace.from_columns(normals, dim).rank == len(normals)
+        calls.clear()
+        got = _canonical_systems(normals, offsets, dim)
+        assert calls["gauss_jordan"] == (1 if independent else 1 + len(offsets))
+        assert len(got) == len(offsets)
+        for bs, eqs in zip(offsets, got):
+            assert eqs == reference.canonical_equations(list(zip(normals, bs)), dim), \
+                (normals, bs, dim)
+            assert all(type(x) is int for a, b in eqs for x in a)
+            assert all(type(b) is Fraction for a, b in eqs)
+            kinds["inconsistent"] += any(not any(a) for a, b in eqs)
+        kinds["dependent"] += not independent
+        kinds["negative pivot"] += any(next((x for x in a if x), 0) < 0 for a in normals)
+        kinds["denominators differ"] += len({lcm(*(b.denominator for b in bs))
+                                             for bs in offsets}) > 1
+    assert min(kinds.values()) >= 40, kinds
+    for dim in range(4):
+        assert _canonical_systems([], [(), ()], dim) == [(), ()]
 
 
 def test_point_tangent_lattice_takes_no_hnf(monkeypatch):

@@ -4,6 +4,8 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
@@ -360,3 +362,101 @@ cone: 1 2 4
         fan = load_fan("dim 3\n")
         assert fan.is_trivial()
         assert fan.cones() == [frozenset()]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every document round-trips or raises a located ParseError
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+polynomials = st.integers(1, 3).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(-3, 3)] * n),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    min_size=1, max_size=6).map(lambda terms: TropicalPolynomial.make(terms.items(), n)))
+
+FAN_TEXTS = [
+    "dim 0\n",
+    "dim 3\n",
+    "dim 2\nray 0: -1 0\nray 1: 0 -1\nray 2: 1 1\ncone: 0 1\ncone: 0 2\ncone: 1 2\n",
+    "dim 2\nray 0: 1 0\nray 1: 0 1\nray 2: -1 0\nray 3: 0 -1\n"
+    "cone: 0 1\ncone: 1 2\ncone: 2 3\ncone: 0 3\n",
+    "dim 3\nray 0: -1 0 0\nray 1: 0 -1 0\nray 2: 0 0 -1\nray 3: 1 1 1\nray 4: -1 -1 -1\n"
+    "cone: 0 1 3\ncone: 0 2 3\ncone: 1 2 3\ncone: 0 1 4\ncone: 0 2 4\ncone: 1 2 4\n",
+    "dim 3\nray 0: 0 0 -1\ncone: 0\n",
+]
+
+
+@st.composite
+def fans(draw):
+    """A fan of FAN_TEXTS moved by a unimodular map, a product of
+    elementary row operations, with its rays shuffled."""
+    fan = load_fan(draw(st.sampled_from(FAN_TEXTS)))
+    rays = [list(r) for r in fan.rays]
+    if fan.dim >= 2:
+        pairs = st.tuples(st.integers(0, fan.dim - 1), st.integers(0, fan.dim - 1),
+                          st.integers(-2, 2))
+        for i, j, k in draw(st.lists(pairs, max_size=4)):
+            if i != j:
+                for r in rays:
+                    r[i] += k * r[j]
+    order = draw(st.permutations(range(len(rays))))
+    where = {old: new for new, old in enumerate(order)}
+    return FanSpec.make(fan.dim, [rays[i] for i in order],
+                        [frozenset(where[i] for i in c) for c in fan.max_cones])
+
+
+def mutated(draw, text):
+    """The text with one character deleted, inserted or replaced."""
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from("max(),+-*/:#x0123456789 \n"))
+    kind = draw(st.sampled_from(("delete", "insert", "replace")))
+    if kind == "insert":
+        return text[:at] + char + text[at:]
+    return text[:at] + (char if kind == "replace" else "") + text[at + 1:]
+
+
+@FUZZ
+@given(polynomials, st.data())
+def test_polynomial_text_round_trips_or_fails_located(f, data):
+    text = polynomial_text(f)
+    assert parse_polynomial(text, f.n_vars) == f
+    bad = mutated(data.draw, text)
+    try:
+        g = parse_polynomial(bad, f.n_vars)
+    except ParseError as e:
+        assert 1 <= e.line <= bad.count("\n") + 1 and e.col >= 1, (bad, e)
+    else:
+        assert parse_polynomial(polynomial_text(g), g.n_vars) == g, bad
+
+
+@FUZZ
+@given(fans(), st.data())
+def test_fan_text_round_trips_or_fails_located(fan, data):
+    """A mutated document either loads and round-trips, names the line of
+    its syntax error, or is well formed and fails validation (FanError)."""
+    text = fan_text(fan)
+    assert load_fan(text) == fan
+    bad = mutated(data.draw, text)
+    try:
+        g = load_fan(bad)
+    except ParseError as e:
+        assert e.line is not None and 1 <= e.line <= max(1, len(bad.splitlines())), (bad, e)
+    except FanError:
+        pass
+    else:
+        assert load_fan(fan_text(g)) == g, bad
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# no fan here\n"])
+def test_missing_dim_line_names_line_one(text):
+    with pytest.raises(ParseError, match="missing dim line") as e:
+        load_fan(text)
+    assert e.value.line == 1
+
+
+def test_listed_apex_cone_round_trips():
+    """A 'cone:' line with no rays lists the apex, which every fan has: the
+    fan equals the one without that line, so it round-trips."""
+    fan = load_fan("dim 3\nray 0: 0 0 -1\ncone:\n")
+    assert fan == load_fan("dim 3\nray 0: 0 0 -1\n") == load_fan(fan_text(fan))
+    assert fan.is_trivial() and fan.cones() == [frozenset()]
