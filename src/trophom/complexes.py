@@ -19,12 +19,10 @@ non-singularity, combinatorial ampleness, cellular pair).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .exactla import (
     IntMatrix,
     LatticeSubspace,
-    gauss_jordan,
     kernel_lattice,
     primitive_vector,
 )
@@ -117,38 +115,15 @@ class HypersurfacePair:
                 if c.sed == self.Y.apex and c.dim == self.Y.dim]
 
 
-def tie_points(f: TropicalPolynomial, S) -> dict:
-    """v_M for every maximal cell M of the subdivision: the point where all
-    terms of M tie, i.e. a solution of <a_i - a_0, x> = c_0 - c_i over M.
-    Unique modulo the lineality of a support that is not full-dimensional:
-    the coordinates off the pivot columns are 0.  Each row is scaled by the
-    denominator of its right-hand side and reduced by `gauss_jordan`, whose
-    pivot rows are d times the reduced row echelon rows, so the coordinate
-    at pivots[k] is the last entry of row k over d.  The lifted terms of
-    M lie on one hyperplane, so the system is consistent."""
-    out = {}
-    for M in S.maximal_cells:
-        (a0, c0), *rest = (f.terms[i] for i in sorted(M))
-        n = len(a0)
-        rows = [[(x - y) * (c0 - c).denominator for x, y in zip(a, a0)] + [(c0 - c).numerator]
-                for a, c in rest]
-        A, pivots, d = gauss_jordan(rows, n)
-        v = [Fraction(0)] * n
-        for row, k in zip(A, pivots):
-            v[k] = Fraction(row[n], d)
-        out[M] = tuple(v)
-    return out
-
-
 def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron:
     """The closed dual cell of a subdivision face F: the locus where the terms
     of F tie and attain the maximum.
 
     It is conv{v_M : M maximal, M contains F} + N(F), read off the
-    subdivision: `ties` maps each maximal cell M to v_M (`tie_points`), and
-    N(F), the normal cone of the Newton polytope `newton` at F, is spanned by
-    the outer normals of its facets through every point of F plus the
-    normals of its equations.
+    subdivision: `ties` maps each maximal cell M to v_M (the subdivision's
+    `ties`, read off its lifted hull), and N(F), the normal cone of the
+    Newton polytope `newton` at F, is spanned by the outer normals of its
+    facets through every point of F plus the normals of its equations.
 
     These generators are already irredundant, so one double description
     (generators to facets) builds the cell, and its V-representation is the
@@ -174,8 +149,7 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     return QPolyhedron(newton.dim, verts, rays, lins, facets, eqs)
 
 
-def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
-                   eta, G) -> dict:
+def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) -> dict:
     """The piece (eta, F) of every face F of S inside G = G_eta, in
     eta-stratum coordinates, read off the subdivision that S induces on G.
 
@@ -185,8 +159,8 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     the maximum over G.  At the apex G holds every term and the piece is the
     dual cell of F itself.  Points and rays come from the open stratum by
     `Y.projection(apex, eta)`:
-    - vertices: the projected tie point v_M, one M for each maximal cell
-      M' = M & G of the induced subdivision that contains F;
+    - vertices: the projected tie point v_M (`S.ties`), one M for each
+      maximal cell M' = M & G of the induced subdivision that contains F;
     - rays: the projected normals of the Newton facets through F that cut
       a facet of conv(G), one per facet of conv(G);
     - lineality: the saturated kernel of the w_a - w_a0, a in G (the whole
@@ -221,7 +195,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, ties, Y: ToricVariety,
     for M in S.maximal_cells:
         cell = M & G
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
-            vertex_of[cell] = tuple(_dot(r, ties[M]) for r in proj.rows)
+            vertex_of[cell] = tuple(_dot(r, S.ties[M]) for r in proj.rows)
     walls = {}
     for a, b in newton.facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
@@ -334,12 +308,11 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     G = dual_face_points(f, Y)
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
     newton = newton_polytope(f)
-    ties = tie_points(f, S)
     cells = {}
     tangents = {}   # (stratum dim, equation normals) -> tangent lattice
     compact = {}    # (stratum, recession rays, reached cones) -> compactness
     for eta in range(len(Y.cones)):
-        for face, piece in stratum_pieces(f, S, newton, ties, Y, eta, G[eta]).items():
+        for face, piece in stratum_pieces(f, S, newton, Y, eta, G[eta]).items():
             fd = S.faces[face]
             if eta == Y.apex and piece.affine_dim != Y.dim - fd:
                 raise BuildError("dual cell of %r has dimension %d, expected %d"

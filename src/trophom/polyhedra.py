@@ -171,48 +171,43 @@ def hrep_from_generators(points, rays, lins, dim):
 
 
 def _canonical_equations(eqs, dim):
-    """Reduced, primitive row echelon form of a system, sorted.  Each row is
-    taken primitive and reduced by `gauss_jordan`, which leaves every pivot
-    row d times its reduced row echelon row; that row's pivot is 1, so the
-    primitive row with the sign of d is the primitive multiple of it with a
-    positive pivot."""
-    A, pivots, d = gauss_jordan([primitive_vector(tuple(a) + (b,)) for a, b in eqs], dim + 1)
-    sign = 1 if d > 0 else -1
-    out = []
-    for row in A[:len(pivots)]:
-        g = gcd(*row) * sign
-        out.append((tuple(x // g for x in row[:-1]), Fraction(row[-1] // g)))
-    return tuple(sorted(out))
+    """Reduced, primitive row echelon form of a system, sorted: its rows
+    made primitive integer rows, then `_canonical_systems` of the one
+    system they form."""
+    rows = [primitive_vector(tuple(a) + (b,)) for a, b in eqs]
+    return _canonical_systems([v[:-1] for v in rows], [tuple(v[-1] for v in rows)], dim)[0]
 
 
 def _canonical_systems(normals, offsets, dim):
-    """`_canonical_equations` of the systems {<a_i, x> = b_i} that share the
-    integer normals a_i, one per tuple b of Fraction or int offsets in
-    `offsets`, from one `gauss_jordan` on the normals.  Each b rides along
-    as one more column, scaled by the lcm L of its denominators.  With
-    independent normals every pivot falls on a normal column, so pivot row
-    k is d times the reduced row echelon row (r, s) of [a | b]: r is its
-    normal part over d and s its column of b over d * L.  Then d * L * (r, s)
-    is the integer row (L * normal part, column of b), and its primitive
-    multiple with the sign of d is the canonical row.  Dependent normals
-    leave a row that vanishes on them, whose offset may pivot and so move
-    every other row: those systems go through `_canonical_equations` one by
-    one."""
+    """The canonical equations of the systems {<a_i, x> = b_i} that share
+    the integer normals a_i, one per tuple b of Fraction or int offsets in
+    `offsets`: the primitive rows of each system's reduced row echelon
+    form, sorted, from one `gauss_jordan` on the normals.  Each b rides
+    along as one more column, scaled by the lcm L of its denominators.
+    Pivot row k holds d times the normal part r of row k of the reduced row
+    echelon form of [a | b] that pivots on the normals only, and d * L
+    times its column s of b.  The primitive multiple of (L * normal part,
+    column of b), with the sign of d, is then that of (r, s).  The rows
+    past the rank vanish on the normals.  When b is zero in all of them,
+    these are the system's rows.  Otherwise the system is inconsistent: b
+    pivots and clears every other row, so its rows are the pivot rows with
+    offset 0, plus ((0, ..., 0), 1).
+    """
     scales = [lcm(*(b.denominator for b in bs)) for bs in offsets]
     rows = [list(a) + [bs[i].numerator * (L // bs[i].denominator)
                        for bs, L in zip(offsets, scales)]
             for i, a in enumerate(normals)]
     A, pivots, d = gauss_jordan(rows, dim)
-    if len(pivots) < len(normals):
-        return [_canonical_equations(list(zip(normals, bs)), dim) for bs in offsets]
+    rank = len(pivots)
     sign = 1 if d > 0 else -1
     out = []
     for j, L in enumerate(scales, start=dim):
-        eqs = []
-        for row in A:
-            a = row[:dim]
-            g = gcd(L * gcd(*a), row[j]) * sign
-            eqs.append((tuple(L * x // g for x in a), Fraction(row[j] // g)))
+        consistent = not any(row[j] for row in A[rank:])
+        eqs = [] if consistent else [((0,) * dim, Fraction(1))]
+        for row in A[:rank]:
+            a, b = row[:dim], row[j] if consistent else 0
+            g = gcd(L * gcd(*a), b) * sign
+            eqs.append((tuple(L * x // g for x in a), Fraction(b // g)))
         out.append(tuple(sorted(eqs)))
     return out
 
@@ -222,7 +217,8 @@ class QPolyhedron:
 
     The fields are canonical: vertices, rays and facets sorted, lineality
     as the HNF basis of its saturated lattice, equations as
-    `_canonical_equations` gives them.  `QPolyhedron(...)` and the
+    `_canonical_equations` gives them: the primitive rows of the reduced
+    row echelon form, from one elimination.  `QPolyhedron(...)` and the
     constructors that go through it (`from_generators`, `from_hrep`,
     `cone`, `recession`, `intersect`) put every field into that form.
     `_trusted` puts none: its caller hands over fields already canonical,
@@ -499,10 +495,6 @@ def convex_hull(points, dim=None) -> QPolyhedron:
 # ---------------------------------------------------------------------------
 # cones in fans
 
-def cone_hull(rays, dim) -> QPolyhedron:
-    return QPolyhedron.cone(rays, dim)
-
-
 def cone_meets_relint(C: QPolyhedron, rho: QPolyhedron) -> bool:
     """Does the cone C intersect the relative interior of the cone rho?
 
@@ -572,9 +564,10 @@ class RegularSubdivision:
     affine rank of its points; the maximal cells are those of top dimension,
     `dimension`, the affine rank of the support.  Point sets include every
     support point lying on the face, not only its vertices.  `covered_by`
-    maps every face to the faces one dimension up that contain it.  The
-    support points are kept as given; the coordinates the cells were found
-    in are not kept.
+    maps every face to the faces one dimension up that contain it.  `ties`
+    maps every maximal cell M to its tie point v_M, read off the lift (see
+    `regular_subdivision`).  The support points are kept as given; the
+    coordinates the cells were found in are not kept.
     """
 
     support_points: tuple
@@ -584,6 +577,7 @@ class RegularSubdivision:
     faces: dict                 # frozenset -> dim
     used: tuple                 # bool per support point
     covered_by: dict            # frozenset -> list of frozensets, one dim up
+    ties: dict                  # maximal cell M -> its tie point v_M
 
 
 def _add_cell_faces(members, coords, faces, covered_by):
@@ -640,45 +634,60 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     form of their differences: an affine bijection of their affine hull
     onto R^d, so upper faces and affine ranks are those of the points
     themselves.  The lift is integral, the heights taken over their common
-    denominator (a positive scaling of the last coordinate, which keeps the
-    upper faces).  The maximal cells are the projections of the upper
+    denominator D (a positive scaling of the last coordinate, which keeps
+    the upper faces).  The maximal cells are the projections of the upper
     facets (one convex hull of the lift), and their faces are read off each
-    cell's vertex-facet incidences.  With affine heights the single cell is
-    conv(points) itself.
+    cell's vertex-facet incidences.  With affine heights the lift spans a
+    hyperplane, and the single cell is conv(points) itself.
+
+    The tie point v_M of a maximal cell M, where the terms c_i + <a_i, x>
+    of M tie, is read off the upper facet or hyperplane (a', a_d) of the
+    lift through M: <a', y_i> + a_d D c_i is constant on M, so v_M is
+    a' / (a_d D) on the pivot columns and 0 elsewhere.
+
+    An empty point list, or points of unequal length, raise ValueError.
     """
     points = [tuple(int(x) for x in p) for p in points]
     heights = [Fraction(h) for h in heights]
+    if not points:
+        raise ValueError("a subdivision needs at least one support point")
+    n = len(points[0])
+    for i, p in enumerate(points):
+        if len(p) != n:
+            raise ValueError("support point %d %r has %d coordinates, point 0 has %d"
+                             % (i, p, len(p), n))
     if len(set(points)) != len(points):
         raise ValueError("duplicate support points")
     if len(heights) != len(points):
         raise ValueError("one height per point required")
     base = points[0]
-    _, pivots, _ = gauss_jordan([[x - y for x, y in zip(p, base)] for p in points], len(base))
+    _, pivots, _ = gauss_jordan([[x - y for x, y in zip(p, base)] for p in points], n)
     coords = [tuple(p[c] for c in pivots) for p in points]
     d = len(pivots)
-    if d == 0:
-        f = frozenset({0})
-        return RegularSubdivision(tuple(points), tuple(heights), 0, (f,),
-                                  {f: 0}, (True,), {f: []})
-    num, _ = _scaled(heights)
+    num, D = _scaled(heights)
     lifted = [y + (h,) for y, h in zip(coords, num)]
     facets, eqs = hrep_from_generators(lifted, [], [], d + 1)
-    faces, covered_by = {}, {}
-    degenerate = any(a[d] != 0 for a, b in eqs)
-    if degenerate:
+
+    def tie(a):
+        v = [Fraction(0)] * n
+        for k, x in zip(pivots, a):
+            v[k] = Fraction(x, a[d] * D)
+        return tuple(v)
+
+    if eqs:
         # affine heights: the subdivision is the face complex of the polytope
-        whole = frozenset(range(len(points)))
-        _add_cell_faces(whole, coords, faces, covered_by)
-        used = tuple(True for _ in points)
-        return RegularSubdivision(tuple(points), tuple(heights), d, (whole,),
-                                  faces, used, covered_by)
-    maximal = sorted({frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b)
-                      for a, b in facets if a[d] > 0})
+        (a, _), = eqs
+        ties = {frozenset(range(len(points))): tie(a)}
+    else:
+        ties = {frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b): tie(a)
+                for a, b in facets if a[d] > 0}
+    maximal = tuple(sorted(ties, key=sorted))
+    faces, covered_by = {}, {}
     for members in maximal:
         _add_cell_faces(members, coords, faces, covered_by)
     used = tuple(any(i in m for m in maximal) for i in range(len(points)))
-    return RegularSubdivision(tuple(points), tuple(heights), d, tuple(maximal),
-                              faces, used, covered_by)
+    return RegularSubdivision(tuple(points), tuple(heights), d, maximal,
+                              faces, used, covered_by, ties)
 
 
 def normalized_simplex_volume(sub: RegularSubdivision, cell) -> int:

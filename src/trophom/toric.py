@@ -23,7 +23,7 @@ question, and only that one is decided geometrically.
 from __future__ import annotations
 
 from .exactla import IntMatrix, basis_completion, hnf_row, primitive_vector
-from .polyhedra import QPolyhedron, cone_covered_by, cone_hull, cone_meets_relint
+from .polyhedra import QPolyhedron, cone_covered_by, cone_meets_relint
 from .tropio import FanSpec
 
 
@@ -105,7 +105,7 @@ class ToricVariety:
             extra = sorted(self.cones[did] - self.cones[cid])
             P = self.strata[cid].projection
             rays = [primitive_vector(P.apply(self.fan.rays[i])) for i in extra]
-            self._star_cache[key] = cone_hull(rays, self.stratum_dim(cid))
+            self._star_cache[key] = QPolyhedron.cone(rays, self.stratum_dim(cid))
         return self._star_cache[key]
 
     def reached_cones(self, P: QPolyhedron, cid):

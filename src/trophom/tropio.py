@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactla import basis_completion, primitive_vector
-from .polyhedra import QPolyhedron, cone_hull, convex_hull
+from .polyhedra import QPolyhedron, convex_hull
 
 
 class ParseError(ValueError):
@@ -250,7 +250,7 @@ class FanSpec:
         return sorted(out, key=lambda c: (len(c), sorted(c)))
 
     def cone_geometry(self, cone) -> QPolyhedron:
-        return cone_hull([self.rays[i] for i in sorted(cone)], self.dim)
+        return QPolyhedron.cone([self.rays[i] for i in sorted(cone)], self.dim)
 
     def is_complete(self):
         """Does the fan cover R^dim?  On a valid simplicial fan it does exactly

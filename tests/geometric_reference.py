@@ -159,7 +159,7 @@ def canonical_equations(eqs, dim):
     return tuple(sorted((tuple(v[:-1]), Fraction(v[-1])) for v in rows))
 
 
-def stratum_pieces(f, S, newton, ties, Y, eta, G):
+def stratum_pieces(f, S, newton, Y, eta, G):
     """The reference for `trophom.complexes.stratum_pieces`, from the same
     data: every piece is built by the checked `QPolyhedron(...)`, which
     sorts its vertices, rays and facets and puts its equations into
@@ -178,7 +178,7 @@ def stratum_pieces(f, S, newton, ties, Y, eta, G):
     for M in S.maximal_cells:
         cell = M & G
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
-            vertex_of[cell] = tuple(_dot(r, ties[M]) for r in proj.rows)
+            vertex_of[cell] = tuple(_dot(r, S.ties[M]) for r in proj.rows)
     walls = {}
     for a, b in newton.facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)

@@ -23,7 +23,6 @@ from trophom.complexes import (
     is_combinatorially_ample,
     is_nonsingular,
     is_proper,
-    tie_points,
 )
 from trophom.polyhedra import QPolyhedron, dd_cone, regular_subdivision
 from trophom.tropio import (
@@ -433,13 +432,12 @@ def assert_dual_cells_match_hrep(pair):
     the covering relation of the subdivision, are those of the containment
     scan over every pair of cells."""
     f, S, newton = pair.f, pair.subdivision, pair.newton
-    ties = tie_points(f, S)
     for face in S.faces:
-        got, want = dual_cell_geometry(f, face, ties, newton), hrep_dual_cell(f, face)
+        got, want = dual_cell_geometry(f, face, S.ties, newton), hrep_dual_cell(f, face)
         assert got.geometry_key() == want.geometry_key(), sorted(face)
         assert got.facets == want.facets, sorted(face)
         assert got.equations == want.equations, sorted(face)
-        ref = from_generators_dual_cell(f, face, ties, newton)
+        ref = from_generators_dual_cell(f, face, S.ties, newton)
         assert got.lin == ref.lin, sorted(face)
         if got.lin:
             assert got.geometry_key() == ref.geometry_key(), sorted(face)
@@ -516,7 +514,7 @@ def test_failed_incidence_certificate_is_an_error(monkeypatch):
     def recorded_pieces(*args):
         out = real_pieces(*args)
         for face, piece in out.items():
-            pieces[id(piece)] = (args[5], face)
+            pieces[id(piece)] = (args[4], face)
         return out
 
     real_contains = QPolyhedron.contains_polyhedron
@@ -742,11 +740,10 @@ def assert_pieces_match_checked_reference(pair):
     pieces, and of those built by the trusted constructor, the ones without
     lineality."""
     f, S, Y = pair.f, pair.subdivision, pair.Y
-    ties = tie_points(f, S)
     pieces = trusted = 0
     for eta, G in enumerate(pair.face_points):
-        got = complexes.stratum_pieces(f, S, pair.newton, ties, Y, eta, G)
-        want = reference.stratum_pieces(f, S, pair.newton, ties, Y, eta, G)
+        got = complexes.stratum_pieces(f, S, pair.newton, Y, eta, G)
+        want = reference.stratum_pieces(f, S, pair.newton, Y, eta, G)
         assert list(got) == list(want)
         for F, P in got.items():
             Q = want[F]

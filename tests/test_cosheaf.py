@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -363,7 +364,16 @@ def test_no_redundant_exact_work(monkeypatch):
     count(cosheaf, "hnf_pivots")
     count(cosheaf, "back_substitute")
     count(polyhedra.QPolyhedron, "tangent_lattice")
-    count(polyhedra, "gauss_jordan")
+    # every elimination, by the module whose code takes it
+    takers = Counter()
+    for module in (exactla, polyhedra, complexes, cosheaf, toric):
+        if hasattr(module, "gauss_jordan"):
+            def recorded(rows, ncols, real=getattr(module, "gauss_jordan")):
+                calls["gauss_jordan"] += 1
+                takers[sys._getframe(1).f_globals["__name__"]] += 1
+                return real(rows, ncols)
+
+            monkeypatch.setattr(module, "gauss_jordan", recorded)
     for cls, name in ((LatticeSubspace, "from_columns"), (IntMatrix, "identity")):
         real = getattr(cls, name)
 
@@ -391,11 +401,17 @@ def test_no_redundant_exact_work(monkeypatch):
     monkeypatch.setattr(complexes, "stratum_pieces", counted_pieces)
     f = quadric_poly()
     fan = normal_fan(newton_polytope(f))
-    before = calls["dd_cone"]
+    before = calls["dd_cone"], calls["gauss_jordan"], calls["QPolyhedron"]
+    takers.clear()
     pair = build_pair(f, fan)
     # the hull of the lift, and the two double descriptions of the Newton
     # polytope's hull
-    assert calls["dd_cone"] - before == 3
+    assert calls["dd_cone"] - before[0] == 3
+    # the build's eliminations: the subdivision's pivot columns, one per
+    # checked polyhedron and one per normal system; none in complexes
+    assert calls["gauss_jordan"] - before[1] == \
+        1 + calls["QPolyhedron"] - before[2] + calls["gauss_jordan in stratum_pieces"]
+    assert set(takers) == {"trophom.polyhedra"}
     # no stratum of the normal fan has lineality, so every piece is built
     # canonical by the trusted constructor
     assert calls["QPolyhedron in stratum_pieces"] == 0

@@ -13,7 +13,6 @@ from trophom.polyhedra import (
     _canonical_equations,
     _canonical_systems,
     cone_covered_by,
-    cone_hull,
     cone_meets_relint,
     convex_hull,
     dd_cone,
@@ -434,6 +433,15 @@ class TestRegularSubdivision:
         with pytest.raises(ValueError):
             regular_subdivision([(0, 0), (0, 0)], [0, 0])
 
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="at least one support point"):
+            regular_subdivision([], [])
+
+    def test_unequal_point_lengths_rejected(self):
+        # zip would cut (1, 0) to (1,) and give two cells of dimension 1
+        with pytest.raises(ValueError, match=r"support point 1 \(1, 0\) has 2 coordinates"):
+            regular_subdivision([(0,), (1, 0), (2, 5)], [0, 0, 0])
+
     @pytest.mark.parametrize("name", sorted(SUBDIVISION_CASES))
     def test_faces_match_face_lattice_reference(self, name):
         points, heights = SUBDIVISION_CASES[name]()
@@ -576,20 +584,83 @@ def test_hull_reference_reaches_every_branch():
 
 
 
+def _random_configuration(rng):
+    """Distinct lattice points of R^n, sometimes only one, on an affine
+    lattice of random rank k <= n, with random Fraction heights or, one
+    time in three, affine ones."""
+    n = rng.randint(1, 4)
+    k = rng.randint(1, n)
+    basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+    shift = tuple(rng.randint(-3, 3) for _ in range(n))
+    points = sorted({tuple(s + sum(c * b[j] for c, b in zip(coeffs, basis))
+                           for j, s in enumerate(shift))
+                     for coeffs in ([rng.randint(-2, 2) for _ in range(k)]
+                                    for _ in range(rng.randint(1, k + 6)))})
+    if rng.random() < 1 / 3:
+        w, c = [random_rational(rng) for _ in range(n)], random_rational(rng)
+        return points, [c + sum(x * y for x, y in zip(w, p)) for p in points], True
+    return points, [random_rational(rng) for _ in points], False
+
+
+def fraction_tie_point(points, heights, M):
+    """The reference tie point of a maximal cell M: the Fraction solution of
+    <a_i - a_0, x> = c_0 - c_i over i in M, 0 off the pivot columns."""
+    i0, *rest = sorted(M)
+    n = len(points[i0])
+    rows = [[x - y for x, y in zip(points[i], points[i0])] + [heights[i0] - heights[i]]
+            for i in rest]
+    R, pivots = reference.fraction_rref(rows, n)
+    assert not any(row[n] for row in R[len(pivots):])
+    v = [Fraction(0)] * n
+    for row, k in zip(R, pivots):
+        v[k] = row[n]
+    return tuple(v)
+
+
+def test_ties_match_fraction_solve():
+    """Every maximal cell's tie point, read off the lifted hull, is the
+    Fraction solution of its tie equations with zeros off the pivot
+    columns; there the terms of the cell tie and every other term is
+    smaller.  On random full- and lower-dimensional supports, single
+    points among them, with Fraction heights and with affine ones (one
+    cell)."""
+    rng = random.Random(47)
+    kinds = Counter()
+    for _ in range(600):
+        points, heights, affine = _random_configuration(rng)
+        S = regular_subdivision(points, heights)
+        assert set(S.ties) == set(S.maximal_cells)
+        for M, v in S.ties.items():
+            assert v == fraction_tie_point(points, S.heights, M), (points, heights, sorted(M))
+            assert all(type(x) is Fraction for x in v)
+            values = [c + sum(x * y for x, y in zip(a, v)) for a, c in zip(points, S.heights)]
+            top = max(values)
+            assert {i for i, y in enumerate(values) if y == top} == M
+        n = len(points[0])
+        kinds["affine"] += affine
+        kinds["fraction heights"] += any(h.denominator > 1 for h in heights)
+        kinds["full-dimensional"] += S.dimension == n
+        kinds["lower-dimensional"] += 0 < S.dimension < n
+        kinds["single point"] += S.dimension == 0
+        kinds["several cells"] += len(S.maximal_cells) > 1
+    assert min(kinds.values()) >= 40, kinds
+
+
 class TestConePredicates:
     def test_meets_relint(self):
-        quad = cone_hull([(1, 0), (0, 1)], 2)
-        assert cone_meets_relint(cone_hull([(1, 1)], 2), quad)
-        assert not cone_meets_relint(cone_hull([(1, 0)], 2), quad)
-        assert cone_meets_relint(cone_hull([(1, 0)], 2), cone_hull([(1, 0)], 2))
+        quad = QPolyhedron.cone([(1, 0), (0, 1)], 2)
+        ray = QPolyhedron.cone([(1, 0)], 2)
+        assert cone_meets_relint(QPolyhedron.cone([(1, 1)], 2), quad)
+        assert not cone_meets_relint(ray, quad)
+        assert cone_meets_relint(ray, ray)
         # the apex cone is met by anything
         apex = convex_hull([(0, 0)])
-        assert cone_meets_relint(cone_hull([(1, 0)], 2), apex)
+        assert cone_meets_relint(ray, apex)
 
     def test_covered_by(self):
-        quad_pp = cone_hull([(1, 0), (0, 1)], 2)
-        quad_pm = cone_hull([(1, 0), (0, -1)], 2)
-        right = cone_hull([(0, 1), (0, -1), (1, 0)], 2)
+        quad_pp = QPolyhedron.cone([(1, 0), (0, 1)], 2)
+        quad_pm = QPolyhedron.cone([(1, 0), (0, -1)], 2)
+        right = QPolyhedron.cone([(0, 1), (0, -1), (1, 0)], 2)
         assert cone_covered_by(quad_pp, [right])
         assert cone_covered_by(right, [quad_pp, quad_pm])
         assert not cone_covered_by(right, [quad_pp])
@@ -679,11 +750,10 @@ def test_canonical_equations_match_fraction_reference():
 
 def test_canonical_systems_match_fraction_reference(monkeypatch):
     """One elimination of shared integer normals, with each system's
-    offsets riding along, gives every system's canonical equations: on
-    random normals (negative pivots among them) with offsets of different
-    denominators; on dependent normals, consistent or not, which go
-    through `_canonical_equations` system by system; and on the empty
-    system."""
+    offsets riding along, gives every system's canonical equations, and is
+    the only `gauss_jordan` a call takes: on random normals (negative
+    pivots among them) with offsets of different denominators; on
+    dependent normals, consistent or not; and on the empty system."""
     rng = random.Random(43)
     calls = Counter()
     real = polyhedra.gauss_jordan
@@ -707,7 +777,7 @@ def test_canonical_systems_match_fraction_reference(monkeypatch):
         independent = LatticeSubspace.from_columns(normals, dim).rank == len(normals)
         calls.clear()
         got = _canonical_systems(normals, offsets, dim)
-        assert calls["gauss_jordan"] == (1 if independent else 1 + len(offsets))
+        assert calls["gauss_jordan"] == 1
         assert len(got) == len(offsets)
         for bs, eqs in zip(offsets, got):
             assert eqs == reference.canonical_equations(list(zip(normals, bs)), dim), \

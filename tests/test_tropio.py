@@ -11,7 +11,6 @@ from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
     QPolyhedron,
     cone_covered_by,
-    cone_hull,
     cone_meets_relint,
     convex_hull,
 )
@@ -134,7 +133,7 @@ class TestNormalFan:
                     if fan.cone_geometry(c).contains(d)]
             assert hits
             relint_hits = [c for c in fan.cones()
-                           if c and cone_meets_relint(cone_hull([d], 2),
+                           if c and cone_meets_relint(QPolyhedron.cone([d], 2),
                                                       fan.cone_geometry(c))
                            and fan.cone_geometry(c).contains(d)]
             # d lies in the relative interior of exactly one cone
@@ -153,7 +152,7 @@ def _cones_meet_in_faces(dim, rays, max_cones):
     face."""
     cones = {frozenset(s) for c in max_cones for k in range(len(c) + 1)
              for s in combinations(c, k)}
-    hull = {c: cone_hull([rays[i] for i in sorted(c)], dim) for c in cones}
+    hull = {c: QPolyhedron.cone([rays[i] for i in sorted(c)], dim) for c in cones}
     for a, b in combinations(cones, 2):
         meet = hull[a].intersect(hull[b])
         if meet is None or meet.geometry_key() != hull[a & b].geometry_key():
