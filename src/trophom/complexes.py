@@ -19,6 +19,7 @@ non-singularity, combinatorial ampleness, cellular pair).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .exactla import (
     IntMatrix,
@@ -30,6 +31,7 @@ from .polyhedra import (
     QPolyhedron,
     _canonical_systems,
     _dot,
+    _scaled,
     hrep_from_generators,
     is_primitive,
     regular_subdivision,
@@ -160,7 +162,9 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
     dual cell of F itself.  Points and rays come from the open stratum by
     `Y.projection(apex, eta)`:
     - vertices: the projected tie point v_M (`S.ties`), one M for each
-      maximal cell M' = M & G of the induced subdivision that contains F;
+      maximal cell M' = M & G of the induced subdivision that contains F,
+      with v_M scaled once to integer numerators over one denominator, so
+      the projection is integer dot products;
     - rays: the projected normals of the Newton facets through F that cut
       a facet of conv(G), one per facet of conv(G);
     - lineality: the saturated kernel of the w_a - w_a0, a in G (the whole
@@ -195,7 +199,8 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
     for M in S.maximal_cells:
         cell = M & G
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
-            vertex_of[cell] = tuple(_dot(r, S.ties[M]) for r in proj.rows)
+            num, D = _scaled(S.ties[M])
+            vertex_of[cell] = tuple(Fraction(_dot(r, num), D) for r in proj.rows)
     walls = {}
     for a, b in newton.facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)

@@ -17,19 +17,29 @@ appended to the rows.
 
 The Smith diagonal has one pivot rule and one elimination step.  A lazy
 heap of every nonzero entry gives the pivot of least |value|, ties broken by
-the Markowitz cost len(row) * len(col); the step reduces the pivot's column,
-then its row, modulo the pivot, and retires the pivot once it stands alone.
-Otherwise the pivot goes back on the heap, and a remainder of smaller |value|
-is the next pivot, so the loop ends.  Invariant factors do not depend on the
-pivot order, so the order sets the cost and never the answer.
+the Markowitz cost len(row) * len(col); the step reduces the pivot's column
+modulo the pivot.  A unit pivot then retires with its whole row and column
+in one move.  Any other pivot reduces its row too and retires once it
+stands alone; otherwise it goes back on the heap, and a remainder of smaller
+|value| is the next pivot, so the loop ends.  Invariant factors do not
+depend on the pivot order, so the order sets the cost and never the answer.
+The non-unit pivots become invariant factors by one fold over a coprime
+base of their distinct values.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
 check this: `IntMatrix(...)`, `IntMatrix.from_columns` and
 `LatticeSubspace.from_columns` convert integral entries (Fraction(4, 2),
-3.0, True) and reject any other with a ValueError naming its row and column.
-A matrix this module computes from checked matrices (`identity`, `zeros`,
-`transpose`, products, `submatrix`, Hermite forms and their transforms,
+3.0, True, 0.0) and reject any other (2.5, None, "") with a ValueError
+naming its row and column, when the matrix is built.  The checked
+`IntMatrix` constructor is sparse first: per row, `compress` finds the
+nonzero entries and only those get an exact type check, and `count(0)`
+proves every other entry equals 0.  Those C-level passes leave O(nonzeros)
+Python work, and the sparse rows come out of the same check.  The dense
+rows are built from them on first read, every zero an int 0, so
+`homology_at` on a large sparse matrix never builds them.  A matrix this
+module computes from checked matrices (`identity`, `zeros`, `transpose`,
+products, `submatrix`, Hermite forms and their transforms,
 back-substitution, exterior powers, lattice bases) is built by
 `IntMatrix._trusted` without the check: integer arithmetic on ints yields
 ints, so the check could only repeat itself.  Matrices are immutable once
@@ -39,6 +49,7 @@ pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, repeat
@@ -54,22 +65,19 @@ def _all_ints(rows):
     return all(map(_INT.issuperset, map(map, repeat(type), rows)))
 
 
-def _int_rows(rows):
-    """The rows as a tuple of tuples of ints.  An entry equal to an int is
-    converted; any other raises ValueError naming its row and column."""
-    rows = tuple(map(tuple, rows))
-    if _all_ints(rows):
-        return rows
+def _int_row(r, i):
+    """Row i, the tuple r, as a tuple of ints.  An entry equal to an int is
+    converted; any other (2.5, None, "") raises ValueError naming its row
+    and column."""
     out = []
-    for i, r in enumerate(rows):
-        if set(map(type, r)) - _INT:
-            # convert, and reject what int() would truncate
-            t = tuple(map(int, r))
-            if t != r:
-                j = next(j for j, (a, b) in enumerate(zip(t, r)) if a != b)
-                raise ValueError("non-integral entry %r at row %d, column %d" % (r[j], i, j))
-            r = t
-        out.append(r)
+    for j, x in enumerate(r):
+        try:
+            y = int(x)
+        except (TypeError, ValueError, OverflowError):
+            y = None
+        if y is None or y != x:
+            raise ValueError("non-integral entry %r at row %d, column %d" % (x, i, j))
+        out.append(y)
     return tuple(out)
 
 
@@ -79,28 +87,42 @@ def _column_rows(cols, nrows):
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable.
+    """Integer matrix, row-major, immutable.
 
-    An entry equal to an int (Fraction(4, 2), 3.0, True) is stored as that
-    int; any other entry raises ValueError naming its row and column.
+    An entry equal to an int (Fraction(4, 2), 3.0, True, 0.0, False) is
+    stored as that int; any other entry raises ValueError naming its row and
+    column.  The constructor checks sparse first (see the module docstring)
+    and keeps the sparse rows; the dense rows follow on first read
+    (`_DenseOnFirstUse`).
     """
 
     __slots__ = ("nrows", "ncols", "rows", "_sparse")
 
     def __init__(self, rows, ncols=None):
-        self.rows = rows = _int_rows(rows)
-        self.nrows = len(rows)
-        self._sparse = None
+        rows = tuple(map(tuple, rows))
         if rows:
-            self.ncols = len(rows[0])
-            if any(len(r) != self.ncols for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
+            n = len(rows[0])
+            if ncols is not None and ncols != n:
                 raise ValueError("ncols mismatch")
+        elif ncols is None:
+            raise ValueError("empty matrix needs explicit ncols")
         else:
-            if ncols is None:
-                raise ValueError("empty matrix needs explicit ncols")
-            self.ncols = ncols
+            n = ncols
+        idx = tuple(range(n))  # shared index objects, not one per entry
+        sparse = {}
+        for i, r in enumerate(rows):
+            if len(r) != n:
+                raise ValueError("ragged rows")
+            d = {j: r[j] for j in compress(idx, r)}
+            # the nonzero entries are ints, and every other one equals 0
+            if len(d) + r.count(0) != n or not _INT.issuperset(map(type, d.values())):
+                r = _int_row(r, i)
+                d = {j: r[j] for j in compress(idx, r)}
+            sparse[i] = d
+        self.nrows = len(rows)
+        self.ncols = n
+        self._sparse = sparse
+        self.__class__ = _DenseOnFirstUse
 
     @classmethod
     def _trusted(cls, rows, ncols):
@@ -171,6 +193,11 @@ class IntMatrix:
     def __repr__(self):
         return "IntMatrix(%dx%d, %r)" % (self.nrows, self.ncols, [list(r) for r in self.rows])
 
+    def __reduce__(self):
+        # a copy or a pickle is a plain IntMatrix of the dense rows, also of a
+        # `_DenseOnFirstUse`, whose `rows` property has no setter
+        return IntMatrix._trusted, (self.rows, self.ncols)
+
     def submatrix(self, rows, cols):
         return IntMatrix._trusted(tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
                                   len(cols))
@@ -185,13 +212,37 @@ class IntMatrix:
         """The nonzero entries as {row: {col: value}}, one dict per row.
 
         Read once and kept, since the matrix is immutable; callers must not
-        mutate the dicts.
+        mutate the dicts.  The checked constructor keeps them from its check.
         """
         if self._sparse is None:
             cols = tuple(range(self.ncols))  # shared index objects, not one per entry
             self._sparse = {i: {j: r[j] for j in compress(cols, r)}
                             for i, r in enumerate(self.rows)}
         return self._sparse
+
+
+class _DenseOnFirstUse(IntMatrix):
+    """A matrix from the checked constructor whose dense rows are not built
+    yet.  The first read of `rows` builds them from the sparse rows, every
+    zero an int 0, and turns the matrix into a plain IntMatrix, whose `rows`
+    is a slot again.  A property on this subclass, not `__getattr__` on
+    IntMatrix, because a class with `__getattr__` loses the interpreter's
+    fast attribute lookup on every instance, `_trusted` ones included."""
+
+    __slots__ = ()
+
+    @property
+    def rows(self):
+        n = self.ncols
+        out = []
+        for r in self._sparse.values():
+            row = [0] * n
+            for j, v in r.items():
+                row[j] = v
+            out.append(tuple(row))
+        self.__class__ = IntMatrix
+        self.rows = out = tuple(out)
+        return out
 
 
 def _hermite(h, ncols):
@@ -273,25 +324,50 @@ def hnf(M: IntMatrix):
     return Ht.transpose(), Ut.transpose()
 
 
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 of which every value is a product of
+    powers: a gcd-free base, found by gcds alone, with no factoring.  A value
+    x sharing g = gcd(b, x) > 1 with a base element b takes b out, and g,
+    b / g and x / g are inserted in its place in turn.  Each split divides
+    the product of what is left by g, so the loop ends."""
+    base = []
+    todo = [x for x in values if x > 1]
+    while todo:
+        x = todo.pop()
+        for k, b in enumerate(base):
+            g = gcd(b, x)
+            if g > 1:
+                del base[k]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
 def _divisibility_pass(diag):
     """The invariant factors of the diagonal matrix of these positive
-    factors, as many as there are: one insertion fold over the sorted
-    factors.  A factor that the chain's top divides is appended.  Any other
-    factor x is merged downward: chain[i] becomes lcm(chain[i], x) and x
-    becomes their gcd, which divides chain[i], until x is 1; what is left of
-    x goes in front.  Each merge keeps the product and the divisibility."""
-    chain = []
-    for x in sorted(diag):
-        if not chain or x % chain[-1] == 0:
-            chain.append(x)
-            continue
-        i = len(chain) - 1
-        while i >= 0 and x > 1:
-            g = gcd(chain[i], x)
-            chain[i], x = chain[i] // g * x, g
-            i -= 1
-        chain.insert(0, x)
-    return chain
+    factors, as many as there are, smallest first.
+
+    The distinct factors are folded with their multiplicities over a coprime
+    base (`_coprime_base`).  By the Chinese remainder theorem the group is
+    the sum of the Z/b^e over the base elements b, so the k-th largest
+    invariant factor is the product over b of b to its k-th largest
+    exponent.  The work is per distinct factor and per factor, not per pair
+    of factors."""
+    counts = Counter(diag)
+    out = [1] * len(diag)       # largest first
+    for b in _coprime_base(counts):
+        exps = []
+        for x, m in counts.items():
+            e = 0
+            while x % b == 0:
+                x //= b
+                e += 1
+            exps += [e] * m
+        for k, e in enumerate(sorted(exps, reverse=True)):
+            out[k] *= b ** e
+    return out[::-1]
 
 
 def smith_diagonal(entries_by_row, nrows, ncols):
@@ -303,19 +379,21 @@ def smith_diagonal(entries_by_row, nrows, ncols):
 
     One pivot rule: a lazy min-heap holds every nonzero entry keyed by
     (|value|, Markowitz cost len(row) * len(col)), and each step pops the
-    live entry p = (i0, j0) of least key.  One elimination step: row
-    operations reduce column j0 modulo p; once p is alone in its column, a
-    column operation touches row i0 alone, so every other entry w of that
-    row becomes w mod p.  If p is then alone in its row too, it retires as a
-    diagonal entry (for a unit, a coreduction); if not, it goes back on the
-    heap.  A step that leaves a remainder lowers the least |value| in the
-    matrix, which is a positive integer, so the loop ends.  The invariant
-    factors do not depend on the pivot order, so the rule moves the cost,
-    not the result.
+    live entry p = (i0, j0) of least key.  Row operations reduce column j0
+    modulo p.  A unit p is then alone in its column, so column operations
+    clear its row without touching any other row: row i0 and column j0
+    retire at once (a coreduction).  For any other p, once it is alone in
+    its column a column operation touches row i0 alone, so every other entry
+    w of that row becomes w mod p.  If p is then alone in its row too, it
+    retires as a diagonal entry; if not, it goes back on the heap.  A step
+    that leaves a remainder lowers the least |value| in the matrix, which is
+    a positive integer, so the loop ends.  The invariant factors do not
+    depend on the pivot order, so the rule moves the cost, not the result.
     """
     rows, cols = {}, {}
     for i, r in entries_by_row.items():
-        r = {j: v for j, v in r.items() if v}
+        # a private copy to reduce in place; only a row with a zero is filtered
+        r = {j: v for j, v in r.items() if v} if 0 in r.values() else dict(r)
         if not r:
             continue
         if not 0 <= i < nrows or min(r) < 0 or max(r) >= ncols:
@@ -323,7 +401,11 @@ def smith_diagonal(entries_by_row, nrows, ncols):
             raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
         rows[i] = r
         for j in r:
-            cols.setdefault(j, set()).add(i)
+            c = cols.get(j)
+            if c is None:
+                cols[j] = {i}
+            else:
+                c.add(i)
     # every live entry keeps a key with its current |value| on the heap
     # (its cost may be stale), so the heap empties only with the matrix
     heap = [(abs(v), len(r) * len(cols[j]), i, j)
@@ -331,56 +413,66 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     heapify(heap)
     units = 0
     others = []
-
-    def drop(i, j):
-        del rows[i][j]
-        cols[j].discard(i)
-        if not cols[j]:
-            del cols[j]
-        if not rows[i]:
-            del rows[i]
-
-    def setval(i, j, v):
-        if v == 0:
-            if j in rows.get(i, ()):
-                drop(i, j)
-        else:
-            r = rows.setdefault(i, {})
-            r[j] = v
-            c = cols.setdefault(j, set())
-            c.add(i)
-            heappush(heap, (abs(v), len(r) * len(c), i, j))
-
     while rows:
         a, cost, i0, j0 = heappop(heap)
-        p = rows.get(i0, {}).get(j0)
+        r0 = rows.get(i0)
+        p = None if r0 is None else r0.get(j0)
         if p is None or abs(p) != a:
             continue  # gone, or changed since this key was pushed
-        r0 = rows[i0]
-        now = len(r0) * len(cols[j0])
+        c0 = cols[j0]
+        now = len(r0) * len(c0)
         if now > cost:
             heappush(heap, (a, now, i0, j0))
             continue
-        for i in list(cols[j0]):
-            if i != i0:
-                q = rows[i][j0] // p
-                for j, w in r0.items():
-                    setval(i, j, rows.get(i, {}).get(j, 0) - q * w)
-        if len(cols[j0]) == 1:
+        for i in [i for i in c0 if i != i0]:
+            r = rows[i]
+            q = r[j0] // p
+            for j, w in r0.items():
+                v = r.get(j, 0) - q * w
+                if v:
+                    r[j] = v
+                    c = cols.get(j)
+                    if c is None:
+                        c = cols[j] = {i}
+                    else:
+                        c.add(i)
+                    heappush(heap, (abs(v), len(r) * len(c), i, j))
+                elif j in r:
+                    del r[j]
+                    c = cols[j]
+                    c.discard(i)
+                    if not c:
+                        del cols[j]
+            if not r:
+                del rows[i]
+        if a == 1:
+            # alone in its column: row i0 and column j0 retire at once
+            del rows[i0]
+            for j in r0:
+                c = cols[j]
+                c.discard(i0)
+                if not c:
+                    del cols[j]
+            units += 1
+            continue
+        if len(c0) == 1:
             for j in [j for j in r0 if j != j0]:
                 w = r0[j] % p
                 if not w:
-                    drop(i0, j)
+                    del r0[j]
+                    c = cols[j]
+                    c.discard(i0)
+                    if not c:
+                        del cols[j]
                 elif w != r0[j]:
-                    setval(i0, j, w)
+                    r0[j] = w
+                    heappush(heap, (abs(w), len(r0) * len(cols[j]), i0, j))
             if len(r0) == 1:
-                drop(i0, j0)
-                if a == 1:
-                    units += 1
-                else:
-                    others.append(a)
+                del rows[i0]
+                del cols[j0]
+                others.append(a)
                 continue
-        heappush(heap, (a, len(r0) * len(cols[j0]), i0, j0))
+        heappush(heap, (a, len(r0) * len(c0), i0, j0))
     # a 1 divides everything, so only the other factors need the pass
     return [1] * units + _divisibility_pass(others)
 

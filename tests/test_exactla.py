@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from heapq import heappop
@@ -51,9 +53,14 @@ class TestIntMatrix:
             IntMatrix([[1, 2, 3], (4, 5, 2.5)])
 
     def test_integral_values_become_ints(self):
-        A = IntMatrix([[Fraction(4, 2), 3.0, True], (x for x in (-1, 0, 7))])
-        assert A.rows == ((2, 3, 1), (-1, 0, 7))
+        """True becomes 1, and 0.0, -0.0, False and Fraction(0) become 0, in
+        the dense and the sparse rows."""
+        A = IntMatrix([[Fraction(4, 2), 3.0, True], (x for x in (-1, 0, 7)),
+                       [0.0, -0.0, False], (Fraction(0), Fraction(-6, 3), 0)])
+        assert A.rows == ((2, 3, 1), (-1, 0, 7), (0, 0, 0), (0, -2, 0))
+        assert A.sparse_rows() == {0: {0: 2, 1: 3, 2: 1}, 1: {0: -1, 2: 7}, 2: {}, 3: {1: -2}}
         assert all(type(x) is int for r in A.rows for x in r)
+        assert all(type(x) is int for r in A.sparse_rows().values() for x in r.values())
 
     def test_public_column_constructors_reject_non_integral_entries(self):
         """Both name the entry by row (coordinate) and column (generator),
@@ -101,6 +108,55 @@ class TestIntMatrix:
             results += [exterior_power(A, p) for p in range(-1, 4)]
             for R in results:
                 checked(R)
+
+    @pytest.mark.parametrize("bad", [None, "", "3", 2.5, Fraction(1, 3), float("nan"),
+                                     float("inf"), [0], ()])
+    def test_rejected_at_construction_naming_the_entry(self, bad):
+        """A non-integral entry raises when the matrix is built, not when its
+        rows are first read, and the message names its row and column:
+        falsy entries (None, "", ()) that are not 0 as well."""
+        with pytest.raises(ValueError, match="at row 1, column 2"):
+            IntMatrix([[0, 1, 0], [0, 0, bad], [2, 0, 0]])
+
+    def test_copy_and_pickle(self):
+        """A checked matrix copies and pickles, before and after its dense
+        rows are read, into an equal plain IntMatrix."""
+        for read in (False, True):
+            for A in (IntMatrix([[1, 0.0], [False, 2]]), IntMatrix([], ncols=3)):
+                if read:
+                    A.rows
+                for B in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+                    assert type(B) is IntMatrix and B == A and B.sparse_rows() == A.sparse_rows()
+
+    def test_ragged_and_shape_errors(self):
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix([[1, 0], [0]])
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix([[1], [0, None]])
+        with pytest.raises(ValueError, match="ncols mismatch"):
+            IntMatrix([[1, 0]], ncols=3)
+        with pytest.raises(ValueError, match="explicit ncols"):
+            IntMatrix([])
+
+    def test_dense_and_sparse_rows_match_a_dense_reference(self):
+        """Seeded random matrices, dense and sparse, given through ints,
+        bools, floats and Fractions: `rows` is the entrywise int() of the
+        input and `sparse_rows()` its nonzero entries, in either read order."""
+        rng = random.Random(31)
+        entries = (0, 0, 0, 0, 0.0, False, Fraction(0), 1, -1, 7, True, 3.0, Fraction(-8, 2))
+        for k in range(120):
+            m, n = rng.randint(0, 6), rng.randint(0, 7)
+            given = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+            dense = tuple(tuple(int(x) for x in r) for r in given)
+            sparse = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(dense)}
+            A = IntMatrix(given, ncols=n)
+            if k % 2:
+                assert A.sparse_rows() == sparse and A.rows == dense
+            else:
+                assert A.rows == dense and A.sparse_rows() == sparse
+            assert (A.nrows, A.ncols) == (m, n)
+            assert A == IntMatrix._trusted(dense, n) and hash(A) == hash(IntMatrix._trusted(dense, n))
+            assert IntMatrix._trusted(dense, n).sparse_rows() == sparse
 
 
     @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (2, 3)])
@@ -405,28 +461,39 @@ class TestSNF:
         assert with_unit >= 20
 
     def test_divisibility_fold_matches_pairwise_reference(self):
-        """The insertion fold gives the pairwise pass's chain, 1s included,
-        on lists of factors with shared and coprime primes."""
+        """The fold over a coprime base gives the pairwise pass's chain, 1s
+        included, on lists of factors with shared and coprime primes."""
         rng = random.Random(23)
         cases = [[], [1], [2, 3], [6, 4], [2] * 30, [2, 3] * 15, [12, 18, 8, 27]]
         for _ in range(2000):
             cases.append([rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 30))
                           for _ in range(rng.randint(0, 12))])
+        # a coprime base that is not a set of primes (6 and 10 share 2, 15
+        # shares 3 and 5), prime powers above 2**64, large multiplicities
+        for _ in range(300):
+            cases.append([rng.choice((6, 10, 15, 4, 9, 25, 36, 2 ** 70, 3 * 2 ** 65, 7))
+                          for _ in range(rng.randint(0, 9))])
+        cases += [[2, 3] * 400, [6] * 150 + [10] * 100 + [15] * 50]
         for diag in cases:
             assert exactla._divisibility_pass(diag) == pairwise_divisibility_pass(diag), diag
 
     def test_matches_full_scan_reference(self):
-        """The heap changes only the pivot order: 250 seeded sparse matrices up
-        to 30 x 40 give the reference diagonal.  They are unit-rich, mixed,
-        and free of units; the even ones keep every entry a non-unit, and
-        4s and 6s in one column leave a remainder of 2 under a pivot of 4."""
+        """The heap changes only the pivot order: 300 seeded sparse matrices up
+        to 30 x 40 give the reference diagonal.  They are unit-rich, where
+        each unit retires with its row and column at once, some with a few
+        non-units among the units; mixed; and free of units, where the even
+        ones keep every entry a non-unit, and 4s and 6s in one column leave a
+        remainder of 2 under a pivot of 4.  The input dicts are left as they
+        were."""
         rng = random.Random(23)
         kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (2, -2, 3, 4, -6),
-                 (2, -2, 4, 6, -8, 12), (4, 6, -4, -6))
-        for k in range(250):
+                 (2, -2, 4, 6, -8, 12), (4, 6, -4, -6), (1, -1, 1, -1, 1, -1, 2))
+        for k in range(300):
             m, n = rng.randint(1, 30), rng.randint(1, 40)
-            entries = random_sparse(rng, m, n, rng.uniform(0.03, 0.3), kinds[k % 5])
+            entries = random_sparse(rng, m, n, rng.uniform(0.03, 0.3), kinds[k % 6])
+            before = {i: dict(r) for i, r in entries.items()}
             assert smith_diagonal(entries, m, n) == full_scan_smith_diagonal(entries)
+            assert entries == before
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -455,6 +522,25 @@ class TestSNF:
                 for _ in range(5)]:
             pops = 0
             assert smith_diagonal(sparse(A), A.nrows, A.ncols) == invariant_factors_by_minors(A)
+
+    @pytest.mark.parametrize("kind", ("torus", "klein"))
+    @pytest.mark.parametrize("size", (3, 4, 6, 12, 20))
+    def test_grid_surfaces_match_full_scan_reference(self, kind, size):
+        for B in grid_boundaries(kind, size):
+            assert smith_diagonal(B.sparse_rows(), B.nrows, B.ncols) \
+                == full_scan_smith_diagonal(B.sparse_rows())
+
+    @pytest.mark.parametrize("kind", ("torus", "klein"))
+    def test_grid_surfaces_diagonal(self, kind):
+        """On the 30 x 30 grid, where the full scan takes seconds: d1 has
+        V - 1 unit factors.  On the torus d2 has T - 1, since H_2 = Z; on the
+        Klein bottle it is injective, with T - 1 units and a last 2, so
+        H_1 = Z + Z/2."""
+        d1, d2 = grid_boundaries(kind, 30)
+        assert smith_diagonal(d1.sparse_rows(), d1.nrows, d1.ncols) == [1] * (d1.nrows - 1)
+        last = [2] if kind == "klein" else []
+        assert smith_diagonal(d2.sparse_rows(), d2.nrows, d2.ncols) \
+            == [1] * (d2.ncols - 1) + last
 
     def test_out_of_range_entry_rejected(self):
         for entries, where in (({0: {5: 2}, 7: {0: 3}}, r"\(0, 5\)"),
@@ -652,10 +738,30 @@ def boundaries(nverts, edges, tris):
         d1[a][j] = -1
         d1[b][j] = 1
     d2 = [[0] * len(tris) for _ in edges]
+    index = {e: k for k, e in enumerate(edges)}
     for j, (a, b, c) in enumerate(tris):
         for sign, e in ((1, (b, c)), (-1, (a, c)), (1, (a, b))):
-            d2[edges.index(e)][j] = sign
+            d2[index[e]][j] = sign
     return M(d1), M(d2)
+
+
+def grid_boundaries(kind, n):
+    """d1, d2 of the n x n grid on the torus or the Klein bottle, each square
+    split along a diagonal; the Klein bottle glues the top edge back with a
+    flip.  Simplices are oriented by their sorted vertices."""
+
+    def v(i, j):
+        if j >= n:
+            j -= n
+            if kind == "klein":
+                i = -i
+        return (i % n) * n + j
+
+    tris = sorted({tuple(sorted(t)) for i in range(n) for j in range(n)
+                   for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                             (v(i, j), v(i, j + 1), v(i + 1, j + 1)))})
+    edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))})
+    return boundaries(n * n, edges, tris)
 
 
 def sphere_boundaries():
@@ -714,6 +820,21 @@ class TestHomologyAt:
         for d_in in (IntMatrix.zeros(1, 0), M([[1, 1]])):
             with pytest.raises(ValueError, match="middle module dimension mismatch"):
                 homology_at(d_in, M([[1, 0, 0]]))
+
+    def test_checked_torus_never_builds_dense_rows(self, monkeypatch):
+        """homology_at reads a checked matrix through its sparse rows only:
+        on the 20 x 20 grid torus, with the dense rows made to fail if read,
+        it still finds H_0 = Z, H_1 = Z^2 and H_2 = Z."""
+        d1, d2 = grid_boundaries("torus", 20)
+
+        def no_dense(self):
+            raise AssertionError("dense rows built")
+
+        monkeypatch.setattr(exactla._DenseOnFirstUse, "rows", property(no_dense))
+        assert homology_at(d1, IntMatrix.zeros(0, d1.nrows)) == (1, [])
+        assert homology_at(d2, d1) == (2, [])
+        assert homology_at(IntMatrix.zeros(d2.ncols, 0), d2) == (1, [])
+        assert type(d1) is type(d2) is exactla._DenseOnFirstUse
 
     def test_rp2_six_vertices(self):
         tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
