@@ -193,7 +193,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
     def diffs(pts, a0):
         return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
 
-    lin = tuple(kernel_lattice(IntMatrix(diffs(G, min(G)), ncols=k)).basis.columns())
+    lin = tuple(kernel_lattice(IntMatrix._trusted(tuple(diffs(G, min(G))), k)).basis.columns())
     dim_g = k - len(lin)        # affine rank of G: w is injective on its differences
     vertex_of = {}
     for M in S.maximal_cells:

@@ -23,8 +23,6 @@ in one move.  Any other pivot reduces its row too and retires once it
 stands alone; otherwise it goes back on the heap, and a remainder of smaller
 |value| is the next pivot, so the loop ends.  Invariant factors do not
 depend on the pivot order, so the order sets the cost and never the answer.
-The non-unit pivots become invariant factors by one fold over a coprime
-base of their distinct values.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
@@ -42,14 +40,17 @@ module computes from checked matrices (`identity`, `zeros`, `transpose`,
 products, `submatrix`, Hermite forms and their transforms,
 back-substitution, exterior powers, lattice bases) is built by
 `IntMatrix._trusted` without the check: integer arithmetic on ints yields
-ints, so the check could only repeat itself.  Matrices are immutable once
-built (which is why one may keep its sparse rows); all functions here are
-pure.
+ints, so the check could only repeat itself.  The same holds where another
+module builds a matrix from ints it made itself: the edges between a
+subdivision's support points (`normalized_simplex_volume`), canonical
+equation normals (`tangent_lattice`), a polyhedron's rays and lineality
+(`recession`) and the projected exponent differences of
+`stratum_pieces`.  Matrices are immutable once built (which is why one may
+keep its sparse rows); all functions here are pure.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, repeat
@@ -127,7 +128,8 @@ class IntMatrix:
     @classmethod
     def _trusted(cls, rows, ncols):
         """A matrix from a tuple of equal-length tuples of ints, unchecked:
-        for results this module computes from matrices already checked."""
+        for results computed from matrices already checked, or from ints
+        the package made itself (see the module docstring)."""
         M = object.__new__(cls)
         M.rows = rows
         M.nrows = len(rows)
@@ -225,9 +227,11 @@ class _DenseOnFirstUse(IntMatrix):
     """A matrix from the checked constructor whose dense rows are not built
     yet.  The first read of `rows` builds them from the sparse rows, every
     zero an int 0, and turns the matrix into a plain IntMatrix, whose `rows`
-    is a slot again.  A property on this subclass, not `__getattr__` on
-    IntMatrix, because a class with `__getattr__` loses the interpreter's
-    fast attribute lookup on every instance, `_trusted` ones included."""
+    is a slot again.  Built in the constructor, they would copy every entry
+    of a large sparse matrix that `homology_at` never reads densely.  A
+    property on this subclass, not `__getattr__` on IntMatrix, because a
+    class with `__getattr__` loses the interpreter's fast attribute lookup
+    on every instance, `_trusted` ones included."""
 
     __slots__ = ()
 
@@ -324,50 +328,25 @@ def hnf(M: IntMatrix):
     return Ht.transpose(), Ut.transpose()
 
 
-def _coprime_base(values):
-    """Pairwise coprime integers > 1 of which every value is a product of
-    powers: a gcd-free base, found by gcds alone, with no factoring.  A value
-    x sharing g = gcd(b, x) > 1 with a base element b takes b out, and g,
-    b / g and x / g are inserted in its place in turn.  Each split divides
-    the product of what is left by g, so the loop ends."""
-    base = []
-    todo = [x for x in values if x > 1]
-    while todo:
-        x = todo.pop()
-        for k, b in enumerate(base):
-            g = gcd(b, x)
-            if g > 1:
-                del base[k]
-                todo += [y for y in (g, b // g, x // g) if y > 1]
-                break
-        else:
-            base.append(x)
-    return base
-
-
 def _divisibility_pass(diag):
     """The invariant factors of the diagonal matrix of these positive
-    factors, as many as there are, smallest first.
-
-    The distinct factors are folded with their multiplicities over a coprime
-    base (`_coprime_base`).  By the Chinese remainder theorem the group is
-    the sum of the Z/b^e over the base elements b, so the k-th largest
-    invariant factor is the product over b of b to its k-th largest
-    exponent.  The work is per distinct factor and per factor, not per pair
-    of factors."""
-    counts = Counter(diag)
-    out = [1] * len(diag)       # largest first
-    for b in _coprime_base(counts):
-        exps = []
-        for x, m in counts.items():
-            e = 0
-            while x % b == 0:
-                x //= b
-                e += 1
-            exps += [e] * m
-        for k, e in enumerate(sorted(exps, reverse=True)):
-            out[k] *= b ** e
-    return out[::-1]
+    factors, as many as there are: one insertion fold over the sorted
+    factors.  A factor that the chain's top divides is appended.  Any other
+    factor x is merged downward: chain[i] becomes lcm(chain[i], x) and x
+    becomes their gcd, which divides chain[i], until x is 1; what is left of
+    x goes in front.  Each merge keeps the product and the divisibility."""
+    chain = []
+    for x in sorted(diag):
+        if not chain or x % chain[-1] == 0:
+            chain.append(x)
+            continue
+        i = len(chain) - 1
+        while i >= 0 and x > 1:
+            g = gcd(chain[i], x)
+            chain[i], x = chain[i] // g * x, g
+            i -= 1
+        chain.insert(0, x)
+    return chain
 
 
 def smith_diagonal(entries_by_row, nrows, ncols):

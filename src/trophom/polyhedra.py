@@ -340,8 +340,7 @@ class QPolyhedron:
         cone, so `affine_dim` is the cone's dimension even where facets of
         the polyhedron turn into implicit equations (two parallel facets of
         [0, 1] x [0, oo) give x = 0).  The facets may be redundant."""
-        gens = list(self.rays) + list(self.lin)
-        hull = kernel_lattice(IntMatrix(gens, ncols=self.dim)).basis.columns()
+        hull = kernel_lattice(IntMatrix._trusted(self.rays + self.lin, self.dim)).basis.columns()
         return QPolyhedron(self.dim, [(0,) * self.dim], self.rays, self.lin,
                            [(a, 0) for a, b in self.facets], [(u, 0) for u in hull])
 
@@ -424,7 +423,7 @@ class QPolyhedron:
         if len(self.equations) == self.dim:
             # canonical equations are independent, so a point's kernel is 0
             return LatticeSubspace.zero(self.dim)
-        A = IntMatrix([list(a) for a, b in self.equations], ncols=self.dim)
+        A = IntMatrix._trusted(tuple(a for a, b in self.equations), self.dim)
         return kernel_lattice(A)
 
     def face_lattice(self):
@@ -696,8 +695,9 @@ def normalized_simplex_volume(sub: RegularSubdivision, cell) -> int:
     the maximal minors of its edge vectors, which is the index of their
     span in its saturation.  Affinely dependent points read 0."""
     p0, *rest = (sub.support_points[i] for i in sorted(cell))
-    edges = [tuple(x - y for x, y in zip(p, p0)) for p in rest]
-    minors = exterior_power(IntMatrix.from_columns(edges, len(p0)), len(edges))
+    edges = tuple(tuple(x - y for x, y in zip(p, p0)) for p in rest)
+    # the edges as rows: the transpose has the same maximal minors
+    minors = exterior_power(IntMatrix._trusted(edges, len(p0)), len(edges))
     return gcd(*(m for row in minors.rows for m in row))
 
 

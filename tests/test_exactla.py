@@ -461,15 +461,15 @@ class TestSNF:
         assert with_unit >= 20
 
     def test_divisibility_fold_matches_pairwise_reference(self):
-        """The fold over a coprime base gives the pairwise pass's chain, 1s
-        included, on lists of factors with shared and coprime primes."""
+        """The insertion fold gives the pairwise pass's chain, 1s included,
+        on lists of factors with shared and coprime primes."""
         rng = random.Random(23)
         cases = [[], [1], [2, 3], [6, 4], [2] * 30, [2, 3] * 15, [12, 18, 8, 27]]
         for _ in range(2000):
             cases.append([rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 30))
                           for _ in range(rng.randint(0, 12))])
-        # a coprime base that is not a set of primes (6 and 10 share 2, 15
-        # shares 3 and 5), prime powers above 2**64, large multiplicities
+        # factors that share primes in pairs (6 and 10 share 2, 15 shares 3
+        # and 5), prime powers above 2**64, large multiplicities
         for _ in range(300):
             cases.append([rng.choice((6, 10, 15, 4, 9, 25, 36, 2 ** 70, 3 * 2 ** 65, 7))
                           for _ in range(rng.randint(0, 9))])
