@@ -18,7 +18,7 @@ non-singularity, combinatorial ampleness, cellular pair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import (
@@ -151,6 +151,17 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     return QPolyhedron(newton.dim, verts, rays, lins, facets, eqs)
 
 
+def _picked(mask, items):
+    """The values of the (key, value) items whose bits are set in mask, in
+    order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1][1])
+        mask ^= low
+    return tuple(out)
+
+
 def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) -> dict:
     """The piece (eta, F) of every face F of S inside G = G_eta, in
     eta-stratum coordinates, read off the subdivision that S induces on G.
@@ -175,7 +186,12 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
     The per-stratum data is computed once for all the pieces, and its
     vertices and rays are sorted once.  The maximal faces above each F are
     found by walking the covers of the subdivision down from the top faces
-    inside G, not by scanning every maximal face for each F.  The tie of a
+    inside G, not by scanning every maximal face for each F, and the walls
+    through F as the AND over its terms of the walls through each term, not
+    by scanning every wall.  Every piece takes its vertex and ray objects
+    from these shared lists, so a piece and the pieces of the faces
+    covering F share them, which `QPolyhedron.contains_polyhedron` reads
+    with no arithmetic.  The tie of a
     term pair (a0, b), its normal w_b - w_a0 and offset c_a0 - c_b, is
     computed once for the facets and equations that name it.  The pieces
     whose ordered tuples of equation normals agree form one system, and
@@ -209,6 +225,12 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
             walls[on] = primitive_vector(proj.apply(a))
     vertex_of = sorted(vertex_of.items(), key=lambda item: item[1])
     walls = sorted(walls.items(), key=lambda item: item[1])
+    # the walls through each term, as a bit mask over walls: a face lies on
+    # the walls through all of its terms
+    on_walls = dict.fromkeys(G, 0)
+    for j, (on, r) in enumerate(walls):
+        for i in on:
+            on_walls[i] |= 1 << j
     inside = [F for F in S.faces if F <= G]
     # the maximal faces of the induced subdivision that contain each face,
     # as a bit mask over vertex_of: OR the masks of its covers inside G,
@@ -233,17 +255,13 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
     parts = {}
     for F in inside:
         a0 = min(F)
-        verts = []
-        mask = above[F]
-        while mask:
-            low = mask & -mask
-            verts.append(vertex_of[low.bit_length() - 1][1])
-            mask ^= low
-        rays = tuple(r for on, r in walls if F <= on)
+        on = -1
+        for i in F:
+            on &= on_walls[i]
         facets = tuple(sorted(tie(a0, min(C - F)) for C in S.covered_by[F] if C <= G))
         eqs = [tie(a0, b) for b in sorted(F) if b != a0]
         systems.setdefault(tuple(a for a, b in eqs), []).append((F, tuple(b for a, b in eqs)))
-        parts[F] = (tuple(verts), rays, facets)
+        parts[F] = (_picked(above[F], vertex_of), _picked(on, walls), facets)
     equations = {}
     for normals, group in systems.items():
         equations.update(zip((F for F, b in group),
@@ -286,7 +304,10 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     subdivision and the fan as well:
     - in a stratum, (eta, F') is a facet of (eta, F) for each face F' of S
       covering F inside G_eta; each is certified by containment, and a failed
-      certificate raises a BuildError naming both faces and eta;
+      certificate raises a BuildError naming both faces and eta.  The
+      certificate's arithmetic runs once per piece (eta, F), on its own
+      vertices and rays; each incidence then checks that the vertices and
+      rays of (eta, F') are objects of (eta, F) (see `contains_polyhedron`);
     - across strata, (eta, F) is a facet of (rho, F) one cone step up.
     The closure of (eta, F) meets the strata of the cones theta >= eta with
     F inside G_theta, so `closure_is_compact` gets those as the cones the
@@ -350,7 +371,8 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
 
     Yref = CellComplex(Y, cells.values(), incidence)
     # a facet of a cell of X is in X: its face contains the cell's face
-    X = CellComplex(Y, [replace(c) for c in Yref.cells if c.in_x],
+    X = CellComplex(Y, [Cell(c.sed, c.dim, c.geom, c.tangent, c.compact, c.face, c.in_x)
+                        for c in Yref.cells if c.in_x],
                     {(t, s) for t, s in incidence if cells[s].in_x})
     embed = {c.index: Yref.by_key[(c.sed, c.face)] for c in X.cells}
     return HypersurfacePair(f, Y, S, newton, X, Yref, embed, G)

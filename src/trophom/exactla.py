@@ -47,6 +47,10 @@ equation normals (`tangent_lattice`), a polyhedron's rays and lineality
 (`recession`) and the projected exponent differences of
 `stratum_pieces`.  Matrices are immutable once built (which is why one may
 keep its sparse rows); all functions here are pure.
+
+`int_rows` applies the same rule where other modules take integer vectors
+from their callers: support points, exponents, fan and polyhedron rays,
+facet normals and lineality vectors.
 """
 
 from __future__ import annotations
@@ -66,10 +70,10 @@ def _all_ints(rows):
     return all(map(_INT.issuperset, map(map, repeat(type), rows)))
 
 
-def _int_row(r, i):
+def _int_row(r, i, kind="row"):
     """Row i, the tuple r, as a tuple of ints.  An entry equal to an int is
     converted; any other (2.5, None, "") raises ValueError naming its row
-    and column."""
+    (`kind` i) and column."""
     out = []
     for j, x in enumerate(r):
         try:
@@ -77,9 +81,20 @@ def _int_row(r, i):
         except (TypeError, ValueError, OverflowError):
             y = None
         if y is None or y != x:
-            raise ValueError("non-integral entry %r at row %d, column %d" % (x, i, j))
+            raise ValueError("non-integral entry %r at %s %d, column %d" % (x, kind, i, j))
         out.append(y)
     return tuple(out)
+
+
+def int_rows(rows, kind):
+    """The rows as a list of tuples of ints, by the rule of `IntMatrix`: an
+    entry equal to an int is converted, and any other raises ValueError
+    naming it as column j of `kind` i ("ray 1, column 0").  Rows of ints
+    alone are checked with no Python-level loop."""
+    rows = list(map(tuple, rows))
+    if _all_ints(rows):
+        return rows
+    return [_int_row(r, i, kind) for i, r in enumerate(rows)]
 
 
 def _column_rows(cols, nrows):

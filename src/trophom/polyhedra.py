@@ -22,6 +22,7 @@ from .exactla import (
     LatticeSubspace,
     exterior_power,
     gauss_jordan,
+    int_rows,
     kernel_lattice,
     primitive_vector,
 )
@@ -153,10 +154,10 @@ def hrep_from_generators(points, rays, lins, dim):
     rows = []
     for p in points:
         rows.append(primitive_vector((-1,) + tuple(Fraction(x) for x in p)))
-    for r in rays:
-        rows.append((0,) + tuple(int(x) for x in r))
-    for l in lins:
-        row = (0,) + tuple(int(x) for x in l)
+    for r in int_rows(rays, "ray"):
+        rows.append((0,) + r)
+    for l in int_rows(lins, "lineality vector"):
+        row = (0,) + l
         rows.append(row)
         rows.append(tuple(-x for x in row))
     lin, drays = dd_cone(rows, dim + 1)
@@ -225,12 +226,13 @@ class QPolyhedron:
     as `complexes.stratum_pieces` does.
     """
 
-    __slots__ = ("dim", "vertices", "rays", "lin", "facets", "equations", "_key")
+    __slots__ = ("dim", "vertices", "rays", "lin", "facets", "equations", "_key",
+                 "_sound")
 
     def __init__(self, dim, vertices, rays, lin, facets, equations):
         self.dim = dim
         self.vertices = tuple(sorted(tuple(Fraction(x) for x in v) for v in vertices))
-        self.rays = tuple(sorted(tuple(int(x) for x in r) for r in rays))
+        self.rays = tuple(sorted(int_rows(rays, "ray")))
         if lin:
             # canonical: the saturated lattice of the lineality space
             normals = [list(a) for a, b in facets] + [list(a) for a, b in equations]
@@ -238,10 +240,11 @@ class QPolyhedron:
             self.lin = tuple(sat.basis.columns())
         else:
             self.lin = ()
-        self.facets = tuple(sorted(
-            (tuple(int(x) for x in a), Fraction(b)) for a, b in facets))
+        self.facets = tuple(sorted(zip(int_rows((a for a, b in facets), "facet normal"),
+                                       (Fraction(b) for a, b in facets))))
         self.equations = _canonical_equations(equations, dim)
         self._key = None
+        self._sound = None
 
     @classmethod
     def _trusted(cls, dim, vertices, rays, lin, facets, equations):
@@ -257,6 +260,7 @@ class QPolyhedron:
         P.facets = facets
         P.equations = equations
         P._key = None
+        P._sound = None
         return P
 
     @classmethod
@@ -307,23 +311,59 @@ class QPolyhedron:
         return True
 
     def contains_polyhedron(self, other):
-        """Does other lie in self?  Its vertices pass the integer membership
-        test of `contains`, against every equation and facet of self read
-        once as integer rows (a, b.numerator, b.denominator); its rays and
-        lineality pass the recession test."""
+        """Does other lie in self?  That is: do other's vertices, rays and
+        lineality satisfy self's stored equations and facets, the vertices
+        as points and the rest as directions (`_satisfied_by`)?
+
+        The arithmetic is done once per polyhedron, not once per call: on
+        its first call self runs that same test on its own vertices and
+        rays and keeps the verdict (`_sound`).  When it holds, other has no
+        lineality, and every vertex of other is one of self's vertex
+        objects and every ray one of its ray objects, the answer is True
+        with no arithmetic.  The pieces of one stratum share their vertex
+        and ray objects (`complexes.stratum_pieces`), so this is the case
+        for every incidence `build_pair` certifies.  Membership is by
+        identity, a set of ids: `in` on a tuple of Fraction tuples would
+        call Fraction.__eq__ on every vertex it passes over.  Both objects
+        are alive, so equal ids are the same object.
+
+        The verdict is the full test's.  The full test asks that each vertex
+        of other pass self's rows as a point, each ray as a direction, and
+        each lineality vector as a direction both ways.  Other has no
+        lineality, and each of its vertices and rays is a vertex or ray of
+        self, which has already passed exactly those rows.  In every other
+        case, `_sound` False included, the full test runs."""
+        if self._sound is None:
+            self._sound = self._own_generators_hold()
+        if self._sound and not other.lin \
+                and set(map(id, self.vertices)).issuperset(map(id, other.vertices)) \
+                and set(map(id, self.rays)).issuperset(map(id, other.rays)):
+            return True
+        return self._satisfied_by(other.vertices, other.rays, other.lin)
+
+    def _own_generators_hold(self):
+        """Do the stored vertices and rays satisfy the stored equations and
+        facets?  True whenever the two representations describe one
+        polyhedron, as every constructor here makes them."""
+        return self._satisfied_by(self.vertices, self.rays, ())
+
+    def _satisfied_by(self, vertices, rays, lin):
+        """Do these Fraction vertices pass the integer membership test of
+        `contains`, against every equation and facet read once as integer
+        rows (a, b.numerator, b.denominator), and these rays and lineality
+        vectors the recession test?"""
         eqs = [(a, b.numerator, b.denominator) for a, b in self.equations]
         facets = [(a, b.numerator, b.denominator) for a, b in self.facets]
-        for v in other.vertices:
-            # the vertices of a QPolyhedron are Fractions
+        for v in vertices:
             D = lcm(*(x.denominator for x in v))
             num = [x.numerator * (D // x.denominator) for x in v]
             if any(_dot(a, num) * den != bn * D for a, bn, den in eqs) or \
                     any(_dot(a, num) * den > bn * D for a, bn, den in facets):
                 return False
-        for r in other.rays:
+        for r in rays:
             if not self._contains_direction(r):
                 return False
-        for l in other.lin:
+        for l in lin:
             if not (self._contains_direction(l) and self._contains_direction([-x for x in l])):
                 return False
         return True
@@ -646,7 +686,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
 
     An empty point list, or points of unequal length, raise ValueError.
     """
-    points = [tuple(int(x) for x in p) for p in points]
+    points = int_rows(points, "support point")
     heights = [Fraction(h) for h in heights]
     if not points:
         raise ValueError("a subdivision needs at least one support point")

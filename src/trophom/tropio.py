@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import basis_completion, primitive_vector
+from .exactla import basis_completion, int_rows, primitive_vector
 from .polyhedra import QPolyhedron, convex_hull
 
 
@@ -60,7 +60,9 @@ class TropicalPolynomial:
 
     @classmethod
     def make(cls, terms, n_vars):
-        norm = tuple(sorted((tuple(int(x) for x in e), Fraction(c)) for e, c in terms))
+        terms = list(terms)
+        norm = tuple(sorted(zip(int_rows((e for e, c in terms), "exponent"),
+                                (Fraction(c) for e, c in terms))))
         return cls(n_vars, norm)
 
     def padded(self, n_vars):
@@ -229,7 +231,7 @@ class FanSpec:
 
     @classmethod
     def make(cls, dim, rays, max_cones):
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(int_rows(rays, "ray"))
         # the apex is a face of every fan, so listing it adds nothing
         cones = set(frozenset(c) for c in max_cones if c)
         # drop cones that are faces of other listed cones

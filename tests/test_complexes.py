@@ -534,6 +534,52 @@ def test_failed_incidence_certificate_is_an_error(monkeypatch):
     assert "fan cone %r" % sorted(pair.Y.cones[sig.sed]) in message
 
 
+def test_moved_facet_fails_the_real_certificate(monkeypatch):
+    """One bounded edge of a cubic curve, rebuilt by `_trusted` with the
+    facet at one endpoint moved inward, no longer holds that endpoint:
+    the real `contains_polyhedron` (its own-generator verdict now False)
+    refuses the incidence, and `build_pair` raises the BuildError naming
+    both faces and the stratum's cone.  The facet moves by half the least
+    positive slack of the edge's vertices, so the other endpoint still
+    passes."""
+    f = curve_poly(3)
+    fan = normal_fan(newton_polytope(f))
+    pair = build_pair(f, fan)
+    cells = pair.Yref.cells
+    t, s = next((t, s) for t, s in sorted(pair.Yref.incidence)
+                if cells[t].sed == cells[s].sed == pair.Y.apex
+                and len(cells[s].geom.vertices) == 2)
+    tau, sig = cells[t], cells[s]
+    P = sig.geom
+    (point,) = tau.geom.vertices
+
+    def slack(a, b, v):
+        return b - sum(x * y for x, y in zip(a, v))
+
+    k = next(k for k, (a, b) in enumerate(P.facets) if slack(a, b, point) == 0)
+    a, b = P.facets[k]
+    shift = min(slack(a, b, v) for v in P.vertices if slack(a, b, v)) / 2
+    moved = QPolyhedron._trusted(P.dim, P.vertices, P.rays, P.lin,
+                                 P.facets[:k] + ((a, b - shift),) + P.facets[k + 1:],
+                                 P.equations)
+    real_pieces = complexes.stratum_pieces
+
+    def pieces(f, S, newton, Y, eta, G):
+        out = real_pieces(f, S, newton, Y, eta, G)
+        if eta == sig.sed:
+            out[sig.face] = moved
+        return out
+
+    monkeypatch.setattr(complexes, "stratum_pieces", pieces)
+    with pytest.raises(BuildError) as err:
+        build_pair(f, fan)
+    message = str(err.value)
+    assert "face %r does not lie in the piece of face %r" % (sorted(tau.face), sorted(sig.face)) \
+        in message
+    assert "fan cone %r" % sorted(pair.Y.cones[sig.sed]) in message
+    assert moved._sound is False
+
+
 def assert_pieces_match_linear_image(pair):
     """Every piece (eta, F) off the open stratum against the LP reference,
     the projection of its open cell by `linear_image`: the same geometry

@@ -168,8 +168,28 @@ class TestIntegerMembership:
         assert min(seen.values()) >= 20, seen
 
     def test_contains_polyhedron_matches_fraction_reference(self):
+        """Random sub- and non-sub-polyhedra; sub-polyhedra that share their
+        generator objects with P, as the pieces of one stratum do, with and
+        without lineality; and `_trusted` polyhedra whose stored vertices or
+        rays break their own facets, so their cached own-generator verdict
+        reads False and every answer comes from the full test."""
         rng = random.Random(37)
-        seen = {True: 0, False: 0}
+        seen = Counter()
+
+        def shared(P):
+            """Polyhedra made of P's own vertex and ray objects, with no
+            lineality, P's, or the first coordinate axis."""
+            verts = tuple(sorted(rng.sample(P.vertices, rng.randint(1, len(P.vertices)))))
+            rays = tuple(sorted(rng.sample(P.rays, rng.randint(0, len(P.rays)))))
+            axis = ((1,) + (0,) * (P.dim - 1),)
+            return [QPolyhedron._trusted(P.dim, verts, rays, lin, (), ())
+                    for lin in ((), P.lin, axis)]
+
+        def check(P, Q):
+            want = fraction_contains_polyhedron(P, Q)
+            assert P.contains_polyhedron(Q) == want
+            return want
+
         for _ in range(80):
             d = rng.choice((2, 3))
             P = random_polyhedron(rng, d)
@@ -184,13 +204,35 @@ class TestIntegerMembership:
                 list(P.lin) if rng.random() < 0.5 else [], d))
             shifted = [tuple(x + Fraction(1, 3) for x in v) for v in P.vertices]
             subs.append(QPolyhedron.from_generators(shifted, P.rays, P.lin, d))
+            subs += shared(P)
             for Q in subs:
-                if Q is None:
-                    continue
-                want = fraction_contains_polyhedron(P, Q)
-                assert P.contains_polyhedron(Q) == want
-                seen[want] += 1
-        assert min(seen.values()) >= 30, seen
+                if Q is not None:
+                    seen[check(P, Q)] += 1
+            assert P._sound is True
+            seen["shared, sound"] += 1
+            # a stored vertex outside P, or a stored ray that is no recession
+            # direction of P
+            outside = [x for x in (tuple(random_rational(rng) for _ in range(d))
+                                   for _ in range(8)) if not fraction_contains(P, x)]
+            bad_rays = [tuple(-x for x in r) for r in P.rays
+                        if tuple(-x for x in r) not in P.rays + P.lin
+                        and not P._contains_direction([-x for x in r])]
+            broken = []
+            if outside:
+                verts = tuple(sorted(P.vertices + (outside[0],)))
+                broken.append(QPolyhedron._trusted(d, verts, P.rays, P.lin,
+                                                   P.facets, P.equations))
+            if bad_rays:
+                rays = tuple(sorted(P.rays + (bad_rays[0],)))
+                broken.append(QPolyhedron._trusted(d, P.vertices, rays, P.lin,
+                                                   P.facets, P.equations))
+            for B in broken:
+                for Q in subs + shared(B) + shared(B):
+                    if Q is not None:
+                        seen["broken", check(B, Q)] += 1
+                assert B._sound is False
+        assert min(seen[k] for k in (True, False, "shared, sound",
+                                     ("broken", True), ("broken", False))) >= 30, seen
 
 
 class TestFaceLattice:
@@ -225,6 +267,20 @@ class TestRecession:
     def test_from_no_points_rejected(self):
         with pytest.raises(ValueError, match="at least one point"):
             QPolyhedron.from_generators([])
+
+    def test_non_integral_ray_or_facet_normal_rejected(self):
+        # int() would truncate the ray (1/2, 1) to (0, 1)
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at ray 0, column 0"):
+            QPolyhedron(2, [(0, 0)], [(Fraction(1, 2), 1)], [], [((0, -1), 0)], [])
+        with pytest.raises(ValueError, match="0.5 at facet normal 1, column 1"):
+            QPolyhedron(2, [(0, 0)], [], [], [((0, -1), 0), ((-1, 0.5), 0)], [])
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at ray 0, column 0"):
+            QPolyhedron.from_generators([(0, 0)], rays=[(Fraction(1, 2), 1)])
+        with pytest.raises(ValueError, match="1.5 at lineality vector 0, column 1"):
+            QPolyhedron.from_generators([(0, 0)], lins=[(1, 1.5)])
+        P = QPolyhedron(2, [(0, 0)], [(Fraction(2, 2), 1.0)], [], [((True, -1), 0)], [])
+        assert P.rays == ((1, 1),) and P.facets == (((1, -1), 0),)
+        assert {type(x) for r in P.rays + tuple(a for a, b in P.facets) for x in r} == {int}
 
     def test_point_plus_ray(self):
         P = QPolyhedron.from_generators([(0, 0)], rays=[(1, 0)])
@@ -436,6 +492,16 @@ class TestRegularSubdivision:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="at least one support point"):
             regular_subdivision([], [])
+
+    def test_non_integral_support_point_rejected(self):
+        # int() would truncate (3/2, 0) to (1, 0)
+        with pytest.raises(ValueError, match=r"Fraction\(3, 2\) at support point 0, column 0"):
+            regular_subdivision([(Fraction(3, 2), 0), (0, 1), (1, 1)], [0, 0, 0])
+        with pytest.raises(ValueError, match="2.5 at support point 2, column 1"):
+            regular_subdivision([(0, 0), (0, 1), (1, 2.5)], [0, 0, 0])
+        S = regular_subdivision([(Fraction(4, 2), 0), (0, 1.0), (True, 1)], [0, 0, 0])
+        assert S.support_points == ((2, 0), (0, 1), (1, 1))
+        assert {type(x) for p in S.support_points for x in p} == {int}
 
     def test_unequal_point_lengths_rejected(self):
         # zip would cut (1, 0) to (1,) and give two cells of dimension 1
@@ -820,3 +886,35 @@ def test_point_tangent_lattice_takes_no_hnf(monkeypatch):
     segment = convex_hull([(0, 0, 1), (2, 1, 1)])
     assert segment.tangent_lattice().basis.columns() == [(2, 1, 0)]
     assert calls["kernel_lattice"] == 1
+
+
+def test_own_generators_checked_once_per_build(monkeypatch):
+    """Across one `build_pair`, each polyhedron checks its own vertices and
+    rays against its own rows at most once, though many are tested against
+    several of their facets' pieces."""
+    from trophom.complexes import build_pair
+    from trophom.tropio import normal_fan, newton_polytope, TropicalPolynomial
+
+    checked = []    # every polyhedron checked, kept alive so no id is reused
+    tests = []
+    real_check = QPolyhedron._own_generators_hold
+    real_contains = QPolyhedron.contains_polyhedron
+
+    def counted_check(self):
+        checked.append(self)
+        return real_check(self)
+
+    def counted_contains(self, other):
+        tests.append(self)
+        return real_contains(self, other)
+
+    monkeypatch.setattr(QPolyhedron, "_own_generators_hold", counted_check)
+    monkeypatch.setattr(QPolyhedron, "contains_polyhedron", counted_contains)
+    pts = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]
+    f = TropicalPolynomial.make([(p, -(p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[0] * p[1]))
+                                 for p in pts], 3)
+    pair = build_pair(f, normal_fan(newton_polytope(f)))
+    checks = Counter(map(id, checked))
+    assert checks and max(checks.values()) == 1
+    assert len(tests) > 2 * len(checks)
+    assert {c.geom._sound for c in pair.Yref.cells if id(c.geom) in checks} == {True}

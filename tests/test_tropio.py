@@ -75,6 +75,14 @@ class TestParse:
             f = TropicalPolynomial.make(terms, n)
             assert parse_polynomial(polynomial_text(f), n_vars=n) == f
 
+    def test_non_integral_exponent_rejected(self):
+        # int() would truncate the exponent (1/2, 0) to (0, 0)
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at exponent 0, column 0"):
+            TropicalPolynomial.make([((Fraction(1, 2), 0), 0), ((0, 0), 1)], 2)
+        f = TropicalPolynomial.make([((Fraction(2, 2), 0), 0), ((0.0, False), 1)], 2)
+        assert f.terms == (((0, 0), 1), ((1, 0), 0))
+        assert {type(x) for e, c in f.terms for x in e} == {int}
+
     def test_padding(self):
         f = parse_polynomial("max(0, x1)", n_vars=3)
         assert f.n_vars == 3
@@ -269,6 +277,14 @@ cone: 1 2 4
         with pytest.raises(FanError) as e:
             FanSpec.make(2, [(1, 0), (1, 2)], [(0, 1)])
         assert "unimodular" in str(e.value) and "(1, 2)" in str(e.value)
+
+    def test_make_rejects_non_integral_ray(self):
+        # int() would truncate the ray (1/2, 1) to (0, 1)
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at ray 0, column 0"):
+            FanSpec.make(2, [(Fraction(1, 2), 1), (1, 0)], [(0, 1)])
+        fan = FanSpec.make(2, [(Fraction(2, 2), 0), (0, 1.0)], [(0, 1)])
+        assert fan.rays == ((1, 0), (0, 1))
+        assert {type(x) for r in fan.rays for x in r} == {int}
 
     def test_non_face_intersection(self):
         # two 2-cones overlapping in dimension 2
