@@ -13,7 +13,9 @@ Incidences are the covering relation of the subdivision within a stratum and
 one cone step across strata.  Cells are stored in stratum-local coordinates
 together with their sedentarity cone, integral tangent lattice, and
 compactness flag.  Also home to the predicate battery (properness,
-non-singularity, combinatorial ampleness, cellular pair).
+non-singularity, combinatorial ampleness, cellular pair), which read the
+subdivision and the fan: ampleness asks of each region's vertex whether
+the rays maximised there span a cone.
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ class HypersurfacePair:
     Yref: CellComplex
     embed: dict                  # X cell index -> Yref cell index
     face_points: list            # cone id eta -> G_eta
-
-    def region_cells(self):
-        return [c for c in self.Yref.cells
-                if c.sed == self.Y.apex and c.dim == self.Y.dim]
 
 
 def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron:
@@ -411,54 +409,25 @@ def is_nonsingular(pair: HypersurfacePair) -> bool:
     return is_primitive(pair.subdivision)
 
 
-@dataclass
-class GammaOpen:
-    """The pieces of a sedentarity-0 cell across the strata it meets."""
-
-    base_cell: int
-    pieces: dict          # cone id -> cell index in the host complex
-    host: CellComplex
-
-    def cone_ids(self):
-        return sorted(self.pieces)
-
-    def minimal_face(self):
-        """The piece at the unique maximal cone, when there is one."""
-        Y = self.host.Y
-        ids = self.cone_ids()
-        maxima = [a for a in ids
-                  if not any(Y.cones[a] < Y.cones[b] for b in ids)]
-        if len(maxima) == 1:
-            return self.pieces[maxima[0]]
-        return None
-
-    def is_boolean(self):
-        """Cone set equals the full face lattice of a single fan cone.
-
-        The pieces are closed under taking faces (G_eta lies in G_rho for
-        rho a face of eta), and every subset of a fan cone is a cone, so
-        this holds exactly when there is a unique maximal cone."""
-        return self.minimal_face() is not None
-
-
-def gamma_open(pair: HypersurfacePair, cell_index, host=None) -> GammaOpen:
-    """The sub-poset gamma^o of a sedentarity-0 cell of Yref (or X)."""
-    host = host or pair.Yref
-    c = host.cells[cell_index]
-    if c.sed != pair.Y.apex:
-        raise ValueError("gamma_open needs a sedentarity-0 cell")
-    pieces = {eta: host.by_key[(eta, c.face)] for eta in range(len(pair.Y.cones))
-              if (eta, c.face) in host.by_key}
-    return GammaOpen(cell_index, pieces, host)
-
-
 def is_combinatorially_ample(pair: HypersurfacePair):
     """True iff every top-dimensional region's gamma^o is a T/R product.
 
     Returns (flag, failing) where failing lists the offending region cells.
+    The region (apex, {a}) has a piece in the eta-stratum exactly when a is
+    in G_eta, when every ray of eta is maximised at a.  Its gamma^o is
+    Boolean iff R_a, the rays of one-ray cones maximised at a, is a cone:
+    then R_a is the unique maximal cone, and a unique maximal cone would
+    have to hold every ray of R_a.  A ray in no cone is in no R_a.
     """
-    failing = [c.index for c in pair.region_cells()
-               if not gamma_open(pair, c.index).is_boolean()]
+    Y, G = pair.Y, pair.face_points
+    rays = [eta for eta, cone in enumerate(Y.cones) if len(cone) == 1]
+    failing = []
+    for c in pair.Yref.cells:
+        if c.sed == Y.apex and c.dim == Y.dim:
+            a, = c.face
+            R = frozenset().union(*(Y.cones[eta] for eta in rays if a in G[eta]))
+            if R not in Y.cone_index:
+                failing.append(c.index)
     return not failing, failing
 
 

@@ -4,18 +4,19 @@ A cosheaf here is a rank (with an optional basis matrix inside the stratum's
 wedge space) per cell, plus one integer matrix per codimension-one incidence,
 contravariant along inclusion: the matrix attached to (tau, sigma) maps the
 stalk at sigma into the stalk at tau.  Instances built here: the multi-tangent
-cosheaf of a complex and the ambient cosheaf of its toric variety.
+cosheaf of a complex and the ambient cosheaf of its toric variety, both by
+one builder, `_cosheaf`, from the lattices whose wedges span each stalk.
 
 The multi-tangent stalk F_p(sigma) is the sum of the p-th wedges of T(tau)
 over the cells tau of sigma's stratum whose closure contains sigma (IKMZ,
 "Tropical homology").  It is built from the maximal such tau alone: for
 sigma <= tau in one stratum T(sigma) lies in T(tau), so each wedge lies in
-the wedge of a maximal cell above it.  F_0 is the constant cosheaf Z.
+the wedge of a maximal cell above it.  The ambient stalk takes the whole
+stratum lattice instead.  F_0 is the constant cosheaf Z.
 
 A unimodular triangulation has few lattice classes, so the work is done per
-class, not per cell: one stalk per set of tangent lattices of the maximal
-cells, and one map per (stratum pair, stalk pair), which every incidence
-with that pair shares.
+(stratum, star) class, not per cell: one stalk per star, and one map per
+pair of classes, which every incidence joining that pair shares.
 """
 
 from __future__ import annotations
@@ -72,19 +73,11 @@ def _star_tangents(Z: CellComplex):
     return top
 
 
-def multitangent(Z: CellComplex, p: int) -> Cosheaf:
-    """The integral p-multi-tangent cosheaf of the complex.
-
-    The stalk at a cell is the sum, over cells of the same stratum whose
-    closure contains it, of the p-th exterior powers of their tangent
-    lattices; the sum is taken verbatim, with no saturation.  Only the
-    maximal cells of that star need summing: for sigma <= tau in one
-    stratum, T(sigma) lies in T(tau), so the p-th wedge of T(sigma) lies in
-    that of T(tau).  So the stalk depends only on the set of tangent
-    lattices of those maximal cells: one lattice sum is taken per such set,
-    and every cell with that set shares its stalk basis.  The tangent bases
-    are canonical Hermite forms, so equal lattices give equal keys, and
-    each distinct basis is wedged once.  F_0 is the constant cosheaf: every
+def _cosheaf(Z: CellComplex, p: int, stars) -> Cosheaf:
+    """The cosheaf whose stalk at cell i is the sum of the p-th wedges of
+    the lattice bases in the star `stars[i]`.  One lattice sum is taken per
+    star, every cell with that star shares its stalk basis, and each
+    distinct basis is wedged once.  F_0 is the constant cosheaf: every
     stalk is Z and every map is [1].
 
     Maps are inclusions within a stratum and wedge powers of the quotient
@@ -92,20 +85,19 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     back-substitution: that basis is in column Hermite form already, and
     its pivots are read once per distinct basis.  An inclusion between
     equal stalks is the identity.  A map depends only on the two strata and
-    the two stalks, so it is computed once per (sigma stratum, tau stratum,
-    source stalk, target stalk) and shared by every incidence with that
-    key.  An image that leaves the target stalk raises CosheafError naming
-    the first such incidence and p.
+    the two stars, so it is computed once per (sigma stratum, tau stratum,
+    source star, target star) and shared by every incidence with that key.
+    An image that leaves the target stalk raises CosheafError naming the
+    first such incidence and p.
     """
     if p == 0:
         one = IntMatrix.identity(1)
         n = len(Z.cells)
         return Cosheaf(Z, p, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
     Y = Z.Y
-    stalk_of = _star_tangents(Z)
-    wedges = {}     # tangent basis -> columns of its wedge
-    stalks = {}     # set of tangent bases -> stalk basis
-    for c, key in zip(Z.cells, stalk_of):
+    wedges = {}     # lattice basis -> columns of its wedge
+    stalks = {}     # star -> stalk basis
+    for c, key in zip(Z.cells, stars):
         if key not in stalks:
             gens = []
             for T in key:
@@ -114,15 +106,15 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
                 gens += wedges[T]
             ambient = comb(Y.stratum_dim(c.sed), p)
             stalks[key] = LatticeSubspace.from_columns(gens, ambient).basis
-    bases = [stalks[key] for key in stalk_of]
+    bases = [stalks[key] for key in stars]
     ranks = [B.ncols for B in bases]
     pivots = {}     # target stalk basis -> its pivots
     wedge_projection = {}
-    shared = {}     # (sigma stratum, tau stratum, source, target stalk) -> map
+    shared = {}     # (sigma stratum, tau stratum, source, target star) -> map
     maps = {}
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
-        key = (sig.sed, tau.sed, stalk_of[s], stalk_of[t])
+        key = (sig.sed, tau.sed, stars[s], stars[t])
         A = shared.get(key)
         if A is None:
             image, target = bases[s], bases[t]
@@ -147,28 +139,28 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     return Cosheaf(Z, p, ranks, bases, maps)
 
 
+def multitangent(Z: CellComplex, p: int) -> Cosheaf:
+    """The integral p-multi-tangent cosheaf of the complex.
+
+    The stalk at a cell is the sum, over cells of the same stratum whose
+    closure contains it, of the p-th exterior powers of their tangent
+    lattices; the sum is taken verbatim, with no saturation.  Only the
+    maximal cells of that star need summing: for sigma <= tau in one
+    stratum, T(sigma) lies in T(tau), so the p-th wedge of T(sigma) lies in
+    that of T(tau).  So the stalk depends only on the set of tangent
+    lattices of those maximal cells (`_star_tangents`), the star that
+    `_cosheaf` reads.  The tangent bases are canonical Hermite forms, so
+    equal lattices give equal keys.  F_0, which reads no star, is the
+    constant cosheaf.
+    """
+    return _cosheaf(Z, p, _star_tangents(Z) if p else None)
+
+
 def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:
     """The ambient cosheaf: every cell carries the full wedge power of its
-    stratum lattice, with one identity basis per rank; maps are wedge
-    powers of the projections."""
+    stratum lattice; maps are wedge powers of the projections.  Every
+    cell's star is the identity basis of its stratum lattice, one per
+    stratum dimension."""
     Y = Z.Y
-    identities = {}
-    ranks, bases = [], []
-    for c in Z.cells:
-        amb = comb(Y.stratum_dim(c.sed), p)
-        if amb not in identities:
-            identities[amb] = IntMatrix.identity(amb)
-        ranks.append(amb)
-        bases.append(identities[amb])
-    maps = {}
-    wedge_projection = {}
-    for t, s in Z.incidence:
-        tau, sig = Z.cells[t], Z.cells[s]
-        if tau.sed == sig.sed:
-            maps[(t, s)] = bases[s]
-        else:
-            key = (sig.sed, tau.sed)
-            if key not in wedge_projection:
-                wedge_projection[key] = exterior_power(Y.projection(*key), p)
-            maps[(t, s)] = wedge_projection[key]
-    return Cosheaf(Z, p, ranks, bases, maps)
+    full = [frozenset((IntMatrix.identity(k),)) for k in range(Y.dim + 1)]
+    return _cosheaf(Z, p, [full[Y.stratum_dim(c.sed)] for c in Z.cells])

@@ -224,6 +224,8 @@ class QPolyhedron:
     `cone`, `recession`, `intersect`) put every field into that form.
     `_trusted` puts none: its caller hands over fields already canonical,
     as `complexes.stratum_pieces` does.
+    Membership has one evaluator, `_satisfied_by`, which `contains` and
+    `contains_polyhedron` both call.
     """
 
     __slots__ = ("dim", "vertices", "rays", "lin", "facets", "equations", "_key",
@@ -294,21 +296,10 @@ class QPolyhedron:
     def is_bounded(self):
         return not self.rays and not self.lin
 
-    def contains(self, x, strict=False):
-        """Is the rational point x in the polyhedron (strictly inside every
-        facet, with `strict`)?  Decided in integers: x is scaled to integer
-        numerators over a common denominator D, and each facet <a, x> <= b
-        becomes <a, num> * b.den <= b.num * D, each equation the same with
-        equality."""
-        num, D = _scaled(x)
-        for a, b in self.equations:
-            if _dot(a, num) * b.denominator != b.numerator * D:
-                return False
-        for a, b in self.facets:
-            v, w = _dot(a, num) * b.denominator, b.numerator * D
-            if v > w or (strict and v == w):
-                return False
-        return True
+    def contains(self, x):
+        """Is the rational point x in the polyhedron?  Decided in integers
+        by `_satisfied_by`."""
+        return self._satisfied_by((tuple(map(Fraction, x)),), (), ())
 
     def contains_polyhedron(self, other):
         """Does other lie in self?  That is: do other's vertices, rays and
@@ -317,15 +308,17 @@ class QPolyhedron:
 
         The arithmetic is done once per polyhedron, not once per call: on
         its first call self runs that same test on its own vertices and
-        rays and keeps the verdict (`_sound`).  When it holds, other has no
-        lineality, and every vertex of other is one of self's vertex
-        objects and every ray one of its ray objects, the answer is True
-        with no arithmetic.  The pieces of one stratum share their vertex
-        and ray objects (`complexes.stratum_pieces`), so this is the case
-        for every incidence `build_pair` certifies.  Membership is by
-        identity, a set of ids: `in` on a tuple of Fraction tuples would
-        call Fraction.__eq__ on every vertex it passes over.  Both objects
-        are alive, so equal ids are the same object.
+        rays and keeps the verdict (`_sound`), True whenever the two
+        representations describe one polyhedron, as every constructor here
+        makes them.  When it holds, other has no lineality, and every
+        vertex of other is one of self's vertex objects and every ray one of
+        its ray objects, the answer is True with no arithmetic.  The pieces
+        of one stratum share their vertex and ray objects
+        (`complexes.stratum_pieces`), so this is the case for every
+        incidence `build_pair` certifies.  Membership is by identity, a set
+        of ids: `in` on a tuple of Fraction tuples would call
+        Fraction.__eq__ on every vertex it passes over.  Both objects are
+        alive, so equal ids are the same object.
 
         The verdict is the full test's.  The full test asks that each vertex
         of other pass self's rows as a point, each ray as a direction, and
@@ -334,43 +327,40 @@ class QPolyhedron:
         self, which has already passed exactly those rows.  In every other
         case, `_sound` False included, the full test runs."""
         if self._sound is None:
-            self._sound = self._own_generators_hold()
+            self._sound = self._satisfied_by(self.vertices, self.rays, ())
         if self._sound and not other.lin \
                 and set(map(id, self.vertices)).issuperset(map(id, other.vertices)) \
                 and set(map(id, self.rays)).issuperset(map(id, other.rays)):
             return True
         return self._satisfied_by(other.vertices, other.rays, other.lin)
 
-    def _own_generators_hold(self):
-        """Do the stored vertices and rays satisfy the stored equations and
-        facets?  True whenever the two representations describe one
-        polyhedron, as every constructor here makes them."""
-        return self._satisfied_by(self.vertices, self.rays, ())
-
     def _satisfied_by(self, vertices, rays, lin):
-        """Do these Fraction vertices pass the integer membership test of
-        `contains`, against every equation and facet read once as integer
-        rows (a, b.numerator, b.denominator), and these rays and lineality
-        vectors the recession test?"""
+        """Do these rational vertices pass every stored equation and facet
+        as points, and these rays, and these lineality vectors both ways,
+        as directions?  Decided in integers: each row is read once as
+        (a, b.numerator, b.denominator), and a vertex is scaled to integer
+        numerators num over a common denominator D, so each facet
+        <a, v> <= b becomes <a, num> * b.den <= b.num * D, each equation
+        the same with equality."""
         eqs = [(a, b.numerator, b.denominator) for a, b in self.equations]
         facets = [(a, b.numerator, b.denominator) for a, b in self.facets]
         for v in vertices:
             D = lcm(*(x.denominator for x in v))
             num = [x.numerator * (D // x.denominator) for x in v]
-            if any(_dot(a, num) * den != bn * D for a, bn, den in eqs) or \
-                    any(_dot(a, num) * den > bn * D for a, bn, den in facets):
-                return False
-        for r in rays:
-            if not self._contains_direction(r):
-                return False
-        for l in lin:
-            if not (self._contains_direction(l) and self._contains_direction([-x for x in l])):
-                return False
+            for a, bn, den in eqs:
+                if sum(map(mul, a, num)) * den != bn * D:
+                    return False
+            for a, bn, den in facets:
+                if sum(map(mul, a, num)) * den > bn * D:
+                    return False
+        for r in (*rays, *lin, *([-x for x in l] for l in lin)):
+            for a, b in self.equations:
+                if sum(map(mul, a, r)):
+                    return False
+            for a, b in self.facets:
+                if sum(map(mul, a, r)) > 0:
+                    return False
         return True
-
-    def _contains_direction(self, r):
-        return (all(_dot(a, r) == 0 for a, b in self.equations)
-                and all(_dot(a, r) <= 0 for a, b in self.facets))
 
     def recession(self):
         """The recession cone, built from this polyhedron's own data with no
@@ -496,32 +486,6 @@ class QPolyhedron:
                     if i not in full_act:
                         todo.append(full_act | {i})
         return [(F, act) for act, F in sorted(faces.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
-
-    def lattice_points(self, cap=10 ** 6):
-        """All integer points of a bounded polyhedron (box enumeration)."""
-        if not self.is_bounded():
-            raise ValueError("lattice point enumeration needs a bounded polyhedron")
-        import math
-        lo = [math.ceil(min(v[i] for v in self.vertices)) for i in range(self.dim)]
-        hi = [math.floor(max(v[i] for v in self.vertices)) for i in range(self.dim)]
-        total = 1
-        for a, b in zip(lo, hi):
-            total *= max(0, b - a + 1)
-        if total > cap:
-            raise ValueError("lattice point scale cap exceeded: %d candidates" % total)
-        pts = []
-        def rec(i, prefix):
-            if i == self.dim:
-                if self.contains(prefix):
-                    pts.append(tuple(prefix))
-                return
-            for x in range(lo[i], hi[i] + 1):
-                rec(i + 1, prefix + [x])
-        rec(0, [])
-        return pts
-
-    def interior_lattice_points(self, cap=10 ** 6):
-        return [p for p in self.lattice_points(cap) if self.contains(p, strict=True)]
 
 
 def convex_hull(points, dim=None) -> QPolyhedron:

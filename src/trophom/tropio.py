@@ -270,10 +270,15 @@ class FanSpec:
         return not self.max_cones
 
     def validate(self):
-        """Check that the rays are primitive and distinct, that every maximal
-        cone is unimodular simplicial, and that every two maximal cones meet
-        in their common face; raise FanError naming the first failure."""
+        """Check that the rays have dim coordinates and are primitive and
+        distinct, that every maximal cone names rays by their index in
+        `rays`, that it is unimodular simplicial, and that every two maximal
+        cones meet in their common face; raise FanError naming the first
+        failure."""
         for i, r in enumerate(self.rays):
+            if len(r) != self.dim:
+                raise FanError("ray %d = %r has %d coordinates, not %d"
+                               % (i, r, len(r), self.dim))
             if not any(r):
                 raise FanError("ray %d is zero" % i)
             if r != primitive_vector(r):
@@ -282,6 +287,10 @@ class FanSpec:
             raise FanError("duplicate rays")
         for c in self.max_cones:
             idx = sorted(c)
+            for i in idx:
+                if i not in range(len(self.rays)):
+                    raise FanError("cone %r names ray %r, but the fan has %d rays, "
+                                   "numbered from 0" % (idx, i, len(self.rays)))
             rays = [self.rays[i] for i in idx]
             if basis_completion(rays, self.dim) is None:
                 raise FanError("cone %r with rays %r is not unimodular simplicial "

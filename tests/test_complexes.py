@@ -18,7 +18,6 @@ from trophom.complexes import (
     BuildError,
     build_pair,
     dual_cell_geometry,
-    gamma_open,
     is_cellular_pair,
     is_combinatorially_ample,
     is_nonsingular,
@@ -259,8 +258,7 @@ class TestPredicates:
         # gamma^o contains the exceptional stratum
         exc_ray = pair.Y.fan.rays.index((-1, -1, -1))
         exc_cone = pair.Y.cone_index[frozenset([exc_ray])]
-        go = gamma_open(pair, failing[0])
-        assert exc_cone in go.pieces
+        assert (exc_cone, gamma.face) in pair.Yref.by_key
 
     def test_conic_trivial_subdivision_singular(self):
         from trophom.tropio import TropicalPolynomial
@@ -290,21 +288,38 @@ class TestPredicates:
         assert is_cellular_pair(pair) == "no"
 
 
+def piece_cones(Z, c):
+    """gamma^o of the sedentarity-0 cell c of Z, as the cones eta whose
+    strata hold a piece (eta, F) of c, scanned off `Z.by_key`."""
+    return {eta for eta in range(len(Z.Y.cones)) if (eta, c.face) in Z.by_key}
+
+
+def maximal_cones(Y, ids):
+    return [a for a in ids if not any(Y.cones[a] < Y.cones[b] for b in ids)]
+
+
+def is_face_lattice(Y, ids):
+    """Are the cones `ids` the full face lattice of one fan cone?"""
+    cones = {Y.cones[a] for a in ids}
+    top = maximal_cones(Y, ids)
+    return len(top) == 1 and cones == {
+        frozenset(s) for k in range(len(Y.cones[top[0]]) + 1)
+        for s in combinations(Y.cones[top[0]], k)}
+
+
 class TestGammaOpen:
     def test_bounded_cell_is_alone(self):
         pair = pair_line_tp2()
         x = next(c for c in pair.X.cells if c.dim == 0 and c.sed == pair.Y.apex)
-        go = gamma_open(pair, pair.embed[x.index])
-        assert go.cone_ids() == [pair.Y.apex]
-        assert go.minimal_face() == pair.embed[x.index]
+        assert piece_cones(pair.Yref, pair.Yref.cells[pair.embed[x.index]]) == {pair.Y.apex}
 
     def test_edge_hitting_one_stratum(self):
         pair = pair_line_tp2()
         edges = [c for c in pair.X.cells if c.dim == 1]
         for e in edges:
-            go = gamma_open(pair, e.index, host=pair.X)
-            assert len(go.pieces) == 2  # poset of T
-            assert go.minimal_face() is not None
+            ids = piece_cones(pair.X, e)
+            assert len(ids) == 2  # poset of T
+            assert len(maximal_cones(pair.Y, ids)) == 1
 
     def test_two_face_through_one_dim_stratum_is_t2(self):
         # 2-face of the hyperplane in TP^3 reaching a 1-dimensional stratum
@@ -312,23 +327,24 @@ class TestGammaOpen:
         pair = build_pair(f, normal_fan(newton_polytope(f)))
         two_faces = [c for c in pair.X.cells
                      if c.dim == 2 and c.sed == pair.Y.apex]
-        counts = sorted(len(gamma_open(pair, c.index, host=pair.X).pieces)
-                        for c in two_faces)
         # each 2-face of the hyperplane meets a 1-dim stratum: poset of T^2
-        assert set(counts) == {4}
+        assert {len(piece_cones(pair.X, c)) for c in two_faces} == {4}
         for c in two_faces:
-            go = gamma_open(pair, c.index, host=pair.X)
-            assert go.is_boolean()
-            assert go.minimal_face() is not None
+            assert is_face_lattice(pair.Y, piece_cones(pair.X, c))
 
     def test_unique_minimal_face_everywhere(self):
         for pair in (pair_line_tp2(),):
             assert is_combinatorially_ample(pair)[0]
             for c in pair.X.cells:
-                if c.sed != pair.Y.apex:
-                    continue
-                go = gamma_open(pair, c.index, host=pair.X)
-                assert go.minimal_face() is not None
+                if c.sed == pair.Y.apex:
+                    assert len(maximal_cones(pair.Y, piece_cones(pair.X, c))) == 1
+
+    def test_ray_in_no_cone_is_ample(self):
+        """A listed ray that lies in no cone of the fan takes no part in
+        gamma^o: it is no stratum."""
+        pair = LP_FIXTURES["line-ray-in-no-cone"]()
+        assert len(pair.Y.fan.rays) == 2 and len(pair.Y.cones) == 2
+        assert is_combinatorially_ample(pair) == (True, [])
 
 
 def _normal(text):
@@ -358,6 +374,10 @@ LP_FIXTURES = {
                                           load_fan("dim 2\nray 0: 0 -1\ncone: 0\n")),
     "quadric-blowup": lambda: build_pair(quadric_poly(), load_fan(TP3_BLOWUP_FAN)),
     "quadric-half-toric": lambda: build_pair(quadric_poly(), load_fan(HALF_TORIC_FAN)),
+    # ray 1 is listed but lies in no cone
+    "line-ray-in-no-cone": lambda: build_pair(
+        parse_polynomial("max(0, x1, x2)"),
+        load_fan("dim 2\nray 0: 0 -1\nray 1: -1 0\ncone: 0\n")),
 }
 
 
@@ -380,21 +400,15 @@ def test_face_table_matches_lp_reference(name):
 
 @pytest.mark.parametrize("name", sorted(LP_FIXTURES))
 def test_is_boolean_matches_face_lattice_reference(name):
-    """`is_boolean` (a unique maximal cone among the pieces) agrees with
-    comparing the pieces' cones with the full face lattice of that cone, on
-    every sedentarity-0 cell of Yref, region cells included."""
+    """`is_combinatorially_ample`, which reads each region's gamma^o off the
+    fan, fails exactly the region cells of Yref whose piece cones, scanned
+    off `Yref.by_key`, are not the full face lattice of one cone."""
     pair = LP_FIXTURES[name]()
     Y = pair.Y
-    for c in pair.Yref.cells:
-        if c.sed != Y.apex:
-            continue
-        go = gamma_open(pair, c.index)
-        cones = {Y.cones[a] for a in go.pieces}
-        maxima = [a for a in cones if not any(a < b for b in cones)]
-        want = len(maxima) == 1 and cones == {
-            frozenset(s) for k in range(len(maxima[0]) + 1)
-            for s in combinations(maxima[0], k)}
-        assert go.is_boolean() == want, c.index
+    regions = [c for c in pair.Yref.cells if c.sed == Y.apex and c.dim == Y.dim]
+    assert regions
+    want = [c.index for c in regions if not is_face_lattice(Y, piece_cones(pair.Yref, c))]
+    assert is_combinatorially_ample(pair) == (not want, want)
 
 
 def hrep_dual_cell(f, face):

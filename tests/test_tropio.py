@@ -278,6 +278,19 @@ cone: 1 2 4
             FanSpec.make(2, [(1, 0), (1, 2)], [(0, 1)])
         assert "unimodular" in str(e.value) and "(1, 2)" in str(e.value)
 
+    def test_make_rejects_negative_ray_index(self):
+        # Python would read index -1 as the last ray
+        with pytest.raises(FanError, match=r"cone \[-1, 0\] names ray -1"):
+            FanSpec.make(2, [(1, 0), (0, 1)], [{0, -1}])
+
+    def test_make_rejects_ray_index_past_the_end(self):
+        with pytest.raises(FanError, match=r"cone \[0, 5\] names ray 5, but the fan has 2 rays"):
+            FanSpec.make(2, [(1, 0), (0, 1)], [{0, 5}])
+
+    def test_make_rejects_ray_of_wrong_length(self):
+        with pytest.raises(FanError, match=r"ray 1 = \(0, 1\) has 2 coordinates, not 3"):
+            FanSpec.make(3, [(1, 0, 0), (0, 1)], [{0, 1}])
+
     def test_make_rejects_non_integral_ray(self):
         # int() would truncate the ray (1/2, 1) to (0, 1)
         with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at ray 0, column 0"):
