@@ -11,11 +11,11 @@ open-stratum cells included, is read off the subdivision induced on G_eta
 (`stratum_pieces`), and the key (eta, F) orders the cells and looks them up.
 Incidences are the covering relation of the subdivision within a stratum and
 one cone step across strata.  Cells are stored in stratum-local coordinates
-together with their sedentarity cone, integral tangent lattice, and
-compactness flag.  Also home to the predicate battery (properness,
-non-singularity, combinatorial ampleness, cellular pair), which read the
-subdivision and the fan: ampleness asks of each region's vertex whether
-the rays maximised there span a cone.
+together with their sedentarity cone, the HNF basis B_sigma of their
+integral tangent lattice, and compactness flag.  Also home to the predicate
+battery (properness, non-singularity, combinatorial ampleness, cellular
+pair), which read the subdivision and the fan: ampleness asks of each
+region's vertex whether the rays maximised there span a cone.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .exactla import (
     IntMatrix,
-    LatticeSubspace,
     kernel_lattice,
+    lattice_basis,
     primitive_vector,
 )
 from .polyhedra import (
@@ -50,10 +50,12 @@ class BuildError(ValueError):
 
 @dataclass
 class Cell:
+    """The piece (eta, F); `tangent` is B_sigma, its tangent lattice's basis."""
+
     sed: int                    # cone id eta of the stratum holding the interior
     dim: int
     geom: QPolyhedron           # stratum-local coordinates
-    tangent: LatticeSubspace
+    tangent: IntMatrix
     compact: bool
     face: frozenset             # the subdivision face F this cell is dual to
     in_x: bool
@@ -207,7 +209,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
     def diffs(pts, a0):
         return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
 
-    lin = tuple(kernel_lattice(IntMatrix._trusted(tuple(diffs(G, min(G))), k)).basis.columns())
+    lin = tuple(kernel_lattice(IntMatrix._trusted(tuple(diffs(G, min(G))), k)).columns())
     dim_g = k - len(lin)        # affine rank of G: w is injective on its differences
     vertex_of = {}
     for M in S.maximal_cells:
@@ -219,7 +221,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
     for a, b in newton.facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
-                LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:
+                lattice_basis(diffs(on, min(on)), k).ncols == dim_g - 1:
             walls[on] = primitive_vector(proj.apply(a))
     vertex_of = sorted(vertex_of.items(), key=lambda item: item[1])
     walls = sorted(walls.items(), key=lambda item: item[1])
@@ -314,7 +316,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     A tangent lattice is the kernel of its piece's equation normals, which
     are canonical, so one lattice is computed per equation system: the
     cells with the same stratum dimension and equation normals share one
-    `LatticeSubspace` object.  Likewise one compactness flag is computed
+    basis matrix.  Likewise one compactness flag is computed
     per (eta, piece rays, reached cones), and the cells with that key share
     it.  The flag is exact per class: `closure_is_compact` reads the piece
     only through its recession cone, cone(rays) + lineality, and every
@@ -325,7 +327,8 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
         raise BuildError("ambient dimension %d exceeds the cap %d "
                          "(raise max_dim to override)" % (Y.dim, max_dim))
     if f.n_vars > Y.dim:
-        raise BuildError("polynomial has more variables than the fan dimension")
+        raise BuildError("polynomial has %d variables, more than the fan dimension %d"
+                         % (f.n_vars, Y.dim))
     f = f.padded(Y.dim)
     if len(f.terms) < 2:
         raise BuildError("a tropical hypersurface needs at least two terms")
@@ -435,16 +438,10 @@ def is_cellular_pair(pair: HypersurfacePair) -> str:
     """Tri-state 'yes' / 'no' / 'unknown', by certified sufficient conditions."""
     Y = pair.Y
     if Y.fan.is_trivial():
-        full = pair.newton.affine_dim == Y.dim
-        result = "yes" if full else "no"
-    elif Y.compact:
+        return "yes" if pair.newton.affine_dim == Y.dim else "no"
+    if Y.compact:
         # every pair the build returns is proper (see `is_proper`)
-        result = "yes"
-    else:
-        # non-compact with boundary: a cell whose stratum geometry has a
-        # lineality direction pinches at the point at infinity
-        if any(c.geom.lin for c in pair.Yref.cells):
-            result = "no"
-        else:
-            result = "unknown"
-    return result
+        return "yes"
+    # non-compact with boundary: a cell whose stratum geometry has a
+    # lineality direction pinches at the point at infinity
+    return "no" if any(c.geom.lin for c in pair.Yref.cells) else "unknown"

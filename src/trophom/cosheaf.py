@@ -1,11 +1,12 @@
 """Cellular cosheaves of integral multi-tangent lattices.
 
-A cosheaf here is a rank (with an optional basis matrix inside the stratum's
-wedge space) per cell, plus one integer matrix per codimension-one incidence,
-contravariant along inclusion: the matrix attached to (tau, sigma) maps the
-stalk at sigma into the stalk at tau.  Instances built here: the multi-tangent
-cosheaf of a complex and the ambient cosheaf of its toric variety, both by
-one builder, `_cosheaf`, from the lattices whose wedges span each stalk.
+A cosheaf here is a stalk per cell, a sublattice of the stratum's wedge
+space kept as its canonical basis matrix (`exactla.lattice_basis`) with its
+rank, plus one integer matrix per codimension-one incidence, contravariant
+along inclusion: the matrix attached to (tau, sigma) maps the stalk at sigma
+into the stalk at tau.  Instances built here: the multi-tangent cosheaf of a
+complex and the ambient cosheaf of its toric variety, both by one builder,
+`_cosheaf`, from the lattice bases whose wedges span each stalk.
 
 The multi-tangent stalk F_p(sigma) is the sum of the p-th wedges of T(tau)
 over the cells tau of sigma's stratum whose closure contains sigma (IKMZ,
@@ -27,10 +28,10 @@ from math import comb
 from .complexes import CellComplex
 from .exactla import (
     IntMatrix,
-    LatticeSubspace,
     back_substitute,
     exterior_power,
     hnf_pivots,
+    lattice_basis,
 )
 
 
@@ -64,12 +65,10 @@ def _star_tangents(Z: CellComplex):
     # cells are ordered by dimension, so every cofacet comes first
     for i in reversed(range(len(Z.cells))):
         above = up[i]
-        if not above:
-            top[i] = frozenset((Z.cells[i].tangent.basis,))
-        elif len(above) == 1:
-            top[i] = top[above[0]]
-        else:
+        if above:
             top[i] = frozenset().union(*(top[s] for s in above))
+        else:
+            top[i] = frozenset((Z.cells[i].tangent,))
     return top
 
 
@@ -105,7 +104,7 @@ def _cosheaf(Z: CellComplex, p: int, stars) -> Cosheaf:
                     wedges[T] = exterior_power(T, p).columns()
                 gens += wedges[T]
             ambient = comb(Y.stratum_dim(c.sed), p)
-            stalks[key] = LatticeSubspace.from_columns(gens, ambient).basis
+            stalks[key] = lattice_basis(gens, ambient)
     bases = [stalks[key] for key in stars]
     ranks = [B.ncols for B in bases]
     pivots = {}     # target stalk basis -> its pivots

@@ -3,7 +3,9 @@
 One eliminator per job:
 - Hermite normal forms for lattices: saturated kernels, sums of
   sublattices, completion to a basis, and one back-substitution against a
-  column Hermite form for every integer solve and membership test;
+  column Hermite form for every integer solve and membership test.  A
+  sublattice is its canonical basis matrix (`lattice_basis`), the column
+  Hermite form of any generating set, and its rank is the column count;
 - fraction-free (Bareiss) Gauss-Jordan elimination for rational row spaces
   and determinants: canonical integer equations, pivot columns, tie points,
   and every determinant and minor (exterior powers in the lexicographic
@@ -26,21 +28,20 @@ depend on the pivot order, so the order sets the cost and never the answer.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
-check this: `IntMatrix(...)`, `IntMatrix.from_columns` and
-`LatticeSubspace.from_columns` convert integral entries (Fraction(4, 2),
-3.0, True, 0.0) and reject any other (2.5, None, "") with a ValueError
-naming its row and column, when the matrix is built.  The checked
-`IntMatrix` constructor is sparse first: per row, `compress` finds the
-nonzero entries and only those get an exact type check, and `count(0)`
-proves every other entry equals 0.  Those C-level passes leave O(nonzeros)
-Python work, and the sparse rows come out of the same check.  The dense
-rows are built from them on first read, every zero an int 0, so
-`homology_at` on a large sparse matrix never builds them.  A matrix this
-module computes from checked matrices (`identity`, `zeros`, `transpose`,
-products, `submatrix`, Hermite forms and their transforms,
-back-substitution, exterior powers, lattice bases) is built by
-`IntMatrix._trusted` without the check: integer arithmetic on ints yields
-ints, so the check could only repeat itself.  The same holds where another
+check this: `IntMatrix(...)`, `IntMatrix.from_columns` and `lattice_basis`
+convert integral entries (Fraction(4, 2), 3.0, True, 0.0) and reject any
+other (2.5, None, "") with a ValueError naming its row and column, when
+the matrix is built.  The checked `IntMatrix` constructor is sparse first:
+per row, `compress` finds the nonzero entries and only those get an exact
+type check, and `count(0)` proves every other entry equals 0.  Those
+C-level passes leave O(nonzeros) Python work, and the sparse rows come out
+of the same check.  The dense rows are built from them on first read,
+every zero an int 0, so `homology_at` on a large sparse matrix never
+builds them.  A matrix this module computes from checked matrices
+(`identity`, `zeros`, `transpose`, products, `submatrix`, Hermite forms and
+their transforms, back-substitution, exterior powers, lattice bases) is
+built by `IntMatrix._trusted` without the check: integer arithmetic on ints
+yields ints, so the check could only repeat itself.  The same holds where another
 module builds a matrix from ints it made itself: the edges between a
 subdivision's support points (`normalized_simplex_volume`), canonical
 equation normals (`tangent_lattice`), a polyhedron's rays and lineality
@@ -55,7 +56,6 @@ facet normals and lineality vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
@@ -471,53 +471,29 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     return [1] * units + _divisibility_pass(others)
 
 
-@dataclass(frozen=True)
-class LatticeSubspace:
-    """A saturated-or-not sublattice of Z^ambient, basis in column HNF.
-
-    The basis is the canonical column Hermite form of any generating set, so
-    two equal sublattices have equal basis matrices.
-    """
-
-    ambient: int
-    basis: IntMatrix  # ambient x rank, Z-independent columns
-
-    @classmethod
-    def from_columns(cls, cols, ambient):
-        """The sublattice the columns span.  A non-integral entry raises
-        ValueError naming its row (coordinate) and column (generator), and
-        so does a column whose length is not `ambient`."""
-        # row HNF of the generators as rows is the transposed column HNF; no
-        # transform is needed, so none is built
-        cols = tuple(map(tuple, cols))
-        if set(map(len, cols)) - {ambient} or not _all_ints(cols):
-            # the checked IntMatrix.from_columns converts, or names the bad
-            # column or entry
-            cols = IntMatrix.from_columns(cols, ambient).columns()
-        h = [list(c) for c in cols]
-        _hermite(h, ambient)
-        cols = [r for r in h if any(r)]
-        return cls(ambient, IntMatrix._trusted(_column_rows(cols, ambient), len(cols)))
-
-    @classmethod
-    def zero(cls, ambient):
-        return cls.from_columns([], ambient)
-
-    @classmethod
-    def full(cls, ambient):
-        return cls(ambient, IntMatrix.identity(ambient))
-
-    @property
-    def rank(self):
-        return self.basis.ncols
-
-    def contains(self, vec):
-        col = IntMatrix.from_columns([tuple(vec)], self.ambient)
-        return back_substitute(hnf_pivots(self.basis), self.rank, col) is not None
+def lattice_basis(cols, ambient) -> IntMatrix:
+    """The canonical basis of the sublattice of Z^ambient the columns span:
+    their column Hermite form with its zero columns dropped, ambient x rank
+    with Z-independent columns, so two equal sublattices have equal basis
+    matrices.  A non-integral entry raises ValueError naming its row
+    (coordinate) and column (generator), and so does a column whose length
+    is not `ambient`."""
+    # row HNF of the generators as rows is the transposed column HNF; no
+    # transform is needed, so none is built
+    cols = tuple(map(tuple, cols))
+    if set(map(len, cols)) - {ambient} or not _all_ints(cols):
+        # the checked IntMatrix.from_columns converts, or names the bad
+        # column or entry
+        cols = IntMatrix.from_columns(cols, ambient).columns()
+    h = [list(c) for c in cols]
+    _hermite(h, ambient)
+    cols = [r for r in h if any(r)]
+    return IntMatrix._trusted(_column_rows(cols, ambient), len(cols))
 
 
-def kernel_lattice(M: IntMatrix) -> LatticeSubspace:
-    """The saturated sublattice {v in Z^ncols : M v = 0}.
+def kernel_lattice(M: IntMatrix) -> IntMatrix:
+    """The basis (`lattice_basis`) of the saturated sublattice
+    {v in Z^ncols : M v = 0}.
 
     One `_hermite` of [M^T | I]: U * M^T = H with U unimodular, so the rows
     of U beside the zero rows of H are a basis of the kernel, which is
@@ -526,7 +502,7 @@ def kernel_lattice(M: IntMatrix) -> LatticeSubspace:
     a = M.nrows
     h = [[*col, *(int(i == j) for j in range(M.ncols))] for i, col in enumerate(M.columns())]
     _hermite(h, a)
-    return LatticeSubspace.from_columns([r[a:] for r in h if not any(r[:a])], M.ncols)
+    return lattice_basis([r[a:] for r in h if not any(r[:a])], M.ncols)
 
 
 def hnf_pivots(H: IntMatrix):

@@ -19,17 +19,26 @@ from operator import mul
 
 from .exactla import (
     IntMatrix,
-    LatticeSubspace,
     exterior_power,
     gauss_jordan,
     int_rows,
     kernel_lattice,
+    lattice_basis,
     primitive_vector,
 )
 
 
 def _dot(a, b):
     return sum(map(mul, a, b))
+
+
+def _check_lengths(dim, *named):
+    """For each (kind, vectors) pair, raise ValueError naming the first
+    vector, as `kind` i, whose length is not dim: `zip` would truncate it."""
+    for kind, vectors in named:
+        for i, v in enumerate(vectors):
+            if len(v) != dim:
+                raise ValueError("%s %d has %d coordinates, not %d" % (kind, i, len(v), dim))
 
 
 def _scaled(x):
@@ -134,6 +143,8 @@ def _homogenize_hrep(ineqs, eqs, dim):
 
 def generators_from_hrep(ineqs, eqs, dim):
     """V-representation (vertices, rays, lineality) of {Ax <= b, Ex = f}."""
+    _check_lengths(dim, ("facet normal", [a for a, b in ineqs]),
+                   ("equation normal", [a for a, b in eqs]))
     lin, rays = dd_cone(_homogenize_hrep(ineqs, eqs, dim), dim + 1)
     verts, recrays, lins = [], [], []
     for v in lin:
@@ -151,6 +162,7 @@ def generators_from_hrep(ineqs, eqs, dim):
 
 def hrep_from_generators(points, rays, lins, dim):
     """Minimal H-representation (facets, equations) of conv(points)+cone."""
+    _check_lengths(dim, ("point", points), ("ray", rays), ("lineality vector", lins))
     rows = []
     for p in points:
         rows.append(primitive_vector((-1,) + tuple(Fraction(x) for x in p)))
@@ -232,14 +244,16 @@ class QPolyhedron:
                  "_sound")
 
     def __init__(self, dim, vertices, rays, lin, facets, equations):
+        _check_lengths(dim, ("vertex", vertices), ("ray", rays), ("lineality vector", lin),
+                       ("facet normal", [a for a, b in facets]),
+                       ("equation normal", [a for a, b in equations]))
         self.dim = dim
         self.vertices = tuple(sorted(tuple(Fraction(x) for x in v) for v in vertices))
         self.rays = tuple(sorted(int_rows(rays, "ray")))
         if lin:
             # canonical: the saturated lattice of the lineality space
             normals = [list(a) for a, b in facets] + [list(a) for a, b in equations]
-            sat = kernel_lattice(IntMatrix(normals, ncols=dim))
-            self.lin = tuple(sat.basis.columns())
+            self.lin = tuple(kernel_lattice(IntMatrix(normals, ncols=dim)).columns())
         else:
             self.lin = ()
         self.facets = tuple(sorted(zip(int_rows((a for a, b in facets), "facet normal"),
@@ -284,8 +298,8 @@ class QPolyhedron:
         return cls(dim, verts, rays, lins, facets, eqs2)
 
     @classmethod
-    def cone(cls, rays, dim, lins=()):
-        return cls.from_generators([(0,) * dim], rays, lins, dim)
+    def cone(cls, rays, dim):
+        return cls.from_generators([(0,) * dim], rays, (), dim)
 
     # ---- basic queries ----
 
@@ -299,6 +313,7 @@ class QPolyhedron:
     def contains(self, x):
         """Is the rational point x in the polyhedron?  Decided in integers
         by `_satisfied_by`."""
+        _check_lengths(self.dim, ("point", (x,)))
         return self._satisfied_by((tuple(map(Fraction, x)),), (), ())
 
     def contains_polyhedron(self, other):
@@ -370,7 +385,7 @@ class QPolyhedron:
         cone, so `affine_dim` is the cone's dimension even where facets of
         the polyhedron turn into implicit equations (two parallel facets of
         [0, 1] x [0, oo) give x = 0).  The facets may be redundant."""
-        hull = kernel_lattice(IntMatrix._trusted(self.rays + self.lin, self.dim)).basis.columns()
+        hull = kernel_lattice(IntMatrix._trusted(self.rays + self.lin, self.dim)).columns()
         return QPolyhedron(self.dim, [(0,) * self.dim], self.rays, self.lin,
                            [(a, 0) for a, b in self.facets], [(u, 0) for u in hull])
 
@@ -445,14 +460,15 @@ class QPolyhedron:
                 lins.append(primitive_vector(w))
         return QPolyhedron.from_generators(pts, rays, lins, M.nrows)
 
-    def tangent_lattice(self) -> LatticeSubspace:
-        """Saturated integral tangent lattice of the affine hull."""
+    def tangent_lattice(self) -> IntMatrix:
+        """The basis (`lattice_basis`) of the saturated integral tangent
+        lattice of the affine hull."""
         if not self.equations:
             # the kernel of no equations is all of Z^dim; this skips its HNF
-            return LatticeSubspace.full(self.dim)
+            return IntMatrix.identity(self.dim)
         if len(self.equations) == self.dim:
             # canonical equations are independent, so a point's kernel is 0
-            return LatticeSubspace.zero(self.dim)
+            return lattice_basis((), self.dim)
         A = IntMatrix._trusted(tuple(a for a, b in self.equations), self.dim)
         return kernel_lattice(A)
 
@@ -488,11 +504,9 @@ class QPolyhedron:
         return [(F, act) for act, F in sorted(faces.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
 
 
-def convex_hull(points, dim=None) -> QPolyhedron:
+def convex_hull(points) -> QPolyhedron:
     """Convex hull of rational points; redundant points are removed."""
-    if not points:
-        raise ValueError("empty point list")
-    return QPolyhedron.from_generators(points, dim=dim)
+    return QPolyhedron.from_generators(points)
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +580,12 @@ class RegularSubdivision:
     `faces` maps a frozenset of support-point indices to its dimension, the
     affine rank of its points; the maximal cells are those of top dimension,
     `dimension`, the affine rank of the support.  Point sets include every
-    support point lying on the face, not only its vertices.  `covered_by`
-    maps every face to the faces one dimension up that contain it.  `ties`
-    maps every maximal cell M to its tie point v_M, read off the lift (see
-    `regular_subdivision`).  The support points are kept as given; the
-    coordinates the cells were found in are not kept.
+    support point lying on the face, not only its vertices; a point lifted
+    below the upper faces lies in none.  `covered_by` maps every face to the
+    faces one dimension up that contain it.  `ties` maps every maximal cell
+    M to its tie point v_M, read off the lift (see `regular_subdivision`).
+    The support points are kept as given; the coordinates the cells were
+    found in are not kept.
     """
 
     support_points: tuple
@@ -578,7 +593,6 @@ class RegularSubdivision:
     dimension: int
     maximal_cells: tuple        # tuple of frozensets
     faces: dict                 # frozenset -> dim
-    used: tuple                 # bool per support point
     covered_by: dict            # frozenset -> list of frozensets, one dim up
     ties: dict                  # maximal cell M -> its tie point v_M
 
@@ -606,14 +620,14 @@ def _add_cell_faces(members, coords, faces, covered_by):
         def rank(sub):
             return len(sub) - 1
     else:
-        cell = convex_hull([coords[i] for i in sorted(members)], dim=dim)
+        cell = convex_hull([coords[i] for i in sorted(members)])
         walls = [frozenset(i for i in members if _dot(a, coords[i]) == b)
                  for a, b in cell.facets]
 
         def rank(sub):
             i0, *rest = sorted(sub)
             diffs = [tuple(x - y for x, y in zip(coords[i], coords[i0])) for i in rest]
-            return LatticeSubspace.from_columns(diffs, dim).rank
+            return lattice_basis(diffs, dim).ncols
     faces[members] = dim
     covered_by[members] = []
     todo = [members]
@@ -688,9 +702,8 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     faces, covered_by = {}, {}
     for members in maximal:
         _add_cell_faces(members, coords, faces, covered_by)
-    used = tuple(any(i in m for m in maximal) for i in range(len(points)))
     return RegularSubdivision(tuple(points), tuple(heights), d, maximal,
-                              faces, used, covered_by, ties)
+                              faces, covered_by, ties)
 
 
 def normalized_simplex_volume(sub: RegularSubdivision, cell) -> int:

@@ -30,10 +30,9 @@ from .tropio import FanSpec
 class Stratum:
     """One toric stratum: quotient lattice plus its chosen section basis."""
 
-    __slots__ = ("cone_id", "ray_indices", "dim", "projection", "section")
+    __slots__ = ("ray_indices", "dim", "projection", "section")
 
-    def __init__(self, cone_id, ray_indices, fan_dim, rays):
-        self.cone_id = cone_id
+    def __init__(self, ray_indices, fan_dim, rays):
         self.ray_indices = tuple(sorted(ray_indices))
         s = len(self.ray_indices)
         self.dim = fan_dim - s
@@ -56,7 +55,7 @@ class ToricVariety:
         self.dim = fan.dim
         self.cones = fan.cones()             # list of frozensets, stable order
         self.cone_index = {c: i for i, c in enumerate(self.cones)}
-        self.strata = [Stratum(i, c, fan.dim, fan.rays) for i, c in enumerate(self.cones)]
+        self.strata = [Stratum(c, fan.dim, fan.rays) for c in self.cones]
         self._cofaces = [tuple(d for d, cd in enumerate(self.cones) if c <= cd)
                          for c in self.cones]
         self._cofacets = [tuple(d for d in up if len(self.cones[d]) == len(c) + 1)
@@ -77,9 +76,6 @@ class ToricVariety:
     def stratum_dim(self, cid):
         return self.dim - self.cone_dim(cid)
 
-    def is_face(self, cid, did):
-        return self.cones[cid] <= self.cones[did]
-
     def cofaces(self, cid):
         """The cones eta >= rho, rho itself included, in cone order."""
         return self._cofaces[cid]
@@ -91,7 +87,7 @@ class ToricVariety:
 
     def projection(self, cid, did) -> IntMatrix:
         """Matrix of the quotient projection between strata, rho <= eta."""
-        if not self.is_face(cid, did):
+        if not self.cones[cid] <= self.cones[did]:
             raise ValueError("projection needs a face pair of cones")
         key = (cid, did)
         if key not in self._proj_cache:
@@ -114,29 +110,18 @@ class ToricVariety:
 
         A test reference for the pieces of `complexes.build_pair`."""
         rec = P.recession()
-        out = []
-        for did in self.cofaces(cid):
-            if did == cid:
-                out.append(did)
-                continue
-            if cone_meets_relint(rec, self.star_cone_geometry(cid, did)):
-                out.append(did)
-        return out
+        return [did for did in self.cofaces(cid)
+                if did == cid or cone_meets_relint(rec, self.star_cone_geometry(cid, did))]
 
-    def compactify(self, P: QPolyhedron, cid=None):
-        """Closure pieces of P: maps cone id -> piece of the closure in that
-        stratum (the image of P under the quotient projection).
+    def compactify(self, P: QPolyhedron):
+        """Closure pieces of P, a polyhedron in the open stratum: maps cone
+        id -> piece of the closure in that stratum (the image of P under the
+        quotient projection).
 
         A test reference for the pieces of `complexes.build_pair`."""
-        if cid is None:
-            cid = self.apex
-        pieces = {}
-        for did in self.reached_cones(P, cid):
-            if did == cid:
-                pieces[did] = P
-            else:
-                pieces[did] = P.linear_image(self.projection(cid, did))
-        return pieces
+        apex = self.apex
+        return {did: P if did == apex else P.linear_image(self.projection(apex, did))
+                for did in self.reached_cones(P, apex)}
 
     def closure_is_compact(self, P: QPolyhedron, cid, reached):
         """Is the closure of P (in the rho-stratum) compact in Y?  `reached`

@@ -122,8 +122,10 @@ class _Tokens:
         return int(self.text[start:self.pos])
 
 
-def parse_polynomial(text, n_vars=None) -> TropicalPolynomial:
-    """Parse a .trop document into a normalized tropical polynomial."""
+def parse_polynomial(text) -> TropicalPolynomial:
+    """Parse a .trop document into a normalized tropical polynomial, in as
+    many variables as the largest index the text names (`padded` embeds it
+    in more)."""
     t = _Tokens(text)
     t.expect("max")
     t.expect("(")
@@ -138,18 +140,12 @@ def parse_polynomial(text, n_vars=None) -> TropicalPolynomial:
     t.skip_ws()
     if t.pos != len(t.text):
         t.error("trailing input after polynomial")
-    variables = [(i, at) for _, _, monos in raw_terms for _, i, at in monos]
-    max_var = max((i for i, _ in variables), default=0)
-    if n_vars is None:
-        n_vars = max_var
-    elif max_var > n_vars:
-        at = next(at for i, at in variables if i == max_var)
-        t.error("variable x%d exceeds the declared count %d" % (max_var, n_vars), at)
+    n_vars = max((i for _, _, monos in raw_terms for _, i in monos), default=0)
     terms = []
     seen = set()
     for start, coeff, monos in raw_terms:
         exp = [0] * n_vars
-        for e, i, _ in monos:
+        for e, i in monos:
             exp[i - 1] += e
         key = tuple(exp)
         if key in seen:
@@ -161,14 +157,14 @@ def parse_polynomial(text, n_vars=None) -> TropicalPolynomial:
 
 def _parse_term(t: _Tokens):
     """One term: optional rational constant plus '+'-separated monomials,
-    each as (exponent, variable index, start offset of the variable)."""
+    each as (exponent, variable index)."""
     coeff = Fraction(0)
     monos = []
     while True:
         t.skip_ws()
         ch = t.peek()
         if ch == "x":
-            monos.append((1, *_parse_var(t)))
+            monos.append((1, _parse_var(t)))
         elif ch and ch in "+-0123456789":
             n = t.integer()
             if t.try_take("/"):
@@ -177,7 +173,7 @@ def _parse_term(t: _Tokens):
                     t.error("zero denominator")
                 coeff += Fraction(n, d)
             elif t.try_take("*"):
-                monos.append((n, *_parse_var(t)))
+                monos.append((n, _parse_var(t)))
             else:
                 coeff += n
         else:
@@ -188,14 +184,12 @@ def _parse_term(t: _Tokens):
 
 
 def _parse_var(t: _Tokens):
-    """A variable xN: its index N and the offset where it starts."""
-    t.skip_ws()
-    start = t.pos
+    """A variable xN: its index N."""
     t.expect("x")
     idx = t.integer()
     if idx < 1:
         t.error("variable indices start at 1")
-    return idx, start
+    return idx
 
 
 def polynomial_text(f: TropicalPolynomial) -> str:
@@ -275,6 +269,7 @@ class FanSpec:
         `rays`, that it is unimodular simplicial, and that every two maximal
         cones meet in their common face; raise FanError naming the first
         failure."""
+        first = {}
         for i, r in enumerate(self.rays):
             if len(r) != self.dim:
                 raise FanError("ray %d = %r has %d coordinates, not %d"
@@ -283,8 +278,8 @@ class FanSpec:
                 raise FanError("ray %d is zero" % i)
             if r != primitive_vector(r):
                 raise FanError("ray %d = %r is not primitive" % (i, r))
-        if len(set(self.rays)) != len(self.rays):
-            raise FanError("duplicate rays")
+            if first.setdefault(r, i) != i:
+                raise FanError("rays %d and %d are both %r" % (first[r], i, r))
         for c in self.max_cones:
             idx = sorted(c)
             for i in idx:
@@ -353,8 +348,10 @@ def load_fan(text) -> FanSpec:
                 vec = tuple(int(x) for x in body.split())
             except ValueError:
                 raise ParseError("malformed ray line", ln)
-            if dim is None or len(vec) != dim:
-                raise ParseError("ray has %d coordinates, expected dim %s"
+            if dim is None:
+                raise ParseError("ray line before the dim line", ln)
+            if len(vec) != dim:
+                raise ParseError("ray has %d coordinates, expected dim %d"
                                  % (len(vec), dim), ln)
             if idx != len(rays):
                 raise ParseError("ray indices must be consecutive from 0", ln)

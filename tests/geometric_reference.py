@@ -23,11 +23,11 @@ from trophom.complexes import Cell, CellComplex, HypersurfacePair
 from trophom.cosheaf import Cosheaf, CosheafError
 from trophom.exactla import (
     IntMatrix,
-    LatticeSubspace,
     back_substitute,
     exterior_power,
     hnf_pivots,
     kernel_lattice,
+    lattice_basis,
     primitive_vector,
 )
 from trophom import polyhedra
@@ -172,7 +172,7 @@ def stratum_pieces(f, S, newton, Y, eta, G):
     def diffs(pts, a0):
         return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
 
-    lin = kernel_lattice(IntMatrix(diffs(G, min(G)), ncols=k)).basis.columns()
+    lin = kernel_lattice(IntMatrix(diffs(G, min(G)), ncols=k)).columns()
     dim_g = k - len(lin)
     vertex_of = {}
     for M in S.maximal_cells:
@@ -183,7 +183,7 @@ def stratum_pieces(f, S, newton, Y, eta, G):
     for a, b in newton.facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
-                LatticeSubspace.from_columns(diffs(on, min(on)), k).rank == dim_g - 1:
+                lattice_basis(diffs(on, min(on)), k).ncols == dim_g - 1:
             walls[on] = primitive_vector(proj.apply(a))
     pieces = {}
     for F in S.faces:
@@ -260,7 +260,7 @@ def validate(Z, full=False):
             assert sig.geom.contains_polyhedron(tau.geom), \
                 "incidence containment certificate"
         else:
-            assert Z.Y.is_face(sig.sed, tau.sed)
+            assert Z.Y.cones[sig.sed] <= Z.Y.cones[tau.sed]
             img = sig.geom.linear_image(Z.Y.projection(sig.sed, tau.sed))
             assert img.geometry_key() == tau.geom.geometry_key(), \
                 "cross-stratum incidence certificate"
@@ -296,7 +296,7 @@ def closure_is_compact(Y: ToricVariety, P: QPolyhedron, cid):
     lie in the star cones of every maximal coface of rho."""
     if Y.compact or P.is_bounded():
         return True
-    rec = QPolyhedron.cone(P.rays, P.dim, P.lin)
+    rec = QPolyhedron.from_generators([(0,) * P.dim], P.rays, P.lin, P.dim)
     cofaces = Y.cofaces(cid)
     maxcones = [d for d in cofaces
                 if not any(Y.cones[d] < Y.cones[e] for e in cofaces)]
@@ -310,10 +310,8 @@ def toric_complex(Y: ToricVariety) -> CellComplex:
     cells = []
     for cid in range(len(Y.cones)):
         k = Y.stratum_dim(cid)
-        geom = QPolyhedron.cone([], k, lins=[tuple(1 if i == j else 0 for j in range(k))
-                                             for i in range(k)]) if k else \
-            QPolyhedron.from_generators([()], dim=0)
-        cells.append(Cell(cid, k, geom, LatticeSubspace.full(k), Y.compact,
+        geom = QPolyhedron.from_generators([(0,) * k], [], IntMatrix.identity(k).rows, k)
+        cells.append(Cell(cid, k, geom, IntMatrix.identity(k), Y.compact,
                           frozenset(), False))
     incidence = {((t, frozenset()), (s, frozenset()))
                  for s, cs in enumerate(Y.cones) for t, ct in enumerate(Y.cones)
@@ -387,15 +385,15 @@ def multitangent(Z, p):
     map is back-substituted, and F_0 is built like any other p."""
     Y = Z.Y
     star = _same_stratum_star(Z)
-    wedges = [exterior_power(c.tangent.basis, p).columns() for c in Z.cells]
+    wedges = [exterior_power(c.tangent, p).columns() for c in Z.cells]
     ranks, bases = [], []
     for i, c in enumerate(Z.cells):
         gens = []
         for j in star[i]:
             gens += wedges[j]
-        total = LatticeSubspace.from_columns(gens, comb(Y.stratum_dim(c.sed), p))
-        ranks.append(total.rank)
-        bases.append(total.basis)
+        total = lattice_basis(gens, comb(Y.stratum_dim(c.sed), p))
+        ranks.append(total.ncols)
+        bases.append(total)
     pivots = {}
     wedge_projection = {}
     maps = {}

@@ -76,25 +76,25 @@ def pair_blowup():
 
 
 def pair_degenerate(n):
-    f = parse_polynomial("max(0, x1)", n_vars=n + 1)
+    f = parse_polynomial("max(0, x1)").padded(n + 1)
     return build_pair(f, load_fan("dim %d\n" % (n + 1)))
 
 
-def surface_poly(d):
-    """A surface on d*Delta_3 whose Freudenthal heights triangulate it
+def freudenthal_poly(n, d):
+    """A hypersurface on d*Delta_n whose Freudenthal heights triangulate it
     unimodularly: with suffix sums y_i, -(sum y_i^2 + sum (y_i - y_j)^2)."""
     terms = []
-    for a in [(a, b, c) for a in range(d + 1) for b in range(d + 1 - a)
-              for c in range(d + 1 - a - b)]:
-        y = [sum(a[i:]) for i in range(3)]
-        h = sum(v * v for v in y) + sum((y[i] - y[j]) ** 2
-                                        for i, j in combinations(range(3), 2))
-        terms.append((a, -h))
-    return TropicalPolynomial.make(terms, 3)
+    for a in product(range(d + 1), repeat=n):
+        if sum(a) <= d:
+            y = [sum(a[i:]) for i in range(n)]
+            h = sum(v * v for v in y) + sum((y[i] - y[j]) ** 2
+                                            for i, j in combinations(range(n), 2))
+            terms.append((a, -h))
+    return TropicalPolynomial.make(terms, n)
 
 
 def quadric_poly():
-    return surface_poly(2)
+    return freudenthal_poly(3, 2)
 
 
 def curve_poly(d):
@@ -154,6 +154,10 @@ class TestDualComplex:
             build_pair(f, fan)
         assert "cone [0, 1]" in str(err.value)
         assert "rays (1, 0), (0, 1)" in str(err.value)
+
+    def test_more_variables_than_the_fan_names_both_counts(self):
+        with pytest.raises(BuildError, match="3 variables, more than the fan dimension 2"):
+            build_pair(parse_polynomial("max(0, x3)"), load_fan("dim 2\n"))
 
     def test_dimension_cap(self):
         f = parse_polynomial("max(0, x1, x2, x3, x4, x5)")
@@ -281,7 +285,7 @@ class TestPredicates:
         assert is_cellular_pair(pair) == "no"
 
     def test_line_in_half_toric_proper_but_not_cellular(self):
-        f = parse_polynomial("max(0, x1)", n_vars=2)
+        f = parse_polynomial("max(0, x1)").padded(2)
         fan = load_fan("dim 2\nray 0: 0 -1\ncone: 0\n")
         pair = build_pair(f, fan)
         assert is_proper(pair)
@@ -370,7 +374,7 @@ LP_FIXTURES = {
     "triangle-one-cone": lambda: build_pair(
         parse_polynomial("max(0, x1 + 2*x2, 2*x1 + x2)"),
         load_fan("dim 2\nray 0: -1 0\nray 1: 0 -1\ncone: 0 1\n")),
-    "line-half-toric": lambda: build_pair(parse_polynomial("max(0, x1)", n_vars=2),
+    "line-half-toric": lambda: build_pair(parse_polynomial("max(0, x1)").padded(2),
                                           load_fan("dim 2\nray 0: 0 -1\ncone: 0\n")),
     "quadric-blowup": lambda: build_pair(quadric_poly(), load_fan(TP3_BLOWUP_FAN)),
     "quadric-half-toric": lambda: build_pair(quadric_poly(), load_fan(HALF_TORIC_FAN)),
@@ -463,7 +467,7 @@ def assert_dual_cells_match_hrep(pair):
         assert built.geom.lin == got.lin, sorted(face)
         assert built.geom.contains_polyhedron(got) and got.contains_polyhedron(built.geom), \
             sorted(face)
-        assert built.tangent.basis.columns() == got.tangent_lattice().basis.columns(), \
+        assert built.tangent.columns() == got.tangent_lattice().columns(), \
             sorted(face)
     for Z in (pair.X, pair.Yref):
         same = {(t, s) for t, s in Z.incidence if Z.cells[t].sed == Z.cells[s].sed}
@@ -628,7 +632,7 @@ def test_equal_equations_share_one_tangent_lattice(fan):
     dimension and the same equation normals hold one tangent lattice object,
     and each cell's lattice still equals the one its piece computes.  X's
     cells are copies of Yref's and keep the same objects."""
-    f = surface_poly(3)
+    f = freudenthal_poly(3, 3)
     pair = build_pair(f, load_fan(TP3_BLOWUP_FAN) if fan == "blowup"
                       else normal_fan(newton_polytope(f)))
     held = {}

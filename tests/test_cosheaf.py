@@ -13,13 +13,13 @@ from test_complexes import (
     TP3_BLOWUP_FAN,
     _random_quadric,
     curve_poly,
+    freudenthal_poly,
     quadric_poly,
-    surface_poly,
 )
 from trophom import complexes, cosheaf, exactla, polyhedra, toric
 from trophom.complexes import build_pair, is_nonsingular
 from trophom.cosheaf import CosheafError, ambient_on_cells, multitangent
-from trophom.exactla import IntMatrix, LatticeSubspace, exterior_power, smith_diagonal
+from trophom.exactla import IntMatrix, exterior_power, lattice_basis, smith_diagonal
 from trophom.tropio import (
     TropicalPolynomial,
     load_fan,
@@ -127,7 +127,7 @@ def h_vector(Y):
 AMBIENT = {
     "tp2": (lambda: _normal(curve_poly(3)), [1, 1, 1]),
     "tp3": (lambda: _normal(quadric_poly()), [1, 1, 1, 1]),
-    "blowup": (lambda: build_pair(surface_poly(3), load_fan(TP3_BLOWUP_FAN)), [1, 2, 2, 1]),
+    "blowup": (lambda: build_pair(freudenthal_poly(3, 3), load_fan(TP3_BLOWUP_FAN)), [1, 2, 2, 1]),
     "tp1^2": (lambda: _normal(alcoved_poly((2, 2))), [1, 2, 1]),
     "tp1^3": (lambda: _normal(alcoved_poly((2, 2, 2))), [1, 3, 3, 1]),
 }
@@ -269,7 +269,7 @@ def test_equal_rank_stalks_of_different_lattices():
     pair = _normal(parse_polynomial("max(0, x1, x2)"))
     Z = pair.Yref
     region = next(c for c in Z.cells if c.dim == 2 and c.sed == pair.Y.apex)
-    region.tangent = LatticeSubspace.from_columns([(2, 0), (0, 1)], 2)
+    region.tangent = lattice_basis([(2, 0), (0, 1)], 2)
     F, want = multitangent(Z, 1), reference.multitangent(Z, 1)
     assert (F.ranks, F.bases, F.maps) == (want.ranks, want.bases, want.maps)
     assert any(s == region.index and F.ranks[t] == F.ranks[s] and F.bases[t] != F.bases[s]
@@ -299,9 +299,9 @@ def test_image_outside_target_stalk_raises(corrupt):
     pair = _normal(parse_polynomial("max(0, x1, x2, x3)"))
     X, Y = pair.X, pair.Y
     tau = next(c for c in X.cells if c.dim == 1 and Y.cone_dim(c.sed) == 1)
-    (u,) = tau.tangent.basis.columns()
-    tau.tangent = LatticeSubspace.from_columns([corrupt(u)], len(u))
-    assert tau.tangent.basis.columns() != [u]
+    (u,) = tau.tangent.columns()
+    tau.tangent = lattice_basis([corrupt(u)], len(u))
+    assert tau.tangent.columns() != [u]
     multitangent(X, 0)  # F_0 does not see tangents
     with pytest.raises(CosheafError, match=r"cells \d+ -> %d, p=1\)" % tau.index) as err:
         multitangent(X, 1)
@@ -338,7 +338,7 @@ def test_no_redundant_exact_work(monkeypatch):
     `linear_image` runs; `stratum_pieces` builds every piece without the
     checked `QPolyhedron` constructor; and multitangent back-substitutes on its stalk
     bases, which are in column HNF already: its only Hermite eliminations
-    (`_hermite`) are its lattice sums, one per `from_columns`.  The build
+    (`_hermite`) are its lattice sums, one per `lattice_basis`.  The build
     takes one tangent lattice per (stratum dimension, equation normals),
     and multitangent one lattice sum per set of maximal-cell tangent
     lattices, at most one pivot reading per target stalk and one
@@ -380,6 +380,8 @@ def test_no_redundant_exact_work(monkeypatch):
     count(cosheaf, "hnf_pivots")
     count(cosheaf, "back_substitute")
     count(polyhedra.QPolyhedron, "tangent_lattice")
+    for module in (exactla, polyhedra, complexes, cosheaf):
+        count(module, "lattice_basis")
     # every elimination, by the module whose code takes it
     takers = Counter()
     for module in (exactla, polyhedra, complexes, cosheaf, toric):
@@ -390,14 +392,13 @@ def test_no_redundant_exact_work(monkeypatch):
                 return real(rows, ncols)
 
             monkeypatch.setattr(module, "gauss_jordan", recorded)
-    for cls, name in ((LatticeSubspace, "from_columns"), (IntMatrix, "identity")):
-        real = getattr(cls, name)
+    real_identity = IntMatrix.identity
 
-        def counted(_cls, *args, real=real, name=name):
-            calls[name] += 1
-            return real(*args)
+    def counted_identity(_cls, *args):
+        calls["identity"] += 1
+        return real_identity(*args)
 
-        monkeypatch.setattr(cls, name, classmethod(counted))
+    monkeypatch.setattr(IntMatrix, "identity", classmethod(counted_identity))
     # the checked QPolyhedron constructor, counted apart inside
     # stratum_pieces
     real_init, real_pieces = polyhedra.QPolyhedron.__init__, complexes.stratum_pieces
@@ -441,27 +442,27 @@ def test_no_redundant_exact_work(monkeypatch):
     assert 0 < calls["gauss_jordan in stratum_pieces"] <= len(systems) < len(pair.Yref.cells) / 2
     before = calls["_hermite"]
     X, Y = pair.X, pair.Y
-    for name in ("exterior_power", "from_columns"):
+    for name in ("exterior_power", "lattice_basis"):
         calls[name] = 0
     multitangent(X, 0)
-    assert calls["exterior_power"] == calls["from_columns"] == 0
+    assert calls["exterior_power"] == calls["lattice_basis"] == 0
     same = {t for t, s in X.incidence if X.cells[t].sed == X.cells[s].sed}
     maximal = len(X.cells) - len(same)
-    tangents = len({c.tangent.basis for c in X.cells if c.index not in same})
+    tangents = len({c.tangent for c in X.cells if c.index not in same})
     crossings = len({(X.cells[s].sed, X.cells[t].sed) for t, s in X.incidence
                      if X.cells[t].sed != X.cells[s].sed})
     assert tangents < maximal < len(X.cells) and crossings > 0
     star = reference._same_stratum_star(X)
-    lattices = [frozenset(X.cells[j].tangent.basis for j in star[i] if j not in same)
+    lattices = [frozenset(X.cells[j].tangent for j in star[i] if j not in same)
                 for i in range(len(X.cells))]
     assert len(set(lattices)) < maximal
     for p in range(1, Y.dim):
         for name in ("exterior_power", "hnf_pivots", "back_substitute"):
             calls[name] = 0
-        sums = calls["from_columns"]
+        sums = calls["lattice_basis"]
         F = multitangent(X, p)
         assert calls["exterior_power"] == tangents + crossings, p
-        assert calls["from_columns"] - sums == len(set(lattices)), p
+        assert calls["lattice_basis"] - sums == len(set(lattices)), p
         moved = [(t, s) for t, s in X.incidence
                  if X.cells[t].sed != X.cells[s].sed or F.bases[t] != F.bases[s]]
         keys = {(X.cells[s].sed, X.cells[t].sed, lattices[s], lattices[t]) for t, s in moved}
@@ -472,7 +473,7 @@ def test_no_redundant_exact_work(monkeypatch):
         calls["identity"] = 0
         F = ambient_on_cells(pair.Yref, p)
         assert calls["identity"] <= Y.dim + 1 + len(strata) < len(F.ranks) / 4, p
-    assert calls["_hermite"] - before == calls["from_columns"] > 0
+    assert calls["_hermite"] - before == calls["lattice_basis"] > 0
 
     before = calls["dd_cone"]
     pair = build_pair(f, load_fan("dim 3\n"))

@@ -23,9 +23,9 @@ from trophom.polyhedra import (
 )
 from trophom.exactla import (
     IntMatrix,
-    LatticeSubspace,
     det,
     kernel_lattice,
+    lattice_basis,
     solve_int,
 )
 
@@ -45,6 +45,37 @@ def in_hull_bruteforce(p, points, dim):
         if all(l >= 0 for l in lam):
             return True
     return False
+
+
+class TestVectorLengths:
+    """A vector of the wrong length is named where it enters: `zip` would
+    read it cut to the shorter length."""
+
+    def test_hull_point(self):
+        # (1,) would be read as (1, 0), and the hull a triangle
+        with pytest.raises(ValueError, match="point 1 has 1 coordinates, not 2"):
+            convex_hull([(0, 0), (1,), (0, 1)])
+
+    def test_hrep_normal(self):
+        # the 5 would be dropped
+        with pytest.raises(ValueError, match="facet normal 0 has 3 coordinates, not 2"):
+            QPolyhedron.from_hrep([((1, 0, 5), 1)], [], 2)
+        with pytest.raises(ValueError, match="equation normal 0 has 1 coordinates, not 2"):
+            QPolyhedron.from_hrep([], [((1,), 1)], 2)
+
+    def test_generators(self):
+        # the rays would come out as ((0, 1), (1, 0))
+        with pytest.raises(ValueError, match="ray 1 has 3 coordinates, not 2"):
+            QPolyhedron.cone([(1, 0), (0, 1, 1)], 2)
+        with pytest.raises(ValueError, match="lineality vector 0 has 1 coordinates, not 2"):
+            QPolyhedron.from_generators([(0, 0)], lins=[(1,)])
+        with pytest.raises(ValueError, match="vertex 0 has 3 coordinates, not 2"):
+            QPolyhedron(2, [(0, 0, 0)], [], [], [], [])
+
+    def test_contains_point(self):
+        # (5,) would be judged by its first coordinate alone
+        with pytest.raises(ValueError, match="point 0 has 1 coordinates, not 2"):
+            convex_hull([(0, 0), (1, 0), (0, 1)]).contains((5,))
 
 
 class TestConvexHull:
@@ -327,7 +358,8 @@ class TestRecession:
             P = random_polyhedron(rng, d)
             if P is None:
                 continue
-            got, want = P.recession(), QPolyhedron.cone(P.rays, P.dim, P.lin)
+            got = P.recession()
+            want = QPolyhedron.from_generators([(0,) * d], P.rays, P.lin, d)
             assert got.geometry_key() == want.geometry_key(), P
             assert got.affine_dim == want.affine_dim, P
             assert got.equations == want.equations, P
@@ -381,15 +413,14 @@ def saturated_volume(points):
     the edges' annihilator); 0 for affinely dependent points."""
     n = len(points[0])
     edges = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
-    span = LatticeSubspace.from_columns(edges, n)
-    if span.rank < len(edges):
+    span = lattice_basis(edges, n)
+    if span.ncols < len(edges):
         return 0
     if not edges:
         return 1
-    normals = kernel_lattice(span.basis.transpose()).basis.columns()
-    sat = kernel_lattice(IntMatrix(normals, ncols=n)) if normals \
-        else LatticeSubspace.full(n)
-    return abs(det(solve_int(sat.basis, IntMatrix.from_columns(edges, n))))
+    normals = kernel_lattice(span.transpose()).columns()
+    sat = kernel_lattice(IntMatrix(normals, ncols=n)) if normals else IntMatrix.identity(n)
+    return abs(det(solve_int(sat, IntMatrix.from_columns(edges, n))))
 
 
 def _simplex(n, d):
@@ -435,7 +466,6 @@ class TestRegularSubdivision:
         S = regular_subdivision(pts, [0, 0, 0, 0])
         assert len(S.maximal_cells) == 1
         assert S.maximal_cells[0] == frozenset({0, 1, 2, 3})
-        assert all(S.used)
 
     def test_square_broken_diagonal(self):
         pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -473,17 +503,22 @@ class TestRegularSubdivision:
         assert not is_primitive(S)
 
     def test_unused_point(self):
-        # midpoint lifted strictly below the segment's lift is unused
+        # midpoint lifted strictly below the segment's lift is in no cell
         S = regular_subdivision([(0,), (1,), (2,)], [0, -5, 0])
-        assert S.used == (True, False, True)
-        # lifted on the segment: used, cell is not primitive
+        assert frozenset().union(*S.maximal_cells) == {0, 2}
+        assert frozenset({1}) not in S.faces
+        # lifted on the segment: in the cell, which is not primitive
         S2 = regular_subdivision([(0,), (1,), (2,)], [0, 0, 0])
-        assert S2.used == (True, True, True)
+        assert S2.maximal_cells == (frozenset({0, 1, 2}),)
         assert not is_primitive(S2)
         # strictly concave: two unit cells
         S3 = regular_subdivision([(0,), (1,), (2,)], [0, 1, 0])
         assert is_primitive(S3)
         assert len(S3.maximal_cells) == 2
+
+    def test_one_height_per_point(self):
+        with pytest.raises(ValueError, match="one height per point required"):
+            regular_subdivision([(0,), (1,)], [0, 0, 0])
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
@@ -577,7 +612,7 @@ def hull_subdivision(points, heights):
     coords = [tuple(p[c] for c in pivots) for p in points]
     d = len(pivots)
     lifted = [tuple(Fraction(c) for c in y) + (Fraction(h),) for y, h in zip(coords, heights)]
-    lift = convex_hull(lifted, dim=d + 1)
+    lift = convex_hull(lifted)
     if any(a[d] != 0 for a, b in lift.equations):
         maximal = [frozenset(range(len(points)))]
     else:
@@ -585,7 +620,7 @@ def hull_subdivision(points, heights):
                           for a, b in lift.facets if a[d] > 0}, key=sorted)
     faces = {}
     for members in maximal:
-        cell = convex_hull([coords[i] for i in sorted(members)], dim=d)
+        cell = convex_hull([coords[i] for i in sorted(members)])
         walls = {frozenset(i for i in members if dot(a, coords[i]) == b)
                  for a, b in cell.facets}
         faces[members] = d
@@ -597,7 +632,7 @@ def hull_subdivision(points, heights):
                 if sub and sub not in faces:
                     i0, *rest = sorted(sub)
                     diffs = [tuple(x - y for x, y in zip(coords[i], coords[i0])) for i in rest]
-                    faces[sub] = LatticeSubspace.from_columns(diffs, d).rank
+                    faces[sub] = lattice_basis(diffs, d).ncols
                     todo.append(sub)
     return maximal, faces
 
@@ -730,7 +765,7 @@ class TestConePredicates:
         assert cone_covered_by(quad_pp, [right])
         assert cone_covered_by(right, [quad_pp, quad_pm])
         assert not cone_covered_by(right, [quad_pp])
-        full = QPolyhedron.cone([], 2, lins=[(1, 0), (0, 1)])
+        full = QPolyhedron.from_generators([(0, 0)], lins=[(1, 0), (0, 1)])
         assert not cone_covered_by(full, [quad_pp, quad_pm])
 
 
@@ -835,7 +870,7 @@ def test_canonical_systems_match_fraction_reference(monkeypatch):
             normals.append(tuple(k * x + m * y for x, y in zip(a, c)))
         offsets = [tuple(random_rational(rng) for _ in normals)
                    for _ in range(rng.randint(1, 4))]
-        independent = LatticeSubspace.from_columns(normals, dim).rank == len(normals)
+        independent = lattice_basis(normals, dim).ncols == len(normals)
         calls.clear()
         got = _canonical_systems(normals, offsets, dim)
         assert calls["gauss_jordan"] == 1
@@ -876,10 +911,10 @@ def test_point_tangent_lattice_takes_no_hnf(monkeypatch):
     for P, L in zip(points, want):
         assert len(P.equations) == P.dim and P.affine_dim == 0
         T = P.tangent_lattice()
-        assert T == L and T.basis.rows == ((),) * P.dim and T.basis.ncols == 0
+        assert T == L and T.rows == ((),) * P.dim and T.ncols == 0
     assert calls["kernel_lattice"] == 0
     segment = convex_hull([(0, 0, 1), (2, 1, 1)])
-    assert segment.tangent_lattice().basis.columns() == [(2, 1, 0)]
+    assert segment.tangent_lattice().columns() == [(2, 1, 0)]
     assert calls["kernel_lattice"] == 1
 
 
