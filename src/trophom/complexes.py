@@ -148,7 +148,7 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
                   if all(_dot(a, p) == b for p in pts))
     lins = [a for a, b in newton.equations]
     facets, eqs = hrep_from_generators(verts, rays, lins, newton.dim)
-    return QPolyhedron(newton.dim, verts, rays, lins, facets, eqs)
+    return QPolyhedron._from_fields(newton.dim, verts, rays, lins, facets, eqs)
 
 
 def _picked(mask, items):

@@ -37,7 +37,8 @@ type check, and `count(0)` proves every other entry equals 0.  Those
 C-level passes leave O(nonzeros) Python work, and the sparse rows come out
 of the same check.  The dense rows are built from them on first read,
 every zero an int 0, so `homology_at` on a large sparse matrix never
-builds them.  A matrix this module computes from checked matrices
+builds them; a `_trusted` matrix derives its sparse rows the same way.
+A matrix this module computes from checked matrices
 (`identity`, `zeros`, `transpose`, products, `submatrix`, Hermite forms and
 their transforms, back-substitution, exterior powers, lattice bases) is
 built by `IntMatrix._trusted` without the check: integer arithmetic on ints
@@ -47,7 +48,7 @@ subdivision's support points (`normalized_simplex_volume`), canonical
 equation normals (`tangent_lattice`), a polyhedron's rays and lineality
 (`recession`) and the projected exponent differences of
 `stratum_pieces`.  Matrices are immutable once built (which is why one may
-keep its sparse rows); all functions here are pure.
+keep both forms); all functions here are pure.
 
 `int_rows` applies the same rule where other modules take integer vectors
 from their callers: support points, exponents, fan and polyhedron rays,
@@ -108,11 +109,11 @@ class IntMatrix:
     An entry equal to an int (Fraction(4, 2), 3.0, True, 0.0, False) is
     stored as that int; any other entry raises ValueError naming its row and
     column.  The constructor checks sparse first (see the module docstring)
-    and keeps the sparse rows; the dense rows follow on first read
-    (`_DenseOnFirstUse`).
+    and keeps the sparse rows; `_trusted` keeps the dense rows.  Each form
+    is derived from the other on first read (`rows`, `sparse_rows`).
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "_sparse")
+    __slots__ = ("nrows", "ncols", "_rows", "_sparse")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(map(tuple, rows))
@@ -137,8 +138,8 @@ class IntMatrix:
             sparse[i] = d
         self.nrows = len(rows)
         self.ncols = n
+        self._rows = None
         self._sparse = sparse
-        self.__class__ = _DenseOnFirstUse
 
     @classmethod
     def _trusted(cls, rows, ncols):
@@ -146,11 +147,26 @@ class IntMatrix:
         for results computed from matrices already checked, or from ints
         the package made itself (see the module docstring)."""
         M = object.__new__(cls)
-        M.rows = rows
+        M._rows = rows
         M.nrows = len(rows)
         M.ncols = ncols
         M._sparse = None
         return M
+
+    @property
+    def rows(self):
+        """The entries as a tuple of row tuples; a checked matrix builds
+        them from its sparse rows on first read (see the module docstring)."""
+        if self._rows is None:
+            n = self.ncols
+            out = []
+            for r in self._sparse.values():
+                row = [0] * n
+                for j, v in r.items():
+                    row[j] = v
+                out.append(tuple(row))
+            self._rows = tuple(out)
+        return self._rows
 
     @classmethod
     def zeros(cls, m, n):
@@ -210,13 +226,9 @@ class IntMatrix:
     def __repr__(self):
         return "IntMatrix(%dx%d, %r)" % (self.nrows, self.ncols, [list(r) for r in self.rows])
 
-    def __reduce__(self):
-        # a copy or a pickle is a plain IntMatrix of the dense rows, also of a
-        # `_DenseOnFirstUse`, whose `rows` property has no setter
-        return IntMatrix._trusted, (self.rows, self.ncols)
-
     def submatrix(self, rows, cols):
-        return IntMatrix._trusted(tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
+        entries = self.rows
+        return IntMatrix._trusted(tuple(tuple(entries[i][j] for j in cols) for i in rows),
                                   len(cols))
 
     def apply(self, vec):
@@ -229,39 +241,14 @@ class IntMatrix:
         """The nonzero entries as {row: {col: value}}, one dict per row.
 
         Read once and kept, since the matrix is immutable; callers must not
-        mutate the dicts.  The checked constructor keeps them from its check.
+        mutate the dicts.  The checked constructor keeps them from its check;
+        a `_trusted` matrix builds them from its dense rows on first read.
         """
         if self._sparse is None:
             cols = tuple(range(self.ncols))  # shared index objects, not one per entry
             self._sparse = {i: {j: r[j] for j in compress(cols, r)}
                             for i, r in enumerate(self.rows)}
         return self._sparse
-
-
-class _DenseOnFirstUse(IntMatrix):
-    """A matrix from the checked constructor whose dense rows are not built
-    yet.  The first read of `rows` builds them from the sparse rows, every
-    zero an int 0, and turns the matrix into a plain IntMatrix, whose `rows`
-    is a slot again.  Built in the constructor, they would copy every entry
-    of a large sparse matrix that `homology_at` never reads densely.  A
-    property on this subclass, not `__getattr__` on IntMatrix, because a
-    class with `__getattr__` loses the interpreter's fast attribute lookup
-    on every instance, `_trusted` ones included."""
-
-    __slots__ = ()
-
-    @property
-    def rows(self):
-        n = self.ncols
-        out = []
-        for r in self._sparse.values():
-            row = [0] * n
-            for j, v in r.items():
-                row[j] = v
-            out.append(tuple(row))
-        self.__class__ = IntMatrix
-        self.rows = out = tuple(out)
-        return out
 
 
 def _hermite(h, ncols):
@@ -418,6 +405,8 @@ def smith_diagonal(entries_by_row, nrows, ncols):
         if now > cost:
             heappush(heap, (a, now, i0, j0))
             continue
+        # j runs over the columns of the live row i0, so cols[j] exists and
+        # holds i0; a row i != i0 joins or leaves it, and it never empties
         for i in [i for i in c0 if i != i0]:
             r = rows[i]
             q = r[j0] // p
@@ -425,18 +414,12 @@ def smith_diagonal(entries_by_row, nrows, ncols):
                 v = r.get(j, 0) - q * w
                 if v:
                     r[j] = v
-                    c = cols.get(j)
-                    if c is None:
-                        c = cols[j] = {i}
-                    else:
-                        c.add(i)
+                    c = cols[j]
+                    c.add(i)
                     heappush(heap, (abs(v), len(r) * len(c), i, j))
                 elif j in r:
                     del r[j]
-                    c = cols[j]
-                    c.discard(i)
-                    if not c:
-                        del cols[j]
+                    cols[j].discard(i)
             if not r:
                 del rows[i]
         if a == 1:

@@ -231,36 +231,36 @@ class QPolyhedron:
     The fields are canonical: vertices, rays and facets sorted, lineality
     as the HNF basis of its saturated lattice, equations as
     `_canonical_equations` gives them: the primitive rows of the reduced
-    row echelon form, from one elimination.  `QPolyhedron(...)` and the
-    constructors that go through it (`from_generators`, `from_hrep`,
-    `cone`, `recession`, `intersect`) put every field into that form.
-    `_trusted` puts none: its caller hands over fields already canonical,
-    as `complexes.stratum_pieces` does.
+    row echelon form, from one elimination.  The constructors
+    (`from_generators`, `from_hrep`, `cone`, `intersect`) and `recession`
+    compute one representation from the other and put every field into that
+    form by `_from_fields`.  `_trusted`, the one place that sets the fields,
+    puts none: its caller hands over fields already canonical, as
+    `complexes.stratum_pieces` does.
     Membership has one evaluator, `_satisfied_by`, which `contains` and
     `contains_polyhedron` both call.
     """
 
-    __slots__ = ("dim", "vertices", "rays", "lin", "facets", "equations", "_key",
-                 "_sound")
+    __slots__ = ("dim", "vertices", "rays", "lin", "facets", "equations", "_sound")
 
-    def __init__(self, dim, vertices, rays, lin, facets, equations):
+    @classmethod
+    def _from_fields(cls, dim, vertices, rays, lin, facets, equations):
+        """The polyhedron with both representations, its caller having
+        computed one from the other: checked and put into canonical form,
+        never tested for agreement.  `lin` only signals a nonzero lineality,
+        whose basis is read off the facet and equation normals."""
         _check_lengths(dim, ("vertex", vertices), ("ray", rays), ("lineality vector", lin),
                        ("facet normal", [a for a, b in facets]),
                        ("equation normal", [a for a, b in equations]))
-        self.dim = dim
-        self.vertices = tuple(sorted(tuple(Fraction(x) for x in v) for v in vertices))
-        self.rays = tuple(sorted(int_rows(rays, "ray")))
-        if lin:
-            # canonical: the saturated lattice of the lineality space
-            normals = [list(a) for a, b in facets] + [list(a) for a, b in equations]
-            self.lin = tuple(kernel_lattice(IntMatrix(normals, ncols=dim)).columns())
-        else:
-            self.lin = ()
-        self.facets = tuple(sorted(zip(int_rows((a for a, b in facets), "facet normal"),
-                                       (Fraction(b) for a, b in facets))))
-        self.equations = _canonical_equations(equations, dim)
-        self._key = None
-        self._sound = None
+        return cls._trusted(
+            dim,
+            tuple(sorted(tuple(Fraction(x) for x in v) for v in vertices)),
+            tuple(sorted(int_rows(rays, "ray"))),
+            tuple(kernel_lattice(IntMatrix([a for a, b in (*facets, *equations)],
+                                           ncols=dim)).columns()) if lin else (),
+            tuple(sorted(zip(int_rows((a for a, b in facets), "facet normal"),
+                             (Fraction(b) for a, b in facets)))),
+            _canonical_equations(equations, dim))
 
     @classmethod
     def _trusted(cls, dim, vertices, rays, lin, facets, equations):
@@ -275,7 +275,6 @@ class QPolyhedron:
         P.lin = lin
         P.facets = facets
         P.equations = equations
-        P._key = None
         P._sound = None
         return P
 
@@ -287,7 +286,7 @@ class QPolyhedron:
             dim = len(points[0])
         facets, eqs = hrep_from_generators(points, rays, lins, dim)
         verts, recrays, lins2 = generators_from_hrep(facets, eqs, dim)
-        return cls(dim, verts, recrays, lins2, facets, eqs)
+        return cls._from_fields(dim, verts, recrays, lins2, facets, eqs)
 
     @classmethod
     def from_hrep(cls, ineqs, eqs, dim):
@@ -295,7 +294,7 @@ class QPolyhedron:
         if not verts:
             return None  # empty
         facets, eqs2 = hrep_from_generators(verts, rays, lins, dim)
-        return cls(dim, verts, rays, lins, facets, eqs2)
+        return cls._from_fields(dim, verts, rays, lins, facets, eqs2)
 
     @classmethod
     def cone(cls, rays, dim):
@@ -386,45 +385,35 @@ class QPolyhedron:
         the polyhedron turn into implicit equations (two parallel facets of
         [0, 1] x [0, oo) give x = 0).  The facets may be redundant."""
         hull = kernel_lattice(IntMatrix._trusted(self.rays + self.lin, self.dim)).columns()
-        return QPolyhedron(self.dim, [(0,) * self.dim], self.rays, self.lin,
-                           [(a, 0) for a, b in self.facets], [(u, 0) for u in hull])
+        return self._from_fields(self.dim, [(0,) * self.dim], self.rays, self.lin,
+                                 [(a, 0) for a, b in self.facets], [(u, 0) for u in hull])
 
     def geometry_key(self):
-        """Canonical hashable identity of the underlying point set."""
-        if self._key is None:
-            if not self.lin:
-                self._key = ("pt", self.dim, self.vertices, self.rays)
-            else:
-                L = IntMatrix.from_columns(self.lin, self.dim)
-                # canonical coordinates transverse to the lineality: kill the
-                # pivot rows of the HNF basis, keep the remaining coordinates
-                piv_rows = []
-                for j in range(L.ncols):
-                    col = L.column(j)
-                    piv_rows.append(next(i for i in range(self.dim) if col[i]))
-                keep = [i for i in range(self.dim) if i not in piv_rows]
+        """Canonical hashable identity of the underlying point set, computed
+        anew on each call."""
+        if not self.lin:
+            return ("pt", self.dim, self.vertices, self.rays)
+        # canonical coordinates transverse to the lineality: kill the pivot
+        # rows of its HNF basis columns, keep the remaining coordinates
+        piv_rows = [next(i for i, x in enumerate(col) if x) for col in self.lin]
+        keep = [i for i in range(self.dim) if i not in piv_rows]
 
-                def project(x):
-                    x = [Fraction(v) for v in x]
-                    for j, pr in enumerate(piv_rows):
-                        f = x[pr] / L.rows[pr][j]
-                        if f:
-                            colj = L.column(j)
-                            x = [xv - f * cv for xv, cv in zip(x, colj)]
-                    return tuple(x[i] for i in keep)
+        def project(x):
+            x = [Fraction(v) for v in x]
+            for col, pr in zip(self.lin, piv_rows):
+                f = x[pr] / col[pr]
+                if f:
+                    x = [xv - f * cv for xv, cv in zip(x, col)]
+            return tuple(x[i] for i in keep)
 
-                verts = tuple(sorted(set(project(v) for v in self.vertices)))
-                rays = tuple(sorted(set(
-                    primitive_vector(project(r)) for r in self.rays
-                    if any(project(r)))))
-                self._key = ("lin", self.dim, tuple(self.lin), verts, rays)
-        return self._key
+        verts = tuple(sorted(set(project(v) for v in self.vertices)))
+        rays = tuple(sorted(set(
+            primitive_vector(project(r)) for r in self.rays
+            if any(project(r)))))
+        return ("lin", self.dim, tuple(self.lin), verts, rays)
 
     def __eq__(self, other):
         return isinstance(other, QPolyhedron) and self.geometry_key() == other.geometry_key()
-
-    def __hash__(self):
-        return hash(self.geometry_key())
 
     def __repr__(self):
         return ("QPolyhedron(dim=%d, adim=%d, verts=%d, rays=%d, lin=%d)"

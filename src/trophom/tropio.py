@@ -51,12 +51,13 @@ class TropicalPolynomial:
     terms: tuple  # ((exponent tuple, Fraction coefficient), ...) sorted
 
     def __post_init__(self):
-        exps = [e for e, c in self.terms]
-        if len(set(exps)) != len(exps):
-            raise ParseError("duplicate exponent vectors")
-        for e in exps:
+        first = {}
+        for i, (e, c) in enumerate(self.terms):
             if len(e) != self.n_vars:
-                raise ParseError("exponent length does not match variable count")
+                raise ValueError("exponent %d %r has %d coordinates, not %d"
+                                 % (i, e, len(e), self.n_vars))
+            if first.setdefault(e, i) != i:
+                raise ValueError("exponents %d and %d are both %r" % (first[e], i, e))
 
     @classmethod
     def make(cls, terms, n_vars):
@@ -292,12 +293,13 @@ class FanSpec:
                                "(its rays do not extend to a lattice basis)"
                                % (idx, rays))
         # the cones are simplicial, so when two maximal cones A, B meet in
-        # cone(A & B), all faces a of A and b of B meet in cone(a & b)
+        # cone(A & B), all faces a of A and b of B meet in cone(a & b).  A and
+        # B are pointed, so their meet is a pointed cone (never None), and it
+        # is cone(A & B) exactly when its canonical rays are those of A & B
         geoms = {c: self.cone_geometry(c) for c in self.max_cones}
         for a, b in combinations(self.max_cones, 2):
             meet = geoms[a].intersect(geoms[b])
-            if meet is None or meet.geometry_key() != \
-                    self.cone_geometry(a & b).geometry_key():
+            if meet.rays != tuple(sorted(self.rays[i] for i in a & b)):
                 raise FanError("cones %r and %r do not intersect in a common face"
                                % (sorted(a), sorted(b)))
         return self

@@ -161,8 +161,8 @@ def canonical_equations(eqs, dim):
 
 def stratum_pieces(f, S, newton, Y, eta, G):
     """The reference for `trophom.complexes.stratum_pieces`, from the same
-    data: every piece is built by the checked `QPolyhedron(...)`, which
-    sorts its vertices, rays and facets and puts its equations into
+    data: every piece is built by the checked `QPolyhedron._from_fields`,
+    which sorts its vertices, rays and facets and puts its equations into
     canonical form."""
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
@@ -195,7 +195,7 @@ def stratum_pieces(f, S, newton, Y, eta, G):
         def tie(b):
             return (tuple(x - y for x, y in zip(w[b], w[a0])), c0 - f.terms[b][1])
 
-        pieces[F] = QPolyhedron(
+        pieces[F] = QPolyhedron._from_fields(
             k,
             [v for cell, v in vertex_of.items() if F <= cell],
             [r for on, r in walls.items() if F <= on],

@@ -336,7 +336,7 @@ def test_no_redundant_exact_work(monkeypatch):
     the open-stratum ones included, and the simplex cells of the subdivision
     cost no double description, and no `dual_cell_geometry` or
     `linear_image` runs; `stratum_pieces` builds every piece without the
-    checked `QPolyhedron` constructor; and multitangent back-substitutes on its stalk
+    checked `QPolyhedron._from_fields`; and multitangent back-substitutes on its stalk
     bases, which are in column HNF already: its only Hermite eliminations
     (`_hermite`) are its lattice sums, one per `lattice_basis`.  The build
     takes one tangent lattice per (stratum dimension, equation normals),
@@ -401,11 +401,11 @@ def test_no_redundant_exact_work(monkeypatch):
     monkeypatch.setattr(IntMatrix, "identity", classmethod(counted_identity))
     # the checked QPolyhedron constructor, counted apart inside
     # stratum_pieces
-    real_init, real_pieces = polyhedra.QPolyhedron.__init__, complexes.stratum_pieces
+    real_fields, real_pieces = polyhedra.QPolyhedron._from_fields, complexes.stratum_pieces
 
-    def counted_init(self, *args):
+    def counted_fields(_cls, *args):
         calls["QPolyhedron"] += 1
-        real_init(self, *args)
+        return real_fields(*args)
 
     def counted_pieces(*args):
         before = calls["QPolyhedron"], calls["gauss_jordan"]
@@ -414,7 +414,7 @@ def test_no_redundant_exact_work(monkeypatch):
         calls["gauss_jordan in stratum_pieces"] += calls["gauss_jordan"] - before[1]
         return out
 
-    monkeypatch.setattr(polyhedra.QPolyhedron, "__init__", counted_init)
+    monkeypatch.setattr(polyhedra.QPolyhedron, "_from_fields", classmethod(counted_fields))
     monkeypatch.setattr(complexes, "stratum_pieces", counted_pieces)
     f = quadric_poly()
     fan = normal_fan(newton_polytope(f))

@@ -119,14 +119,16 @@ class TestIntMatrix:
             IntMatrix([[0, 1, 0], [0, 0, bad], [2, 0, 0]])
 
     def test_copy_and_pickle(self):
-        """A checked matrix copies and pickles, before and after its dense
-        rows are read, into an equal plain IntMatrix."""
+        """A checked or trusted matrix copies and pickles, before and after
+        it derives its other form, into an equal IntMatrix of ints."""
         for read in (False, True):
-            for A in (IntMatrix([[1, 0.0], [False, 2]]), IntMatrix([], ncols=3)):
+            for A in (IntMatrix([[1, 0.0], [False, 2]]), IntMatrix([], ncols=3),
+                      IntMatrix._trusted(((1, 0), (0, 2)), 2)):
                 if read:
-                    A.rows
+                    A.rows, A.sparse_rows()
                 for B in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
                     assert type(B) is IntMatrix and B == A and B.sparse_rows() == A.sparse_rows()
+                    assert {type(x) for r in B.rows for x in r} <= {int}
 
     def test_ragged_and_shape_errors(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -835,20 +837,15 @@ class TestHomologyAt:
             with pytest.raises(ValueError, match="middle module dimension mismatch"):
                 homology_at(d_in, M([[1, 0, 0]]))
 
-    def test_checked_torus_never_builds_dense_rows(self, monkeypatch):
+    def test_checked_torus_never_builds_dense_rows(self):
         """homology_at reads a checked matrix through its sparse rows only:
-        on the 20 x 20 grid torus, with the dense rows made to fail if read,
-        it still finds H_0 = Z, H_1 = Z^2 and H_2 = Z."""
+        on the 20 x 20 grid torus it finds H_0 = Z, H_1 = Z^2 and H_2 = Z,
+        and neither boundary matrix has built its dense rows."""
         d1, d2 = grid_boundaries("torus", 20)
-
-        def no_dense(self):
-            raise AssertionError("dense rows built")
-
-        monkeypatch.setattr(exactla._DenseOnFirstUse, "rows", property(no_dense))
         assert homology_at(d1, IntMatrix.zeros(0, d1.nrows)) == (1, [])
         assert homology_at(d2, d1) == (2, [])
         assert homology_at(IntMatrix.zeros(d2.ncols, 0), d2) == (1, [])
-        assert type(d1) is type(d2) is exactla._DenseOnFirstUse
+        assert d1._rows is None and d2._rows is None
 
     def test_rp2_six_vertices(self):
         tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),

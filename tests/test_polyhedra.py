@@ -70,7 +70,7 @@ class TestVectorLengths:
         with pytest.raises(ValueError, match="lineality vector 0 has 1 coordinates, not 2"):
             QPolyhedron.from_generators([(0, 0)], lins=[(1,)])
         with pytest.raises(ValueError, match="vertex 0 has 3 coordinates, not 2"):
-            QPolyhedron(2, [(0, 0, 0)], [], [], [], [])
+            QPolyhedron._from_fields(2, [(0, 0, 0)], [], [], [], [])
 
     def test_contains_point(self):
         # (5,) would be judged by its first coordinate alone
@@ -166,7 +166,7 @@ def primitive_normals(P):
     for a, b in P.facets:
         g = gcd(*a)
         facets.append((tuple(x // g for x in a), b / g))
-    return QPolyhedron(P.dim, P.vertices, P.rays, P.lin, facets, P.equations)
+    return QPolyhedron._from_fields(P.dim, P.vertices, P.rays, P.lin, facets, P.equations)
 
 
 class TestIntegerMembership:
@@ -302,16 +302,27 @@ class TestRecession:
     def test_non_integral_ray_or_facet_normal_rejected(self):
         # int() would truncate the ray (1/2, 1) to (0, 1)
         with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at ray 0, column 0"):
-            QPolyhedron(2, [(0, 0)], [(Fraction(1, 2), 1)], [], [((0, -1), 0)], [])
+            QPolyhedron._from_fields(2, [(0, 0)], [(Fraction(1, 2), 1)], [], [((0, -1), 0)], [])
         with pytest.raises(ValueError, match="0.5 at facet normal 1, column 1"):
-            QPolyhedron(2, [(0, 0)], [], [], [((0, -1), 0), ((-1, 0.5), 0)], [])
+            QPolyhedron._from_fields(2, [(0, 0)], [], [], [((0, -1), 0), ((-1, 0.5), 0)], [])
         with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at ray 0, column 0"):
             QPolyhedron.from_generators([(0, 0)], rays=[(Fraction(1, 2), 1)])
         with pytest.raises(ValueError, match="1.5 at lineality vector 0, column 1"):
             QPolyhedron.from_generators([(0, 0)], lins=[(1, 1.5)])
-        P = QPolyhedron(2, [(0, 0)], [(Fraction(2, 2), 1.0)], [], [((True, -1), 0)], [])
+        P = QPolyhedron._from_fields(2, [(0, 0)], [(Fraction(2, 2), 1.0)], [],
+                                     [((True, -1), 0)], [])
         assert P.rays == ((1, 1),) and P.facets == (((1, -1), 0),)
         assert {type(x) for r in P.rays + tuple(a for a, b in P.facets) for x in r} == {int}
+
+    def test_no_public_constructor_takes_both_representations(self):
+        """A V- and an H-representation of two different sets build no
+        polyhedron: a line with no equations, and a ray with a facet that
+        cuts it off.  The public constructors take one representation and
+        compute the other."""
+        for fields in ((2, [(0, 0)], [], [(1, 0)], [], []),
+                       (2, [(0, 0)], [(0, 1)], [], [((0, -1), 0)], [])):
+            with pytest.raises(TypeError, match="takes no arguments"):
+                QPolyhedron(*fields)
 
     def test_point_plus_ray(self):
         P = QPolyhedron.from_generators([(0, 0)], rays=[(1, 0)])

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
 from trophom.exactla import IntMatrix
 from trophom.polyhedra import QPolyhedron, convex_hull
-from trophom.tropio import load_fan, newton_polytope, normal_fan, parse_polynomial
+from trophom.tropio import FanSpec, load_fan, newton_polytope, normal_fan, parse_polynomial
 from trophom.toric import ToricVariety
 
 
@@ -44,6 +46,20 @@ class TestStrata:
         Y = tp2()
         for c in range(len(Y.cones)):
             assert Y.projection(c, c) == IntMatrix.identity(Y.stratum_dim(c))
+
+    def test_projection_needs_a_face_pair(self):
+        Y = tp2()
+        assert Y.cones[1] == {0} and Y.cones[2] == {1}
+        with pytest.raises(ValueError, match="projection needs a face pair of cones"):
+            Y.projection(1, 2)
+
+    def test_unvalidated_non_unimodular_cone_rejected(self):
+        """A fan built directly, skipping `FanSpec.make`, whose cone is not
+        unimodular: its stratum has no lattice section."""
+        fan = FanSpec(2, ((1, 0), (1, 2)), (frozenset({0, 1}),))
+        with pytest.raises(ValueError, match=r"cone rays \[\(1, 0\), \(1, 2\)\] do not "
+                                             "extend to a lattice basis"):
+            ToricVariety(fan)
 
     def test_halfspace_fan_drops_coordinate(self):
         Y = ToricVariety(load_fan("dim 2\nray 0: -1 0\ncone: 0\n"))

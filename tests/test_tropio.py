@@ -59,10 +59,24 @@ class TestParse:
         assert (e.value.line, e.value.col) == (1, 11)
 
     def test_direct_construction_checks_exponents(self):
-        with pytest.raises(ParseError, match="exponent length does not match"):
+        """A directly built polynomial parsed no text, so its checks raise a
+        plain ValueError that names the term and its exponent."""
+        with pytest.raises(ValueError, match=r"^exponent 1 \(1,\) has 1 coordinates, not 2$") as e:
             TropicalPolynomial(2, (((0, 0), 0), ((1,), 0)))
-        with pytest.raises(ParseError, match="duplicate exponent vectors"):
-            TropicalPolynomial(1, (((1,), 0), ((1,), 2)))
+        assert not isinstance(e.value, ParseError)
+        with pytest.raises(ValueError, match=r"^exponents 0 and 1 are both \(1, 0\)$") as e:
+            TropicalPolynomial(2, (((1, 0), 0), ((1, 0), 1)))
+        assert not isinstance(e.value, ParseError)
+
+    def test_padding_cannot_shrink(self):
+        with pytest.raises(ValueError, match="cannot shrink the variable count"):
+            parse_polynomial("max(0, x1, x2)").padded(1)
+
+    def test_variable_index_zero_has_location(self):
+        with pytest.raises(ParseError, match="variable indices start at 1") as e:
+            parse_polynomial("max(0, x0)")
+        assert (e.value.line, e.value.col) == (1, 10)
+        assert str(e.value) == "variable indices start at 1 at line 1, column 10"
 
     def test_syntax_error_has_location(self):
         with pytest.raises(ParseError) as e:
