@@ -26,6 +26,14 @@ stands alone; otherwise it goes back on the heap, and a remainder of smaller
 |value| is the next pivot, so the loop ends.  Invariant factors do not
 depend on the pivot order, so the order sets the cost and never the answer.
 
+`homology_at` reduces d_in first and d_out only on the columns that d_in's
+unit pivots leave unpaired.  A row operation on d_in is a change of basis
+of the middle module that alters only the column of d_out at the pivot's
+row; once that row retires with a unit pivot, d_out * d_in = 0 makes the
+column zero.  So dropping the paired columns leaves d_out's column lattice,
+rank and invariant factors as they were.  A non-unit pivot's row operations
+alter a column that stays, so the pairing stops at the first of them.
+
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
 check this: `IntMatrix(...)`, `IntMatrix.from_columns` and `lattice_basis`
@@ -351,7 +359,7 @@ def _divisibility_pass(diag):
     return chain
 
 
-def smith_diagonal(entries_by_row, nrows, ncols):
+def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
     """Invariant-factor diagonal of a sparse integer matrix, no transforms.
 
     `entries_by_row` maps row index -> {col index: value}; an entry outside
@@ -370,6 +378,12 @@ def smith_diagonal(entries_by_row, nrows, ncols):
     that leaves a remainder lowers the least |value| in the matrix, which is
     a positive integer, so the loop ends.  The invariant factors do not
     depend on the pivot order, so the rule moves the cost, not the result.
+
+    A set passed as `paired` receives the rows that retire as unit pivots,
+    up to the first non-unit pivot with other rows in its column: that
+    pivot's row serves row operations and stays, so the pairing stops
+    there.  For B with B * (this matrix) = 0, B without the paired columns
+    then has B's invariant factors (`homology_at` gives the proof).
     """
     rows, cols = {}, {}
     for i, r in entries_by_row.items():
@@ -405,6 +419,8 @@ def smith_diagonal(entries_by_row, nrows, ncols):
         if now > cost:
             heappush(heap, (a, now, i0, j0))
             continue
+        if a != 1 and len(c0) > 1:
+            paired = None  # its row operations alter a column that stays
         # j runs over the columns of the live row i0, so cols[j] exists and
         # holds i0; a row i != i0 joins or leaves it, and it never empties
         for i in [i for i in c0 if i != i0]:
@@ -431,6 +447,8 @@ def smith_diagonal(entries_by_row, nrows, ncols):
                 if not c:
                     del cols[j]
             units += 1
+            if paired is not None:
+                paired.add(i0)
             continue
         if len(c0) == 1:
             for j in [j for j in r0 if j != j0]:
@@ -613,6 +631,18 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     the list of invariant factors > 1.  Because ker(d_out) is saturated, the
     torsion equals the torsion of the cokernel of d_in, which is what the
     Smith form of d_in delivers directly.
+
+    d_in is reduced first, and d_out only on the columns that d_in's unit
+    pivots leave unpaired (`smith_diagonal`'s `paired`).  A row operation
+    r_i -= q * r_i0 on d_in changes the middle basis, and so adds q times
+    column i of d_out to column i0.  Up to the first non-unit pivot with row
+    operations to do, i0 is a unit pivot's row, which then retires alone in
+    its column of the changed d_in, so d_out * d_in = 0 makes column i0 of
+    the changed d_out zero.  So d_out without the paired columns is d_out
+    times a unimodular matrix, zero columns dropped: same rank, same
+    invariant factors.  A non-unit pivot's row operations alter a column
+    that stays, so the pairing stops there.  The check that d_out * d_in = 0
+    runs on the full matrices.
     """
     if d_in.nrows != d_out.ncols:
         raise ValueError("middle module dimension mismatch: d_in has %d rows, "
@@ -626,7 +656,11 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
                 acc[j] = acc.get(j, 0) + a * b
         if any(acc.values()):
             raise ValueError("boundary maps do not compose to zero")
-    fac_in = smith_diagonal(sp_in, d_in.nrows, d_in.ncols)
+    paired = set()
+    fac_in = smith_diagonal(sp_in, d_in.nrows, d_in.ncols, paired=paired)
+    # a row that loses no column is passed as it is, not copied
+    sp_out = {i: r if paired.isdisjoint(r) else {j: v for j, v in r.items() if j not in paired}
+              for i, r in sp_out.items()}
     fac_out = smith_diagonal(sp_out, d_out.nrows, d_out.ncols)
     rank = d_out.ncols - len(fac_out) - len(fac_in)
     torsion = [d for d in fac_in if d > 1]

@@ -869,6 +869,113 @@ class TestHomologyAt:
         assert h1 == (0, [])
         assert h2 == (1, [])
 
+    def test_random_chain_complexes_match_minors(self):
+        """A block complex Z^a -> Z^m -> Z^b, with diag(D1) on the first r1
+        middle coordinates and diag(D2) from the last r2 of them, has
+        H = Z^k + coker diag(D1) for k = m - r1 - r2.  Under random
+        unimodular changes of basis, U on the middle module and V, W on the
+        ends, d_out * d_in = 0 still holds and the entries mix into
+        non-units.  homology_at gives k and the torsion that the minors of
+        d_in give, and the rank agrees with the minors of d_out, whether
+        d_in's reduction pairs every unit, some or none."""
+        rng = random.Random(41)
+        seen = {"paired": 0, "units left unpaired": 0, "torsion": 0}
+        for _ in range(300):
+            r1, k, r2 = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+            m, a, b = r1 + k + r2, r1 + rng.randint(0, 2), r2 + rng.randint(0, 2)
+            D1 = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(r1)]
+            D2 = [rng.choice((1, 1, 2, 3, 5)) for _ in range(r2)]
+            blk_in = M([[D1[i] if i == j and i < r1 else 0 for j in range(a)]
+                        for i in range(m)], ncols=a)
+            blk_out = M([[D2[i] if i < r2 and j == r1 + k + i else 0 for j in range(m)]
+                         for i in range(b)], ncols=m)
+            U, U_inv = unimodular_pair(rng, m)
+            d_in = U * blk_in * unimodular_pair(rng, a)[0]
+            d_out = unimodular_pair(rng, b)[0] * blk_out * U_inv
+            fac_in = invariant_factors_by_minors(d_in)
+            torsion = [d for d in fac_in if d > 1]
+            assert homology_at(d_in, d_out) == (k, torsion), (d_in, d_out)
+            assert m - len(invariant_factors_by_minors(d_out)) - len(fac_in) == k
+            paired = set()
+            smith_diagonal(d_in.sparse_rows(), m, a, paired=paired)
+            seen["paired"] += bool(paired)
+            seen["units left unpaired"] += len(paired) < fac_in.count(1)
+            seen["torsion"] += bool(torsion)
+        assert min(seen.values()) >= 30, seen
+
+    def test_non_unit_pivot_stops_the_pairing(self):
+        """d_in = [[1, 0, 0]] + [[0, -2, 3], [0, 3, -3], [0, 2, -2]] as a
+        block matrix.  The unit at (0, 0) retires and pairs row 0.  The -2 at
+        (1, 1) comes next, with rows 2 and 3 below it, so its row operations
+        alter column 1 of d_out, which stays; they leave units at (2, 1) and
+        (3, 2), which retire unpaired.  d_out = [[0, 0, 2, -3]] keeps rank 1
+        on the unpaired columns 1, 2, 3, but on column 1 alone, had rows 2
+        and 3 been paired too, it would have rank 0 and H would read Z."""
+        d_in = M([[1, 0, 0], [0, -2, 3], [0, 3, -3], [0, 2, -2]])
+        d_out = M([[0, 0, 2, -3]])
+        paired = set()
+        assert smith_diagonal(d_in.sparse_rows(), 4, 3, paired=paired) == [1, 1, 1]
+        assert paired == {0}
+        assert homology_at(d_in, d_out) == (0, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=1, max_size=4)),
+        st.data())
+    def test_paired_columns_keep_the_factors(self, cols, data):
+        """For B * A = 0, B without the columns that A's reduction pairs has
+        B's invariant factors.  A is drawn by its columns; B's rows are
+        drawn from the left kernel of A."""
+        A = IntMatrix.from_columns(cols, len(cols[0]))
+        K = kernel_lattice(A.transpose())
+        C = M(data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=K.ncols,
+                                          max_size=K.ncols), min_size=1, max_size=3)),
+              ncols=K.ncols)
+        B = C * K.transpose()
+        assert B * A == IntMatrix.zeros(B.nrows, A.ncols)
+        paired = set()
+        smith_diagonal(A.sparse_rows(), A.nrows, A.ncols, paired=paired)
+        kept = {i: {j: v for j, v in r.items() if j not in paired}
+                for i, r in B.sparse_rows().items()}
+        assert smith_diagonal(kept, B.nrows, B.ncols) \
+            == smith_diagonal(B.sparse_rows(), B.nrows, B.ncols)
+
+    @pytest.mark.parametrize("kind", ("torus", "klein"))
+    @pytest.mark.parametrize("n", (6, 20))
+    def test_second_pass_gets_the_unpaired_columns(self, monkeypatch, kind, n):
+        """homology_at(d2, d1) makes two smith_diagonal calls.  d2's 2n^2 - 1
+        unit pivots pair as many of the 3n^2 edges, and the d1 pass gets the
+        other n^2 + 1 edges, two vertices each: about a third of d1's 6n^2
+        nonzeros.  The three homology_at calls of a surface make 6 calls."""
+        nnz = []
+
+        def counted(entries_by_row, nrows, ncols, **kwargs):
+            nnz.append(sum(map(len, entries_by_row.values())))
+            return smith_diagonal(entries_by_row, nrows, ncols, **kwargs)
+
+        monkeypatch.setattr(exactla, "smith_diagonal", counted)
+        d1, d2 = grid_boundaries(kind, n)
+        assert homology_at(d2, d1) == ((2, []) if kind == "torus" else (1, [2]))
+        assert nnz == [6 * n * n, 2 * (n * n + 1)]
+        homology_at(d1, IntMatrix.zeros(0, d1.nrows))
+        homology_at(IntMatrix.zeros(d2.ncols, 0), d2)
+        assert len(nnz) == 6
+
+
+def unimodular_pair(rng, n):
+    """A random n x n unimodular U and its inverse: 3n elementary row
+    operations r_i += q * r_j on U, each undone on the inverse by the
+    column operation c_j -= q * c_i."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    U_inv = [row[:] for row in U]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
+        for row in U_inv:
+            row[j] -= q * row[i]
+    return M(U, ncols=n), M(U_inv, ncols=n)
+
 
 def hnf_route_solve_int(A, B):
     """Reference: the integer solve as it stood with its own triangular
