@@ -80,6 +80,9 @@ class CellComplex:
         for t, s in sorted(self.incidence):
             self.facets_of[s].append(t)
         self.dim = max((c.dim for c in self.cells), default=-1)
+        # the cosheaf plans of this complex, one per star rule
+        # (`cosheaf._plan`), built on first use
+        self.cosheaf_plans = {}
 
     def cells_of_dim(self, q):
         return [c for c in self.cells if c.dim == q]

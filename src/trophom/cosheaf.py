@@ -5,8 +5,7 @@ space kept as its canonical basis matrix (`exactla.lattice_basis`) with its
 rank, plus one integer matrix per codimension-one incidence, contravariant
 along inclusion: the matrix attached to (tau, sigma) maps the stalk at sigma
 into the stalk at tau.  Instances built here: the multi-tangent cosheaf of a
-complex and the ambient cosheaf of its toric variety, both by one builder,
-`_cosheaf`, from the lattice bases whose wedges span each stalk.
+complex and the ambient cosheaf of its toric variety.
 
 The multi-tangent stalk F_p(sigma) is the sum of the p-th wedges of T(tau)
 over the cells tau of sigma's stratum whose closure contains sigma (IKMZ,
@@ -15,9 +14,14 @@ sigma <= tau in one stratum T(sigma) lies in T(tau), so each wedge lies in
 the wedge of a maximal cell above it.  The ambient stalk takes the whole
 stratum lattice instead.  F_0 is the constant cosheaf Z.
 
-A unimodular triangulation has few lattice classes, so the work is done per
-(stratum, star) class, not per cell: one stalk per star, and one map per
-pair of classes, which every incidence joining that pair shares.
+A stalk depends only on the cell's star, the lattice bases whose wedges
+span it, and a map only on the two strata and the two stars.  A unimodular
+triangulation has few of each, so the work is planned once per complex
+and star rule (`_plan`, kept on the complex), for every p.  The plan holds
+the distinct stars with their stratum dimension, each cell's star, the
+incidence classes (sigma stratum, tau stratum, source star, target star)
+and each incidence's class.  Each p then computes one stalk per star and
+one map per class, and hands every incidence its class's map.
 """
 
 from __future__ import annotations
@@ -72,70 +76,72 @@ def _star_tangents(Z: CellComplex):
     return top
 
 
-def _cosheaf(Z: CellComplex, p: int, stars) -> Cosheaf:
-    """The cosheaf whose stalk at cell i is the sum of the p-th wedges of
-    the lattice bases in the star `stars[i]`.  One lattice sum is taken per
-    star, every cell with that star shares its stalk basis, and each
-    distinct basis is wedged once.  F_0 is the constant cosheaf: every
-    stalk is Z and every map is [1].
-
-    Maps are inclusions within a stratum and wedge powers of the quotient
-    projections across strata, each written in the target stalk's basis by
-    back-substitution: that basis is in column Hermite form already, and
-    its pivots are read once per distinct basis.  An inclusion between
-    equal stalks is the identity.  A map depends only on the two strata and
-    the two stars, so it is computed once per (sigma stratum, tau stratum,
-    source star, target star) and shared by every incidence with that key.
-    An image that leaves the target stalk raises CosheafError naming the
-    first such incidence and p.
-    """
-    if p == 0:
-        one = IntMatrix.identity(1)
-        n = len(Z.cells)
-        return Cosheaf(Z, p, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
+def _stratum_stars(Z: CellComplex):
+    """For each cell, the dimension of its stratum: the ambient star, which
+    names the whole stratum lattice."""
     Y = Z.Y
-    wedges = {}     # lattice basis -> columns of its wedge
-    stalks = {}     # star -> stalk basis
-    for c, key in zip(Z.cells, stars):
-        if key not in stalks:
-            gens = []
-            for T in key:
-                if T not in wedges:
-                    wedges[T] = exterior_power(T, p).columns()
-                gens += wedges[T]
-            ambient = comb(Y.stratum_dim(c.sed), p)
-            stalks[key] = lattice_basis(gens, ambient)
-    bases = [stalks[key] for key in stars]
+    return [Y.stratum_dim(c.sed) for c in Z.cells]
+
+
+@dataclass
+class _Plan:
+    """The p-independent part of a cosheaf on one complex: its stars, read
+    once by a star rule, and its incidences sorted into classes that share
+    one map for every p."""
+
+    stars: list          # the distinct stars, in order of first cell
+    dims: list           # the stratum dimension of each star
+    star_of: list        # each cell's star, as an index into `stars`
+    classes: list        # (sigma stratum, tau stratum, source star, target star)
+    incidences: list     # the incidences (tau index, sigma index)
+    class_of: list       # each incidence's class, as an index into `classes`
+
+
+def _plan(Z: CellComplex, rule) -> _Plan:
+    """The plan of the cosheaf whose stars `rule(Z)` gives, built on first
+    use and kept on the complex (`Z.cosheaf_plans`, keyed by the rule), so
+    it reads the cells as they are then.  Classes are numbered in order of
+    their first incidence."""
+    plan = Z.cosheaf_plans.get(rule)
+    if plan is not None:
+        return plan
+    Y = Z.Y
+    index = {}
+    star_of = [index.setdefault(key, len(index)) for key in rule(Z)]
+    dims = [None] * len(index)
+    for c, k in zip(Z.cells, star_of):
+        dims[k] = Y.stratum_dim(c.sed)
+    sed = [c.sed for c in Z.cells]
+    incidences = list(Z.incidence)
+    keys = {}
+    class_of = [keys.setdefault((sed[s], sed[t], star_of[s], star_of[t]), len(keys))
+                for t, s in incidences]
+    plan = Z.cosheaf_plans[rule] = _Plan(list(index), dims, star_of, list(keys),
+                                         incidences, class_of)
+    return plan
+
+
+def _assemble(Z: CellComplex, p: int, plan: _Plan, stalks, class_maps) -> Cosheaf:
+    """The cosheaf with one stalk basis per star and one map per class."""
+    bases = list(map(stalks.__getitem__, plan.star_of))
     ranks = [B.ncols for B in bases]
-    pivots = {}     # target stalk basis -> its pivots
-    wedge_projection = {}
-    shared = {}     # (sigma stratum, tau stratum, source, target star) -> map
-    maps = {}
-    for t, s in Z.incidence:
-        tau, sig = Z.cells[t], Z.cells[s]
-        key = (sig.sed, tau.sed, stars[s], stars[t])
-        A = shared.get(key)
-        if A is None:
-            image, target = bases[s], bases[t]
-            if tau.sed == sig.sed:
-                if image == target:
-                    A = IntMatrix.identity(ranks[t])
-            else:
-                strata = (sig.sed, tau.sed)
-                if strata not in wedge_projection:
-                    wedge_projection[strata] = exterior_power(Y.projection(*strata), p)
-                image = wedge_projection[strata] * image
-            if A is None:
-                if target not in pivots:
-                    pivots[target] = hnf_pivots(target)
-                A = back_substitute(pivots[target], ranks[t], image)
-                if A is None:
-                    raise CosheafError(
-                        "incidence image does not land in the target stalk "
-                        "(cells %d -> %d, p=%d)" % (s, t, p))
-            shared[key] = A
-        maps[(t, s)] = A
+    maps = dict(zip(plan.incidences, map(class_maps.__getitem__, plan.class_of)))
     return Cosheaf(Z, p, ranks, bases, maps)
+
+
+def _constant(Z: CellComplex) -> Cosheaf:
+    """F_0: every stalk is Z and every map is [1]."""
+    one = IntMatrix.identity(1)
+    n = len(Z.cells)
+    return Cosheaf(Z, 0, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
+
+
+def _wedged_projections(Z: CellComplex, p: int, plan: _Plan):
+    """The p-th wedge of the quotient projection of each pair of strata a
+    class crosses."""
+    Y = Z.Y
+    crossings = {(s, t) for s, t, a, b in plan.classes if s != t}
+    return {st: exterior_power(Y.projection(*st), p) for st in crossings}
 
 
 def multitangent(Z: CellComplex, p: int) -> Cosheaf:
@@ -147,19 +153,61 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     maximal cells of that star need summing: for sigma <= tau in one
     stratum, T(sigma) lies in T(tau), so the p-th wedge of T(sigma) lies in
     that of T(tau).  So the stalk depends only on the set of tangent
-    lattices of those maximal cells (`_star_tangents`), the star that
-    `_cosheaf` reads.  The tangent bases are canonical Hermite forms, so
-    equal lattices give equal keys.  F_0, which reads no star, is the
-    constant cosheaf.
+    lattices of those maximal cells (`_star_tangents`), the cell's star.
+    The tangent bases are canonical Hermite forms, so equal lattices give
+    equal stars.  The stars and the incidence classes are planned once per
+    complex (`_plan`); F_0, which reads no star, is the constant cosheaf.
+
+    Per p: one wedge per distinct tangent basis of the stars, one lattice
+    sum per star, and one map per class.  A map within a stratum is the
+    identity when the two stalks are equal.  Any other map, an inclusion or
+    the wedged projection of a stalk across strata, is written in the
+    target stalk's basis by back-substitution: that basis is in column
+    Hermite form already, and its pivots are read once per distinct basis.
+    An image that leaves the target stalk raises CosheafError naming the
+    first such incidence and p.
     """
-    return _cosheaf(Z, p, _star_tangents(Z) if p else None)
+    if p == 0:
+        return _constant(Z)
+    plan = _plan(Z, _star_tangents)
+    wedges = {T: exterior_power(T, p).columns() for T in frozenset().union(*plan.stars)}
+    stalks = [lattice_basis([w for T in star for w in wedges[T]], comb(k, p))
+              for star, k in zip(plan.stars, plan.dims)]
+    projections = _wedged_projections(Z, p, plan)
+    pivots = {}     # target stalk basis -> its pivots
+    class_maps = []
+    for c, (sig, tau, a, b) in enumerate(plan.classes):
+        image, target = stalks[a], stalks[b]
+        if sig == tau:
+            if image == target:
+                class_maps.append(IntMatrix.identity(target.ncols))
+                continue
+        else:
+            image = projections[sig, tau] * image
+        if target not in pivots:
+            pivots[target] = hnf_pivots(target)
+        A = back_substitute(pivots[target], target.ncols, image)
+        if A is None:
+            t, s = plan.incidences[plan.class_of.index(c)]
+            raise CosheafError(
+                "incidence image does not land in the target stalk "
+                "(cells %d -> %d, p=%d)" % (s, t, p))
+        class_maps.append(A)
+    return _assemble(Z, p, plan, stalks, class_maps)
 
 
 def ambient_on_cells(Z: CellComplex, p: int) -> Cosheaf:
     """The ambient cosheaf: every cell carries the full wedge power of its
-    stratum lattice; maps are wedge powers of the projections.  Every
-    cell's star is the identity basis of its stratum lattice, one per
-    stratum dimension."""
-    Y = Z.Y
-    full = [frozenset((IntMatrix.identity(k),)) for k in range(Y.dim + 1)]
-    return _cosheaf(Z, p, [full[Y.stratum_dim(c.sed)] for c in Z.cells])
+    stratum lattice, so its star is its stratum dimension
+    (`_stratum_stars`) and its stalk basis the identity.  A map within a
+    stratum is the identity, and a map across strata is the wedged
+    projection itself, with no lattice sum and no back-substitution.  F_0
+    is the constant cosheaf."""
+    if p == 0:
+        return _constant(Z)
+    plan = _plan(Z, _stratum_stars)
+    stalks = [IntMatrix.identity(comb(k, p)) for k in plan.dims]
+    projections = _wedged_projections(Z, p, plan)
+    class_maps = [stalks[b] if sig == tau else projections[sig, tau]
+                  for sig, tau, a, b in plan.classes]
+    return _assemble(Z, p, plan, stalks, class_maps)

@@ -128,7 +128,8 @@ class IntMatrix:
         if rows:
             n = len(rows[0])
             if ncols is not None and ncols != n:
-                raise ValueError("ncols mismatch")
+                raise ValueError("ncols mismatch: ncols is %d, row 0 has %d entries"
+                                 % (ncols, n))
         elif ncols is None:
             raise ValueError("empty matrix needs explicit ncols")
         else:
@@ -137,7 +138,8 @@ class IntMatrix:
         sparse = {}
         for i, r in enumerate(rows):
             if len(r) != n:
-                raise ValueError("ragged rows")
+                raise ValueError("ragged rows: row %d has %d entries, not %d"
+                                 % (i, len(r), n))
             d = {j: r[j] for j in compress(idx, r)}
             # the nonzero entries are ints, and every other one equals 0
             if len(d) + r.count(0) != n or not _INT.issuperset(map(type, d.values())):
@@ -242,7 +244,8 @@ class IntMatrix:
     def apply(self, vec):
         """Matrix times integer vector, returned as a tuple."""
         if len(vec) != self.ncols:
-            raise ValueError("length mismatch")
+            raise ValueError("length mismatch: vector has %d entries, matrix has %d columns"
+                             % (len(vec), self.ncols))
         return tuple(sum(a * v for a, v in zip(r, vec)) for r in self.rows)
 
     def sparse_rows(self):

@@ -48,6 +48,13 @@ def _scaled(x):
     return [v.numerator * (D // v.denominator) for v in x], D
 
 
+def _primitive(v):
+    """The integer vector v divided by the gcd of its entries, as a tuple;
+    the zero vector comes back as it is."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
 def dd_cone(constraints, dim):
     """Generators of the cone {x in R^dim : <c, x> <= 0 for all c}.
 
@@ -71,6 +78,13 @@ def dd_cone(constraints, dim):
       sum of two terms <= 0, so w is tight exactly where p and q both are,
       plus on c.
     Primitive scaling keeps every set, since it divides by a positive gcd.
+    So a pair is adjacent exactly when p and q are the only rays whose sets
+    contain their common set, and one `count` over the masked sets decides
+    it.
+
+    The arithmetic is integer-only: every vector built here is an integer
+    combination of integer vectors, made primitive by dividing by the gcd
+    of its entries (`_primitive`), with no rational scaling.
     """
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays = []       # list of vectors
@@ -89,13 +103,13 @@ def dd_cone(constraints, dim):
                 if j == k:
                     continue
                 v = vals_lin[j]
-                new_lin.append(primitive_vector(tuple(a0 * x - v * y for x, y in zip(l, l0)))
+                new_lin.append(_primitive([a0 * x - v * y for x, y in zip(l, l0)])
                                if v else l)
             new_rays = []
             for r in rays:
                 v = _dot(c, r)
                 if v:
-                    r = primitive_vector(tuple(-a0 * x + v * y for x, y in zip(r, l0)))
+                    r = _primitive([-a0 * x + v * y for x, y in zip(r, l0)])
                 new_rays.append(r)
             new_rays.append(l0)
             lin, rays = new_lin, new_rays
@@ -114,13 +128,13 @@ def dd_cone(constraints, dim):
             p, vp, zp = rays[jp], vals[jp], tight[jp]
             for jq in neg:
                 common = zp & tight[jq]
-                # adjacent iff no third ray is tight on all of `common`
+                # adjacent iff no third ray is tight on all of `common`: p
+                # and q are two of the rays counted
                 if common.bit_count() < least or \
-                        any(z & common == common for j, z in enumerate(tight)
-                            if j != jp and j != jq):
+                        [z & common for z in tight].count(common) > 2:
                     continue
                 q, vq = rays[jq], vals[jq]
-                w = primitive_vector(tuple(vp * x - vq * y for x, y in zip(q, p)))
+                w = _primitive([vp * x - vq * y for x, y in zip(q, p)])
                 if w not in seen and any(w):
                     seen.add(w)
                     combos.append(w)
@@ -165,7 +179,9 @@ def hrep_from_generators(points, rays, lins, dim):
     _check_lengths(dim, ("point", points), ("ray", rays), ("lineality vector", lins))
     rows = []
     for p in points:
-        rows.append(primitive_vector((-1,) + tuple(Fraction(x) for x in p)))
+        # an integer point homogenizes as it is: the -1 makes it primitive
+        rows.append((-1, *p) if all(type(x) is int for x in p)
+                    else primitive_vector((-1,) + tuple(Fraction(x) for x in p)))
     for r in int_rows(rays, "ray"):
         rows.append((0,) + r)
     for l in int_rows(lins, "lineality vector"):
@@ -685,7 +701,8 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
         (a, _), = eqs
         ties = {frozenset(range(len(points))): tie(a)}
     else:
-        ties = {frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b): tie(a)
+        # the offsets of a lift of integer points are integers
+        ties = {frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b.numerator): tie(a)
                 for a, b in facets if a[d] > 0}
     maximal = tuple(sorted(ties, key=sorted))
     faces, covered_by = {}, {}

@@ -12,8 +12,10 @@ multi-tangent cosheaf, and the stratum-by-stratum reference for
 non-singularity.  Exact kernels that the pipeline runs in a cheaper
 form keep their plain forms here as references: the double description
 that recomputes every ray's tight set at each step, the reduced row echelon
-form in Fraction arithmetic, and the stratum pieces built by the checked
-`QPolyhedron` constructor.
+form in Fraction arithmetic, the stratum pieces built by the checked
+`QPolyhedron` constructor, and the cosheaf built incidence by incidence
+for each p, where the pipeline plans its stars and incidence classes once
+per complex.
 """
 
 from fractions import Fraction
@@ -247,6 +249,7 @@ class GeometricComplex(CellComplex):
             self.facets_of[s].append(t)
         self.dim = max((c.dim for c in self.cells), default=-1)
         self.by_key = geometric_keys(self)
+        self.cosheaf_plans = {}
 
 
 def validate(Z, full=False):
@@ -414,6 +417,85 @@ def multitangent(Z, p):
                 "(cells %d -> %d, p=%d)" % (s, t, p))
         maps[(t, s)] = A
     return Cosheaf(Z, p, ranks, bases, maps)
+
+
+def per_incidence_cosheaf(Z, p, stars):
+    """The reference for the planned builders of `trophom.cosheaf`, which
+    sort the incidences into classes once per complex: the same cosheaf,
+    its keys and their hashing redone for each p and each incidence.
+
+    The cosheaf whose stalk at cell i is the sum of the p-th wedges of
+    the lattice bases in the star `stars[i]`.  One lattice sum is taken per
+    star, every cell with that star shares its stalk basis, and each
+    distinct basis is wedged once.  F_0 is the constant cosheaf: every
+    stalk is Z and every map is [1].
+
+    Maps are inclusions within a stratum and wedge powers of the quotient
+    projections across strata, each written in the target stalk's basis by
+    back-substitution: that basis is in column Hermite form already, and
+    its pivots are read once per distinct basis.  An inclusion between
+    equal stalks is the identity.  A map depends only on the two strata and
+    the two stars, so it is computed once per (sigma stratum, tau stratum,
+    source star, target star) and shared by every incidence with that key.
+    An image that leaves the target stalk raises CosheafError naming the
+    first such incidence and p.
+    """
+    if p == 0:
+        one = IntMatrix.identity(1)
+        n = len(Z.cells)
+        return Cosheaf(Z, p, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
+    Y = Z.Y
+    wedges = {}     # lattice basis -> columns of its wedge
+    stalks = {}     # star -> stalk basis
+    for c, key in zip(Z.cells, stars):
+        if key not in stalks:
+            gens = []
+            for T in key:
+                if T not in wedges:
+                    wedges[T] = exterior_power(T, p).columns()
+                gens += wedges[T]
+            ambient = comb(Y.stratum_dim(c.sed), p)
+            stalks[key] = lattice_basis(gens, ambient)
+    bases = [stalks[key] for key in stars]
+    ranks = [B.ncols for B in bases]
+    pivots = {}     # target stalk basis -> its pivots
+    wedge_projection = {}
+    shared = {}     # (sigma stratum, tau stratum, source, target star) -> map
+    maps = {}
+    for t, s in Z.incidence:
+        tau, sig = Z.cells[t], Z.cells[s]
+        key = (sig.sed, tau.sed, stars[s], stars[t])
+        A = shared.get(key)
+        if A is None:
+            image, target = bases[s], bases[t]
+            if tau.sed == sig.sed:
+                if image == target:
+                    A = IntMatrix.identity(ranks[t])
+            else:
+                strata = (sig.sed, tau.sed)
+                if strata not in wedge_projection:
+                    wedge_projection[strata] = exterior_power(Y.projection(*strata), p)
+                image = wedge_projection[strata] * image
+            if A is None:
+                if target not in pivots:
+                    pivots[target] = hnf_pivots(target)
+                A = back_substitute(pivots[target], ranks[t], image)
+                if A is None:
+                    raise CosheafError(
+                        "incidence image does not land in the target stalk "
+                        "(cells %d -> %d, p=%d)" % (s, t, p))
+            shared[key] = A
+        maps[(t, s)] = A
+    return Cosheaf(Z, p, ranks, bases, maps)
+
+
+def ambient_stars(Z):
+    """The star of each cell under the ambient cosheaf, as the
+    per-incidence builder reads it: the identity basis of its stratum
+    lattice, one per stratum dimension."""
+    Y = Z.Y
+    full = [frozenset((IntMatrix.identity(k),)) for k in range(Y.dim + 1)]
+    return [full[Y.stratum_dim(c.sed)] for c in Z.cells]
 
 
 def is_nonsingular(pair: HypersurfacePair) -> bool:

@@ -277,6 +277,74 @@ def test_equal_rank_stalks_of_different_lattices():
 
 
 # ---------------------------------------------------------------------------
+# the planned builders against the per-incidence builder
+
+# the Freudenthal rungs from the cubic curve up to the K3, on the normal
+# fan, and two fans with a boundary that is not the whole toric boundary
+PLANNED = {
+    "cubic-curve": lambda: _normal(freudenthal_poly(2, 3)),
+    "quartic-curve": lambda: _normal(freudenthal_poly(2, 4)),
+    "quadric": lambda: _normal(freudenthal_poly(3, 2)),
+    "cubic-surface": lambda: _normal(freudenthal_poly(3, 3)),
+    "quartic-k3": lambda: _normal(freudenthal_poly(3, 4)),
+    "quadric-half-toric": lambda: build_pair(quadric_poly(), load_fan(HALF_TORIC_FAN)),
+    "cubic-blowup": lambda: build_pair(freudenthal_poly(3, 3), load_fan(TP3_BLOWUP_FAN)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_planned_builders_match_per_incidence_builder(name):
+    """The stars and incidence classes planned once per complex give the
+    ranks, bases and maps, in the same incidence order, that keying every
+    incidence anew for each p gives: the multi-tangent cosheaf on X and
+    Yref and the ambient cosheaf on Yref, for every p up to the dimension."""
+    pair = PLANNED[name]()
+    X, Yref = pair.X, pair.Yref
+    for Z, build, stars in ((X, multitangent, cosheaf._star_tangents(X)),
+                            (Yref, multitangent, cosheaf._star_tangents(Yref)),
+                            (Yref, ambient_on_cells, reference.ambient_stars(Yref))):
+        for p in range(pair.Y.dim + 1):
+            got, want = build(Z, p), reference.per_incidence_cosheaf(Z, p, stars)
+            assert got.ranks == want.ranks, (build.__name__, p)
+            assert got.bases == want.bases, (build.__name__, p)
+            assert list(got.maps.items()) == list(want.maps.items()), (build.__name__, p)
+
+
+def test_plan_is_built_once_per_complex(monkeypatch):
+    """`_star_tangents` runs once per complex, not once per p, and the
+    ambient cosheaf takes no lattice sum and no back-substitution: its
+    stalks are identities and its maps the wedged projections."""
+    calls = Counter()
+
+    def count(name):
+        real = getattr(cosheaf, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cosheaf, name, counted)
+
+    for name in ("_star_tangents", "back_substitute", "lattice_basis"):
+        count(name)
+    pair = _normal(quadric_poly())
+    n = pair.Y.dim
+    for p in range(n):
+        multitangent(pair.X, p)
+    assert calls["_star_tangents"] == 1
+    assert calls["back_substitute"] > 0 and calls["lattice_basis"] > 0
+    multitangent(pair.X, 1)
+    assert calls["_star_tangents"] == 1
+    calls.clear()
+    for p in range(n + 1):
+        F = ambient_on_cells(pair.Yref, p)
+        assert all(B == IntMatrix.identity(B.nrows) for B in F.bases), p
+    assert calls["back_substitute"] == calls["lattice_basis"] == 0
+    assert calls["_star_tangents"] == 0
+    assert len(pair.Yref.cosheaf_plans) == 1 and len(pair.X.cosheaf_plans) == 1
+
+
+# ---------------------------------------------------------------------------
 # a stalk the incidence images leave
 
 def _doubled(u):

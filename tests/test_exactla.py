@@ -140,6 +140,19 @@ class TestIntMatrix:
         with pytest.raises(ValueError, match="explicit ncols"):
             IntMatrix([])
 
+    def test_shape_errors_name_the_lengths(self):
+        """A ragged row is named with its length and the expected one; the
+        ncols mismatch names row 0's length, and `apply` both lengths."""
+        with pytest.raises(ValueError, match=r"^ragged rows: row 1 has 1 entries, not 2$"):
+            IntMatrix([[1, 0], [0]])
+        with pytest.raises(ValueError, match=r"^ragged rows: row 2 has 3 entries, not 1$"):
+            IntMatrix([[1], [0], [0, None, 2]])
+        with pytest.raises(ValueError, match=r"^ncols mismatch: ncols is 3, row 0 has 2 entries$"):
+            IntMatrix([[1, 0]], ncols=3)
+        with pytest.raises(ValueError,
+                           match=r"^length mismatch: vector has 2 entries, matrix has 3 columns$"):
+            IntMatrix([[1, 2, 3]]).apply((1, 2))
+
     def test_dense_and_sparse_rows_match_a_dense_reference(self):
         """Seeded random matrices, dense and sparse, given through ints,
         bools, floats and Fractions: `rows` is the entrywise int() of the

@@ -5,6 +5,8 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import geometric_reference as reference
 from trophom import polyhedra
@@ -813,6 +815,70 @@ def test_dd_cone_matches_recomputing_reference():
     assert len(hulls) == 1600
     for constraints, d in cones + hulls:
         assert dd_cone(constraints, d) == reference.dd_cone(constraints, d), (constraints, d)
+
+
+# A 4-dimensional cone over the cube [-1, 1]^3 (at t = 1) with the facet
+# x1 <= t given twice, then cut by x2 + x3 <= t.  On the facet x1 = t the
+# cut leaves (1, 1, 1) positive and (1, -1, -1) negative; they share the
+# doubled facet, two tight constraints, as many as an adjacent pair needs,
+# but (1, 1, -1) and (1, -1, 1) are tight there too, so the pair is no edge.
+_CUBE_THIRD_RAY = ([(1, 0, 0, -1), (-1, 0, 0, -1), (0, 1, 0, -1), (0, -1, 0, -1),
+                    (0, 0, 1, -1), (0, 0, -1, -1), (1, 0, 0, -1), (0, 1, 1, -1)], 4)
+# the second constraint is a lineality step that moves the ray the first
+# one made, and one lineality vector is left
+_MOVED_BY_LINEALITY = ([(1, 0, 0), (1, 1, 0)], 3)
+
+
+def _constraint_systems():
+    return st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=d + 5), st.just(d)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_constraint_systems())
+@example(_CUBE_THIRD_RAY)
+@example(_MOVED_BY_LINEALITY)
+def test_dd_cone_property_matches_reference(system):
+    """The integer-only double description, with its inherited tight sets
+    and one `count` per pair, gives the lineality and rays, in the same
+    order, of the reference that recomputes every tight set."""
+    constraints, d = system
+    assert dd_cone(constraints, d) == reference.dd_cone(constraints, d)
+
+
+def test_dd_cone_pinned_examples_by_hand():
+    """The pinned examples of the property test, worked by hand: the cut
+    cube keeps the six vertices with x2 + x3 <= 1 and the four points where
+    the cut meets the edges from (x1, 1, 1), and nothing on the diagonal of
+    the facet x1 = t; the lineality example keeps one lineality vector, and
+    the ray (-1, 0, 0) of the first step moves to (-1, 1, 0)."""
+    lin, rays = dd_cone(*_CUBE_THIRD_RAY)
+    assert lin == []
+    assert (1, 1, 1, 1) not in rays and (1, 0, 0, 1) not in rays
+    assert sorted(rays) == sorted(
+        [(x, y, z, 1) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1) if y + z <= 1]
+        + [(x, 0, 1, 1) for x in (-1, 1)] + [(x, 1, 0, 1) for x in (-1, 1)])
+    lin, rays = dd_cone(*_MOVED_BY_LINEALITY)
+    assert lin == [(0, 0, 1)] and sorted(rays) == [(-1, 1, 0), (0, -1, 0)]
+
+
+def _int_generators():
+    return st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=d + 4),
+        st.lists(st.tuples(*[st.integers(-1, 1)] * d), max_size=2),
+        st.lists(st.tuples(*[st.integers(-1, 1)] * d), max_size=1),
+        st.just(d)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_int_generators())
+def test_hrep_of_int_points_equals_hrep_of_fraction_points(gens):
+    """Integer points homogenize as they are, with no Fraction round-trip,
+    and give the facets and equations of the same points as Fractions."""
+    points, rays, lins, d = gens
+    as_fractions = [tuple(map(Fraction, p)) for p in points]
+    assert hrep_from_generators(points, rays, lins, d) == \
+        hrep_from_generators(as_fractions, rays, lins, d)
 
 
 def _random_equation_system(rng, dim):
