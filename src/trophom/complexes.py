@@ -10,9 +10,12 @@ The piece is the dual cell of F for the terms on G_eta, so every piece, the
 open-stratum cells included, is read off the subdivision induced on G_eta
 (`stratum_pieces`), and the key (eta, F) orders the cells and looks them up.
 Incidences are the covering relation of the subdivision within a stratum and
-one cone step across strata.  Cells are stored in stratum-local coordinates
-together with their sedentarity cone, the HNF basis B_sigma of their
-integral tangent lattice, and compactness flag.  Also home to the predicate
+one cone step across strata.  `build_pair` makes the cells and every
+incidence in one pass over the strata.  Cells are stored in stratum-local
+coordinates together with their sedentarity cone, the HNF basis B_sigma of
+their integral tangent lattice, and compactness flag.  A cell carries no
+position: each complex orders its cells and keeps their positions, so X
+holds the very `Cell` objects of Yref.  Also home to the predicate
 battery (properness, non-singularity, combinatorial ampleness, cellular
 pair), which read the subdivision and the fan: ampleness asks of each
 region's vertex whether the rays maximised there span a cone.
@@ -59,45 +62,27 @@ class Cell:
     compact: bool
     face: frozenset             # the subdivision face F this cell is dual to
     in_x: bool
-    index: int = -1
 
 
 class CellComplex:
     """A finite polyhedral complex in a tropical toric variety, whose cells
     are the pieces (eta, F), each known by its key (sed, face), and ordered
-    by dimension first."""
+    by dimension first.  Positions belong to the complex, not to the cells:
+    a cell's position is `by_key[(sed, face)]`, or its place in `cells`, so
+    one `Cell` object can sit in several complexes, as each cell of X sits
+    in Yref."""
 
     def __init__(self, Y: ToricVariety, cells, incidence):
         """`incidence` holds the keys (tau, sigma) of every cell tau that is a
-        facet of a cell sigma."""
+        facet of a cell sigma; the complex keeps them as pairs of positions."""
         self.Y = Y
         self.cells = sorted(cells, key=lambda c: (c.dim, c.sed, sorted(c.face)))
-        for i, c in enumerate(self.cells):
-            c.index = i
-        self.by_key = {(c.sed, c.face): c.index for c in self.cells}
+        self.by_key = {(c.sed, c.face): i for i, c in enumerate(self.cells)}
         self.incidence = {(self.by_key[t], self.by_key[s]) for t, s in incidence}
-        self.facets_of = {i: [] for i in range(len(self.cells))}
-        for t, s in sorted(self.incidence):
-            self.facets_of[s].append(t)
         self.dim = max((c.dim for c in self.cells), default=-1)
         # the cosheaf plans of this complex, one per star rule
         # (`cosheaf._plan`), built on first use
         self.cosheaf_plans = {}
-
-    def cells_of_dim(self, q):
-        return [c for c in self.cells if c.dim == q]
-
-    def closure(self, idx):
-        """All cells in the closure of the given cell, itself included."""
-        seen = {idx}
-        todo = [idx]
-        while todo:
-            s = todo.pop()
-            for t in self.facets_of[s]:
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return seen
 
     def f_vector(self):
         out = [0] * (self.dim + 1)
@@ -108,7 +93,12 @@ class CellComplex:
 
 @dataclass
 class HypersurfacePair:
-    """The hypersurface X with the ambient structure Y refined by it."""
+    """The hypersurface X with the ambient structure Y refined by it.
+
+    X is a subcomplex of Yref made of Yref's own `Cell` objects.  `embed`
+    is the inclusion on cells: it maps each X position i to the Yref
+    position of the same object, X.cells[i] is Yref.cells[embed[i]], and it
+    is strictly increasing, since both complexes order cells alike."""
 
     f: TropicalPolynomial
     Y: ToricVariety
@@ -116,7 +106,7 @@ class HypersurfacePair:
     newton: QPolyhedron
     X: CellComplex
     Yref: CellComplex
-    embed: dict                  # X cell index -> Yref cell index
+    embed: dict                  # X position -> Yref position
     face_points: list            # cone id eta -> G_eta
 
 
@@ -303,15 +293,20 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     otherwise a BuildError names the first cone that does not.  Under it the
     cells are the pairs (eta, F) with F inside G_eta, and every one of them,
     the open-stratum cells included, is read off the subdivision that S
-    induces on G_eta (`stratum_pieces`).  The incidences come from the
-    subdivision and the fan as well:
+    induces on G_eta (`stratum_pieces`).  One pass over the strata makes the
+    cells and their incidences, which come from the subdivision and the fan
+    as well:
     - in a stratum, (eta, F') is a facet of (eta, F) for each face F' of S
-      covering F inside G_eta; each is certified by containment, and a failed
-      certificate raises a BuildError naming both faces and eta.  The
-      certificate's arithmetic runs once per piece (eta, F), on its own
+      covering F inside G_eta, i.e. each F' with a piece in the same
+      stratum; each is certified by containment as the pieces are made, and
+      a failed certificate raises a BuildError naming both faces and eta.
+      The certificate's arithmetic runs once per piece (eta, F), on its own
       vertices and rays; each incidence then checks that the vertices and
       rays of (eta, F') are objects of (eta, F) (see `contains_polyhedron`);
-    - across strata, (eta, F) is a facet of (rho, F) one cone step up.
+    - across strata, (eta, F) is a facet of (theta, F) for each cone theta
+      one ray below eta.  It is recorded from the deeper cell with no
+      lookup: F lies in G_eta, which lies in G_theta, so (theta, F) is a
+      cell.
     The closure of (eta, F) meets the strata of the cones theta >= eta with
     F inside G_theta, so `closure_is_compact` gets those as the cones the
     cell reaches, and reruns no geometry to find them.
@@ -324,6 +319,9 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     it.  The flag is exact per class: `closure_is_compact` reads the piece
     only through its recession cone, cone(rays) + lineality, and every
     piece of the eta-stratum has the stratum's lineality.
+
+    X is the subcomplex of the cells (eta, F) with dim F >= 1, on Yref's
+    own `Cell` objects (see `HypersurfacePair`).
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -338,11 +336,16 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     G = dual_face_points(f, Y)
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
     newton = newton_polytope(f)
-    cells = {}
+    cells = []
+    incidence = set()
     tangents = {}   # (stratum dim, equation normals) -> tangent lattice
     compact = {}    # (stratum, recession rays, reached cones) -> compactness
-    for eta in range(len(Y.cones)):
-        for face, piece in stratum_pieces(f, S, newton, Y, eta, G[eta]).items():
+    for eta, cone in enumerate(Y.cones):
+        # the cones one ray below eta: (eta, F) is a facet of (theta, F) in
+        # each, a cell since G_eta lies in G_theta
+        below = [Y.cone_index[cone - {r}] for r in cone]
+        pieces = stratum_pieces(f, S, newton, Y, eta, G[eta])
+        for face, piece in pieces.items():
             fd = S.faces[face]
             if eta == Y.apex and piece.affine_dim != Y.dim - fd:
                 raise BuildError("dual cell of %r has dimension %d, expected %d"
@@ -354,31 +357,26 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
             recession = (eta, piece.rays, reached)
             if recession not in compact:
                 compact[recession] = Y.closure_is_compact(piece, eta, reached)
-            cells[(eta, face)] = Cell(eta, piece.affine_dim, piece, tangents[system],
-                                      compact[recession], face, fd >= 1)
+            cells.append(Cell(eta, piece.affine_dim, piece, tangents[system],
+                              compact[recession], face, fd >= 1))
+            for cover in S.covered_by[face]:
+                tau = pieces.get(cover)
+                if tau is None:
+                    continue
+                if not piece.contains_polyhedron(tau):
+                    raise BuildError(
+                        "the piece of face %r does not lie in the piece of face %r "
+                        "in the stratum of fan cone %r"
+                        % (sorted(cover), sorted(face), sorted(cone)))
+                incidence.add(((eta, cover), (eta, face)))
+            incidence.update(((eta, face), (theta, face)) for theta in below)
 
-    incidence = set()
-    for (eta, face), sig in cells.items():
-        for cover in S.covered_by[face]:
-            tau = cells.get((eta, cover))
-            if tau is None:
-                continue
-            if not sig.geom.contains_polyhedron(tau.geom):
-                raise BuildError(
-                    "the piece of face %r does not lie in the piece of face %r "
-                    "in the stratum of fan cone %r"
-                    % (sorted(cover), sorted(face), sorted(Y.cones[eta])))
-            incidence.add(((eta, cover), (eta, face)))
-        for rho in Y.cofacets(eta):
-            if (rho, face) in cells:
-                incidence.add(((rho, face), (eta, face)))
-
-    Yref = CellComplex(Y, cells.values(), incidence)
-    # a facet of a cell of X is in X: its face contains the cell's face
-    X = CellComplex(Y, [Cell(c.sed, c.dim, c.geom, c.tangent, c.compact, c.face, c.in_x)
-                        for c in Yref.cells if c.in_x],
-                    {(t, s) for t, s in incidence if cells[s].in_x})
-    embed = {c.index: Yref.by_key[(c.sed, c.face)] for c in X.cells}
+    Yref = CellComplex(Y, cells, incidence)
+    # sigma = (eta, F) is in X when dim F >= 1, and so is every facet of
+    # sigma, whose face contains F
+    X = CellComplex(Y, [c for c in Yref.cells if c.in_x],
+                    {(t, (eta, F)) for t, (eta, F) in incidence if S.faces[F] >= 1})
+    embed = {i: Yref.by_key[(c.sed, c.face)] for i, c in enumerate(X.cells)}
     return HypersurfacePair(f, Y, S, newton, X, Yref, embed, G)
 
 
@@ -428,12 +426,12 @@ def is_combinatorially_ample(pair: HypersurfacePair):
     Y, G = pair.Y, pair.face_points
     rays = [eta for eta, cone in enumerate(Y.cones) if len(cone) == 1]
     failing = []
-    for c in pair.Yref.cells:
+    for i, c in enumerate(pair.Yref.cells):
         if c.sed == Y.apex and c.dim == Y.dim:
             a, = c.face
             R = frozenset().union(*(Y.cones[eta] for eta in rays if a in G[eta]))
             if R not in Y.cone_index:
-                failing.append(c.index)
+                failing.append(i)
     return not failing, failing
 
 

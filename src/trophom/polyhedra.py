@@ -253,8 +253,8 @@ class QPolyhedron:
     form by `_from_fields`.  `_trusted`, the one place that sets the fields,
     puts none: its caller hands over fields already canonical, as
     `complexes.stratum_pieces` does.
-    Membership has one evaluator, `_satisfied_by`, which `contains` and
-    `contains_polyhedron` both call.
+    Membership has one evaluator, `_satisfied_by`, which
+    `contains_polyhedron` calls.
     """
 
     __slots__ = ("dim", "vertices", "rays", "lin", "facets", "equations", "_sound")
@@ -324,12 +324,6 @@ class QPolyhedron:
 
     def is_bounded(self):
         return not self.rays and not self.lin
-
-    def contains(self, x):
-        """Is the rational point x in the polyhedron?  Decided in integers
-        by `_satisfied_by`."""
-        _check_lengths(self.dim, ("point", (x,)))
-        return self._satisfied_by((tuple(map(Fraction, x)),), (), ())
 
     def contains_polyhedron(self, other):
         """Does other lie in self?  That is: do other's vertices, rays and

@@ -58,8 +58,6 @@ class ToricVariety:
         self.strata = [Stratum(c, fan.dim, fan.rays) for c in self.cones]
         self._cofaces = [tuple(d for d, cd in enumerate(self.cones) if c <= cd)
                          for c in self.cones]
-        self._cofacets = [tuple(d for d in up if len(self.cones[d]) == len(c) + 1)
-                          for c, up in zip(self.cones, self._cofaces)]
         self._proj_cache = {}
         self._star_cache = {}
         self.compact = fan.is_complete()
@@ -79,11 +77,6 @@ class ToricVariety:
     def cofaces(self, cid):
         """The cones eta >= rho, rho itself included, in cone order."""
         return self._cofaces[cid]
-
-    def cofacets(self, cid):
-        """The cones one step up from rho: its cofaces of one more
-        dimension, in cone order."""
-        return self._cofacets[cid]
 
     def projection(self, cid, did) -> IntMatrix:
         """Matrix of the quotient projection between strata, rho <= eta."""

@@ -15,7 +15,10 @@ that recomputes every ray's tight set at each step, the reduced row echelon
 form in Fraction arithmetic, the stratum pieces built by the checked
 `QPolyhedron` constructor, and the cosheaf built incidence by incidence
 for each p, where the pipeline plans its stars and incidence classes once
-per complex.
+per complex.  The walks over a complex that only the tests take live here
+as well: each cell's facets (`facets_of`), which a complex does not keep,
+the closure of a cell, the cells of one dimension, and the membership test
+of a single point.
 """
 
 from fractions import Fraction
@@ -207,9 +210,44 @@ def stratum_pieces(f, S, newton, Y, eta, G):
     return pieces
 
 
+def contains(P: QPolyhedron, x):
+    """Is the rational point x in P?  Decided by P's one membership test,
+    `QPolyhedron._satisfied_by`; a point of the wrong length raises
+    ValueError instead of being judged by a prefix of its coordinates."""
+    polyhedra._check_lengths(P.dim, ("point", (x,)))
+    return P._satisfied_by((tuple(map(Fraction, x)),), (), ())
+
+
 def geometric_keys(Z):
-    """(sed, geometry key) -> cell index."""
-    return {(c.sed, c.geom.geometry_key()): c.index for c in Z.cells}
+    """(sed, geometry key) -> cell position."""
+    return {(c.sed, c.geom.geometry_key()): i for i, c in enumerate(Z.cells)}
+
+
+def cells_of_dim(Z, q):
+    """The cells of Z of dimension q, in order."""
+    return [c for c in Z.cells if c.dim == q]
+
+
+def facets_of(Z):
+    """Each cell's facets, as sorted positions, keyed by the cell's
+    position."""
+    out = {i: [] for i in range(len(Z.cells))}
+    for t, s in sorted(Z.incidence):
+        out[s].append(t)
+    return out
+
+
+def closure(facets, idx):
+    """The positions of all cells in the closure of the cell at `idx`,
+    itself included, walking each cell's facets (`facets_of`)."""
+    seen = {idx}
+    todo = [idx]
+    while todo:
+        for t in facets[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 def containment_incidences(cells):
@@ -241,12 +279,7 @@ class GeometricComplex(CellComplex):
                                       cells[i].geom.geometry_key()))
         remap = {old: new for new, old in enumerate(order)}
         self.cells = [cells[i] for i in order]
-        for i, c in enumerate(self.cells):
-            c.index = i
         self.incidence = {(remap[t], remap[s]) for t, s in incidence}
-        self.facets_of = {i: [] for i in range(len(self.cells))}
-        for t, s in sorted(self.incidence):
-            self.facets_of[s].append(t)
         self.dim = max((c.dim for c in self.cells), default=-1)
         self.by_key = geometric_keys(self)
         self.cosheaf_plans = {}
@@ -268,7 +301,7 @@ def validate(Z, full=False):
             assert img.geometry_key() == tau.geom.geometry_key(), \
                 "cross-stratum incidence certificate"
     # boundary closure: geometric facets of every cell are cells
-    for c in Z.cells:
+    for i, c in enumerate(Z.cells):
         if c.dim == 0:
             continue
         for F, _ in c.geom.face_lattice():
@@ -276,11 +309,12 @@ def validate(Z, full=False):
                 continue
             key = (c.sed, F.geometry_key())
             assert key in keys, "missing boundary cell"
-            assert (keys[key], c.index) in Z.incidence
+            assert (keys[key], i) in Z.incidence
     if full:
-        for a in Z.cells:
-            for b in Z.cells:
-                if b.index <= a.index or a.sed != b.sed:
+        facets = facets_of(Z)
+        for i, a in enumerate(Z.cells):
+            for j, b in enumerate(Z.cells):
+                if j <= i or a.sed != b.sed:
                     continue
                 meet = a.geom.intersect(b.geom)
                 if meet is None:
@@ -288,7 +322,7 @@ def validate(Z, full=False):
                 key = (a.sed, meet.geometry_key())
                 assert key in keys, "intersection is not a cell"
                 m = keys[key]
-                assert m in Z.closure(a.index) and m in Z.closure(b.index)
+                assert m in closure(facets, i) and m in closure(facets, j)
     return True
 
 
@@ -361,7 +395,7 @@ def slice_pair(pair: HypersurfacePair, slices) -> HypersurfacePair:
     for normal, offset in slices:
         X = slice_complex(X, normal, offset)
         Yref = slice_complex(Yref, normal, offset)
-    embed = {c.index: Yref.by_key[(c.sed, c.geom.geometry_key())] for c in X.cells}
+    embed = {i: Yref.by_key[(c.sed, c.geom.geometry_key())] for i, c in enumerate(X.cells)}
     return HypersurfacePair(pair.f, pair.Y, pair.subdivision, pair.newton,
                             X, Yref, embed, pair.face_points)
 
@@ -369,8 +403,9 @@ def slice_pair(pair: HypersurfacePair, slices) -> HypersurfacePair:
 def _same_stratum_star(Z):
     """For each cell, the cells of the same stratum whose closure contains it."""
     star = {i: {i} for i in range(len(Z.cells))}
+    facets = facets_of(Z)
     for s in range(len(Z.cells)):
-        for t in Z.closure(s):
+        for t in closure(facets, s):
             star[t].add(s)
     out = {}
     for i, members in star.items():

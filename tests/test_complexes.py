@@ -7,8 +7,11 @@ import pytest
 
 import geometric_reference as reference
 from geometric_reference import (
+    cells_of_dim,
+    closure,
     closure_is_compact,
     containment_incidences,
+    facets_of,
     slice_pair,
     toric_complex,
     validate,
@@ -136,8 +139,8 @@ class TestDualComplex:
         X = pair.X
         # first Betti number of the compact part (rays retract onto their
         # endpoints) = interior lattice points of 3*simplex = 1
-        v = len(X.cells_of_dim(0))
-        e = len([c for c in X.cells_of_dim(1) if c.compact])
+        v = len(cells_of_dim(X, 0))
+        e = len([c for c in cells_of_dim(X, 1) if c.compact])
         comps = _graph_components(X)
         assert e - v + comps == 1
         assert validate(X, full=True)
@@ -167,7 +170,7 @@ class TestDualComplex:
 
 
 def _graph_components(X):
-    verts = [c.index for c in X.cells_of_dim(0)]
+    verts = [i for i, c in enumerate(X.cells) if c.dim == 0]
     parent = {v: v for v in verts}
 
     def find(v):
@@ -176,10 +179,11 @@ def _graph_components(X):
             v = parent[v]
         return v
 
-    for c in X.cells_of_dim(1):
-        if not c.compact:
+    facets = facets_of(X)
+    for i, c in enumerate(X.cells):
+        if c.dim != 1 or not c.compact:
             continue
-        vs = X.facets_of[c.index]
+        vs = facets[i]
         for a in vs[1:]:
             ra, rb = find(a), find(vs[0])
             if ra != rb:
@@ -195,11 +199,11 @@ class TestCompactified:
         assert validate(pair.Yref, full=True)
         assert validate(pair.X, full=True)
         # X has one mobile vertex and three sedentary ones
-        sed0 = [c for c in pair.X.cells_of_dim(0) if c.sed == pair.Y.apex]
+        sed0 = [c for c in cells_of_dim(pair.X, 0) if c.sed == pair.Y.apex]
         assert len(sed0) == 1
         # every X cell is a Yref cell
-        for c in pair.X.cells:
-            assert pair.embed[c.index] is not None
+        for i, c in enumerate(pair.X.cells):
+            assert pair.Yref.cells[pair.embed[i]] is c
 
     def test_line_compactness_flags(self):
         pair = pair_line_tp2()
@@ -226,17 +230,18 @@ class TestCompactified:
         # face (its dimension is forced to dim + sed by properness)
         for pair in (pair_line_tp2(), pair_blowup()):
             X = pair.X
-            for c in X.cells:
+            facets = facets_of(X)
+            for i, c in enumerate(X.cells):
                 if c.sed == pair.Y.apex:
                     continue
                 witnesses = []
-                for s in X.cells:
-                    if s.sed != pair.Y.apex or c.index not in X.closure(s.index):
+                for j, s in enumerate(X.cells):
+                    if s.sed != pair.Y.apex or i not in closure(facets, j):
                         continue
                     if c.sed in pair.Y.reached_cones(s.geom, s.sed):
                         img = s.geom.linear_image(pair.Y.projection(s.sed, c.sed))
                         if img.geometry_key() == c.geom.geometry_key():
-                            witnesses.append(s.index)
+                            witnesses.append(j)
                 assert len(witnesses) == 1
                 assert X.cells[witnesses[0]].dim == c.dim + pair.Y.cone_dim(c.sed)
 
@@ -314,8 +319,8 @@ def is_face_lattice(Y, ids):
 class TestGammaOpen:
     def test_bounded_cell_is_alone(self):
         pair = pair_line_tp2()
-        x = next(c for c in pair.X.cells if c.dim == 0 and c.sed == pair.Y.apex)
-        assert piece_cones(pair.Yref, pair.Yref.cells[pair.embed[x.index]]) == {pair.Y.apex}
+        x = next(i for i, c in enumerate(pair.X.cells) if c.dim == 0 and c.sed == pair.Y.apex)
+        assert piece_cones(pair.Yref, pair.Yref.cells[pair.embed[x]]) == {pair.Y.apex}
 
     def test_edge_hitting_one_stratum(self):
         pair = pair_line_tp2()
@@ -392,10 +397,10 @@ def test_face_table_matches_lp_reference(name):
     and its piece is the projection of the cell there."""
     pair = LP_FIXTURES[name]()
     Y, table = pair.Y, pair.Yref.by_key
-    for c in pair.Yref.cells:
+    for i, c in enumerate(pair.Yref.cells):
         reached = Y.reached_cones(c.geom, c.sed)
         for eta in Y.cofaces(c.sed):
-            assert (eta in reached) == ((eta, c.face) in table), (c.index, eta)
+            assert (eta in reached) == ((eta, c.face) in table), (i, eta)
             if eta in reached:
                 img = c.geom.linear_image(Y.projection(c.sed, eta))
                 piece = pair.Yref.cells[table[(eta, c.face)]]
@@ -409,10 +414,27 @@ def test_is_boolean_matches_face_lattice_reference(name):
     off `Yref.by_key`, are not the full face lattice of one cone."""
     pair = LP_FIXTURES[name]()
     Y = pair.Y
-    regions = [c for c in pair.Yref.cells if c.sed == Y.apex and c.dim == Y.dim]
+    regions = [i for i, c in enumerate(pair.Yref.cells) if c.sed == Y.apex and c.dim == Y.dim]
     assert regions
-    want = [c.index for c in regions if not is_face_lattice(Y, piece_cones(pair.Yref, c))]
+    want = [i for i in regions
+            if not is_face_lattice(Y, piece_cones(pair.Yref, pair.Yref.cells[i]))]
     assert is_combinatorially_ample(pair) == (not want, want)
+
+
+@pytest.mark.parametrize("name", sorted(LP_FIXTURES))
+def test_x_is_the_subcomplex_of_yref_on_the_same_cells(name):
+    """X holds Yref's own cell objects, those with dim F >= 1, at positions
+    `embed` carries strictly increasingly into Yref's; its incidences are
+    exactly Yref's whose sigma lies in X, read back through `embed`."""
+    pair = LP_FIXTURES[name]()
+    X, Yref, embed = pair.X, pair.Yref, pair.embed
+    assert sorted(embed) == list(range(len(X.cells)))
+    assert all(embed[i] < embed[i + 1] for i in range(len(X.cells) - 1))
+    assert all(X.cells[i] is Yref.cells[j] for i, j in embed.items())
+    assert [j for j, c in enumerate(Yref.cells) if c.in_x] == list(embed.values())
+    back = {j: i for i, j in embed.items()}
+    assert X.incidence == {(back[t], back[s]) for t, s in Yref.incidence if s in back}
+    assert all(X.by_key[key] == back[j] for key, j in Yref.by_key.items() if j in back)
 
 
 def hrep_dual_cell(f, face):
@@ -631,19 +653,19 @@ def test_equal_equations_share_one_tangent_lattice(fan):
     """On the cubic surface, the cells whose pieces have the same stratum
     dimension and the same equation normals hold one tangent lattice object,
     and each cell's lattice still equals the one its piece computes.  X's
-    cells are copies of Yref's and keep the same objects."""
+    cells are Yref's own objects."""
     f = freudenthal_poly(3, 3)
     pair = build_pair(f, load_fan(TP3_BLOWUP_FAN) if fan == "blowup"
                       else normal_fan(newton_polytope(f)))
     held = {}
-    for c in pair.Yref.cells:
-        assert c.tangent == c.geom.tangent_lattice(), c.index
+    for i, c in enumerate(pair.Yref.cells):
+        assert c.tangent == c.geom.tangent_lattice(), i
         key = (c.geom.dim, tuple(a for a, b in c.geom.equations))
-        assert held.setdefault(key, c.tangent) is c.tangent, c.index
+        assert held.setdefault(key, c.tangent) is c.tangent, i
     assert len({id(c.tangent) for c in pair.Yref.cells}) == len(held)
     assert 10 * len(held) < len(pair.Yref.cells)
-    for c in pair.X.cells:
-        assert c.tangent is pair.Yref.cells[pair.embed[c.index]].tangent
+    for i, c in enumerate(pair.X.cells):
+        assert pair.Yref.cells[pair.embed[i]] is c
 
 
 def _random_quadric(seed):

@@ -56,9 +56,10 @@ def pair(request):
 def check_functorial(F):
     """Path independence of composed incidence maps on codim-2 intervals."""
     Z = F.base
+    facets = reference.facets_of(Z)
     for t, s in Z.incidence:
-        for g in Z.facets_of[t]:
-            paths = [tt for tt in Z.facets_of[s] if (g, tt) in Z.incidence]
+        for g in facets[t]:
+            paths = [tt for tt in facets[s] if (g, tt) in Z.incidence]
             mats = [F.maps[(g, tt)] * F.maps[(tt, s)] for tt in paths]
             for m in mats[1:]:
                 if m != mats[0]:
@@ -159,8 +160,8 @@ def test_functorial(pair):
 def test_kunneth_stalk_rank(pair):
     for p in range(pair.Y.dim):
         F = multitangent(pair.X, p)
-        for c in pair.X.cells:
-            assert kunneth_stalk_rank(pair, c, p) == F.ranks[c.index], (c.index, p)
+        for i, c in enumerate(pair.X.cells):
+            assert kunneth_stalk_rank(pair, c, p) == F.ranks[i], (i, p)
 
 
 def test_stalk_rank_polynomial(pair):
@@ -173,9 +174,9 @@ def test_stalk_rank_polynomial(pair):
     def padded(coeffs):
         return list(coeffs) + [0] * (n + 1 - len(coeffs))
 
-    for c in pair.X.cells:
+    for i, c in enumerate(pair.X.cells):
         want = expected_stalk_polynomial(c.dim, pair.Y.stratum_dim(c.sed))
-        assert padded(stalk_rank_polynomial(family, c.index)) == padded(want), c.index
+        assert padded(stalk_rank_polynomial(family, i)) == padded(want), i
 
 
 def test_maps_carry_each_stalk_basis_into_the_next(pair):
@@ -190,6 +191,55 @@ def test_maps_carry_each_stalk_basis_into_the_next(pair):
             if tau.sed != sig.sed:
                 image = exterior_power(Y.projection(sig.sed, tau.sed), p) * image
             assert F.bases[t] * A == image, (t, s, p)
+
+
+# ---------------------------------------------------------------------------
+# the combinatorics and lattices that signed incidences read: a boundary
+# with one sign per incidence squares to zero only where every
+# codimension-2 interval is a diamond, and a cell is oriented by its
+# tangent basis, which a cross-stratum incidence projects onto the facet's
+
+# both tables of inputs, keyed by table and name
+ALL_FIXTURES = {**{"pairs/" + name: build for name, build in PAIRS.items()},
+                **{"lp/" + name: build for name, build in LP_FIXTURES.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_codimension_two_intervals_have_two_middle_cells(name):
+    """For every cell sigma of X and Yref and every cell rho two dimensions
+    below it in its closure, exactly two cells tau lie between them: rho is
+    a facet of tau and tau a facet of sigma."""
+    pair = ALL_FIXTURES[name]()
+    intervals = 0
+    for Z in (pair.X, pair.Yref):
+        facets = reference.facets_of(Z)
+        for s in range(len(Z.cells)):
+            middles = Counter(r for t in facets[s] for r in facets[t])
+            assert set(middles.values()) <= {2}, (s, middles)
+            intervals += len(middles)
+    # only a Newton polytope of lower dimension leaves Yref with no vertex
+    assert intervals > 0 or not any(c.dim == 0 for c in pair.Yref.cells)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_tangent_bases_project_onto_cross_stratum_facets(name):
+    """Every cell's tangent basis B_sigma has dim sigma columns, and for
+    every incidence (tau, sigma) across strata, the lattice that the
+    projection to tau's stratum carries B_sigma onto has the basis
+    B_tau."""
+    pair = ALL_FIXTURES[name]()
+    Y = pair.Y
+    crossings = 0
+    for Z in (pair.X, pair.Yref):
+        for c in Z.cells:
+            assert c.tangent.ncols == c.dim, c
+        for t, s in Z.incidence:
+            tau, sig = Z.cells[t], Z.cells[s]
+            if tau.sed != sig.sed:
+                image = Y.projection(sig.sed, tau.sed) * sig.tangent
+                assert lattice_basis(image.columns(), image.nrows) == tau.tangent, (t, s)
+                crossings += 1
+    assert crossings > 0 or len(Y.cones) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +318,11 @@ def test_equal_rank_stalks_of_different_lattices():
     identity.  Every stalk and map still equals the full-star reference."""
     pair = _normal(parse_polynomial("max(0, x1, x2)"))
     Z = pair.Yref
-    region = next(c for c in Z.cells if c.dim == 2 and c.sed == pair.Y.apex)
-    region.tangent = lattice_basis([(2, 0), (0, 1)], 2)
+    r = next(i for i, c in enumerate(Z.cells) if c.dim == 2 and c.sed == pair.Y.apex)
+    Z.cells[r].tangent = lattice_basis([(2, 0), (0, 1)], 2)
     F, want = multitangent(Z, 1), reference.multitangent(Z, 1)
     assert (F.ranks, F.bases, F.maps) == (want.ranks, want.bases, want.maps)
-    assert any(s == region.index and F.ranks[t] == F.ranks[s] and F.bases[t] != F.bases[s]
+    assert any(s == r and F.ranks[t] == F.ranks[s] and F.bases[t] != F.bases[s]
                for t, s in Z.incidence)
 
 
@@ -366,15 +416,16 @@ def test_image_outside_target_stalk_raises(corrupt):
     image leave the stalk, and the error names the incidence and p."""
     pair = _normal(parse_polynomial("max(0, x1, x2, x3)"))
     X, Y = pair.X, pair.Y
-    tau = next(c for c in X.cells if c.dim == 1 and Y.cone_dim(c.sed) == 1)
+    t = next(i for i, c in enumerate(X.cells) if c.dim == 1 and Y.cone_dim(c.sed) == 1)
+    tau = X.cells[t]
     (u,) = tau.tangent.columns()
     tau.tangent = lattice_basis([corrupt(u)], len(u))
     assert tau.tangent.columns() != [u]
     multitangent(X, 0)  # F_0 does not see tangents
-    with pytest.raises(CosheafError, match=r"cells \d+ -> %d, p=1\)" % tau.index) as err:
+    with pytest.raises(CosheafError, match=r"cells \d+ -> %d, p=1\)" % t) as err:
         multitangent(X, 1)
     s = int(str(err.value).split("cells ")[1].split(" ->")[0])
-    assert (tau.index, s) in X.incidence and X.cells[s].sed == Y.apex
+    assert (t, s) in X.incidence and X.cells[s].sed == Y.apex
     with pytest.raises(CosheafError) as ref:
         reference.multitangent(X, 1)
     assert str(ref.value) == str(err.value)
@@ -516,7 +567,7 @@ def test_no_redundant_exact_work(monkeypatch):
     assert calls["exterior_power"] == calls["lattice_basis"] == 0
     same = {t for t, s in X.incidence if X.cells[t].sed == X.cells[s].sed}
     maximal = len(X.cells) - len(same)
-    tangents = len({c.tangent for c in X.cells if c.index not in same})
+    tangents = len({c.tangent for i, c in enumerate(X.cells) if i not in same})
     crossings = len({(X.cells[s].sed, X.cells[t].sed) for t, s in X.incidence
                      if X.cells[t].sed != X.cells[s].sed})
     assert tangents < maximal < len(X.cells) and crossings > 0

@@ -85,17 +85,6 @@ class TestStrata:
                         rhs = Y.projection(b, c) * Y.projection(a, b)
                         assert lhs == rhs
 
-    def test_cofacets_are_the_cofaces_one_step_up(self):
-        for text in ["max(0, x1, x2)", "max(0, x1, x2, x3)"]:
-            Y = ToricVariety(normal_fan(newton_polytope(parse_polynomial(text))))
-            for a in range(len(Y.cones)):
-                want = tuple(b for b in Y.cofaces(a) if Y.cone_dim(b) == Y.cone_dim(a) + 1)
-                assert Y.cofacets(a) == want
-            assert Y.cofacets(Y.apex) == tuple(
-                c for c in range(len(Y.cones)) if Y.cone_dim(c) == 1)
-            assert all(Y.cofacets(c) == () for c in range(len(Y.cones))
-                       if Y.cone_dim(c) == Y.dim)
-
 
 class TestCompactify:
     def test_bounded_stays_home(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometric_reference import contains
 from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
     QPolyhedron,
@@ -161,12 +162,12 @@ class TestNormalFan:
             if d == (0, 0):
                 continue
             hits = [c for c in fan.max_cones
-                    if fan.cone_geometry(c).contains(d)]
+                    if contains(fan.cone_geometry(c), d)]
             assert hits
             relint_hits = [c for c in fan.cones()
                            if c and cone_meets_relint(QPolyhedron.cone([d], 2),
                                                       fan.cone_geometry(c))
-                           and fan.cone_geometry(c).contains(d)]
+                           and contains(fan.cone_geometry(c), d)]
             # d lies in the relative interior of exactly one cone
             mins = [c for c in relint_hits
                     if not any(o < c for o in relint_hits)]
