@@ -11,20 +11,23 @@ open-stratum cells included, is read off the subdivision induced on G_eta
 (`stratum_pieces`), and the key (eta, F) orders the cells and looks them up.
 Incidences are the covering relation of the subdivision within a stratum and
 one cone step across strata.  `build_pair` makes the cells and every
-incidence in one pass over the strata.  Cells are stored in stratum-local
-coordinates together with their sedentarity cone, the HNF basis B_sigma of
-their integral tangent lattice, and compactness flag.  A cell carries no
-position: each complex orders its cells and keeps their positions, so X
-holds the very `Cell` objects of Yref.  Also home to the predicate
-battery (properness, non-singularity, combinatorial ampleness, cellular
-pair), which read the subdivision and the fan: ampleness asks of each
-region's vertex whether the rays maximised there span a cone.
+incidence in one pass over the strata; a stratum's pieces live only in that
+pass, where they certify its incidences and compactness.  A cell is an
+integer record: its key (eta, F), its dimension, the HNF basis B_sigma of
+its integral tangent lattice, and its compactness flag.  It carries neither
+geometry nor position: each complex orders its cells and its incidences and
+keeps their positions, so X holds the very `Cell` objects of Yref.  Also
+home to the predicate battery (properness, non-singularity, combinatorial
+ampleness, cellular pair), which read the subdivision, the fan and the
+cells: ampleness asks of each region's vertex whether the rays maximised
+there span a cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .exactla import (
     IntMatrix,
@@ -53,11 +56,13 @@ class BuildError(ValueError):
 
 @dataclass
 class Cell:
-    """The piece (eta, F); `tangent` is B_sigma, its tangent lattice's basis."""
+    """The piece (eta, F) as integer data: `tangent` is B_sigma, the HNF
+    basis of its tangent lattice in eta-stratum coordinates.  The piece's
+    polyhedron is not kept; `build_pair` reads it while it builds the
+    stratum."""
 
     sed: int                    # cone id eta of the stratum holding the interior
     dim: int
-    geom: QPolyhedron           # stratum-local coordinates
     tangent: IntMatrix
     compact: bool
     face: frozenset             # the subdivision face F this cell is dual to
@@ -70,15 +75,19 @@ class CellComplex:
     by dimension first.  Positions belong to the complex, not to the cells:
     a cell's position is `by_key[(sed, face)]`, or its place in `cells`, so
     one `Cell` object can sit in several complexes, as each cell of X sits
-    in Yref."""
+    in Yref.  `incidence` is the tuple of pairs (tau, sigma) of positions,
+    tau a facet of sigma, sorted by (sigma, tau): its order depends on the
+    cells and incidences alone, not on the order they were given in, and
+    per-incidence values (`Cosheaf.maps`) are tuples aligned with it."""
 
     def __init__(self, Y: ToricVariety, cells, incidence):
-        """`incidence` holds the keys (tau, sigma) of every cell tau that is a
-        facet of a cell sigma; the complex keeps them as pairs of positions."""
+        """`incidence` holds, once each, the keys (tau, sigma) of every cell
+        tau that is a facet of a cell sigma, in any order."""
         self.Y = Y
         self.cells = sorted(cells, key=lambda c: (c.dim, c.sed, sorted(c.face)))
-        self.by_key = {(c.sed, c.face): i for i, c in enumerate(self.cells)}
-        self.incidence = {(self.by_key[t], self.by_key[s]) for t, s in incidence}
+        self.by_key = by_key = {(c.sed, c.face): i for i, c in enumerate(self.cells)}
+        self.incidence = tuple(sorted(((by_key[t], by_key[s]) for t, s in incidence),
+                                      key=itemgetter(1, 0)))
         self.dim = max((c.dim for c in self.cells), default=-1)
         # the cosheaf plans of this complex, one per star rule
         # (`cosheaf._plan`), built on first use
@@ -96,17 +105,16 @@ class HypersurfacePair:
     """The hypersurface X with the ambient structure Y refined by it.
 
     X is a subcomplex of Yref made of Yref's own `Cell` objects.  `embed`
-    is the inclusion on cells: it maps each X position i to the Yref
-    position of the same object, X.cells[i] is Yref.cells[embed[i]], and it
-    is strictly increasing, since both complexes order cells alike."""
+    is the inclusion on cells: the tuple of the Yref positions of X's cells,
+    so X.cells[i] is Yref.cells[embed[i]], and it is strictly increasing,
+    since both complexes order cells alike."""
 
     f: TropicalPolynomial
     Y: ToricVariety
     subdivision: object
-    newton: QPolyhedron
     X: CellComplex
     Yref: CellComplex
-    embed: dict                  # X position -> Yref position
+    embed: tuple                 # X position -> Yref position
     face_points: list            # cone id eta -> G_eta
 
 
@@ -130,7 +138,7 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     - each facet normal of the Newton polytope through F is an extreme ray
       of N(F).
     With lineality the vertices and rays are these representatives, not the
-    ones a second double description would pick; `geometry_key` is the same.
+    ones a second double description would pick; the point set is the same.
 
     A test reference: `build_pair` reads the open-stratum cells off the
     subdivision by `stratum_pieces`, and the tests compare them with this.
@@ -309,7 +317,9 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
       cell.
     The closure of (eta, F) meets the strata of the cones theta >= eta with
     F inside G_theta, so `closure_is_compact` gets those as the cones the
-    cell reaches, and reruns no geometry to find them.
+    cell reaches, and reruns no geometry to find them.  The pieces of a
+    stratum live only while it is built: a cell keeps its key, dimension,
+    tangent basis and compactness flag, not its polyhedron.
 
     A tangent lattice is the kernel of its piece's equation normals, which
     are canonical, so one lattice is computed per equation system: the
@@ -321,7 +331,9 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     piece of the eta-stratum has the stratum's lineality.
 
     X is the subcomplex of the cells (eta, F) with dim F >= 1, on Yref's
-    own `Cell` objects (see `HypersurfacePair`).
+    own `Cell` objects (see `HypersurfacePair`).  Each complex sorts its
+    incidences (see `CellComplex`), so their order does not depend on the
+    order of this pass.
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -337,7 +349,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
     newton = newton_polytope(f)
     cells = []
-    incidence = set()
+    incidence = []
     tangents = {}   # (stratum dim, equation normals) -> tangent lattice
     compact = {}    # (stratum, recession rays, reached cones) -> compactness
     for eta, cone in enumerate(Y.cones):
@@ -357,7 +369,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
             recession = (eta, piece.rays, reached)
             if recession not in compact:
                 compact[recession] = Y.closure_is_compact(piece, eta, reached)
-            cells.append(Cell(eta, piece.affine_dim, piece, tangents[system],
+            cells.append(Cell(eta, piece.affine_dim, tangents[system],
                               compact[recession], face, fd >= 1))
             for cover in S.covered_by[face]:
                 tau = pieces.get(cover)
@@ -368,16 +380,16 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
                         "the piece of face %r does not lie in the piece of face %r "
                         "in the stratum of fan cone %r"
                         % (sorted(cover), sorted(face), sorted(cone)))
-                incidence.add(((eta, cover), (eta, face)))
-            incidence.update(((eta, face), (theta, face)) for theta in below)
+                incidence.append(((eta, cover), (eta, face)))
+            incidence.extend(((eta, face), (theta, face)) for theta in below)
 
     Yref = CellComplex(Y, cells, incidence)
     # sigma = (eta, F) is in X when dim F >= 1, and so is every facet of
     # sigma, whose face contains F
     X = CellComplex(Y, [c for c in Yref.cells if c.in_x],
-                    {(t, (eta, F)) for t, (eta, F) in incidence if S.faces[F] >= 1})
-    embed = {i: Yref.by_key[(c.sed, c.face)] for i, c in enumerate(X.cells)}
-    return HypersurfacePair(f, Y, S, newton, X, Yref, embed, G)
+                    [(t, (eta, F)) for t, (eta, F) in incidence if S.faces[F] >= 1])
+    embed = tuple(j for j, c in enumerate(Yref.cells) if c.in_x)
+    return HypersurfacePair(f, Y, S, X, Yref, embed, G)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +448,23 @@ def is_combinatorially_ample(pair: HypersurfacePair):
 
 
 def is_cellular_pair(pair: HypersurfacePair) -> str:
-    """Tri-state 'yes' / 'no' / 'unknown', by certified sufficient conditions."""
+    """Tri-state 'yes' / 'no' / 'unknown', by certified sufficient conditions.
+
+    Read off the cells alone.  The pieces of the eta-stratum, of dimension
+    k = dim Y - dim eta, share one lineality, of rank k - dim G_eta (see
+    `stratum_pieces`).  That is also the least cell dimension in the
+    stratum, k - dim F for a face F of top dimension dim G_eta, so the
+    pieces have lineality exactly when the stratum holds no 0-cell.  Every
+    cone has a stratum with cells, since G_eta is never empty.
+    - complete fan: 'yes', since every pair the build returns is proper
+      (see `is_proper`);
+    - otherwise 'no' if a stratum has lineality: on the trivial fan the
+      Newton polytope is not full-dimensional, and on any other fan the
+      cells of that stratum pinch at the point at infinity;
+    - otherwise 'yes' on the trivial fan and 'unknown' on any other."""
     Y = pair.Y
-    if Y.fan.is_trivial():
-        return "yes" if pair.newton.affine_dim == Y.dim else "no"
     if Y.compact:
-        # every pair the build returns is proper (see `is_proper`)
         return "yes"
-    # non-compact with boundary: a cell whose stratum geometry has a
-    # lineality direction pinches at the point at infinity
-    return "no" if any(c.geom.lin for c in pair.Yref.cells) else "unknown"
+    if len({c.sed for c in pair.Yref.cells if c.dim == 0}) < len(Y.cones):
+        return "no"
+    return "yes" if Y.fan.is_trivial() else "unknown"

@@ -4,8 +4,10 @@ A cosheaf here is a stalk per cell, a sublattice of the stratum's wedge
 space kept as its canonical basis matrix (`exactla.lattice_basis`) with its
 rank, plus one integer matrix per codimension-one incidence, contravariant
 along inclusion: the matrix attached to (tau, sigma) maps the stalk at sigma
-into the stalk at tau.  Instances built here: the multi-tangent cosheaf of a
-complex and the ambient cosheaf of its toric variety.
+into the stalk at tau.  Stalks follow the complex's cell order and maps its
+incidence order (`CellComplex.incidence`), so a map is known by the
+position of its incidence.  Instances built here: the multi-tangent cosheaf
+of a complex and the ambient cosheaf of its toric variety.
 
 The multi-tangent stalk F_p(sigma) is the sum of the p-th wedges of T(tau)
 over the cells tau of sigma's stratum whose closure contains sigma (IKMZ,
@@ -20,8 +22,9 @@ triangulation has few of each, so the work is planned once per complex
 and star rule (`_plan`, kept on the complex), for every p.  The plan holds
 the distinct stars with their stratum dimension, each cell's star, the
 incidence classes (sigma stratum, tau stratum, source star, target star)
-and each incidence's class.  Each p then computes one stalk per star and
-one map per class, and hands every incidence its class's map.
+and the class of each incidence, in the complex's incidence order.  Each p
+then computes one stalk per star and one map per class, and hands every
+incidence its class's map.
 """
 
 from __future__ import annotations
@@ -45,13 +48,15 @@ class CosheafError(ValueError):
 
 @dataclass
 class Cosheaf:
-    """Stalk data per cell and one matrix per incidence of the base complex."""
+    """Stalk data per cell and one matrix per incidence of the base complex:
+    `maps[i]` maps the stalk at sigma into the stalk at tau for the
+    incidence (tau, sigma) = `base.incidence[i]`."""
 
     base: CellComplex
     p: int
     ranks: list
     bases: list          # IntMatrix columns in the stratum wedge space
-    maps: dict           # (tau index, sigma index) -> IntMatrix
+    maps: tuple          # one IntMatrix per incidence, aligned with base.incidence
 
 
 def _star_tangents(Z: CellComplex):
@@ -87,13 +92,13 @@ def _stratum_stars(Z: CellComplex):
 class _Plan:
     """The p-independent part of a cosheaf on one complex: its stars, read
     once by a star rule, and its incidences sorted into classes that share
-    one map for every p."""
+    one map for every p.  `class_of` is aligned with the complex's
+    `incidence` tuple, which the plan reads and does not copy."""
 
     stars: list          # the distinct stars, in order of first cell
     dims: list           # the stratum dimension of each star
     star_of: list        # each cell's star, as an index into `stars`
     classes: list        # (sigma stratum, tau stratum, source star, target star)
-    incidences: list     # the incidences (tau index, sigma index)
     class_of: list       # each incidence's class, as an index into `classes`
 
 
@@ -101,7 +106,7 @@ def _plan(Z: CellComplex, rule) -> _Plan:
     """The plan of the cosheaf whose stars `rule(Z)` gives, built on first
     use and kept on the complex (`Z.cosheaf_plans`, keyed by the rule), so
     it reads the cells as they are then.  Classes are numbered in order of
-    their first incidence."""
+    their first incidence in `Z.incidence`."""
     plan = Z.cosheaf_plans.get(rule)
     if plan is not None:
         return plan
@@ -112,12 +117,10 @@ def _plan(Z: CellComplex, rule) -> _Plan:
     for c, k in zip(Z.cells, star_of):
         dims[k] = Y.stratum_dim(c.sed)
     sed = [c.sed for c in Z.cells]
-    incidences = list(Z.incidence)
     keys = {}
     class_of = [keys.setdefault((sed[s], sed[t], star_of[s], star_of[t]), len(keys))
-                for t, s in incidences]
-    plan = Z.cosheaf_plans[rule] = _Plan(list(index), dims, star_of, list(keys),
-                                         incidences, class_of)
+                for t, s in Z.incidence]
+    plan = Z.cosheaf_plans[rule] = _Plan(list(index), dims, star_of, list(keys), class_of)
     return plan
 
 
@@ -125,7 +128,7 @@ def _assemble(Z: CellComplex, p: int, plan: _Plan, stalks, class_maps) -> Coshea
     """The cosheaf with one stalk basis per star and one map per class."""
     bases = list(map(stalks.__getitem__, plan.star_of))
     ranks = [B.ncols for B in bases]
-    maps = dict(zip(plan.incidences, map(class_maps.__getitem__, plan.class_of)))
+    maps = tuple(map(class_maps.__getitem__, plan.class_of))
     return Cosheaf(Z, p, ranks, bases, maps)
 
 
@@ -133,7 +136,7 @@ def _constant(Z: CellComplex) -> Cosheaf:
     """F_0: every stalk is Z and every map is [1]."""
     one = IntMatrix.identity(1)
     n = len(Z.cells)
-    return Cosheaf(Z, 0, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
+    return Cosheaf(Z, 0, [1] * n, [one] * n, (one,) * len(Z.incidence))
 
 
 def _wedged_projections(Z: CellComplex, p: int, plan: _Plan):
@@ -165,7 +168,7 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
     target stalk's basis by back-substitution: that basis is in column
     Hermite form already, and its pivots are read once per distinct basis.
     An image that leaves the target stalk raises CosheafError naming the
-    first such incidence and p.
+    first such incidence in `Z.incidence`, and p.
     """
     if p == 0:
         return _constant(Z)
@@ -188,7 +191,7 @@ def multitangent(Z: CellComplex, p: int) -> Cosheaf:
             pivots[target] = hnf_pivots(target)
         A = back_substitute(pivots[target], target.ncols, image)
         if A is None:
-            t, s = plan.incidences[plan.class_of.index(c)]
+            t, s = Z.incidence[plan.class_of.index(c)]
             raise CosheafError(
                 "incidence image does not land in the target stalk "
                 "(cells %d -> %d, p=%d)" % (s, t, p))

@@ -198,9 +198,6 @@ class IntMatrix:
             raise ValueError("column %d has %d entries, not %d" % (j, len(cols[j]), nrows))
         return cls(_column_rows(cols, nrows), len(cols))
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def columns(self):
         return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 

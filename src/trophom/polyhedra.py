@@ -398,33 +398,6 @@ class QPolyhedron:
         return self._from_fields(self.dim, [(0,) * self.dim], self.rays, self.lin,
                                  [(a, 0) for a, b in self.facets], [(u, 0) for u in hull])
 
-    def geometry_key(self):
-        """Canonical hashable identity of the underlying point set, computed
-        anew on each call."""
-        if not self.lin:
-            return ("pt", self.dim, self.vertices, self.rays)
-        # canonical coordinates transverse to the lineality: kill the pivot
-        # rows of its HNF basis columns, keep the remaining coordinates
-        piv_rows = [next(i for i, x in enumerate(col) if x) for col in self.lin]
-        keep = [i for i in range(self.dim) if i not in piv_rows]
-
-        def project(x):
-            x = [Fraction(v) for v in x]
-            for col, pr in zip(self.lin, piv_rows):
-                f = x[pr] / col[pr]
-                if f:
-                    x = [xv - f * cv for xv, cv in zip(x, col)]
-            return tuple(x[i] for i in keep)
-
-        verts = tuple(sorted(set(project(v) for v in self.vertices)))
-        rays = tuple(sorted(set(
-            primitive_vector(project(r)) for r in self.rays
-            if any(project(r)))))
-        return ("lin", self.dim, tuple(self.lin), verts, rays)
-
-    def __eq__(self, other):
-        return isinstance(other, QPolyhedron) and self.geometry_key() == other.geometry_key()
-
     def __repr__(self):
         return ("QPolyhedron(dim=%d, adim=%d, verts=%d, rays=%d, lin=%d)"
                 % (self.dim, self.affine_dim, len(self.vertices), len(self.rays),

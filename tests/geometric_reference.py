@@ -1,29 +1,35 @@
 """Geometric reference for the cell complexes of `trophom.complexes`.
 
-The pipeline knows a cell only by its key (eta, F), and reads the cells and
-their incidences off the subdivision.  This module checks them by geometry
-instead: cells are keyed by (sed, geometry key), same-stratum incidences are
-found by a containment scan over every pair of cells, and cross-stratum ones
-are certified by projection.  The refinements by hyperplanes and the coarse
-toric structure live here too, since the tests are their only callers and a
-refined cell is no longer an (eta, F) pair.  So do the all-cofaces
-reference for the compactness flag, the full-star reference for the
-multi-tangent cosheaf, and the stratum-by-stratum reference for
-non-singularity.  Exact kernels that the pipeline runs in a cheaper
-form keep their plain forms here as references: the double description
-that recomputes every ray's tight set at each step, the reduced row echelon
-form in Fraction arithmetic, the stratum pieces built by the checked
-`QPolyhedron` constructor, and the cosheaf built incidence by incidence
-for each p, where the pipeline plans its stars and incidence classes once
-per complex.  The walks over a complex that only the tests take live here
-as well: each cell's facets (`facets_of`), which a complex does not keep,
-the closure of a cell, the cells of one dimension, and the membership test
-of a single point.
+The pipeline knows a cell only by its key (eta, F) and its integer data,
+and reads the cells and their incidences off the subdivision.  This module
+checks them by geometry instead.  A `GeomCell` is a pipeline `Cell` that
+also carries its piece, and `with_geometry` rebuilds a pair's complexes on
+them from the pieces `stratum_pieces` makes again.  Cells are keyed by
+(sed, `geometry_key`), the identity of their point set, same-stratum
+incidences are found by a containment scan over every pair of cells, and
+cross-stratum ones are certified by projection.  The refinements by
+hyperplanes and the coarse toric structure live here too, on `GeomCell`s,
+since the tests are their only callers and a refined cell is no longer an
+(eta, F) pair.  So do the all-cofaces reference for the compactness flag,
+the full-star reference for the multi-tangent cosheaf, and the
+stratum-by-stratum reference for non-singularity.  Exact kernels that the
+pipeline runs in a cheaper form keep their plain forms here as references:
+the double description that recomputes every ray's tight set at each step,
+the reduced row echelon form in Fraction arithmetic, the stratum pieces
+built by the checked `QPolyhedron` constructor, and the cosheaf built
+incidence by incidence for each p, where the pipeline plans its stars and
+incidence classes once per complex.  The walks over a complex that only the
+tests take live here as well: each cell's facets (`facets_of`), which a
+complex does not keep, the closure of a cell, the cells of one dimension,
+and the membership test of a single point.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
+from trophom import complexes
 from trophom.complexes import Cell, CellComplex, HypersurfacePair
 from trophom.cosheaf import Cosheaf, CosheafError
 from trophom.exactla import (
@@ -38,6 +44,7 @@ from trophom.exactla import (
 from trophom import polyhedra
 from trophom.polyhedra import QPolyhedron, cone_covered_by
 from trophom.toric import ToricVariety
+from trophom.tropio import newton_polytope
 
 
 def _dot(a, b):
@@ -218,9 +225,67 @@ def contains(P: QPolyhedron, x):
     return P._satisfied_by((tuple(map(Fraction, x)),), (), ())
 
 
+def geometry_key(P: QPolyhedron):
+    """Canonical hashable identity of the point set of P: two polyhedra
+    are the same set exactly when their keys are equal.  Without lineality
+    the sorted vertices and rays are canonical already; with it, they are
+    read in the coordinates transverse to the lineality, whose HNF basis
+    columns kill their pivot rows."""
+    if not P.lin:
+        return ("pt", P.dim, P.vertices, P.rays)
+    piv_rows = [next(i for i, x in enumerate(col) if x) for col in P.lin]
+    keep = [i for i in range(P.dim) if i not in piv_rows]
+
+    def project(x):
+        x = [Fraction(v) for v in x]
+        for col, pr in zip(P.lin, piv_rows):
+            f = x[pr] / col[pr]
+            if f:
+                x = [xv - f * cv for xv, cv in zip(x, col)]
+        return tuple(x[i] for i in keep)
+
+    verts = tuple(sorted(set(project(v) for v in P.vertices)))
+    rays = tuple(sorted(set(
+        primitive_vector(project(r)) for r in P.rays
+        if any(project(r)))))
+    return ("lin", P.dim, tuple(P.lin), verts, rays)
+
+
+@dataclass
+class GeomCell(Cell):
+    """A `Cell` that carries its polyhedron, in stratum-local coordinates:
+    a piece (eta, F) with the geometry the pipeline does not keep, or a cell
+    of a refined complex, which is no (eta, F) pair."""
+
+    geom: QPolyhedron
+
+
+def with_geometry(pair) -> HypersurfacePair:
+    """The pair with X and Yref rebuilt on `GeomCell`s carrying their
+    pieces, which `trophom.complexes.stratum_pieces` makes again from the
+    pair's own data: the same cells, positions, incidences and `embed`, and
+    X still holds Yref's own cell objects."""
+    newton = newton_polytope(pair.f)
+    pieces = {}
+    for eta, G in enumerate(pair.face_points):
+        for F, P in complexes.stratum_pieces(pair.f, pair.subdivision, newton,
+                                             pair.Y, eta, G).items():
+            pieces[(eta, F)] = P
+    cells = {id(c): GeomCell(**vars(c), geom=pieces[(c.sed, c.face)])
+             for c in pair.Yref.cells}
+
+    def rebuilt(Z):
+        keys = [(c.sed, c.face) for c in Z.cells]
+        return CellComplex(Z.Y, [cells[id(c)] for c in Z.cells],
+                           [(keys[t], keys[s]) for t, s in Z.incidence])
+
+    return HypersurfacePair(pair.f, pair.Y, pair.subdivision, rebuilt(pair.X),
+                            rebuilt(pair.Yref), pair.embed, pair.face_points)
+
+
 def geometric_keys(Z):
     """(sed, geometry key) -> cell position."""
-    return {(c.sed, c.geom.geometry_key()): i for i, c in enumerate(Z.cells)}
+    return {(c.sed, geometry_key(c.geom)): i for i, c in enumerate(Z.cells)}
 
 
 def cells_of_dim(Z, q):
@@ -276,10 +341,11 @@ class GeometricComplex(CellComplex):
         self.Y = Y
         order = sorted(range(len(cells)),
                        key=lambda i: (cells[i].dim, cells[i].sed,
-                                      cells[i].geom.geometry_key()))
+                                      geometry_key(cells[i].geom)))
         remap = {old: new for new, old in enumerate(order)}
         self.cells = [cells[i] for i in order]
-        self.incidence = {(remap[t], remap[s]) for t, s in incidence}
+        self.incidence = tuple(sorted(((remap[t], remap[s]) for t, s in incidence),
+                                      key=itemgetter(1, 0)))
         self.dim = max((c.dim for c in self.cells), default=-1)
         self.by_key = geometric_keys(self)
         self.cosheaf_plans = {}
@@ -289,6 +355,7 @@ def validate(Z, full=False):
     """Check closure and incidence certificates; `full` adds the pairwise
     common-face test (quadratic, for small fixtures)."""
     keys = geometric_keys(Z)
+    incidence = set(Z.incidence)
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
         assert tau.dim == sig.dim - 1, "incidence dimensions"
@@ -298,7 +365,7 @@ def validate(Z, full=False):
         else:
             assert Z.Y.cones[sig.sed] <= Z.Y.cones[tau.sed]
             img = sig.geom.linear_image(Z.Y.projection(sig.sed, tau.sed))
-            assert img.geometry_key() == tau.geom.geometry_key(), \
+            assert geometry_key(img) == geometry_key(tau.geom), \
                 "cross-stratum incidence certificate"
     # boundary closure: geometric facets of every cell are cells
     for i, c in enumerate(Z.cells):
@@ -307,9 +374,9 @@ def validate(Z, full=False):
         for F, _ in c.geom.face_lattice():
             if F.affine_dim != c.dim - 1:
                 continue
-            key = (c.sed, F.geometry_key())
+            key = (c.sed, geometry_key(F))
             assert key in keys, "missing boundary cell"
-            assert (keys[key], i) in Z.incidence
+            assert (keys[key], i) in incidence
     if full:
         facets = facets_of(Z)
         for i, a in enumerate(Z.cells):
@@ -319,7 +386,7 @@ def validate(Z, full=False):
                 meet = a.geom.intersect(b.geom)
                 if meet is None:
                     continue
-                key = (a.sed, meet.geometry_key())
+                key = (a.sed, geometry_key(meet))
                 assert key in keys, "intersection is not a cell"
                 m = keys[key]
                 assert m in closure(facets, i) and m in closure(facets, j)
@@ -348,8 +415,8 @@ def toric_complex(Y: ToricVariety) -> CellComplex:
     for cid in range(len(Y.cones)):
         k = Y.stratum_dim(cid)
         geom = QPolyhedron.from_generators([(0,) * k], [], IntMatrix.identity(k).rows, k)
-        cells.append(Cell(cid, k, geom, IntMatrix.identity(k), Y.compact,
-                          frozenset(), False))
+        cells.append(GeomCell(cid, k, IntMatrix.identity(k), Y.compact,
+                              frozenset(), False, geom))
     incidence = {((t, frozenset()), (s, frozenset()))
                  for s, cs in enumerate(Y.cones) for t, ct in enumerate(Y.cones)
                  if cs < ct and len(ct) == len(cs) + 1}
@@ -376,13 +443,13 @@ def slice_complex(Z, normal, offset) -> GeometricComplex:
                   c.geom.intersect_hrep(eqs=[(a, b)])):
             if Q is None:
                 continue
-            key = Q.geometry_key()
+            key = geometry_key(Q)
             # cells run by dimension, so the first cell a piece is cut from
             # is the smallest one containing it, and lends its face
             if key not in pieces:
                 compact = Z.Y.closure_is_compact(Q, apex, Z.Y.reached_cones(Q, apex))
-                pieces[key] = Cell(apex, Q.affine_dim, Q, Q.tangent_lattice(), compact,
-                                   c.face, c.in_x)
+                pieces[key] = GeomCell(apex, Q.affine_dim, Q.tangent_lattice(), compact,
+                                       c.face, c.in_x, Q)
             else:
                 pieces[key].in_x = pieces[key].in_x or c.in_x
     cells = list(pieces.values())
@@ -390,14 +457,16 @@ def slice_complex(Z, normal, offset) -> GeometricComplex:
 
 
 def slice_pair(pair: HypersurfacePair, slices) -> HypersurfacePair:
-    """Apply a sequence of hyperplane slices to both X and Yref."""
-    X, Yref = pair.X, pair.Yref
+    """Apply a sequence of hyperplane slices to both X and Yref of a pair
+    that `build_pair` returns, on their pieces (`with_geometry`)."""
+    geo = with_geometry(pair)
+    X, Yref = geo.X, geo.Yref
     for normal, offset in slices:
         X = slice_complex(X, normal, offset)
         Yref = slice_complex(Yref, normal, offset)
-    embed = {i: Yref.by_key[(c.sed, c.geom.geometry_key())] for i, c in enumerate(X.cells)}
-    return HypersurfacePair(pair.f, pair.Y, pair.subdivision, pair.newton,
-                            X, Yref, embed, pair.face_points)
+    embed = tuple(Yref.by_key[(c.sed, geometry_key(c.geom))] for c in X.cells)
+    return HypersurfacePair(pair.f, pair.Y, pair.subdivision, X, Yref, embed,
+                            pair.face_points)
 
 
 def _same_stratum_star(Z):
@@ -434,7 +503,7 @@ def multitangent(Z, p):
         bases.append(total)
     pivots = {}
     wedge_projection = {}
-    maps = {}
+    maps = []
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
         image = bases[s]
@@ -450,8 +519,8 @@ def multitangent(Z, p):
             raise CosheafError(
                 "incidence image does not land in the target stalk "
                 "(cells %d -> %d, p=%d)" % (s, t, p))
-        maps[(t, s)] = A
-    return Cosheaf(Z, p, ranks, bases, maps)
+        maps.append(A)
+    return Cosheaf(Z, p, ranks, bases, tuple(maps))
 
 
 def per_incidence_cosheaf(Z, p, stars):
@@ -478,7 +547,7 @@ def per_incidence_cosheaf(Z, p, stars):
     if p == 0:
         one = IntMatrix.identity(1)
         n = len(Z.cells)
-        return Cosheaf(Z, p, [1] * n, [one] * n, dict.fromkeys(Z.incidence, one))
+        return Cosheaf(Z, p, [1] * n, [one] * n, (one,) * len(Z.incidence))
     Y = Z.Y
     wedges = {}     # lattice basis -> columns of its wedge
     stalks = {}     # star -> stalk basis
@@ -496,7 +565,7 @@ def per_incidence_cosheaf(Z, p, stars):
     pivots = {}     # target stalk basis -> its pivots
     wedge_projection = {}
     shared = {}     # (sigma stratum, tau stratum, source, target star) -> map
-    maps = {}
+    maps = []
     for t, s in Z.incidence:
         tau, sig = Z.cells[t], Z.cells[s]
         key = (sig.sed, tau.sed, stars[s], stars[t])
@@ -520,8 +589,8 @@ def per_incidence_cosheaf(Z, p, stars):
                         "incidence image does not land in the target stalk "
                         "(cells %d -> %d, p=%d)" % (s, t, p))
             shared[key] = A
-        maps[(t, s)] = A
-    return Cosheaf(Z, p, ranks, bases, maps)
+        maps.append(A)
+    return Cosheaf(Z, p, ranks, bases, tuple(maps))
 
 
 def ambient_stars(Z):
@@ -549,3 +618,26 @@ def is_nonsingular(pair: HypersurfacePair) -> bool:
                    for F, d in sub_faces.items() if d == top):
             return False
     return True
+
+
+def lineal_strata(pair):
+    """The cones eta whose pieces, built by the reference `stratum_pieces`,
+    have nonzero lineality."""
+    newton = newton_polytope(pair.f)
+    return {eta for eta, G in enumerate(pair.face_points)
+            if any(P.lin for P in stratum_pieces(pair.f, pair.subdivision, newton,
+                                                 pair.Y, eta, G).values())}
+
+
+def is_cellular_pair(pair: HypersurfacePair) -> str:
+    """The cellular verdict read off the geometry: the reference for
+    `trophom.complexes.is_cellular_pair`, which reads it off the cell
+    dimensions.  On the trivial fan, 'yes' iff the Newton polytope is
+    full-dimensional; on a complete fan, 'yes'; on any other, 'no' if some
+    stratum's pieces have lineality (`lineal_strata`), else 'unknown'."""
+    Y = pair.Y
+    if Y.fan.is_trivial():
+        return "yes" if newton_polytope(pair.f).affine_dim == Y.dim else "no"
+    if Y.compact:
+        return "yes"
+    return "no" if lineal_strata(pair) else "unknown"

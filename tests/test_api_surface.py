@@ -3,9 +3,11 @@ top-level function, class and method in src/trophom is named somewhere in
 src/ or bench/ besides its own definition.  A caller in tests/ alone is not
 enough: a name only the tests need lives in the tests.  Every private
 top-level function and class and every private method of a top-level class
-(dunder methods aside) is named somewhere in src/, tests/ or bench/.  A name
-that nothing calls is deleted, not kept.  And the package stays pure Python
-with no dependencies."""
+(dunder methods aside) is named somewhere in src/, tests/ or bench/.  A
+string names a function only when the whole string is its name or a dotted
+path to it, as the benchmark's tracer writes them, so a word in an error
+message keeps nothing alive.  A name that nothing calls is deleted, not
+kept.  And the package stays pure Python with no dependencies."""
 
 import ast
 import re
@@ -29,10 +31,16 @@ def _docstrings(tree):
     return out
 
 
+# a string that is one identifier or a dotted path of them, as the
+# benchmark's tracer names the functions it patches ("polyhedra.dd_cone")
+PATH = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
 def names_used(tree):
-    """Identifiers a module names: names, attributes, imports, and the words
-    of its string constants other than docstrings (the benchmark's tracer
-    names the functions it patches by string)."""
+    """Identifiers a module names: names, attributes, imports, and the parts
+    of its string constants, other than docstrings, that are a whole
+    identifier or dotted path (`PATH`).  A word inside other text, such as
+    an error message, names nothing."""
     docs = _docstrings(tree)
     out = set()
     for node in ast.walk(tree):
@@ -43,8 +51,8 @@ def names_used(tree):
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node not in docs:
-            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+                and node not in docs and PATH.fullmatch(node.value):
+            out.update(node.value.split("."))
     return out
 
 
@@ -94,6 +102,20 @@ def test_every_private_helper_is_referenced():
     unused, defined = unused_definitions(private, PIPELINE + ("tests",))
     assert defined > 10
     assert unused == []
+
+
+def test_only_whole_paths_in_strings_are_references():
+    """A dotted path names each of its parts, and so does a lone
+    identifier; a word inside a message, or a docstring, names nothing."""
+    tree = ast.parse('''
+def f():
+    """calls column"""
+    trace("exactla.IntMatrix.mul", "solve_int")
+    raise ValueError("entry at row 1, column 2")
+''')
+    used = names_used(tree)
+    assert {"exactla", "IntMatrix", "mul", "solve_int", "trace", "ValueError"} <= used
+    assert "column" not in used and "calls" not in used and "row" not in used
 
 
 def test_pure_python_with_no_dependencies():

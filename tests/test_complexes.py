@@ -12,9 +12,11 @@ from geometric_reference import (
     closure_is_compact,
     containment_incidences,
     facets_of,
+    geometry_key,
     slice_pair,
     toric_complex,
     validate,
+    with_geometry,
 )
 from trophom import complexes
 from trophom.complexes import (
@@ -143,7 +145,7 @@ class TestDualComplex:
         e = len([c for c in cells_of_dim(X, 1) if c.compact])
         comps = _graph_components(X)
         assert e - v + comps == 1
-        assert validate(X, full=True)
+        assert validate(with_geometry(pair).X, full=True)
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(BuildError):
@@ -196,8 +198,9 @@ class TestCompactified:
         pair = pair_line_tp2()
         assert pair.Yref.f_vector() == [7, 9, 3]
         assert pair.X.f_vector() == [4, 3]
-        assert validate(pair.Yref, full=True)
-        assert validate(pair.X, full=True)
+        geo = with_geometry(pair)
+        assert validate(geo.Yref, full=True)
+        assert validate(geo.X, full=True)
         # X has one mobile vertex and three sedentary ones
         sed0 = [c for c in cells_of_dim(pair.X, 0) if c.sed == pair.Y.apex]
         assert len(sed0) == 1
@@ -211,8 +214,9 @@ class TestCompactified:
 
     def test_blowup_structure(self):
         pair = pair_blowup()
-        assert validate(pair.Yref)
-        assert validate(pair.X)
+        geo = with_geometry(pair)
+        assert validate(geo.Yref)
+        assert validate(geo.X)
         # X misses the exceptional stratum entirely
         exc_ray = pair.Y.fan.rays.index((-1, -1, -1))
         exc_cone = pair.Y.cone_index[frozenset([exc_ray])]
@@ -229,7 +233,7 @@ class TestCompactified:
         # at most one sedentarity-0 face of X projects onto a given sedentary
         # face (its dimension is forced to dim + sed by properness)
         for pair in (pair_line_tp2(), pair_blowup()):
-            X = pair.X
+            X = with_geometry(pair).X
             facets = facets_of(X)
             for i, c in enumerate(X.cells):
                 if c.sed == pair.Y.apex:
@@ -240,7 +244,7 @@ class TestCompactified:
                         continue
                     if c.sed in pair.Y.reached_cones(s.geom, s.sed):
                         img = s.geom.linear_image(pair.Y.projection(s.sed, c.sed))
-                        if img.geometry_key() == c.geom.geometry_key():
+                        if geometry_key(img) == geometry_key(c.geom):
                             witnesses.append(j)
                 assert len(witnesses) == 1
                 assert X.cells[witnesses[0]].dim == c.dim + pair.Y.cone_dim(c.sed)
@@ -395,7 +399,7 @@ def test_face_table_matches_lp_reference(name):
     """The face table agrees with the double-description closure: (eta, F) is
     in the table exactly when the closure of the cell reaches the eta-stratum,
     and its piece is the projection of the cell there."""
-    pair = LP_FIXTURES[name]()
+    pair = with_geometry(LP_FIXTURES[name]())
     Y, table = pair.Y, pair.Yref.by_key
     for i, c in enumerate(pair.Yref.cells):
         reached = Y.reached_cones(c.geom, c.sed)
@@ -404,7 +408,7 @@ def test_face_table_matches_lp_reference(name):
             if eta in reached:
                 img = c.geom.linear_image(Y.projection(c.sed, eta))
                 piece = pair.Yref.cells[table[(eta, c.face)]]
-                assert piece.geom.geometry_key() == img.geometry_key()
+                assert geometry_key(piece.geom) == geometry_key(img)
 
 
 @pytest.mark.parametrize("name", sorted(LP_FIXTURES))
@@ -424,16 +428,17 @@ def test_is_boolean_matches_face_lattice_reference(name):
 @pytest.mark.parametrize("name", sorted(LP_FIXTURES))
 def test_x_is_the_subcomplex_of_yref_on_the_same_cells(name):
     """X holds Yref's own cell objects, those with dim F >= 1, at positions
-    `embed` carries strictly increasingly into Yref's; its incidences are
-    exactly Yref's whose sigma lies in X, read back through `embed`."""
+    the tuple `embed` carries strictly increasingly into Yref's; its
+    incidences are exactly Yref's whose sigma lies in X, read back through
+    `embed`, and in the same order."""
     pair = LP_FIXTURES[name]()
     X, Yref, embed = pair.X, pair.Yref, pair.embed
-    assert sorted(embed) == list(range(len(X.cells)))
+    assert type(embed) is tuple and len(embed) == len(X.cells)
     assert all(embed[i] < embed[i + 1] for i in range(len(X.cells) - 1))
-    assert all(X.cells[i] is Yref.cells[j] for i, j in embed.items())
-    assert [j for j, c in enumerate(Yref.cells) if c.in_x] == list(embed.values())
-    back = {j: i for i, j in embed.items()}
-    assert X.incidence == {(back[t], back[s]) for t, s in Yref.incidence if s in back}
+    assert all(X.cells[i] is Yref.cells[j] for i, j in enumerate(embed))
+    assert [j for j, c in enumerate(Yref.cells) if c.in_x] == list(embed)
+    back = {j: i for i, j in enumerate(embed)}
+    assert X.incidence == tuple((back[t], back[s]) for t, s in Yref.incidence if s in back)
     assert all(X.by_key[key] == back[j] for key, j in Yref.by_key.items() if j in back)
 
 
@@ -471,20 +476,21 @@ def assert_dual_cells_match_hrep(pair):
     contains the other.  The same-stratum incidences of X and Yref, read off
     the covering relation of the subdivision, are those of the containment
     scan over every pair of cells."""
-    f, S, newton = pair.f, pair.subdivision, pair.newton
+    pair = with_geometry(pair)
+    f, S, newton = pair.f, pair.subdivision, newton_polytope(pair.f)
     for face in S.faces:
         got, want = dual_cell_geometry(f, face, S.ties, newton), hrep_dual_cell(f, face)
-        assert got.geometry_key() == want.geometry_key(), sorted(face)
+        assert geometry_key(got) == geometry_key(want), sorted(face)
         assert got.facets == want.facets, sorted(face)
         assert got.equations == want.equations, sorted(face)
         ref = from_generators_dual_cell(f, face, S.ties, newton)
         assert got.lin == ref.lin, sorted(face)
         if got.lin:
-            assert got.geometry_key() == ref.geometry_key(), sorted(face)
+            assert geometry_key(got) == geometry_key(ref), sorted(face)
         else:
             assert (got.vertices, got.rays) == (ref.vertices, ref.rays), sorted(face)
         built = pair.Yref.cells[pair.Yref.by_key[(pair.Y.apex, face)]]
-        assert built.geom.geometry_key() == got.geometry_key(), sorted(face)
+        assert geometry_key(built.geom) == geometry_key(got), sorted(face)
         assert built.geom.equations == got.equations, sorted(face)
         assert built.geom.lin == got.lin, sorted(face)
         assert built.geom.contains_polyhedron(got) and got.contains_polyhedron(built.geom), \
@@ -584,7 +590,7 @@ def test_moved_facet_fails_the_real_certificate(monkeypatch):
     passes."""
     f = curve_poly(3)
     fan = normal_fan(newton_polytope(f))
-    pair = build_pair(f, fan)
+    pair = with_geometry(build_pair(f, fan))
     cells = pair.Yref.cells
     t, s = next((t, s) for t, s in sorted(pair.Yref.incidence)
                 if cells[t].sed == cells[s].sed == pair.Y.apex
@@ -625,6 +631,7 @@ def assert_pieces_match_linear_image(pair):
     the projection of its open cell by `linear_image`: the same geometry
     key, lineality and equations, and each contains the other.  Returns how
     many pieces were checked and how many of them have lineality."""
+    pair = with_geometry(pair)
     Y, table, cells = pair.Y, pair.Yref.by_key, pair.Yref.cells
     checked = with_lin = 0
     for (eta, face), i in table.items():
@@ -633,7 +640,7 @@ def assert_pieces_match_linear_image(pair):
         got = cells[i].geom
         want = cells[table[(Y.apex, face)]].geom.linear_image(Y.projection(Y.apex, eta))
         where = (eta, sorted(face))
-        assert got.geometry_key() == want.geometry_key(), where
+        assert geometry_key(got) == geometry_key(want), where
         assert got.lin == want.lin, where
         assert got.equations == want.equations, where
         assert got.contains_polyhedron(want) and want.contains_polyhedron(got), where
@@ -655,8 +662,8 @@ def test_equal_equations_share_one_tangent_lattice(fan):
     and each cell's lattice still equals the one its piece computes.  X's
     cells are Yref's own objects."""
     f = freudenthal_poly(3, 3)
-    pair = build_pair(f, load_fan(TP3_BLOWUP_FAN) if fan == "blowup"
-                      else normal_fan(newton_polytope(f)))
+    pair = with_geometry(build_pair(f, load_fan(TP3_BLOWUP_FAN) if fan == "blowup"
+                                    else normal_fan(newton_polytope(f))))
     held = {}
     for i, c in enumerate(pair.Yref.cells):
         assert c.tangent == c.geom.tangent_lattice(), i
@@ -710,7 +717,7 @@ def test_pieces_over_a_single_point_match_linear_image(n):
     ray = pair.Y.cone_index[frozenset({0})]
     assert len(pair.face_points[ray]) == 1
     assert assert_pieces_match_linear_image(pair) == (1, 1)
-    (piece,) = (c for c in pair.Yref.cells if c.sed == ray)
+    (piece,) = (c for c in with_geometry(pair).Yref.cells if c.sed == ray)
     assert piece.dim == n - 1 and len(piece.geom.lin) == n - 1
 
 
@@ -719,7 +726,7 @@ def assert_compact_flags_match_reference(pair):
     which ignores the cones `build_pair` says the cell reaches.  Returns the
     count of compact and of non-compact cells."""
     counts = Counter()
-    for c in pair.Yref.cells:
+    for c in with_geometry(pair).Yref.cells:
         assert c.compact == closure_is_compact(pair.Y, c.geom, c.sed), (c.sed, sorted(c.face))
         counts[c.compact] += 1
     return counts
@@ -825,11 +832,11 @@ def assert_pieces_match_checked_reference(pair):
     checked constructor builds from the same data.  Returns the number of
     pieces, and of those built by the trusted constructor, the ones without
     lineality."""
-    f, S, Y = pair.f, pair.subdivision, pair.Y
+    f, S, Y, newton = pair.f, pair.subdivision, pair.Y, newton_polytope(pair.f)
     pieces = trusted = 0
     for eta, G in enumerate(pair.face_points):
-        got = complexes.stratum_pieces(f, S, pair.newton, Y, eta, G)
-        want = reference.stratum_pieces(f, S, pair.newton, Y, eta, G)
+        got = complexes.stratum_pieces(f, S, newton, Y, eta, G)
+        want = reference.stratum_pieces(f, S, newton, Y, eta, G)
         assert list(got) == list(want)
         for F, P in got.items():
             Q = want[F]

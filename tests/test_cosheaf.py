@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 from itertools import combinations, product
@@ -11,13 +12,14 @@ from test_complexes import (
     HALF_TORIC_FAN,
     LP_FIXTURES,
     TP3_BLOWUP_FAN,
+    _random_poly,
     _random_quadric,
     curve_poly,
     freudenthal_poly,
     quadric_poly,
 )
 from trophom import complexes, cosheaf, exactla, polyhedra, toric
-from trophom.complexes import build_pair, is_nonsingular
+from trophom.complexes import CellComplex, build_pair, is_nonsingular
 from trophom.cosheaf import CosheafError, ambient_on_cells, multitangent
 from trophom.exactla import IntMatrix, exterior_power, lattice_basis, smith_diagonal
 from trophom.tropio import (
@@ -57,10 +59,11 @@ def check_functorial(F):
     """Path independence of composed incidence maps on codim-2 intervals."""
     Z = F.base
     facets = reference.facets_of(Z)
+    maps = dict(zip(Z.incidence, F.maps))
     for t, s in Z.incidence:
         for g in facets[t]:
-            paths = [tt for tt in facets[s] if (g, tt) in Z.incidence]
-            mats = [F.maps[(g, tt)] * F.maps[(tt, s)] for tt in paths]
+            paths = [tt for tt in facets[s] if (g, tt) in maps]
+            mats = [maps[(g, tt)] * maps[(tt, s)] for tt in paths]
             for m in mats[1:]:
                 if m != mats[0]:
                     return False
@@ -185,7 +188,8 @@ def test_maps_carry_each_stalk_basis_into_the_next(pair):
     Y = pair.Y
     for p in range(Y.dim):
         F = multitangent(pair.X, p)
-        for (t, s), A in F.maps.items():
+        assert type(F.maps) is tuple and len(F.maps) == len(pair.X.incidence)
+        for (t, s), A in zip(pair.X.incidence, F.maps):
             tau, sig = pair.X.cells[t], pair.X.cells[s]
             image = F.bases[s]
             if tau.sed != sig.sed:
@@ -240,6 +244,37 @@ def test_tangent_bases_project_onto_cross_stratum_facets(name):
                 assert lattice_basis(image.columns(), image.nrows) == tau.tangent, (t, s)
                 crossings += 1
     assert crossings > 0 or len(Y.cones) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_strata_without_vertices_are_the_lineal_strata(name):
+    """A stratum of Yref holds no 0-cell exactly when its reference pieces
+    have lineality, and `is_cellular_pair`, which reads that off the cells,
+    gives the verdict the geometric reference gives."""
+    pair = ALL_FIXTURES[name]()
+    vertexless = set(range(len(pair.Y.cones))) - {c.sed for c in pair.Yref.cells if c.dim == 0}
+    assert vertexless == reference.lineal_strata(pair)
+    assert complexes.is_cellular_pair(pair) == reference.is_cellular_pair(pair)
+
+
+def test_cellular_verdicts_match_reference_random():
+    """Random quadrics, often not triangulations, on complete, partial and
+    trivial fans, and random curves and surfaces on their normal fans and on
+    the trivial fan: the same verdicts as the geometric reference, and
+    every verdict occurs, over these and the fixtures."""
+    pairs = [make() for make in ALL_FIXTURES.values()]
+    for seed in range(3):
+        f = _random_quadric(seed)
+        pairs += [build_pair(f, load_fan(text)) for text in COMPACTNESS_FANS.values()]
+        g = _random_poly(seed)
+        pairs += [build_pair(g, normal_fan(newton_polytope(g))),
+                  build_pair(g, load_fan("dim %d\n" % g.n_vars))]
+    verdicts = Counter()
+    for pair in pairs:
+        got = complexes.is_cellular_pair(pair)
+        assert got == reference.is_cellular_pair(pair)
+        verdicts[got] += 1
+    assert set(verdicts) == {"yes", "no", "unknown"}, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +392,7 @@ def test_planned_builders_match_per_incidence_builder(name):
             got, want = build(Z, p), reference.per_incidence_cosheaf(Z, p, stars)
             assert got.ranks == want.ranks, (build.__name__, p)
             assert got.bases == want.bases, (build.__name__, p)
-            assert list(got.maps.items()) == list(want.maps.items()), (build.__name__, p)
+            assert got.maps == want.maps, (build.__name__, p)
 
 
 def test_plan_is_built_once_per_complex(monkeypatch):
@@ -408,12 +443,10 @@ def _tilted(u):
     return (1,) + tuple(x + 1 for x in u[1:])
 
 
-@pytest.mark.parametrize("corrupt", [_doubled, _tilted])
-def test_image_outside_target_stalk_raises(corrupt):
-    """The plane in TP^3 meets each boundary divisor in a tropical line.  An
-    edge tau of that line carries F_1(tau) = T_tau, and the 2-cell of the
-    open stratum over it maps onto T_tau.  Corrupting T_tau makes that
-    image leave the stalk, and the error names the incidence and p."""
+def _corrupted_plane(corrupt):
+    """The plane in TP^3, and the position t in X of an edge tau of the
+    tropical line it cuts on a boundary divisor, whose tangent basis, the
+    primitive u, is replaced by that of corrupt(u)."""
     pair = _normal(parse_polynomial("max(0, x1, x2, x3)"))
     X, Y = pair.X, pair.Y
     t = next(i for i, c in enumerate(X.cells) if c.dim == 1 and Y.cone_dim(c.sed) == 1)
@@ -421,14 +454,74 @@ def test_image_outside_target_stalk_raises(corrupt):
     (u,) = tau.tangent.columns()
     tau.tangent = lattice_basis([corrupt(u)], len(u))
     assert tau.tangent.columns() != [u]
+    return pair, t
+
+
+@pytest.mark.parametrize("corrupt", [_doubled, _tilted])
+def test_image_outside_target_stalk_raises(corrupt):
+    """The plane in TP^3 meets each boundary divisor in a tropical line.  An
+    edge tau of that line carries F_1(tau) = T_tau, and the 2-cell of the
+    open stratum over it maps onto T_tau.  Doubling T_tau makes that image
+    leave the stalk at tau.  Tilting it keeps that image inside, but its
+    projection to the stratum of a vertex of tau leaves the stalk at that
+    vertex; that incidence comes first, since incidences run by sigma and
+    tau comes before the 2-cell.  The error names the first incidence, in
+    `X.incidence`, whose image leaves its target stalk, and p; the
+    reference, which walks the incidences in the same order, names the
+    same one."""
+    pair, t = _corrupted_plane(corrupt)
+    X, Y = pair.X, pair.Y
     multitangent(X, 0)  # F_0 does not see tangents
-    with pytest.raises(CosheafError, match=r"cells \d+ -> %d, p=1\)" % t) as err:
+    with pytest.raises(CosheafError, match=r"p=1\)$") as err:
         multitangent(X, 1)
-    s = int(str(err.value).split("cells ")[1].split(" ->")[0])
-    assert (t, s) in X.incidence and X.cells[s].sed == Y.apex
+    s, r = map(int, re.search(r"cells (\d+) -> (\d+)", str(err.value)).groups())
+    assert (r, s) in X.incidence
+    if corrupt is _doubled:
+        assert r == t and X.cells[s].sed == Y.apex
+    else:
+        assert s == t and X.cells[r].dim == 0 and X.cells[r].sed != X.cells[t].sed
     with pytest.raises(CosheafError) as ref:
         reference.multitangent(X, 1)
     assert str(ref.value) == str(err.value)
+
+
+def _rebuilt_in_reverse(Z):
+    """Z rebuilt by `CellComplex` from its own cells and incidence keys, both
+    given in reverse order."""
+    keys = [(c.sed, c.face) for c in Z.cells]
+    return CellComplex(Z.Y, Z.cells[::-1], [(keys[t], keys[s]) for t, s in reversed(Z.incidence)])
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_incidence_order_belongs_to_the_complex(name):
+    """`incidence` is a tuple sorted by (sigma, tau), so a complex rebuilt
+    from the same cells and incidences, both given in reverse order, has the
+    same incidence tuple, the same plan classes for each incidence, and the
+    same cosheaf maps, a tuple with one map per incidence."""
+    pair = ALL_FIXTURES[name]()
+    for Z, build, rule in ((pair.X, multitangent, cosheaf._star_tangents),
+                           (pair.Yref, ambient_on_cells, cosheaf._stratum_stars)):
+        W = _rebuilt_in_reverse(Z)
+        assert type(W.incidence) is tuple and W.cells == Z.cells
+        assert W.incidence == Z.incidence == tuple(sorted(Z.incidence, key=lambda ts: ts[::-1]))
+        for p in range(pair.Y.dim + 1):
+            F = build(Z, p)
+            assert type(F.maps) is tuple and len(F.maps) == len(Z.incidence)
+            assert build(W, p).maps == F.maps, p
+        assert cosheaf._plan(W, rule).class_of == cosheaf._plan(Z, rule).class_of
+
+
+def test_incidence_order_fixes_the_error_message():
+    """The error names the same incidence when the complex is rebuilt from
+    its cells and incidences given in reverse order."""
+    pair, t = _corrupted_plane(_tilted)
+    messages = []
+    for Z in (pair.X, _rebuilt_in_reverse(pair.X)):
+        with pytest.raises(CosheafError) as err:
+            multitangent(Z, 1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "-> %d, p=1)" % t not in messages[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +612,9 @@ def test_no_redundant_exact_work(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "identity", classmethod(counted_identity))
     # the checked QPolyhedron constructor, counted apart inside
-    # stratum_pieces
+    # stratum_pieces; the pieces it makes, which no cell keeps, by (eta, F)
     real_fields, real_pieces = polyhedra.QPolyhedron._from_fields, complexes.stratum_pieces
+    made = {}
 
     def counted_fields(_cls, *args):
         calls["QPolyhedron"] += 1
@@ -529,6 +623,7 @@ def test_no_redundant_exact_work(monkeypatch):
     def counted_pieces(*args):
         before = calls["QPolyhedron"], calls["gauss_jordan"]
         out = real_pieces(*args)
+        made.update(((args[4], F), P) for F, P in out.items())
         calls["QPolyhedron in stratum_pieces"] += calls["QPolyhedron"] - before[0]
         calls["gauss_jordan in stratum_pieces"] += calls["gauss_jordan"] - before[1]
         return out
@@ -555,7 +650,8 @@ def test_no_redundant_exact_work(monkeypatch):
     assert calls["dual_cell_geometry"] == 0
     assert calls["linear_image"] == 0
     assert calls["_hermite"] > 0  # the build's tangent lattices pass the counter
-    equations = {(c.geom.dim, tuple(a for a, b in c.geom.equations)) for c in pair.Yref.cells}
+    assert made.keys() == pair.Yref.by_key.keys()
+    equations = {(P.dim, tuple(a for a, b in P.equations)) for P in made.values()}
     assert calls["tangent_lattice"] == len(equations) < len(pair.Yref.cells) / 4
     systems = _equation_normal_systems(pair)
     assert 0 < calls["gauss_jordan in stratum_pieces"] <= len(systems) < len(pair.Yref.cells) / 2
@@ -600,14 +696,16 @@ def test_no_redundant_exact_work(monkeypatch):
     assert calls["dd_cone"] - before == 3
     assert calls["cone_covered_by"] == 0
 
+    made.clear()
     pair = build_pair(f, load_fan(HALF_TORIC_FAN))
     Y = pair.Y
-    asked = [c for c in pair.Yref.cells if not c.geom.is_bounded()
-             and len(Y.reached_cones(c.geom, c.sed)) > 1]
-    classes = {(c.sed, c.geom.rays, tuple(Y.reached_cones(c.geom, c.sed))) for c in asked}
+    assert made.keys() == pair.Yref.by_key.keys()
+    asked = [(eta, P) for (eta, F), P in made.items() if not P.is_bounded()
+             and len(Y.reached_cones(P, eta)) > 1]
+    classes = {(eta, P.rays, tuple(Y.reached_cones(P, eta))) for eta, P in asked}
     assert calls["cone_covered_by"] == len(classes) < len(asked)
     assert (len(classes), len(asked)) == (7, 19)
     before = calls["dd_cone"]
-    cones = [c.geom.recession() for c in pair.Yref.cells]
+    cones = [P.recession() for P in made.values()]
     assert calls["dd_cone"] == before
     assert any(R.affine_dim for R in cones)

@@ -35,6 +35,11 @@ def M(rows, ncols=None):
     return IntMatrix(rows, ncols=ncols)
 
 
+def column(A, j):
+    """Column j of the matrix A, as a tuple."""
+    return tuple(r[j] for r in A.rows)
+
+
 def span_points(cols, bound):
     """Brute-force Z-span of the given 2d columns inside [-bound, bound]^2."""
     pts = set()
@@ -217,7 +222,7 @@ class TestHNF:
         assert A * V == H
         # oracle: enumerate the span in a box and compare with H's span
         expected = span_points([(1, 1), (1, -1)], 4)
-        got = span_points([H.column(0), H.column(1)], 4)
+        got = span_points([column(H, 0), column(H, 1)], 4)
         assert expected == got
         # index 2: determinant of the basis
         assert abs(det(H)) == 2
@@ -312,8 +317,8 @@ def mirrored_kernel(A):
     columns."""
     Ht, Ut = mirrored_hnf_row(A.transpose())
     H, V = Ht.transpose(), Ut.transpose()
-    zero = [j for j in range(H.ncols) if not any(H.column(j))]
-    return mirrored_lattice_basis([V.column(j) for j in zero], A.ncols)
+    zero = [j for j in range(H.ncols) if not any(column(H, j))]
+    return mirrored_lattice_basis([column(V, j) for j in zero], A.ncols)
 
 
 def mirrored_completion(A, m):
@@ -996,7 +1001,7 @@ def hnf_route_solve_int(A, B):
     H, V = hnf(A)  # A V = H, columns of H in HNF
     pivots = []
     for j in range(H.ncols):
-        col = H.column(j)
+        col = column(H, j)
         nz = [i for i in range(H.nrows) if col[i] != 0]
         if nz:
             pivots.append((nz[0], j))
@@ -1010,7 +1015,7 @@ def hnf_route_solve_int(A, B):
             c = r[i] // H.rows[i][j]
             y[j] = c
             if c:
-                col = H.column(j)
+                col = column(H, j)
                 for k in range(len(r)):
                     r[k] -= c * col[k]
         if any(r):
@@ -1041,7 +1046,7 @@ class TestSolve:
             piv = hnf_pivots(H)
             assert [(j, i) for j, i, col in piv] == [
                 (j, next(i for i in range(m) if H.rows[i][j]))
-                for j in range(k) if any(H.column(j))]
+                for j in range(k) if any(column(H, j))]
             assert hnf_pivots(basis) == [(j, i, col) for j, (_, i, col) in enumerate(piv)]
             cols = []
             for _ in range(4):

@@ -21,7 +21,8 @@ HERE = Path(__file__).resolve().parent
 def fingerprint():
     """SHA-256 over the cells, incidences, embedding and cosheaves of the
     cubic curve in TP^2 and the quadric on the half-toric fan, each in the
-    order the library yields it."""
+    order the library yields it: every incidence with its map, in the
+    complex's incidence order, and the `embed` tuple in order."""
     cubic = freudenthal_poly(2, 3)
     h = hashlib.sha256()
     for f, fan in ((cubic, normal_fan(newton_polytope(cubic))),
@@ -31,15 +32,13 @@ def fingerprint():
         for Z, build, top in ((pair.X, multitangent, n - 1),
                               (pair.Yref, ambient_on_cells, n)):
             for c in Z.cells:
-                g = c.geom
-                h.update(repr((c.sed, sorted(c.face), c.dim, c.compact, c.tangent.rows,
-                               g.vertices, g.rays, g.lin, g.facets, g.equations)).encode())
-            h.update(repr(list(Z.incidence)).encode())
+                h.update(repr((c.sed, sorted(c.face), c.dim, c.compact, c.in_x,
+                               c.tangent.rows)).encode())
             for p in range(top + 1):
                 F = build(Z, p)
                 h.update(repr((F.ranks, [B.rows for B in F.bases],
-                               [(key, A.rows) for key, A in F.maps.items()])).encode())
-        h.update(repr(list(pair.embed.items())).encode())
+                               [(ts, A.rows) for ts, A in zip(Z.incidence, F.maps)])).encode())
+        h.update(repr(pair.embed).encode())
     return h.hexdigest()
 
 

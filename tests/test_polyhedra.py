@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geometric_reference as reference
-from geometric_reference import contains
+from geometric_reference import contains, geometry_key
 from trophom import polyhedra
 from trophom.polyhedra import (
     QPolyhedron,
@@ -346,7 +346,7 @@ class TestRecession:
                 continue
             lhs = both.recession()
             rhs = p1.recession().intersect(p2.recession())
-            assert lhs == rhs
+            assert geometry_key(lhs) == geometry_key(rhs)
 
     def test_parallel_facets_become_an_equation(self):
         # [0, 1] x [0, oo): the facets x <= 1 and -x <= 0 both move to
@@ -357,7 +357,7 @@ class TestRecession:
         assert R.affine_dim == 1
         assert R.equations == (((1, 0), Fraction(0)),)
         assert R.rays == ((0, 1),)
-        assert R == QPolyhedron.cone([(0, 1)], 2)
+        assert geometry_key(R) == geometry_key(QPolyhedron.cone([(0, 1)], 2))
 
     def test_matches_double_description_reference(self):
         """`recession` against the double-description route, the cone on the
@@ -374,7 +374,7 @@ class TestRecession:
                 continue
             got = P.recession()
             want = QPolyhedron.from_generators([(0,) * d], P.rays, P.lin, d)
-            assert got.geometry_key() == want.geometry_key(), P
+            assert geometry_key(got) == geometry_key(want), P
             assert got.affine_dim == want.affine_dim, P
             assert got.equations == want.equations, P
             assert got.contains_polyhedron(want) and want.contains_polyhedron(got), P
@@ -999,7 +999,7 @@ def test_point_tangent_lattice_takes_no_hnf(monkeypatch):
 def test_own_generators_checked_once_per_build(monkeypatch):
     """Across one `build_pair`, each polyhedron runs `_satisfied_by` on its
     own vertices and rays at most once, though many are tested against
-    several of their facets' pieces."""
+    several of their facets' pieces, and each verdict reads True."""
     from trophom.complexes import build_pair
     from trophom.tropio import normal_fan, newton_polytope, TropicalPolynomial
 
@@ -1022,8 +1022,8 @@ def test_own_generators_checked_once_per_build(monkeypatch):
     pts = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]
     f = TropicalPolynomial.make([(p, -(p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[0] * p[1]))
                                  for p in pts], 3)
-    pair = build_pair(f, normal_fan(newton_polytope(f)))
+    build_pair(f, normal_fan(newton_polytope(f)))
     checks = Counter(map(id, checked))
     assert checks and max(checks.values()) == 1
     assert len(tests) > 2 * len(checks)
-    assert {c.geom._sound for c in pair.Yref.cells if id(c.geom) in checks} == {True}
+    assert {P._sound for P in checked} == {True}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geometric_reference import contains
+from geometric_reference import contains, geometry_key
 from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
     QPolyhedron,
@@ -187,7 +187,7 @@ def _cones_meet_in_faces(dim, rays, max_cones):
     hull = {c: QPolyhedron.cone([rays[i] for i in sorted(c)], dim) for c in cones}
     for a, b in combinations(cones, 2):
         meet = hull[a].intersect(hull[b])
-        if meet is None or meet.geometry_key() != hull[a & b].geometry_key():
+        if meet is None or geometry_key(meet) != geometry_key(hull[a & b]):
             return False
     return True
 
