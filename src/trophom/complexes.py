@@ -83,15 +83,33 @@ class CellComplex:
     def __init__(self, Y: ToricVariety, cells, incidence):
         """`incidence` holds, once each, the keys (tau, sigma) of every cell
         tau that is a facet of a cell sigma, in any order."""
-        self.Y = Y
-        self.cells = sorted(cells, key=lambda c: (c.dim, c.sed, sorted(c.face)))
-        self.by_key = by_key = {(c.sed, c.face): i for i, c in enumerate(self.cells)}
+        self._fill(Y, sorted(cells, key=lambda c: (c.dim, c.sed, sorted(c.face))))
+        by_key = self.by_key
         self.incidence = tuple(sorted(((by_key[t], by_key[s]) for t, s in incidence),
                                       key=itemgetter(1, 0)))
-        self.dim = max((c.dim for c in self.cells), default=-1)
+
+    def _fill(self, Y, cells):
+        """Set the cells, already in order, and what is read off them; the
+        caller sets `incidence`."""
+        self.Y = Y
+        self.cells = cells
+        self.by_key = {(c.sed, c.face): i for i, c in enumerate(cells)}
+        self.dim = max((c.dim for c in cells), default=-1)
         # the cosheaf plans of this complex, one per star rule
         # (`cosheaf._plan`), built on first use
         self.cosheaf_plans = {}
+
+    def subcomplex(self, positions):
+        """The subcomplex on the cells at these positions, which must
+        increase strictly and hold every facet of each of their cells.  Its
+        cells and incidences are this complex's, read off in order and
+        renumbered through the increasing `positions`, so they come in the
+        order `CellComplex` would sort them into, with no second sort."""
+        back = {j: i for i, j in enumerate(positions)}
+        Z = object.__new__(CellComplex)
+        Z._fill(self.Y, [self.cells[j] for j in positions])
+        Z.incidence = tuple((back[t], back[s]) for t, s in self.incidence if s in back)
+        return Z
 
     def f_vector(self):
         out = [0] * (self.dim + 1)
@@ -331,9 +349,10 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     piece of the eta-stratum has the stratum's lineality.
 
     X is the subcomplex of the cells (eta, F) with dim F >= 1, on Yref's
-    own `Cell` objects (see `HypersurfacePair`).  Each complex sorts its
+    own `Cell` objects (see `HypersurfacePair`).  Yref sorts its cells and
     incidences (see `CellComplex`), so their order does not depend on the
-    order of this pass.
+    order of this pass, and X reads its own off Yref's in that order
+    (`CellComplex.subcomplex`).
     """
     Y = ToricVariety(fan)
     if Y.dim > max_dim:
@@ -386,9 +405,8 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     Yref = CellComplex(Y, cells, incidence)
     # sigma = (eta, F) is in X when dim F >= 1, and so is every facet of
     # sigma, whose face contains F
-    X = CellComplex(Y, [c for c in Yref.cells if c.in_x],
-                    [(t, (eta, F)) for t, (eta, F) in incidence if S.faces[F] >= 1])
     embed = tuple(j for j, c in enumerate(Yref.cells) if c.in_x)
+    X = Yref.subcomplex(embed)
     return HypersurfacePair(f, Y, S, X, Yref, embed, G)
 
 

@@ -17,22 +17,29 @@ Both row eliminators, `_hermite` and `gauss_jordan`, let the columns past
 the ones they pivot on ride along, so a transform is read off an identity
 appended to the rows.
 
-The Smith diagonal has one pivot rule and one elimination step.  A lazy
-heap of every nonzero entry gives the pivot of least |value|, ties broken by
-the Markowitz cost len(row) * len(col); the step reduces the pivot's column
-modulo the pivot.  A unit pivot then retires with its whole row and column
-in one move.  Any other pivot reduces its row too and retires once it
-stands alone; otherwise it goes back on the heap, and a remainder of smaller
-|value| is the next pivot, so the loop ends.  Invariant factors do not
-depend on the pivot order, so the order sets the cost and never the answer.
+The Smith diagonal has one elimination step, which reduces the pivot's
+column modulo the pivot; a unit pivot then retires with its whole row and
+column in one move.  Its pivots come in two phases.  Phase 1 takes units
+only: a column of least length from lazy buckets of column ids keyed by
+length, and in it the unit of shortest row.  The buckets need no key
+comparison.  Each step retires a row and files again the columns it
+changed, so phase 1 ends, and it ends with no unit in any column.  Phase 2
+puts what is left on a lazy heap, which gives the pivot of least |value|,
+ties broken by the Markowitz cost len(row) * len(col); a boundary matrix
+leaves it little or nothing.  A non-unit pivot reduces its row too and
+retires once it stands alone; otherwise it goes back on the heap, and a
+remainder of smaller |value| is the next pivot, so that loop ends too.
+Invariant factors do not depend on the pivot order, so the order sets the
+cost and never the answer.
 
 `homology_at` reduces d_in first and d_out only on the columns that d_in's
-unit pivots leave unpaired.  A row operation on d_in is a change of basis
-of the middle module that alters only the column of d_out at the pivot's
-row; once that row retires with a unit pivot, d_out * d_in = 0 makes the
-column zero.  So dropping the paired columns leaves d_out's column lattice,
-rank and invariant factors as they were.  A non-unit pivot's row operations
-alter a column that stays, so the pairing stops at the first of them.
+unit pivots leave unpaired; every phase-1 pivot pairs.  A row operation on
+d_in is a change of basis of the middle module that alters only the column
+of d_out at the pivot's row; once that row retires with a unit pivot,
+d_out * d_in = 0 makes the column zero.  So dropping the paired columns
+leaves d_out's column lattice, rank and invariant factors as they were.  A
+non-unit pivot's row operations alter a column that stays, so the pairing
+stops at the first of them.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
@@ -359,6 +366,33 @@ def _divisibility_pass(diag):
     return chain
 
 
+def _reduce_column(rows, cols, i0, j0, heap):
+    """The elimination step: the row operations r_i -= (r_i[j0] // p) * r_i0,
+    for p = rows[i0][j0], on every other row i of column j0.  They change
+    only the columns of row i0.  Each entry they make nonzero goes on
+    `heap`, keyed by (|value|, Markowitz cost), unless heap is None."""
+    r0 = rows[i0]
+    p = r0[j0]
+    # j runs over the columns of the live row i0, so cols[j] exists and
+    # holds i0; a row i != i0 joins or leaves it, and it never empties
+    for i in [i for i in cols[j0] if i != i0]:
+        r = rows[i]
+        q = r[j0] // p
+        for j, w in r0.items():
+            v = r.get(j, 0) - q * w
+            if v:
+                r[j] = v
+                c = cols[j]
+                c.add(i)
+                if heap is not None:
+                    heappush(heap, (abs(v), len(r) * len(c), i, j))
+            elif j in r:
+                del r[j]
+                cols[j].discard(i)
+        if not r:
+            del rows[i]
+
+
 def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
     """Invariant-factor diagonal of a sparse integer matrix, no transforms.
 
@@ -366,24 +400,40 @@ def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
     range(nrows) x range(ncols) raises ValueError.  Returns the list of
     invariant factors (nonzero, with divisibility) -- its length is the rank.
 
-    One pivot rule: a lazy min-heap holds every nonzero entry keyed by
-    (|value|, Markowitz cost len(row) * len(col)), and each step pops the
-    live entry p = (i0, j0) of least key.  Row operations reduce column j0
-    modulo p.  A unit p is then alone in its column, so column operations
-    clear its row without touching any other row: row i0 and column j0
-    retire at once (a coreduction).  For any other p, once it is alone in
-    its column a column operation touches row i0 alone, so every other entry
-    w of that row becomes w mod p.  If p is then alone in its row too, it
-    retires as a diagonal entry; if not, it goes back on the heap.  A step
-    that leaves a remainder lowers the least |value| in the matrix, which is
-    a positive integer, so the loop ends.  The invariant factors do not
-    depend on the pivot order, so the rule moves the cost, not the result.
+    One elimination step: for a pivot p = (i0, j0), row operations reduce
+    column j0 modulo p (`_reduce_column`).  A unit p is then alone in its
+    column, so column operations clear its row without touching any other
+    row: row i0 and column j0 retire at once (a coreduction).  The pivots
+    come in two phases.
 
-    A set passed as `paired` receives the rows that retire as unit pivots,
-    up to the first non-unit pivot with other rows in its column: that
-    pivot's row serves row operations and stays, so the pairing stops
-    there.  For B with B * (this matrix) = 0, B without the paired columns
-    then has B's invariant factors (`homology_at` gives the proof).
+    Phase 1 takes units only, from lists, with no key to compare.  The
+    pivot column is one of least length, from lazy buckets of column ids
+    keyed by length, and the pivot is its unit of least row length.  Row
+    operations change only the pivot row's columns, and the step files each
+    of them again at its new length.  So a bucket entry whose column is gone
+    or has another length is stale and is skipped, and so is a column with
+    no unit, until a step changes it.  Phase 1 ends: each step retires a
+    row, and each pop that takes no step drops an entry that only a step
+    appends.  When it ends, no column holds a unit.
+
+    Phase 2 puts every live entry left on a lazy min-heap keyed by
+    (|value|, Markowitz cost len(row) * len(col)); on a boundary matrix that
+    is usually nothing.  Each step pops the live entry p of least key.  For
+    a non-unit p, once it is alone in its column a column operation touches
+    row i0 alone, so every other entry w of that row becomes w mod p.  If p
+    is then alone in its row too, it retires as a diagonal entry; if not, it
+    goes back on the heap.  A unit that a remainder leaves retires as in
+    phase 1.  A step that leaves a remainder lowers the least |value| in the
+    matrix, which is a positive integer, so this loop ends too.  The
+    invariant factors do not depend on the pivot order, so the phases move
+    the cost, not the result.
+
+    A set passed as `paired` receives the rows that retire as unit pivots:
+    every phase-1 pivot, and phase 2's up to the first non-unit pivot with
+    other rows in its column.  That pivot's row serves row operations and
+    stays, so the pairing stops there.  For B with B * (this matrix) = 0, B
+    without the paired columns then has B's invariant factors (`homology_at`
+    gives the proof).
     """
     rows, cols = {}, {}
     for i, r in entries_by_row.items():
@@ -401,12 +451,53 @@ def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
                 cols[j] = {i}
             else:
                 c.add(i)
-    # every live entry keeps a key with its current |value| on the heap
-    # (its cost may be stale), so the heap empties only with the matrix
+    units = 0
+    # phase 1: bucket n holds the columns that had length n when filed, and
+    # no live column is longer than there are rows
+    top = len(rows) + 1
+    buckets = [[] for _ in range(top)]
+    for j, c in cols.items():
+        buckets[len(c)].append(j)
+    n = 1
+    while n < top:
+        bucket = buckets[n]
+        if not bucket:
+            n += 1
+            continue
+        j0 = bucket.pop()
+        c0 = cols.get(j0)
+        if c0 is None or len(c0) != n:
+            continue  # retired, or filed again at its new length
+        # the unit of least row length in column j0
+        i0 = r0 = None
+        for i in c0:
+            r = rows[i]
+            if r[j0] in (1, -1) and (r0 is None or len(r) < len(r0)):
+                i0, r0 = i, r
+        if r0 is None:
+            continue  # filed again once a step changes it
+        _reduce_column(rows, cols, i0, j0, None)
+        # alone in its column: row i0 and column j0 retire at once, and the
+        # row's other columns, which the step changed, are filed again
+        del rows[i0]
+        for j in r0:
+            c = cols[j]
+            c.discard(i0)
+            if c:
+                k = len(c)
+                buckets[k].append(j)
+                if k < n:
+                    n = k
+            else:
+                del cols[j]
+        units += 1
+        if paired is not None:
+            paired.add(i0)
+    # phase 2: every live entry keeps a key with its current |value| on the
+    # heap (its cost may be stale), so the heap empties only with the matrix
     heap = [(abs(v), len(r) * len(cols[j]), i, j)
             for i, r in rows.items() for j, v in r.items()]
     heapify(heap)
-    units = 0
     others = []
     while rows:
         a, cost, i0, j0 = heappop(heap)
@@ -421,23 +512,7 @@ def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
             continue
         if a != 1 and len(c0) > 1:
             paired = None  # its row operations alter a column that stays
-        # j runs over the columns of the live row i0, so cols[j] exists and
-        # holds i0; a row i != i0 joins or leaves it, and it never empties
-        for i in [i for i in c0 if i != i0]:
-            r = rows[i]
-            q = r[j0] // p
-            for j, w in r0.items():
-                v = r.get(j, 0) - q * w
-                if v:
-                    r[j] = v
-                    c = cols[j]
-                    c.add(i)
-                    heappush(heap, (abs(v), len(r) * len(c), i, j))
-                elif j in r:
-                    del r[j]
-                    cols[j].discard(i)
-            if not r:
-                del rows[i]
+        _reduce_column(rows, cols, i0, j0, heap)
         if a == 1:
             # alone in its column: row i0 and column j0 retire at once
             del rows[i0]
@@ -638,11 +713,12 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     column i of d_out to column i0.  Up to the first non-unit pivot with row
     operations to do, i0 is a unit pivot's row, which then retires alone in
     its column of the changed d_in, so d_out * d_in = 0 makes column i0 of
-    the changed d_out zero.  So d_out without the paired columns is d_out
-    times a unimodular matrix, zero columns dropped: same rank, same
-    invariant factors.  A non-unit pivot's row operations alter a column
-    that stays, so the pairing stops there.  The check that d_out * d_in = 0
-    runs on the full matrices.
+    the changed d_out zero.  Every phase-1 pivot is a unit and comes before
+    any non-unit pivot, so every phase-1 pivot pairs.  So d_out without the
+    paired columns is d_out times a unimodular matrix, zero columns dropped:
+    same rank, same invariant factors.  A non-unit pivot's row operations
+    alter a column that stays, so the pairing stops there.  The check that
+    d_out * d_in = 0 runs on the full matrices.
     """
     if d_in.nrows != d_out.ncols:
         raise ValueError("middle module dimension mismatch: d_in has %d rows, "

@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from heapq import heappop
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -531,25 +531,106 @@ class TestSNF:
         assert smith_diagonal(sparse(A), A.nrows, A.ncols) == invariant_factors_by_minors(A)
 
     def test_loop_ends(self, monkeypatch):
-        """Each step retires its pivot or leaves a remainder of smaller
-        |value|, so the loop ends.  A step that breaks this, say one that
-        keeps a unit pivot's row, spins forever; with heap pops capped far
-        above what these matrices take (at most 116 here) it fails instead."""
-        pops = 0
+        """Each phase-1 step retires a row, and each phase-2 step retires its
+        pivot or leaves a remainder of smaller |value|, so the loop ends.  A
+        step that breaks this, say one that keeps a unit pivot's row, spins
+        forever; with elimination steps and heap pops each capped far above
+        what these matrices take (at most 15 steps and 116 pops here) it
+        fails instead."""
+        counts = {}
 
-        def capped(heap):
-            nonlocal pops
-            pops += 1
-            assert pops <= 10_000, "smith_diagonal did not end"
-            return heappop(heap)
+        def capped(name, f):
+            def g(*args):
+                counts[name] += 1
+                assert counts[name] <= 10_000, "smith_diagonal did not end"
+                return f(*args)
+            return g
 
-        monkeypatch.setattr(exactla, "heappop", capped)
+        monkeypatch.setattr(exactla, "heappop", capped("pops", heappop))
+        monkeypatch.setattr(exactla, "_reduce_column", capped("steps", exactla._reduce_column))
         rng = random.Random(3)
         for A in [M([[1, 1, 1], [1, -1, 0], [0, 1, 1]]), M([[4, 6], [4, 4]])] + [
                 M([[rng.randint(-12, 12) for _ in range(5)] for _ in range(5)])
                 for _ in range(5)]:
-            pops = 0
+            counts.update(pops=0, steps=0)
             assert smith_diagonal(sparse(A), A.nrows, A.ncols) == invariant_factors_by_minors(A)
+
+    @pytest.mark.parametrize("n", (6, 20))
+    def test_boundary_units_never_reach_the_heap(self, monkeypatch, n):
+        """Phase 1 takes every unit pivot, so no entry of the torus's d1 or
+        d2 reaches the heap, and nothing is pushed or popped.  The Klein
+        bottle's d1 leaves nothing either.  Its d2 leaves one column of 2s,
+        each alone in its row; the one pop clears the column with no push,
+        and its 2 is the torsion of H_1 = Z + Z/2."""
+        heaped, pushed, popped = [], [], []
+
+        def counted_heapify(heap):
+            heaped.append(list(heap))
+            heapify(heap)
+
+        def counted_push(heap, key):
+            pushed.append(key)
+            heappush(heap, key)
+
+        def counted_pop(heap):
+            popped.append(heap[0])
+            return heappop(heap)
+
+        monkeypatch.setattr(exactla, "heapify", counted_heapify)
+        monkeypatch.setattr(exactla, "heappush", counted_push)
+        monkeypatch.setattr(exactla, "heappop", counted_pop)
+        for kind in ("torus", "klein"):
+            for d, B in enumerate(grid_boundaries(kind, n), 1):
+                heaped.clear()
+                popped.clear()
+                got = smith_diagonal(B.sparse_rows(), B.nrows, B.ncols)
+                assert pushed == []
+                if (kind, d) == ("klein", 2):
+                    (keys,) = heaped
+                    assert {(a, cost, j) for a, cost, i, j in keys} \
+                        == {(2, len(keys), keys[0][3])}
+                    assert len(popped) == 1 and got == [1] * (B.ncols - 1) + [2]
+                else:
+                    assert heaped == [[]] and popped == []
+
+    def test_unit_rich_and_mixed_keep_factors_and_pairing(self, monkeypatch):
+        """Seeded unit-rich and mixed matrices up to 12 x 12 give the full
+        scan's diagonal, and phase 1 leaves no unit for the heap.  For B
+        with B * A = 0, drawn from the left kernel of A, B without the
+        columns that A's reduction pairs keeps B's invariant factors, as in
+        `test_paired_columns_keep_the_factors`."""
+        heaped = []
+
+        def counted_heapify(heap):
+            heaped.extend(heap)
+            heapify(heap)
+
+        monkeypatch.setattr(exactla, "heapify", counted_heapify)
+        rng = random.Random(29)
+        kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (1, -1, 2, -2, 3, 4, -6))
+        seen = {"non-units heaped": 0, "pairing drops a column of B": 0}
+        for k in range(150):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            entries = random_sparse(rng, m, n, rng.uniform(0.1, 0.5), kinds[k % 3])
+            heaped.clear()
+            paired = set()
+            assert smith_diagonal(entries, m, n, paired=paired) \
+                == full_scan_smith_diagonal(entries)
+            assert all(key[0] > 1 for key in heaped)
+            seen["non-units heaped"] += bool(heaped)
+            A = M([[entries[i].get(j, 0) for j in range(n)] for i in range(m)], ncols=n)
+            K = kernel_lattice(A.transpose())
+            if not K.ncols:
+                continue
+            B = M([[rng.randint(-3, 3) for _ in range(K.ncols)]
+                   for _ in range(rng.randint(1, 3))], ncols=K.ncols) * K.transpose()
+            assert B * A == IntMatrix.zeros(B.nrows, n)
+            kept = {i: {j: v for j, v in r.items() if j not in paired}
+                    for i, r in B.sparse_rows().items()}
+            assert smith_diagonal(kept, B.nrows, B.ncols) \
+                == smith_diagonal(B.sparse_rows(), B.nrows, B.ncols)
+            seen["pairing drops a column of B"] += kept != B.sparse_rows()
+        assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("kind", ("torus", "klein"))
     @pytest.mark.parametrize("size", (3, 4, 6, 12, 20))
