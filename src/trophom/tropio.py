@@ -3,23 +3,29 @@
 Polynomials are max-plus: f(x) = max over terms of (coefficient + <exponent, x>).
 The .trop grammar:
 
-    poly  := "max(" term ("," term)* ")"
+    poly  := "max" "(" term ("," term)* ")"
     term  := part ("+" part)*
     part  := coeff | mono
     mono  := int "*" var | var
-    var   := "x" index
+    var   := "x" int            (the variable index, from 1)
     coeff := int | int "/" int
+    int   := [+-]?[0-9]+
 
-A term's parts come in any order: its constants sum to its coefficient and
-its monomials to its exponent vector.
+Digits are ASCII.  Whitespace (space, tab, CR or LF) may sit between parts,
+around "max", "(", ",", ")", "+", "*" and "/", and between "x" and its
+index, but not between a sign and its digits.  A term's parts come in any
+order: its constants sum to its coefficient and its monomials to its
+exponent vector.
 
 The .fan format is line oriented: "dim D", then "ray I: a1 ... aD" lines,
 then "cone: i j k" lines listing maximal cones by ray index, each ray once.
-Keywords are whole words.  All faces of the listed cones are implied.
+Keywords are whole words, and integers are read by the .trop rule above.
+All faces of the listed cones are implied.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,71 +82,73 @@ class TropicalPolynomial:
             [(e + (0,) * (n_vars - self.n_vars), c) for e, c in self.terms], n_vars)
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+def _fail(text, message, pos):
+    """Raise ParseError at offset pos of text, as line and column from 1."""
+    raise ParseError(message, text.count("\n", 0, pos) + 1,
+                     pos - text.rfind("\n", 0, pos))
 
-    def _lc(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
 
-    def error(self, msg, pos=None):
-        line, col = self._lc(self.pos if pos is None else pos)
-        raise ParseError(msg, line, col)
+# Both readers take integers by this one rule.  Not \d or str.isdigit: they
+# take digits of other scripts, which int() then reads or rejects.
+_INT = r"[+-]?[0-9]+"
+_INTEGER = re.compile(_INT)
+_WS = r"[ \t\r\n]*"
+# a token of the frame, between whitespace; empty at anything else
+_TOKEN = re.compile("%s(max|[(),+]|)%s" % (_WS, _WS))
+# one part of a term, at an offset past whitespace.  The last group the
+# match reaches names the part read, or the place where it stops short
+_PART = re.compile(r"""
+    (?P<x>x) {W} (?P<index>{I})?
+  | (?P<n>{I}) (?: {W} (?P<slash>/) {W} (?P<den>{I})?
+                 | {W} (?P<star>\*) {W} (?: (?P<kx>x) {W} (?P<kindex>{I})? )? )?
+""".format(W=_WS, I=_INT), re.X)
+_SHORT = {"x": "expected an integer", "kx": "expected an integer",
+          "slash": "expected an integer", "star": "expected 'x'"}
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, s):
-        self.skip_ws()
-        if not self.text.startswith(s, self.pos):
-            self.error("expected %r" % s)
-        self.pos += len(s)
-
-    def try_take(self, s):
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
-            self.error("expected an integer", start)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
+def _expect(text, pos, token):
+    """The offset past token and the whitespace around it, at pos."""
+    m = _TOKEN.match(text, pos)
+    if m[1] != token:
+        _fail(text, "expected %r" % token, m.start(1))
+    return m.end()
 
 
 def parse_polynomial(text) -> TropicalPolynomial:
     """Parse a .trop document into a normalized tropical polynomial, in as
     many variables as the largest index the text names (`padded` embeds it
     in more)."""
-    t = _Tokens(text)
-    t.expect("max")
-    t.expect("(")
+    pos = _expect(text, _expect(text, 0, "max"), "(")
     raw_terms = []   # (start offset, coefficient, monomials)
-    while True:
-        t.skip_ws()
-        raw_terms.append((t.pos, *_parse_term(t)))
-        if t.try_take(","):
-            continue
-        t.expect(")")
-        break
-    t.skip_ws()
-    if t.pos != len(t.text):
-        t.error("trailing input after polynomial")
+    token = ","
+    while token == ",":
+        start, coeff, monos = pos, Fraction(0), []
+        token = "+"
+        while token == "+":
+            m = _PART.match(text, pos)
+            if m is None:
+                _fail(text, "expected an integer" if text.startswith(("+", "-"), pos)
+                      else "expected a coefficient or monomial", pos)
+            part, pos = m.lastgroup, m.end()
+            if part in _SHORT:
+                _fail(text, _SHORT[part], pos)
+            if part == "n":
+                coeff += int(m["n"])
+            elif part == "den":
+                if int(m["den"]) == 0:
+                    _fail(text, "zero denominator", pos)
+                coeff += Fraction(int(m["n"]), int(m["den"]))
+            else:
+                if int(m[part]) < 1:
+                    _fail(text, "variable indices start at 1", pos)
+                monos.append((int(m["n"] or 1), int(m[part])))
+            t = _TOKEN.match(text, pos)
+            token, pos = t[1], t.end()
+        raw_terms.append((start, coeff, monos))
+    if token != ")":
+        _fail(text, "expected ')'", t.start(1))
+    if pos != len(text):
+        _fail(text, "trailing input after polynomial", pos)
     n_vars = max((i for _, _, monos in raw_terms for _, i in monos), default=0)
     terms = []
     seen = set()
@@ -150,47 +158,10 @@ def parse_polynomial(text) -> TropicalPolynomial:
             exp[i - 1] += e
         key = tuple(exp)
         if key in seen:
-            t.error("duplicate exponent vector %r" % (key,), start)
+            _fail(text, "duplicate exponent vector %r" % (key,), start)
         seen.add(key)
         terms.append((key, coeff))
     return TropicalPolynomial.make(terms, n_vars)
-
-
-def _parse_term(t: _Tokens):
-    """One term: optional rational constant plus '+'-separated monomials,
-    each as (exponent, variable index)."""
-    coeff = Fraction(0)
-    monos = []
-    while True:
-        t.skip_ws()
-        ch = t.peek()
-        if ch == "x":
-            monos.append((1, _parse_var(t)))
-        elif ch and ch in "+-0123456789":
-            n = t.integer()
-            if t.try_take("/"):
-                d = t.integer()
-                if d == 0:
-                    t.error("zero denominator")
-                coeff += Fraction(n, d)
-            elif t.try_take("*"):
-                monos.append((n, _parse_var(t)))
-            else:
-                coeff += n
-        else:
-            t.error("expected a coefficient or monomial")
-        if not t.try_take("+"):
-            break
-    return coeff, monos
-
-
-def _parse_var(t: _Tokens):
-    """A variable xN: its index N."""
-    t.expect("x")
-    idx = t.integer()
-    if idx < 1:
-        t.error("variable indices start at 1")
-    return idx
 
 
 def polynomial_text(f: TropicalPolynomial) -> str:
@@ -322,8 +293,17 @@ def normal_fan(P: QPolyhedron) -> FanSpec:
     return FanSpec.make(P.dim, rays, max_cones)
 
 
+def _int(word):
+    """An integer by the rule of both readers; ValueError for any other word."""
+    if not _INTEGER.fullmatch(word):
+        raise ValueError("not an integer: %r" % word)
+    return int(word)
+
+
 def load_fan(text) -> FanSpec:
-    """Parse and validate a .fan document."""
+    """Parse and validate a .fan document.  Its integers are ASCII digits
+    after an optional sign, as in .trop: `int` alone would also take "1_0"
+    and digits of other scripts."""
     dim = None
     rays = []
     cones = []
@@ -339,15 +319,15 @@ def load_fan(text) -> FanSpec:
             if dim is not None:
                 raise ParseError("second dim line", ln)
             try:
-                (dim,) = (int(x) for x in line.split()[1:])
+                (dim,) = (_int(x) for x in line.split()[1:])
             except ValueError:
                 raise ParseError("malformed dim line: expected 'dim D'", ln)
             if dim < 0:
                 raise ParseError("negative dimension %d" % dim, ln)
         elif word == "ray":
             try:
-                (idx,) = (int(x) for x in words[1:])
-                vec = tuple(int(x) for x in body.split())
+                (idx,) = (_int(x) for x in words[1:])
+                vec = tuple(_int(x) for x in body.split())
             except ValueError:
                 raise ParseError("malformed ray line", ln)
             if dim is None:
@@ -362,7 +342,7 @@ def load_fan(text) -> FanSpec:
             if words != ["cone"]:
                 raise ParseError("malformed cone line: expected 'cone: i j ...'", ln)
             try:
-                members = [int(x) for x in body.split()]
+                members = [_int(x) for x in body.split()]
             except ValueError:
                 raise ParseError("malformed cone line", ln)
             if any(i < 0 or i >= len(rays) for i in members):

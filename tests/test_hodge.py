@@ -5,7 +5,9 @@ For a compact non-singular X in TP^n, rank H_q(X; F_p) = h^{p,q}(X)
 (Itenberg-Katzarkov-Mikhalkin-Zharkov), so the cellular Euler
 characteristic sum_sigma (-1)^dim(sigma) rank F_p(sigma) is
 sum_q (-1)^q h^{p,q}.  On TP^n the ambient cosheaf has H_q(F_p) = Z for
-q = p and 0 otherwise, so its Euler characteristic is (-1)^p.
+q = p and 0 otherwise, so its Euler characteristic is (-1)^p.  The same
+hypersurfaces in R^n, on the trivial fan, are checked against the paper's
+chi_y relation.
 """
 
 from math import comb
@@ -15,7 +17,7 @@ import pytest
 from test_complexes import freudenthal_poly
 from trophom.complexes import build_pair, is_nonsingular
 from trophom.cosheaf import ambient_on_cells, multitangent
-from trophom.tropio import newton_polytope, normal_fan
+from trophom.tropio import load_fan, newton_polytope, normal_fan
 
 
 def hodge_numbers(n, d):
@@ -75,3 +77,23 @@ def test_euler_characteristics_match_griffiths(n, d):
         [sum((-1) ** q * h[p][q] for q in range(n)) for p in range(n)]
     assert [euler(pair.Yref, ambient_on_cells(pair.Yref, p)) for p in range(n + 1)] == \
         [(-1) ** p for p in range(n + 1)]
+
+
+# The chi_y relation of the paper on X in R^n: for a non-singular X in the
+# torus, the Euler characteristic over all cells (Borel-Moore) of F_p is
+# (-1)^p e^p, with chi_y = sum_p e^p y^p of the complex hypersurface.  For a
+# curve of degree d in (C*)^2, Khovanskii's e^0 = 1 - m - g and e^1 = 1 - g,
+# with g = (d-1)(d-2)/2 interior and m = 3d boundary lattice points of
+# d Delta_2.  Summed over p with signs they give the Euler characteristic,
+# (-1)^(n-1) n! Vol(d Delta_n) = (-1)^(n-1) d^n (Kouchnirenko).
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (2, 4), (2, 5),
+                                  (3, 2), (3, 3), (3, 4)])
+def test_affine_euler_characteristics_match_chi_y(n, d):
+    pair = build_pair(freudenthal_poly(n, d), load_fan("dim %d\n" % n))
+    assert is_nonsingular(pair)
+    chi = [euler(pair.X, multitangent(pair.X, p)) for p in range(n)]
+    if n == 2:
+        g, m = (d - 1) * (d - 2) // 2, 3 * d
+        assert chi == [1 - m - g, g - 1]
+    assert sum((-1) ** p * c for p, c in enumerate(chi)) == (-1) ** (n - 1) * d ** n

@@ -84,6 +84,48 @@ class TestParse:
             parse_polynomial("max(0, x1,, x2)")
         assert "line 1" in str(e.value)
 
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("min(0, x1)", "expected 'max'", 1, 1),
+        ("max 0, x1)", "expected '('", 1, 5),
+        ("max(0, x1", "expected ')'", 1, 10),
+        ("max(0, x1) 3", "trailing input after polynomial", 1, 12),
+        ("max(0,, x1)", "expected a coefficient or monomial", 1, 7),
+        ("max(0, 2*y1)", "expected 'x'", 1, 10),
+        ("max(0, x)", "expected an integer", 1, 9),
+        # a sign and its digits are one word
+        ("max(0, - 3)", "expected an integer", 1, 8),
+        # the denominator and the variable index are checked at their end
+        ("max(0, 1/0)", "zero denominator", 1, 11),
+        ("max(0, x0)", "variable indices start at 1", 1, 10),
+        ("max(0,\n 1 + x1,\n 2 + x1)", "duplicate exponent vector (1,)", 3, 2),
+        # parts are joined by '+', and a monomial has one variable
+        ("max(0, 2 x1)", "expected ')'", 1, 10),
+        ("max(0, 2*x1*x2)", "expected ')'", 1, 12),
+    ])
+    def test_error_message_and_location(self, text, message, line, col):
+        with pytest.raises(ParseError) as e:
+            parse_polynomial(text)
+        assert str(e.value) == "%s at line %d, column %d" % (message, line, col)
+        assert (e.value.line, e.value.col) == (line, col)
+
+    @pytest.mark.parametrize("text, message, col", [
+        # str.isdigit takes the superscript, and int() then rejects it
+        ("max(0, x²)", "expected an integer", 9),
+        # int() reads Arabic-Indic digits, which no coefficient may use
+        ("max(0, x٣)", "expected an integer", 9),
+        ("max(٣, x1)", "expected a coefficient or monomial", 5),
+        ("max(0, 1/٣)", "expected an integer", 10),
+    ])
+    def test_digits_are_ascii(self, text, message, col):
+        with pytest.raises(ParseError) as e:
+            parse_polynomial(text)
+        assert str(e.value) == "%s at line 1, column %d" % (message, col)
+
+    def test_whitespace_between_parts_and_around_operators(self):
+        f = parse_polynomial(" max ( 1 / 2 + 3 * x 2 +\tx\n+1 ,\r\n-1 ) \n")
+        assert f == parse_polynomial("max(1/2+3*x2+x+1,-1)")
+        assert f.terms == (((0, 0), -1), ((1, 3), Fraction(1, 2)))
+
     def test_negative_exponent_and_coeff(self):
         f = parse_polynomial("max(-1 + -2*x1 + x2, 0)")
         assert (( -2, 1), Fraction(-1)) in f.terms
@@ -415,6 +457,12 @@ cone: 1 2 4
         # a ray needs the dim line above it, and dim coordinates
         ("dim 2\nray 0: 1 0 0\n", 2, "ray has 3 coordinates, expected dim 2"),
         ("ray 0: 1 0\ndim 2\n", 1, "ray line before the dim line"),
+        # integers are ASCII digits: int() alone takes digit-group
+        # underscores and digits of other scripts
+        ("dim 2\nray 0: 1_0 1\n", 2, "malformed ray line"),
+        ("dim 2\nray ٠: 1 0\n", 2, "malformed ray line"),
+        ("dim ٢\n", 1, "malformed dim line"),
+        ("dim 1\nray 0: 1\ncone: ٠\n", 3, "malformed cone line"),
     ])
     def test_malformed_line_rejected(self, text, line, message):
         with pytest.raises(ParseError, match=message) as e:
