@@ -556,12 +556,11 @@ class RegularSubdivision:
     below the upper faces lies in none.  `covered_by` maps every face to the
     faces one dimension up that contain it.  `ties` maps every maximal cell
     M to its tie point v_M, read off the lift (see `regular_subdivision`).
-    The support points are kept as given; the coordinates the cells were
-    found in are not kept.
+    The support points are kept as given; the heights, and the coordinates
+    the cells were found in, are not kept.
     """
 
     support_points: tuple
-    heights: tuple
     dimension: int
     maximal_cells: tuple        # tuple of frozensets
     faces: dict                 # frozenset -> dim
@@ -675,8 +674,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     faces, covered_by = {}, {}
     for members in maximal:
         _add_cell_faces(members, coords, faces, covered_by)
-    return RegularSubdivision(tuple(points), tuple(heights), d, maximal,
-                              faces, covered_by, ties)
+    return RegularSubdivision(tuple(points), d, maximal, faces, covered_by, ties)
 
 
 def normalized_simplex_volume(sub: RegularSubdivision, cell) -> int:

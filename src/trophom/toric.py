@@ -30,16 +30,12 @@ from .tropio import FanSpec
 class Stratum:
     """One toric stratum: quotient lattice plus its chosen section basis."""
 
-    __slots__ = ("ray_indices", "dim", "projection", "section")
+    __slots__ = ("projection", "section")
 
     def __init__(self, ray_indices, fan_dim, rays):
-        self.ray_indices = tuple(sorted(ray_indices))
-        s = len(self.ray_indices)
-        self.dim = fan_dim - s
-        U = basis_completion([rays[i] for i in self.ray_indices], fan_dim)
-        if U is None:
-            raise ValueError("cone rays %r do not extend to a lattice basis"
-                             % ([rays[i] for i in self.ray_indices],))
+        s = len(ray_indices)
+        # the cone is unimodular simplicial, as FanSpec checks, so U exists
+        U = basis_completion([rays[i] for i in sorted(ray_indices)], fan_dim)
         # U is unimodular, so its row Hermite form is I and its transform is U^-1
         Uinv = hnf_row(U)[1]
         self.projection = U.submatrix(range(s, fan_dim), range(fan_dim))
@@ -47,8 +43,8 @@ class Stratum:
 
 
 class ToricVariety:
-    """Stratified tropical toric variety built from a fan, which
-    `FanSpec.make` has validated."""
+    """Stratified tropical toric variety built from a fan, which the
+    `FanSpec` constructor has validated."""
 
     def __init__(self, fan: FanSpec):
         self.fan = fan

@@ -19,8 +19,27 @@ exponent vector.
 
 The .fan format is line oriented: "dim D", then "ray I: a1 ... aD" lines,
 then "cone: i j k" lines listing maximal cones by ray index, each ray once.
-Keywords are whole words, and integers are read by the .trop rule above.
-All faces of the listed cones are implied.
+All faces of the listed cones are implied.  A line ends at LF, and "#"
+starts a comment that runs to the end of its line.  Within a line the
+whitespace is space, tab or CR, the whitespace of .trop less LF; it may sit
+at either end of the line and around ":".  A line's first word, up to
+whitespace, ":" or "#", is its keyword:
+
+    line  := "dim" ws int | "ray" ws int [":" ints] | "cone" [":" ints]
+    ints  := [int (ws int)*]      (ws: one or more whitespace characters)
+
+with int as in .trop.  A line of whitespace and comment alone is skipped.
+The ":" may be left out when nothing follows it: the ray then has no
+coordinates, and "cone" lists the apex.
+
+Both value types check themselves where they are built.
+`TropicalPolynomial(n_vars, terms)` takes the terms in any order, as pairs of
+an integer exponent vector and a coefficient that `Fraction` reads, and
+keeps them sorted with int exponents and Fraction coefficients.
+`FanSpec(dim, rays, max_cones)` keeps the rays as tuples of ints and the
+maximal cones among those listed, and raises FanError if the result is not
+a simplicial unimodular fan.  Every ParseError has a line and a column, both
+from 1, with lines counted by LF; a .fan error names the line's first word.
 """
 
 from __future__ import annotations
@@ -36,13 +55,8 @@ from .polyhedra import QPolyhedron, convex_hull
 
 
 class ParseError(ValueError):
-    def __init__(self, message, line=None, col=None):
-        loc = ""
-        if line is not None:
-            loc = " at line %d" % line
-            if col is not None:
-                loc += ", column %d" % col
-        super().__init__(message + loc)
+    def __init__(self, message, line, col):
+        super().__init__("%s at line %d, column %d" % (message, line, col))
         self.line = line
         self.col = col
 
@@ -53,24 +67,27 @@ class FanError(ValueError):
 
 @dataclass(frozen=True)
 class TropicalPolynomial:
+    """A max-plus polynomial in n_vars variables.  The constructor takes the
+    terms in any order, as (exponent, coefficient) pairs, reads exponents by
+    the rule of `exactla.int_rows` and coefficients by `Fraction`, and keeps
+    them sorted.  An exponent of the wrong length, or one given twice,
+    raises ValueError naming the terms by their position."""
+
     n_vars: int
     terms: tuple  # ((exponent tuple, Fraction coefficient), ...) sorted
 
     def __post_init__(self):
+        terms = list(self.terms)
+        exponents = int_rows((e for e, c in terms), "exponent")
         first = {}
-        for i, (e, c) in enumerate(self.terms):
+        for i, e in enumerate(exponents):
             if len(e) != self.n_vars:
                 raise ValueError("exponent %d %r has %d coordinates, not %d"
                                  % (i, e, len(e), self.n_vars))
             if first.setdefault(e, i) != i:
                 raise ValueError("exponents %d and %d are both %r" % (first[e], i, e))
-
-    @classmethod
-    def make(cls, terms, n_vars):
-        terms = list(terms)
-        norm = tuple(sorted(zip(int_rows((e for e, c in terms), "exponent"),
-                                (Fraction(c) for e, c in terms))))
-        return cls(n_vars, norm)
+        object.__setattr__(self, "terms", tuple(sorted(
+            zip(exponents, (Fraction(c) for e, c in terms)))))
 
     def padded(self, n_vars):
         """Embed into a larger variable set by zero-padding exponents."""
@@ -78,8 +95,8 @@ class TropicalPolynomial:
             raise ValueError("cannot shrink the variable count")
         if n_vars == self.n_vars:
             return self
-        return TropicalPolynomial.make(
-            [(e + (0,) * (n_vars - self.n_vars), c) for e, c in self.terms], n_vars)
+        return TropicalPolynomial(
+            n_vars, [(e + (0,) * (n_vars - self.n_vars), c) for e, c in self.terms])
 
 
 def _fail(text, message, pos):
@@ -92,6 +109,8 @@ def _fail(text, message, pos):
 # take digits of other scripts, which int() then reads or rejects.
 _INT = r"[+-]?[0-9]+"
 _INTEGER = re.compile(_INT)
+# whitespace: space, tab, CR and LF, which also ends a .fan line
+_BLANK = r"[ \t\r]"
 _WS = r"[ \t\r\n]*"
 # a token of the frame, between whitespace; empty at anything else
 _TOKEN = re.compile("%s(max|[(),+]|)%s" % (_WS, _WS))
@@ -161,7 +180,7 @@ def parse_polynomial(text) -> TropicalPolynomial:
             _fail(text, "duplicate exponent vector %r" % (key,), start)
         seen.add(key)
         terms.append((key, coeff))
-    return TropicalPolynomial.make(terms, n_vars)
+    return TropicalPolynomial(n_vars, terms)
 
 
 def polynomial_text(f: TropicalPolynomial) -> str:
@@ -189,58 +208,27 @@ def newton_polytope(f: TropicalPolynomial) -> QPolyhedron:
 class FanSpec:
     """A simplicial unimodular rational polyhedral fan given by rays and
     maximal cones; every subset of a listed cone is a cone of the fan.
-    Build it with `make`, which validates it."""
+
+    The constructor keeps the listed cones that are maximal among them, as
+    frozensets sorted by size, and checks that the rays have dim
+    coordinates and are primitive and distinct, that every cone names rays
+    by their index in `rays`, that it is unimodular simplicial, and that
+    every two maximal cones meet in their common face.  It raises FanError
+    naming the first failure."""
 
     dim: int
     rays: tuple            # primitive integer vectors
     max_cones: tuple       # frozensets of ray indices
 
-    @classmethod
-    def make(cls, dim, rays, max_cones):
-        rays = tuple(int_rows(rays, "ray"))
+    def __post_init__(self):
         # the apex is a face of every fan, so listing it adds nothing
-        cones = set(frozenset(c) for c in max_cones if c)
+        cones = set(frozenset(c) for c in self.max_cones if c)
         # drop cones that are faces of other listed cones
         maximal = tuple(sorted((c for c in cones
                                 if not any(c < d for d in cones)),
                                key=lambda c: (len(c), sorted(c))))
-        return cls(dim, rays, maximal).validate()
-
-    def cones(self):
-        """All cones as sorted frozensets of ray indices, apex included."""
-        out = set()
-        for c in self.max_cones:
-            members = sorted(c)
-            for mask in range(1 << len(members)):
-                out.add(frozenset(members[i] for i in range(len(members))
-                                  if mask >> i & 1))
-        out.add(frozenset())
-        return sorted(out, key=lambda c: (len(c), sorted(c)))
-
-    def cone_geometry(self, cone) -> QPolyhedron:
-        return QPolyhedron.cone([self.rays[i] for i in sorted(cone)], self.dim)
-
-    def is_complete(self):
-        """Does the fan cover R^dim?  On a valid simplicial fan it does exactly
-        when every maximal cone has dim rays and every (dim-1)-subset of one
-        lies in exactly two maximal cones: the link is then a closed
-        pseudomanifold, which carries a mod-2 fundamental class."""
-        if not self.max_cones:
-            return self.dim == 0
-        if any(len(c) != self.dim for c in self.max_cones):
-            return False
-        facets = Counter(c - {i} for c in self.max_cones for i in c)
-        return all(n == 2 for n in facets.values())
-
-    def is_trivial(self):
-        return not self.max_cones
-
-    def validate(self):
-        """Check that the rays have dim coordinates and are primitive and
-        distinct, that every maximal cone names rays by their index in
-        `rays`, that it is unimodular simplicial, and that every two maximal
-        cones meet in their common face; raise FanError naming the first
-        failure."""
+        object.__setattr__(self, "rays", tuple(int_rows(self.rays, "ray")))
+        object.__setattr__(self, "max_cones", maximal)
         first = {}
         for i, r in enumerate(self.rays):
             if len(r) != self.dim:
@@ -273,7 +261,35 @@ class FanSpec:
             if meet.rays != tuple(sorted(self.rays[i] for i in a & b)):
                 raise FanError("cones %r and %r do not intersect in a common face"
                                % (sorted(a), sorted(b)))
-        return self
+
+    def cones(self):
+        """All cones as sorted frozensets of ray indices, apex included."""
+        out = set()
+        for c in self.max_cones:
+            members = sorted(c)
+            for mask in range(1 << len(members)):
+                out.add(frozenset(members[i] for i in range(len(members))
+                                  if mask >> i & 1))
+        out.add(frozenset())
+        return sorted(out, key=lambda c: (len(c), sorted(c)))
+
+    def cone_geometry(self, cone) -> QPolyhedron:
+        return QPolyhedron.cone([self.rays[i] for i in sorted(cone)], self.dim)
+
+    def is_complete(self):
+        """Does the fan cover R^dim?  On a valid simplicial fan it does exactly
+        when every maximal cone has dim rays and every (dim-1)-subset of one
+        lies in exactly two maximal cones: the link is then a closed
+        pseudomanifold, which carries a mod-2 fundamental class."""
+        if not self.max_cones:
+            return self.dim == 0
+        if any(len(c) != self.dim for c in self.max_cones):
+            return False
+        facets = Counter(c - {i} for c in self.max_cones for i in c)
+        return all(n == 2 for n in facets.values())
+
+    def is_trivial(self):
+        return not self.max_cones
 
 
 def normal_fan(P: QPolyhedron) -> FanSpec:
@@ -290,72 +306,83 @@ def normal_fan(P: QPolyhedron) -> FanSpec:
         tight = frozenset(i for i, (a, b) in enumerate(P.facets)
                           if sum(x * y for x, y in zip(a, v)) == b)
         max_cones.append(tight)
-    return FanSpec.make(P.dim, rays, max_cones)
+    return FanSpec(P.dim, rays, max_cones)
 
 
-def _int(word):
-    """An integer by the rule of both readers; ValueError for any other word."""
-    if not _INTEGER.fullmatch(word):
-        raise ValueError("not an integer: %r" % word)
-    return int(word)
+# a .fan line: "content" runs from its first word to the last character
+# before the whitespace, comment and LF that end it
+_FAN_LINE = re.compile(r"{S}*(?P<content>(?P<word>[^ \t\r\n:#]*)(?:[^\n#]*[^ \t\r\n#])?)"
+                       r"{S}*(?:\#[^\n]*)?(?:\n|\Z)".format(S=_BLANK))
+# the line's head, matched from its first word to its end or its ':'
+_DIM = re.compile(r"dim{S}+({I})".format(S=_BLANK, I=_INT))
+_RAY = re.compile(r"ray{S}+({I}){S}*(?::|\Z)".format(S=_BLANK, I=_INT))
+_CONE = re.compile(r"cone{S}*(?::|\Z)".format(S=_BLANK))
+# the integers after the ':', up to the line's end
+_INTS = re.compile(r"{S}*(?:{I}(?:{S}+{I})*)?".format(S=_BLANK, I=_INT))
+
+
+def _ints(text, head, end):
+    """The integers between the end of the head match and end, or None when
+    the head did not match or anything else stands there."""
+    if head and _INTS.fullmatch(text, head.end(), end):
+        return [int(x) for x in _INTEGER.findall(text, head.end(), end)]
+    return None
 
 
 def load_fan(text) -> FanSpec:
-    """Parse and validate a .fan document.  Its integers are ASCII digits
-    after an optional sign, as in .trop: `int` alone would also take "1_0"
-    and digits of other scripts."""
+    """Parse a .fan document into the FanSpec it lists, which checks it.
+    The text is read line by line at offsets, with the whitespace and the
+    integer rule of .trop: str.split and str.splitlines would also take
+    Unicode whitespace and line breaks, and `int` alone "1_0" and digits of
+    other scripts."""
     dim = None
     rays = []
     cones = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    pos = 0
+    while pos < len(text):
+        line = _FAN_LINE.match(text, pos)
+        pos, (start, end), word = line.end(), line.span("content"), line["word"]
+        if start == end:
             continue
-        # the keyword is the first whole word before any ':'
-        head, _, body = line.partition(":")
-        words = head.split()
-        word = words[0] if words else ""
         if word == "dim":
             if dim is not None:
-                raise ParseError("second dim line", ln)
-            try:
-                (dim,) = (_int(x) for x in line.split()[1:])
-            except ValueError:
-                raise ParseError("malformed dim line: expected 'dim D'", ln)
+                _fail(text, "second dim line", start)
+            m = _DIM.fullmatch(text, start, end)
+            if m is None:
+                _fail(text, "malformed dim line: expected 'dim D'", start)
+            dim = int(m[1])
             if dim < 0:
-                raise ParseError("negative dimension %d" % dim, ln)
+                _fail(text, "negative dimension %d" % dim, start)
         elif word == "ray":
-            try:
-                (idx,) = (_int(x) for x in words[1:])
-                vec = tuple(_int(x) for x in body.split())
-            except ValueError:
-                raise ParseError("malformed ray line", ln)
+            m = _RAY.match(text, start, end)
+            vec = _ints(text, m, end)
+            if vec is None:
+                _fail(text, "malformed ray line", start)
             if dim is None:
-                raise ParseError("ray line before the dim line", ln)
+                _fail(text, "ray line before the dim line", start)
             if len(vec) != dim:
-                raise ParseError("ray has %d coordinates, expected dim %d"
-                                 % (len(vec), dim), ln)
-            if idx != len(rays):
-                raise ParseError("ray indices must be consecutive from 0", ln)
+                _fail(text, "ray has %d coordinates, expected dim %d" % (len(vec), dim), start)
+            if int(m[1]) != len(rays):
+                _fail(text, "ray indices must be consecutive from 0", start)
             rays.append(vec)
         elif word == "cone":
-            if words != ["cone"]:
-                raise ParseError("malformed cone line: expected 'cone: i j ...'", ln)
-            try:
-                members = [_int(x) for x in body.split()]
-            except ValueError:
-                raise ParseError("malformed cone line", ln)
+            m = _CONE.match(text, start, end)
+            if m is None:
+                _fail(text, "malformed cone line: expected 'cone: i j ...'", start)
+            members = _ints(text, m, end)
+            if members is None:
+                _fail(text, "malformed cone line", start)
             if any(i < 0 or i >= len(rays) for i in members):
-                raise ParseError("cone refers to an unknown ray", ln)
+                _fail(text, "cone refers to an unknown ray", start)
             if len(set(members)) != len(members):
-                raise ParseError("cone lists ray %d twice"
-                                 % next(i for i in members if members.count(i) > 1), ln)
-            cones.append(frozenset(members))
+                _fail(text, "cone lists ray %d twice"
+                      % next(i for i in members if members.count(i) > 1), start)
+            cones.append(members)
         else:
-            raise ParseError("unrecognized line %r" % line, ln)
+            _fail(text, "unrecognized line %r" % text[start:end], start)
     if dim is None:
-        raise ParseError("missing dim line", 1)
-    return FanSpec.make(dim, rays, cones)
+        _fail(text, "missing dim line", 0)
+    return FanSpec(dim, rays, cones)
 
 
 def fan_text(fan: FanSpec) -> str:
@@ -363,6 +390,5 @@ def fan_text(fan: FanSpec) -> str:
     for i, r in enumerate(fan.rays):
         lines.append("ray %d: %s" % (i, " ".join(str(x) for x in r)))
     for c in fan.max_cones:
-        if c:
-            lines.append("cone: %s" % " ".join(str(i) for i in sorted(c)))
+        lines.append("cone: %s" % " ".join(str(i) for i in sorted(c)))
     return "\n".join(lines) + "\n"

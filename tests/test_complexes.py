@@ -95,7 +95,7 @@ def freudenthal_poly(n, d):
             h = sum(v * v for v in y) + sum((y[i] - y[j]) ** 2
                                             for i, j in combinations(range(n), 2))
             terms.append((a, -h))
-    return TropicalPolynomial.make(terms, n)
+    return TropicalPolynomial(n, terms)
 
 
 def quadric_poly():
@@ -105,8 +105,8 @@ def quadric_poly():
 def curve_poly(d):
     pts = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
     from trophom.tropio import TropicalPolynomial
-    return TropicalPolynomial.make(
-        [(p, -(p[0] * p[0] + p[0] * p[1] + p[1] * p[1])) for p in pts], 2)
+    return TropicalPolynomial(
+        2, [(p, -(p[0] * p[0] + p[0] * p[1] + p[1] * p[1])) for p in pts])
 
 
 class TestDualComplex:
@@ -276,7 +276,7 @@ class TestPredicates:
     def test_conic_trivial_subdivision_singular(self):
         from trophom.tropio import TropicalPolynomial
         pts = [(a, b) for a in range(3) for b in range(3 - a)]
-        f = TropicalPolynomial.make([(p, 0) for p in pts], 2)
+        f = TropicalPolynomial(2, [(p, 0) for p in pts])
         pair = build_pair(f, normal_fan(newton_polytope(f)))
         assert not is_nonsingular(pair)
 
@@ -287,7 +287,7 @@ class TestPredicates:
     def test_missing_boundary_curve_not_cellular(self):
         # three rays (-2,1), (1,-2), (1,1) from Newton triangle (0,0),(1,2),(2,1)
         from trophom.tropio import TropicalPolynomial
-        f = TropicalPolynomial.make([((0, 0), 0), ((1, 2), 0), ((2, 1), 0)], 2)
+        f = TropicalPolynomial(2, [((0, 0), 0), ((1, 2), 0), ((2, 1), 0)])
         fan = load_fan("dim 2\nray 0: -1 0\nray 1: 0 -1\ncone: 0 1\n")
         pair = build_pair(f, fan)
         assert not any(c.sed != pair.Y.apex for c in pair.X.cells)
@@ -512,7 +512,7 @@ def _random_poly(seed):
     n = rng.choice((2, 3))
     d = 2 if n == 3 else rng.choice((2, 3))
     pts = [p for p in product(range(d + 1), repeat=n) if sum(p) <= d]
-    return TropicalPolynomial.make([(p, rng.randint(-2, 2)) for p in pts], n)
+    return TropicalPolynomial(n, [(p, rng.randint(-2, 2)) for p in pts])
 
 
 def _random_fraction_poly(seed):
@@ -520,8 +520,8 @@ def _random_fraction_poly(seed):
     the tie points have denominators of their own."""
     f = _random_poly(seed)
     rng = random.Random(seed)
-    return TropicalPolynomial.make(
-        [(a, c + Fraction(rng.randint(1, 5), rng.randint(6, 9))) for a, c in f.terms], f.n_vars)
+    return TropicalPolynomial(
+        f.n_vars, [(a, c + Fraction(rng.randint(1, 5), rng.randint(6, 9))) for a, c in f.terms])
 
 
 DUAL_CELL_CASES = {
@@ -529,9 +529,9 @@ DUAL_CELL_CASES = {
     **{"random-fractions-%d" % seed: (lambda seed=seed: _random_fraction_poly(seed))
        for seed in range(2)},
     # A_3-form heights on 2*Delta_3 leave octahedra: non-simplicial cells
-    "quadric-a3-octahedra": lambda: TropicalPolynomial.make(
-        [(a, -(sum(x * x for x in a) + a[0] * a[1] + a[0] * a[2] + a[1] * a[2]))
-         for a in product(range(3), repeat=3) if sum(a) <= 2], 3),
+    "quadric-a3-octahedra": lambda: TropicalPolynomial(
+        3, [(a, -(sum(x * x for x in a) + a[0] * a[1] + a[0] * a[2] + a[1] * a[2]))
+            for a in product(range(3), repeat=3) if sum(a) <= 2]),
     # a conic padded into R^3: the support is not full-dimensional
     "conic-padded-r3": lambda: curve_poly(2).padded(3),
     "random-padded-r4": lambda: _random_poly(1).padded(4),
@@ -677,8 +677,8 @@ def test_equal_equations_share_one_tangent_lattice(fan):
 
 def _random_quadric(seed):
     rng = random.Random(seed)
-    return TropicalPolynomial.make([(p, rng.randint(-2, 2)) for p in product(range(3), repeat=3)
-                                    if sum(p) <= 2], 3)
+    return TropicalPolynomial(3, [(p, rng.randint(-2, 2)) for p in product(range(3), repeat=3)
+                                  if sum(p) <= 2])
 
 
 @pytest.mark.parametrize("fan", ("normal", "half-toric", "blowup"))

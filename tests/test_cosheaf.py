@@ -115,7 +115,7 @@ def alcoved_poly(box):
         h = sum(v * v for v in x) + sum((x[i] - x[j]) ** 2
                                         for i, j in combinations(range(len(x)), 2))
         terms.append((x, -h))
-    return TropicalPolynomial.make(terms, len(box))
+    return TropicalPolynomial(len(box), terms)
 
 
 def h_vector(Y):

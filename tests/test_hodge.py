@@ -7,17 +7,30 @@ characteristic sum_sigma (-1)^dim(sigma) rank F_p(sigma) is
 sum_q (-1)^q h^{p,q}.  On TP^n the ambient cosheaf has H_q(F_p) = Z for
 q = p and 0 otherwise, so its Euler characteristic is (-1)^p.  The same
 hypersurfaces in R^n, on the trivial fan, are checked against the paper's
-chi_y relation.
+chi_y relation, and so are the elliptic curves of the 16 reflexive
+polygons in their toric surfaces.  Last, the whole fingerprint the
+benchmark checks is unchanged when the input is moved by GL_n(Z).
 """
 
-from math import comb
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+from math import atan2, comb
 
 import pytest
 
 from test_complexes import freudenthal_poly
-from trophom.complexes import build_pair, is_nonsingular
+from trophom.complexes import (
+    build_pair,
+    is_cellular_pair,
+    is_combinatorially_ample,
+    is_nonsingular,
+    is_proper,
+)
 from trophom.cosheaf import ambient_on_cells, multitangent
-from trophom.tropio import load_fan, newton_polytope, normal_fan
+from trophom.polyhedra import convex_hull
+from trophom.tropio import FanSpec, TropicalPolynomial, load_fan, newton_polytope, normal_fan
 
 
 def hodge_numbers(n, d):
@@ -97,3 +110,134 @@ def test_affine_euler_characteristics_match_chi_y(n, d):
         g, m = (d - 1) * (d - 2) // 2, 3 * d
         assert chi == [1 - m - g, g - 1]
     assert sum((-1) ** p * c for p, c in enumerate(chi)) == (-1) ** (n - 1) * d ** n
+
+
+# The 16 reflexive polygons up to GL_2(Z), by their vertices, in the order
+# of their boundary lattice point counts 3, 4, 4, 4, 5, 5, 6, ..., 9.
+REFLEXIVE_POLYGONS = [
+    [(1, 0), (0, 1), (-1, -1)],
+    [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    [(1, 0), (0, 1), (-1, 0), (-1, -1)],
+    [(1, 0), (-1, 1), (-1, -1)],
+    [(1, 0), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [(1, -1), (0, 1), (-1, 0), (-1, -1)],
+    [(1, -1), (1, 0), (0, 1), (-1, 0), (-1, -1)],
+    [(1, -1), (1, 1), (-1, 0), (-1, -1)],
+    [(1, -1), (0, 1), (-2, -1)],
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [(1, -1), (1, 1), (0, 1), (-1, 0), (-1, -1)],
+    [(1, -1), (1, 0), (0, 1), (-2, -1)],
+    [(1, -1), (1, 1), (-1, 1), (-1, -1)],
+    [(1, -1), (1, 1), (0, 1), (-2, -1)],
+    [(2, -1), (0, 1), (-2, -1)],
+    [(1, -1), (1, 2), (-2, -1)],
+]
+
+
+def lattice_points(P):
+    """The lattice points of the polygon P, and those on its boundary in
+    counterclockwise order from the negative x-axis."""
+    points = [p for p in product(range(-5, 6), repeat=2)
+              if all(a[0] * p[0] + a[1] * p[1] <= b for a, b in P.facets)]
+    boundary = [p for p in points
+                if any(a[0] * p[0] + a[1] * p[1] == b for a, b in P.facets)]
+    return points, sorted(boundary, key=lambda p: atan2(p[1], p[0]))
+
+
+def polar(P):
+    """{y : <x, y> <= 1 for x in P}, for a polygon with the origin inside;
+    convex_hull rejects its vertices unless they are integral."""
+    return convex_hull([tuple(x / b for x in a) for a, b in P.facets])
+
+
+def test_reflexive_polygon_list():
+    """The list holds 16 polygons, with the origin their only interior
+    lattice point, in dual pairs of boundary counts l + l* = 12 (Poonen and
+    Rodriguez-Villegas), and with the known number of each count."""
+    counts = Counter()
+    for vertices in REFLEXIVE_POLYGONS:
+        delta = convex_hull(vertices)
+        points, boundary = lattice_points(delta)
+        assert sorted(delta.vertices) == sorted(vertices)
+        assert set(points) - set(boundary) == {(0, 0)}
+        assert len(boundary) + len(lattice_points(polar(delta))[1]) == 12
+        counts[len(boundary)] += 1
+    assert counts == {3: 1, 4: 3, 5: 2, 6: 4, 7: 2, 8: 3, 9: 1}
+
+
+@pytest.mark.parametrize("vertices", REFLEXIVE_POLYGONS,
+                         ids=["-".join("%d,%d" % v for v in vs) for vs in REFLEXIVE_POLYGONS])
+def test_reflexive_polygon_curves_are_elliptic(vertices):
+    """A curve whose Newton polygon has one interior lattice point has genus
+    1, so chi_y = 0 and (chi(X; F_0), chi(X; F_1)) = (0, 0).  It lies in the
+    compact toric surface of the fan over consecutive boundary points of
+    the polar polygon, which refines the normal fan, with r rays and h-vector
+    (1, r - 2, 1); so the ambient cosheaf's Euler characteristics are
+    (1, -(r - 2), 1), as in `test_ambient_euler_characteristic_is_h_vector`.
+    The heights, 1 at the origin and -|a|^2 elsewhere, triangulate each of
+    these polygons unimodularly, so X is non-singular."""
+    delta = convex_hull(vertices)
+    points, _ = lattice_points(delta)
+    rays = lattice_points(polar(delta))[1]
+    r = len(rays)
+    f = TropicalPolynomial(2, [(a, 1 if a == (0, 0) else -(a[0] ** 2 + a[1] ** 2))
+                               for a in points])
+    pair = build_pair(f, FanSpec(2, rays, [(i, (i + 1) % r) for i in range(r)]))
+    assert is_nonsingular(pair) and pair.Y.compact
+    assert [euler(pair.X, multitangent(pair.X, p)) for p in range(2)] == [0, 0]
+    assert [euler(pair.Yref, ambient_on_cells(pair.Yref, p)) for p in range(3)] == \
+        [1, -(r - 2), 1]
+
+
+def fingerprint(pair):
+    """What the benchmark checks of a solve: the f-vectors of X and Yref,
+    Yref's incidence count, the four predicates with the number of cells
+    failing ampleness, and for every p the rank sum and Euler
+    characteristic of F_p on X and of the ambient cosheaf on Yref."""
+    ample, failing = is_combinatorially_ample(pair)
+    out = [pair.X.f_vector(), pair.Yref.f_vector(), len(pair.Yref.incidence),
+           is_proper(pair), is_nonsingular(pair), ample, len(failing),
+           is_cellular_pair(pair)]
+    n = pair.Y.dim
+    for Z, build, top in ((pair.X, multitangent, n - 1), (pair.Yref, ambient_on_cells, n)):
+        for p in range(top + 1):
+            F = build(Z, p)
+            out.append((sum(F.ranks), euler(Z, F)))
+    return out
+
+
+def moved(f, seed):
+    """f with a product of four elementary operations of GL_n(Z) applied to
+    its exponents, as `fans()` in test_tropio.py applies them to rays, and
+    an affine function of the exponent added to its heights: the same
+    hypersurface in other lattice coordinates, shifted."""
+    rng = random.Random(seed)
+    n = f.n_vars
+    steps = [(*rng.sample(range(n), 2), rng.choice((-2, -1, 1, 2))) for _ in range(4)]
+    w = [rng.randint(-3, 3) for _ in range(n)]
+    shift = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    terms = []
+    for e, c in f.terms:
+        e = list(e)
+        for i, j, k in steps:
+            e[i] += k * e[j]
+        terms.append((e, c + shift + sum(x * y for x, y in zip(w, e))))
+    return TropicalPolynomial(n, terms)
+
+
+@pytest.mark.parametrize("fan", ["normal", "trivial"])
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (3, 3)])
+def test_fingerprint_is_invariant_under_lattice_moves(n, d, fan):
+    """The Freudenthal cubic curve, quadric and cubic surface, on the normal
+    fan of their Newton polytope and on the trivial fan, keep the whole
+    fingerprint when moved by two seeded matrices of GL_n(Z)."""
+    def solve(f):
+        return fingerprint(build_pair(f, normal_fan(newton_polytope(f)) if fan == "normal"
+                                      else load_fan("dim %d\n" % n)))
+
+    f = freudenthal_poly(n, d)
+    want = solve(f)
+    for seed in (1, 2):
+        g = moved(f, seed)
+        assert {e for e, c in g.terms} != {e for e, c in f.terms}
+        assert solve(g) == want, seed

@@ -746,9 +746,9 @@ def test_ties_match_fraction_solve():
         S = regular_subdivision(points, heights)
         assert set(S.ties) == set(S.maximal_cells)
         for M, v in S.ties.items():
-            assert v == fraction_tie_point(points, S.heights, M), (points, heights, sorted(M))
+            assert v == fraction_tie_point(points, heights, M), (points, heights, sorted(M))
             assert all(type(x) is Fraction for x in v)
-            values = [c + sum(x * y for x, y in zip(a, v)) for a, c in zip(points, S.heights)]
+            values = [c + sum(x * y for x, y in zip(a, v)) for a, c in zip(points, heights)]
             top = max(values)
             assert {i for i, y in enumerate(values) if y == top} == M
         n = len(points[0])
@@ -1020,8 +1020,8 @@ def test_own_generators_checked_once_per_build(monkeypatch):
     monkeypatch.setattr(QPolyhedron, "_satisfied_by", counted_check)
     monkeypatch.setattr(QPolyhedron, "contains_polyhedron", counted_contains)
     pts = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]
-    f = TropicalPolynomial.make([(p, -(p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[0] * p[1]))
-                                 for p in pts], 3)
+    f = TropicalPolynomial(3, [(p, -(p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[0] * p[1]))
+                               for p in pts])
     build_pair(f, normal_fan(newton_polytope(f)))
     checks = Counter(map(id, checked))
     assert checks and max(checks.values()) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from trophom.exactla import IntMatrix
 from trophom.polyhedra import QPolyhedron, convex_hull
-from trophom.tropio import FanSpec, load_fan, newton_polytope, normal_fan, parse_polynomial
+from trophom.tropio import FanError, FanSpec, load_fan, newton_polytope, normal_fan, parse_polynomial
 from trophom.toric import ToricVariety
 
 
@@ -37,9 +37,9 @@ class TestStrata:
 
     def test_projection_section_identities(self):
         Y = tp2()
-        for st in Y.strata:
-            assert st.projection * st.section == IntMatrix.identity(st.dim)
-            for i in st.ray_indices:
+        for cid, st in enumerate(Y.strata):
+            assert st.projection * st.section == IntMatrix.identity(Y.stratum_dim(cid))
+            for i in Y.cones[cid]:
                 assert all(x == 0 for x in st.projection.apply(Y.fan.rays[i]))
 
     def test_projection_identity_on_equal_cones(self):
@@ -54,12 +54,12 @@ class TestStrata:
             Y.projection(1, 2)
 
     def test_unvalidated_non_unimodular_cone_rejected(self):
-        """A fan built directly, skipping `FanSpec.make`, whose cone is not
-        unimodular: its stratum has no lattice section."""
-        fan = FanSpec(2, ((1, 0), (1, 2)), (frozenset({0, 1}),))
-        with pytest.raises(ValueError, match=r"cone rays \[\(1, 0\), \(1, 2\)\] do not "
-                                             "extend to a lattice basis"):
-            ToricVariety(fan)
+        """A fan built directly whose cone is not unimodular, so that its
+        stratum would have no lattice section: the constructor rejects it,
+        so no toric variety is built on it."""
+        with pytest.raises(FanError, match=r"cone \[0, 1\] with rays \[\(1, 0\), \(1, 2\)\] "
+                                           r"is not unimodular simplicial"):
+            FanSpec(2, ((1, 0), (1, 2)), (frozenset({0, 1}),))
 
     def test_halfspace_fan_drops_coordinate(self):
         Y = ToricVariety(load_fan("dim 2\nray 0: -1 0\ncone: 0\n"))

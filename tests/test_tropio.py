@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometric_reference import contains, geometry_key
+from trophom.complexes import build_pair
 from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
     QPolyhedron,
@@ -68,6 +69,17 @@ class TestParse:
         with pytest.raises(ValueError, match=r"^exponents 0 and 1 are both \(1, 0\)$") as e:
             TropicalPolynomial(2, (((1, 0), 0), ((1, 0), 1)))
         assert not isinstance(e.value, ParseError)
+
+    def test_constructor_reads_coefficients_as_fractions(self):
+        """The constructor normalizes what `parse_polynomial` would, so a
+        float coefficient reaches `build_pair` as a Fraction."""
+        f = TropicalPolynomial(2, (((0, 0), 0.5), ((0, 1), 1), ((1, 0), 0)))
+        assert f.terms == (((0, 0), Fraction(1, 2)), ((0, 1), 1), ((1, 0), 0))
+        assert {type(c) for e, c in f.terms} == {Fraction}
+        assert f == parse_polynomial("max(1/2, x2 + 1, x1)")
+        pair = build_pair(f, load_fan("dim 2\n"))
+        assert pair.f.terms[0][1] == Fraction(1, 2)
+        assert (pair.X.f_vector(), pair.Yref.f_vector()) == ([1, 3], [1, 3, 3])
 
     def test_padding_cannot_shrink(self):
         with pytest.raises(ValueError, match="cannot shrink the variable count"):
@@ -138,14 +150,14 @@ class TestParse:
             while len(exps) < rng.randint(1, 5):
                 exps.add(tuple(rng.randint(-3, 3) for _ in range(n)))
             terms = [(e, Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for e in exps]
-            f = TropicalPolynomial.make(terms, n)
+            f = TropicalPolynomial(n, terms)
             assert parse_polynomial(polynomial_text(f)).padded(n) == f
 
     def test_non_integral_exponent_rejected(self):
         # int() would truncate the exponent (1/2, 0) to (0, 0)
         with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at exponent 0, column 0"):
-            TropicalPolynomial.make([((Fraction(1, 2), 0), 0), ((0, 0), 1)], 2)
-        f = TropicalPolynomial.make([((Fraction(2, 2), 0), 0), ((0.0, False), 1)], 2)
+            TropicalPolynomial(2, [((Fraction(1, 2), 0), 0), ((0, 0), 1)])
+        f = TropicalPolynomial(2, [((Fraction(2, 2), 0), 0), ((0.0, False), 1)])
         assert f.terms == (((0, 0), 1), ((1, 0), 0))
         assert {type(x) for e, c in f.terms for x in e} == {int}
 
@@ -169,7 +181,7 @@ class TestNewton:
 
     def test_dense_cubic(self):
         terms = [((a, b), 0) for a in range(4) for b in range(4 - a)]
-        f = TropicalPolynomial.make(terms, 2)
+        f = TropicalPolynomial(2, terms)
         np = newton_polytope(f)
         assert set(np.vertices) == {(0, 0), (3, 0), (0, 3)}
         assert len(f.terms) == 10
@@ -295,7 +307,7 @@ def test_is_complete_matches_covering_reference():
     maximal cones."""
     verdicts = []
     for dim, rays, cones in _completeness_cases():
-        fan = FanSpec.make(dim, rays, cones)
+        fan = FanSpec(dim, rays, cones)
         space = QPolyhedron.from_generators([(0,) * dim], [], IntMatrix.identity(dim).rows, dim)
         want = bool(fan.max_cones) and cone_covered_by(
             space, [fan.cone_geometry(c) for c in fan.max_cones])
@@ -305,7 +317,7 @@ def test_is_complete_matches_covering_reference():
 
 
 def test_zero_dimensional_fan_is_complete():
-    assert FanSpec.make(0, [], []).is_complete()
+    assert FanSpec(0, [], []).is_complete()
 
 
 class TestLoadFan:
@@ -341,35 +353,41 @@ cone: 1 2 4
 
     def test_make_validates(self):
         with pytest.raises(FanError) as e:
-            FanSpec.make(2, [(1, 0), (1, 2)], [(0, 1)])
+            FanSpec(2, [(1, 0), (1, 2)], [(0, 1)])
         assert "unimodular" in str(e.value) and "(1, 2)" in str(e.value)
+
+    def test_direct_construction_rejects_overlapping_cones(self):
+        """Two unimodular cones that overlap in a 2-cone are not a fan."""
+        with pytest.raises(FanError, match=r"^cones \[0, 1\] and \[1, 2\] do not "
+                                           r"intersect in a common face$"):
+            FanSpec(2, ((1, 0), (0, 1), (1, 1)), (frozenset({0, 1}), frozenset({1, 2})))
 
     def test_make_rejects_negative_ray_index(self):
         # Python would read index -1 as the last ray
         with pytest.raises(FanError, match=r"cone \[-1, 0\] names ray -1"):
-            FanSpec.make(2, [(1, 0), (0, 1)], [{0, -1}])
+            FanSpec(2, [(1, 0), (0, 1)], [{0, -1}])
 
     def test_make_rejects_ray_index_past_the_end(self):
         with pytest.raises(FanError, match=r"cone \[0, 5\] names ray 5, but the fan has 2 rays"):
-            FanSpec.make(2, [(1, 0), (0, 1)], [{0, 5}])
+            FanSpec(2, [(1, 0), (0, 1)], [{0, 5}])
 
     def test_make_rejects_ray_of_wrong_length(self):
         with pytest.raises(FanError, match=r"ray 1 = \(0, 1\) has 2 coordinates, not 3"):
-            FanSpec.make(3, [(1, 0, 0), (0, 1)], [{0, 1}])
+            FanSpec(3, [(1, 0, 0), (0, 1)], [{0, 1}])
 
     def test_make_rejects_zero_ray(self):
         with pytest.raises(FanError, match="ray 1 is zero"):
-            FanSpec.make(2, [(1, 0), (0, 0)], [])
+            FanSpec(2, [(1, 0), (0, 0)], [])
 
     def test_make_names_duplicate_rays(self):
         with pytest.raises(FanError, match=r"rays 0 and 2 are both \(1, 0\)"):
-            FanSpec.make(2, [(1, 0), (0, 1), (1, 0)], [])
+            FanSpec(2, [(1, 0), (0, 1), (1, 0)], [])
 
     def test_make_rejects_non_integral_ray(self):
         # int() would truncate the ray (1/2, 1) to (0, 1)
         with pytest.raises(ValueError, match=r"Fraction\(1, 2\) at ray 0, column 0"):
-            FanSpec.make(2, [(Fraction(1, 2), 1), (1, 0)], [(0, 1)])
-        fan = FanSpec.make(2, [(Fraction(2, 2), 0), (0, 1.0)], [(0, 1)])
+            FanSpec(2, [(Fraction(1, 2), 1), (1, 0)], [(0, 1)])
+        fan = FanSpec(2, [(Fraction(2, 2), 0), (0, 1.0)], [(0, 1)])
         assert fan.rays == ((1, 0), (0, 1))
         assert {type(x) for r in fan.rays for x in r} == {int}
 
@@ -380,8 +398,8 @@ cone: 1 2 4
                      "cone: 0 1\ncone: 2 3\n")
 
     def test_maximal_pairs_match_all_pairs_reference(self):
-        """`validate` meets only maximal cones pairwise; on simplicial fans
-        that agrees with meeting every pair of cones."""
+        """The constructor meets only maximal cones pairwise; on simplicial
+        fans that agrees with meeting every pair of cones."""
         cases = [(3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1), (-1, -1, -1)],
                   [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4)]),
                  (3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)],
@@ -469,6 +487,55 @@ cone: 1 2 4
             load_fan(text)
         assert e.value.line == line
 
+    @pytest.mark.parametrize("text, message, line, col", [
+        # a .fan error names its line's first word
+        ("dim 2\n  rays 0: 1 0\n", "unrecognized line 'rays 0: 1 0'", 2, 3),
+        ("dim 2\n\tray 0 7: 1 0  # two indices\n", "malformed ray line", 2, 2),
+        ("dim 1\nray 0: 1\n cone 0\n", "malformed cone line: expected 'cone: i j ...'", 3, 2),
+        ("dim 2\nray 0: 1 0\ncone: 0 1\n", "cone refers to an unknown ray", 3, 1),
+        ("dim 2\nray 1: 1 0\n", "ray indices must be consecutive from 0", 2, 1),
+        ("# no fan\n\n   dim -2\n", "negative dimension -2", 3, 4),
+        ("\n# no fan\n", "missing dim line", 1, 1),
+        # CR is whitespace, as in .trop, and ends no line
+        ("dim 2\rray 0: 1 0\n", "malformed dim line: expected 'dim D'", 1, 1),
+        # "dim D" takes no colon.  The line-splitting reader took these two,
+        # where the colon is glued to "dim" and the dimension follows
+        # whitespace, as "dim 2" and "dim 0"
+        ("dim: 2\n", "malformed dim line: expected 'dim D'", 1, 1),
+        ("# c\n dim:) 0\n", "malformed dim line: expected 'dim D'", 2, 2),
+    ])
+    def test_error_message_and_location(self, text, message, line, col):
+        with pytest.raises(ParseError) as e:
+            load_fan(text)
+        assert str(e.value) == "%s at line %d, column %d" % (message, line, col)
+        assert (e.value.line, e.value.col) == (line, col)
+
+    @pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\xa0", "\u2003", "\u2028", "\u2029"])
+    def test_whitespace_is_space_tab_and_cr(self, space):
+        """Lines end at LF alone, and space, tab and CR are the only
+        whitespace within one, as in .trop: str.split and str.splitlines
+        would also take these characters."""
+        for text, line, col in (("dim%s2\n" % space, 1, 1),
+                                ("dim 2%sray 0: 1 0\nbad\n" % space, 1, 1),
+                                ("dim 2\nray 0:%s1 0\n" % space, 2, 1),
+                                ("dim 1\nray 0: 1\ncone: 0%s\n" % space, 3, 1),
+                                ("%sdim 1\n" % space, 1, 1)):
+            with pytest.raises(ParseError) as e:
+                load_fan(text)
+            assert (e.value.line, e.value.col) == (line, col), text
+        assert load_fan(" dim\t2 \r\n\tray 0 :1\t0\r\ncone\t:  0  # c\r\n") == \
+            load_fan("dim 2\nray 0: 1 0\ncone: 0\n")
+
+    def test_colon_is_optional_with_nothing_after_it(self):
+        """A ray line with no colon has no coordinates, and a bare "cone"
+        lists the apex, as with the colon and nothing after it."""
+        assert load_fan("dim 2\nray 0: 1 0\ncone\n") == load_fan("dim 2\nray 0: 1 0\ncone:\n")
+        with pytest.raises(ParseError, match="ray has 0 coordinates, expected dim 2"):
+            load_fan("dim 2\nray 0 # : 1 0\n")
+        with pytest.raises(FanError, match="ray 0 is zero"):
+            load_fan("dim 0\nray 0\n")
+
     def test_trivial_fan(self):
         fan = load_fan("dim 3\n")
         assert fan.is_trivial()
@@ -483,7 +550,7 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None
 polynomials = st.integers(1, 3).flatmap(lambda n: st.dictionaries(
     st.tuples(*[st.integers(-3, 3)] * n),
     st.fractions(min_value=-20, max_value=20, max_denominator=6),
-    min_size=1, max_size=6).map(lambda terms: TropicalPolynomial.make(terms.items(), n)))
+    min_size=1, max_size=6).map(lambda terms: TropicalPolynomial(n, terms.items())))
 
 FAN_TEXTS = [
     "dim 0\n",
@@ -512,8 +579,8 @@ def fans(draw):
                     r[i] += k * r[j]
     order = draw(st.permutations(range(len(rays))))
     where = {old: new for new, old in enumerate(order)}
-    return FanSpec.make(fan.dim, [rays[i] for i in order],
-                        [frozenset(where[i] for i in c) for c in fan.max_cones])
+    return FanSpec(fan.dim, [rays[i] for i in order],
+                   [frozenset(where[i] for i in c) for c in fan.max_cones])
 
 
 def mutated(draw, text):
@@ -551,7 +618,7 @@ def test_fan_text_round_trips_or_fails_located(fan, data):
     try:
         g = load_fan(bad)
     except ParseError as e:
-        assert e.line is not None and 1 <= e.line <= max(1, len(bad.splitlines())), (bad, e)
+        assert 1 <= e.line <= max(1, len(bad.splitlines())) and e.col >= 1, (bad, e)
     except FanError:
         pass
     else:
