@@ -45,7 +45,7 @@ from .polyhedra import (
     regular_subdivision,
 )
 from .toric import ToricVariety
-from .tropio import FanSpec, TropicalPolynomial, newton_polytope
+from .tropio import FanSpec, TropicalPolynomial
 
 DEFAULT_MAX_DIM = 4
 
@@ -181,7 +181,7 @@ def _picked(mask, items):
     return tuple(out)
 
 
-def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) -> dict:
+def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta, G) -> dict:
     """The piece (eta, F) of every face F of S inside G = G_eta, in
     eta-stratum coordinates, read off the subdivision that S induces on G.
 
@@ -196,7 +196,9 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
       with v_M scaled once to integer numerators over one denominator, so
       the projection is integer dot products;
     - rays: the projected normals of the Newton facets through F that cut
-      a facet of conv(G), one per facet of conv(G);
+      a facet of conv(G), one per facet of conv(G), read from
+      `newton_facets`, the sorted (normal, offset) facets of the Newton
+      polytope;
     - lineality: the saturated kernel of the w_a - w_a0, a in G (the whole
       stratum when G is one point);
     - equations: the terms of F tie;
@@ -237,7 +239,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton, Y: ToricVariety, eta, G) ->
             num, D = _scaled(S.ties[M])
             vertex_of[cell] = tuple(Fraction(_dot(r, num), D) for r in proj.rows)
     walls = {}
-    for a, b in newton.facets:
+    for a, b in newton_facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
                 lattice_basis(diffs(on, min(on)), k).ncols == dim_g - 1:
@@ -339,12 +341,12 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     stratum live only while it is built: a cell keeps its key, dimension,
     tangent basis and compactness flag, not its polyhedron.
 
-    A tangent lattice is the kernel of its piece's equation normals, which
-    are canonical, so one lattice is computed per equation system: the
-    cells with the same stratum dimension and equation normals share one
-    basis matrix.  Likewise one compactness flag is computed
-    per (eta, piece rays, reached cones), and the cells with that key share
-    it.  The flag is exact per class: `closure_is_compact` reads the piece
+    A tangent lattice is the kernel (`kernel_lattice`) of its piece's
+    equation normals, which are canonical, so one lattice is computed per
+    equation system: the cells with the same stratum dimension and equation
+    normals share one basis matrix.  Likewise one compactness flag is
+    computed per (eta, piece rays, reached cones), and the cells with that
+    key share it.  The flag is exact per class: `closure_is_compact` reads the piece
     only through its recession cone, cone(rays) + lineality, and every
     piece of the eta-stratum has the stratum's lineality.
 
@@ -366,7 +368,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
         raise BuildError("a tropical hypersurface needs at least two terms")
     G = dual_face_points(f, Y)
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
-    newton = newton_polytope(f)
+    newton_facets = sorted(hrep_from_generators([e for e, c in f.terms], [], [], Y.dim)[0])
     cells = []
     incidence = []
     tangents = {}   # (stratum dim, equation normals) -> tangent lattice
@@ -375,7 +377,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
         # the cones one ray below eta: (eta, F) is a facet of (theta, F) in
         # each, a cell since G_eta lies in G_theta
         below = [Y.cone_index[cone - {r}] for r in cone]
-        pieces = stratum_pieces(f, S, newton, Y, eta, G[eta])
+        pieces = stratum_pieces(f, S, newton_facets, Y, eta, G[eta])
         for face, piece in pieces.items():
             fd = S.faces[face]
             if eta == Y.apex and piece.affine_dim != Y.dim - fd:
@@ -383,7 +385,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
                                  % (sorted(face), piece.affine_dim, Y.dim - fd))
             system = (piece.dim, tuple(a for a, b in piece.equations))
             if system not in tangents:
-                tangents[system] = piece.tangent_lattice()
+                tangents[system] = kernel_lattice(IntMatrix._trusted(system[1], piece.dim))
             reached = tuple(theta for theta in Y.cofaces(eta) if face <= G[theta])
             recession = (eta, piece.rays, reached)
             if recession not in compact:

@@ -60,9 +60,9 @@ built by `IntMatrix._trusted` without the check: integer arithmetic on ints
 yields ints, so the check could only repeat itself.  The same holds where another
 module builds a matrix from ints it made itself: the edges between a
 subdivision's support points (`normalized_simplex_volume`), canonical
-equation normals (`tangent_lattice`), a polyhedron's rays and lineality
-(`recession`) and the projected exponent differences of
-`stratum_pieces`.  Matrices are immutable once built (which is why one may
+equation normals (`complexes.build_pair`'s tangent lattices), a
+polyhedron's rays and lineality (`recession`) and the projected exponent
+differences of `stratum_pieces`.  Matrices are immutable once built (which is why one may
 keep both forms); all functions here are pure.
 
 `int_rows` applies the same rule where other modules take integer vectors

@@ -19,6 +19,7 @@ from operator import mul
 
 from .exactla import (
     IntMatrix,
+    basis_completion,
     exterior_power,
     gauss_jordan,
     int_rows,
@@ -248,11 +249,11 @@ class QPolyhedron:
     as the HNF basis of its saturated lattice, equations as
     `_canonical_equations` gives them: the primitive rows of the reduced
     row echelon form, from one elimination.  The constructors
-    (`from_generators`, `from_hrep`, `cone`, `intersect`) and `recession`
-    compute one representation from the other and put every field into that
-    form by `_from_fields`.  `_trusted`, the one place that sets the fields,
-    puts none: its caller hands over fields already canonical, as
-    `complexes.stratum_pieces` does.
+    (`from_generators`, `from_hrep`, `cone`), `intersect_hrep` and
+    `recession` compute one representation from the other and put every
+    field into that form by `_from_fields`.  `_trusted`, the one place that
+    sets the fields, puts none: its caller hands over fields already
+    canonical, as `complexes.stratum_pieces` does.
     Membership has one evaluator, `_satisfied_by`, which
     `contains_polyhedron` calls.
     """
@@ -314,7 +315,21 @@ class QPolyhedron:
 
     @classmethod
     def cone(cls, rays, dim):
-        return cls.from_generators([(0,) * dim], rays, (), dim)
+        """The cone spanned by rays that extend to a basis of Z^dim, read
+        off their basis completion U (U * rays = [I; 0], `basis_completion`)
+        with no double description: row i < s of U is 1 on ray i and 0 on
+        the other s - 1 rays, so the first s rows, negated, are the facets,
+        and the other rows, which vanish on every ray, are the equations.
+        Rows of a unimodular matrix are primitive.  None when the rays do not
+        extend to a basis; `from_generators` builds any other cone."""
+        _check_lengths(dim, ("ray", rays))
+        U = basis_completion(rays, dim)
+        if U is None:
+            return None
+        s = len(rays)
+        return cls._from_fields(dim, [(0,) * dim], rays, (),
+                                [(tuple(-x for x in u), 0) for u in U.rows[:s]],
+                                [(u, 0) for u in U.rows[s:]])
 
     # ---- basic queries ----
 
@@ -410,9 +425,6 @@ class QPolyhedron:
         return QPolyhedron.from_hrep(list(self.facets) + list(ineqs),
                                      list(self.equations) + list(eqs), self.dim)
 
-    def intersect(self, other):
-        return self.intersect_hrep(other.facets, other.equations)
-
     def linear_image(self, M: IntMatrix):
         """Image under an integer linear map (rows of M give the new coords).
 
@@ -431,18 +443,6 @@ class QPolyhedron:
             if any(w):
                 lins.append(primitive_vector(w))
         return QPolyhedron.from_generators(pts, rays, lins, M.nrows)
-
-    def tangent_lattice(self) -> IntMatrix:
-        """The basis (`lattice_basis`) of the saturated integral tangent
-        lattice of the affine hull."""
-        if not self.equations:
-            # the kernel of no equations is all of Z^dim; this skips its HNF
-            return IntMatrix.identity(self.dim)
-        if len(self.equations) == self.dim:
-            # canonical equations are independent, so a point's kernel is 0
-            return lattice_basis((), self.dim)
-        A = IntMatrix._trusted(tuple(a for a, b in self.equations), self.dim)
-        return kernel_lattice(A)
 
     def face_lattice(self):
         """All nonempty faces, including the polyhedron itself.
@@ -476,11 +476,6 @@ class QPolyhedron:
         return [(F, act) for act, F in sorted(faces.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
 
 
-def convex_hull(points) -> QPolyhedron:
-    """Convex hull of rational points; redundant points are removed."""
-    return QPolyhedron.from_generators(points)
-
-
 # ---------------------------------------------------------------------------
 # cones in fans
 
@@ -492,7 +487,7 @@ def cone_meets_relint(C: QPolyhedron, rho: QPolyhedron) -> bool:
     """
     if rho.affine_dim == 0:
         return True
-    K = C.intersect(rho)
+    K = C.intersect_hrep(rho.facets, rho.equations)
     if K is None:
         return False
     gens = list(K.rays) + list(K.lin) + [tuple(-x for x in l) for l in K.lin]
@@ -578,10 +573,11 @@ def _add_cell_faces(members, coords, faces, covered_by):
     (vertex-facet incidence closure, Kaibel-Pfetsch), and the facets of a
     face are among its intersections with the walls.  The walls of a
     simplex cell are its d-subsets, and a subset's dimension is its size
-    less one; any other cell's walls are read off its hull, and a face's
-    dimension is the affine rank of its points.  A face already in `faces`
-    came from a neighbouring cell of the same subdivision, together with
-    all of its own faces and their covers.  The cell must span the
+    less one; any other cell's walls are read off its facets (one
+    `hrep_from_generators`, sorted), and a face's dimension is the affine
+    rank of its points.  A face already in `faces` came from a neighbouring
+    cell of the same subdivision, together with all of its own faces and
+    their covers.  The cell must span the
     coordinate space.
     """
     dim = len(coords[0])
@@ -591,9 +587,9 @@ def _add_cell_faces(members, coords, faces, covered_by):
         def rank(sub):
             return len(sub) - 1
     else:
-        cell = convex_hull([coords[i] for i in sorted(members)])
+        facets, _ = hrep_from_generators([coords[i] for i in sorted(members)], [], [], dim)
         walls = [frozenset(i for i in members if _dot(a, coords[i]) == b)
-                 for a, b in cell.facets]
+                 for a, b in sorted(facets)]
 
         def rank(sub):
             i0, *rest = sorted(sub)

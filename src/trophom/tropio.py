@@ -33,13 +33,15 @@ The ":" may be left out when nothing follows it: the ray then has no
 coordinates, and "cone" lists the apex.
 
 Both value types check themselves where they are built.
-`TropicalPolynomial(n_vars, terms)` takes the terms in any order, as pairs of
-an integer exponent vector and a coefficient that `Fraction` reads, and
-keeps them sorted with int exponents and Fraction coefficients.
-`FanSpec(dim, rays, max_cones)` keeps the rays as tuples of ints and the
-maximal cones among those listed, and raises FanError if the result is not
-a simplicial unimodular fan.  Every ParseError has a line and a column, both
-from 1, with lines counted by LF; a .fan error names the line's first word.
+`TropicalPolynomial(n_vars, terms)` takes one or more terms in any order, as
+pairs of an integer exponent vector and a coefficient that `Fraction` reads
+exactly, and keeps them sorted with int exponents and Fraction
+coefficients.  `FanSpec(dim, rays, max_cones)` keeps the rays as tuples of
+ints and the maximal cones among those listed, and raises FanError if the
+result is not a simplicial unimodular fan; each cone's `QPolyhedron.cone`
+is both its unimodularity check and its geometry.  Every ParseError has a
+line and a column, both from 1, with lines counted by LF; a .fan error
+names the line's first word.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import basis_completion, int_rows, primitive_vector
-from .polyhedra import QPolyhedron, convex_hull
+from .exactla import int_rows, primitive_vector
+from .polyhedra import QPolyhedron
 
 
 class ParseError(ValueError):
@@ -67,17 +69,24 @@ class FanError(ValueError):
 
 @dataclass(frozen=True)
 class TropicalPolynomial:
-    """A max-plus polynomial in n_vars variables.  The constructor takes the
-    terms in any order, as (exponent, coefficient) pairs, reads exponents by
-    the rule of `exactla.int_rows` and coefficients by `Fraction`, and keeps
-    them sorted.  An exponent of the wrong length, or one given twice,
-    raises ValueError naming the terms by their position."""
+    """A max-plus polynomial in n_vars >= 0 variables.  The constructor
+    takes one or more terms in any order, as (exponent, coefficient) pairs,
+    reads exponents by the rule of `exactla.int_rows` and coefficients by
+    `Fraction`, and keeps them sorted.  A float coefficient is taken only
+    when it is the rational its `repr` spells (0.5, 3.0, not 0.1, whose
+    binary value is another number).  An exponent of the wrong length, one
+    given twice, or a coefficient read inexactly or not at all raises
+    ValueError naming the terms by their position."""
 
     n_vars: int
     terms: tuple  # ((exponent tuple, Fraction coefficient), ...) sorted
 
     def __post_init__(self):
         terms = list(self.terms)
+        if self.n_vars < 0:
+            raise ValueError("negative variable count %d" % self.n_vars)
+        if not terms:
+            raise ValueError("a tropical polynomial needs at least one term")
         exponents = int_rows((e for e, c in terms), "exponent")
         first = {}
         for i, e in enumerate(exponents):
@@ -87,7 +96,7 @@ class TropicalPolynomial:
             if first.setdefault(e, i) != i:
                 raise ValueError("exponents %d and %d are both %r" % (first[e], i, e))
         object.__setattr__(self, "terms", tuple(sorted(
-            zip(exponents, (Fraction(c) for e, c in terms)))))
+            zip(exponents, (_coefficient(i, c) for i, (e, c) in enumerate(terms))))))
 
     def padded(self, n_vars):
         """Embed into a larger variable set by zero-padding exponents."""
@@ -97,6 +106,19 @@ class TropicalPolynomial:
             return self
         return TropicalPolynomial(
             n_vars, [(e + (0,) * (n_vars - self.n_vars), c) for e, c in self.terms])
+
+
+def _coefficient(i, c):
+    """Term i's coefficient c as the Fraction it denotes exactly; ValueError
+    when `Fraction` cannot read it (None, inf, nan, "x", "1/0") or, for a
+    float, reads a value other than the rational its repr spells."""
+    try:
+        q = Fraction(c)
+    except (TypeError, ValueError, ArithmeticError):
+        q = None
+    if q is None or isinstance(c, float) and q != Fraction(repr(c)):
+        raise ValueError("coefficient %d %r is not an exact rational" % (i, c))
+    return q
 
 
 def _fail(text, message, pos):
@@ -169,39 +191,32 @@ def parse_polynomial(text) -> TropicalPolynomial:
     if pos != len(text):
         _fail(text, "trailing input after polynomial", pos)
     n_vars = max((i for _, _, monos in raw_terms for _, i in monos), default=0)
-    terms = []
-    seen = set()
+    terms = {}
     for start, coeff, monos in raw_terms:
         exp = [0] * n_vars
         for e, i in monos:
             exp[i - 1] += e
         key = tuple(exp)
-        if key in seen:
+        if key in terms:
             _fail(text, "duplicate exponent vector %r" % (key,), start)
-        seen.add(key)
-        terms.append((key, coeff))
-    return TropicalPolynomial(n_vars, terms)
+        terms[key] = coeff
+    return TropicalPolynomial(n_vars, terms.items())
 
 
 def polynomial_text(f: TropicalPolynomial) -> str:
     parts = []
     for e, c in f.terms:
-        bits = []
-        if c != 0 or not any(e):
-            bits.append(str(c.numerator) if c.denominator == 1
-                        else "%d/%d" % (c.numerator, c.denominator))
-        for i, ei in enumerate(e):
-            if ei == 1:
-                bits.append("x%d" % (i + 1))
-            elif ei != 0:
-                bits.append("%d*x%d" % (ei, i + 1))
+        # str of a Fraction is "n" or "n/d", the .trop spelling
+        bits = [str(c)] if c != 0 or not any(e) else []
+        bits += ["x%d" % (i + 1) if ei == 1 else "%d*x%d" % (ei, i + 1)
+                 for i, ei in enumerate(e) if ei]
         parts.append(" + ".join(bits))
     return "max(%s)" % ", ".join(parts)
 
 
 def newton_polytope(f: TropicalPolynomial) -> QPolyhedron:
     """The convex hull of the exponent vectors."""
-    return convex_hull([e for e, c in f.terms])
+    return QPolyhedron.from_generators([e for e, c in f.terms])
 
 
 @dataclass(frozen=True)
@@ -212,15 +227,17 @@ class FanSpec:
     The constructor keeps the listed cones that are maximal among them, as
     frozensets sorted by size, and checks that the rays have dim
     coordinates and are primitive and distinct, that every cone names rays
-    by their index in `rays`, that it is unimodular simplicial, and that
-    every two maximal cones meet in their common face.  It raises FanError
-    naming the first failure."""
+    by their index in `rays`, that it is unimodular simplicial (its
+    `QPolyhedron.cone` is not None), and that every two maximal cones meet
+    in their common face.  It raises FanError naming the first failure."""
 
     dim: int
     rays: tuple            # primitive integer vectors
     max_cones: tuple       # frozensets of ray indices
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise FanError("negative dimension %d" % self.dim)
         # the apex is a face of every fan, so listing it adds nothing
         cones = set(frozenset(c) for c in self.max_cones if c)
         # drop cones that are faces of other listed cones
@@ -240,6 +257,7 @@ class FanSpec:
                 raise FanError("ray %d = %r is not primitive" % (i, r))
             if first.setdefault(r, i) != i:
                 raise FanError("rays %d and %d are both %r" % (first[r], i, r))
+        geoms = {}
         for c in self.max_cones:
             idx = sorted(c)
             for i in idx:
@@ -247,7 +265,8 @@ class FanSpec:
                     raise FanError("cone %r names ray %r, but the fan has %d rays, "
                                    "numbered from 0" % (idx, i, len(self.rays)))
             rays = [self.rays[i] for i in idx]
-            if basis_completion(rays, self.dim) is None:
+            geoms[c] = QPolyhedron.cone(rays, self.dim)
+            if geoms[c] is None:
                 raise FanError("cone %r with rays %r is not unimodular simplicial "
                                "(its rays do not extend to a lattice basis)"
                                % (idx, rays))
@@ -255,26 +274,17 @@ class FanSpec:
         # cone(A & B), all faces a of A and b of B meet in cone(a & b).  A and
         # B are pointed, so their meet is a pointed cone (never None), and it
         # is cone(A & B) exactly when its canonical rays are those of A & B
-        geoms = {c: self.cone_geometry(c) for c in self.max_cones}
         for a, b in combinations(self.max_cones, 2):
-            meet = geoms[a].intersect(geoms[b])
+            meet = geoms[a].intersect_hrep(geoms[b].facets, geoms[b].equations)
             if meet.rays != tuple(sorted(self.rays[i] for i in a & b)):
                 raise FanError("cones %r and %r do not intersect in a common face"
                                % (sorted(a), sorted(b)))
 
     def cones(self):
         """All cones as sorted frozensets of ray indices, apex included."""
-        out = set()
-        for c in self.max_cones:
-            members = sorted(c)
-            for mask in range(1 << len(members)):
-                out.add(frozenset(members[i] for i in range(len(members))
-                                  if mask >> i & 1))
-        out.add(frozenset())
-        return sorted(out, key=lambda c: (len(c), sorted(c)))
-
-    def cone_geometry(self, cone) -> QPolyhedron:
-        return QPolyhedron.cone([self.rays[i] for i in sorted(cone)], self.dim)
+        out = {frozenset(s) for c in self.max_cones
+               for k in range(len(c) + 1) for s in combinations(c, k)}
+        return sorted(out | {frozenset()}, key=lambda c: (len(c), sorted(c)))
 
     def is_complete(self):
         """Does the fan cover R^dim?  On a valid simplicial fan it does exactly
@@ -301,12 +311,9 @@ def normal_fan(P: QPolyhedron) -> FanSpec:
     if P.affine_dim != P.dim:
         raise FanError("normal fan needs a full-dimensional polytope")
     rays = [primitive_vector(a) for a, b in P.facets]
-    max_cones = []
-    for v in P.vertices:
-        tight = frozenset(i for i, (a, b) in enumerate(P.facets)
-                          if sum(x * y for x, y in zip(a, v)) == b)
-        max_cones.append(tight)
-    return FanSpec(P.dim, rays, max_cones)
+    return FanSpec(P.dim, rays, [frozenset(i for i, (a, b) in enumerate(P.facets)
+                                           if sum(x * y for x, y in zip(a, v)) == b)
+                                 for v in P.vertices])
 
 
 # a .fan line: "content" runs from its first word to the last character
@@ -387,8 +394,6 @@ def load_fan(text) -> FanSpec:
 
 def fan_text(fan: FanSpec) -> str:
     lines = ["dim %d" % fan.dim]
-    for i, r in enumerate(fan.rays):
-        lines.append("ray %d: %s" % (i, " ".join(str(x) for x in r)))
-    for c in fan.max_cones:
-        lines.append("cone: %s" % " ".join(str(i) for i in sorted(c)))
+    lines += ["ray %d: %s" % (i, " ".join(map(str, r))) for i, r in enumerate(fan.rays)]
+    lines += ["cone: %s" % " ".join(map(str, sorted(c))) for c in fan.max_cones]
     return "\n".join(lines) + "\n"

@@ -171,7 +171,7 @@ def canonical_equations(eqs, dim):
     return tuple(sorted((tuple(v[:-1]), Fraction(v[-1])) for v in rows))
 
 
-def stratum_pieces(f, S, newton, Y, eta, G):
+def stratum_pieces(f, S, newton_facets, Y, eta, G):
     """The reference for `trophom.complexes.stratum_pieces`, from the same
     data: every piece is built by the checked `QPolyhedron._from_fields`,
     which sorts its vertices, rays and facets and puts its equations into
@@ -192,7 +192,7 @@ def stratum_pieces(f, S, newton, Y, eta, G):
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
             vertex_of[cell] = tuple(_dot(r, S.ties[M]) for r in proj.rows)
     walls = {}
-    for a, b in newton.facets:
+    for a, b in newton_facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
                 lattice_basis(diffs(on, min(on)), k).ncols == dim_g - 1:
@@ -223,6 +223,22 @@ def contains(P: QPolyhedron, x):
     ValueError instead of being judged by a prefix of its coordinates."""
     polyhedra._check_lengths(P.dim, ("point", (x,)))
     return P._satisfied_by((tuple(map(Fraction, x)),), (), ())
+
+
+def meet(P: QPolyhedron, Q: QPolyhedron):
+    """P intersected with Q, by Q's facets and equations; None if empty."""
+    return P.intersect_hrep(Q.facets, Q.equations)
+
+
+def tangent_lattice(P: QPolyhedron) -> IntMatrix:
+    """The basis of the saturated integral tangent lattice of P's affine
+    hull: the kernel of its equation normals, as `build_pair` reads it."""
+    return kernel_lattice(IntMatrix([a for a, b in P.equations], ncols=P.dim))
+
+
+def fan_cone(fan, cone) -> QPolyhedron:
+    """The cone of the fan with these ray indices, as a polyhedron."""
+    return QPolyhedron.cone([fan.rays[i] for i in sorted(cone)], fan.dim)
 
 
 def geometry_key(P: QPolyhedron):
@@ -268,7 +284,7 @@ def with_geometry(pair) -> HypersurfacePair:
     newton = newton_polytope(pair.f)
     pieces = {}
     for eta, G in enumerate(pair.face_points):
-        for F, P in complexes.stratum_pieces(pair.f, pair.subdivision, newton,
+        for F, P in complexes.stratum_pieces(pair.f, pair.subdivision, newton.facets,
                                              pair.Y, eta, G).items():
             pieces[(eta, F)] = P
     cells = {id(c): GeomCell(**vars(c), geom=pieces[(c.sed, c.face)])
@@ -383,10 +399,10 @@ def validate(Z, full=False):
             for j, b in enumerate(Z.cells):
                 if j <= i or a.sed != b.sed:
                     continue
-                meet = a.geom.intersect(b.geom)
-                if meet is None:
+                both = meet(a.geom, b.geom)
+                if both is None:
                     continue
-                key = (a.sed, geometry_key(meet))
+                key = (a.sed, geometry_key(both))
                 assert key in keys, "intersection is not a cell"
                 m = keys[key]
                 assert m in closure(facets, i) and m in closure(facets, j)
@@ -448,7 +464,7 @@ def slice_complex(Z, normal, offset) -> GeometricComplex:
             # is the smallest one containing it, and lends its face
             if key not in pieces:
                 compact = Z.Y.closure_is_compact(Q, apex, Z.Y.reached_cones(Q, apex))
-                pieces[key] = GeomCell(apex, Q.affine_dim, Q.tangent_lattice(), compact,
+                pieces[key] = GeomCell(apex, Q.affine_dim, tangent_lattice(Q), compact,
                                        c.face, c.in_x, Q)
             else:
                 pieces[key].in_x = pieces[key].in_x or c.in_x
@@ -625,7 +641,7 @@ def lineal_strata(pair):
     have nonzero lineality."""
     newton = newton_polytope(pair.f)
     return {eta for eta, G in enumerate(pair.face_points)
-            if any(P.lin for P in stratum_pieces(pair.f, pair.subdivision, newton,
+            if any(P.lin for P in stratum_pieces(pair.f, pair.subdivision, newton.facets,
                                                  pair.Y, eta, G).values())}
 
 

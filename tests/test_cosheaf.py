@@ -546,12 +546,14 @@ def _equation_normal_systems(pair):
 def test_no_redundant_exact_work(monkeypatch):
     """One build_pair plus every cosheaf on the quadric in TP^3: the cells,
     the open-stratum ones included, and the simplex cells of the subdivision
-    cost no double description, and no `dual_cell_geometry` or
+    cost no double description (the lift's hull takes one and the Newton
+    polytope's facets one), and no `dual_cell_geometry` or
     `linear_image` runs; `stratum_pieces` builds every piece without the
     checked `QPolyhedron._from_fields`; and multitangent back-substitutes on its stalk
     bases, which are in column HNF already: its only Hermite eliminations
     (`_hermite`) are its lattice sums, one per `lattice_basis`.  The build
-    takes one tangent lattice per (stratum dimension, equation normals),
+    takes one `kernel_lattice` per stratum for its lineality and one tangent
+    lattice per (stratum dimension, equation normals),
     and multitangent one lattice sum per set of maximal-cell tangent
     lattices, at most one pivot reading per target stalk and one
     back-substitution per (sigma stratum, tau stratum, source stalk,
@@ -591,7 +593,7 @@ def test_no_redundant_exact_work(monkeypatch):
     count(cosheaf, "exterior_power")
     count(cosheaf, "hnf_pivots")
     count(cosheaf, "back_substitute")
-    count(polyhedra.QPolyhedron, "tangent_lattice")
+    count(complexes, "kernel_lattice")
     for module in (exactla, polyhedra, complexes, cosheaf):
         count(module, "lattice_basis")
     # every elimination, by the module whose code takes it
@@ -635,9 +637,8 @@ def test_no_redundant_exact_work(monkeypatch):
     before = calls["dd_cone"], calls["gauss_jordan"], calls["QPolyhedron"]
     takers.clear()
     pair = build_pair(f, fan)
-    # the hull of the lift, and the two double descriptions of the Newton
-    # polytope's hull
-    assert calls["dd_cone"] - before[0] == 3
+    # the hull of the lift, and the Newton polytope's facets
+    assert calls["dd_cone"] - before[0] == 2
     # the build's eliminations: the subdivision's pivot columns, one per
     # checked polyhedron and one per normal system; none in complexes
     assert calls["gauss_jordan"] - before[1] == \
@@ -652,7 +653,10 @@ def test_no_redundant_exact_work(monkeypatch):
     assert calls["_hermite"] > 0  # the build's tangent lattices pass the counter
     assert made.keys() == pair.Yref.by_key.keys()
     equations = {(P.dim, tuple(a for a, b in P.equations)) for P in made.values()}
-    assert calls["tangent_lattice"] == len(equations) < len(pair.Yref.cells) / 4
+    # one kernel per stratum for its lineality (`stratum_pieces`), and one
+    # per equation system for its tangent lattice
+    assert calls["kernel_lattice"] == len(pair.Y.cones) + len(equations)
+    assert len(equations) < len(pair.Yref.cells) / 4
     systems = _equation_normal_systems(pair)
     assert 0 < calls["gauss_jordan in stratum_pieces"] <= len(systems) < len(pair.Yref.cells) / 2
     before = calls["_hermite"]
@@ -693,7 +697,7 @@ def test_no_redundant_exact_work(monkeypatch):
     before = calls["dd_cone"]
     pair = build_pair(f, load_fan("dim 3\n"))
     assert not pair.Y.compact and not all(c.compact for c in pair.Yref.cells)
-    assert calls["dd_cone"] - before == 3
+    assert calls["dd_cone"] - before == 2
     assert calls["cone_covered_by"] == 0
 
     made.clear()

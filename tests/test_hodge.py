@@ -29,7 +29,7 @@ from trophom.complexes import (
     is_proper,
 )
 from trophom.cosheaf import ambient_on_cells, multitangent
-from trophom.polyhedra import convex_hull
+from trophom.polyhedra import QPolyhedron
 from trophom.tropio import FanSpec, TropicalPolynomial, load_fan, newton_polytope, normal_fan
 
 
@@ -146,8 +146,8 @@ def lattice_points(P):
 
 def polar(P):
     """{y : <x, y> <= 1 for x in P}, for a polygon with the origin inside;
-    convex_hull rejects its vertices unless they are integral."""
-    return convex_hull([tuple(x / b for x in a) for a, b in P.facets])
+    its vertices x / b are Fractions, integral when P is reflexive."""
+    return QPolyhedron.from_generators([tuple(x / b for x in a) for a, b in P.facets])
 
 
 def test_reflexive_polygon_list():
@@ -156,7 +156,7 @@ def test_reflexive_polygon_list():
     Rodriguez-Villegas), and with the known number of each count."""
     counts = Counter()
     for vertices in REFLEXIVE_POLYGONS:
-        delta = convex_hull(vertices)
+        delta = QPolyhedron.from_generators(vertices)
         points, boundary = lattice_points(delta)
         assert sorted(delta.vertices) == sorted(vertices)
         assert set(points) - set(boundary) == {(0, 0)}
@@ -176,7 +176,7 @@ def test_reflexive_polygon_curves_are_elliptic(vertices):
     (1, -(r - 2), 1), as in `test_ambient_euler_characteristic_is_h_vector`.
     The heights, 1 at the origin and -|a|^2 elsewhere, triangulate each of
     these polygons unimodularly, so X is non-singular."""
-    delta = convex_hull(vertices)
+    delta = QPolyhedron.from_generators(vertices)
     points, _ = lattice_points(delta)
     rays = lattice_points(polar(delta))[1]
     r = len(rays)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geometric_reference as reference
-from geometric_reference import contains, geometry_key
+from geometric_reference import contains, geometry_key, meet, tangent_lattice
 from trophom import polyhedra
 from trophom.polyhedra import (
     QPolyhedron,
@@ -17,7 +17,6 @@ from trophom.polyhedra import (
     _canonical_systems,
     cone_covered_by,
     cone_meets_relint,
-    convex_hull,
     dd_cone,
     hrep_from_generators,
     is_primitive,
@@ -57,7 +56,7 @@ class TestVectorLengths:
     def test_hull_point(self):
         # (1,) would be read as (1, 0), and the hull a triangle
         with pytest.raises(ValueError, match="point 1 has 1 coordinates, not 2"):
-            convex_hull([(0, 0), (1,), (0, 1)])
+            QPolyhedron.from_generators([(0, 0), (1,), (0, 1)])
 
     def test_hrep_normal(self):
         # the 5 would be dropped
@@ -78,19 +77,20 @@ class TestVectorLengths:
     def test_contains_point(self):
         # (5,) would be judged by its first coordinate alone
         with pytest.raises(ValueError, match="point 0 has 1 coordinates, not 2"):
-            contains(convex_hull([(0, 0), (1, 0), (0, 1)]), (5,))
+            contains(QPolyhedron.from_generators([(0, 0), (1, 0), (0, 1)]), (5,))
 
 
 class TestConvexHull:
     def test_unit_square(self):
-        P = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1), (Fraction(1, 2), Fraction(1, 2))])
+        P = QPolyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1),
+                                         (Fraction(1, 2), Fraction(1, 2))])
         assert len(P.vertices) == 4
         assert len(P.facets) == 4
         assert P.affine_dim == 2
 
     def test_standard_simplex(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        P = convex_hull(pts)
+        P = QPolyhedron.from_generators(pts)
         assert len(P.vertices) == 4
         assert len(P.facets) == 4
 
@@ -98,7 +98,7 @@ class TestConvexHull:
         rng = random.Random(5)
         pts = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(10)]
         pts = list(dict.fromkeys(pts))
-        P = convex_hull(pts)
+        P = QPolyhedron.from_generators(pts)
         hull_verts = set(P.vertices)
         for p in pts:
             others = [q for q in pts if q != p]
@@ -271,13 +271,13 @@ class TestIntegerMembership:
 
 class TestFaceLattice:
     def test_segment(self):
-        P = convex_hull([(0,), (2,)])
+        P = QPolyhedron.from_generators([(0,), (2,)])
         faces = P.face_lattice()
         dims = sorted(F.affine_dim for F, _ in faces)
         assert dims == [0, 0, 1]
 
     def test_triangle(self):
-        P = convex_hull([(0, 0), (1, 0), (0, 1)])
+        P = QPolyhedron.from_generators([(0, 0), (1, 0), (0, 1)])
         faces = P.face_lattice()
         count = {}
         for F, _ in faces:
@@ -285,7 +285,7 @@ class TestFaceLattice:
         assert count == {0: 3, 1: 3, 2: 1}
 
     def test_cube_f_vector(self):
-        P = convex_hull(list(product((0, 1), repeat=3)))
+        P = QPolyhedron.from_generators(list(product((0, 1), repeat=3)))
         count = {}
         for F, _ in P.face_lattice():
             count[F.affine_dim] = count.get(F.affine_dim, 0) + 1
@@ -294,7 +294,7 @@ class TestFaceLattice:
 
 class TestRecession:
     def test_polytope_recession_trivial(self):
-        P = convex_hull([(0, 0), (1, 0), (0, 1)])
+        P = QPolyhedron.from_generators([(0, 0), (1, 0), (0, 1)])
         R = P.recession()
         assert R.affine_dim == 0
 
@@ -341,11 +341,11 @@ class TestRecession:
             p2 = QPolyhedron.from_generators(
                 [(rng.randint(-2, 2), rng.randint(-2, 2))],
                 rays=[(1, rng.randint(0, 1)), (0, 1)])
-            both = p1.intersect(p2)
+            both = meet(p1, p2)
             if both is None:
                 continue
             lhs = both.recession()
-            rhs = p1.recession().intersect(p2.recession())
+            rhs = meet(p1.recession(), p2.recession())
             assert geometry_key(lhs) == geometry_key(rhs)
 
     def test_parallel_facets_become_an_equation(self):
@@ -415,7 +415,7 @@ def face_lattice_faces(points, maximal_cells):
     double description, every face read as the support points on it."""
     faces = {}
     for cell in maximal_cells:
-        hull = convex_hull([points[i] for i in sorted(cell)])
+        hull = QPolyhedron.from_generators([points[i] for i in sorted(cell)])
         for F, _ in hull.face_lattice():
             faces[frozenset(i for i in cell if contains(F, points[i]))] = F.affine_dim
     return faces
@@ -626,7 +626,7 @@ def hull_subdivision(points, heights):
     coords = [tuple(p[c] for c in pivots) for p in points]
     d = len(pivots)
     lifted = [tuple(Fraction(c) for c in y) + (Fraction(h),) for y, h in zip(coords, heights)]
-    lift = convex_hull(lifted)
+    lift = QPolyhedron.from_generators(lifted)
     if any(a[d] != 0 for a, b in lift.equations):
         maximal = [frozenset(range(len(points)))]
     else:
@@ -634,7 +634,7 @@ def hull_subdivision(points, heights):
                           for a, b in lift.facets if a[d] > 0}, key=sorted)
     faces = {}
     for members in maximal:
-        cell = convex_hull([coords[i] for i in sorted(members)])
+        cell = QPolyhedron.from_generators([coords[i] for i in sorted(members)])
         walls = {frozenset(i for i in members if dot(a, coords[i]) == b)
                  for a, b in cell.facets}
         faces[members] = d
@@ -761,6 +761,62 @@ def test_ties_match_fraction_solve():
     assert min(kinds.values()) >= 40, kinds
 
 
+def random_unimodular_rays(rng, d, s):
+    """The first s columns of a seeded unimodular d x d matrix: the
+    identity moved by random elementary column operations, columns
+    shuffled and signs flipped."""
+    cols = [[int(i == j) for i in range(d)] for j in range(d)]
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-2, 2)
+            cols[i] = [x + k * y for x, y in zip(cols[i], cols[j])]
+    rng.shuffle(cols)
+    signs = [rng.choice((1, -1)) for _ in range(s)]
+    return [tuple(x * e for x in c) for c, e in zip(cols, signs)]
+
+
+class TestCone:
+    """`QPolyhedron.cone` reads a unimodular cone off its rays' basis
+    completion, with no double description."""
+
+    def test_matches_double_description(self):
+        """The same set, equations and rays as the cone `from_generators`
+        builds from the apex and the rays, for every s <= d <= 4; the facet
+        normals are the same modulo the equations."""
+        rng = random.Random(61)
+        for d in range(1, 5):
+            for s in range(d + 1):
+                for _ in range(6):
+                    rays = random_unimodular_rays(rng, d, s)
+                    got = QPolyhedron.cone(rays, d)
+                    want = QPolyhedron.from_generators([(0,) * d], rays, (), d)
+                    assert geometry_key(got) == geometry_key(want), rays
+                    assert got.equations == want.equations, rays
+                    assert got.rays == want.rays == tuple(sorted(rays)), rays
+                    assert got.vertices == want.vertices and got.lin == want.lin == ()
+                    assert len(got.facets) == len(want.facets) == s
+                    assert got.contains_polyhedron(want) and want.contains_polyhedron(got)
+                    if s == d:
+                        assert got.facets == want.facets, rays
+
+    def test_none_when_rays_do_not_extend_to_a_basis(self):
+        # index 2 in Z^2, and a ray that is not primitive
+        assert QPolyhedron.cone([(1, 0), (1, 2)], 2) is None
+        assert QPolyhedron.cone([(2, 0)], 2) is None
+
+    def test_runs_no_double_description(self, monkeypatch):
+        def boom(constraints, dim):
+            raise AssertionError("dd_cone called")
+
+        monkeypatch.setattr(polyhedra, "dd_cone", boom)
+        rng = random.Random(67)
+        for d in range(1, 5):
+            for s in range(d + 1):
+                assert QPolyhedron.cone(random_unimodular_rays(rng, d, s), d).affine_dim == s
+        assert QPolyhedron.cone([(1, 0), (1, 2)], 2) is None
+
+
 class TestConePredicates:
     def test_meets_relint(self):
         quad = QPolyhedron.cone([(1, 0), (0, 1)], 2)
@@ -769,13 +825,14 @@ class TestConePredicates:
         assert not cone_meets_relint(ray, quad)
         assert cone_meets_relint(ray, ray)
         # the apex cone is met by anything
-        apex = convex_hull([(0, 0)])
+        apex = QPolyhedron.from_generators([(0, 0)])
         assert cone_meets_relint(ray, apex)
 
     def test_covered_by(self):
         quad_pp = QPolyhedron.cone([(1, 0), (0, 1)], 2)
         quad_pm = QPolyhedron.cone([(1, 0), (0, -1)], 2)
-        right = QPolyhedron.cone([(0, 1), (0, -1), (1, 0)], 2)
+        # not unimodular simplicial, so `QPolyhedron.cone` would give None
+        right = QPolyhedron.from_generators([(0, 0)], [(0, 1), (0, -1), (1, 0)])
         assert cone_covered_by(quad_pp, [right])
         assert cone_covered_by(right, [quad_pp, quad_pm])
         assert not cone_covered_by(right, [quad_pp])
@@ -968,32 +1025,29 @@ def test_canonical_systems_match_fraction_reference(monkeypatch):
         assert _canonical_systems([], [(), ()], dim) == [(), ()]
 
 
-def test_point_tangent_lattice_takes_no_hnf(monkeypatch):
-    """A point has as many canonical equations as its dimension, and its
-    tangent lattice is the zero lattice with no `kernel_lattice`
-    elimination: the same basis as the saturated kernel of its equations.
-    Other polyhedra still take one."""
+def test_point_tangent_lattice_takes_no_hnf():
+    """A tangent lattice is the `kernel_lattice` of the canonical equation
+    normals, with no special case for the two ends.  A point has as many
+    canonical equations as its dimension, full rank, and the kernel is the
+    zero lattice, k x 0; a full-dimensional polyhedron has none, a 0 x k
+    matrix, and the kernel is the identity.  Between them, a segment's
+    lattice is its primitive direction."""
     rng = random.Random(53)
     points = [QPolyhedron.from_generators([tuple(random_rational(rng) for _ in range(d))])
               for d in range(1, 6) for _ in range(5)]
-    want = [kernel_lattice(IntMatrix([a for a, b in P.equations], ncols=P.dim))
-            for P in points]
-    calls = Counter()
-    real = polyhedra.kernel_lattice
-
-    def counted(M):
-        calls["kernel_lattice"] += 1
-        return real(M)
-
-    monkeypatch.setattr(polyhedra, "kernel_lattice", counted)
-    for P, L in zip(points, want):
+    for P in points:
         assert len(P.equations) == P.dim and P.affine_dim == 0
-        T = P.tangent_lattice()
-        assert T == L and T.rows == ((),) * P.dim and T.ncols == 0
-    assert calls["kernel_lattice"] == 0
-    segment = convex_hull([(0, 0, 1), (2, 1, 1)])
-    assert segment.tangent_lattice().columns() == [(2, 1, 0)]
-    assert calls["kernel_lattice"] == 1
+        T = tangent_lattice(P)
+        assert T == lattice_basis((), P.dim) and T.rows == ((),) * P.dim and T.ncols == 0
+    for k in range(6):
+        assert kernel_lattice(IntMatrix._trusted((), k)) == IntMatrix.identity(k)
+        assert kernel_lattice(IntMatrix([(1,) * k], ncols=k)).ncols == max(k - 1, 0)
+    for k in range(1, 6):
+        full = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k)]
+        if det(IntMatrix(full)):
+            assert kernel_lattice(IntMatrix(full)).columns() == []
+    segment = QPolyhedron.from_generators([(0, 0, 1), (2, 1, 1)])
+    assert tangent_lattice(segment).columns() == [(2, 1, 0)]
 
 
 def test_own_generators_checked_once_per_build(monkeypatch):

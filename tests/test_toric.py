@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trophom.exactla import IntMatrix
-from trophom.polyhedra import QPolyhedron, convex_hull
+from trophom.polyhedra import QPolyhedron
 from trophom.tropio import FanError, FanSpec, load_fan, newton_polytope, normal_fan, parse_polynomial
 from trophom.toric import ToricVariety
 
@@ -89,7 +89,7 @@ class TestStrata:
 class TestCompactify:
     def test_bounded_stays_home(self):
         Y = tp2()
-        P = convex_hull([(0, 0), (1, 0), (0, 1)])
+        P = QPolyhedron.from_generators([(0, 0), (1, 0), (0, 1)])
         pieces = Y.compactify(P)
         assert set(pieces) == {Y.apex}
 
@@ -135,7 +135,7 @@ class TestCompactify:
         for P, want in ((ray_up, False), (ray_left, True)):
             reached = Yhalf.reached_cones(P, Yhalf.apex)
             assert Yhalf.closure_is_compact(P, Yhalf.apex, reached) == want
-        box = convex_hull([(0, 0), (1, 1)])
+        box = QPolyhedron.from_generators([(0, 0), (1, 1)])
         assert Yhalf.closure_is_compact(box, Yhalf.apex, [Yhalf.apex])
         Y = tp2()
         assert Y.compact

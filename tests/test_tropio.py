@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geometric_reference import contains, geometry_key
+from geometric_reference import contains, fan_cone, geometry_key, meet
 from trophom.complexes import build_pair
 from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
     QPolyhedron,
     cone_covered_by,
     cone_meets_relint,
-    convex_hull,
 )
 from trophom.tropio import (
     FanError,
@@ -80,6 +79,43 @@ class TestParse:
         pair = build_pair(f, load_fan("dim 2\n"))
         assert pair.f.terms[0][1] == Fraction(1, 2)
         assert (pair.X.f_vector(), pair.Yref.f_vector()) == ([1, 3], [1, 3, 3])
+        # ints, Fractions and rational strings give the Fraction they denote
+        g = TropicalPolynomial(1, (((0,), "1/3"), ((1,), Fraction(-2, 4)), ((2,), 7)))
+        assert [c for e, c in g.terms] == [Fraction(1, 3), Fraction(-1, 2), 7]
+
+    def test_float_coefficient_must_be_exact(self):
+        """A float is taken when it is the rational its repr spells; 0.1 is
+        not (its binary value is 3602879701896397/2^55), so it raises
+        ValueError naming its term instead of being read as that value."""
+        f = TropicalPolynomial(1, (((0,), 3.0), ((1,), -0.25)))
+        assert f.terms == (((0,), 3), ((1,), Fraction(-1, 4)))
+        with pytest.raises(ValueError, match=r"^coefficient 1 0\.1 is not an exact rational$"):
+            TropicalPolynomial(1, (((0,), 0), ((1,), 0.1)))
+        with pytest.raises(ValueError, match=r"^coefficient 0 1e\+300 is not an exact rational$"):
+            TropicalPolynomial(1, (((0,), 1e300), ((1,), 0)))
+
+    @pytest.mark.parametrize("bad", [None, float("inf"), float("-inf"), float("nan"), "x",
+                                     "1/0", (1, 2)], ids=repr)
+    def test_unreadable_coefficient_names_its_term(self, bad):
+        """A coefficient that `Fraction` cannot read raises ValueError, not
+        the TypeError or OverflowError of `Fraction` itself, and names the
+        term by its position, as the exponent checks do."""
+        with pytest.raises(ValueError, match=r"^coefficient 2 .* is not an exact rational$") as e:
+            TropicalPolynomial(1, (((0,), 0), ((1,), 1), ((2,), bad)))
+        assert not isinstance(e.value, ParseError)
+
+    def test_constructor_checks_its_size(self):
+        """A negative variable count, or no term at all, is rejected where
+        the polynomial is built: `polynomial_text` would write "max()",
+        which no reader takes."""
+        with pytest.raises(ValueError, match=r"^negative variable count -1$"):
+            TropicalPolynomial(-1, [((), 0)])
+        for n in (0, 2, -1):
+            with pytest.raises(ValueError):
+                TropicalPolynomial(n, [])
+        with pytest.raises(ValueError, match=r"^a tropical polynomial needs at least one term$"):
+            TropicalPolynomial(2, [])
+        assert polynomial_text(TropicalPolynomial(0, [((), 4)])) == "max(4)"
 
     def test_padding_cannot_shrink(self):
         with pytest.raises(ValueError, match="cannot shrink the variable count"):
@@ -196,14 +232,14 @@ class TestNormalFan:
         assert fan.is_complete()
 
     def test_square_tp1xtp1(self):
-        np = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+        np = QPolyhedron.from_generators([(0, 0), (1, 0), (0, 1), (1, 1)])
         fan = normal_fan(np)
         assert set(fan.rays) == {(-1, 0), (0, -1), (1, 0), (0, 1)}
         assert len(fan.max_cones) == 4
 
     def test_dilation_invariance(self):
-        np1 = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        np3 = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
+        np1 = QPolyhedron.from_generators([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        np3 = QPolyhedron.from_generators([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
         f1, f3 = normal_fan(np1), normal_fan(np3)
         assert set(f1.rays) == set(f3.rays)
 
@@ -216,19 +252,19 @@ class TestNormalFan:
             if d == (0, 0):
                 continue
             hits = [c for c in fan.max_cones
-                    if contains(fan.cone_geometry(c), d)]
+                    if contains(fan_cone(fan, c), d)]
             assert hits
             relint_hits = [c for c in fan.cones()
-                           if c and cone_meets_relint(QPolyhedron.cone([d], 2),
-                                                      fan.cone_geometry(c))
-                           and contains(fan.cone_geometry(c), d)]
+                           if c and cone_meets_relint(
+                               QPolyhedron.from_generators([(0, 0)], [d]), fan_cone(fan, c))
+                           and contains(fan_cone(fan, c), d)]
             # d lies in the relative interior of exactly one cone
             mins = [c for c in relint_hits
                     if not any(o < c for o in relint_hits)]
             assert len(mins) == 1
 
     def test_non_fulldim_rejected(self):
-        np = convex_hull([(0, 0), (1, 0)])
+        np = QPolyhedron.from_generators([(0, 0), (1, 0)])
         with pytest.raises(FanError):
             normal_fan(np)
 
@@ -238,10 +274,11 @@ def _cones_meet_in_faces(dim, rays, max_cones):
     face."""
     cones = {frozenset(s) for c in max_cones for k in range(len(c) + 1)
              for s in combinations(c, k)}
-    hull = {c: QPolyhedron.cone([rays[i] for i in sorted(c)], dim) for c in cones}
+    hull = {c: QPolyhedron.from_generators([(0,) * dim], [rays[i] for i in sorted(c)], (), dim)
+            for c in cones}
     for a, b in combinations(cones, 2):
-        meet = hull[a].intersect(hull[b])
-        if meet is None or geometry_key(meet) != geometry_key(hull[a & b]):
+        both = meet(hull[a], hull[b])
+        if both is None or geometry_key(both) != geometry_key(hull[a & b]):
             return False
     return True
 
@@ -310,7 +347,7 @@ def test_is_complete_matches_covering_reference():
         fan = FanSpec(dim, rays, cones)
         space = QPolyhedron.from_generators([(0,) * dim], [], IntMatrix.identity(dim).rows, dim)
         want = bool(fan.max_cones) and cone_covered_by(
-            space, [fan.cone_geometry(c) for c in fan.max_cones])
+            space, [fan_cone(fan, c) for c in fan.max_cones])
         assert fan.is_complete() == want, (dim, rays, cones)
         verdicts.append(want)
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 20
@@ -450,6 +487,13 @@ cone: 1 2 4
         with pytest.raises(ParseError, match="second dim line") as e:
             load_fan(text)
         assert e.value.line == line
+
+    def test_direct_construction_rejects_negative_dim(self):
+        """The constructor rejects what `load_fan` rejects, in its words."""
+        with pytest.raises(FanError, match=r"^negative dimension -1$"):
+            FanSpec(-1, (), ())
+        with pytest.raises(ParseError, match=r"^negative dimension -1 at line 1"):
+            load_fan("dim -1\n")
 
     def test_negative_dim_rejected(self):
         with pytest.raises(ParseError, match="negative dimension") as e:
@@ -605,6 +649,30 @@ def test_polynomial_text_round_trips_or_fails_located(f, data):
         assert 1 <= e.line <= bad.count("\n") + 1 and e.col >= 1, (bad, e)
     else:
         assert parse_polynomial(polynomial_text(g)).padded(g.n_vars) == g, bad
+
+
+# every coefficient form the constructor takes: ints, Fractions, their
+# strings, and the floats that are exactly their repr
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=6).flatmap(
+    lambda q: st.sampled_from([q, str(q)] + ([int(q)] if q.denominator == 1 else [])
+                              + ([float(q)] if q.denominator in (1, 2, 4) else [])))
+
+
+@FUZZ
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.tuples(*[st.integers(-3, 3)] * n), coefficients, min_size=1, max_size=6))),
+    st.data())
+def test_every_accepted_polynomial_round_trips(case, data):
+    """Whatever the constructor accepts, in any of the forms it reads,
+    `polynomial_text` writes as a text that parses back to the same
+    polynomial (embedded in its own variable count, which the text names
+    only up to its largest used index)."""
+    n, terms = case
+    given_terms = [(tuple(data.draw(st.sampled_from((x, Fraction(x), float(x)))) for x in e), c)
+                   for e, c in terms.items()]
+    f = TropicalPolynomial(n, given_terms)
+    assert f.n_vars == n and len(f.terms) == len(terms)
+    assert parse_polynomial(polynomial_text(f)).padded(n) == f
 
 
 @FUZZ
