@@ -26,7 +26,6 @@ there span a cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from .exactla import (
@@ -34,6 +33,7 @@ from .exactla import (
     kernel_lattice,
     lattice_basis,
     primitive_vector,
+    rational,
 )
 from .polyhedra import (
     QPolyhedron,
@@ -181,9 +181,13 @@ def _picked(mask, items):
     return tuple(out)
 
 
-def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta, G) -> dict:
+def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta, G,
+                   heights) -> dict:
     """The piece (eta, F) of every face F of S inside G = G_eta, in
     eta-stratum coordinates, read off the subdivision that S induces on G.
+    `heights` is (h, D): the coefficients c_i of f as integer numerators
+    h_i over one positive denominator D (`polyhedra._scaled`), which
+    `build_pair` computes once for all the strata.
 
     A term a pairs with a stratum vector y as w_a(y) = a^T section_eta y.
     The rays of eta vanish on the differences of G, so the piece is the dual
@@ -194,7 +198,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     - vertices: the projected tie point v_M (`S.ties`), one M for each
       maximal cell M' = M & G of the induced subdivision that contains F,
       with v_M scaled once to integer numerators over one denominator, so
-      the projection is integer dot products;
+      the projection is integer dot products, each divided by `rational`;
     - rays: the projected normals of the Newton facets through F that cut
       a facet of conv(G), one per facet of conv(G), read from
       `newton_facets`, the sorted (normal, offset) facets of the Newton
@@ -204,6 +208,9 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     - equations: the terms of F tie;
     - facets: one per face F' of S covering F inside G, where one more term
       b in F' - F ties.
+    Vertex coordinates and offsets follow the number rule of `polyhedra`,
+    ints when integral and Fractions otherwise, so integer heights with
+    integral tie points make no Fraction.
     The per-stratum data is computed once for all the pieces, and its
     vertices and rays are sorted once.  The maximal faces above each F are
     found by walking the covers of the subdivision down from the top faces
@@ -212,10 +219,10 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     by scanning every wall.  Every piece takes its vertex and ray objects
     from these shared lists, so a piece and the pieces of the faces
     covering F share them, which `QPolyhedron.contains_polyhedron` reads
-    with no arithmetic.  The tie of a
-    term pair (a0, b), its normal w_b - w_a0 and offset c_a0 - c_b, is
-    computed once for the facets and equations that name it.  The pieces
-    whose ordered tuples of equation normals agree form one system, and
+    with no arithmetic.  The tie of a term pair (a0, b), its normal
+    w_b - w_a0 and offset c_a0 - c_b = (h_a0 - h_b) / D, is computed once
+    for the facets and equations that name it.  The pieces whose ordered
+    tuples of equation normals agree form one system, and
     `_canonical_systems` makes all their equations canonical with one
     elimination of those normals.  Every piece is then built by
     `QPolyhedron._trusted`: its vertices and rays are sorted subsequences,
@@ -237,7 +244,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
         cell = M & G
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
             num, D = _scaled(S.ties[M])
-            vertex_of[cell] = tuple(Fraction(_dot(r, num), D) for r in proj.rows)
+            vertex_of[cell] = tuple(rational(_dot(r, num), D) for r in proj.rows)
     walls = {}
     for a, b in newton_facets:
         on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
@@ -263,13 +270,14 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
             for C in S.covered_by[F]:
                 mask |= above.get(C, 0)
             above[F] = mask
+    h, D = heights
     offsets = {}    # (a0, b) -> (w_b - w_a0, c_a0 - c_b), once per term pair
 
     def tie(a0, b):
         t = offsets.get((a0, b))
         if t is None:
             t = offsets[(a0, b)] = (tuple(x - y for x, y in zip(w[b], w[a0])),
-                                    f.terms[a0][1] - f.terms[b][1])
+                                    rational(h[a0] - h[b], D))
         return t
 
     systems = {}    # equation normals -> [(F, right-hand sides)]
@@ -341,6 +349,10 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     stratum live only while it is built: a cell keeps its key, dimension,
     tangent basis and compactness flag, not its polyhedron.
 
+    The coefficients of f are scaled once to integer numerators over one
+    denominator, and every stratum's pieces read their offsets from those
+    (`stratum_pieces`), with no Fraction arithmetic.
+
     A tangent lattice is the kernel (`kernel_lattice`) of its piece's
     equation normals, which are canonical, so one lattice is computed per
     equation system: the cells with the same stratum dimension and equation
@@ -369,6 +381,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     G = dual_face_points(f, Y)
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
     newton_facets = sorted(hrep_from_generators([e for e, c in f.terms], [], [], Y.dim)[0])
+    heights = _scaled([c for e, c in f.terms])
     cells = []
     incidence = []
     tangents = {}   # (stratum dim, equation normals) -> tangent lattice
@@ -377,7 +390,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
         # the cones one ray below eta: (eta, F) is a facet of (theta, F) in
         # each, a cell since G_eta lies in G_theta
         below = [Y.cone_index[cone - {r}] for r in cone]
-        pieces = stratum_pieces(f, S, newton_facets, Y, eta, G[eta])
+        pieces = stratum_pieces(f, S, newton_facets, Y, eta, G[eta], heights)
         for face, piece in pieces.items():
             fd = S.faces[face]
             if eta == Y.apex and piece.affine_dim != Y.dim - fd:

@@ -67,11 +67,14 @@ keep both forms); all functions here are pure.
 
 `int_rows` applies the same rule where other modules take integer vectors
 from their callers: support points, exponents, fan and polyhedron rays,
-facet normals and lineality vectors.
+facet normals and lineality vectors.  `rational` makes the exact rationals
+of the geometry layer (`polyhedra`, `complexes`): an int when the value is
+integral, and a Fraction only otherwise.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
@@ -396,9 +399,11 @@ def _reduce_column(rows, cols, i0, j0, heap):
 def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
     """Invariant-factor diagonal of a sparse integer matrix, no transforms.
 
-    `entries_by_row` maps row index -> {col index: value}; an entry outside
-    range(nrows) x range(ncols) raises ValueError.  Returns the list of
-    invariant factors (nonzero, with divisibility) -- its length is the rank.
+    `entries_by_row` maps row index -> {col index: value}; a nonzero entry
+    outside range(nrows) x range(ncols) raises ValueError naming the first
+    one in row order, checked once over the row and column indices kept.
+    Returns the list of invariant factors (nonzero, with divisibility) --
+    its length is the rank.
 
     One elimination step: for a pivot p = (i0, j0), row operations reduce
     column j0 modulo p (`_reduce_column`).  A unit p is then alone in its
@@ -441,9 +446,6 @@ def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
         r = {j: v for j, v in r.items() if v} if 0 in r.values() else dict(r)
         if not r:
             continue
-        if not 0 <= i < nrows or min(r) < 0 or max(r) >= ncols:
-            j = next(j for j in r if not (0 <= i < nrows and 0 <= j < ncols))
-            raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
         rows[i] = r
         for j in r:
             c = cols.get(j)
@@ -451,6 +453,10 @@ def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
                 cols[j] = {i}
             else:
                 c.add(i)
+    if rows and (min(rows) < 0 or max(rows) >= nrows or min(cols) < 0 or max(cols) >= ncols):
+        i, j = next((i, j) for i, r in rows.items() for j in r
+                    if not (0 <= i < nrows and 0 <= j < ncols))
+        raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
     units = 0
     # phase 1: bucket n holds the columns that had length n when filed, and
     # no live column is longer than there are rows
@@ -718,20 +724,22 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     paired columns is d_out times a unimodular matrix, zero columns dropped:
     same rank, same invariant factors.  A non-unit pivot's row operations
     alter a column that stays, so the pairing stops there.  The check that
-    d_out * d_in = 0 runs on the full matrices.
+    d_out * d_in = 0 runs on the full matrices, and is skipped when d_in
+    has no columns or d_out no rows, since the product then has no entries.
     """
     if d_in.nrows != d_out.ncols:
         raise ValueError("middle module dimension mismatch: d_in has %d rows, "
                          "d_out has %d columns" % (d_in.nrows, d_out.ncols))
     sp_in = d_in.sparse_rows()
     sp_out = d_out.sparse_rows()
-    for r in sp_out.values():
-        acc = {}
-        for k, a in r.items():
-            for j, b in sp_in[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        if any(acc.values()):
-            raise ValueError("boundary maps do not compose to zero")
+    if d_in.ncols and d_out.nrows:
+        for r in sp_out.values():
+            acc = {}
+            for k, a in r.items():
+                for j, b in sp_in[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                raise ValueError("boundary maps do not compose to zero")
     paired = set()
     fac_in = smith_diagonal(sp_in, d_in.nrows, d_in.ncols, paired=paired)
     # a row that loses no column is passed as it is, not copied
@@ -741,6 +749,16 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     rank = d_out.ncols - len(fac_out) - len(fac_in)
     torsion = [d for d in fac_in if d > 1]
     return rank, torsion
+
+
+def rational(n, d):
+    """The exact rational n / d of two ints, d nonzero, by the number rule
+    of the geometry layer: the int n // d when d divides n, and a Fraction
+    only otherwise.  The two compare, sort and hash alike on equal values,
+    so the rule changes a value's type, never its place in a sort or a
+    dict."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def primitive_vector(vec):

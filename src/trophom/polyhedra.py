@@ -6,7 +6,17 @@ configurations induced by lifting heights.  A subdivision is computed in the
 pivot coordinates of its points' affine hull (an affine bijection, so faces
 and affine ranks are unchanged); lattice volumes are read in the saturated
 lattice of a cell's own affine hull, as gcds of maximal minors of its edge
-vectors.  All coordinates are Fractions or ints; no floating point anywhere.
+vectors.
+
+One number rule holds throughout: an exact rational is an int when it is
+integral, and a Fraction only otherwise (`exactla.rational`).  Directions
+(rays, lineality vectors, facet and equation normals) are integer vectors;
+vertices, tie points and offsets follow the rule, so on integral data, as
+with integer heights on a primitive triangulation of a full-dimensional
+support, no Fraction is made.  An int and a Fraction of equal value
+compare, sort and hash alike, so the rule moves no cell, order or answer.
+No `/` is applied to these values (int / int is a float): quotients are
+taken by `rational`, and no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .exactla import (
     kernel_lattice,
     lattice_basis,
     primitive_vector,
+    rational,
 )
 
 
@@ -47,6 +58,16 @@ def _scaled(x):
     x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
     D = lcm(*(v.denominator for v in x))
     return [v.numerator * (D // v.denominator) for v in x], D
+
+
+def _exact(x):
+    """x as the exact rational that `Fraction` reads it as, by the number
+    rule: an int when integral, else a Fraction.  An int is taken as it
+    is."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _primitive(v):
@@ -145,12 +166,21 @@ def dd_cone(constraints, dim):
     return lin, rays
 
 
+def _homogenized(a, b):
+    """The primitive integer row on (-b, a): the numerators of (b, a) over
+    their common denominator (`_scaled`), the first negated, divided by
+    their gcd.  Int and Fraction entries are read as they are."""
+    num, D = _scaled((b, *a))
+    num[0] = -num[0]
+    return _primitive(num)
+
+
 def _homogenize_hrep(ineqs, eqs, dim):
     rows = [(-1,) + (0,) * dim]  # t >= 0
     for a, b in ineqs:
-        rows.append(primitive_vector((-Fraction(b),) + tuple(Fraction(x) for x in a)))
+        rows.append(_homogenized(a, b))
     for a, b in eqs:
-        r = primitive_vector((-Fraction(b),) + tuple(Fraction(x) for x in a))
+        r = _homogenized(a, b)
         rows.append(r)
         rows.append(tuple(-x for x in r))
     return rows
@@ -169,20 +199,20 @@ def generators_from_hrep(ineqs, eqs, dim):
     for r in rays:
         t = r[0]
         if t > 0:
-            verts.append(tuple(Fraction(x, t) for x in r[1:]))
+            verts.append(tuple(rational(x, t) for x in r[1:]))
         elif any(r[1:]):
             recrays.append(primitive_vector(r[1:]))
     return sorted(set(verts)), sorted(set(recrays)), lins
 
 
 def hrep_from_generators(points, rays, lins, dim):
-    """Minimal H-representation (facets, equations) of conv(points)+cone."""
+    """Minimal H-representation (facets, equations) of conv(points)+cone.
+    Each row (a, b) is primitive in (b, a), so its offset b is an int."""
     _check_lengths(dim, ("point", points), ("ray", rays), ("lineality vector", lins))
     rows = []
     for p in points:
         # an integer point homogenizes as it is: the -1 makes it primitive
-        rows.append((-1, *p) if all(type(x) is int for x in p)
-                    else primitive_vector((-1,) + tuple(Fraction(x) for x in p)))
+        rows.append((-1, *p) if all(type(x) is int for x in p) else _homogenized(p, 1))
     for r in int_rows(rays, "ray"):
         rows.append((0,) + r)
     for l in int_rows(lins, "lineality vector"):
@@ -193,10 +223,10 @@ def hrep_from_generators(points, rays, lins, dim):
     facets, eqs = [], []
     for v in lin:
         if any(v[1:]):
-            eqs.append((tuple(v[1:]), Fraction(v[0])))
+            eqs.append((tuple(v[1:]), v[0]))
     for r in drays:
         if any(r[1:]):
-            facets.append((tuple(r[1:]), Fraction(r[0])))
+            facets.append((tuple(r[1:]), r[0]))
     return facets, eqs
 
 
@@ -221,7 +251,8 @@ def _canonical_systems(normals, offsets, dim):
     past the rank vanish on the normals.  When b is zero in all of them,
     these are the system's rows.  Otherwise the system is inconsistent: b
     pivots and clears every other row, so its rows are the pivot rows with
-    offset 0, plus ((0, ..., 0), 1).
+    offset 0, plus ((0, ..., 0), 1).  A row is primitive in (a, b), so
+    every offset is an int.
     """
     scales = [lcm(*(b.denominator for b in bs)) for bs in offsets]
     rows = [list(a) + [bs[i].numerator * (L // bs[i].denominator)
@@ -233,11 +264,11 @@ def _canonical_systems(normals, offsets, dim):
     out = []
     for j, L in enumerate(scales, start=dim):
         consistent = not any(row[j] for row in A[rank:])
-        eqs = [] if consistent else [((0,) * dim, Fraction(1))]
+        eqs = [] if consistent else [((0,) * dim, 1)]
         for row in A[:rank]:
             a, b = row[:dim], row[j] if consistent else 0
             g = gcd(L * gcd(*a), b) * sign
-            eqs.append((tuple(L * x // g for x in a), Fraction(b // g)))
+            eqs.append((tuple(L * x // g for x in a), b // g))
         out.append(tuple(sorted(eqs)))
     return out
 
@@ -253,7 +284,9 @@ class QPolyhedron:
     `recession` compute one representation from the other and put every
     field into that form by `_from_fields`.  `_trusted`, the one place that
     sets the fields, puts none: its caller hands over fields already
-    canonical, as `complexes.stratum_pieces` does.
+    canonical, as `complexes.stratum_pieces` does.  Vertex coordinates and
+    offsets follow the module's number rule, int when integral and Fraction
+    otherwise; rays, lineality and normals are int vectors.
     Membership has one evaluator, `_satisfied_by`, which
     `contains_polyhedron` calls.
     """
@@ -265,26 +298,30 @@ class QPolyhedron:
         """The polyhedron with both representations, its caller having
         computed one from the other: checked and put into canonical form,
         never tested for agreement.  `lin` only signals a nonzero lineality,
-        whose basis is read off the facet and equation normals."""
+        whose basis is read off the facet and equation normals.  Vertex
+        coordinates and facet offsets are read by `Fraction`, so what is
+        accepted and rejected does not depend on the rule, and kept by the
+        number rule (`_exact`); the canonical equations' offsets are ints."""
         _check_lengths(dim, ("vertex", vertices), ("ray", rays), ("lineality vector", lin),
                        ("facet normal", [a for a, b in facets]),
                        ("equation normal", [a for a, b in equations]))
         return cls._trusted(
             dim,
-            tuple(sorted(tuple(Fraction(x) for x in v) for v in vertices)),
+            tuple(sorted(tuple(map(_exact, v)) for v in vertices)),
             tuple(sorted(int_rows(rays, "ray"))),
             tuple(kernel_lattice(IntMatrix([a for a, b in (*facets, *equations)],
                                            ncols=dim)).columns()) if lin else (),
             tuple(sorted(zip(int_rows((a for a, b in facets), "facet normal"),
-                             (Fraction(b) for a, b in facets)))),
+                             (_exact(b) for a, b in facets)))),
             _canonical_equations(equations, dim))
 
     @classmethod
     def _trusted(cls, dim, vertices, rays, lin, facets, equations):
         """A polyhedron from canonical fields, unchecked: sorted tuples of
-        Fraction vertices, of int rays and of (int normal, Fraction offset)
-        facets, the lineality's HNF basis columns, and canonical
-        equations."""
+        vertices, of int rays and of (int normal, offset) facets, the
+        lineality's HNF basis columns, and canonical equations.  Vertex
+        coordinates and offsets are ints when integral and Fractions
+        otherwise (the number rule)."""
         P = object.__new__(cls)
         P.dim = dim
         P.vertices = vertices
@@ -355,8 +392,8 @@ class QPolyhedron:
         of one stratum share their vertex and ray objects
         (`complexes.stratum_pieces`), so this is the case for every
         incidence `build_pair` certifies.  Membership is by identity, a set
-        of ids: `in` on a tuple of Fraction tuples would call
-        Fraction.__eq__ on every vertex it passes over.  Both objects are
+        of ids: `in` on a tuple of vertex tuples would compare the
+        coordinates of every vertex it passes over.  Both objects are
         alive, so equal ids are the same object.
 
         The verdict is the full test's.  The full test asks that each vertex
@@ -523,14 +560,14 @@ def cone_covered_by(C: QPolyhedron, cones) -> bool:
                 continue
             prefix = []
             for a in walls:
-                flipped = (tuple(-x for x in a), Fraction(0))
+                flipped = (tuple(-x for x in a), 0)
                 piece = R.intersect_hrep(ineqs=prefix + [flipped])
                 if piece is not None and piece.affine_dim == target_dim:
                     gens = list(piece.vertices) + list(piece.rays) + list(piece.lin) + \
                         [tuple(-x for x in l) for l in piece.lin]
                     if any(_dot(a, g) > 0 for g in gens):
                         new_regions.append(piece)
-                prefix.append((a, Fraction(0)))
+                prefix.append((a, 0))
         regions = new_regions
         if not regions:
             return True
@@ -550,7 +587,10 @@ class RegularSubdivision:
     support point lying on the face, not only its vertices; a point lifted
     below the upper faces lies in none.  `covered_by` maps every face to the
     faces one dimension up that contain it.  `ties` maps every maximal cell
-    M to its tie point v_M, read off the lift (see `regular_subdivision`).
+    M to its tie point v_M, read off the lift (see `regular_subdivision`),
+    whose coordinates are ints when integral and Fractions otherwise (the
+    number rule): with integer heights on a primitive triangulation of a
+    full-dimensional support every one is an int.
     The support points are kept as given; the heights, and the coordinates
     the cells were found in, are not kept.
     """
@@ -627,12 +667,13 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     The tie point v_M of a maximal cell M, where the terms c_i + <a_i, x>
     of M tie, is read off the upper facet or hyperplane (a', a_d) of the
     lift through M: <a', y_i> + a_d D c_i is constant on M, so v_M is
-    a' / (a_d D) on the pivot columns and 0 elsewhere.
+    a' / (a_d D) on the pivot columns, each quotient taken by `rational`,
+    and 0 elsewhere.
 
     An empty point list, or points of unequal length, raise ValueError.
     """
     points = int_rows(points, "support point")
-    heights = [Fraction(h) for h in heights]
+    num, D = _scaled(heights)
     if not points:
         raise ValueError("a subdivision needs at least one support point")
     n = len(points[0])
@@ -642,20 +683,19 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
                              % (i, p, len(p), n))
     if len(set(points)) != len(points):
         raise ValueError("duplicate support points")
-    if len(heights) != len(points):
+    if len(num) != len(points):
         raise ValueError("one height per point required")
     base = points[0]
     _, pivots, _ = gauss_jordan([[x - y for x, y in zip(p, base)] for p in points], n)
     coords = [tuple(p[c] for c in pivots) for p in points]
     d = len(pivots)
-    num, D = _scaled(heights)
     lifted = [y + (h,) for y, h in zip(coords, num)]
     facets, eqs = hrep_from_generators(lifted, [], [], d + 1)
 
     def tie(a):
-        v = [Fraction(0)] * n
+        v = [0] * n
         for k, x in zip(pivots, a):
-            v[k] = Fraction(x, a[d] * D)
+            v[k] = rational(x, a[d] * D)
         return tuple(v)
 
     if eqs:
@@ -663,8 +703,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
         (a, _), = eqs
         ties = {frozenset(range(len(points))): tie(a)}
     else:
-        # the offsets of a lift of integer points are integers
-        ties = {frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b.numerator): tie(a)
+        ties = {frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b): tie(a)
                 for a, b in facets if a[d] > 0}
     maximal = tuple(sorted(ties, key=sorted))
     faces, covered_by = {}, {}

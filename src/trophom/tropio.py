@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactla import int_rows, primitive_vector
-from .polyhedra import QPolyhedron
+from .polyhedra import QPolyhedron, generators_from_hrep
 
 
 class ParseError(ValueError):
@@ -272,11 +272,15 @@ class FanSpec:
                                % (idx, rays))
         # the cones are simplicial, so when two maximal cones A, B meet in
         # cone(A & B), all faces a of A and b of B meet in cone(a & b).  A and
-        # B are pointed, so their meet is a pointed cone (never None), and it
-        # is cone(A & B) exactly when its canonical rays are those of A & B
+        # B are pointed, so their meet is a pointed cone, and it is
+        # cone(A & B) exactly when its extreme rays, sorted primitive rays
+        # from one double description of both H-representations, are those
+        # of A & B
         for a, b in combinations(self.max_cones, 2):
-            meet = geoms[a].intersect_hrep(geoms[b].facets, geoms[b].equations)
-            if meet.rays != tuple(sorted(self.rays[i] for i in a & b)):
+            A, B = geoms[a], geoms[b]
+            _, rays, _ = generators_from_hrep(A.facets + B.facets, A.equations + B.equations,
+                                              self.dim)
+            if rays != sorted(self.rays[i] for i in a & b):
                 raise FanError("cones %r and %r do not intersect in a common face"
                                % (sorted(a), sorted(b)))
 

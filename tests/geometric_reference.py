@@ -51,6 +51,20 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def assert_exact(x):
+    """x follows the number rule of `trophom.polyhedra`: an int when it is
+    integral and a Fraction otherwise, never a float."""
+    assert type(x) in (int, Fraction) and \
+        type(x) is (int if x.denominator == 1 else Fraction), (x, type(x))
+
+
+def heights(f):
+    """The coefficients of f as `build_pair` hands them to
+    `trophom.complexes.stratum_pieces`: integer numerators over one
+    denominator."""
+    return polyhedra._scaled([c for e, c in f.terms])
+
+
 def dd_cone(constraints, dim):
     """The reference for `trophom.polyhedra.dd_cone`, with the same output in
     the same order: the tight set of every ray is recomputed from scratch,
@@ -285,7 +299,7 @@ def with_geometry(pair) -> HypersurfacePair:
     pieces = {}
     for eta, G in enumerate(pair.face_points):
         for F, P in complexes.stratum_pieces(pair.f, pair.subdivision, newton.facets,
-                                             pair.Y, eta, G).items():
+                                             pair.Y, eta, G, heights(pair.f)).items():
             pieces[(eta, F)] = P
     cells = {id(c): GeomCell(**vars(c), geom=pieces[(c.sed, c.face)])
              for c in pair.Yref.cells}

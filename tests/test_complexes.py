@@ -7,6 +7,7 @@ import pytest
 
 import geometric_reference as reference
 from geometric_reference import (
+    assert_exact,
     cells_of_dim,
     closure,
     closure_is_compact,
@@ -28,6 +29,7 @@ from trophom.complexes import (
     is_nonsingular,
     is_proper,
 )
+from trophom.cosheaf import ambient_on_cells, multitangent
 from trophom.polyhedra import QPolyhedron, dd_cone, regular_subdivision
 from trophom.tropio import (
     TropicalPolynomial,
@@ -604,14 +606,14 @@ def test_moved_facet_fails_the_real_certificate(monkeypatch):
 
     k = next(k for k, (a, b) in enumerate(P.facets) if slack(a, b, point) == 0)
     a, b = P.facets[k]
-    shift = min(slack(a, b, v) for v in P.vertices if slack(a, b, v)) / 2
+    shift = Fraction(min(slack(a, b, v) for v in P.vertices if slack(a, b, v)), 2)
     moved = QPolyhedron._trusted(P.dim, P.vertices, P.rays, P.lin,
                                  P.facets[:k] + ((a, b - shift),) + P.facets[k + 1:],
                                  P.equations)
     real_pieces = complexes.stratum_pieces
 
-    def pieces(f, S, newton, Y, eta, G):
-        out = real_pieces(f, S, newton, Y, eta, G)
+    def pieces(f, S, newton, Y, eta, G, heights):
+        out = real_pieces(f, S, newton, Y, eta, G, heights)
         if eta == sig.sed:
             out[sig.face] = moved
         return out
@@ -829,23 +831,28 @@ def test_dd_cone_matches_recomputing_reference_on_fixtures(name):
 
 def assert_pieces_match_checked_reference(pair):
     """Every stratum's pieces equal, field by field and in type, those the
-    checked constructor builds from the same data.  Returns the number of
+    checked constructor builds from the same data, and follow the number
+    rule: vertex coordinates and offsets are ints when integral and
+    Fractions otherwise, directions int vectors.  Returns the number of
     pieces, and of those built by the trusted constructor, the ones without
     lineality."""
     f, S, Y, newton = pair.f, pair.subdivision, pair.Y, newton_polytope(pair.f)
     pieces = trusted = 0
     for eta, G in enumerate(pair.face_points):
-        got = complexes.stratum_pieces(f, S, newton.facets, Y, eta, G)
+        got = complexes.stratum_pieces(f, S, newton.facets, Y, eta, G, reference.heights(f))
         want = reference.stratum_pieces(f, S, newton.facets, Y, eta, G)
         assert list(got) == list(want)
         for F, P in got.items():
             Q = want[F]
             for field in QPolyhedron.__slots__:
                 assert getattr(P, field) == getattr(Q, field), (sorted(F), field)
-            assert all(type(x) is Fraction for v in P.vertices for x in v)
+            for v in P.vertices:
+                for x in v:
+                    assert_exact(x)
             assert all(type(x) is int for r in P.rays + P.lin for x in r)
             for a, b in P.facets + P.equations:
-                assert type(b) is Fraction and all(type(x) is int for x in a)
+                assert_exact(b)
+                assert all(type(x) is int for x in a)
             pieces += 1
             trusted += not P.lin
     return pieces, trusted
@@ -869,3 +876,79 @@ def test_pieces_match_checked_reference_random(fan):
         pieces, trusted = assert_pieces_match_checked_reference(pair)
         assert 0 < trusted <= pieces
         assert (trusted < pieces) == (fan in ("blowup", "one-ray"))
+
+
+def _predicates(pair):
+    return (is_proper(pair), is_nonsingular(pair), is_combinatorially_ample(pair),
+            is_cellular_pair(pair))
+
+
+@pytest.mark.parametrize("n, d", ((2, 3), (3, 2)))
+def test_non_integral_heights_give_the_same_complexes(n, d):
+    """The Freudenthal cubic curve and quadric with heights c/3 + 1/7, a
+    positive scaling and a shift of c that keep the subdivision, give the
+    cells (keys, dimensions, tangent bases, compactness), incidences,
+    `embed`, predicates and cosheaf ranks of the integral heights c.  Their
+    tie points are the integral ones divided by 3, so Fractions where 3
+    does not divide, and their pieces, Fraction vertices and offsets among
+    them, follow the number rule and match the checked constructor."""
+    f = freudenthal_poly(n, d)
+    g = TropicalPolynomial(n, [(a, Fraction(c, 3) + Fraction(1, 7)) for a, c in f.terms])
+    fan = normal_fan(newton_polytope(f))
+    want, got = build_pair(f, fan), build_pair(g, fan)
+
+    def cells(Z):
+        return [(c.sed, c.face, c.dim, c.tangent, c.compact, c.in_x) for c in Z.cells]
+
+    for space in ("X", "Yref"):
+        Z, W = getattr(want, space), getattr(got, space)
+        assert cells(W) == cells(Z) and W.incidence == Z.incidence
+    assert got.embed == want.embed
+    assert _predicates(got) == _predicates(want)
+    for p in range(n):
+        assert multitangent(got.X, p).ranks == multitangent(want.X, p).ranks
+    for p in range(n + 1):
+        assert ambient_on_cells(got.Yref, p).ranks == ambient_on_cells(want.Yref, p).ranks
+    S, T = want.subdivision, got.subdivision
+    assert T.maximal_cells == S.maximal_cells
+    fractions = 0
+    for M, v in T.ties.items():
+        assert v == tuple(Fraction(x, 3) for x in S.ties[M])
+        for x in v:
+            assert_exact(x)
+            fractions += type(x) is Fraction
+    assert fractions > 0
+    assert all(type(x) is int for v in S.ties.values() for x in v)
+    assert assert_pieces_match_checked_reference(got) == \
+        assert_pieces_match_checked_reference(want)
+
+
+def test_integral_surface_makes_no_fraction(monkeypatch):
+    """`build_pair` and the four predicates, on the Freudenthal cubic
+    surface with integer heights, construct no Fraction: every value of the
+    geometry layer is an int.  Fraction arithmetic makes its results
+    through `_from_coprime_ints` on Python 3.12 and later, not through
+    `__new__`, so that is counted too where it exists."""
+    f = freudenthal_poly(3, 3)
+    fan = normal_fan(newton_polytope(f))
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        real_coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, n, d):
+            made.append((n, d))
+            return real_coprime(n, d)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and made  # the wrappers count
+    made.clear()
+    pair = build_pair(f, fan)
+    assert _predicates(pair) == (True, True, (True, []), "yes")
+    assert made == []

@@ -652,11 +652,18 @@ class TestSNF:
             == [1] * (d2.ncols - 1) + last
 
     def test_out_of_range_entry_rejected(self):
+        """The first nonzero entry outside the matrix, in row order, is
+        named, after in-range rows too; a row outside that holds only
+        zeros raises nothing."""
         for entries, where in (({0: {5: 2}, 7: {0: 3}}, r"\(0, 5\)"),
                                ({7: {0: 3}}, r"\(7, 0\)"),
-                               ({1: {0: 1, -1: 2}}, r"\(1, -1\)")):
+                               ({1: {0: 1, -1: 2}}, r"\(1, -1\)"),
+                               ({0: {0: 1}, 1: {2: 1, 3: 4, 4: 5}}, r"\(1, 3\)"),
+                               ({0: {1: 2}, 5: {0: 1}, -1: {0: 1}}, r"\(5, 0\)"),
+                               ({0: {0: 1}, 6: {0: 0, 9: 0}, 1: {7: 1}}, r"\(1, 7\)")):
             with pytest.raises(ValueError, match=where):
                 smith_diagonal(entries, 2, 3)
+        assert smith_diagonal({0: {0: 1}, 6: {0: 0, 9: 0}, 1: {-1: 0}}, 2, 3) == [1]
 
     def test_explicit_zero_entries_ignored(self):
         assert smith_diagonal({0: {0: 0, 1: 2}, 1: {0: 3, 1: 0}}, 2, 2) == [1, 6]

@@ -147,7 +147,7 @@ def lattice_points(P):
 def polar(P):
     """{y : <x, y> <= 1 for x in P}, for a polygon with the origin inside;
     its vertices x / b are Fractions, integral when P is reflexive."""
-    return QPolyhedron.from_generators([tuple(x / b for x in a) for a, b in P.facets])
+    return QPolyhedron.from_generators([tuple(Fraction(x, b) for x in a) for a, b in P.facets])
 
 
 def test_reflexive_polygon_list():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geometric_reference as reference
-from geometric_reference import contains, geometry_key, meet, tangent_lattice
+from geometric_reference import assert_exact, contains, geometry_key, meet, tangent_lattice
 from trophom import polyhedra
 from trophom.polyhedra import (
     QPolyhedron,
@@ -168,7 +168,7 @@ def primitive_normals(P):
     facets = []
     for a, b in P.facets:
         g = gcd(*a)
-        facets.append((tuple(x // g for x in a), b / g))
+        facets.append((tuple(x // g for x in a), Fraction(b, g)))
     return QPolyhedron._from_fields(P.dim, P.vertices, P.rays, P.lin, facets, P.equations)
 
 
@@ -188,7 +188,7 @@ class TestIntegerMembership:
             Pf = primitive_normals(P)
             seen["frac_offset"] += any(b.denominator > 1 for a, b in Pf.facets)
             pts = list(P.vertices)
-            pts += [tuple((x + y) / 2 for x, y in zip(u, v))
+            pts += [tuple(Fraction(x + y, 2) for x, y in zip(u, v))
                     for u, v in combinations(P.vertices, 2)]
             pts += [tuple(x + t * y for x, y in zip(v, r))
                     for v in P.vertices for r in P.rays + P.lin for t in (-1, 2)]
@@ -231,7 +231,7 @@ class TestIntegerMembership:
                 continue
             subs = [random_polyhedron(rng, d)]
             verts = rng.sample(P.vertices, rng.randint(1, len(P.vertices)))
-            mids = [tuple((x + y) / 2 for x, y in zip(u, v))
+            mids = [tuple(Fraction(x + y, 2) for x, y in zip(u, v))
                     for u, v in zip(verts, P.vertices)]
             subs.append(QPolyhedron.from_generators(
                 verts + mids, rng.sample(P.rays, rng.randint(0, len(P.rays))),
@@ -747,7 +747,8 @@ def test_ties_match_fraction_solve():
         assert set(S.ties) == set(S.maximal_cells)
         for M, v in S.ties.items():
             assert v == fraction_tie_point(points, heights, M), (points, heights, sorted(M))
-            assert all(type(x) is Fraction for x in v)
+            for x in v:
+                assert_exact(x)
             values = [c + sum(x * y for x, y in zip(a, v)) for a, c in zip(points, heights)]
             top = max(values)
             assert {i for i, y in enumerate(values) if y == top} == M
@@ -970,7 +971,8 @@ def test_canonical_equations_match_fraction_reference():
         got = _canonical_equations(eqs, dim)
         assert got == reference.canonical_equations(eqs, dim), (eqs, dim)
         assert all(type(x) is int for a, b in got for x in a)
-        assert all(type(b) is Fraction for a, b in got)
+        for a, b in got:
+            assert_exact(b)
         kinds["dependent"] += len(got) < len(eqs)
         kinds["inconsistent"] += any(not any(a) for a, b in got)
         kinds["fraction offset"] += any(b.denominator > 1 for a, b in eqs)
@@ -1014,7 +1016,8 @@ def test_canonical_systems_match_fraction_reference(monkeypatch):
             assert eqs == reference.canonical_equations(list(zip(normals, bs)), dim), \
                 (normals, bs, dim)
             assert all(type(x) is int for a, b in eqs for x in a)
-            assert all(type(b) is Fraction for a, b in eqs)
+            for a, b in eqs:
+                assert_exact(b)
             kinds["inconsistent"] += any(not any(a) for a, b in eqs)
         kinds["dependent"] += not independent
         kinds["negative pivot"] += any(next((x for x in a if x), 0) < 0 for a in normals)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometric_reference import contains, fan_cone, geometry_key, meet
+from trophom import polyhedra
 from trophom.complexes import build_pair
 from trophom.exactla import IntMatrix, det
 from trophom.polyhedra import (
@@ -433,6 +434,26 @@ cone: 1 2 4
         with pytest.raises(FanError):
             load_fan("dim 2\nray 0: 1 0\nray 1: 0 1\nray 2: 1 1\nray 3: -1 1\n"
                      "cone: 0 1\ncone: 2 3\n")
+
+    def test_one_double_description_per_pair_of_cones(self, monkeypatch):
+        """Each pair of maximal cones is met by one `generators_from_hrep` on
+        both cones' rows, one `dd_cone` call, and the cones themselves take
+        none (`QPolyhedron.cone`): 15 calls on the blow-up fan of TP^3 (6
+        cones) and 3 on TP^3 minus a cone (3 cones)."""
+        real, calls = polyhedra.dd_cone, []
+
+        def counted(constraints, dim):
+            calls.append(dim)
+            return real(constraints, dim)
+
+        monkeypatch.setattr(polyhedra, "dd_cone", counted)
+        rays = "ray 0: -1 0 0\nray 1: 0 -1 0\nray 2: 0 0 -1\nray 3: 1 1 1\n"
+        for text, pairs in ((rays + "ray 4: -1 -1 -1\ncone: 0 1 3\ncone: 0 2 3\n"
+                             "cone: 1 2 3\ncone: 0 1 4\ncone: 0 2 4\ncone: 1 2 4\n", 15),
+                            (rays + "cone: 0 1 3\ncone: 0 2 3\ncone: 1 2 3\n", 3)):
+            calls.clear()
+            load_fan("dim 3\n" + text)
+            assert len(calls) == pairs
 
     def test_maximal_pairs_match_all_pairs_reference(self):
         """The constructor meets only maximal cones pairwise; on simplicial
