@@ -19,27 +19,31 @@ appended to the rows.
 
 The Smith diagonal has one elimination step, which reduces the pivot's
 column modulo the pivot; a unit pivot then retires with its whole row and
-column in one move.  Its pivots come in two phases.  Phase 1 takes units
-only: a column of least length from lazy buckets of column ids keyed by
-length, and in it the unit of shortest row.  The buckets need no key
-comparison.  Each step retires a row and files again the columns it
-changed, so phase 1 ends, and it ends with no unit in any column.  Phase 2
-puts what is left on a lazy heap, which gives the pivot of least |value|,
-ties broken by the Markowitz cost len(row) * len(col); a boundary matrix
-leaves it little or nothing.  A non-unit pivot reduces its row too and
-retires once it stands alone; otherwise it goes back on the heap, and a
-remainder of smaller |value| is the next pivot, so that loop ends too.
-Invariant factors do not depend on the pivot order, so the order sets the
-cost and never the answer.
+column in one move, and a non-unit pivot first moves until it stands alone
+in its row and its column (`_isolate`), then retires the same way.  One
+queue gives the pivots: lazy buckets of column ids keyed by length, which
+need no key comparison.  The first pass takes units only: a column of
+least length, and in it the unit of shortest row.  Each step retires a row
+and files again the columns it changed, so the pass ends, and it ends with
+no unit in any column.  When columns are left, a later pass files them all
+again and allows any pivot: the column's unit of shortest row if it has
+one, else its entry of least |value|; a boundary matrix leaves it little
+or nothing.  An isolation reduces the pivot's column, and then its row,
+modulo p, and a remainder, of smaller |value|, becomes the next pivot, so
+it ends; each pivot that retires takes a row with it, so the passes end
+too.  Invariant factors do not depend on the pivot order, so the order
+sets the cost and never the answer.
 
 `homology_at` reduces d_in first and d_out only on the columns that d_in's
-unit pivots leave unpaired; every phase-1 pivot pairs.  A row operation on
-d_in is a change of basis of the middle module that alters only the column
-of d_out at the pivot's row; once that row retires with a unit pivot,
-d_out * d_in = 0 makes the column zero.  So dropping the paired columns
-leaves d_out's column lattice, rank and invariant factors as they were.  A
-non-unit pivot's row operations alter a column that stays, so the pairing
-stops at the first of them.
+unit pivots leave unpaired; every first-pass pivot pairs.  A row operation
+on d_in is a change of basis of the middle module that alters only the
+column of d_out at the pivot's row; once that row retires with a unit
+pivot, d_out * d_in = 0 makes the column zero.  So dropping the paired
+columns leaves d_out's column lattice, rank and invariant factors as they
+were.  The pairing stops at the first non-unit pivot that does not already
+stand alone in its row and its column: its isolation makes row operations
+whose pivot row need not retire as a unit, so they may alter a column that
+stays.
 
 Every entry is a Python int, so arithmetic is exact at any size; a
 non-integral entry is rejected, never truncated.  The public constructors
@@ -67,7 +71,10 @@ keep both forms); all functions here are pure.
 
 `int_rows` applies the same rule where other modules take integer vectors
 from their callers: support points, exponents, fan and polyhedron rays,
-facet normals and lineality vectors.  `rational` makes the exact rationals
+facet normals and lineality vectors, and the ray indices of fan cones.
+`exact_rational` is its rule for rational values, the coefficients of a
+tropical polynomial and the heights of a regular subdivision: a value is
+read exactly or rejected, never rounded.  `rational` makes the exact rationals
 of the geometry layer (`polyhedra`, `complexes`): an int when the value is
 integral, and a Fraction only otherwise.
 """
@@ -75,7 +82,6 @@ integral, and a Fraction only otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
 
@@ -369,11 +375,11 @@ def _divisibility_pass(diag):
     return chain
 
 
-def _reduce_column(rows, cols, i0, j0, heap):
+def _reduce_column(rows, cols, i0, j0):
     """The elimination step: the row operations r_i -= (r_i[j0] // p) * r_i0,
     for p = rows[i0][j0], on every other row i of column j0.  They change
-    only the columns of row i0.  Each entry they make nonzero goes on
-    `heap`, keyed by (|value|, Markowitz cost), unless heap is None."""
+    only the columns of row i0, and leave in column j0 remainders of
+    |value| below |p|."""
     r0 = rows[i0]
     p = r0[j0]
     # j runs over the columns of the live row i0, so cols[j] exists and
@@ -385,15 +391,44 @@ def _reduce_column(rows, cols, i0, j0, heap):
             v = r.get(j, 0) - q * w
             if v:
                 r[j] = v
-                c = cols[j]
-                c.add(i)
-                if heap is not None:
-                    heappush(heap, (abs(v), len(r) * len(c), i, j))
+                cols[j].add(i)
             elif j in r:
                 del r[j]
                 cols[j].discard(i)
         if not r:
             del rows[i]
+
+
+def _isolate(rows, cols, i0, j0):
+    """Move the pivot (i0, j0) until it stands alone in its row and its
+    column, and return its place.
+
+    Row operations reduce its column modulo p (`_reduce_column`).  Once p
+    is alone there, a column operation c_j -= q * c_j0 touches row i0
+    alone, so every other entry w of the row becomes w mod p.  A remainder
+    left by either step has |value| below |p|, and the least one becomes
+    the pivot, so |p| falls at every move and the loop ends."""
+    while True:
+        _reduce_column(rows, cols, i0, j0)
+        c0 = cols[j0]
+        if len(c0) > 1:
+            i0 = min((i for i in c0 if i != i0), key=lambda i: abs(rows[i][j0]))
+            continue
+        r0 = rows[i0]
+        p = r0[j0]
+        for j in [j for j in r0 if j != j0]:
+            w = r0[j] % p
+            if w:
+                r0[j] = w
+            else:
+                del r0[j]
+                c = cols[j]
+                c.discard(i0)
+                if not c:
+                    del cols[j]
+        if len(r0) == 1:
+            return i0, j0
+        j0 = min((j for j in r0 if j != j0), key=lambda j: abs(r0[j]))
 
 
 def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
@@ -408,37 +443,37 @@ def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
     One elimination step: for a pivot p = (i0, j0), row operations reduce
     column j0 modulo p (`_reduce_column`).  A unit p is then alone in its
     column, so column operations clear its row without touching any other
-    row: row i0 and column j0 retire at once (a coreduction).  The pivots
-    come in two phases.
+    row: row i0 and column j0 retire at once (a coreduction).  A non-unit p
+    is first moved until it stands alone in its row and its column
+    (`_isolate`), and then retires the same way, as a diagonal entry.
 
-    Phase 1 takes units only, from lists, with no key to compare.  The
-    pivot column is one of least length, from lazy buckets of column ids
-    keyed by length, and the pivot is its unit of least row length.  Row
-    operations change only the pivot row's columns, and the step files each
-    of them again at its new length.  So a bucket entry whose column is gone
-    or has another length is stale and is skipped, and so is a column with
-    no unit, until a step changes it.  Phase 1 ends: each step retires a
-    row, and each pop that takes no step drops an entry that only a step
-    appends.  When it ends, no column holds a unit.
+    One queue gives the pivots, with no key to compare: lazy buckets of
+    column ids keyed by length.  The pivot column is one of least length.
+    Row operations change only the pivot row's columns, and a retiring
+    pivot files each of them again at its new length, so a bucket entry
+    whose column is gone or has another length is stale and is skipped.
+    The first pass takes units only, the unit of least row length in the
+    column, and skips a column with no unit until a step changes it.  When
+    the buckets run dry and columns are left, every live column is filed
+    again and the next pass allows any pivot: the column's unit of least
+    row length if it has one, else its entry of least |value|.  A column
+    whose length an isolation changed without retiring its row is left
+    stale until that re-file.  Each pop that takes a pivot retires a row,
+    and each pop that takes none drops an entry that only a retiring pivot
+    or a re-file appends, so each pass ends; the first pop of a later pass
+    takes a pivot, so the passes end too.  The invariant factors do not
+    depend on the pivot order, so the order sets the cost and never the
+    answer.
 
-    Phase 2 puts every live entry left on a lazy min-heap keyed by
-    (|value|, Markowitz cost len(row) * len(col)); on a boundary matrix that
-    is usually nothing.  Each step pops the live entry p of least key.  For
-    a non-unit p, once it is alone in its column a column operation touches
-    row i0 alone, so every other entry w of that row becomes w mod p.  If p
-    is then alone in its row too, it retires as a diagonal entry; if not, it
-    goes back on the heap.  A unit that a remainder leaves retires as in
-    phase 1.  A step that leaves a remainder lowers the least |value| in the
-    matrix, which is a positive integer, so this loop ends too.  The
-    invariant factors do not depend on the pivot order, so the phases move
-    the cost, not the result.
-
-    A set passed as `paired` receives the rows that retire as unit pivots:
-    every phase-1 pivot, and phase 2's up to the first non-unit pivot with
-    other rows in its column.  That pivot's row serves row operations and
-    stays, so the pairing stops there.  For B with B * (this matrix) = 0, B
-    without the paired columns then has B's invariant factors (`homology_at`
-    gives the proof).
+    A set passed as `paired` receives the rows of the unit pivots taken
+    before the first non-unit pivot that does not already stand alone in
+    both its row and its column.  Such a pivot's isolation makes row
+    operations, at once or after a move into a column with other rows,
+    whose pivot rows need not retire as units, so the pairing stops there.
+    An isolation that ends at a unit started at such a pivot, so that unit
+    never pairs.  For B with B * (this matrix) = 0, B
+    without the paired columns then has B's invariant factors
+    (`homology_at` gives the proof).
     """
     rows, cols = {}, {}
     for i, r in entries_by_row.items():
@@ -457,98 +492,62 @@ def smith_diagonal(entries_by_row, nrows, ncols, *, paired=None):
         i, j = next((i, j) for i, r in rows.items() for j in r
                     if not (0 <= i < nrows and 0 <= j < ncols))
         raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
-    units = 0
-    # phase 1: bucket n holds the columns that had length n when filed, and
-    # no live column is longer than there are rows
-    top = len(rows) + 1
-    buckets = [[] for _ in range(top)]
-    for j, c in cols.items():
-        buckets[len(c)].append(j)
-    n = 1
-    while n < top:
-        bucket = buckets[n]
-        if not bucket:
-            n += 1
-            continue
-        j0 = bucket.pop()
-        c0 = cols.get(j0)
-        if c0 is None or len(c0) != n:
-            continue  # retired, or filed again at its new length
-        # the unit of least row length in column j0
-        i0 = r0 = None
-        for i in c0:
-            r = rows[i]
-            if r[j0] in (1, -1) and (r0 is None or len(r) < len(r0)):
-                i0, r0 = i, r
-        if r0 is None:
-            continue  # filed again once a step changes it
-        _reduce_column(rows, cols, i0, j0, None)
-        # alone in its column: row i0 and column j0 retire at once, and the
-        # row's other columns, which the step changed, are filed again
-        del rows[i0]
-        for j in r0:
-            c = cols[j]
-            c.discard(i0)
-            if c:
-                k = len(c)
-                buckets[k].append(j)
-                if k < n:
-                    n = k
+    units, others = 0, []
+    units_only = True
+    while cols:
+        # bucket n holds the columns that had length n when filed, and no
+        # live column is longer than there are rows
+        top = len(rows) + 1
+        buckets = [[] for _ in range(top)]
+        for j, c in cols.items():
+            buckets[len(c)].append(j)
+        n = 1
+        while n < top:
+            bucket = buckets[n]
+            if not bucket:
+                n += 1
+                continue
+            j0 = bucket.pop()
+            c0 = cols.get(j0)
+            if c0 is None or len(c0) != n:
+                continue  # retired, or filed again at its new length
+            # the unit of least row length in column j0
+            i0 = r0 = None
+            for i in c0:
+                r = rows[i]
+                if r[j0] in (1, -1) and (r0 is None or len(r) < len(r0)):
+                    i0, r0 = i, r
+            if r0 is not None:
+                _reduce_column(rows, cols, i0, j0)
+            elif units_only:
+                continue  # filed again once a step changes it
             else:
-                del cols[j]
-        units += 1
-        if paired is not None:
-            paired.add(i0)
-    # phase 2: every live entry keeps a key with its current |value| on the
-    # heap (its cost may be stale), so the heap empties only with the matrix
-    heap = [(abs(v), len(r) * len(cols[j]), i, j)
-            for i, r in rows.items() for j, v in r.items()]
-    heapify(heap)
-    others = []
-    while rows:
-        a, cost, i0, j0 = heappop(heap)
-        r0 = rows.get(i0)
-        p = None if r0 is None else r0.get(j0)
-        if p is None or abs(p) != a:
-            continue  # gone, or changed since this key was pushed
-        c0 = cols[j0]
-        now = len(r0) * len(c0)
-        if now > cost:
-            heappush(heap, (a, now, i0, j0))
-            continue
-        if a != 1 and len(c0) > 1:
-            paired = None  # its row operations alter a column that stays
-        _reduce_column(rows, cols, i0, j0, heap)
-        if a == 1:
-            # alone in its column: row i0 and column j0 retire at once
+                i0 = min(c0, key=lambda i: abs(rows[i][j0]))
+                if n > 1 or len(rows[i0]) > 1:
+                    paired = None  # its isolation alters a column that stays
+                i0, j0 = _isolate(rows, cols, i0, j0)
+                r0 = rows[i0]
+            p = abs(r0[j0])
+            if p == 1:
+                units += 1
+                if paired is not None:
+                    paired.add(i0)
+            else:
+                others.append(p)
+            # alone in its column: row i0 and column j0 retire at once, and
+            # the row's other columns, which the step changed, are filed again
             del rows[i0]
             for j in r0:
                 c = cols[j]
                 c.discard(i0)
-                if not c:
+                if c:
+                    k = len(c)
+                    buckets[k].append(j)
+                    if k < n:
+                        n = k
+                else:
                     del cols[j]
-            units += 1
-            if paired is not None:
-                paired.add(i0)
-            continue
-        if len(c0) == 1:
-            for j in [j for j in r0 if j != j0]:
-                w = r0[j] % p
-                if not w:
-                    del r0[j]
-                    c = cols[j]
-                    c.discard(i0)
-                    if not c:
-                        del cols[j]
-                elif w != r0[j]:
-                    r0[j] = w
-                    heappush(heap, (abs(w), len(r0) * len(cols[j]), i0, j))
-            if len(r0) == 1:
-                del rows[i0]
-                del cols[j0]
-                others.append(a)
-                continue
-        heappush(heap, (a, len(r0) * len(c0), i0, j0))
+        units_only = False
     # a 1 divides everything, so only the other factors need the pass
     return [1] * units + _divisibility_pass(others)
 
@@ -716,14 +715,19 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     d_in is reduced first, and d_out only on the columns that d_in's unit
     pivots leave unpaired (`smith_diagonal`'s `paired`).  A row operation
     r_i -= q * r_i0 on d_in changes the middle basis, and so adds q times
-    column i of d_out to column i0.  Up to the first non-unit pivot with row
-    operations to do, i0 is a unit pivot's row, which then retires alone in
-    its column of the changed d_in, so d_out * d_in = 0 makes column i0 of
-    the changed d_out zero.  Every phase-1 pivot is a unit and comes before
-    any non-unit pivot, so every phase-1 pivot pairs.  So d_out without the
-    paired columns is d_out times a unimodular matrix, zero columns dropped:
-    same rank, same invariant factors.  A non-unit pivot's row operations
-    alter a column that stays, so the pairing stops there.  The check that
+    column i of d_out to column i0.  Up to the first non-unit pivot that
+    does not already stand alone in its row and its column, i0 is a unit
+    pivot's row, which then retires alone in its column of the changed
+    d_in, so d_out * d_in = 0 makes column i0 of the changed d_out zero; a
+    pivot alone in both retires with no operation at all.  Every
+    first-pass pivot is a unit and comes before any non-unit pivot, so
+    every first-pass pivot pairs.  So d_out without the paired columns is
+    d_out times a unimodular matrix, zero columns dropped: same rank, same
+    invariant factors.  Any other non-unit pivot's isolation makes row
+    operations, at once when its column holds other rows, or after a move
+    into such a column when only its row does, and their pivot rows need
+    not retire as units.  The column of d_out that such a row alters
+    stays, so the pairing stops there.  The check that
     d_out * d_in = 0 runs on the full matrices, and is skipped when d_in
     has no columns or d_out no rows, since the product then has no entries.
     """
@@ -759,6 +763,24 @@ def rational(n, d):
     dict."""
     q, r = divmod(n, d)
     return Fraction(n, d) if r else q
+
+
+def exact_rational(x, kind, i):
+    """x as an exact rational: an int or a Fraction as it is, and any other
+    value as the Fraction it denotes exactly, such as a rational string
+    ("-3/4") or a float that is the rational its `repr` spells (0.5, 3.0,
+    not 0.1, whose binary value is another number).  Any other value (0.1,
+    None, inf, nan, "x", "1/0") raises ValueError naming it as `kind` i
+    ("height 1")."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        q = None
+    if q is None or isinstance(x, float) and q != Fraction(repr(x)):
+        raise ValueError("%s %d %r is not an exact rational" % (kind, i, x))
+    return q
 
 
 def primitive_vector(vec):

@@ -30,6 +30,7 @@ from operator import mul
 from .exactla import (
     IntMatrix,
     basis_completion,
+    exact_rational,
     exterior_power,
     gauss_jordan,
     int_rows,
@@ -670,10 +671,12 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     a' / (a_d D) on the pivot columns, each quotient taken by `rational`,
     and 0 elsewhere.
 
-    An empty point list, or points of unequal length, raise ValueError.
+    The heights are read by `exactla.exact_rational`, so 0.1 or None
+    raises ValueError naming its height.  An empty point list, or points
+    of unequal length, raise ValueError.
     """
     points = int_rows(points, "support point")
-    num, D = _scaled(heights)
+    num, D = _scaled([exact_rational(h, "height", i) for i, h in enumerate(heights)])
     if not points:
         raise ValueError("a subdivision needs at least one support point")
     n = len(points[0])

@@ -34,11 +34,12 @@ coordinates, and "cone" lists the apex.
 
 Both value types check themselves where they are built.
 `TropicalPolynomial(n_vars, terms)` takes one or more terms in any order, as
-pairs of an integer exponent vector and a coefficient that `Fraction` reads
-exactly, and keeps them sorted with int exponents and Fraction
-coefficients.  `FanSpec(dim, rays, max_cones)` keeps the rays as tuples of
-ints and the maximal cones among those listed, and raises FanError if the
-result is not a simplicial unimodular fan; each cone's `QPolyhedron.cone`
+pairs of an integer exponent vector and a coefficient that
+`exactla.exact_rational` reads exactly, and keeps them sorted with int
+exponents and Fraction coefficients.  `FanSpec(dim, rays, max_cones)` keeps
+the rays as tuples of ints and the maximal cones among those listed, and
+raises FanError if a ray or a ray index is not an integer or the result is
+not a simplicial unimodular fan; each cone's `QPolyhedron.cone`
 is both its unimodularity check and its geometry.  Every ParseError has a
 line and a column, both from 1, with lines counted by LF; a .fan error
 names the line's first word.
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import int_rows, primitive_vector
+from .exactla import exact_rational, int_rows, primitive_vector
 from .polyhedra import QPolyhedron, generators_from_hrep
 
 
@@ -72,11 +73,12 @@ class TropicalPolynomial:
     """A max-plus polynomial in n_vars >= 0 variables.  The constructor
     takes one or more terms in any order, as (exponent, coefficient) pairs,
     reads exponents by the rule of `exactla.int_rows` and coefficients by
-    `Fraction`, and keeps them sorted.  A float coefficient is taken only
-    when it is the rational its `repr` spells (0.5, 3.0, not 0.1, whose
-    binary value is another number).  An exponent of the wrong length, one
-    given twice, or a coefficient read inexactly or not at all raises
-    ValueError naming the terms by their position."""
+    that of `exactla.exact_rational`, as Fractions, and keeps them sorted.
+    A float coefficient is taken only when it is the rational its `repr`
+    spells (0.5, 3.0, not 0.1, whose binary value is another number).  An
+    exponent of the wrong length, one given twice, or a coefficient read
+    inexactly or not at all raises ValueError naming the terms by their
+    position."""
 
     n_vars: int
     terms: tuple  # ((exponent tuple, Fraction coefficient), ...) sorted
@@ -96,7 +98,8 @@ class TropicalPolynomial:
             if first.setdefault(e, i) != i:
                 raise ValueError("exponents %d and %d are both %r" % (first[e], i, e))
         object.__setattr__(self, "terms", tuple(sorted(
-            zip(exponents, (_coefficient(i, c) for i, (e, c) in enumerate(terms))))))
+            zip(exponents, (Fraction(exact_rational(c, "coefficient", i))
+                            for i, (e, c) in enumerate(terms))))))
 
     def padded(self, n_vars):
         """Embed into a larger variable set by zero-padding exponents."""
@@ -106,19 +109,6 @@ class TropicalPolynomial:
             return self
         return TropicalPolynomial(
             n_vars, [(e + (0,) * (n_vars - self.n_vars), c) for e, c in self.terms])
-
-
-def _coefficient(i, c):
-    """Term i's coefficient c as the Fraction it denotes exactly; ValueError
-    when `Fraction` cannot read it (None, inf, nan, "x", "1/0") or, for a
-    float, reads a value other than the rational its repr spells."""
-    try:
-        q = Fraction(c)
-    except (TypeError, ValueError, ArithmeticError):
-        q = None
-    if q is None or isinstance(c, float) and q != Fraction(repr(c)):
-        raise ValueError("coefficient %d %r is not an exact rational" % (i, c))
-    return q
 
 
 def _fail(text, message, pos):
@@ -224,8 +214,9 @@ class FanSpec:
     """A simplicial unimodular rational polyhedral fan given by rays and
     maximal cones; every subset of a listed cone is a cone of the fan.
 
-    The constructor keeps the listed cones that are maximal among them, as
-    frozensets sorted by size, and checks that the rays have dim
+    The constructor reads the rays and each cone's ray indices by the rule
+    of `exactla.int_rows`, keeps the listed cones that are maximal among
+    them, as frozensets sorted by size, and checks that the rays have dim
     coordinates and are primitive and distinct, that every cone names rays
     by their index in `rays`, that it is unimodular simplicial (its
     `QPolyhedron.cone` is not None), and that every two maximal cones meet
@@ -238,13 +229,14 @@ class FanSpec:
     def __post_init__(self):
         if self.dim < 0:
             raise FanError("negative dimension %d" % self.dim)
-        # the apex is a face of every fan, so listing it adds nothing
-        cones = set(frozenset(c) for c in self.max_cones if c)
+        object.__setattr__(self, "rays", tuple(_fan_int_rows(self.rays, "ray")))
+        # the apex is a face of every fan, so listing it adds nothing; the
+        # ray indices are ints before any sort compares them
+        cones = set(frozenset(c) for c in _fan_int_rows(self.max_cones, "cone") if c)
         # drop cones that are faces of other listed cones
         maximal = tuple(sorted((c for c in cones
                                 if not any(c < d for d in cones)),
                                key=lambda c: (len(c), sorted(c))))
-        object.__setattr__(self, "rays", tuple(int_rows(self.rays, "ray")))
         object.__setattr__(self, "max_cones", maximal)
         first = {}
         for i, r in enumerate(self.rays):
@@ -304,6 +296,15 @@ class FanSpec:
 
     def is_trivial(self):
         return not self.max_cones
+
+
+def _fan_int_rows(rows, kind):
+    """`int_rows(rows, kind)`, with its ValueError, which names the entry
+    as column j of `kind` i, raised as FanError."""
+    try:
+        return int_rows(rows, kind)
+    except ValueError as e:
+        raise FanError(*e.args) from None
 
 
 def normal_fan(P: QPolyhedron) -> FanSpec:

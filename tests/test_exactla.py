@@ -2,7 +2,6 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -429,6 +428,20 @@ def random_sparse(rng, m, n, density, values):
             for i in range(m)}
 
 
+def left_kernel_rows(rng, entries, m, n):
+    """1 to 3 seeded rows B with B * A = 0 for the m x n matrix A of these
+    sparse rows: small integer combinations of a basis of A's left kernel.
+    None when that kernel is zero."""
+    A = M([[entries[i].get(j, 0) for j in range(n)] for i in range(m)], ncols=n)
+    K = kernel_lattice(A.transpose())
+    if not K.ncols:
+        return None
+    B = M([[rng.randint(-3, 3) for _ in range(K.ncols)]
+           for _ in range(rng.randint(1, 3))], ncols=K.ncols) * K.transpose()
+    assert B * A == IntMatrix.zeros(B.nrows, n)
+    return B
+
+
 def pairwise_divisibility_pass(diag):
     """Reference: make diag[i] | diag[j] for every i < j by (gcd, lcm)
     replacements, sweeping every pair until none changes."""
@@ -468,11 +481,11 @@ class TestSNF:
             assert smith_diagonal(sparse(A), m, n) == invariant_factors_by_minors(A)
 
     def test_non_unit_entries_match_minors(self):
-        """No input entry is a unit, so the first pivot leaves remainders;
-        a 2 and a 3 in one column then leave a unit.  In [[4, 6], [4, 4]]
-        the 4 at (0, 0) leaves a 2 in its row, and the -2 below it clears
-        that 2 without touching the 4, which then retires only because it
-        went back on the heap."""
+        """No input entry is a unit, so every pivot is isolated; a 2 and a 3
+        in one column leave a unit.  In [[4, 6], [4, 4]] the 4 at (1, 1)
+        leaves the remainder 2 above it, which becomes the pivot and clears
+        the 4 below it; the 4 left at (1, 0) then stands alone and is
+        isolated in place by a second isolation."""
         assert smith_diagonal(sparse(M([[2], [3]])), 2, 1) == [1]
         assert smith_diagonal(sparse(M([[2, 3]])), 1, 2) == [1]
         assert smith_diagonal(sparse(M([[2, 4], [4, 2]])), 2, 2) == [2, 6]
@@ -506,13 +519,13 @@ class TestSNF:
             assert exactla._divisibility_pass(diag) == pairwise_divisibility_pass(diag), diag
 
     def test_matches_full_scan_reference(self):
-        """The heap changes only the pivot order: 300 seeded sparse matrices up
-        to 30 x 40 give the reference diagonal.  They are unit-rich, where
-        each unit retires with its row and column at once, some with a few
-        non-units among the units; mixed; and free of units, where the even
-        ones keep every entry a non-unit, and 4s and 6s in one column leave a
-        remainder of 2 under a pivot of 4.  The input dicts are left as they
-        were."""
+        """The bucket queue changes only the pivot order: 300 seeded sparse
+        matrices up to 30 x 40 give the reference diagonal.  They are
+        unit-rich, where each unit retires with its row and column at once,
+        some with a few non-units among the units; mixed; and free of units,
+        where every pivot is isolated, the even ones keep every entry a
+        non-unit, and 4s and 6s in one column leave a remainder of 2 under a
+        pivot of 4.  The input dicts are left as they were."""
         rng = random.Random(23)
         kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (2, -2, 3, 4, -6),
                  (2, -2, 4, 6, -8, 12), (4, 6, -4, -6), (1, -1, 1, -1, 1, -1, 2))
@@ -531,12 +544,13 @@ class TestSNF:
         assert smith_diagonal(sparse(A), A.nrows, A.ncols) == invariant_factors_by_minors(A)
 
     def test_loop_ends(self, monkeypatch):
-        """Each phase-1 step retires a row, and each phase-2 step retires its
-        pivot or leaves a remainder of smaller |value|, so the loop ends.  A
-        step that breaks this, say one that keeps a unit pivot's row, spins
-        forever; with elimination steps and heap pops each capped far above
-        what these matrices take (at most 15 steps and 116 pops here) it
-        fails instead."""
+        """Each pivot that retires takes a row with it, and each isolation
+        move leaves a remainder of smaller |value|, so the loop ends.  A step
+        that breaks this, say one that keeps a unit pivot's row, spins
+        forever; with elimination steps and isolations each capped far above
+        what these matrices take (at most 19 steps and 5 isolations here) it
+        fails instead.  Every isolation move makes one `_reduce_column`
+        call, so the step cap also caps the moves."""
         counts = {}
 
         def capped(name, f):
@@ -546,91 +560,149 @@ class TestSNF:
                 return f(*args)
             return g
 
-        monkeypatch.setattr(exactla, "heappop", capped("pops", heappop))
+        monkeypatch.setattr(exactla, "_isolate", capped("isolations", exactla._isolate))
         monkeypatch.setattr(exactla, "_reduce_column", capped("steps", exactla._reduce_column))
         rng = random.Random(3)
         for A in [M([[1, 1, 1], [1, -1, 0], [0, 1, 1]]), M([[4, 6], [4, 4]])] + [
                 M([[rng.randint(-12, 12) for _ in range(5)] for _ in range(5)])
                 for _ in range(5)]:
-            counts.update(pops=0, steps=0)
+            counts.update(isolations=0, steps=0)
             assert smith_diagonal(sparse(A), A.nrows, A.ncols) == invariant_factors_by_minors(A)
 
     @pytest.mark.parametrize("n", (6, 20))
-    def test_boundary_units_never_reach_the_heap(self, monkeypatch, n):
-        """Phase 1 takes every unit pivot, so no entry of the torus's d1 or
-        d2 reaches the heap, and nothing is pushed or popped.  The Klein
-        bottle's d1 leaves nothing either.  Its d2 leaves one column of 2s,
-        each alone in its row; the one pop clears the column with no push,
-        and its 2 is the torsion of H_1 = Z + Z/2."""
-        heaped, pushed, popped = [], [], []
+    def test_boundary_units_never_reach_the_isolation_step(self, monkeypatch, n):
+        """The first pass takes every unit pivot, so no entry of the torus's
+        d1 or d2 reaches the isolation step.  The Klein bottle's d1 leaves
+        nothing either.  Its d2 leaves one column of 2s, each alone in its
+        row: the one isolation starts at a 2 of that column, which then
+        holds every entry left, and clears the column in place.  Its 2 is
+        the torsion of H_1 = Z + Z/2."""
+        isolated = []
+        real = exactla._isolate
 
-        def counted_heapify(heap):
-            heaped.append(list(heap))
-            heapify(heap)
+        def counted(rows, cols, i0, j0):
+            isolated.append((rows[i0][j0], j0, {(i, j) for i, r in rows.items() for j in r},
+                             {abs(v) for r in rows.values() for v in r.values()}))
+            got = real(rows, cols, i0, j0)
+            assert got == (i0, j0)
+            return got
 
-        def counted_push(heap, key):
-            pushed.append(key)
-            heappush(heap, key)
-
-        def counted_pop(heap):
-            popped.append(heap[0])
-            return heappop(heap)
-
-        monkeypatch.setattr(exactla, "heapify", counted_heapify)
-        monkeypatch.setattr(exactla, "heappush", counted_push)
-        monkeypatch.setattr(exactla, "heappop", counted_pop)
+        monkeypatch.setattr(exactla, "_isolate", counted)
         for kind in ("torus", "klein"):
             for d, B in enumerate(grid_boundaries(kind, n), 1):
-                heaped.clear()
-                popped.clear()
+                isolated.clear()
                 got = smith_diagonal(B.sparse_rows(), B.nrows, B.ncols)
-                assert pushed == []
                 if (kind, d) == ("klein", 2):
-                    (keys,) = heaped
-                    assert {(a, cost, j) for a, cost, i, j in keys} \
-                        == {(2, len(keys), keys[0][3])}
-                    assert len(popped) == 1 and got == [1] * (B.ncols - 1) + [2]
+                    ((p, j0, left, values),) = isolated
+                    assert abs(p) == 2 and values == {2}
+                    assert {j for i, j in left} == {j0}
+                    assert len({i for i, j in left}) == len(left) > 1
+                    assert got == [1] * (B.ncols - 1) + [2]
                 else:
-                    assert heaped == [[]] and popped == []
+                    assert isolated == []
 
     def test_unit_rich_and_mixed_keep_factors_and_pairing(self, monkeypatch):
         """Seeded unit-rich and mixed matrices up to 12 x 12 give the full
-        scan's diagonal, and phase 1 leaves no unit for the heap.  For B
-        with B * A = 0, drawn from the left kernel of A, B without the
-        columns that A's reduction pairs keeps B's invariant factors, as in
-        `test_paired_columns_keep_the_factors`."""
-        heaped = []
+        scan's diagonal, and every isolation starts at a non-unit: the first
+        pass leaves no unit, and a later one takes a column's unit before
+        any other entry.  For B with B * A = 0, drawn from the left kernel
+        of A, B without the columns that A's reduction pairs keeps B's
+        invariant factors, as in `test_paired_columns_keep_the_factors`."""
+        starts = []
+        real = exactla._isolate
 
-        def counted_heapify(heap):
-            heaped.extend(heap)
-            heapify(heap)
+        def counted(rows, cols, i0, j0):
+            starts.append(rows[i0][j0])
+            return real(rows, cols, i0, j0)
 
-        monkeypatch.setattr(exactla, "heapify", counted_heapify)
+        monkeypatch.setattr(exactla, "_isolate", counted)
         rng = random.Random(29)
         kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (1, -1, 2, -2, 3, 4, -6))
-        seen = {"non-units heaped": 0, "pairing drops a column of B": 0}
+        seen = {"non-units isolated": 0, "pairing drops a column of B": 0}
         for k in range(150):
             m, n = rng.randint(1, 12), rng.randint(1, 12)
             entries = random_sparse(rng, m, n, rng.uniform(0.1, 0.5), kinds[k % 3])
-            heaped.clear()
+            starts.clear()
             paired = set()
             assert smith_diagonal(entries, m, n, paired=paired) \
                 == full_scan_smith_diagonal(entries)
-            assert all(key[0] > 1 for key in heaped)
-            seen["non-units heaped"] += bool(heaped)
-            A = M([[entries[i].get(j, 0) for j in range(n)] for i in range(m)], ncols=n)
-            K = kernel_lattice(A.transpose())
-            if not K.ncols:
+            assert all(abs(p) > 1 for p in starts)
+            seen["non-units isolated"] += bool(starts)
+            B = left_kernel_rows(rng, entries, m, n)
+            if B is None:
                 continue
-            B = M([[rng.randint(-3, 3) for _ in range(K.ncols)]
-                   for _ in range(rng.randint(1, 3))], ncols=K.ncols) * K.transpose()
-            assert B * A == IntMatrix.zeros(B.nrows, n)
             kept = {i: {j: v for j, v in r.items() if j not in paired}
                     for i, r in B.sparse_rows().items()}
             assert smith_diagonal(kept, B.nrows, B.ncols) \
                 == smith_diagonal(B.sparse_rows(), B.nrows, B.ncols)
             seen["pairing drops a column of B"] += kept != B.sparse_rows()
         assert min(seen.values()) >= 20, seen
+
+    def test_pivot_alone_in_its_column_only_stops_the_pairing(self):
+        """A = [[0, 3], [3, 2], [0, 4]] has no unit, and its 3 at (1, 0)
+        stands alone in its column but not in its row.  Its isolation
+        reduces the 2 beside it, moves into column 1, where rows 0 and 2
+        wait, and makes row operations there, so no row of A pairs, though
+        a unit at (0, 1) retires.  B = [[-8, 0, 6]] has B * A = 0 and the
+        invariant factor 2; without column 0, had row 0 been paired, it
+        would read 6."""
+        A = {0: {1: 3}, 1: {0: 3, 1: 2}, 2: {1: 4}}
+        paired = set()
+        assert smith_diagonal(A, 3, 2, paired=paired) == [1, 3]
+        assert paired == set()
+        B = {0: {0: -8, 2: 6}}
+        assert smith_diagonal(B, 1, 3) == [2]
+        assert smith_diagonal({0: {2: 6}}, 1, 3) == [6]
+
+    def test_unit_poor_pairing_keeps_factors(self, monkeypatch):
+        """Seeded unit-poor matrices A up to 10 x 10, entries from
+        (2, -2, 3, 4, -6) or (4, 6, -4, -6, 9), where units come only as
+        remainders.  For B with B * A = 0, drawn from the left kernel of A,
+        B without the columns that A's reduction pairs keeps B's invariant
+        factors.  Many isolations here start at a pivot alone in its column
+        but not in its row, so a pairing rule that stops only at a non-unit
+        pivot with other rows in its column pairs rows it must not, and
+        fails, as on the pinned case of
+        `test_pivot_alone_in_its_column_only_stops_the_pairing`."""
+        real = exactla._isolate
+        seen = {"isolations alone in their column only": 0, "B drawn": 0}
+
+        def counted(rows, cols, i0, j0):
+            seen["isolations alone in their column only"] += \
+                len(cols[j0]) == 1 < len(rows[i0])
+            return real(rows, cols, i0, j0)
+
+        monkeypatch.setattr(exactla, "_isolate", counted)
+        rng = random.Random(42)
+        kinds = ((2, -2, 3, 4, -6), (4, 6, -4, -6, 9))
+        for k in range(1500):
+            m, n = rng.randint(2, 10), rng.randint(1, 10)
+            entries = random_sparse(rng, m, n, rng.uniform(0.15, 0.5), kinds[k % 2])
+            paired = set()
+            smith_diagonal(entries, m, n, paired=paired)
+            B = left_kernel_rows(rng, entries, m, n)
+            if B is None:
+                continue
+            seen["B drawn"] += 1
+            kept = {i: {j: v for j, v in r.items() if j not in paired}
+                    for i, r in B.sparse_rows().items()}
+            assert smith_diagonal(kept, B.nrows, B.ncols) \
+                == smith_diagonal(B.sparse_rows(), B.nrows, B.ncols), (entries, paired)
+        assert min(seen.values()) >= 500, seen
+
+    def test_unit_poor_matches_full_scan_reference(self):
+        """Seeded unit-poor matrices up to 40 x 40, where most pivots are
+        isolated, give the full scan's diagonal; their units come only as
+        remainders, and 9s beside 4s and 6s leave remainders of 1, 2 and
+        3.  The input dicts are left as they were."""
+        rng = random.Random(43)
+        kinds = ((2, -2, 3, 4, -6), (4, 6, -4, -6, 9), (2, -2, 4, 6, -8, 12))
+        for k in range(60):
+            m, n = rng.randint(1, 40), rng.randint(1, 40)
+            entries = random_sparse(rng, m, n, rng.uniform(0.03, 0.3), kinds[k % 3])
+            before = {i: dict(r) for i, r in entries.items()}
+            assert smith_diagonal(entries, m, n) == full_scan_smith_diagonal(entries)
+            assert entries == before
 
     @pytest.mark.parametrize("kind", ("torus", "klein"))
     @pytest.mark.parametrize("size", (3, 4, 6, 12, 20))
@@ -1011,12 +1083,14 @@ class TestHomologyAt:
 
     def test_non_unit_pivot_stops_the_pairing(self):
         """d_in = [[1, 0, 0]] + [[0, -2, 3], [0, 3, -3], [0, 2, -2]] as a
-        block matrix.  The unit at (0, 0) retires and pairs row 0.  The -2 at
-        (1, 1) comes next, with rows 2 and 3 below it, so its row operations
-        alter column 1 of d_out, which stays; they leave units at (2, 1) and
-        (3, 2), which retire unpaired.  d_out = [[0, 0, 2, -3]] keeps rank 1
-        on the unpaired columns 1, 2, 3, but on column 1 alone, had rows 2
-        and 3 been paired too, it would have rank 0 and H would read Z."""
+        block matrix.  The unit at (0, 0) retires and pairs row 0.  No unit
+        is left, and the -2 at (3, 2), the least entry of a shortest column,
+        has rows 1 and 2 beside it, so its isolation makes row operations
+        that alter columns 3 and then 1 of d_out, which stay.  It ends at a
+        unit at (1, 2), and the unit at (2, 1) follows; both retire
+        unpaired.  d_out = [[0, 0, 2, -3]] keeps its invariant factor 1 on
+        the unpaired columns 1, 2, 3; had rows 1 and 2 been paired too,
+        column 3 alone would read 3."""
         d_in = M([[1, 0, 0], [0, -2, 3], [0, 3, -3], [0, 2, -2]])
         d_out = M([[0, 0, 2, -3]])
         paired = set()

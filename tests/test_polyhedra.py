@@ -552,6 +552,25 @@ class TestRegularSubdivision:
         assert S.support_points == ((2, 0), (0, 1), (1, 1))
         assert {type(x) for p in S.support_points for x in p} == {int}
 
+    @pytest.mark.parametrize("bad", [0.1, None, "x"], ids=repr)
+    def test_inexact_or_unreadable_height_rejected(self, bad):
+        """Heights are read by `exactla.exact_rational`.  0.1 is not taken
+        at its binary value, where the ties would read
+        +-3602879701896397/36028797018963968, and None and "x" raise no
+        unnamed TypeError or ValueError from `Fraction`: each raises
+        ValueError naming its height."""
+        with pytest.raises(ValueError, match=r"^height 1 .* is not an exact rational$"):
+            regular_subdivision([(0,), (1,), (2,)], [0, bad, 0])
+
+    def test_exact_heights_read(self):
+        """A float that is the rational its repr spells, a Fraction and a
+        rational string are read as the rationals they denote."""
+        pts = [(0,), (1,), (2,)]
+        for h, t in ((0.5, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3)),
+                     ("1/3", Fraction(1, 3))):
+            S = regular_subdivision(pts, [0, h, 0])
+            assert S.ties == {frozenset({0, 1}): (-t,), frozenset({1, 2}): (t,)}
+
     def test_unequal_point_lengths_rejected(self):
         # zip would cut (1, 0) to (1,) and give two cells of dimension 1
         with pytest.raises(ValueError, match=r"support point 1 \(1, 0\) has 2 coordinates"):

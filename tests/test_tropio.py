@@ -429,6 +429,25 @@ cone: 1 2 4
         assert fan.rays == ((1, 0), (0, 1))
         assert {type(x) for r in fan.rays for x in r} == {int}
 
+    @pytest.mark.parametrize("rays, cones, where", [
+        ([(1, 0), (0, 1)], [[0, "a"]], r"^non-integral entry 'a' at cone 0, column 1$"),
+        ([(1, 0), (0, 1)], [[0, 1], [1, 1.5]], r"^non-integral entry 1\.5 at cone 1, column 1$"),
+        ([(1, 0.5), (0, 1)], [[0, 1]], r"^non-integral entry 0\.5 at ray 0, column 1$"),
+    ], ids=("string-index", "fractional-index", "fractional-ray"))
+    def test_every_bad_field_raises_fan_error(self, rays, cones, where):
+        """Ray indices are read by the int rule before any sort compares
+        them, so a string index raises no TypeError from the sort; a
+        non-integral ray raises FanError with the int rule's message."""
+        with pytest.raises(FanError, match=where):
+            FanSpec(2, rays, cones)
+
+    def test_integral_ray_index_read_as_int(self):
+        """An index equal to an int is read as that int, as ray
+        coordinates are, and never reaches `self.rays[i]` as a float."""
+        fan = FanSpec(2, [(1, 0), (0, 1)], [[0, 1.0]])
+        assert fan == FanSpec(2, [(1, 0), (0, 1)], [[0, 1]])
+        assert {type(i) for c in fan.max_cones for i in c} == {int}
+
     def test_non_face_intersection(self):
         # two 2-cones overlapping in dimension 2
         with pytest.raises(FanError):
