@@ -30,16 +30,16 @@ from operator import itemgetter
 
 from .exactla import (
     IntMatrix,
+    dot,
     kernel_lattice,
     lattice_basis,
     primitive_vector,
     rational,
+    scaled,
 )
 from .polyhedra import (
     QPolyhedron,
-    _canonical_systems,
-    _dot,
-    _scaled,
+    canonical_systems,
     hrep_from_generators,
     is_primitive,
     regular_subdivision,
@@ -164,7 +164,7 @@ def dual_cell_geometry(f: TropicalPolynomial, face, ties, newton) -> QPolyhedron
     verts = sorted(v for M, v in ties.items() if face <= M)
     pts = [f.terms[i][0] for i in face]
     rays = sorted(a for a, b in newton.facets
-                  if all(_dot(a, p) == b for p in pts))
+                  if all(dot(a, p) == b for p in pts))
     lins = [a for a, b in newton.equations]
     facets, eqs = hrep_from_generators(verts, rays, lins, newton.dim)
     return QPolyhedron._from_fields(newton.dim, verts, rays, lins, facets, eqs)
@@ -186,7 +186,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     """The piece (eta, F) of every face F of S inside G = G_eta, in
     eta-stratum coordinates, read off the subdivision that S induces on G.
     `heights` is (h, D): the coefficients c_i of f as integer numerators
-    h_i over one positive denominator D (`polyhedra._scaled`), which
+    h_i over one positive denominator D (`exactla.scaled`), which
     `build_pair` computes once for all the strata.
 
     A term a pairs with a stratum vector y as w_a(y) = a^T section_eta y.
@@ -208,7 +208,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     - equations: the terms of F tie;
     - facets: one per face F' of S covering F inside G, where one more term
       b in F' - F ties.
-    Vertex coordinates and offsets follow the number rule of `polyhedra`,
+    Vertex coordinates and offsets follow the number rule of `exactla`,
     ints when integral and Fractions otherwise, so integer heights with
     integral tie points make no Fraction.
     The per-stratum data is computed once for all the pieces, and its
@@ -223,8 +223,8 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     w_b - w_a0 and offset c_a0 - c_b = (h_a0 - h_b) / D, is computed once
     for the facets and equations that name it.  The pieces whose ordered
     tuples of equation normals agree form one system, and
-    `_canonical_systems` makes all their equations canonical with one
-    elimination of those normals.  Every piece is then built by
+    `polyhedra.canonical_systems` makes all their equations canonical with
+    one elimination of those normals.  Every piece is then built by
     `QPolyhedron._trusted`: its vertices and rays are sorted subsequences,
     its lineality is the stratum's, already the HNF basis of a saturated
     lattice, its facets are sorted and its equations canonical.
@@ -232,7 +232,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
     section = Y.strata[eta].section.columns()
-    w = {i: tuple(_dot(f.terms[i][0], col) for col in section) for i in G}
+    w = {i: tuple(dot(f.terms[i][0], col) for col in section) for i in G}
 
     def diffs(pts, a0):
         return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
@@ -243,11 +243,11 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     for M in S.maximal_cells:
         cell = M & G
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
-            num, D = _scaled(S.ties[M])
-            vertex_of[cell] = tuple(rational(_dot(r, num), D) for r in proj.rows)
+            num, D = scaled(S.ties[M])
+            vertex_of[cell] = tuple(rational(dot(r, num), D) for r in proj.rows)
     walls = {}
     for a, b in newton_facets:
-        on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
+        on = frozenset(i for i in G if dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
                 lattice_basis(diffs(on, min(on)), k).ncols == dim_g - 1:
             walls[on] = primitive_vector(proj.apply(a))
@@ -294,7 +294,7 @@ def stratum_pieces(f: TropicalPolynomial, S, newton_facets, Y: ToricVariety, eta
     equations = {}
     for normals, group in systems.items():
         equations.update(zip((F for F, b in group),
-                             _canonical_systems(normals, [b for F, b in group], k)))
+                             canonical_systems(normals, [b for F, b in group], k)))
     return {F: QPolyhedron._trusted(k, verts, rays, lin, facets, equations[F])
             for F, (verts, rays, facets) in parts.items()}
 
@@ -305,7 +305,7 @@ def dual_face_points(f: TropicalPolynomial, Y: ToricVariety):
     pts = [e for e, c in f.terms]
     tops = []
     for r in Y.fan.rays:
-        vals = [_dot(a, r) for a in pts]
+        vals = [dot(a, r) for a in pts]
         top = max(vals)
         tops.append(frozenset(j for j, v in enumerate(vals) if v == top))
     out = []
@@ -381,7 +381,7 @@ def build_pair(f: TropicalPolynomial, fan: FanSpec, max_dim=DEFAULT_MAX_DIM
     G = dual_face_points(f, Y)
     S = regular_subdivision([e for e, c in f.terms], [c for e, c in f.terms])
     newton_facets = sorted(hrep_from_generators([e for e, c in f.terms], [], [], Y.dim)[0])
-    heights = _scaled([c for e, c in f.terms])
+    heights = scaled([c for e, c in f.terms])
     cells = []
     incidence = []
     tangents = {}   # (stratum dim, equation normals) -> tangent lattice

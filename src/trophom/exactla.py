@@ -72,11 +72,18 @@ keep both forms); all functions here are pure.
 `int_rows` applies the same rule where other modules take integer vectors
 from their callers: support points, exponents, fan and polyhedron rays,
 facet normals and lineality vectors, and the ray indices of fan cones.
-`exact_rational` is its rule for rational values, the coefficients of a
-tropical polynomial and the heights of a regular subdivision: a value is
-read exactly or rejected, never rounded.  `rational` makes the exact rationals
-of the geometry layer (`polyhedra`, `complexes`): an int when the value is
-integral, and a Fraction only otherwise.
+
+The number rule of the geometry layer (`polyhedra`, `complexes`) lives
+here too: an exact rational is an int when it is integral, and a Fraction
+only otherwise.  `exact_rational` reads by it every rational value the
+package takes from its callers: the coefficients of a tropical polynomial,
+the heights of a regular subdivision, and the points, vertices, normals
+and offsets that enter `polyhedra`.  A value is read exactly or rejected
+with a ValueError naming it, never rounded.  `rational` makes the rule's
+quotient of two ints.  Arithmetic on rational vectors is integer
+arithmetic: `scaled` gives a vector's integer numerators over its least
+common denominator, and `primitive_vector` the primitive integer vector on
+its ray; `dot` is the one dot product of the package.
 """
 
 from __future__ import annotations
@@ -84,6 +91,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
+from operator import mul
 
 
 _INT = {int}
@@ -259,7 +267,7 @@ class IntMatrix:
         if len(vec) != self.ncols:
             raise ValueError("length mismatch: vector has %d entries, matrix has %d columns"
                              % (len(vec), self.ncols))
-        return tuple(sum(a * v for a, v in zip(r, vec)) for r in self.rows)
+        return tuple(dot(r, vec) for r in self.rows)
 
     def sparse_rows(self):
         """The nonzero entries as {row: {col: value}}, one dict per row.
@@ -766,30 +774,45 @@ def rational(n, d):
 
 
 def exact_rational(x, kind, i):
-    """x as an exact rational: an int or a Fraction as it is, and any other
-    value as the Fraction it denotes exactly, such as a rational string
-    ("-3/4") or a float that is the rational its `repr` spells (0.5, 3.0,
-    not 0.1, whose binary value is another number).  Any other value (0.1,
-    None, inf, nan, "x", "1/0") raises ValueError naming it as `kind` i
-    ("height 1")."""
-    if type(x) is int or type(x) is Fraction:
-        return x
-    try:
-        q = Fraction(x)
-    except (TypeError, ValueError, ArithmeticError):
-        q = None
-    if q is None or isinstance(x, float) and q != Fraction(repr(x)):
-        raise ValueError("%s %d %r is not an exact rational" % (kind, i, x))
-    return q
+    """x as an exact rational by the number rule: an int when it is
+    integral, and a Fraction only otherwise.  An int comes back as it is, a
+    Fraction as its numerator when that is exact (Fraction(4, 2) as 2), and
+    any other value as the rational it denotes exactly, such as a rational
+    string ("-3/4", "6/3") or a float that is the rational its `repr`
+    spells (0.5, 3.0, not 0.1, whose binary value is another number).  Any
+    other value (0.1, None, inf, nan, "x", "1/0") raises ValueError naming
+    it as `kind` i ("height 1")."""
+    if type(x) is not int and type(x) is not Fraction:
+        try:
+            q = Fraction(x)
+        except (TypeError, ValueError, ArithmeticError):
+            q = None
+        if q is None or isinstance(x, float) and q != Fraction(repr(x)):
+            raise ValueError("%s %d %r is not an exact rational" % (kind, i, x))
+        x = q
+    return x.numerator if x.denominator == 1 else x
+
+
+def dot(a, b):
+    """The dot product of two vectors of ints or Fractions.  `map` stops at
+    the shorter vector, so callers check lengths where vectors come in."""
+    return sum(map(mul, a, b))
+
+
+def scaled(vec):
+    """A vector of ints and Fractions as (num, D): the integer numerators
+    num[i] = vec[i] * D over the least common denominator D > 0, so
+    gcd(D, *num) is 1.  Ints and Fractions both carry `numerator` and
+    `denominator`, so no entry is converted."""
+    D = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (D // x.denominator) for x in vec], D
 
 
 def primitive_vector(vec):
-    """The primitive integer vector on the ray of a rational vector: scale by
-    the lcm of the entries' denominators, then divide by the gcd of the
-    resulting integers.  Ints and Fractions both carry `numerator` and
-    `denominator`, so no entry is converted.  The zero vector (and ())
-    comes back as integer zeros."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
+    """The primitive integer vector on the ray of a vector of ints and
+    Fractions: its numerators over their common denominator (`scaled`),
+    divided by their gcd.  The zero vector (and ()) comes back as integer
+    zeros."""
+    num, _ = scaled(vec)
+    g = gcd(*num) or 1
+    return tuple(x // g for x in num)

@@ -8,28 +8,33 @@ and affine ranks are unchanged); lattice volumes are read in the saturated
 lattice of a cell's own affine hull, as gcds of maximal minors of its edge
 vectors.
 
-One number rule holds throughout: an exact rational is an int when it is
-integral, and a Fraction only otherwise (`exactla.rational`).  Directions
-(rays, lineality vectors, facet and equation normals) are integer vectors;
+One number rule holds throughout, the one `exactla` keeps: an exact
+rational is an int when it is integral, and a Fraction only otherwise.
+Every rational that enters here, a point, vertex, height, normal or
+offset, is read by `exactla.exact_rational`, so 0.1 or None raises a
+ValueError naming it.  Directions (rays, lineality vectors, and the
+normals of the canonical facets and equations) are integer vectors;
 vertices, tie points and offsets follow the rule, so on integral data, as
 with integer heights on a primitive triangulation of a full-dimensional
 support, no Fraction is made.  An int and a Fraction of equal value
 compare, sort and hash alike, so the rule moves no cell, order or answer.
-No `/` is applied to these values (int / int is a float): quotients are
-taken by `rational`, and no floating point appears anywhere.
+Rational arithmetic is integer arithmetic on numerators over a common
+denominator (`exactla.scaled`, `exactla.primitive_vector`).  No `/` is
+applied to these values (int / int is a float): quotients are taken by
+`exactla.rational`, and no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .exactla import (
     IntMatrix,
     basis_completion,
+    dot,
     exact_rational,
     exterior_power,
     gauss_jordan,
@@ -38,11 +43,8 @@ from .exactla import (
     lattice_basis,
     primitive_vector,
     rational,
+    scaled,
 )
-
-
-def _dot(a, b):
-    return sum(map(mul, a, b))
 
 
 def _check_lengths(dim, *named):
@@ -52,23 +54,6 @@ def _check_lengths(dim, *named):
         for i, v in enumerate(vectors):
             if len(v) != dim:
                 raise ValueError("%s %d has %d coordinates, not %d" % (kind, i, len(v), dim))
-
-
-def _scaled(x):
-    """A rational vector as (integer numerators, common denominator D > 0)."""
-    x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
-    D = lcm(*(v.denominator for v in x))
-    return [v.numerator * (D // v.denominator) for v in x], D
-
-
-def _exact(x):
-    """x as the exact rational that `Fraction` reads it as, by the number
-    rule: an int when integral, else a Fraction.  An int is taken as it
-    is."""
-    if type(x) is int:
-        return x
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
 
 
 def _primitive(v):
@@ -114,7 +99,7 @@ def dd_cone(constraints, dim):
     tight = []      # the tight set of each ray, as a bitmask
     for i, c in enumerate(constraints):
         bit = 1 << i
-        vals_lin = [_dot(c, l) for l in lin]
+        vals_lin = [dot(c, l) for l in lin]
         if any(vals_lin):
             k = next(j for j, v in enumerate(vals_lin) if v)
             l0, a0 = lin[k], vals_lin[k]
@@ -130,7 +115,7 @@ def dd_cone(constraints, dim):
                                if v else l)
             new_rays = []
             for r in rays:
-                v = _dot(c, r)
+                v = dot(c, r)
                 if v:
                     r = _primitive([-a0 * x + v * y for x, y in zip(r, l0)])
                 new_rays.append(r)
@@ -138,7 +123,7 @@ def dd_cone(constraints, dim):
             lin, rays = new_lin, new_rays
             tight = [z | bit for z in tight] + [bit - 1]
             continue
-        vals = [_dot(c, r) for r in rays]
+        vals = [dot(c, r) for r in rays]
         neg = [j for j, v in enumerate(vals) if v < 0]
         zero = [j for j, v in enumerate(vals) if v == 0]
         combos, combo_tight = [], []
@@ -167,23 +152,18 @@ def dd_cone(constraints, dim):
     return lin, rays
 
 
-def _homogenized(a, b):
-    """The primitive integer row on (-b, a): the numerators of (b, a) over
-    their common denominator (`_scaled`), the first negated, divided by
-    their gcd.  Int and Fraction entries are read as they are."""
-    num, D = _scaled((b, *a))
-    num[0] = -num[0]
-    return _primitive(num)
-
-
 def _homogenize_hrep(ineqs, eqs, dim):
+    """The rows of the cone over {Ax <= b, Ex = f}: t >= 0, and for each
+    row (a, b) the primitive integer row on (-b, a), its entries read by
+    `exact_rational`, an equation's both ways."""
     rows = [(-1,) + (0,) * dim]  # t >= 0
-    for a, b in ineqs:
-        rows.append(_homogenized(a, b))
-    for a, b in eqs:
-        r = _homogenized(a, b)
-        rows.append(r)
-        rows.append(tuple(-x for x in r))
+    for kind, system in (("facet", ineqs), ("equation", eqs)):
+        for i, (a, b) in enumerate(system):
+            r = primitive_vector((-exact_rational(b, kind + " offset", i),
+                                  *(exact_rational(x, kind + " normal", i) for x in a)))
+            rows.append(r)
+            if kind == "equation":
+                rows.append(tuple(-x for x in r))
     return rows
 
 
@@ -211,9 +191,10 @@ def hrep_from_generators(points, rays, lins, dim):
     Each row (a, b) is primitive in (b, a), so its offset b is an int."""
     _check_lengths(dim, ("point", points), ("ray", rays), ("lineality vector", lins))
     rows = []
-    for p in points:
+    for i, p in enumerate(points):
         # an integer point homogenizes as it is: the -1 makes it primitive
-        rows.append((-1, *p) if all(type(x) is int for x in p) else _homogenized(p, 1))
+        rows.append((-1, *p) if all(type(x) is int for x in p) else
+                    primitive_vector((-1, *(exact_rational(x, "point", i) for x in p))))
     for r in int_rows(rays, "ray"):
         rows.append((0,) + r)
     for l in int_rows(lins, "lineality vector"):
@@ -233,37 +214,36 @@ def hrep_from_generators(points, rays, lins, dim):
 
 def _canonical_equations(eqs, dim):
     """Reduced, primitive row echelon form of a system, sorted: its rows
-    made primitive integer rows, then `_canonical_systems` of the one
+    made primitive integer rows, then `canonical_systems` of the one
     system they form."""
     rows = [primitive_vector(tuple(a) + (b,)) for a, b in eqs]
-    return _canonical_systems([v[:-1] for v in rows], [tuple(v[-1] for v in rows)], dim)[0]
+    return canonical_systems([v[:-1] for v in rows], [tuple(v[-1] for v in rows)], dim)[0]
 
 
-def _canonical_systems(normals, offsets, dim):
+def canonical_systems(normals, offsets, dim):
     """The canonical equations of the systems {<a_i, x> = b_i} that share
     the integer normals a_i, one per tuple b of Fraction or int offsets in
     `offsets`: the primitive rows of each system's reduced row echelon
     form, sorted, from one `gauss_jordan` on the normals.  Each b rides
-    along as one more column, scaled by the lcm L of its denominators.
-    Pivot row k holds d times the normal part r of row k of the reduced row
-    echelon form of [a | b] that pivots on the normals only, and d * L
-    times its column s of b.  The primitive multiple of (L * normal part,
-    column of b), with the sign of d, is then that of (r, s).  The rows
-    past the rank vanish on the normals.  When b is zero in all of them,
-    these are the system's rows.  Otherwise the system is inconsistent: b
-    pivots and clears every other row, so its rows are the pivot rows with
-    offset 0, plus ((0, ..., 0), 1).  A row is primitive in (a, b), so
-    every offset is an int.
+    along as one more column: its numerators over their least common
+    denominator L (`exactla.scaled`).  Pivot row k holds d times the
+    normal part r of row k of the reduced row echelon form of [a | b] that
+    pivots on the normals only, and d * L times its column s of b.  The
+    primitive multiple of (L * normal part, column of b), with the sign of
+    d, is then that of (r, s).  The rows past the rank vanish on the
+    normals.  When b is zero in all of them, these are the system's rows.
+    Otherwise the system is inconsistent: b pivots and clears every other
+    row, so its rows are the pivot rows with offset 0, plus
+    ((0, ..., 0), 1).  A row is primitive in (a, b), so every offset is an
+    int.
     """
-    scales = [lcm(*(b.denominator for b in bs)) for bs in offsets]
-    rows = [list(a) + [bs[i].numerator * (L // bs[i].denominator)
-                       for bs, L in zip(offsets, scales)]
-            for i, a in enumerate(normals)]
+    scales = [scaled(bs) for bs in offsets]
+    rows = [list(a) + [num[i] for num, L in scales] for i, a in enumerate(normals)]
     A, pivots, d = gauss_jordan(rows, dim)
     rank = len(pivots)
     sign = 1 if d > 0 else -1
     out = []
-    for j, L in enumerate(scales, start=dim):
+    for j, (_, L) in enumerate(scales, start=dim):
         consistent = not any(row[j] for row in A[rank:])
         eqs = [] if consistent else [((0,) * dim, 1)]
         for row in A[:rank]:
@@ -300,20 +280,22 @@ class QPolyhedron:
         computed one from the other: checked and put into canonical form,
         never tested for agreement.  `lin` only signals a nonzero lineality,
         whose basis is read off the facet and equation normals.  Vertex
-        coordinates and facet offsets are read by `Fraction`, so what is
-        accepted and rejected does not depend on the rule, and kept by the
-        number rule (`_exact`); the canonical equations' offsets are ints."""
+        coordinates and facet offsets are read, and kept, by
+        `exactla.exact_rational`; the canonical equations' offsets are
+        ints."""
         _check_lengths(dim, ("vertex", vertices), ("ray", rays), ("lineality vector", lin),
                        ("facet normal", [a for a, b in facets]),
                        ("equation normal", [a for a, b in equations]))
         return cls._trusted(
             dim,
-            tuple(sorted(tuple(map(_exact, v)) for v in vertices)),
+            tuple(sorted(tuple(exact_rational(x, "vertex", i) for x in v)
+                         for i, v in enumerate(vertices))),
             tuple(sorted(int_rows(rays, "ray"))),
             tuple(kernel_lattice(IntMatrix([a for a, b in (*facets, *equations)],
                                            ncols=dim)).columns()) if lin else (),
             tuple(sorted(zip(int_rows((a for a, b in facets), "facet normal"),
-                             (_exact(b) for a, b in facets)))),
+                             (exact_rational(b, "facet offset", i)
+                              for i, (a, b) in enumerate(facets))))),
             _canonical_equations(equations, dim))
 
     @classmethod
@@ -421,9 +403,10 @@ class QPolyhedron:
         the same with equality."""
         eqs = [(a, b.numerator, b.denominator) for a, b in self.equations]
         facets = [(a, b.numerator, b.denominator) for a, b in self.facets]
+        # the build's hottest products, taken inline: a call to `dot` per
+        # row costs more than the product on these short vectors
         for v in vertices:
-            D = lcm(*(x.denominator for x in v))
-            num = [x.numerator * (D // x.denominator) for x in v]
+            num, D = scaled(v)
             for a, bn, den in eqs:
                 if sum(map(mul, a, num)) * den != bn * D:
                     return False
@@ -459,9 +442,10 @@ class QPolyhedron:
     # ---- constructions ----
 
     def intersect_hrep(self, ineqs=(), eqs=()):
-        """Intersection with extra halfspaces/hyperplanes; None if empty."""
-        return QPolyhedron.from_hrep(list(self.facets) + list(ineqs),
-                                     list(self.equations) + list(eqs), self.dim)
+        """Intersection with extra halfspaces/hyperplanes; None if empty.
+        The extra rows come first, so an entry that is not an exact rational
+        is named by its row's index among them."""
+        return QPolyhedron.from_hrep([*ineqs, *self.facets], [*eqs, *self.equations], self.dim)
 
     def linear_image(self, M: IntMatrix):
         """Image under an integer linear map (rows of M give the new coords).
@@ -469,15 +453,15 @@ class QPolyhedron:
         Two double descriptions; the pipeline reads its projected pieces off
         the subdivision instead (`complexes.stratum_pieces`), and this stays
         as their LP reference."""
-        pts = [tuple(_dot(r, v) for r in M.rows) for v in self.vertices]
+        pts = [tuple(dot(r, v) for r in M.rows) for v in self.vertices]
         rays = []
         for r in self.rays:
-            w = tuple(_dot(row, r) for row in M.rows)
+            w = tuple(dot(row, r) for row in M.rows)
             if any(w):
                 rays.append(primitive_vector(w))
         lins = []
         for l in self.lin:
-            w = tuple(_dot(row, l) for row in M.rows)
+            w = tuple(dot(row, l) for row in M.rows)
             if any(w):
                 lins.append(primitive_vector(w))
         return QPolyhedron.from_generators(pts, rays, lins, M.nrows)
@@ -503,9 +487,9 @@ class QPolyhedron:
                 continue
             full_act = frozenset(
                 i for i, (a, b) in enumerate(self.facets)
-                if all(_dot(a, v) == b for v in F.vertices)
-                and all(_dot(a, r) == 0 for r in F.rays)
-                and all(_dot(a, l) == 0 for l in F.lin))
+                if all(dot(a, v) == b for v in F.vertices)
+                and all(dot(a, r) == 0 for r in F.rays)
+                and all(dot(a, l) == 0 for l in F.lin))
             if full_act not in faces:
                 faces[full_act] = F
                 for i in range(len(self.facets)):
@@ -532,7 +516,7 @@ def cone_meets_relint(C: QPolyhedron, rho: QPolyhedron) -> bool:
     if not gens:
         return False  # K = {0}
     for a, b in rho.facets:
-        if all(_dot(a, g) == 0 for g in gens):
+        if all(dot(a, g) == 0 for g in gens):
             return False
     return True
 
@@ -566,7 +550,7 @@ def cone_covered_by(C: QPolyhedron, cones) -> bool:
                 if piece is not None and piece.affine_dim == target_dim:
                     gens = list(piece.vertices) + list(piece.rays) + list(piece.lin) + \
                         [tuple(-x for x in l) for l in piece.lin]
-                    if any(_dot(a, g) > 0 for g in gens):
+                    if any(dot(a, g) > 0 for g in gens):
                         new_regions.append(piece)
                 prefix.append((a, 0))
         regions = new_regions
@@ -629,7 +613,7 @@ def _add_cell_faces(members, coords, faces, covered_by):
             return len(sub) - 1
     else:
         facets, _ = hrep_from_generators([coords[i] for i in sorted(members)], [], [], dim)
-        walls = [frozenset(i for i in members if _dot(a, coords[i]) == b)
+        walls = [frozenset(i for i in members if dot(a, coords[i]) == b)
                  for a, b in sorted(facets)]
 
         def rank(sub):
@@ -676,7 +660,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
     of unequal length, raise ValueError.
     """
     points = int_rows(points, "support point")
-    num, D = _scaled([exact_rational(h, "height", i) for i, h in enumerate(heights)])
+    num, D = scaled([exact_rational(h, "height", i) for i, h in enumerate(heights)])
     if not points:
         raise ValueError("a subdivision needs at least one support point")
     n = len(points[0])
@@ -706,7 +690,7 @@ def regular_subdivision(points, heights) -> RegularSubdivision:
         (a, _), = eqs
         ties = {frozenset(range(len(points))): tie(a)}
     else:
-        ties = {frozenset(i for i, lp in enumerate(lifted) if _dot(a, lp) == b): tie(a)
+        ties = {frozenset(i for i, lp in enumerate(lifted) if dot(a, lp) == b): tie(a)
                 for a, b in facets if a[d] > 0}
     maximal = tuple(sorted(ties, key=sorted))
     faces, covered_by = {}, {}

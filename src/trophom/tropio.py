@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import exact_rational, int_rows, primitive_vector
+from .exactla import dot, exact_rational, int_rows, primitive_vector
 from .polyhedra import QPolyhedron, generators_from_hrep
 
 
@@ -317,8 +317,7 @@ def normal_fan(P: QPolyhedron) -> FanSpec:
         raise FanError("normal fan needs a full-dimensional polytope")
     rays = [primitive_vector(a) for a, b in P.facets]
     return FanSpec(P.dim, rays, [frozenset(i for i, (a, b) in enumerate(P.facets)
-                                           if sum(x * y for x, y in zip(a, v)) == b)
-                                 for v in P.vertices])
+                                           if dot(a, v) == b) for v in P.vertices])
 
 
 # a .fan line: "content" runs from its first word to the last character

@@ -35,20 +35,18 @@ from trophom.cosheaf import Cosheaf, CosheafError
 from trophom.exactla import (
     IntMatrix,
     back_substitute,
+    dot,
     exterior_power,
     hnf_pivots,
     kernel_lattice,
     lattice_basis,
     primitive_vector,
+    scaled,
 )
 from trophom import polyhedra
 from trophom.polyhedra import QPolyhedron, cone_covered_by
 from trophom.toric import ToricVariety
 from trophom.tropio import newton_polytope
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def assert_exact(x):
@@ -62,7 +60,7 @@ def heights(f):
     """The coefficients of f as `build_pair` hands them to
     `trophom.complexes.stratum_pieces`: integer numerators over one
     denominator."""
-    return polyhedra._scaled([c for e, c in f.terms])
+    return scaled([c for e, c in f.terms])
 
 
 def dd_cone(constraints, dim):
@@ -75,10 +73,10 @@ def dd_cone(constraints, dim):
     processed = []
 
     def zeroset(v):
-        return frozenset(k for k, c in enumerate(processed) if _dot(c, v) == 0)
+        return frozenset(k for k, c in enumerate(processed) if dot(c, v) == 0)
 
     for c in constraints:
-        vals_lin = [_dot(c, l) for l in lin]
+        vals_lin = [dot(c, l) for l in lin]
         if any(vals_lin):
             k = next(i for i, v in enumerate(vals_lin) if v)
             l0, a0 = lin[k], vals_lin[k]
@@ -89,12 +87,12 @@ def dd_cone(constraints, dim):
             for i, l in enumerate(lin):
                 if i == k:
                     continue
-                v = _dot(c, l)
+                v = dot(c, l)
                 new_lin.append(primitive_vector(tuple(a0 * x - v * y for x, y in zip(l, l0)))
                                if v else l)
             new_rays = []
             for r in rays:
-                v = _dot(c, r)
+                v = dot(c, r)
                 if v:
                     r = primitive_vector(tuple(-a0 * x + v * y for x, y in zip(r, l0)))
                 new_rays.append(r)
@@ -103,7 +101,7 @@ def dd_cone(constraints, dim):
             processed.append(c)
             continue
         processed.append(c)
-        vals = [(_dot(c, r), r) for r in rays]
+        vals = [(dot(c, r), r) for r in rays]
         neg = [r for v, r in vals if v < 0]
         zero = [r for v, r in vals if v == 0]
         pos = [r for v, r in vals if v > 0]
@@ -114,7 +112,7 @@ def dd_cone(constraints, dim):
         combos = []
         seen = set(neg) | set(zero)
         for p in pos:
-            vp = _dot(c, p)
+            vp = dot(c, p)
             for q in neg:
                 common = zs[p] & zs[q]
                 adjacent = True
@@ -126,7 +124,7 @@ def dd_cone(constraints, dim):
                         break
                 if not adjacent:
                     continue
-                vq = _dot(c, q)
+                vq = dot(c, q)
                 w = primitive_vector(tuple(vp * x - vq * y for x, y in zip(q, p)))
                 if w not in seen and any(w):
                     seen.add(w)
@@ -193,7 +191,7 @@ def stratum_pieces(f, S, newton_facets, Y, eta, G):
     k = Y.stratum_dim(eta)
     proj = Y.projection(Y.apex, eta)
     section = Y.strata[eta].section.columns()
-    w = {i: tuple(_dot(f.terms[i][0], col) for col in section) for i in G}
+    w = {i: tuple(dot(f.terms[i][0], col) for col in section) for i in G}
 
     def diffs(pts, a0):
         return [tuple(x - y for x, y in zip(w[i], w[a0])) for i in sorted(pts) if i != a0]
@@ -204,10 +202,10 @@ def stratum_pieces(f, S, newton_facets, Y, eta, G):
     for M in S.maximal_cells:
         cell = M & G
         if cell not in vertex_of and S.faces.get(cell) == dim_g:
-            vertex_of[cell] = tuple(_dot(r, S.ties[M]) for r in proj.rows)
+            vertex_of[cell] = tuple(dot(r, S.ties[M]) for r in proj.rows)
     walls = {}
     for a, b in newton_facets:
-        on = frozenset(i for i in G if _dot(a, f.terms[i][0]) == b)
+        on = frozenset(i for i in G if dot(a, f.terms[i][0]) == b)
         if on and on not in walls and \
                 lattice_basis(diffs(on, min(on)), k).ncols == dim_g - 1:
             walls[on] = primitive_vector(proj.apply(a))

@@ -7,7 +7,8 @@ top-level function and class and every private method of a top-level class
 string names a function only when the whole string is its name or a dotted
 path to it, as the benchmark's tracer writes them, so a word in an error
 message keeps nothing alive.  A name that nothing calls is deleted, not
-kept.  And the package stays pure Python with no dependencies."""
+kept.  No module imports another's private name.  And the package stays
+pure Python with no dependencies."""
 
 import ast
 import re
@@ -102,6 +103,19 @@ def test_every_private_helper_is_referenced():
     unused, defined = unused_definitions(private, PIPELINE + ("tests",))
     assert defined > 10
     assert unused == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A private name of a module in src/trophom is its own: no module
+    imports one from another (`from .x import _name`).  A helper that two
+    modules need is public in the one that owns it."""
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported += ["%s: %s.%s" % (path.name, node.module, alias.name)
+                             for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
 
 
 def test_only_whole_paths_in_strings_are_references():

@@ -16,6 +16,7 @@ from trophom.exactla import (
     back_substitute,
     basis_completion,
     det,
+    exact_rational,
     exterior_power,
     gauss_jordan,
     hnf,
@@ -25,6 +26,7 @@ from trophom.exactla import (
     lattice_basis,
     primitive_vector,
     hnf_row,
+    scaled,
     smith_diagonal,
     solve_int,
 )
@@ -1289,3 +1291,43 @@ class TestSolve:
             assert gcd(*out) == 1
             scale = Fraction(next(o for o in out if o), next(x for x in vec if x))
             assert scale > 0 and all(o == scale * x for o, x in zip(out, vec)), vec
+
+
+rationals = st.one_of(st.integers(-10**6, 10**6),
+                      st.fractions(-10**6, 10**6, max_denominator=10**4))
+
+
+class TestNumberRule:
+    """`exact_rational` reads a value by the number rule, an int when it is
+    integral and a Fraction only otherwise, and `scaled` and
+    `primitive_vector` clear the denominators of the vectors it makes."""
+
+    def test_exact_rational_keeps_the_number_rule(self):
+        for x, want in ((7, 7), (Fraction(4, 2), 2), ("6/3", 2), (3.0, 3), (True, 1),
+                        (0.5, Fraction(1, 2)), ("-3/4", Fraction(-3, 4))):
+            got = exact_rational(x, "value", 0)
+            assert got == want and type(got) is type(want), (x, got)
+        q = Fraction(1, 3)
+        assert exact_rational(q, "value", 0) is q
+
+    @pytest.mark.parametrize("bad", [0.1, None, "x", "1/0", float("inf"), float("nan")],
+                             ids=repr)
+    def test_exact_rational_names_what_it_cannot_read(self, bad):
+        with pytest.raises(ValueError, match=r"^offset 3 .* is not an exact rational$"):
+            exact_rational(bad, "offset", 3)
+
+    @given(st.lists(rationals, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_and_primitive_vector(self, vec):
+        num, D = scaled(vec)
+        assert D > 0 and all(type(x) is int for x in num)
+        assert all(n == x * D for n, x in zip(num, vec)) and len(num) == len(vec)
+        assert gcd(D, *num) == 1
+        out = primitive_vector(vec)
+        assert len(out) == len(vec) and all(type(x) is int for x in out)
+        if not any(vec):
+            assert out == (0,) * len(vec)
+            return
+        assert gcd(*out) == 1
+        scale = Fraction(next(o for o in out if o), next(x for x in vec if x))
+        assert scale > 0 and all(o == scale * x for o, x in zip(out, vec))

@@ -1,8 +1,9 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +15,11 @@ from trophom import polyhedra
 from trophom.polyhedra import (
     QPolyhedron,
     _canonical_equations,
-    _canonical_systems,
+    canonical_systems,
     cone_covered_by,
     cone_meets_relint,
     dd_cone,
+    generators_from_hrep,
     hrep_from_generators,
     is_primitive,
     normalized_simplex_volume,
@@ -290,6 +292,40 @@ class TestFaceLattice:
         for F, _ in P.face_lattice():
             count[F.affine_dim] = count.get(F.affine_dim, 0) + 1
         assert count == {0: 8, 1: 12, 2: 6, 3: 1}
+
+
+@pytest.mark.parametrize("x, exact", [(0.1, None), (None, None), ("x", None), (inf, None),
+                                      (0.5, Fraction(1, 2)), ("1/3", Fraction(1, 3)),
+                                      (Fraction(1, 3), Fraction(1, 3))], ids=repr)
+def test_rationals_read_exactly_or_rejected_by_name(x, exact):
+    """Every rational that enters `polyhedra` is read by
+    `exactla.exact_rational`: here a point coordinate (`from_generators`),
+    a facet offset (`generators_from_hrep`) and a facet normal entry
+    (`from_hrep`).  0.1 is not taken at its binary value
+    3602879701896397/36028797018963968, and None, "x" and inf raise no
+    unnamed TypeError, ValueError or OverflowError from `Fraction`: each
+    raises ValueError naming its kind and index.  0.5, "1/3" and
+    Fraction(1, 3) are read as the rationals they denote."""
+    # where each entry is named, how to read the vertices it gives, and
+    # those vertices when x reads as `exact`
+    entries = (
+        ("point 0", lambda: QPolyhedron.from_generators([(x,), (1,)]).vertices,
+         lambda: sorted([(exact,), (1,)])),
+        ("facet offset 0", lambda: generators_from_hrep([((1,), x)], [], 1)[0],
+         lambda: [(exact,)]),
+        ("facet normal 1", lambda: QPolyhedron.from_hrep([((-1,), 0), ((x,), 1)], [], 1).vertices,
+         lambda: [(0,), (1 / exact,)]),
+    )
+    for where, vertices, want in entries:
+        if exact is None:
+            with pytest.raises(ValueError, match=r"^%s %s is not an exact rational$"
+                               % (where, re.escape(repr(x)))):
+                vertices()
+            continue
+        got = vertices()
+        assert list(got) == want(), where
+        for c in (c for v in got for c in v):
+            assert_exact(c)
 
 
 class TestRecession:
@@ -1028,7 +1064,7 @@ def test_canonical_systems_match_fraction_reference(monkeypatch):
                    for _ in range(rng.randint(1, 4))]
         independent = lattice_basis(normals, dim).ncols == len(normals)
         calls.clear()
-        got = _canonical_systems(normals, offsets, dim)
+        got = canonical_systems(normals, offsets, dim)
         assert calls["gauss_jordan"] == 1
         assert len(got) == len(offsets)
         for bs, eqs in zip(offsets, got):
@@ -1044,7 +1080,7 @@ def test_canonical_systems_match_fraction_reference(monkeypatch):
                                              for bs in offsets}) > 1
     assert min(kinds.values()) >= 40, kinds
     for dim in range(4):
-        assert _canonical_systems([], [(), ()], dim) == [(), ()]
+        assert canonical_systems([], [(), ()], dim) == [(), ()]
 
 
 def test_point_tangent_lattice_takes_no_hnf():
