@@ -73,17 +73,14 @@ keep both forms); all functions here are pure.
 from their callers: support points, exponents, fan and polyhedron rays,
 facet normals and lineality vectors, and the ray indices of fan cones.
 
-The number rule of the geometry layer (`polyhedra`, `complexes`) lives
-here too: an exact rational is an int when it is integral, and a Fraction
-only otherwise.  `exact_rational` reads by it every rational value the
-package takes from its callers: the coefficients of a tropical polynomial,
-the heights of a regular subdivision, and the points, vertices, normals
-and offsets that enter `polyhedra`.  A value is read exactly or rejected
-with a ValueError naming it, never rounded.  `rational` makes the rule's
-quotient of two ints.  Arithmetic on rational vectors is integer
-arithmetic: `scaled` gives a vector's integer numerators over its least
-common denominator, and `primitive_vector` the primitive integer vector on
-its ray; `dot` is the one dot product of the package.
+The number rule of the geometry layer lives here too: an exact rational is
+an int when it is integral, and a Fraction only otherwise.
+`exact_rational` reads by it, exactly or with a ValueError naming the
+value, every rational the package takes in: coefficients, heights, and the
+points, vertices, normals and offsets that enter `polyhedra`.  `rational`
+is the rule's quotient of two ints, `scaled` a vector's numerators over
+its least common denominator, `primitive_vector` the primitive integer
+vector on its ray, and `dot` the package's one dot product.
 """
 
 from __future__ import annotations
@@ -774,14 +771,12 @@ def rational(n, d):
 
 
 def exact_rational(x, kind, i):
-    """x as an exact rational by the number rule: an int when it is
-    integral, and a Fraction only otherwise.  An int comes back as it is, a
-    Fraction as its numerator when that is exact (Fraction(4, 2) as 2), and
-    any other value as the rational it denotes exactly, such as a rational
-    string ("-3/4", "6/3") or a float that is the rational its `repr`
-    spells (0.5, 3.0, not 0.1, whose binary value is another number).  Any
-    other value (0.1, None, inf, nan, "x", "1/0") raises ValueError naming
-    it as `kind` i ("height 1")."""
+    """x as the exact rational it denotes, by the number rule (Fraction(4, 2)
+    and "6/3" read as the int 2): an int, a Fraction, a rational string
+    ("-3/4") or a float that is the rational its `repr` spells (0.5, 3.0,
+    not 0.1, whose binary value is another number).  Any other value (0.1,
+    None, inf, nan, "x", "1/0") raises ValueError naming it as `kind` i
+    ("height 1")."""
     if type(x) is not int and type(x) is not Fraction:
         try:
             q = Fraction(x)
@@ -804,7 +799,7 @@ def scaled(vec):
     num[i] = vec[i] * D over the least common denominator D > 0, so
     gcd(D, *num) is 1.  Ints and Fractions both carry `numerator` and
     `denominator`, so no entry is converted."""
-    D = lcm(*(x.denominator for x in vec))
+    D = lcm(*[x.denominator for x in vec])
     return [x.numerator * (D // x.denominator) for x in vec], D
 
 

@@ -10,18 +10,16 @@ vectors.
 
 One number rule holds throughout, the one `exactla` keeps: an exact
 rational is an int when it is integral, and a Fraction only otherwise.
-Every rational that enters here, a point, vertex, height, normal or
-offset, is read by `exactla.exact_rational`, so 0.1 or None raises a
-ValueError naming it.  Directions (rays, lineality vectors, and the
-normals of the canonical facets and equations) are integer vectors;
-vertices, tie points and offsets follow the rule, so on integral data, as
-with integer heights on a primitive triangulation of a full-dimensional
-support, no Fraction is made.  An int and a Fraction of equal value
-compare, sort and hash alike, so the rule moves no cell, order or answer.
-Rational arithmetic is integer arithmetic on numerators over a common
-denominator (`exactla.scaled`, `exactla.primitive_vector`).  No `/` is
-applied to these values (int / int is a float): quotients are taken by
-`exactla.rational`, and no floating point appears anywhere.
+Every rational that enters here is read by `exactla.exact_rational`, so
+0.1 or None raises a ValueError naming it.  Directions (rays, lineality
+vectors, and the normals of canonical facets and equations) are integer
+vectors; vertices, tie points and offsets follow the rule, so on integral
+data, as with integer heights on a primitive triangulation of a
+full-dimensional support, no Fraction is made.  An int and a Fraction of
+equal value compare, sort and hash alike, so the rule moves no cell, order
+or answer.  Arithmetic is on integer numerators over one denominator
+(`exactla.scaled`), and quotients are taken by `exactla.rational`: no `/`
+(int / int is a float) and no floating point appear anywhere.
 """
 
 from __future__ import annotations
@@ -442,9 +440,8 @@ class QPolyhedron:
     # ---- constructions ----
 
     def intersect_hrep(self, ineqs=(), eqs=()):
-        """Intersection with extra halfspaces/hyperplanes; None if empty.
-        The extra rows come first, so an entry that is not an exact rational
-        is named by its row's index among them."""
+        """Intersection with extra halfspaces/hyperplanes; None if empty.  The
+        extra rows come first, so a bad entry is named by its index among them."""
         return QPolyhedron.from_hrep([*ineqs, *self.facets], [*eqs, *self.equations], self.dim)
 
     def linear_image(self, M: IntMatrix):
