@@ -50,7 +50,7 @@ from trophom.tropio import newton_polytope
 
 
 def assert_exact(x):
-    """x follows the number rule of `trophom.polyhedra`: an int when it is
+    """x follows the number rule of `trophom.exactla`: an int when it is
     integral and a Fraction otherwise, never a float."""
     assert type(x) in (int, Fraction) and \
         type(x) is (int if x.denominator == 1 else Fraction), (x, type(x))

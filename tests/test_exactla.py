@@ -1283,14 +1283,20 @@ class TestSolve:
                             Fraction(rng.randint(-12, 12), rng.randint(1, 12))))
                 for _ in range(rng.randint(1, 5))))
         for vec in cases:
-            out = primitive_vector(vec)
-            assert len(out) == len(vec) and all(type(x) is int for x in out)
-            if not any(vec):
-                assert out == (0,) * len(vec)
-                continue
-            assert gcd(*out) == 1
-            scale = Fraction(next(o for o in out if o), next(x for x in vec if x))
-            assert scale > 0 and all(o == scale * x for o, x in zip(out, vec)), vec
+            assert_primitive_multiple(vec)
+
+
+def assert_primitive_multiple(vec):
+    """`primitive_vector(vec)` is an int vector, primitive and a positive
+    multiple of vec, or zeros when vec is zero."""
+    out = primitive_vector(vec)
+    assert len(out) == len(vec) and all(type(x) is int for x in out)
+    if not any(vec):
+        assert out == (0,) * len(vec)
+        return
+    assert gcd(*out) == 1
+    scale = Fraction(next(o for o in out if o), next(x for x in vec if x))
+    assert scale > 0 and all(o == scale * x for o, x in zip(out, vec)), vec
 
 
 rationals = st.one_of(st.integers(-10**6, 10**6),
@@ -1323,11 +1329,4 @@ class TestNumberRule:
         assert D > 0 and all(type(x) is int for x in num)
         assert all(n == x * D for n, x in zip(num, vec)) and len(num) == len(vec)
         assert gcd(D, *num) == 1
-        out = primitive_vector(vec)
-        assert len(out) == len(vec) and all(type(x) is int for x in out)
-        if not any(vec):
-            assert out == (0,) * len(vec)
-            return
-        assert gcd(*out) == 1
-        scale = Fraction(next(o for o in out if o), next(x for x in vec if x))
-        assert scale > 0 and all(o == scale * x for o, x in zip(out, vec))
+        assert_primitive_multiple(vec)

@@ -300,10 +300,11 @@ class TestFaceLattice:
 def test_rationals_read_exactly_or_rejected_by_name(x, exact):
     """Every rational that enters `polyhedra` is read by
     `exactla.exact_rational`: here a point coordinate (`from_generators`),
-    a facet offset (`generators_from_hrep`) and a facet normal entry
-    (`from_hrep`).  0.1 is not taken at its binary value
-    3602879701896397/36028797018963968, and None, "x" and inf raise no
-    unnamed TypeError, ValueError or OverflowError from `Fraction`: each
+    a facet offset (`generators_from_hrep`), a facet normal entry
+    (`from_hrep`) and an extra facet's offset (`intersect_hrep`, which names
+    it by its index among the extra rows).  0.1 is not taken at its binary
+    value 3602879701896397/36028797018963968, and None, "x" and inf raise
+    no unnamed TypeError, ValueError or OverflowError from `Fraction`: each
     raises ValueError naming its kind and index.  0.5, "1/3" and
     Fraction(1, 3) are read as the rationals they denote."""
     # where each entry is named, how to read the vertices it gives, and
@@ -315,6 +316,9 @@ def test_rationals_read_exactly_or_rejected_by_name(x, exact):
          lambda: [(exact,)]),
         ("facet normal 1", lambda: QPolyhedron.from_hrep([((-1,), 0), ((x,), 1)], [], 1).vertices,
          lambda: [(0,), (1 / exact,)]),
+        ("facet offset 0",
+         lambda: QPolyhedron.from_generators([(0,), (2,)]).intersect_hrep([((1,), x)]).vertices,
+         lambda: [(0,), (exact,)]),
     )
     for where, vertices, want in entries:
         if exact is None:
