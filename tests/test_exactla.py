@@ -575,15 +575,16 @@ class TestSNF:
     def test_boundary_units_never_reach_the_isolation_step(self, monkeypatch, n):
         """The first pass takes every unit pivot, so no entry of the torus's
         d1 or d2 reaches the isolation step.  The Klein bottle's d1 leaves
-        nothing either.  Its d2 leaves one column of 2s, each alone in its
-        row: the one isolation starts at a 2 of that column, which then
-        holds every entry left, and clears the column in place.  Its 2 is
-        the torsion of H_1 = Z + Z/2."""
+        nothing either.  Its d2 is tall, 3n^2 edges by 2n^2 triangles, so it
+        is reduced as its transpose, and that leaves one row of 2s (19 at
+        n = 6, 54 at n = 20), each alone in its column: the one isolation
+        starts at a 2 of that row, which then holds every entry left, and
+        clears the row in place.  Its 2 is the torsion of H_1 = Z + Z/2."""
         isolated = []
         real = exactla._isolate
 
         def counted(rows, cols, i0, j0):
-            isolated.append((rows[i0][j0], j0, {(i, j) for i, r in rows.items() for j in r},
+            isolated.append((rows[i0][j0], i0, {(i, j) for i, r in rows.items() for j in r},
                              {abs(v) for r in rows.values() for v in r.values()}))
             got = real(rows, cols, i0, j0)
             assert got == (i0, j0)
@@ -595,13 +596,38 @@ class TestSNF:
                 isolated.clear()
                 got = smith_diagonal(B.sparse_rows(), B.nrows, B.ncols)
                 if (kind, d) == ("klein", 2):
-                    ((p, j0, left, values),) = isolated
+                    ((p, i0, left, values),) = isolated
                     assert abs(p) == 2 and values == {2}
-                    assert {j for i, j in left} == {j0}
-                    assert len({i for i, j in left}) == len(left) > 1
+                    assert {i for i, j in left} == {i0}
+                    assert len({j for i, j in left}) == len(left) == {6: 19, 20: 54}[n]
                     assert got == [1] * (B.ncols - 1) + [2]
                 else:
                     assert isolated == []
+
+    @pytest.mark.parametrize("kind", ("torus", "klein"))
+    def test_boundary_fill_follows_the_shorter_side(self, monkeypatch, kind):
+        """An elimination step updates (other rows in the pivot's column) x
+        (pivot-row length) entries.  On the 20 x 20 grid, d2 is tall: each
+        edge row has 2 entries and each triangle column 3, so it is reduced
+        as its transpose, where a pivot column holds the 3 edges of a
+        triangle and its row the 1 or 2 triangles of an edge.  That takes at
+        most 3 updates per step, 2,397 in all, where the given orientation
+        takes 6,030 on the torus; wide d1 takes 2,394 either way."""
+        updates, steps = [0], [0]
+        real = exactla._reduce_column
+
+        def counted(rows, cols, i0, j0):
+            updates[0] += (len(cols[j0]) - 1) * len(rows[i0])
+            steps[0] += 1
+            return real(rows, cols, i0, j0)
+
+        monkeypatch.setattr(exactla, "_reduce_column", counted)
+        d1, d2 = grid_boundaries(kind, 20)
+        smith_diagonal(d1.sparse_rows(), d1.nrows, d1.ncols)
+        assert updates == [2394]
+        updates[0] = steps[0] = 0
+        smith_diagonal(d2.sparse_rows(), d2.nrows, d2.ncols)
+        assert updates[0] <= 3 * steps[0] and updates[0] <= 2400
 
     def test_unit_rich_and_mixed_keep_factors_and_pairing(self, monkeypatch):
         """Seeded unit-rich and mixed matrices up to 12 x 12 give the full
@@ -641,12 +667,13 @@ class TestSNF:
         assert min(seen.values()) >= 20, seen
 
     def test_pivot_alone_in_its_column_only_stops_the_pairing(self):
-        """A = [[0, 3], [3, 2], [0, 4]] has no unit, and its 3 at (1, 0)
-        stands alone in its column but not in its row.  Its isolation
-        reduces the 2 beside it, moves into column 1, where rows 0 and 2
-        wait, and makes row operations there, so no row of A pairs, though
-        a unit at (0, 1) retires.  B = [[-8, 0, 6]] has B * A = 0 and the
-        invariant factor 2; without column 0, had row 0 been paired, it
+        """A = [[0, 3], [3, 2], [0, 4]] has no unit.  It is tall, so it is
+        reduced as its transpose [[0, 3, 0], [3, 2, 4]], where the 4 at
+        (1, 2) stands alone in its column but not in its row.  Its
+        isolation reduces that row modulo 4 and moves to the 2 at (1, 1),
+        whose column holds row 0 too; it ends at a unit at (0, 1), which
+        retires, but no row of A pairs.  B = [[-8, 0, 6]] has B * A = 0 and
+        the invariant factor 2; without column 0, had row 0 been paired, it
         would read 6."""
         A = {0: {1: 3}, 1: {0: 3, 1: 2}, 2: {1: 4}}
         paired = set()
@@ -655,6 +682,47 @@ class TestSNF:
         B = {0: {0: -8, 2: 6}}
         assert smith_diagonal(B, 1, 3) == [2]
         assert smith_diagonal({0: {2: 6}}, 1, 3) == [6]
+
+    def test_tall_unit_rich_and_mixed_keep_factors_and_pairing(self):
+        """Seeded unit-rich and mixed matrices with more rows than columns,
+        up to 14 x 13, are reduced as their transposes.  They give the full
+        scan's diagonal, `paired` receives rows of the given matrix, and for
+        B with B * A = 0, drawn from the left kernel of A, B without the
+        paired columns keeps B's invariant factors."""
+        rng = random.Random(31)
+        kinds = ((1, -1), (1, -1, 1, -1, 2, -3), (1, -1, 2, -2, 3, 4, -6))
+        seen = {"rows paired": 0, "pairing drops a column of B": 0}
+        for k in range(150):
+            n = rng.randint(1, 13)
+            m = rng.randint(n + 1, 14)
+            entries = random_sparse(rng, m, n, rng.uniform(0.1, 0.5), kinds[k % 3])
+            paired = set()
+            assert smith_diagonal(entries, m, n, paired=paired) \
+                == full_scan_smith_diagonal(entries)
+            assert paired <= set(range(m))
+            seen["rows paired"] += bool(paired)
+            B = left_kernel_rows(rng, entries, m, n)
+            if B is None:
+                continue
+            kept = {i: {j: v for j, v in r.items() if j not in paired}
+                    for i, r in B.sparse_rows().items()}
+            assert smith_diagonal(kept, B.nrows, B.ncols) \
+                == smith_diagonal(B.sparse_rows(), B.nrows, B.ncols)
+            seen["pairing drops a column of B"] += kept != B.sparse_rows()
+        assert min(seen.values()) >= 20, seen
+
+    def test_tall_matrix_pairs_the_row_of_its_unit(self):
+        """A = [[2], [1], [0]] is tall, so it is reduced as [[2, 1, 0]],
+        whose one unit stands in column 1: the pivot's column there is row
+        1 of A, and row 1 pairs, not row 0 of the transpose.  B = [[1, -2,
+        0], [0, 0, 1]] has B * A = 0 and invariant factors 1, 1, which it
+        keeps without column 1; without column 0 it would read 1, 2."""
+        paired = set()
+        assert smith_diagonal({0: {0: 2}, 1: {0: 1}}, 3, 1, paired=paired) == [1]
+        assert paired == {1}
+        assert smith_diagonal({0: {0: 1, 1: -2}, 1: {2: 1}}, 2, 3) == [1, 1]
+        assert smith_diagonal({0: {0: 1}, 1: {2: 1}}, 2, 3) == [1, 1]
+        assert smith_diagonal({0: {1: -2}, 1: {2: 1}}, 2, 3) == [1, 2]
 
     def test_unit_poor_pairing_keeps_factors(self, monkeypatch):
         """Seeded unit-poor matrices A up to 10 x 10, entries from
@@ -738,6 +806,19 @@ class TestSNF:
             with pytest.raises(ValueError, match=where):
                 smith_diagonal(entries, 2, 3)
         assert smith_diagonal({0: {0: 1}, 6: {0: 0, 9: 0}, 1: {-1: 0}}, 2, 3) == [1]
+
+    def test_out_of_range_entry_rejected_in_a_tall_matrix(self):
+        """A tall matrix, reduced as its transpose, names the same entry:
+        the first nonzero one outside, in the given matrix's row order."""
+        for entries, where in (({0: {5: 2}, 7: {0: 3}}, r"\(0, 5\)"),
+                               ({7: {0: 3}}, r"\(7, 0\)"),
+                               ({1: {0: 1, -1: 2}}, r"\(1, -1\)"),
+                               ({0: {0: 1}, 1: {1: 1, 2: 4, 4: 5}}, r"\(1, 2\)"),
+                               ({0: {1: 2}, 5: {0: 1}, -1: {0: 1}}, r"\(5, 0\)"),
+                               ({0: {0: 1}, 6: {0: 0, 9: 0}, 1: {7: 1}}, r"\(1, 7\)")):
+            with pytest.raises(ValueError, match=r"entry %s outside a 3x2 matrix" % where):
+                smith_diagonal(entries, 3, 2)
+        assert smith_diagonal({0: {0: 1}, 6: {0: 0, 9: 0}, 2: {-1: 0}}, 3, 2) == [1]
 
     def test_explicit_zero_entries_ignored(self):
         assert smith_diagonal({0: {0: 0, 1: 2}, 1: {0: 3, 1: 0}}, 2, 2) == [1, 6]
@@ -1085,11 +1166,14 @@ class TestHomologyAt:
 
     def test_non_unit_pivot_stops_the_pairing(self):
         """d_in = [[1, 0, 0]] + [[0, -2, 3], [0, 3, -3], [0, 2, -2]] as a
-        block matrix.  The unit at (0, 0) retires and pairs row 0.  No unit
-        is left, and the -2 at (3, 2), the least entry of a shortest column,
-        has rows 1 and 2 beside it, so its isolation makes row operations
-        that alter columns 3 and then 1 of d_out, which stay.  It ends at a
-        unit at (1, 2), and the unit at (2, 1) follows; both retire
+        block matrix, tall, so it is reduced as its transpose.  The unit at
+        (0, 0) retires and pairs row 0.  No unit is left, and the 2 at
+        (3, 1), the least entry of a shortest column of the transpose, has
+        the -2 at (3, 2) beside it.  Its isolation clears that -2 by a
+        column operation on d_in, which d_out never sees, then reduces
+        column 1 of d_in modulo 2 by row operations, which alter column 3
+        of d_out, and column 2 once it moves to the unit at (2, 1); column
+        3 stays.  The unit at (1, 2) follows, and both units retire
         unpaired.  d_out = [[0, 0, 2, -3]] keeps its invariant factor 1 on
         the unpaired columns 1, 2, 3; had rows 1 and 2 been paired too,
         column 3 alone would read 3."""
@@ -1142,6 +1226,27 @@ class TestHomologyAt:
         homology_at(d1, IntMatrix.zeros(0, d1.nrows))
         homology_at(IntMatrix.zeros(d2.ncols, 0), d2)
         assert len(nnz) == 6
+
+    @pytest.mark.parametrize("kind", ("torus", "klein"))
+    def test_d_out_passes_through_when_nothing_pairs(self, monkeypatch, kind):
+        """For H_2 of a surface d_in has no columns, so nothing pairs, and
+        d2's sparse rows reach the second smith_diagonal call as they are,
+        all 6n^2 nonzeros, and come back untouched."""
+        seen = []
+
+        def counted(entries_by_row, nrows, ncols, **kwargs):
+            seen.append(entries_by_row)
+            return smith_diagonal(entries_by_row, nrows, ncols, **kwargs)
+
+        monkeypatch.setattr(exactla, "smith_diagonal", counted)
+        n = 6
+        _, d2 = grid_boundaries(kind, n)
+        before = copy.deepcopy(d2.sparse_rows())
+        assert homology_at(IntMatrix.zeros(d2.ncols, 0), d2) \
+            == ((1, []) if kind == "torus" else (0, []))
+        assert seen[1] is d2.sparse_rows()
+        assert sum(map(len, seen[1].values())) == 6 * n * n
+        assert d2.sparse_rows() == before
 
 
 def unimodular_pair(rng, n):
